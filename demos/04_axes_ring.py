@@ -30,7 +30,7 @@ for n in (2, 3, 5):
 
     mins = con.minimal_primes_monomial(MonomialIdeal(R.inner.gens), n, check=False)
     oracle = covers.brute_force_minimal_covers(
-        [rings.mono_support(g) for g in R.inner.gens], n
+        [rings.mask_support(g) for g in R.inner.gens], n
     )
     assert [p.cover for p in mins] == oracle
     print(f"  (ii)  minimal primes (cover enumeration == 2^n oracle):",

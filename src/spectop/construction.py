@@ -70,12 +70,14 @@ def minimal_primes_monomial(
 ) -> list[MonoPrime]:
     """Minimal primes of a monomial ideal, as minimal vertex covers.
 
-    With check=True (the default) the result is compared against the
-    2^nvars subset-scan oracle, which caps nvars; pass check=False to
+    The ideal is a MonomialIdeal or an iterable of square-free exponent
+    tuples.  With check=True (the default) the result is compared against
+    the 2^nvars subset-scan oracle, which caps nvars; pass check=False to
     skip the oracle.
     """
-    gens = ideal.gens if isinstance(ideal, MonomialIdeal) else frozenset(ideal)
-    edges = [rings.mono_support(g) for g in gens]
+    if not isinstance(ideal, MonomialIdeal):
+        ideal = rings.monomial_ideal(ideal)
+    edges = [rings.mask_support(g) for g in ideal.gens]
     fast = covers.minimal_covers(edges, nvars)
     if check:
         if nvars > covers.ORACLE_VAR_BOUND:
@@ -85,7 +87,7 @@ def minimal_primes_monomial(
         oracle = covers.brute_force_minimal_covers(edges, nvars)
         if fast != oracle:
             raise AssertionError(
-                f"cover enumeration disagrees with the subset oracle on {gens}"
+                f"cover enumeration disagrees with the subset oracle on {edges}"
             )
     return [MonoPrime(c) for c in fast]
 
@@ -102,7 +104,7 @@ def verify_intersection(n: int, field: PrimeField | RationalField) -> bool:
         exps = {(0,) * (i - 1) + (1,) for i in range(1, n + 1) if i != k}
         axis_ideals.append(rings.monomial_ideal(exps))
     meet = rings.ideal_intersect_all(axis_ideals, ambient)
-    return meet == MonomialIdeal(supplement_gens(n))
+    return meet == rings.monomial_ideal(supplement_gens(n))
 
 
 def krull_dim(R: RingExpr) -> int:
@@ -232,28 +234,16 @@ def _degree_le2_members(q: PrimePoint, R: RingExpr):
     return out
 
 
-def _union_covers_prime(q: PrimePoint, family: list[PrimePoint], R: RingExpr) -> bool:
-    """Decidable fragment of "q is inside the union of the family".
-
-    Tests the generators of q plus, on monomial rings, every monomial of
-    degree <= 2 inside q.  This overapproximates union membership (sums
-    of generators are not sampled), so avoidance verdicts are
-    conservative; the fragment is exact on chains and on Z/n.
-    """
-    samples = sp.point_ideal_generators(q, R) + _degree_le2_members(q, R)
-    for el in samples:
-        if rings.is_zero(R, el):
-            continue
-        if not any(sp.point_contains(p, el, R) for p in family):
-            return False
-    return True
-
-
 def avoidance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
-    """Prime-family avoidance over an explicit family, on the fragment above.
+    """Prime-family avoidance over an explicit family, on a decidable fragment.
 
-    Membership of every sample element in every listed prime is computed
-    once; the subset sweep is then pure bitmask work.
+    "q is inside the union of the family" is tested on the generators of
+    q plus, on monomial rings, every monomial of degree <= 2 inside q.
+    This overapproximates union membership (sums of generators are not
+    sampled), so avoidance verdicts are conservative; the fragment is
+    exact on chains and on Z/n.  Membership of every sample element in
+    every listed prime is computed once; the subset sweep is then pure
+    bitmask work.
     """
     pts = list(points)
     n = len(pts)

@@ -9,6 +9,7 @@ their ring, which the surrounding document or CLI flag supplies.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from . import maps, products, rings, topology
@@ -58,6 +59,39 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# Shape checks for decoded input: a field of the wrong JSON type is refused
+# with a SpectopError, never left to fail deep inside a constructor.
+
+
+def _int(v, what: str) -> int:
+    """An integer field: a JSON integer, an integral number or a decimal string."""
+    if isinstance(v, (int, str)) or isinstance(v, float) and v.is_integer():
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise KindMismatchError(f"{what} must be an integer, got {v!r}")
+
+
+def _fraction(v) -> Fraction:
+    try:
+        return Fraction(str(v))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise KindMismatchError(f"bad rational {v!r}") from exc
+
+
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise KindMismatchError(f"{what} must be a list, got {v!r}")
+    return v
+
+
+def _obj(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise KindMismatchError(f"{what} must be an object, got {v!r}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Rings
 # ---------------------------------------------------------------------------
@@ -75,7 +109,9 @@ def ring_to_json(R: RingExpr) -> dict:
     if isinstance(R, PolyRingOverPrimeField):
         return {"kind": "FpPoly", "p": R.p}
     if isinstance(R, MonomialQuotient):
-        gens = sorted(list(g) + [0] * (R.nvars - len(g)) for g in R.gens)
+        gens = sorted(
+            list(rings.mask_to_exp(g)) + [0] * (R.nvars - g.bit_length()) for g in R.gens
+        )
         return {
             "kind": "MonomialQuotient",
             "field": ring_to_json(R.field),
@@ -92,24 +128,28 @@ def ring_to_json(R: RingExpr) -> dict:
 
 
 def ring_from_json(obj: dict) -> RingExpr:
-    kind = obj.get("kind")
+    kind = _obj(obj, "ring").get("kind")
     if kind == "Z":
         return rings.ZZ
     if kind == "Q":
         return rings.QQ
     if kind == "Zmod":
-        return rings.zmod(int(obj["n"]))
+        return rings.zmod(_int(obj["n"], "n"))
     if kind == "Fp":
-        return rings.prime_field(int(obj["p"]))
+        return rings.prime_field(_int(obj["p"], "p"))
     if kind == "FpPoly":
-        return rings.poly_ring(int(obj["p"]))
+        return rings.poly_ring(_int(obj["p"], "p"))
     if kind == "MonomialQuotient":
         field = ring_from_json(obj["field"])
-        return rings.monomial_quotient(field, int(obj["nvars"]), [tuple(g) for g in obj["gens"]])
+        gens = [
+            tuple(_int(e, "exponent") for e in _list(g, "generator"))
+            for g in _list(obj["gens"], "gens")
+        ]
+        return rings.monomial_quotient(field, _int(obj["nvars"], "nvars"), gens)
     if kind == "LocalizedAtIrrelevant":
         return rings.localized(ring_from_json(obj["inner"]))
     if kind == "Product":
-        return rings.product(*(ring_from_json(f) for f in obj["factors"]))
+        return rings.product(*(ring_from_json(f) for f in _list(obj["factors"], "factors")))
     if kind == "SymbolicSupplement":
         return rings.symbolic_supplement(ring_from_json(obj["field"]))
     raise KindMismatchError(f"unknown ring kind {kind!r}")
@@ -143,31 +183,37 @@ def element_to_json(e: El, R: RingExpr) -> dict:
 
 
 def _parse_coeff(c):
-    if isinstance(c, str):
-        return Fraction(c) if "/" in c else int(c)
-    return c
+    if isinstance(c, str) and "/" in c:
+        return _fraction(c)
+    if isinstance(c, float) and math.isfinite(c):
+        return c
+    return _int(c, "coefficient")
 
 
 def element_from_json(obj: dict, R: RingExpr) -> El:
-    kind = obj.get("kind")
+    kind = _obj(obj, "element").get("kind")
     if kind == "int":
-        v = int(obj["v"])
+        v = _int(obj["v"], "v")
         if isinstance(R, RationalField):
             return rings.normalize(RatEl(Fraction(v)), R)
         if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
             return rings.from_int(R, v)
         return rings.normalize(IntEl(v), R)
     if kind == "rat":
-        return rings.normalize(RatEl(Fraction(str(obj["v"]))), R)
+        return rings.normalize(RatEl(_fraction(obj["v"])), R)
     if kind == "mod":
-        return rings.normalize(ModEl(int(obj["v"])), R)
+        return rings.normalize(ModEl(_int(obj["v"], "v")), R)
     if kind == "poly":
-        return rings.normalize(PolyEl(tuple(int(c) for c in obj["coeffs"])), R)
+        coeffs = tuple(_int(c, "coefficient") for c in _list(obj["coeffs"], "coeffs"))
+        return rings.normalize(PolyEl(coeffs), R)
     if kind == "mpoly":
-        terms = tuple((_parse_coeff(t["c"]), tuple(int(x) for x in t["e"])) for t in obj["terms"])
-        return rings.normalize(MPolyEl(terms), R)
+        terms = []
+        for t in _list(obj["terms"], "terms"):
+            exp = tuple(_int(x, "exponent") for x in _list(_obj(t, "term")["e"], "e"))
+            terms.append((_parse_coeff(t["c"]), exp))
+        return rings.normalize(MPolyEl(tuple(terms)), R)
     if kind == "tuple":
-        if not isinstance(R, Product) or len(obj["items"]) != len(R.factors):
+        if not isinstance(R, Product) or len(_list(obj["items"], "items")) != len(R.factors):
             raise KindMismatchError("tuple element needs a matching product ring")
         return TupleEl(
             tuple(element_from_json(x, f) for x, f in zip(obj["items"], R.factors))
@@ -206,23 +252,23 @@ def point_to_json(p: PrimePoint) -> dict:
 
 
 def point_from_json(obj: dict) -> PrimePoint:
-    t = obj.get("type")
+    t = _obj(obj, "point").get("type")
     if t == "zGeneric":
         return ZGeneric()
     if t == "zMax":
-        return ZMax(int(obj["p"]))
+        return ZMax(_int(obj["p"], "p"))
     if t == "zmodPrime":
-        return ZmodPrime(int(obj["p"]))
+        return ZmodPrime(_int(obj["p"], "p"))
     if t == "fpxGeneric":
         return FpxGeneric()
     if t == "fpxMax":
-        return FpxMax(tuple(int(c) for c in obj["coeffs"]))
+        return FpxMax(tuple(_int(c, "coefficient") for c in _list(obj["coeffs"], "coeffs")))
     if t == "fieldZero":
         return FieldZero()
     if t == "monoPrime":
-        return MonoPrime(frozenset(int(i) for i in obj["cover"]))
+        return MonoPrime(frozenset(_int(i, "variable") for i in _list(obj["cover"], "cover")))
     if t == "suppMin":
-        return SuppMin(int(obj["k"]))
+        return SuppMin(_int(obj["k"], "k"))
     if t == "suppTop":
         return SuppTop()
     if t == "tamePrime":
@@ -263,20 +309,22 @@ def subset_to_json(E: SpecSubset) -> dict:
 
 
 def subset_from_json(obj: dict, R: RingExpr) -> SpecSubset:
-    t = obj.get("type")
+    t = _obj(obj, "subset").get("type")
     if t == "empty":
         return sp.empty_set(R)
     if t == "explicit":
-        return sp.explicit(R, {point_from_json(p) for p in obj["points"]})
+        return sp.explicit(R, {point_from_json(p) for p in _list(obj["points"], "points")})
     if t == "cofiniteClosed":
         return sp.cofinite_closed(
             R,
-            {point_from_json(p) for p in obj["excluded"]},
+            {point_from_json(p) for p in _list(obj["excluded"], "excluded")},
             bool(obj.get("withGeneric", False)),
         )
     if t == "cofiniteMin":
         return sp.cofinite_min(
-            R, {int(k) for k in obj["excluded"]}, bool(obj.get("withTop", False))
+            R,
+            {_int(k, "axis") for k in _list(obj["excluded"], "excluded")},
+            bool(obj.get("withTop", False)),
         )
     if t == "whole":
         return sp.whole(R)
@@ -319,7 +367,7 @@ def map_to_json(m: maps.RingMapSpec) -> dict:
 
 
 def map_from_json(obj: dict) -> maps.RingMapSpec:
-    t = obj.get("type")
+    t = _obj(obj, "map").get("type")
     if t == "quotientMap":
         return maps.QuotientMap(ring_from_json(obj["ring"]), point_from_json(obj["prime"]))
     if t == "canonicalIntoQuotientProduct":
@@ -329,9 +377,8 @@ def map_from_json(obj: dict) -> maps.RingMapSpec:
         R = ring_from_json(obj["ring"])
         return maps.CanonicalIntoLocalProduct(R, subset_from_json(obj["set"], R))
     if t == "diagonalIntoModProduct":
-        return maps.DiagonalIntoModProduct(
-            int(obj["n"]), tuple(int(d) for d in obj["divisors"])
-        )
+        divisors = tuple(_int(d, "divisor") for d in _list(obj["divisors"], "divisors"))
+        return maps.DiagonalIntoModProduct(_int(obj["n"], "n"), divisors)
     if t == "residueMap":
         return maps.ResidueMap(ring_from_json(obj["ring"]), point_from_json(obj["prime"]))
     raise KindMismatchError(f"unknown map type {t!r}")

@@ -224,10 +224,10 @@ def is_injective(m: RingMapSpec) -> bool:
         if any(m.n % d != 0 for d in m.divisors):
             raise KindMismatchError("divisors must divide n")
         return math.lcm(*m.divisors) == m.n if m.divisors else False
-    if isinstance(m, QuotientMap):
-        return _point_is_zero_ideal(m.prime, m.ring)
-    if isinstance(m, ResidueMap):
-        # R -> k(p) factors through R/p, and Frac is injective on domains.
+    if isinstance(m, (QuotientMap, ResidueMap)):
+        # Both kernels are p: R -> k(p) factors through R/p, and Frac is
+        # injective on domains.
+        sp.validate_point(m.prime, m.ring)
         return _point_is_zero_ideal(m.prime, m.ring)
     if isinstance(m, CanonicalIntoQuotientProduct):
         return _quotient_product_kernel_zero(m.ring, m.subset)
@@ -240,10 +240,11 @@ def _point_is_zero_ideal(p: PrimePoint, R: RingExpr) -> bool:
     if isinstance(R, SymbolicSupplement):
         # x_j witnesses a nonzero element of every prime here.
         return False
-    try:
-        return rings.ideal_is_zero(sp.point_ideal(p, R), R)
-    except Exception:
-        return False
+    if isinstance(R, Product):
+        # With two or more factors the prime holds the unit idempotent of
+        # another slot, which is nonzero.
+        return len(R.factors) == 1 and _point_is_zero_ideal(p.inner, R.factors[0])
+    return rings.ideal_is_zero(sp.point_ideal(p, R), R)
 
 
 def _quotient_product_kernel_zero(R: RingExpr, E: SpecSubset) -> bool:

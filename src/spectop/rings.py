@@ -12,6 +12,12 @@ Elements are stored in canonical form: residues in [0, n), polynomials
 with no trailing zeros, multivariate terms sorted with every monomial
 that lies in the defining ideal deleted.  Arithmetic equality coincides
 with structural equality of canonical forms.
+
+Every monomial generator and prime here is square-free, so inside this
+module a generator is an int bitmask of its support: bit i-1 stands for
+x_i, divisibility is g & ~m == 0 and lcm is u | v.  Exponent tuples stay
+wherever monomials meet the outside world (elements, the constructors,
+printing, JSON); exp_to_mask, mask_to_exp and mask_support convert.
 """
 
 from __future__ import annotations
@@ -102,10 +108,11 @@ class MonomialQuotient:
 
     field: PrimeField | RationalField
     nvars: int
-    gens: frozenset[tuple[int, ...]]
+    gens: frozenset[int]
 
     def __str__(self) -> str:
-        gens = ",".join(mono_str(g) for g in sorted(self.gens)) or "0"
+        exps = sorted(mask_to_exp(g) for g in self.gens)
+        gens = ",".join(mono_str(e) for e in exps) or "0"
         return f"{self.field}[x1..x{self.nvars}]/({gens})"
 
 
@@ -187,12 +194,43 @@ def _canonical_exp(exp) -> tuple[int, ...]:
     return exp
 
 
-def _minimalize_monomials(gens: set[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    out = set()
-    for g in gens:
-        if not any(h != g and mono_divides(h, g) for h in gens):
-            out.add(g)
-    return frozenset(out)
+def exp_to_mask(exp) -> int:
+    """Bitmask of the support of an exponent tuple; for a square-free
+    monomial this is the monomial itself."""
+    mask = 0
+    for i, e in enumerate(exp):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def mask_to_exp(mask: int) -> tuple[int, ...]:
+    """The canonical exponent tuple (no trailing zeros) of a mask."""
+    return tuple(mask >> i & 1 for i in range(mask.bit_length()))
+
+
+def mask_support(mask: int) -> frozenset[int]:
+    """Variable indices of a mask, 1-based."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _generator_mask(g) -> int:
+    """Mask of a generator given as an exponent tuple; square-free only."""
+    exp = tuple(int(e) for e in g)
+    if any(e not in (0, 1) for e in exp):
+        raise KindMismatchError("only square-free monomial generators are admitted")
+    return exp_to_mask(exp)
+
+
+def _minimal_masks(masks) -> frozenset[int]:
+    """The masks no other mask divides.  A proper divisor is a proper
+    subset of the bits, hence a smaller int, so one pass in increasing
+    order against the masks kept so far suffices."""
+    kept: list[int] = []
+    for m in sorted(masks):
+        if all(k & ~m for k in kept):
+            kept.append(m)
+    return frozenset(kept)
 
 
 def monomial_quotient(
@@ -202,27 +240,23 @@ def monomial_quotient(
         raise BadArityError("need nvars >= 1")
     if not isinstance(field, (PrimeField, RationalField)):
         raise KindMismatchError("coefficient field must be a prime field or Q")
-    canon = set()
+    masks = set()
     for g in gens:
-        g = _canonical_exp(g)
-        if not g:
+        m = _generator_mask(g)
+        if not m:
             raise KindMismatchError("constant generator would give the unit ideal")
-        if len(g) > nvars:
+        if m.bit_length() > nvars:
             raise KindMismatchError("generator uses more variables than nvars")
-        if any(e not in (0, 1) for e in g):
-            raise KindMismatchError("only square-free monomial generators are admitted")
-        canon.add(g)
-    return MonomialQuotient(field, nvars, _minimalize_monomials(canon))
+        masks.add(m)
+    return MonomialQuotient(field, nvars, _minimal_masks(masks))
 
 
 def _dim_at_most_one(R: MonomialQuotient) -> bool:
     """dim <= 1 without enumerating covers: no two-variable set may be
     free of generators (the dimension is the largest generator-free set)."""
-    edges = [mono_support(g) for g in R.gens]
-    for i in range(1, R.nvars + 1):
-        for j in range(i + 1, R.nvars + 1):
-            pair = {i, j}
-            if not any(e <= pair for e in edges):
+    for i in range(R.nvars):
+        for j in range(i + 1, R.nvars):
+            if not _mask_in(R.gens, 1 << i | 1 << j):
                 return False
     return True
 
@@ -255,22 +289,6 @@ def symbolic_supplement(field: PrimeField | RationalField) -> SymbolicSupplement
     return SymbolicSupplement(field)
 
 
-def mono_divides(g: tuple[int, ...], m: tuple[int, ...]) -> bool:
-    """Componentwise g <= m on padded exponent vectors."""
-    if len(g) > len(m):
-        if any(e > 0 for e in g[len(m) :]):
-            return False
-        g = g[: len(m)]
-    return all(ge <= me for ge, me in zip(g, m + (0,) * len(g)))
-
-
-def mono_lcm(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(u), len(v))
-    u = u + (0,) * (n - len(u))
-    v = v + (0,) * (n - len(v))
-    return _canonical_exp(max(a, b) for a, b in zip(u, v))
-
-
 def mono_support(m: tuple[int, ...]) -> frozenset[int]:
     """Variable indices, 1-based."""
     return frozenset(i + 1 for i, e in enumerate(m) if e)
@@ -287,13 +305,13 @@ def mono_str(m: tuple[int, ...]) -> str:
 @lru_cache(maxsize=None)
 def quotient_dim(R: MonomialQuotient) -> int:
     """Krull dimension of T/I: nvars minus the minimum vertex cover size."""
-    edges = [mono_support(g) for g in R.gens]
+    edges = [mask_support(g) for g in R.gens]
     return R.nvars - covers.min_cover_size(edges, R.nvars)
 
 
 @lru_cache(maxsize=None)
 def minimal_cover_sets(R: MonomialQuotient) -> tuple[frozenset[int], ...]:
-    edges = [mono_support(g) for g in R.gens]
+    edges = [mask_support(g) for g in R.gens]
     return tuple(covers.minimal_covers(edges, R.nvars))
 
 
@@ -368,7 +386,7 @@ def _term_killed(R: RingExpr, exp: tuple[int, ...]) -> bool:
     if isinstance(R, LocalizedAtIrrelevant):
         return _term_killed(R.inner, exp)
     if isinstance(R, MonomialQuotient):
-        return any(mono_divides(g, exp) for g in R.gens)
+        return _mask_in(R.gens, exp_to_mask(exp))
     if isinstance(R, SymbolicSupplement):
         return len(mono_support(exp)) >= 2
     return False
@@ -633,13 +651,13 @@ class PrincipalIdeal:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal by its minimal generating exponents.
+    """Square-free monomial ideal by its minimal generators, as masks.
 
     Inside a monomial quotient this represents the image ideal; the zero
     ideal of the quotient is the defining ideal itself.
     """
 
-    gens: frozenset[tuple[int, ...]]
+    gens: frozenset[int]
 
 
 IdealRepr = PrincipalIdeal | MonomialIdeal
@@ -659,7 +677,13 @@ def principal_ideal(R: RingExpr, gen: El) -> PrincipalIdeal:
 
 
 def monomial_ideal(gens) -> MonomialIdeal:
-    return MonomialIdeal(_minimalize_monomials({_canonical_exp(g) for g in gens}))
+    """The ideal generated by square-free exponent tuples."""
+    return MonomialIdeal(_minimal_masks({_generator_mask(g) for g in gens}))
+
+
+def _mask_in(gens: frozenset[int], m: int) -> bool:
+    """Whether some generator divides the monomial m."""
+    return any(g & ~m == 0 for g in gens)
 
 
 def ideal_member(I: IdealRepr, r: El, R: RingExpr) -> bool:
@@ -680,16 +704,14 @@ def ideal_member(I: IdealRepr, r: El, R: RingExpr) -> bool:
     if isinstance(I, MonomialIdeal):
         if not isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
             raise KindMismatchError(f"monomial ideal incompatible with {R}")
-        return all(
-            any(mono_divides(g, e) for g in I.gens) for _, e in r.terms
-        )
+        return all(_mask_in(I.gens, exp_to_mask(e)) for _, e in r.terms)
     raise KindMismatchError(f"unknown ideal {I}")
 
 
 def ideal_intersect(I: IdealRepr, J: IdealRepr, R: RingExpr) -> IdealRepr:
     """Intersection; folds associatively to finite intersections."""
     if isinstance(I, MonomialIdeal) and isinstance(J, MonomialIdeal):
-        return monomial_ideal({mono_lcm(u, v) for u in I.gens for v in J.gens})
+        return MonomialIdeal(_minimal_masks({u | v for u in I.gens for v in J.gens}))
     if isinstance(I, PrincipalIdeal) and isinstance(J, PrincipalIdeal):
         a, b = I.gen, J.gen
         if isinstance(R, IntegerRing):
@@ -724,14 +746,14 @@ def ideal_is_zero(I: IdealRepr, R: RingExpr) -> bool:
         return is_zero(R, I.gen)
     if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant)):
         inner = R.inner if isinstance(R, LocalizedAtIrrelevant) else R
-        return all(any(mono_divides(g, m) for g in inner.gens) for m in I.gens)
+        return all(_mask_in(inner.gens, m) for m in I.gens)
     return not I.gens
 
 
 def ideal_contains(I: IdealRepr, J: IdealRepr, R: RingExpr) -> bool:
     """I >= J, decided on generators."""
     if isinstance(I, MonomialIdeal) and isinstance(J, MonomialIdeal):
-        return all(any(mono_divides(g, m) for g in I.gens) for m in J.gens)
+        return all(_mask_in(I.gens, m) for m in J.gens)
     if isinstance(I, PrincipalIdeal) and isinstance(J, PrincipalIdeal):
         return ideal_member(I, J.gen, R)
     raise KindMismatchError("ideal kinds do not match")
@@ -826,10 +848,3 @@ def el_str(e: El, R: RingExpr) -> str:
         inner = ", ".join(el_str(x, f) for x, f in zip(e.items, R.factors))
         return f"({inner})"
     return str(e)
-
-
-def ideal_str(I: IdealRepr, R: RingExpr) -> str:
-    if isinstance(I, PrincipalIdeal):
-        return f"({el_str(I.gen, R)})"
-    gens = ", ".join(mono_str(g) for g in sorted(I.gens)) or "0"
-    return f"({gens})"

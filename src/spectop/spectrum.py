@@ -193,7 +193,8 @@ def validate_point(p: PrimePoint, R: RingExpr) -> None:
     elif isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant)):
         inner = R.inner if isinstance(R, LocalizedAtIrrelevant) else R
         if isinstance(p, MonoPrime) and p.cover <= frozenset(range(1, inner.nvars + 1)):
-            if all(rings.mono_support(g) & p.cover for g in inner.gens):
+            cover = sum(1 << (i - 1) for i in p.cover)  # bit i-1 is x_i
+            if all(g & cover for g in inner.gens):
                 return
     elif isinstance(R, SymbolicSupplement):
         if isinstance(p, (SuppTop,)):
@@ -283,8 +284,8 @@ def point_ideal(p: PrimePoint, R: RingExpr) -> rings.IdealRepr:
             return rings.PrincipalIdeal(rings.PolyEl(()))
         return rings.principal_ideal(R, rings.PolyEl(p.coeffs))
     if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant)):
-        exps = {(0,) * (i - 1) + (1,) for i in p.cover}
-        return rings.monomial_ideal(exps)
+        # The variables of the cover, as masks (bit i-1 is x_i): already minimal.
+        return rings.MonomialIdeal(frozenset(1 << (i - 1) for i in p.cover))
     raise UnsupportedError(f"no ideal representation for points of {R}")
 
 
@@ -488,12 +489,6 @@ def subset_member(p: PrimePoint, E: SpecSubset) -> bool:
         validate_point(p, E.ring)
         return True
     raise KindMismatchError(f"unknown subset {E}")
-
-
-def is_finite_subset(E: SpecSubset) -> bool:
-    return isinstance(E, (EmptySet, Explicit)) or (
-        isinstance(E, Whole) and not has_symbolic_spectrum(E.ring)
-    )
 
 
 def subset_points(E: SpecSubset) -> list[PrimePoint]:

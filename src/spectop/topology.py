@@ -152,10 +152,6 @@ def closure(E: SpecSubset, topology: str, R: RingExpr | None = None) -> SpecSubs
     raise UnsupportedError(f"unknown topology {topology!r}")
 
 
-def is_closed(E: SpecSubset, topology: str, R: RingExpr | None = None) -> bool:
-    return closure(E, topology, R) == E
-
-
 def is_stable(E: SpecSubset, R: RingExpr | None, mode: str) -> bool:
     """Stability under specialization or generalization.
 

@@ -111,7 +111,7 @@ def test_acceptance_5_axes_ring_statements_full_range():
                 MonomialIdeal(ring.inner.gens), n, check=False
             )
             oracle = covers.brute_force_minimal_covers(
-                [rings.mono_support(g) for g in ring.inner.gens], n
+                [rings.mask_support(g) for g in ring.inner.gens], n
             )
             assert [p.cover for p in mins] == oracle
             full = frozenset(range(1, n + 1))

@@ -127,6 +127,22 @@ def test_bad_json_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spec", "--ring", '{"kind":"Zmod","n":[1]}'],
+        ["spec", "--ring", '{"kind":"Zmod","n":1e400}'],
+        ["spec", "--ring", '{"kind":"Product","factors":7}'],
+        ["closure", "--topology", "zariski", "--ring", Z,
+         "--set", '{"type":"explicit","points":[{"type":"zMax","p":null}]}'],
+    ],
+)
+def test_malformed_json_shapes_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error" in err
+
+
 def test_unknown_topology_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         run_command(["closure", "--topology", "euclidean", "--ring", Z, "--set", FIVE])

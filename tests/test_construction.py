@@ -13,9 +13,9 @@ from spectop.spectrum import MonoPrime
 
 def test_build_supplement_generators():
     R = con.build_supplement(F2, 3)
-    assert R.inner.gens == frozenset({(1, 1), (1, 0, 1), (0, 1, 1)})
+    assert {rings.mask_to_exp(g) for g in R.inner.gens} == {(1, 1), (1, 0, 1), (0, 1, 1)}
     R2 = con.build_supplement(rings.QQ, 2)
-    assert R2.inner.gens == frozenset({(1, 1)})
+    assert {rings.mask_to_exp(g) for g in R2.inner.gens} == {(1, 1)}
 
 
 def test_build_supplement_degenerate():
@@ -106,7 +106,7 @@ def test_krull_dim_chain_oracle():
         frozenset(c)
         for bits in range(8)
         for c in [{i + 1 for i in range(3) if (bits >> i) & 1}]
-        if all(rings.mono_support(g) & frozenset(c) for g in R.gens)
+        if all(rings.mask_support(g) & frozenset(c) for g in R.gens)
     ]
     longest = 0
     for a in covers_all:

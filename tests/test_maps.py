@@ -64,6 +64,20 @@ def test_is_injective_examples():
     assert not maps.is_injective(maps.QuotientMap(rings.ZZ, ZMax(7)))
 
 
+def test_is_injective_residue_and_quotient_over_products():
+    # One factor: the product is the factor itself, so F_5 -> F_5 is injective.
+    f5 = rings.product(rings.prime_field(5))
+    assert maps.is_injective(maps.ResidueMap(f5, TamePrime(0, FieldZero())))
+    assert maps.is_injective(maps.QuotientMap(f5, TamePrime(0, FieldZero())))
+    z6 = rings.product(rings.zmod(6))
+    assert not maps.is_injective(maps.QuotientMap(z6, TamePrime(0, ZmodPrime(2))))
+    # Two factors: the prime holds the other slot's unit idempotent.
+    f5_f7 = rings.product(rings.prime_field(5), rings.prime_field(7))
+    for slot in (0, 1):
+        assert not maps.is_injective(maps.ResidueMap(f5_f7, TamePrime(slot, FieldZero())))
+        assert not maps.is_injective(maps.QuotientMap(f5_f7, TamePrime(slot, FieldZero())))
+
+
 def test_is_injective_axes_cases():
     mins = [p for p in sp.spec_points(SUPP3) if len(p.cover) == 2]
     all_mins = sp.explicit(SUPP3, mins)

@@ -1,0 +1,151 @@
+"""The bitmask ideal layer against an exponent-tuple reference, and the
+boundary where monomials enter and leave it as exponent tuples."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import F2
+from spectop import jsonio, rings
+from spectop.errors import KindMismatchError
+
+NVARS = 8
+
+# ---------------------------------------------------------------------------
+# Reference: monomials as padded exponent tuples, compared componentwise.
+# ---------------------------------------------------------------------------
+
+
+def ref_canon(e):
+    e = tuple(e)
+    while e and e[-1] == 0:
+        e = e[:-1]
+    return e
+
+
+def ref_divides(g, m):
+    n = max(len(g), len(m))
+    g = g + (0,) * (n - len(g))
+    m = m + (0,) * (n - len(m))
+    return all(a <= b for a, b in zip(g, m))
+
+
+def ref_lcm(u, v):
+    n = max(len(u), len(v))
+    u = u + (0,) * (n - len(u))
+    v = v + (0,) * (n - len(v))
+    return ref_canon(max(a, b) for a, b in zip(u, v))
+
+
+def ref_minimalize(gens):
+    gens = {ref_canon(g) for g in gens}
+    return {g for g in gens if not any(h != g and ref_divides(h, g) for h in gens)}
+
+
+def ref_in(gens, m):
+    return any(ref_divides(g, m) for g in gens)
+
+
+def exps(I):
+    return {rings.mask_to_exp(g) for g in I.gens}
+
+
+square_free = st.lists(st.integers(0, 1), max_size=NVARS).map(tuple)
+gen_sets = st.sets(square_free, max_size=6)
+ring_gens = st.sets(square_free.filter(any), min_size=1, max_size=6)
+element_terms = st.dictionaries(
+    st.lists(st.integers(0, 2), max_size=NVARS).map(tuple),
+    st.integers(1, 5),
+    max_size=4,
+)
+AMBIENT = rings.monomial_quotient(rings.QQ, NVARS, frozenset())
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(gen_sets)
+def test_minimalization_matches_reference(G):
+    assert exps(rings.monomial_ideal(G)) == ref_minimalize(G)
+
+
+@PROPERTY
+@given(gen_sets, gen_sets)
+def test_intersect_matches_reference(G, H):
+    meet = rings.ideal_intersect(rings.monomial_ideal(G), rings.monomial_ideal(H), AMBIENT)
+    want = ref_minimalize({ref_lcm(ref_canon(u), ref_canon(v)) for u in G for v in H})
+    assert exps(meet) == want
+
+
+@PROPERTY
+@given(gen_sets, gen_sets)
+def test_contains_matches_reference(G, H):
+    I, J = rings.monomial_ideal(G), rings.monomial_ideal(H)
+    want = all(ref_in(G, ref_canon(m)) for m in H)
+    assert rings.ideal_contains(I, J, AMBIENT) == want
+
+
+@PROPERTY
+@given(gen_sets, element_terms)
+def test_member_matches_reference(G, terms):
+    # Element exponents may exceed one; only their support meets a
+    # square-free generator.
+    r = rings.mpoly_el(AMBIENT, terms)
+    want = all(ref_in(G, e) for _, e in r.terms)
+    assert rings.ideal_member(rings.monomial_ideal(G), r, AMBIENT) == want
+
+
+@PROPERTY
+@given(ring_gens, gen_sets)
+def test_is_zero_matches_reference(defining, G):
+    R = rings.monomial_quotient(F2, NVARS, defining)
+    want = all(ref_in(defining, ref_canon(m)) for m in G)
+    assert rings.ideal_is_zero(rings.monomial_ideal(G), R) == want
+
+
+# ---------------------------------------------------------------------------
+# Boundary: printed and JSON forms, recorded from the exponent-tuple layer.
+# ---------------------------------------------------------------------------
+
+MIXED = {(1, 1), (1, 0, 1), (0, 0, 0, 1)}
+
+
+@pytest.mark.parametrize(
+    "R, text, doc",
+    [
+        (
+            rings.monomial_quotient(F2, 4, MIXED),
+            "F_2[x1..x4]/(x4,x1*x3,x1*x2)",
+            '{"field":{"kind":"Fp","p":2},"gens":[[0,0,0,1],[1,0,1,0],[1,1,0,0]],'
+            '"kind":"MonomialQuotient","nvars":4}',
+        ),
+        (
+            rings.monomial_quotient(rings.QQ, 6, MIXED),
+            "Q[x1..x6]/(x4,x1*x3,x1*x2)",
+            '{"field":{"kind":"Q"},"gens":[[0,0,0,1,0,0],[1,0,1,0,0,0],[1,1,0,0,0,0]],'
+            '"kind":"MonomialQuotient","nvars":6}',
+        ),
+        (
+            rings.monomial_quotient(F2, 5, {(0, 1, 0, 1), (1, 0, 0, 0, 0), (0, 0, 1)}),
+            "F_2[x1..x5]/(x3,x2*x4,x1)",
+            '{"field":{"kind":"Fp","p":2},"gens":[[0,0,1,0,0],[0,1,0,1,0],[1,0,0,0,0]],'
+            '"kind":"MonomialQuotient","nvars":5}',
+        ),
+        (
+            rings.localized(
+                rings.monomial_quotient(rings.prime_field(3), 3, {(1, 1), (0, 0, 1), (1, 0, 1)})
+            ),
+            "(F_3[x1..x3]/(x3,x1*x2))_m",
+            '{"inner":{"field":{"kind":"Fp","p":3},"gens":[[0,0,1],[1,1,0]],'
+            '"kind":"MonomialQuotient","nvars":3},"kind":"LocalizedAtIrrelevant"}',
+        ),
+    ],
+)
+def test_mixed_length_generators_print_and_encode_as_before(R, text, doc):
+    assert str(R) == text
+    assert jsonio.dumps_canonical(jsonio.ring_to_json(R)) == doc
+    assert jsonio.ring_from_json(jsonio.ring_to_json(R)) == R
+
+
+def test_monomial_ideal_refuses_non_square_free():
+    with pytest.raises(KindMismatchError):
+        rings.monomial_ideal({(2,)})

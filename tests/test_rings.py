@@ -144,7 +144,7 @@ def test_ideal_intersect_examples():
     meet = rings.ideal_intersect(
         rings.monomial_ideal({(0, 1)}), rings.monomial_ideal({(1,)}), amb
     )
-    assert meet == MonomialIdeal(frozenset({(1, 1)}))
+    assert {rings.mask_to_exp(g) for g in meet.gens} == {(1, 1)}
     four_and_six = rings.ideal_intersect(
         PrincipalIdeal(IntEl(4)), PrincipalIdeal(IntEl(6)), rings.ZZ
     )
@@ -155,7 +155,7 @@ def test_ideal_intersect_examples():
         rings.monomial_ideal({(1,), (0, 0, 1)}),
         amb3,
     )
-    assert meet3 == MonomialIdeal(frozenset({(1,), (0, 1, 1)}))
+    assert {rings.mask_to_exp(g) for g in meet3.gens} == {(1,), (0, 1, 1)}
 
 
 def monomials_up_to(nvars, degree):
@@ -237,7 +237,7 @@ def test_monomial_quotient_constructor_validation():
     with pytest.raises(KindMismatchError):
         rings.monomial_quotient(F2, 1, {(1, 1)})  # too many variables
     R = rings.monomial_quotient(F2, 2, {(1, 0), (1, 1)})
-    assert R.gens == frozenset({(1,)})  # minimalized
+    assert {rings.mask_to_exp(g) for g in R.gens} == {(1,)}  # minimalized
 
 
 def test_localization_dimension_guard():

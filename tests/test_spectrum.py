@@ -96,7 +96,7 @@ def test_mono_prime_covers_hit_every_generator():
         R = construction.build_supplement(F2, n)
         for p in sp.spec_points(R):
             for g in R.inner.gens:
-                assert rings.mono_support(g) & p.cover
+                assert rings.mask_support(g) & p.cover
 
 
 def test_v_locus_integers():
