@@ -13,7 +13,7 @@ from spectop import rings, spectrum as sp, topology as top
 
 R = rings.zmod(360)  # primes (2), (3), (5), all maximal
 print("ring:", R)
-print("Spec =", sp.subset_str(sp.enumerate_spec(R)))
+print("Spec =", sp.subset_str(sp.whole(R)))
 
 E = sp.explicit(R, {sp.ZmodPrime(2)})
 for t in top.TOPOLOGIES:

@@ -40,7 +40,7 @@ def _print(doc: dict, as_json: bool, human: str) -> None:
 
 def _cmd_spec(args) -> int:
     R = jsonio.ring_from_json(_load_json(args.ring))
-    E = sp.enumerate_spec(R)
+    E = sp.whole(R)
     _print(
         {"ring": jsonio.ring_to_json(R), "spectrum": jsonio.subset_to_json(E)},
         args.json,
@@ -177,11 +177,7 @@ def _cmd_verify(args) -> int:
         params["max_n"] = args.max_n
     results = []
     for name in names:
-        try:
-            results.append(suites.run_suite(name, seed=args.seed, **params))
-        except TypeError:
-            # Suite does not take one of the size knobs; rerun without it.
-            results.append(suites.run_suite(name, seed=args.seed))
+        results.append(suites.run_suite(name, seed=args.seed, **params))
     if args.json:
         doc = {"results": [r.to_json() for r in results]}
         print(jsonio.dumps_canonical(doc))

@@ -18,23 +18,15 @@ from . import covers, rings
 from . import spectrum as sp
 from .errors import (
     BadArityError,
-    NonEnumerableError,
     SpectrumTooLargeError,
     TooManyVarsError,
-    UnsupportedError,
 )
 from .rings import (
-    IntegerRing,
     LocalizedAtIrrelevant,
-    ModRing,
     MonomialIdeal,
-    MonomialQuotient,
-    PolyRingOverPrimeField,
     PrimeField,
-    Product,
     RationalField,
     RingExpr,
-    SymbolicSupplement,
 )
 from .spectrum import MonoPrime, PrimePoint
 
@@ -109,41 +101,26 @@ def verify_intersection(n: int, field: PrimeField | RationalField) -> bool:
 
 def krull_dim(R: RingExpr) -> int:
     """Longest chain of primes: enumerated when possible, else by formula."""
-    if sp.is_enumerable(R):
-        pts = sp.spec_points(R)
-        below = {
-            p: [q for q in pts if q != p and sp.leq_specialization(q, p, R)]
-            for p in pts
-        }
-        memo: dict[PrimePoint, int] = {}
+    if not R.is_enumerable():
+        return R.krull_dim()
+    pts = sp.spec_points(R)
+    below = {
+        p: [q for q in pts if q != p and sp.leq_specialization(q, p, R)]
+        for p in pts
+    }
+    memo: dict[PrimePoint, int] = {}
 
-        def depth(p: PrimePoint) -> int:
-            if p not in memo:
-                memo[p] = 1 + max(depth(q) for q in below[p]) if below[p] else 0
-            return memo[p]
+    def depth(p: PrimePoint) -> int:
+        if p not in memo:
+            memo[p] = 1 + max(depth(q) for q in below[p]) if below[p] else 0
+        return memo[p]
 
-        return max((depth(p) for p in pts), default=0)
-    if isinstance(R, MonomialQuotient):
-        return rings.quotient_dim(R)
-    if isinstance(R, (IntegerRing, PolyRingOverPrimeField)):
-        return 1
-    if isinstance(R, SymbolicSupplement):
-        return 1
-    raise NonEnumerableError(f"cannot chase chains in {R}")
+    return max((depth(p) for p in pts), default=0)
 
 
 def is_reduced(R: RingExpr) -> bool:
     """Whether the nilradical vanishes."""
-    if isinstance(R, (IntegerRing, RationalField, PrimeField, PolyRingOverPrimeField)):
-        return True
-    if isinstance(R, ModRing):
-        return all(e == 1 for _, e in R.factorization)
-    if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
-        # Square-free generators force a radical defining ideal.
-        return True
-    if isinstance(R, Product):
-        return all(is_reduced(f) for f in R.factors)
-    raise UnsupportedError(f"cannot decide reducedness of {R}")
+    return R.is_reduced()
 
 
 # ---------------------------------------------------------------------------
@@ -155,30 +132,24 @@ def _family_intersection_contained(
     family: list[PrimePoint], q: PrimePoint, R: RingExpr
 ) -> bool:
     """Whether the intersection of the family's ideals sits inside q's ideal."""
-    if isinstance(R, Product):
-        inner = [p.inner for p in family if p.slot == q.slot]
-        if not inner:
-            # The intersection is full in q's slot, and no proper ideal
-            # of the factor contains the whole factor.
-            return False
-        return _family_intersection_contained(inner, q.inner, R.factors[q.slot])
-    ideals = [sp.point_ideal(p, R) for p in family]
-    meet = rings.ideal_intersect_all(ideals, R)
-    return rings.ideal_contains(sp.point_ideal(q, R), meet, R)
+    return R.meet_inside(family, q)
 
 
 def absorbance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
     """Infinite prime absorbance over an explicit family of primes.
 
     For every nonempty subfamily F and every prime q in the list, if the
-    intersection of F is contained in q then some member of F is.  The
-    subset walk shares intersection prefixes, so each node costs one
-    ideal intersection.
+    intersection of F is contained in q then some member of F is.  Tame
+    primes of a product meet slot by slot, so over a product the statement
+    holds exactly when it holds in every factor.
     """
-    pts = list(points)
+    return all(_absorbance_walk(pts, f) for f, pts in R.slots(points))
+
+
+def _absorbance_walk(pts: list[PrimePoint], R: RingExpr) -> bool:
+    """The subset walk shares intersection prefixes, so each node costs one
+    ideal intersection."""
     n = len(pts)
-    if isinstance(R, Product):
-        return _absorbance_product(pts, R)
     ideals = [sp.point_ideal(p, R) for p in pts]
     below = [
         sum(1 << i for i in range(n) if sp.leq_specialization(pts[i], pts[j], R))
@@ -201,26 +172,13 @@ def absorbance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
     return walk(0, 0, None)
 
 
-def _absorbance_product(pts: list[PrimePoint], R: Product) -> bool:
-    for size in range(1, len(pts) + 1):
-        for family in combinations(pts, size):
-            fam = list(family)
-            for q in pts:
-                if _family_intersection_contained(fam, q, R):
-                    if not any(sp.leq_specialization(p, q, R) for p in fam):
-                        return False
-    return True
-
-
 def _degree_le2_members(q: PrimePoint, R: RingExpr):
     """Monomials of total degree <= 2 lying in q, for the union test."""
-    if not isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant)):
-        return []
-    nvars = R.nvars if isinstance(R, MonomialQuotient) else R.inner.nvars
+    variables = R.monomial_variables()
     out = []
-    exps = [(0,) * (i - 1) + (1,) for i in range(1, nvars + 1)]
-    exps += [(0,) * (i - 1) + (2,) for i in range(1, nvars + 1)]
-    for i, k in combinations(range(1, nvars + 1), 2):
+    exps = [(0,) * (i - 1) + (1,) for i in variables]
+    exps += [(0,) * (i - 1) + (2,) for i in variables]
+    for i, k in combinations(variables, 2):
         e = [0] * k
         e[i - 1] = 1
         e[k - 1] = 1
@@ -249,7 +207,7 @@ def avoidance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
     n = len(pts)
     sample_masks: list[list[int]] = []
     for q in pts:
-        samples = sp.point_ideal_generators(q, R) + _degree_le2_members(q, R)
+        samples = R.point_ideal_generators(q) + _degree_le2_members(q, R)
         masks = []
         for el in samples:
             if rings.is_zero(R, el):

@@ -197,7 +197,7 @@ def element_from_json(obj: dict, R: RingExpr) -> El:
         if isinstance(R, RationalField):
             return rings.normalize(RatEl(Fraction(v)), R)
         if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
-            return rings.from_int(R, v)
+            return R.from_int(v)
         return rings.normalize(IntEl(v), R)
     if kind == "rat":
         return rings.normalize(RatEl(_fraction(obj["v"])), R)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import gfpoly, rings
+from . import rings
 from . import spectrum as sp
 from .errors import (
     KindMismatchError,
@@ -26,36 +26,20 @@ from .errors import (
     UnsupportedMapError,
     WildPrimeError,
 )
-from .primes import next_prime
-from .rings import (
-    IntegerRing,
-    LocalizedAtIrrelevant,
-    ModRing,
-    MonomialQuotient,
-    PolyRingOverPrimeField,
-    PrimeField,
-    Product,
-    RationalField,
-    RingExpr,
-    SymbolicSupplement,
-)
+from .rings import ResidueField, RingExpr  # ResidueField is named from here too
 from .spectrum import (
     CofiniteClosed,
     CofiniteMin,
     EmptySet,
     Explicit,
     FieldZero,
-    FpxGeneric,
-    FpxMax,
     PrimePoint,
     SpecSubset,
     SuppMin,
     SuppTop,
     TamePrime,
     Whole,
-    ZGeneric,
     ZmodPrime,
-    ZMax,
 )
 
 # ---------------------------------------------------------------------------
@@ -228,7 +212,7 @@ def is_injective(m: RingMapSpec) -> bool:
         # Both kernels are p: R -> k(p) factors through R/p, and Frac is
         # injective on domains.
         sp.validate_point(m.prime, m.ring)
-        return _point_is_zero_ideal(m.prime, m.ring)
+        return m.ring.point_is_zero(m.prime)
     if isinstance(m, CanonicalIntoQuotientProduct):
         return _quotient_product_kernel_zero(m.ring, m.subset)
     if isinstance(m, CanonicalIntoLocalProduct):
@@ -236,23 +220,12 @@ def is_injective(m: RingMapSpec) -> bool:
     raise UnsupportedMapError(f"unknown map {m}")
 
 
-def _point_is_zero_ideal(p: PrimePoint, R: RingExpr) -> bool:
-    if isinstance(R, SymbolicSupplement):
-        # x_j witnesses a nonzero element of every prime here.
-        return False
-    if isinstance(R, Product):
-        # With two or more factors the prime holds the unit idempotent of
-        # another slot, which is nonzero.
-        return len(R.factors) == 1 and _point_is_zero_ideal(p.inner, R.factors[0])
-    return rings.ideal_is_zero(sp.point_ideal(p, R), R)
-
-
 def _quotient_product_kernel_zero(R: RingExpr, E: SpecSubset) -> bool:
     """Whether the intersection of the members of E vanishes."""
     if isinstance(E, EmptySet):
         return False
     if isinstance(E, Whole):
-        return True if sp.has_symbolic_spectrum(R) else _finite_meet_zero(R, sp.spec_points(R))
+        return True if R.symbolic else _finite_meet_zero(R, sp.spec_points(R))
     if isinstance(E, CofiniteClosed):
         # A nonzero element has finitely many prime divisors.
         return True
@@ -260,82 +233,45 @@ def _quotient_product_kernel_zero(R: RingExpr, E: SpecSubset) -> bool:
         # Excluding axis k leaves x_k inside every remaining minimal prime.
         return not E.excluded
     if isinstance(E, Explicit):
-        if any(_point_is_zero_ideal(p, R) for p in E.points):
+        if any(R.point_is_zero(p) for p in E.points):
             return True
-        if sp.has_symbolic_spectrum(R):
+        if R.symbolic:
             return False
         return _finite_meet_zero(R, list(E.points))
     raise UnsupportedMapError(f"no kernel rule for {sp.subset_str(E)}")
 
 
 def _finite_meet_zero(R: RingExpr, points) -> bool:
-    if isinstance(R, Product):
-        # Tame primes meet slot by slot; an unmentioned slot keeps the
-        # whole factor, which is nonzero.
-        for k, f in enumerate(R.factors):
-            inner = [p.inner for p in points if p.slot == k]
-            if not inner or not _finite_meet_zero(f, inner):
-                return False
-        return True
-    ideals = [sp.point_ideal(p, R) for p in points]
-    return rings.ideal_is_zero(rings.ideal_intersect_all(ideals, R), R)
+    # Tame primes meet slot by slot; an unmentioned slot keeps the whole
+    # factor, which is nonzero.
+    return all(
+        inner
+        and rings.ideal_is_zero(
+            rings.ideal_intersect_all([f.point_ideal(p) for p in inner], f), f
+        )
+        for f, inner in R.slots(points)
+    )
 
 
 def _local_product_kernel_zero(R: RingExpr, E: SpecSubset) -> bool:
     if isinstance(E, EmptySet):
         return False
-    if isinstance(R, Product):
-        # Localizing at a tame prime keeps only its slot's factor.
-        pts = sp.subset_points(E)
-        for k, f in enumerate(R.factors):
-            inner = [p.inner for p in pts if p.slot == k]
-            if not inner or not _local_product_kernel_zero(f, sp.explicit(f, inner)):
-                return False
-        return True
-    if isinstance(R, (IntegerRing, PolyRingOverPrimeField, PrimeField, RationalField)):
+    if R.domain:
         return True  # localizations of a domain
-    if isinstance(R, SymbolicSupplement):
-        if isinstance(E, Whole):
-            return True
-        if isinstance(E, CofiniteMin):
-            return E.with_top or not E.excluded
-        if isinstance(E, Explicit):
-            # ker(R -> R_p) is p itself at a minimal prime of a reduced
-            # ring, and zero at the maximal ideal.
-            return any(isinstance(p, SuppTop) for p in E.points)
-        raise UnsupportedMapError(f"no kernel rule for {sp.subset_str(E)}")
-    if isinstance(R, ModRing):
-        pts = sp.subset_points(E)
-        prod = 1
-        for p in pts:
-            e = dict(R.factorization)[p.p]
-            prod *= p.p**e
-        return prod == R.n
-    if isinstance(R, (LocalizedAtIrrelevant, MonomialQuotient)):
-        pts = sp.subset_points(E)
-        full = frozenset(range(1, (R.inner.nvars if isinstance(R, LocalizedAtIrrelevant) else R.nvars) + 1))
-        if any(p.cover == full for p in pts):
-            return True
-        ideals = [sp.point_ideal(p, R) for p in pts]
-        return rings.ideal_is_zero(rings.ideal_intersect_all(ideals, R), R)
-    raise UnsupportedMapError(f"no localization kernel rule over {R}")
+    if R.top is not None:
+        # R_m is R itself, and at a minimal prime of a reduced ring the
+        # kernel is the prime: only all the minimal primes together meet in 0.
+        return sp.subset_member(R.top, E) or _quotient_product_kernel_zero(R, E)
+    # Localizing at a tame prime keeps only its slot's factor.
+    return all(
+        inner and (f.domain or f.local_kernel_zero(inner))
+        for f, inner in R.slots(sp.subset_points(E))
+    )
 
 
 # ---------------------------------------------------------------------------
 # Lying over
 # ---------------------------------------------------------------------------
-
-
-def _is_minimal_prime(p: PrimePoint, R: RingExpr) -> bool:
-    if sp.is_enumerable(R):
-        return not any(
-            q != p and sp.leq_specialization(q, p, R) for q in sp.spec_points(R)
-        )
-    if isinstance(R, (IntegerRing, PolyRingOverPrimeField)):
-        return isinstance(p, (ZGeneric, FpxGeneric))
-    if isinstance(R, SymbolicSupplement):
-        return isinstance(p, SuppMin)
-    raise NonEnumerableError(f"cannot test minimality over {R}")
 
 
 def laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
@@ -347,7 +283,7 @@ def laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
     """
     src = map_source(m)
     sp.validate_point(p, src)
-    if not _is_minimal_prime(p, src):
+    if not src.is_minimal_prime(p):
         raise LyingOverNotFoundError(f"{sp.point_str(p)} is not a minimal prime")
     if not is_injective(m):
         raise LyingOverNotFoundError("the map is not injective")
@@ -360,7 +296,7 @@ def laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
             try:
                 if contract(m, q) == p:
                     return q
-            except (WildPrimeError, KindMismatchError):
+            except WildPrimeError:
                 continue
         raise LyingOverNotFoundError("no tame prime lies over the given point")
     return _symbolic_laying_over(m, p)
@@ -395,27 +331,14 @@ def _symbolic_laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
 
 
 def _least_slot(E: SpecSubset, p: PrimePoint) -> PrimePoint:
-    """Least member of E whose localization keeps p (p minimal: any member)."""
-    R = E.ring
-    if isinstance(E, Whole):
-        if isinstance(R, IntegerRing):
-            return ZGeneric()
-        if isinstance(R, PolyRingOverPrimeField):
-            return FpxGeneric()
-        return SuppMin(1)
+    """A member of E whose localization keeps p, a minimal prime outside E.
+
+    Every member keeps p.  Outside E, p is the generic point, so E holds
+    closed points only, and the least of them is taken; on the axes ring
+    the top point is taken first.
+    """
     if isinstance(E, CofiniteClosed):
-        if E.with_generic:
-            return ZGeneric() if isinstance(R, IntegerRing) else FpxGeneric()
-        if isinstance(R, IntegerRing):
-            q = 2
-            while ZMax(q) in E.excluded:
-                q = next_prime(q)
-            return ZMax(q)
-        gen = gfpoly.irreducibles(R.p)
-        while True:
-            f = FpxMax(next(gen))
-            if f not in E.excluded:
-                return f
+        return next(q for q in E.ring.closed_points() if q not in E.excluded)
     if isinstance(E, CofiniteMin):
         if E.with_top:
             return SuppTop()
@@ -431,45 +354,9 @@ def _least_slot(E: SpecSubset, p: PrimePoint) -> PrimePoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidueField:
-    """A residue field k(p): printable label plus a concrete ring when one exists."""
-
-    label: str
-    ring: RingExpr | None
-
-
 def residue_field(R: RingExpr, p: PrimePoint) -> ResidueField:
     sp.validate_point(p, R)
-    if isinstance(R, IntegerRing):
-        if isinstance(p, ZGeneric):
-            return ResidueField("Q", rings.QQ)
-        return ResidueField(f"F_{p.p}", PrimeField(p.p))
-    if isinstance(R, ModRing):
-        return ResidueField(f"F_{p.p}", PrimeField(p.p))
-    if isinstance(R, (PrimeField, RationalField)):
-        return ResidueField(str(R), R)
-    if isinstance(R, PolyRingOverPrimeField):
-        if isinstance(p, FpxGeneric):
-            return ResidueField(f"F_{R.p}(x)", None)
-        d = gfpoly.deg(p.coeffs)
-        if d == 1:
-            return ResidueField(f"F_{R.p}", PrimeField(R.p))
-        return ResidueField(f"GF({R.p}^{d})", None)
-    if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant)):
-        inner = R.inner if isinstance(R, LocalizedAtIrrelevant) else R
-        free = sorted(set(range(1, inner.nvars + 1)) - set(p.cover))
-        if not free:
-            return ResidueField(str(inner.field), inner.field)
-        vars_str = ",".join(f"x{i}" for i in free)
-        return ResidueField(f"{inner.field}({vars_str})", None)
-    if isinstance(R, SymbolicSupplement):
-        if isinstance(p, SuppTop):
-            return ResidueField(str(R.field), R.field)
-        return ResidueField(f"{R.field}(x{p.k})", None)
-    if isinstance(R, Product):
-        return residue_field(R.factors[p.slot], p.inner)
-    raise UnsupportedMapError(f"no residue field rule for {R}")
+    return R.residue_field(p)
 
 
 def residue_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
@@ -486,7 +373,7 @@ def residue_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
         raise KindMismatchError("subset does not live over the given ring")
     if isinstance(E, EmptySet):
         return E
-    if isinstance(E, (Explicit,)) or (isinstance(E, Whole) and not sp.has_symbolic_spectrum(R)):
+    if isinstance(E, (Explicit,)) or (isinstance(E, Whole) and not R.symbolic):
         pts = {contract(ResidueMap(R, p), FieldZero()) for p in sp.subset_points(E)}
         return sp.explicit(R, pts)
     if isinstance(E, Whole):

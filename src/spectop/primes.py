@@ -28,10 +28,13 @@ def _resolve_limit(limit) -> int | None:
     return _active_limit if limit is USE_ACTIVE else limit
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses below psi_13 = 3317044064679887385961981
+# (Sorenson and Webster, Math. Comp. 2017).  The bases 2..37 alone pass the
+# composite psi_12 = 318665857834031151167461.  Every base is also a trial
+# divisor above, so the tested n is never a base.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
@@ -106,7 +109,7 @@ def factorint(n: int, limit=USE_ACTIVE) -> tuple[tuple[int, int], ...]:
             acc[p] = acc.get(p, 0) + 1
             n //= p
     # Trial division up to a fixed desk-scale bound, rho for the rest.
-    d = 41
+    d = _SMALL_PRIMES[-1] + 2
     while d * d <= n and d < 100_000:
         while n % d == 0:
             acc[d] = acc.get(d, 0) + 1

@@ -24,26 +24,17 @@ from .errors import (
     UnsupportedError,
     UnsupportedSymbolicError,
 )
-from .primes import USE_ACTIVE, prime_factors
-from .rings import (
-    El,
-    IntegerRing,
-    PolyRingOverPrimeField,
-    Product,
-    RingExpr,
-    TupleEl,
-)
+from .primes import USE_ACTIVE
+from .rings import El, Product, RingExpr, TupleEl
 from .spectrum import (
     CofiniteClosed,
     CofiniteMin,
     EmptySet,
     Explicit,
-    FpxMax,
     PrimePoint,
     SpecSubset,
     TamePrime,
     Whole,
-    ZMax,
 )
 
 QUOTIENT = "quotient"
@@ -147,7 +138,7 @@ def brute_force_image(R: RingExpr, E: SpecSubset, kind: str) -> SpecSubset:
     """
     if kind not in (QUOTIENT, LOCAL):
         raise UnsupportedError(f"unknown image kind {kind!r}")
-    if not sp.is_enumerable(R):
+    if not R.is_enumerable():
         raise NonEnumerableError("the oracle needs an enumerable spectrum")
     if not isinstance(E, (EmptySet, Explicit)):
         raise NonEnumerableError("the oracle needs a finite subset")
@@ -175,30 +166,12 @@ def is_unit_in_quotient_product(
     if isinstance(E, EmptySet):
         return True
     if isinstance(E, Explicit):
-        return not any(sp.point_contains(p, r, R, limit) for p in E.points)
+        return not any(sp.point_contains(p, r, R) for p in E.points)
     if isinstance(E, Whole):
         return rings.is_unit(r, R)
-    if isinstance(E, CofiniteClosed):
-        if isinstance(R, IntegerRing):
-            if r.v == 0:
-                return False
-            if abs(r.v) == 1:
-                return True
-            return all(ZMax(p) in E.excluded for p in prime_factors(r.v, limit))
-        if isinstance(R, PolyRingOverPrimeField):
-            from . import gfpoly
-
-            if r.coeffs == ():
-                return False
-            if gfpoly.deg(r.coeffs) == 0:
-                return True
-            return all(
-                FpxMax(f) in E.excluded for f, _ in gfpoly.factor(r.coeffs, R.p)
-            )
-    if isinstance(E, CofiniteMin):
-        # A nonunit of the axes ring vanishes on cofinitely many axes,
-        # so it dies in some retained factor.
-        return rings.constant_term(r) != 0
+    if isinstance(E, (CofiniteClosed, CofiniteMin)):
+        # r avoids every member of E exactly when V(r) misses E.
+        return isinstance(sp.subset_intersect(sp.v_locus(r, R, limit), E), EmptySet)
     raise UnsupportedSymbolicError(f"no unit rule for {sp.subset_str(E)}")
 
 

@@ -1,23 +1,24 @@
-"""Ring expressions, exact elements, and ideal arithmetic.
+"""Ring families: each ring class owns its family's rules.
 
 The ring AST covers the concrete rings the closure engine works over:
 the integers, residue rings Z/n, prime fields, GF(p)[x], the rationals,
 quotients of polynomial rings by square-free monomial ideals (optionally
 localized at the irrelevant maximal ideal), finite products, and a
-symbolic ring with countably many coordinate axes.  All values are
-immutable and all operations are pure functions, so everything here is
-safe for concurrent read-only use.
+symbolic ring with countably many coordinate axes.  Each ring class owns
+its family's rules: element arithmetic, which points its spectrum has and
+how they are ordered, membership, and the family facts the closure,
+image and lying-over operators ask for.  Families that share rules share
+a base class, and a rule a family lacks raises from RingExpr.  All values
+are immutable and all operations are pure functions, so everything here
+is safe for concurrent read-only use.
 
 Elements are stored in canonical form: residues in [0, n), polynomials
 with no trailing zeros, multivariate terms sorted with every monomial
 that lies in the defining ideal deleted.  Arithmetic equality coincides
-with structural equality of canonical forms.
-
-Every monomial generator and prime here is square-free, so inside this
-module a generator is an int bitmask of its support: bit i-1 stands for
-x_i, divisibility is g & ~m == 0 and lcm is u | v.  Exponent tuples stay
-wherever monomials meet the outside world (elements, the constructors,
-printing, JSON); exp_to_mask, mask_to_exp and mask_support convert.
+with structural equality of canonical forms.  The values themselves
+(points, elements, ideals) and the element and ideal functions that
+dispatch to these rules are in values; every name there is re-exported
+here, which is where callers find them.
 """
 
 from __future__ import annotations
@@ -33,29 +34,442 @@ from . import covers, gfpoly
 from .errors import (
     BadArityError,
     KindMismatchError,
+    NonEnumerableError,
     UnsupportedError,
+    UnsupportedMapError,
 )
-from .primes import factorint, is_prime, radical
+from .primes import factorint, is_prime, next_prime, prime_factors, radical
+from .values import (  # the values and their functions are named from here too
+    El,
+    FieldZero,
+    FpxGeneric,
+    FpxMax,
+    IdealRepr,
+    IntEl,
+    ModEl,
+    MonoPrime,
+    MonomialIdeal,
+    MPolyEl,
+    PolyEl,
+    PrimePoint,
+    PrincipalIdeal,
+    RatEl,
+    ResidueField,
+    SuppMin,
+    SuppTop,
+    TamePrime,
+    TupleEl,
+    ZGeneric,
+    ZmodPrime,
+    ZMax,
+    _canonical_exp,
+    _generator_mask,
+    _mask_in,
+    _minimal_masks,
+    add,
+    constant_term,
+    el_str,
+    exp_to_mask,
+    ideal_contains,
+    ideal_intersect,
+    ideal_intersect_all,
+    ideal_is_zero,
+    ideal_member,
+    is_nilpotent,
+    is_regular,
+    is_unit,
+    is_zero,
+    mask_support,
+    mask_to_exp,
+    mono_str,
+    mono_support,
+    monomial_ideal,
+    mpoly_el,
+    mul,
+    neg,
+    nilradical,
+    normalize,
+    one,
+    point_sort_key,
+    point_str,
+    power,
+    principal_ideal,
+    sample_elements,
+    sorted_points,
+    sub,
+    var_el,
+    zero,
+)
+
+# Rationales of the every-infinite-subset-is-dense verdicts.
+FACTORIZATION_FINITE = "FactorizationFinite"
+FINITE_SPECTRUM = "FiniteSpectrum"
+FINITE_SUPPORT = "FiniteSupport"
+COUNTEREXAMPLE = "CounterexampleElement"
 
 # ---------------------------------------------------------------------------
-# Ring AST
+# Ring families
 # ---------------------------------------------------------------------------
+
+
+class RingExpr:
+    """A concrete ring: the rules every family shares, and the refusal of
+    each rule some family lacks.
+
+    Element arguments of the rule methods are already in canonical form;
+    the module-level functions normalize first.  Point methods that
+    answer a question about a point (leq_specialization, point_contains)
+    validate it; the others expect a point of this ring.
+    """
+
+    # Infinite spectrum: subsets are given by representation rules.
+    symbolic = False
+    # Every ring of the family is an integral domain.
+    domain = False
+    # The generic point below infinitely many closed points (Z, GF(p)[x]),
+    # and the maximal ideal above infinitely many minimal primes (the axes
+    # ring); the two cofinite subset representations hang on these.
+    generic: PrimePoint | None = None
+    top: PrimePoint | None = None
+
+    # -- elements ----------------------------------------------------------
+
+    def reduce_terms(self, terms) -> MPolyEl:
+        raise KindMismatchError(f"{self} has no coefficient field")
+
+    def is_nilpotent(self, r: El) -> bool:
+        # Every family but Z/n and products is reduced.
+        return r == self.from_int(0)
+
+    def is_reduced(self) -> bool:
+        return True
+
+    def principal_ideal(self, gen: El) -> PrincipalIdeal:
+        raise UnsupportedError("principal ideals live over Z, Z/n, fields and GF(p)[x]")
+
+    def principal_member(self, g: El, r: El) -> bool:
+        raise KindMismatchError(f"principal ideal incompatible with {self}")
+
+    def principal_intersect(self, a: El, b: El) -> PrincipalIdeal:
+        raise KindMismatchError("ideal kinds do not match")
+
+    def monomial_member(self, gens: frozenset[int], r: El) -> bool:
+        raise KindMismatchError(f"monomial ideal incompatible with {self}")
+
+    def monomial_ideal_is_zero(self, gens: frozenset[int]) -> bool:
+        return not gens
+
+    def nilradical(self) -> IdealRepr:
+        raise UnsupportedError(
+            "nilradical is unsupported here; products go through the product-law check"
+        )
+
+    def monomial_variables(self) -> range:
+        """Indices of the variables of a monomial quotient; none elsewhere."""
+        return range(0)
+
+    # -- points ------------------------------------------------------------
+
+    def validate_point(self, p: PrimePoint) -> None:
+        """Check that p denotes a prime of this ring; raise KindMismatchError otherwise."""
+        if not self.has_point(p):
+            raise KindMismatchError(f"{point_str(p)} is not a point of {self}")
+
+    def leq_specialization(self, p: PrimePoint, q: PrimePoint) -> bool:
+        """Containment of the prime ideals, p included in q."""
+        self.validate_point(p)
+        self.validate_point(q)
+        return self._leq(p, q)
+
+    def point_contains(self, p: PrimePoint, r: El) -> bool:
+        """Whether the element r lies in the prime ideal named by p."""
+        self.validate_point(p)
+        return self._contains(p, self.normalize(r))
+
+    def point_ideal(self, p: PrimePoint) -> IdealRepr:
+        raise UnsupportedError(f"no ideal representation for points of {self}")
+
+    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
+        raise UnsupportedError(f"no ideal generators for points of {self}")
+
+    def point_is_zero(self, p: PrimePoint) -> bool:
+        """Whether the prime of p is the zero ideal."""
+        return ideal_is_zero(self.point_ideal(p), self)
+
+    def meet_inside(self, family: list[PrimePoint], q: PrimePoint) -> bool:
+        """Whether the intersection of the family's primes lies inside q's."""
+        meet = ideal_intersect_all([self.point_ideal(p) for p in family], self)
+        return ideal_contains(self.point_ideal(q), meet, self)
+
+    def slots(self, points) -> list[tuple[RingExpr, list[PrimePoint]]]:
+        """Each factor with the points of its slot; a non-product is its own slot."""
+        return [(self, list(points))]
+
+    def is_enumerable(self) -> bool:
+        return False
+
+    def spec_points(self) -> list[PrimePoint]:
+        """The full spectrum as a sorted point list; enumerable rings only."""
+        raise NonEnumerableError(f"{self} has a symbolic spectrum")
+
+    def sample_points(self, rng, count: int) -> list[PrimePoint]:
+        pts = self.spec_points()
+        return [pts[rng.randrange(len(pts))] for _ in range(count)]
+
+    def up_points(self, p: PrimePoint) -> set[PrimePoint] | None:
+        """The specializations of p; None when that is every point."""
+        return {q for q in self.spec_points() if self.leq_specialization(p, q)}
+
+    def down_points(self, p: PrimePoint) -> set[PrimePoint] | None:
+        """The generalizations of p; None when that is every point."""
+        return {q for q in self.spec_points() if self.leq_specialization(q, p)}
+
+    def locus(self, r: El, limit) -> tuple[set[PrimePoint], bool]:
+        """(points, complement): V(r) is the finite set `points`, or its
+        complement when `complement` is set."""
+        if not self.is_enumerable():
+            raise NonEnumerableError(f"no locus rule over {self}")
+        return {p for p in self.spec_points() if self.point_contains(p, r)}, False
+
+    def is_minimal_prime(self, p: PrimePoint) -> bool:
+        if not self.is_enumerable():
+            raise NonEnumerableError(f"cannot test minimality over {self}")
+        return not any(
+            q != p and self.leq_specialization(q, p) for q in self.spec_points()
+        )
+
+    def density_rule(self, zariski: bool) -> tuple[bool, El | None, str]:
+        """(holds, witness, rationale) for "every infinite subset is dense"
+        in the Zariski (else the flat) topology."""
+        if not self.is_enumerable():
+            raise UnsupportedError(f"no density criterion for {self}")
+        # No infinite subsets exist at all.
+        return True, None, FINITE_SPECTRUM
+
+    def krull_dim(self) -> int:
+        """Krull dimension by formula, for spectra that cannot be enumerated."""
+        raise NonEnumerableError(f"cannot chase chains in {self}")
+
+    def local_kernel_zero(self, points: list[PrimePoint]) -> bool:
+        """Whether R -> prod R_p over the (nonempty, finite) points is injective."""
+        raise UnsupportedMapError(f"no localization kernel rule over {self}")
+
+
+def _int_divides(g: int, r: int) -> bool:
+    return r == 0 if g == 0 else r % g == 0
+
+
+class _Residue(RingExpr):
+    """Residue arithmetic modulo n: Z/n, and F_p as Z/p."""
+
+    def normalize(self, e: El) -> El:
+        if not isinstance(e, ModEl):
+            raise KindMismatchError(f"expected a residue element, got {e}")
+        return ModEl(e.v % self.modulus)
+
+    def from_int(self, k: int) -> El:
+        return ModEl(k % self.modulus)
+
+    def add(self, a: El, b: El) -> El:
+        return ModEl((a.v + b.v) % self.modulus)
+
+    def mul(self, a: El, b: El) -> El:
+        return ModEl((a.v * b.v) % self.modulus)
+
+    def sample_element(self, rng: Random) -> El:
+        return ModEl(rng.randrange(self.modulus))
+
+
+class _Domain(RingExpr):
+    """Integral domains: the zero ideal is prime and every localization injective."""
+
+    domain = True
+
+    def is_regular(self, r: El) -> bool:
+        return r != self.from_int(0)
+
+    def nilradical(self) -> IdealRepr:
+        return PrincipalIdeal(self.from_int(0))
+
+
+class _Field(_Domain):
+    """Q and F_p: one point, (0), and every nonzero element a unit."""
+
+    def is_unit(self, r: El) -> bool:
+        return r != self.from_int(0)
+
+    def principal_ideal(self, gen: El) -> PrincipalIdeal:
+        return PrincipalIdeal(self.from_int(0 if is_zero(self, gen) else 1))
+
+    def principal_member(self, g: El, r: El) -> bool:
+        return not is_zero(self, g) or is_zero(self, r)
+
+    def principal_intersect(self, a: El, b: El) -> PrincipalIdeal:
+        return PrincipalIdeal(self.from_int(0 if is_zero(self, a) or is_zero(self, b) else 1))
+
+    def has_point(self, p: PrimePoint) -> bool:
+        return isinstance(p, FieldZero)
+
+    def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
+        return p == q
+
+    def _contains(self, p: PrimePoint, r: El) -> bool:
+        return is_zero(self, r)
+
+    def point_ideal(self, p: PrimePoint) -> IdealRepr:
+        return PrincipalIdeal(self.from_int(0))
+
+    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
+        return [self.from_int(0)]
+
+    def is_enumerable(self) -> bool:
+        return True
+
+    def spec_points(self) -> list[PrimePoint]:
+        return [FieldZero()]
+
+    def residue_field(self, p: PrimePoint) -> ResidueField:
+        return ResidueField(str(self), self)
+
+
+class _Dedekind(_Domain):
+    """Z and GF(p)[x]: a generic point under infinitely many closed points,
+    which factoring finds.  Every nonzero element lies in finitely many
+    closed points, so subsets are finite or cofinite in the closed points."""
+
+    symbolic = True
+
+    def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
+        return p == self.generic or p == q
+
+    def sample_points(self, rng, count: int) -> list[PrimePoint]:
+        return [
+            self.generic if rng.random() < 0.15 else self._random_closed_point(rng)
+            for _ in range(count)
+        ]
+
+    def up_points(self, p: PrimePoint) -> set[PrimePoint] | None:
+        return None if p == self.generic else {p}
+
+    def down_points(self, p: PrimePoint) -> set[PrimePoint] | None:
+        return {p} if p == self.generic else {p, self.generic}
+
+    def locus(self, r: El, limit) -> tuple[set[PrimePoint], bool]:
+        if r == self.from_int(0):
+            return set(), True
+        if self.is_unit(r):
+            return set(), False
+        return self.prime_divisors(r, limit), False
+
+    def is_minimal_prime(self, p: PrimePoint) -> bool:
+        return p == self.generic
+
+    def density_rule(self, zariski: bool) -> tuple[bool, El | None, str]:
+        if zariski:
+            # Factoring a nonzero element leaves a finite vanishing locus.
+            return True, None, FACTORIZATION_FINITE
+        return False, self.prime_element, COUNTEREXAMPLE
+
+    def krull_dim(self) -> int:
+        return 1
 
 
 @dataclass(frozen=True)
-class IntegerRing:
+class IntegerRing(_Dedekind):
+    generic = ZGeneric()
+    prime_element = IntEl(2)
+
     def __str__(self) -> str:
         return "Z"
 
+    def normalize(self, e: El) -> El:
+        if not isinstance(e, IntEl):
+            raise KindMismatchError(f"expected an integer element, got {e}")
+        return IntEl(int(e.v))
+
+    def from_int(self, k: int) -> El:
+        return IntEl(k)
+
+    def add(self, a: El, b: El) -> El:
+        return IntEl(a.v + b.v)
+
+    def mul(self, a: El, b: El) -> El:
+        return IntEl(a.v * b.v)
+
+    def is_unit(self, r: El) -> bool:
+        return r.v in (1, -1)
+
+    def principal_ideal(self, gen: El) -> PrincipalIdeal:
+        return PrincipalIdeal(IntEl(abs(gen.v)))
+
+    def principal_member(self, g: El, r: El) -> bool:
+        return _int_divides(g.v, r.v)
+
+    def principal_intersect(self, a: El, b: El) -> PrincipalIdeal:
+        lcm = abs(a.v * b.v) // math.gcd(a.v, b.v) if a.v and b.v else 0
+        return principal_ideal(self, IntEl(lcm))
+
+    def sample_element(self, rng: Random) -> El:
+        return IntEl(rng.randint(-60, 60))
+
+    def has_point(self, p: PrimePoint) -> bool:
+        return isinstance(p, ZGeneric) or isinstance(p, ZMax) and is_prime(p.p)
+
+    def _contains(self, p: PrimePoint, r: El) -> bool:
+        if p == self.generic:
+            return r.v == 0
+        return r.v % p.p == 0
+
+    def point_ideal(self, p: PrimePoint) -> IdealRepr:
+        return principal_ideal(self, IntEl(0 if p == self.generic else p.p))
+
+    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
+        return [IntEl(0 if p == self.generic else p.p)]
+
+    def closed_points(self):
+        """The closed points in canonical order."""
+        q = 2
+        while True:
+            yield ZMax(q)
+            q = next_prime(q)
+
+    def _random_closed_point(self, rng) -> PrimePoint:
+        return ZMax(_PRIME_POOL[rng.randrange(len(_PRIME_POOL))])
+
+    def prime_divisors(self, r: El, limit) -> set[PrimePoint]:
+        return {ZMax(q) for q in prime_factors(r.v, limit)}
+
+    def residue_field(self, p: PrimePoint) -> ResidueField:
+        if p == self.generic:
+            return ResidueField("Q", QQ)
+        return ResidueField(f"F_{p.p}", PrimeField(p.p))
+
 
 @dataclass(frozen=True)
-class RationalField:
+class RationalField(_Field):
     def __str__(self) -> str:
         return "Q"
 
+    def normalize(self, e: El) -> El:
+        if not isinstance(e, RatEl):
+            raise KindMismatchError(f"expected a rational element, got {e}")
+        return RatEl(Fraction(e.v))
+
+    def from_int(self, k: int) -> El:
+        return RatEl(Fraction(k))
+
+    def add(self, a: El, b: El) -> El:
+        return RatEl(a.v + b.v)
+
+    def mul(self, a: El, b: El) -> El:
+        return RatEl(a.v * b.v)
+
+    def sample_element(self, rng: Random) -> El:
+        return RatEl(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+
 
 @dataclass(frozen=True)
-class ModRing:
+class ModRing(_Residue):
     """Z/n with the factorization of n cached at construction."""
 
     n: int
@@ -75,9 +489,68 @@ class ModRing:
     def __str__(self) -> str:
         return f"Z/{self.n}"
 
+    @property
+    def modulus(self) -> int:
+        return self.n
+
+    def is_unit(self, r: El) -> bool:
+        return math.gcd(r.v, self.n) == 1
+
+    def is_regular(self, r: El) -> bool:
+        # The regular elements of a finite ring are its units.
+        return self.is_unit(r)
+
+    def is_nilpotent(self, r: El) -> bool:
+        return all(r.v % p == 0 for p, _ in self.factorization)
+
+    def is_reduced(self) -> bool:
+        return all(e == 1 for _, e in self.factorization)
+
+    def principal_ideal(self, gen: El) -> PrincipalIdeal:
+        return PrincipalIdeal(ModEl(math.gcd(gen.v, self.n) % self.n))
+
+    def principal_member(self, g: El, r: El) -> bool:
+        return _int_divides(g.v, r.v)
+
+    def principal_intersect(self, a: El, b: El) -> PrincipalIdeal:
+        if a.v == 0 or b.v == 0:
+            return PrincipalIdeal(ModEl(0))
+        return principal_ideal(self, ModEl(a.v * b.v // math.gcd(a.v, b.v)))
+
+    def nilradical(self) -> IdealRepr:
+        return PrincipalIdeal(ModEl(radical(self.n) % self.n))
+
+    def has_point(self, p: PrimePoint) -> bool:
+        return isinstance(p, ZmodPrime) and self.n % p.p == 0 and is_prime(p.p)
+
+    def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
+        return p == q
+
+    def _contains(self, p: PrimePoint, r: El) -> bool:
+        return r.v % p.p == 0
+
+    def point_ideal(self, p: PrimePoint) -> IdealRepr:
+        return principal_ideal(self, ModEl(p.p))
+
+    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
+        return [ModEl(p.p % self.n)]
+
+    def is_enumerable(self) -> bool:
+        return True
+
+    def spec_points(self) -> list[PrimePoint]:
+        return [ZmodPrime(p) for p, _ in self.factorization]
+
+    def residue_field(self, p: PrimePoint) -> ResidueField:
+        return ResidueField(f"F_{p.p}", PrimeField(p.p))
+
+    def local_kernel_zero(self, points: list[PrimePoint]) -> bool:
+        exps = dict(self.factorization)
+        return math.prod(p.p ** exps[p.p] for p in points) == self.n
+
 
 @dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_Residue, _Field):
     p: int
 
     def __post_init__(self):
@@ -87,12 +560,19 @@ class PrimeField:
     def __str__(self) -> str:
         return f"F_{self.p}"
 
+    @property
+    def modulus(self) -> int:
+        return self.p
+
 
 @dataclass(frozen=True)
-class PolyRingOverPrimeField:
+class PolyRingOverPrimeField(_Dedekind):
     """Univariate GF(p)[x]."""
 
     p: int
+
+    generic = FpxGeneric()
+    prime_element = PolyEl((0, 1))
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -101,9 +581,223 @@ class PolyRingOverPrimeField:
     def __str__(self) -> str:
         return f"F_{self.p}[x]"
 
+    def normalize(self, e: El) -> El:
+        if not isinstance(e, PolyEl):
+            raise KindMismatchError(f"expected a polynomial element, got {e}")
+        return PolyEl(gfpoly.trim(e.coeffs, self.p))
+
+    def from_int(self, k: int) -> El:
+        return PolyEl(gfpoly.trim((k,), self.p))
+
+    def add(self, a: El, b: El) -> El:
+        return PolyEl(gfpoly.add(a.coeffs, b.coeffs, self.p))
+
+    def mul(self, a: El, b: El) -> El:
+        return PolyEl(gfpoly.mul(a.coeffs, b.coeffs, self.p))
+
+    def is_unit(self, r: El) -> bool:
+        return gfpoly.deg(r.coeffs) == 0
+
+    def principal_ideal(self, gen: El) -> PrincipalIdeal:
+        return PrincipalIdeal(PolyEl(gfpoly.monic(gen.coeffs, self.p)))
+
+    def principal_member(self, g: El, r: El) -> bool:
+        if g.coeffs == ():
+            return r.coeffs == ()
+        return gfpoly.divides(g.coeffs, r.coeffs, self.p)
+
+    def principal_intersect(self, a: El, b: El) -> PrincipalIdeal:
+        if a.coeffs == () or b.coeffs == ():
+            return PrincipalIdeal(PolyEl(()))
+        g = gfpoly.gcd(a.coeffs, b.coeffs, self.p)
+        lcm = gfpoly.divmod_(gfpoly.mul(a.coeffs, b.coeffs, self.p), g, self.p)[0]
+        return principal_ideal(self, PolyEl(lcm))
+
+    def sample_element(self, rng: Random) -> El:
+        return PolyEl(
+            gfpoly.trim([rng.randrange(self.p) for _ in range(rng.randint(0, 4))], self.p)
+        )
+
+    def has_point(self, p: PrimePoint) -> bool:
+        if isinstance(p, FpxGeneric):
+            return True
+        return (
+            isinstance(p, FpxMax)
+            and gfpoly.is_irreducible(p.coeffs, self.p)
+            and p.coeffs == gfpoly.monic(p.coeffs, self.p)
+        )
+
+    def _contains(self, p: PrimePoint, r: El) -> bool:
+        if p == self.generic:
+            return r.coeffs == ()
+        return gfpoly.divides(p.coeffs, r.coeffs, self.p)
+
+    def point_ideal(self, p: PrimePoint) -> IdealRepr:
+        if p == self.generic:
+            return PrincipalIdeal(PolyEl(()))
+        return principal_ideal(self, PolyEl(p.coeffs))
+
+    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
+        return [PolyEl(() if p == self.generic else p.coeffs)]
+
+    def closed_points(self):
+        """The closed points in canonical order."""
+        for f in gfpoly.irreducibles(self.p):
+            yield FpxMax(f)
+
+    def _random_closed_point(self, rng) -> PrimePoint:
+        return FpxMax(_random_irreducible(self.p, rng))
+
+    def prime_divisors(self, r: El, limit) -> set[PrimePoint]:
+        return {FpxMax(f) for f, _ in gfpoly.factor(r.coeffs, self.p)}
+
+    def residue_field(self, p: PrimePoint) -> ResidueField:
+        if p == self.generic:
+            return ResidueField(f"F_{self.p}(x)", None)
+        d = gfpoly.deg(p.coeffs)
+        if d == 1:
+            return ResidueField(f"F_{self.p}", PrimeField(self.p))
+        return ResidueField(f"GF({self.p}^{d})", None)
+
+
+def _coeff_norm(field: PrimeField | RationalField, c):
+    if isinstance(field, PrimeField):
+        if isinstance(c, Fraction):
+            if c.denominator % field.p == 0:
+                raise KindMismatchError("denominator not invertible mod p")
+            return c.numerator * pow(c.denominator, -1, field.p) % field.p
+        return int(c) % field.p
+    return Fraction(c)
+
+
+def _coeff_add(field, a, b):
+    return _coeff_norm(field, (a + b) % field.p if isinstance(field, PrimeField) else a + b)
+
+
+def _coeff_mul(field, a, b):
+    return _coeff_norm(field, (a * b) % field.p if isinstance(field, PrimeField) else a * b)
+
+
+class _Monomial(RingExpr):
+    """The three monomial kinds: K[x_1, x_2, ...] modulo square-free
+    monomials, elements kept as sparse terms with every monomial of the
+    defining ideal deleted.  Square-free generators make them reduced.
+    Subclasses give field, nvars (None: unbounded) and _kills."""
+
+    def reduce_terms(self, terms) -> MPolyEl:
+        acc: dict[tuple[int, ...], object] = {}
+        for c, exp in terms:
+            exp = _canonical_exp(exp)
+            if self.nvars is not None and len(exp) > self.nvars:
+                raise KindMismatchError("monomial uses more variables than the ring has")
+            c = _coeff_norm(self.field, c)
+            if exp in acc:
+                acc[exp] = _coeff_add(self.field, acc[exp], c)
+            else:
+                acc[exp] = c
+        cleaned = [(c, e) for e, c in acc.items() if c != 0 and not self._kills(e)]
+        return MPolyEl(tuple(sorted(cleaned, key=lambda t: t[1])))
+
+    def normalize(self, e: El) -> El:
+        if not isinstance(e, MPolyEl):
+            raise KindMismatchError(f"expected a multivariate element, got {e}")
+        return self.reduce_terms(e.terms)
+
+    def from_int(self, k: int) -> El:
+        return self.reduce_terms([(k, ())])
+
+    def add(self, a: El, b: El) -> El:
+        return self.reduce_terms(list(a.terms) + list(b.terms))
+
+    def mul(self, a: El, b: El) -> El:
+        prods = []
+        for ca, ea in a.terms:
+            for cb, eb in b.terms:
+                n = max(len(ea), len(eb))
+                ea_p = ea + (0,) * (n - len(ea))
+                eb_p = eb + (0,) * (n - len(eb))
+                prods.append(
+                    (_coeff_mul(self.field, ca, cb), tuple(x + y for x, y in zip(ea_p, eb_p)))
+                )
+        return self.reduce_terms(prods)
+
+    def is_unit(self, r: El) -> bool:
+        # Local ring: units are exactly the elements outside the maximal ideal.
+        return constant_term(r) != 0
+
+    def is_regular(self, r: El) -> bool:
+        raise UnsupportedError("is_regular is not defined for monomial kinds")
+
+    def monomial_member(self, gens: frozenset[int], r: El) -> bool:
+        return all(_mask_in(gens, exp_to_mask(e)) for _, e in r.terms)
+
+    def sample_element(self, rng: Random) -> El:
+        nvars = self.nvars or 6  # the axes ring: sample from its first six axes
+        terms = []
+        for _ in range(rng.randint(0, 3)):
+            exp = [0] * rng.randint(1, nvars)
+            exp[-1] = rng.randint(1, 2)
+            if rng.random() < 0.3 and len(exp) > 1:
+                exp[rng.randrange(len(exp) - 1)] = 1
+            if isinstance(self.field, PrimeField):
+                c = rng.randint(1, self.field.p - 1)
+            else:
+                c = rng.randint(-3, 3)
+            terms.append((c, tuple(exp)))
+        if rng.random() < 0.5:
+            terms.append((rng.randint(0, 3), ()))
+        return self.reduce_terms(terms)
+
+
+class _Quotient(_Monomial):
+    """A monomial quotient, localized or not: its primes are the monomial
+    primes (x_i : i in cover), one per vertex cover of the generators."""
+
+    def _kills(self, exp: tuple[int, ...]) -> bool:
+        return _mask_in(self.gens, exp_to_mask(exp))
+
+    def monomial_ideal_is_zero(self, gens: frozenset[int]) -> bool:
+        return all(_mask_in(self.gens, m) for m in gens)
+
+    def monomial_variables(self) -> range:
+        return range(1, self.nvars + 1)
+
+    def has_point(self, p: PrimePoint) -> bool:
+        if not isinstance(p, MonoPrime) or not p.cover <= frozenset(self.monomial_variables()):
+            return False
+        cover = sum(1 << (i - 1) for i in p.cover)  # bit i-1 is x_i
+        return all(g & cover for g in self.gens)
+
+    def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
+        return p.cover <= q.cover
+
+    def _contains(self, p: PrimePoint, r: El) -> bool:
+        return all(mono_support(e) & p.cover for _, e in r.terms)
+
+    def point_ideal(self, p: PrimePoint) -> IdealRepr:
+        # The variables of the cover, as masks (bit i-1 is x_i): already minimal.
+        return MonomialIdeal(frozenset(1 << (i - 1) for i in p.cover))
+
+    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
+        return [var_el(self, i) for i in sorted(p.cover)]
+
+    def residue_field(self, p: PrimePoint) -> ResidueField:
+        free = sorted(set(self.monomial_variables()) - set(p.cover))
+        if not free:
+            return ResidueField(str(self.field), self.field)
+        vars_str = ",".join(f"x{i}" for i in free)
+        return ResidueField(f"{self.field}({vars_str})", None)
+
+    def local_kernel_zero(self, points: list[PrimePoint]) -> bool:
+        full = frozenset(self.monomial_variables())
+        if any(p.cover == full for p in points):
+            return True
+        meet = ideal_intersect_all([self.point_ideal(p) for p in points], self)
+        return ideal_is_zero(meet, self)
+
 
 @dataclass(frozen=True)
-class MonomialQuotient:
+class MonomialQuotient(_Quotient):
     """K[x_1..x_nvars] / (square-free monomials), K a prime field or Q."""
 
     field: PrimeField | RationalField
@@ -115,9 +809,42 @@ class MonomialQuotient:
         gens = ",".join(mono_str(e) for e in exps) or "0"
         return f"{self.field}[x1..x{self.nvars}]/({gens})"
 
+    def is_unit(self, r: El) -> bool:
+        """Nonzero constant term and every other monomial inside every
+        minimal prime; exact only in dimension <= 1, so higher-dimensional
+        quotients are rejected."""
+        if quotient_dim(self) > 1:
+            raise UnsupportedError("unit test is exact only in dimension <= 1")
+        if constant_term(r) == 0:
+            return False
+        mins = minimal_cover_sets(self)
+        return all(
+            e == () or all(mono_support(e) & c for c in mins) for _, e in r.terms
+        )
+
+    def nilradical(self) -> IdealRepr:
+        # Square-free generators: the intersection of the minimal monomial
+        # primes is the defining ideal itself, i.e. zero in the quotient.
+        return MonomialIdeal(self.gens)
+
+    def is_enumerable(self) -> bool:
+        return quotient_dim(self) == 0
+
+    def spec_points(self) -> list[PrimePoint]:
+        if quotient_dim(self) != 0:
+            raise NonEnumerableError(
+                "an unlocalized monomial quotient of positive dimension has "
+                "non-monomial primes; localize at the irrelevant ideal instead"
+            )
+        # Dimension zero forces the quotient to be the coefficient field.
+        return [MonoPrime(frozenset(self.monomial_variables()))]
+
+    def krull_dim(self) -> int:
+        return quotient_dim(self)
+
 
 @dataclass(frozen=True)
-class LocalizedAtIrrelevant:
+class LocalizedAtIrrelevant(_Quotient):
     """A monomial quotient localized at (x_1, ..., x_n).
 
     Only quotients of Krull dimension <= 1 are admitted, which makes the
@@ -131,19 +858,29 @@ class LocalizedAtIrrelevant:
     def __str__(self) -> str:
         return f"({self.inner})_m"
 
+    @property
+    def field(self) -> PrimeField | RationalField:
+        return self.inner.field
+
+    @property
+    def nvars(self) -> int:
+        return self.inner.nvars
+
+    @property
+    def gens(self) -> frozenset[int]:
+        return self.inner.gens
+
+    def is_enumerable(self) -> bool:
+        return True
+
+    def spec_points(self) -> list[PrimePoint]:
+        pts = {MonoPrime(c) for c in minimal_cover_sets(self.inner)}
+        pts.add(MonoPrime(frozenset(self.monomial_variables())))
+        return sorted_points(pts)
+
 
 @dataclass(frozen=True)
-class Product:
-    """Finite direct product; factors are flattened and non-symbolic."""
-
-    factors: tuple["RingExpr", ...]
-
-    def __str__(self) -> str:
-        return " x ".join(str(f) for f in self.factors)
-
-
-@dataclass(frozen=True)
-class SymbolicSupplement:
+class SymbolicSupplement(_Monomial):
     """K[x_i : i >= 1]/(x_i x_k : i != k) localized at (x_1, x_2, ...).
 
     The local ring at the origin of countably many coordinate axes,
@@ -153,21 +890,169 @@ class SymbolicSupplement:
 
     field: PrimeField | RationalField
 
+    symbolic = True
+    top = SuppTop()
+    nvars = None
+
     def __str__(self) -> str:
         return f"Axes({self.field})"
 
+    def _kills(self, exp: tuple[int, ...]) -> bool:
+        return len(mono_support(exp)) >= 2
 
-RingExpr = (
-    IntegerRing
-    | RationalField
-    | ModRing
-    | PrimeField
-    | PolyRingOverPrimeField
-    | MonomialQuotient
-    | LocalizedAtIrrelevant
-    | Product
-    | SymbolicSupplement
-)
+    def has_point(self, p: PrimePoint) -> bool:
+        return isinstance(p, SuppTop) or isinstance(p, SuppMin) and p.k >= 1
+
+    def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
+        return q == self.top or p == q
+
+    def _contains(self, p: PrimePoint, r: El) -> bool:
+        if constant_term(r) != 0:
+            return False
+        if p == self.top:
+            return True
+        # Reduced terms are single-axis; membership in P_k only excludes axis k.
+        return all(mono_support(e) != frozenset({p.k}) for _, e in r.terms)
+
+    def point_is_zero(self, p: PrimePoint) -> bool:
+        # x_j witnesses a nonzero element of every prime here.
+        return False
+
+    def sample_points(self, rng, count: int) -> list[PrimePoint]:
+        return [
+            self.top if rng.random() < 0.15 else SuppMin(rng.randint(1, 30))
+            for _ in range(count)
+        ]
+
+    def up_points(self, p: PrimePoint) -> set[PrimePoint] | None:
+        return {p} if p == self.top else {p, self.top}
+
+    def down_points(self, p: PrimePoint) -> set[PrimePoint] | None:
+        return None if p == self.top else {p}
+
+    def locus(self, r: El, limit) -> tuple[set[PrimePoint], bool]:
+        if r.terms == ():
+            return set(), True
+        if constant_term(r) != 0:
+            return set(), False
+        # A nonunit misses exactly the axes its terms touch.
+        return {SuppMin(k) for _, e in r.terms for k in mono_support(e)}, True
+
+    def is_minimal_prime(self, p: PrimePoint) -> bool:
+        return isinstance(p, SuppMin)
+
+    def density_rule(self, zariski: bool) -> tuple[bool, El | None, str]:
+        if not zariski:
+            # A nonunit is supported on finitely many axes, so its
+            # non-vanishing locus is finite.
+            return True, None, FINITE_SUPPORT
+        return False, var_el(self, 1), COUNTEREXAMPLE
+
+    def krull_dim(self) -> int:
+        return 1
+
+    def residue_field(self, p: PrimePoint) -> ResidueField:
+        if p == self.top:
+            return ResidueField(str(self.field), self.field)
+        return ResidueField(f"{self.field}(x{p.k})", None)
+
+
+@dataclass(frozen=True)
+class Product(RingExpr):
+    """Finite direct product; factors are flattened and non-symbolic.
+
+    Its primes are the tame primes: one factor's prime, pulled back along
+    that factor's projection."""
+
+    factors: tuple[RingExpr, ...]
+
+    def __str__(self) -> str:
+        return " x ".join(str(f) for f in self.factors)
+
+    def normalize(self, e: El) -> El:
+        if not isinstance(e, TupleEl) or len(e.items) != len(self.factors):
+            raise KindMismatchError("tuple arity does not match the product")
+        return TupleEl(tuple(f.normalize(x) for x, f in zip(e.items, self.factors)))
+
+    def from_int(self, k: int) -> El:
+        return TupleEl(tuple(f.from_int(k) for f in self.factors))
+
+    def add(self, a: El, b: El) -> El:
+        return TupleEl(tuple(f.add(x, y) for f, x, y in zip(self.factors, a.items, b.items)))
+
+    def mul(self, a: El, b: El) -> El:
+        return TupleEl(tuple(f.mul(x, y) for f, x, y in zip(self.factors, a.items, b.items)))
+
+    def is_unit(self, r: El) -> bool:
+        return all(f.is_unit(x) for x, f in zip(r.items, self.factors))
+
+    def is_nilpotent(self, r: El) -> bool:
+        return all(f.is_nilpotent(x) for x, f in zip(r.items, self.factors))
+
+    def is_regular(self, r: El) -> bool:
+        return all(f.is_regular(x) for x, f in zip(r.items, self.factors))
+
+    def is_reduced(self) -> bool:
+        return all(f.is_reduced() for f in self.factors)
+
+    def sample_element(self, rng: Random) -> El:
+        return TupleEl(tuple(f.sample_element(rng) for f in self.factors))
+
+    def validate_point(self, p: PrimePoint) -> None:
+        if isinstance(p, TamePrime) and isinstance(p.slot, int):
+            if 0 <= p.slot < len(self.factors):
+                self.factors[p.slot].validate_point(p.inner)
+                return
+        raise KindMismatchError(f"{point_str(p)} is not a point of {self}")
+
+    def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
+        return p.slot == q.slot and self.factors[p.slot].leq_specialization(p.inner, q.inner)
+
+    def _contains(self, p: PrimePoint, r: El) -> bool:
+        return self.factors[p.slot].point_contains(p.inner, r.items[p.slot])
+
+    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
+        def lift(k: int, g: El) -> El:
+            return TupleEl(tuple(g if i == k else f.from_int(0) for i, f in enumerate(self.factors)))
+
+        # The unit idempotent of every other slot, then p's own generators.
+        gens = [lift(j, f.from_int(1)) for j, f in enumerate(self.factors) if j != p.slot]
+        inner = self.factors[p.slot].point_ideal_generators(p.inner)
+        return gens + [lift(p.slot, g) for g in inner]
+
+    def point_is_zero(self, p: PrimePoint) -> bool:
+        # With two or more factors the prime holds the unit idempotent of
+        # another slot, which is nonzero.
+        return len(self.factors) == 1 and self.factors[0].point_is_zero(p.inner)
+
+    def meet_inside(self, family: list[PrimePoint], q: PrimePoint) -> bool:
+        inner = [p.inner for p in family if p.slot == q.slot]
+        # With no member in q's slot the intersection is the whole factor
+        # there, and no proper ideal of the factor contains it.
+        return bool(inner) and self.factors[q.slot].meet_inside(inner, q.inner)
+
+    def slots(self, points) -> list[tuple[RingExpr, list[PrimePoint]]]:
+        points = list(points)
+        for p in points:
+            self.validate_point(p)
+        return [
+            (f, [p.inner for p in points if p.slot == k]) for k, f in enumerate(self.factors)
+        ]
+
+    def is_enumerable(self) -> bool:
+        return all(f.is_enumerable() for f in self.factors)
+
+    def spec_points(self) -> list[PrimePoint]:
+        pts = []
+        for k, f in enumerate(self.factors):
+            if not f.is_enumerable():
+                raise NonEnumerableError(f"factor {f} has a symbolic spectrum")
+            pts.extend(TamePrime(k, q) for q in f.spec_points())
+        return sorted_points(pts)
+
+    def residue_field(self, p: PrimePoint) -> ResidueField:
+        return self.factors[p.slot].residue_field(p.inner)
+
 
 ZZ = IntegerRing()
 QQ = RationalField()
@@ -183,54 +1068,6 @@ def prime_field(p: int) -> PrimeField:
 
 def poly_ring(p: int) -> PolyRingOverPrimeField:
     return PolyRingOverPrimeField(p)
-
-
-def _canonical_exp(exp) -> tuple[int, ...]:
-    exp = tuple(int(e) for e in exp)
-    while exp and exp[-1] == 0:
-        exp = exp[:-1]
-    if any(e < 0 for e in exp):
-        raise KindMismatchError("negative exponent")
-    return exp
-
-
-def exp_to_mask(exp) -> int:
-    """Bitmask of the support of an exponent tuple; for a square-free
-    monomial this is the monomial itself."""
-    mask = 0
-    for i, e in enumerate(exp):
-        if e:
-            mask |= 1 << i
-    return mask
-
-
-def mask_to_exp(mask: int) -> tuple[int, ...]:
-    """The canonical exponent tuple (no trailing zeros) of a mask."""
-    return tuple(mask >> i & 1 for i in range(mask.bit_length()))
-
-
-def mask_support(mask: int) -> frozenset[int]:
-    """Variable indices of a mask, 1-based."""
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _generator_mask(g) -> int:
-    """Mask of a generator given as an exponent tuple; square-free only."""
-    exp = tuple(int(e) for e in g)
-    if any(e not in (0, 1) for e in exp):
-        raise KindMismatchError("only square-free monomial generators are admitted")
-    return exp_to_mask(exp)
-
-
-def _minimal_masks(masks) -> frozenset[int]:
-    """The masks no other mask divides.  A proper divisor is a proper
-    subset of the bits, hence a smaller int, so one pass in increasing
-    order against the masks kept so far suffices."""
-    kept: list[int] = []
-    for m in sorted(masks):
-        if all(k & ~m for k in kept):
-            kept.append(m)
-    return frozenset(kept)
 
 
 def monomial_quotient(
@@ -289,19 +1126,6 @@ def symbolic_supplement(field: PrimeField | RationalField) -> SymbolicSupplement
     return SymbolicSupplement(field)
 
 
-def mono_support(m: tuple[int, ...]) -> frozenset[int]:
-    """Variable indices, 1-based."""
-    return frozenset(i + 1 for i, e in enumerate(m) if e)
-
-
-def mono_str(m: tuple[int, ...]) -> str:
-    if not m:
-        return "1"
-    return "*".join(
-        f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e
-    )
-
-
 @lru_cache(maxsize=None)
 def quotient_dim(R: MonomialQuotient) -> int:
     """Krull dimension of T/I: nvars minus the minimum vertex cover size."""
@@ -315,536 +1139,17 @@ def minimal_cover_sets(R: MonomialQuotient) -> tuple[frozenset[int], ...]:
     return tuple(covers.minimal_covers(edges, R.nvars))
 
 
-def coefficient_field(R: RingExpr) -> PrimeField | RationalField:
-    if isinstance(R, (MonomialQuotient, SymbolicSupplement)):
-        return R.field
-    if isinstance(R, LocalizedAtIrrelevant):
-        return R.inner.field
-    raise KindMismatchError(f"{R} has no coefficient field")
+_PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 97, 101, 257)
 
 
-# ---------------------------------------------------------------------------
-# Elements
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntEl:
-    v: int
-
-
-@dataclass(frozen=True)
-class RatEl:
-    v: Fraction
-
-
-@dataclass(frozen=True)
-class ModEl:
-    v: int
-
-
-@dataclass(frozen=True)
-class PolyEl:
-    coeffs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MPolyEl:
-    """Sparse terms ((coeff, exponent tuple), ...) sorted by exponent."""
-
-    terms: tuple[tuple[object, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
-class TupleEl:
-    items: tuple["El", ...]
-
-
-El = IntEl | RatEl | ModEl | PolyEl | MPolyEl | TupleEl
-
-
-def _coeff_norm(field: PrimeField | RationalField, c):
-    if isinstance(field, PrimeField):
-        if isinstance(c, Fraction):
-            if c.denominator % field.p == 0:
-                raise KindMismatchError("denominator not invertible mod p")
-            return c.numerator * pow(c.denominator, -1, field.p) % field.p
-        return int(c) % field.p
-    return Fraction(c)
-
-
-def _coeff_add(field, a, b):
-    return _coeff_norm(field, (a + b) % field.p if isinstance(field, PrimeField) else a + b)
-
-
-def _coeff_mul(field, a, b):
-    return _coeff_norm(field, (a * b) % field.p if isinstance(field, PrimeField) else a * b)
-
-
-def _term_killed(R: RingExpr, exp: tuple[int, ...]) -> bool:
-    """Whether the monomial lies in the defining ideal and must be deleted."""
-    if isinstance(R, LocalizedAtIrrelevant):
-        return _term_killed(R.inner, exp)
-    if isinstance(R, MonomialQuotient):
-        return _mask_in(R.gens, exp_to_mask(exp))
-    if isinstance(R, SymbolicSupplement):
-        return len(mono_support(exp)) >= 2
-    return False
-
-
-def _mpoly_norm(R: RingExpr, terms) -> MPolyEl:
-    field = coefficient_field(R)
-    if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant)):
-        nvars = R.nvars if isinstance(R, MonomialQuotient) else R.inner.nvars
-    else:
-        nvars = None
-    acc: dict[tuple[int, ...], object] = {}
-    for c, exp in terms:
-        exp = _canonical_exp(exp)
-        if nvars is not None and len(exp) > nvars:
-            raise KindMismatchError("monomial uses more variables than the ring has")
-        c = _coeff_norm(field, c)
-        if exp in acc:
-            acc[exp] = _coeff_add(field, acc[exp], c)
-        else:
-            acc[exp] = c
-    cleaned = [
-        (c, e)
-        for e, c in acc.items()
-        if c != 0 and not _term_killed(R, e)
-    ]
-    return MPolyEl(tuple(sorted(cleaned, key=lambda t: t[1])))
-
-
-def normalize(e: El, R: RingExpr) -> El:
-    """Canonical form of e as an element of R.
-
-    Idempotent; two elements are equal in R exactly when their canonical
-    forms are identical.
-    """
-    if isinstance(R, IntegerRing):
-        if not isinstance(e, IntEl):
-            raise KindMismatchError(f"expected an integer element, got {e}")
-        return IntEl(int(e.v))
-    if isinstance(R, RationalField):
-        if not isinstance(e, RatEl):
-            raise KindMismatchError(f"expected a rational element, got {e}")
-        return RatEl(Fraction(e.v))
-    if isinstance(R, (ModRing, PrimeField)):
-        if not isinstance(e, ModEl):
-            raise KindMismatchError(f"expected a residue element, got {e}")
-        n = R.n if isinstance(R, ModRing) else R.p
-        return ModEl(e.v % n)
-    if isinstance(R, PolyRingOverPrimeField):
-        if not isinstance(e, PolyEl):
-            raise KindMismatchError(f"expected a polynomial element, got {e}")
-        return PolyEl(gfpoly.trim(e.coeffs, R.p))
-    if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
-        if not isinstance(e, MPolyEl):
-            raise KindMismatchError(f"expected a multivariate element, got {e}")
-        return _mpoly_norm(R, ((c, exp) for c, exp in e.terms))
-    if isinstance(R, Product):
-        if not isinstance(e, TupleEl) or len(e.items) != len(R.factors):
-            raise KindMismatchError("tuple arity does not match the product")
-        return TupleEl(tuple(normalize(x, f) for x, f in zip(e.items, R.factors)))
-    raise UnsupportedError(f"unknown ring {R}")
-
-
-def zero(R: RingExpr) -> El:
-    return from_int(R, 0)
-
-
-def one(R: RingExpr) -> El:
-    return from_int(R, 1)
-
-
-def from_int(R: RingExpr, k: int) -> El:
-    """Image of the integer k in R."""
-    if isinstance(R, IntegerRing):
-        return IntEl(k)
-    if isinstance(R, RationalField):
-        return RatEl(Fraction(k))
-    if isinstance(R, ModRing):
-        return ModEl(k % R.n)
-    if isinstance(R, PrimeField):
-        return ModEl(k % R.p)
-    if isinstance(R, PolyRingOverPrimeField):
-        return PolyEl(gfpoly.trim((k,), R.p))
-    if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
-        return _mpoly_norm(R, [(k, ())])
-    if isinstance(R, Product):
-        return TupleEl(tuple(from_int(f, k) for f in R.factors))
-    raise UnsupportedError(f"unknown ring {R}")
-
-
-def var_el(R: RingExpr, i: int, e: int = 1, coeff=1) -> El:
-    """The monomial coeff * x_i^e in a multivariate ring (i is 1-based)."""
-    exp = (0,) * (i - 1) + (e,)
-    return _mpoly_norm(R, [(coeff, exp)])
-
-
-def mpoly_el(R: RingExpr, term_map: dict) -> El:
-    """Element from {exponent tuple: coefficient}."""
-    return _mpoly_norm(R, [(c, e) for e, c in term_map.items()])
-
-
-def add(R: RingExpr, a: El, b: El) -> El:
-    if isinstance(R, IntegerRing):
-        return IntEl(a.v + b.v)
-    if isinstance(R, RationalField):
-        return RatEl(a.v + b.v)
-    if isinstance(R, ModRing):
-        return ModEl((a.v + b.v) % R.n)
-    if isinstance(R, PrimeField):
-        return ModEl((a.v + b.v) % R.p)
-    if isinstance(R, PolyRingOverPrimeField):
-        return PolyEl(gfpoly.add(a.coeffs, b.coeffs, R.p))
-    if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
-        return _mpoly_norm(R, list(a.terms) + list(b.terms))
-    if isinstance(R, Product):
-        return TupleEl(tuple(add(f, x, y) for f, x, y in zip(R.factors, a.items, b.items)))
-    raise UnsupportedError(f"unknown ring {R}")
-
-
-def neg(R: RingExpr, a: El) -> El:
-    return mul(R, from_int(R, -1), a)
-
-
-def sub(R: RingExpr, a: El, b: El) -> El:
-    return add(R, a, neg(R, b))
-
-
-def mul(R: RingExpr, a: El, b: El) -> El:
-    if isinstance(R, IntegerRing):
-        return IntEl(a.v * b.v)
-    if isinstance(R, RationalField):
-        return RatEl(a.v * b.v)
-    if isinstance(R, ModRing):
-        return ModEl((a.v * b.v) % R.n)
-    if isinstance(R, PrimeField):
-        return ModEl((a.v * b.v) % R.p)
-    if isinstance(R, PolyRingOverPrimeField):
-        return PolyEl(gfpoly.mul(a.coeffs, b.coeffs, R.p))
-    if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
-        field = coefficient_field(R)
-        prods = []
-        for ca, ea in a.terms:
-            for cb, eb in b.terms:
-                n = max(len(ea), len(eb))
-                ea_p = ea + (0,) * (n - len(ea))
-                eb_p = eb + (0,) * (n - len(eb))
-                prods.append((_coeff_mul(field, ca, cb), tuple(x + y for x, y in zip(ea_p, eb_p))))
-        return _mpoly_norm(R, prods)
-    if isinstance(R, Product):
-        return TupleEl(tuple(mul(f, x, y) for f, x, y in zip(R.factors, a.items, b.items)))
-    raise UnsupportedError(f"unknown ring {R}")
-
-
-def power(R: RingExpr, a: El, k: int) -> El:
-    if k < 0:
-        raise KindMismatchError("negative powers are not supported")
-    result = one(R)
-    base = a
-    while k:
-        if k & 1:
-            result = mul(R, result, base)
-        base = mul(R, base, base)
-        k >>= 1
-    return result
-
-
-def is_zero(R: RingExpr, a: El) -> bool:
-    return normalize(a, R) == zero(R)
-
-
-def constant_term(a: MPolyEl):
-    for c, e in a.terms:
-        if e == ():
-            return c
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Unit / nilpotent / regular predicates
-# ---------------------------------------------------------------------------
-
-
-def is_unit(r: El, R: RingExpr) -> bool:
-    """Whether r is invertible in R.
-
-    For an unlocalized monomial quotient the rule (nonzero constant term
-    and every other monomial inside every minimal prime) is exact only in
-    dimension <= 1, so higher-dimensional quotients are rejected.
-    """
-    r = normalize(r, R)
-    if isinstance(R, IntegerRing):
-        return r.v in (1, -1)
-    if isinstance(R, RationalField):
-        return r.v != 0
-    if isinstance(R, ModRing):
-        return math.gcd(r.v, R.n) == 1
-    if isinstance(R, PrimeField):
-        return r.v != 0
-    if isinstance(R, PolyRingOverPrimeField):
-        return gfpoly.deg(r.coeffs) == 0
-    if isinstance(R, MonomialQuotient):
-        if quotient_dim(R) > 1:
-            raise UnsupportedError("unit test is exact only in dimension <= 1")
-        if constant_term(r) == 0:
-            return False
-        mins = minimal_cover_sets(R)
-        return all(
-            e == () or all(mono_support(e) & c for c in mins) for _, e in r.terms
-        )
-    if isinstance(R, (LocalizedAtIrrelevant, SymbolicSupplement)):
-        # Local ring: units are exactly the elements outside the maximal ideal.
-        return constant_term(r) != 0
-    if isinstance(R, Product):
-        return all(is_unit(x, f) for x, f in zip(r.items, R.factors))
-    raise UnsupportedError(f"unknown ring {R}")
-
-
-def is_nilpotent(r: El, R: RingExpr) -> bool:
-    r = normalize(r, R)
-    if isinstance(R, (IntegerRing, RationalField, PrimeField, PolyRingOverPrimeField)):
-        return r == zero(R)
-    if isinstance(R, ModRing):
-        return all(r.v % p == 0 for p, _ in R.factorization)
-    if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
-        # Square-free defining ideal: the ring is reduced, and reduction
-        # already deleted every monomial of the ideal.
-        return r.terms == ()
-    if isinstance(R, Product):
-        return all(is_nilpotent(x, f) for x, f in zip(r.items, R.factors))
-    raise UnsupportedError(f"unknown ring {R}")
-
-
-def is_regular(r: El, R: RingExpr) -> bool:
-    """Whether r is a non zero-divisor."""
-    r = normalize(r, R)
-    if isinstance(R, IntegerRing):
-        return r.v != 0
-    if isinstance(R, RationalField):
-        return r.v != 0
-    if isinstance(R, ModRing):
-        # p | r for some prime power p^e of n would kill n/p^e * ... ; the
-        # regular elements of a finite ring are its units.
-        return math.gcd(r.v, R.n) == 1
-    if isinstance(R, PrimeField):
-        return r.v != 0
-    if isinstance(R, PolyRingOverPrimeField):
-        return r.coeffs != ()
-    if isinstance(R, Product):
-        return all(is_regular(x, f) for x, f in zip(r.items, R.factors))
-    raise UnsupportedError("is_regular is not defined for monomial kinds")
-
-
-# ---------------------------------------------------------------------------
-# Ideals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrincipalIdeal:
-    gen: El
-
-
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """Square-free monomial ideal by its minimal generators, as masks.
-
-    Inside a monomial quotient this represents the image ideal; the zero
-    ideal of the quotient is the defining ideal itself.
-    """
-
-    gens: frozenset[int]
-
-
-IdealRepr = PrincipalIdeal | MonomialIdeal
-
-
-def principal_ideal(R: RingExpr, gen: El) -> PrincipalIdeal:
-    gen = normalize(gen, R)
-    if isinstance(R, IntegerRing):
-        return PrincipalIdeal(IntEl(abs(gen.v)))
-    if isinstance(R, ModRing):
-        return PrincipalIdeal(ModEl(math.gcd(gen.v, R.n) % R.n))
-    if isinstance(R, (PrimeField, RationalField)):
-        return PrincipalIdeal(one(R) if not is_zero(R, gen) else zero(R))
-    if isinstance(R, PolyRingOverPrimeField):
-        return PrincipalIdeal(PolyEl(gfpoly.monic(gen.coeffs, R.p)))
-    raise UnsupportedError("principal ideals live over Z, Z/n, fields and GF(p)[x]")
-
-
-def monomial_ideal(gens) -> MonomialIdeal:
-    """The ideal generated by square-free exponent tuples."""
-    return MonomialIdeal(_minimal_masks({_generator_mask(g) for g in gens}))
-
-
-def _mask_in(gens: frozenset[int], m: int) -> bool:
-    """Whether some generator divides the monomial m."""
-    return any(g & ~m == 0 for g in gens)
-
-
-def ideal_member(I: IdealRepr, r: El, R: RingExpr) -> bool:
-    r = normalize(r, R)
-    if isinstance(I, PrincipalIdeal):
-        g = I.gen
-        if isinstance(R, IntegerRing):
-            return r.v == 0 if g.v == 0 else r.v % g.v == 0
-        if isinstance(R, ModRing):
-            return r.v == 0 if g.v == 0 else r.v % g.v == 0
-        if isinstance(R, (PrimeField, RationalField)):
-            return True if not is_zero(R, g) else is_zero(R, r)
-        if isinstance(R, PolyRingOverPrimeField):
-            if g.coeffs == ():
-                return r.coeffs == ()
-            return gfpoly.divides(g.coeffs, r.coeffs, R.p)
-        raise KindMismatchError(f"principal ideal incompatible with {R}")
-    if isinstance(I, MonomialIdeal):
-        if not isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
-            raise KindMismatchError(f"monomial ideal incompatible with {R}")
-        return all(_mask_in(I.gens, exp_to_mask(e)) for _, e in r.terms)
-    raise KindMismatchError(f"unknown ideal {I}")
-
-
-def ideal_intersect(I: IdealRepr, J: IdealRepr, R: RingExpr) -> IdealRepr:
-    """Intersection; folds associatively to finite intersections."""
-    if isinstance(I, MonomialIdeal) and isinstance(J, MonomialIdeal):
-        return MonomialIdeal(_minimal_masks({u | v for u in I.gens for v in J.gens}))
-    if isinstance(I, PrincipalIdeal) and isinstance(J, PrincipalIdeal):
-        a, b = I.gen, J.gen
-        if isinstance(R, IntegerRing):
-            return principal_ideal(R, IntEl(abs(a.v * b.v) // math.gcd(a.v, b.v) if a.v and b.v else 0))
-        if isinstance(R, ModRing):
-            if a.v == 0 or b.v == 0:
-                return PrincipalIdeal(ModEl(0))
-            return principal_ideal(R, ModEl(a.v * b.v // math.gcd(a.v, b.v)))
-        if isinstance(R, PolyRingOverPrimeField):
-            if a.coeffs == () or b.coeffs == ():
-                return PrincipalIdeal(PolyEl(()))
-            g = gfpoly.gcd(a.coeffs, b.coeffs, R.p)
-            return principal_ideal(R, PolyEl(gfpoly.divmod_(gfpoly.mul(a.coeffs, b.coeffs, R.p), g, R.p)[0]))
-        if isinstance(R, (PrimeField, RationalField)):
-            if is_zero(R, a) or is_zero(R, b):
-                return PrincipalIdeal(zero(R))
-            return PrincipalIdeal(one(R))
-    raise KindMismatchError("ideal kinds do not match")
-
-
-def ideal_intersect_all(ideals, R: RingExpr) -> IdealRepr:
-    ideals = list(ideals)
-    acc = ideals[0]
-    for nxt in ideals[1:]:
-        acc = ideal_intersect(acc, nxt, R)
-    return acc
-
-
-def ideal_is_zero(I: IdealRepr, R: RingExpr) -> bool:
-    """Whether I is the zero ideal of R (for quotients: contained in the defining ideal)."""
-    if isinstance(I, PrincipalIdeal):
-        return is_zero(R, I.gen)
-    if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant)):
-        inner = R.inner if isinstance(R, LocalizedAtIrrelevant) else R
-        return all(_mask_in(inner.gens, m) for m in I.gens)
-    return not I.gens
-
-
-def ideal_contains(I: IdealRepr, J: IdealRepr, R: RingExpr) -> bool:
-    """I >= J, decided on generators."""
-    if isinstance(I, MonomialIdeal) and isinstance(J, MonomialIdeal):
-        return all(_mask_in(I.gens, m) for m in J.gens)
-    if isinstance(I, PrincipalIdeal) and isinstance(J, PrincipalIdeal):
-        return ideal_member(I, J.gen, R)
-    raise KindMismatchError("ideal kinds do not match")
-
-
-def nilradical(R: RingExpr) -> IdealRepr:
-    """The ideal of nilpotents, for the kinds whose spectra need it."""
-    if isinstance(R, ModRing):
-        return PrincipalIdeal(ModEl(radical(R.n) % R.n))
-    if isinstance(R, IntegerRing):
-        return PrincipalIdeal(IntEl(0))
-    if isinstance(R, (PrimeField, RationalField)):
-        return PrincipalIdeal(zero(R))
-    if isinstance(R, PolyRingOverPrimeField):
-        return PrincipalIdeal(PolyEl(()))
-    if isinstance(R, MonomialQuotient):
-        # Square-free generators: the intersection of the minimal monomial
-        # primes is the defining ideal itself, i.e. zero in the quotient.
-        return MonomialIdeal(R.gens)
-    raise UnsupportedError(
-        "nilradical is unsupported here; products go through the product-law check"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Element sampling and display
-# ---------------------------------------------------------------------------
-
-
-def sample_elements(R: RingExpr, rng: Random, count: int) -> list[El]:
-    """Deterministic pseudo-random canonical elements, for property checks."""
+def _irreducible_pool(p: int, count: int = 12) -> list[tuple[int, ...]]:
     out = []
+    gen = gfpoly.irreducibles(p)
     for _ in range(count):
-        out.append(_sample_one(R, rng))
+        out.append(next(gen))
     return out
 
 
-def _sample_one(R: RingExpr, rng: Random) -> El:
-    if isinstance(R, IntegerRing):
-        return IntEl(rng.randint(-60, 60))
-    if isinstance(R, RationalField):
-        return RatEl(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-    if isinstance(R, ModRing):
-        return ModEl(rng.randrange(R.n))
-    if isinstance(R, PrimeField):
-        return ModEl(rng.randrange(R.p))
-    if isinstance(R, PolyRingOverPrimeField):
-        return PolyEl(gfpoly.trim([rng.randrange(R.p) for _ in range(rng.randint(0, 4))], R.p))
-    if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
-        nvars = 6 if isinstance(R, SymbolicSupplement) else (
-            R.nvars if isinstance(R, MonomialQuotient) else R.inner.nvars
-        )
-        field = coefficient_field(R)
-        terms = []
-        for _ in range(rng.randint(0, 3)):
-            exp = [0] * rng.randint(1, nvars)
-            exp[-1] = rng.randint(1, 2)
-            if rng.random() < 0.3 and len(exp) > 1:
-                exp[rng.randrange(len(exp) - 1)] = 1
-            c = rng.randint(1, field.p - 1) if isinstance(field, PrimeField) else rng.randint(-3, 3)
-            terms.append((c, tuple(exp)))
-        if rng.random() < 0.5:
-            terms.append((rng.randint(0, 3), ()))
-        return _mpoly_norm(R, terms)
-    if isinstance(R, Product):
-        return TupleEl(tuple(_sample_one(f, rng) for f in R.factors))
-    raise UnsupportedError(f"unknown ring {R}")
-
-
-def el_str(e: El, R: RingExpr) -> str:
-    if isinstance(e, IntEl):
-        return str(e.v)
-    if isinstance(e, RatEl):
-        return str(e.v)
-    if isinstance(e, ModEl):
-        return str(e.v)
-    if isinstance(e, PolyEl):
-        return gfpoly.poly_str(e.coeffs)
-    if isinstance(e, MPolyEl):
-        if not e.terms:
-            return "0"
-        parts = []
-        for c, exp in e.terms:
-            if exp == ():
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono_str(exp))
-            else:
-                parts.append(f"{c}*{mono_str(exp)}")
-        return " + ".join(parts)
-    if isinstance(e, TupleEl):
-        inner = ", ".join(el_str(x, f) for x, f in zip(e.items, R.factors))
-        return f"({inner})"
-    return str(e)
+def _random_irreducible(p: int, rng) -> tuple[int, ...]:
+    pool = _irreducible_pool(p)
+    return pool[rng.randrange(len(pool))]

@@ -21,7 +21,6 @@ from .spectrum import (
     Explicit,
     MonoPrime,
     SpecSubset,
-    SuppMin,
     ZMax,
 )
 
@@ -112,12 +111,7 @@ def _random_symbolic_subset(R: RingExpr, rng: Random) -> SpecSubset:
     if roll < 0.5:
         return sp.explicit(R, sp.sample_points(R, rng, rng.randint(1, 4)))
     excl = sp.sample_points(R, rng, rng.randint(0, 3))
-    flag = rng.random() < 0.5
-    if isinstance(R, rings.SymbolicSupplement):
-        ks = {p.k for p in excl if isinstance(p, SuppMin)}
-        return sp.cofinite_min(R, ks, flag)
-    closed = {p for p in excl if not isinstance(p, (sp.ZGeneric, sp.FpxGeneric))}
-    return sp.cofinite_closed(R, closed, flag)
+    return sp.cofinite(R, excl, rng.random() < 0.5)
 
 
 def _oracle_zoo() -> list[RingExpr]:
@@ -426,11 +420,7 @@ def suite_density(seed: int = 0, cases: int = 50, **_: object) -> SuiteResult:
 
 def _random_infinite_subset(R: RingExpr, rng: Random) -> SpecSubset:
     excl = sp.sample_points(R, rng, rng.randint(0, 4))
-    if isinstance(R, rings.SymbolicSupplement):
-        ks = {p.k for p in excl if isinstance(p, SuppMin)}
-        return sp.cofinite_min(R, ks, rng.random() < 0.5)
-    closed = {p for p in excl if not isinstance(p, (sp.ZGeneric, sp.FpxGeneric))}
-    return sp.cofinite_closed(R, closed, rng.random() < 0.5)
+    return sp.cofinite(R, excl, rng.random() < 0.5)
 
 
 def suite_closure_axioms(seed: int = 0, cases: int = 500, **_: object) -> SuiteResult:
@@ -493,7 +483,7 @@ def _enlarge(R: RingExpr, E: SpecSubset) -> SpecSubset:
         return sp.cofinite_closed(R, set(), True)
     if isinstance(E, (CofiniteMin,)):
         return sp.cofinite_min(R, set(), True)
-    if isinstance(E, Explicit) and not sp.has_symbolic_spectrum(R):
+    if isinstance(E, Explicit) and not R.symbolic:
         pts = sp.spec_points(R)
         return sp.explicit(R, list(E.points) + pts[:1])
     return E

@@ -15,28 +15,22 @@ from dataclasses import dataclass
 
 from . import spectrum as sp
 from .errors import KindMismatchError, UnsupportedError, UnsupportedSymbolicError
-from .rings import (
+from .rings import (  # the density rationales are named from here too
+    COUNTEREXAMPLE,
+    FACTORIZATION_FINITE,
+    FINITE_SPECTRUM,
+    FINITE_SUPPORT,
     El,
-    IntegerRing,
-    IntEl,
-    PolyEl,
-    PolyRingOverPrimeField,
     RingExpr,
-    SymbolicSupplement,
-    var_el,
 )
 from .spectrum import (
     CofiniteClosed,
     CofiniteMin,
     EmptySet,
     Explicit,
-    FpxGeneric,
     PrimePoint,
     SpecSubset,
-    SuppMin,
-    SuppTop,
     Whole,
-    ZGeneric,
 )
 
 ZARISKI = "zariski"
@@ -54,40 +48,18 @@ def _resolve_ring(E: SpecSubset, R: RingExpr | None) -> RingExpr:
     return E.ring
 
 
+def _points_or_whole(R: RingExpr, points) -> SpecSubset:
+    return Whole(R) if points is None else sp.explicit(R, points)
+
+
 def up_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
     """V(p): all specializations of p."""
-    if sp.has_symbolic_spectrum(R):
-        if isinstance(p, (ZGeneric, FpxGeneric)):
-            return Whole(R)
-        if isinstance(p, SuppMin):
-            return sp.explicit(R, {p, SuppTop()})
-        if isinstance(p, SuppTop):
-            return sp.explicit(R, {p})
-        return sp.explicit(R, {p})
-    pts = sp.spec_points(R)
-    return sp.explicit(R, {q for q in pts if sp.leq_specialization(p, q, R)})
+    return _points_or_whole(R, R.up_points(p))
 
 
 def down_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
     """The generalizations of p; the flat closure of the singleton."""
-    if sp.has_symbolic_spectrum(R):
-        if isinstance(p, (ZGeneric, FpxGeneric)):
-            return sp.explicit(R, {p})
-        if isinstance(p, SuppMin):
-            return sp.explicit(R, {p})
-        if isinstance(p, SuppTop):
-            return Whole(R)
-        return sp.explicit(R, {p, _generic(R)})
-    pts = sp.spec_points(R)
-    return sp.explicit(R, {q for q in pts if sp.leq_specialization(q, p, R)})
-
-
-def _generic(R: RingExpr) -> PrimePoint:
-    if isinstance(R, IntegerRing):
-        return ZGeneric()
-    if isinstance(R, PolyRingOverPrimeField):
-        return FpxGeneric()
-    raise KindMismatchError(f"{R} has no generic point")
+    return _points_or_whole(R, R.down_points(p))
 
 
 def zariski_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
@@ -155,40 +127,23 @@ def closure(E: SpecSubset, topology: str, R: RingExpr | None = None) -> SpecSubs
 def is_stable(E: SpecSubset, R: RingExpr | None, mode: str) -> bool:
     """Stability under specialization or generalization.
 
-    Exact quantification over point pairs on enumerable spectra;
-    representation rules on the symbolic families.
+    An explicit set is stable when the up (down) set of each of its
+    points stays inside it; the cofinite sets follow representation
+    rules.
     """
     R = _resolve_ring(E, R)
     if mode not in (SPECIALIZATION, GENERALIZATION):
         raise UnsupportedError(f"unknown stability mode {mode!r}")
     if isinstance(E, (EmptySet, Whole)):
         return True
-    if isinstance(E, Explicit) and not sp.has_symbolic_spectrum(R):
-        pts = sp.spec_points(R)
-        for p in E.points:
-            for q in pts:
-                inside = (
-                    sp.leq_specialization(p, q, R)
-                    if mode == SPECIALIZATION
-                    else sp.leq_specialization(q, p, R)
-                )
-                if inside and q not in E.points:
-                    return False
-        return True
     if isinstance(E, Explicit):
-        if isinstance(R, (IntegerRing, PolyRingOverPrimeField)):
-            has_generic = any(isinstance(p, (ZGeneric, FpxGeneric)) for p in E.points)
-            closed = {p for p in E.points if not isinstance(p, (ZGeneric, FpxGeneric))}
-            if mode == SPECIALIZATION:
-                # The generic point specializes to every maximal ideal.
-                return not has_generic
-            return not closed or has_generic
-        if isinstance(R, SymbolicSupplement):
-            has_top = any(isinstance(p, SuppTop) for p in E.points)
-            has_min = any(isinstance(p, SuppMin) for p in E.points)
-            if mode == SPECIALIZATION:
-                return not has_min or has_top
-            return not has_top
+        # Stable exactly when every point's up (down) set stays inside E.
+        reach = R.up_points if mode == SPECIALIZATION else R.down_points
+        for p in E.points:
+            pts = reach(p)
+            if pts is None or not pts <= E.points:
+                return False
+        return True
     if isinstance(E, CofiniteClosed):
         if mode == SPECIALIZATION:
             return not E.with_generic
@@ -207,11 +162,6 @@ def is_dense(E: SpecSubset, R: RingExpr | None, topology: str) -> bool:
 # ---------------------------------------------------------------------------
 # Density criteria
 # ---------------------------------------------------------------------------
-
-FACTORIZATION_FINITE = "FactorizationFinite"
-FINITE_SPECTRUM = "FiniteSpectrum"
-FINITE_SUPPORT = "FiniteSupport"
-COUNTEREXAMPLE = "CounterexampleElement"
 
 
 @dataclass(frozen=True)
@@ -238,22 +188,5 @@ def density_criterion(R: RingExpr, mode: str) -> DensityCertificate:
     """
     if mode not in (ZARISKI, FLAT):
         raise UnsupportedError(f"unknown density mode {mode!r}")
-    if isinstance(R, IntegerRing):
-        if mode == ZARISKI:
-            # Factoring a nonzero integer leaves a finite vanishing locus.
-            return DensityCertificate(True, mode, None, FACTORIZATION_FINITE)
-        return DensityCertificate(False, mode, IntEl(2), COUNTEREXAMPLE)
-    if isinstance(R, PolyRingOverPrimeField):
-        if mode == ZARISKI:
-            return DensityCertificate(True, mode, None, FACTORIZATION_FINITE)
-        return DensityCertificate(False, mode, PolyEl((0, 1)), COUNTEREXAMPLE)
-    if isinstance(R, SymbolicSupplement):
-        if mode == FLAT:
-            # A nonunit is supported on finitely many axes, so its
-            # non-vanishing locus is finite.
-            return DensityCertificate(True, mode, None, FINITE_SUPPORT)
-        return DensityCertificate(False, mode, var_el(R, 1), COUNTEREXAMPLE)
-    if sp.is_enumerable(R):
-        # No infinite subsets exist at all.
-        return DensityCertificate(True, mode, None, FINITE_SPECTRUM)
-    raise UnsupportedError(f"no density criterion for {R}")
+    holds, witness, rationale = R.density_rule(mode == ZARISKI)
+    return DensityCertificate(holds, mode, witness, rationale)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,28 @@ def test_verify_json_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("seed,digest", [(0, "b3071f872a0016d1"), (7, "f3cad6a4b2187fb9")])
+def test_verify_all_json_bytes(capsys, seed, digest):
+    # The report bytes recorded before the ring rules moved into the ring
+    # classes; any change of answer changes them.
+    code, out, _ = run(capsys, "verify", "all", "--json", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_suite_type_error_escapes(monkeypatch):
+    from spectop import suites
+
+    def broken_pz(seed=0, cases=None, **_):
+        if cases is not None:
+            raise TypeError("bug inside the suite")
+        return suites.suite_pz(seed=seed)
+
+    monkeypatch.setitem(suites.SUITES, "pz", broken_pz)
+    with pytest.raises(TypeError):
+        run_command(["verify", "pz", "--cases", "3"])
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "closure", "--topology", "zariski", "--ring", Z, "--set", '{"type":"nope"}')
     assert code == 2
@@ -147,6 +170,12 @@ def test_unknown_topology_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         run_command(["closure", "--topology", "euclidean", "--ring", Z, "--set", FIVE])
     assert exc.value.code == 2
+
+
+def test_fp_refuses_psi12(capsys):
+    code, _, err = run(capsys, "spec", "--ring", '{"kind":"Fp","p":318665857834031151167461}')
+    assert code == 2
+    assert "not prime" in err
 
 
 def test_allow_big_flag(capsys):

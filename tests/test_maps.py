@@ -7,7 +7,12 @@ from conftest import AXES_F2, F2, F2X, enumerable_zoo, symbolic_zoo
 from spectop import construction, maps, rings
 from spectop import spectrum as sp
 from spectop import topology as top
-from spectop.errors import LyingOverNotFoundError, NonEnumerableError, WildPrimeError
+from spectop.errors import (
+    KindMismatchError,
+    LyingOverNotFoundError,
+    NonEnumerableError,
+    WildPrimeError,
+)
 from spectop.spectrum import (
     FieldZero,
     MonoPrime,
@@ -199,6 +204,17 @@ def test_patch_identity_symbolic(rng):
         for _ in range(70):
             E = _random_subset(R, rng)
             assert maps.residue_product_image(R, E) == top.patch_closure(E, R)
+
+
+def test_laying_over_does_not_hide_kind_mismatch(monkeypatch):
+    # Tame candidates always match their ring, so a KindMismatchError from
+    # contract is an engine bug, not "no tame prime lies over".
+    def broken_contract(m, q):
+        raise KindMismatchError("engine bug")
+
+    monkeypatch.setattr(maps, "contract", broken_contract)
+    with pytest.raises(KindMismatchError):
+        maps.laying_over(maps.DiagonalIntoModProduct(6, (2, 3)), ZmodPrime(2))
 
 
 def _random_subset(R, rng):

@@ -71,6 +71,14 @@ def test_radical_and_prime_factors():
     assert prime_factors(-84) == (2, 3, 7)
 
 
+def test_psi12_is_composite():
+    # psi_12 is the least strong pseudoprime to all of the bases 2..37.
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert is_prime(41)
+
+
 def test_next_prime():
     assert next_prime(1) == 2
     assert next_prime(2) == 3

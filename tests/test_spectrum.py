@@ -49,7 +49,7 @@ def test_enumerate_axes_ring():
 
 def test_enumerate_symbolic_is_whole():
     for R in symbolic_zoo():
-        assert sp.enumerate_spec(R) == sp.Whole(R)
+        assert sp.whole(R) == sp.Whole(R)
         with pytest.raises(NonEnumerableError):
             sp.spec_points(R)
 
