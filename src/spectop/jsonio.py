@@ -366,10 +366,17 @@ def map_to_json(m: maps.RingMapSpec) -> dict:
     raise KindMismatchError(f"unknown map {m}")
 
 
+def _ring_and_prime(obj: dict) -> tuple[RingExpr, PrimePoint]:
+    R = ring_from_json(obj["ring"])
+    p = point_from_json(obj["prime"])
+    sp.validate_point(p, R)
+    return R, p
+
+
 def map_from_json(obj: dict) -> maps.RingMapSpec:
     t = _obj(obj, "map").get("type")
     if t == "quotientMap":
-        return maps.QuotientMap(ring_from_json(obj["ring"]), point_from_json(obj["prime"]))
+        return maps.QuotientMap(*_ring_and_prime(obj))
     if t == "canonicalIntoQuotientProduct":
         R = ring_from_json(obj["ring"])
         return maps.CanonicalIntoQuotientProduct(R, subset_from_json(obj["set"], R))
@@ -380,7 +387,7 @@ def map_from_json(obj: dict) -> maps.RingMapSpec:
         divisors = tuple(_int(d, "divisor") for d in _list(obj["divisors"], "divisors"))
         return maps.DiagonalIntoModProduct(_int(obj["n"], "n"), divisors)
     if t == "residueMap":
-        return maps.ResidueMap(ring_from_json(obj["ring"]), point_from_json(obj["prime"]))
+        return maps.ResidueMap(*_ring_and_prime(obj))
     raise KindMismatchError(f"unknown map type {t!r}")
 
 

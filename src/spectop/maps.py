@@ -129,7 +129,6 @@ def contract(m: RingMapSpec, q: PrimePoint) -> PrimePoint:
         if isinstance(q, FieldZero):
             # The zero ideal of R/p pulls back to the kernel.
             return m.prime
-        sp.validate_point(q, m.ring)
         if sp.leq_specialization(m.prime, q, m.ring):
             return q
         raise WildPrimeError("the point does not dominate the quotient kernel")
@@ -142,7 +141,6 @@ def contract(m: RingMapSpec, q: PrimePoint) -> PrimePoint:
         if not isinstance(q, TamePrime):
             raise WildPrimeError(f"{sp.point_str(q)} is not tame")
         base = _resolve_slot(m.subset, q.slot)
-        sp.validate_point(q.inner, m.ring)
         if sp.leq_specialization(q.inner, base, m.ring):
             return q.inner
         raise WildPrimeError("the point does not survive the localization")
@@ -375,7 +373,7 @@ def residue_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
         return E
     if isinstance(E, (Explicit,)) or (isinstance(E, Whole) and not R.symbolic):
         pts = {contract(ResidueMap(R, p), FieldZero()) for p in sp.subset_points(E)}
-        return sp.explicit(R, pts)
+        return sp._explicit(R, pts)
     if isinstance(E, Whole):
         return E
     if isinstance(E, CofiniteClosed):
@@ -383,18 +381,18 @@ def residue_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
         for q in E.excluded:
             # q's generator is invertible in every k(p), p in E, exactly
             # when q is not a member of E; then q cannot be contracted.
-            if not sp.subset_member(q, E):
+            if not sp._member(q, E):
                 still_out.add(q)
         generic_in = is_injective(CanonicalIntoQuotientProduct(R, E))
         if not generic_in:
             raise AssertionError("cofinite families must have zero kernel")
-        return sp.cofinite_closed(R, still_out, True)
+        return sp._cofinite_closed(R, still_out, True)
     if isinstance(E, CofiniteMin):
         still_out = set()
         for k in E.excluded:
             x_k = rings.var_el(R, k)
             vanishes_on_e = sp.subset_le(
-                sp.cofinite_min(R, E.excluded, False), sp.v_locus(x_k, R)
+                sp._cofinite_min(R, E.excluded, False), sp.v_locus(x_k, R)
             )
             if vanishes_on_e and not sp.point_contains(SuppMin(k), x_k, R):
                 # x_k maps to the zero sequence yet misses P_k, so no
@@ -405,5 +403,5 @@ def residue_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
         # Elements of the maximal ideal vanish at cofinitely many axes,
         # hence land in the direct-sum ideal; any prime above it
         # contracts onto the maximal ideal of this local ring.
-        return sp.cofinite_min(R, still_out, True)
+        return sp._cofinite_min(R, still_out, True)
     raise UnsupportedMapError(f"no residue-product rule for {sp.subset_str(E)}")

@@ -90,21 +90,19 @@ def quotient_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
     if isinstance(E, (EmptySet, Whole)):
         return E
     if isinstance(E, Explicit):
-        out: SpecSubset = EmptySet(R)
-        for p in E.points:
-            out = sp.subset_union(out, top.up_set(p, R))
-        return out
+        # The union of the up sets V(p): the Zariski closure of E.
+        return top.zariski_closure(E, R)
     if isinstance(E, CofiniteClosed):
         if E.with_generic:
             # The factor R/(0) is R itself, contributing all of V(0).
             return Whole(R)
         # Maximal-point branch: the image is E plus the generic point; an
         # element avoiding every member of E is invertible in the product.
-        return sp.cofinite_closed(R, E.excluded, True)
+        return sp._cofinite_closed(R, E.excluded, True)
     if isinstance(E, CofiniteMin):
         # Axes branch: the image is E plus the maximal ideal; the top
         # point, if present, only contributes V(m) = {m} again.
-        return sp.cofinite_min(R, E.excluded, True)
+        return sp._cofinite_min(R, E.excluded, True)
     raise UnsupportedSymbolicError(f"no image rule for {sp.subset_str(E)}")
 
 
@@ -115,17 +113,15 @@ def local_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
     if isinstance(E, (EmptySet, Whole)):
         return E
     if isinstance(E, Explicit):
-        out: SpecSubset = EmptySet(R)
-        for p in E.points:
-            out = sp.subset_union(out, top.down_set(p, R))
-        return out
+        # The union of the down sets: the flat closure of E.
+        return top.flat_closure(E, R)
     if isinstance(E, CofiniteClosed):
-        return sp.cofinite_closed(R, E.excluded, True)
+        return sp._cofinite_closed(R, E.excluded, True)
     if isinstance(E, CofiniteMin):
         if E.with_top:
             # The factor R_m is R itself; everything survives.
             return Whole(R)
-        return sp.cofinite_min(R, E.excluded, True)
+        return sp._cofinite_min(R, E.excluded, True)
     raise UnsupportedSymbolicError(f"no image rule for {sp.subset_str(E)}")
 
 
@@ -210,13 +206,8 @@ def nilradical_product_law_check(R: Product) -> bool:
         )
         if product_side != component_side:
             return False
-    minimal = [
-        p
-        for p in pts
-        if not any(q != p and sp.leq_specialization(q, p, R) for q in pts)
-    ]
-    dense = top.zariski_closure(sp.explicit(R, minimal)) == sp.whole(R)
-    return dense
+    minimal = [p for p in pts if R.is_minimal_prime(p)]
+    return top.zariski_closure(sp._explicit(R, minimal)) == sp.whole(R)
 
 
 @dataclass(frozen=True)

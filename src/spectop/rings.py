@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from random import Random
 
 from . import covers, gfpoly
@@ -118,8 +119,10 @@ class RingExpr:
 
     Element arguments of the rule methods are already in canonical form;
     the module-level functions normalize first.  Point methods that
-    answer a question about a point (leq_specialization, point_contains)
-    validate it; the others expect a point of this ring.
+    answer a question about a point from the caller (leq_specialization,
+    point_contains) validate it; the others, _leq and _contains among
+    them, expect a point of this ring, and loops over the ring's own
+    points call _leq and _contains directly.
     """
 
     # Infinite spectrum: subsets are given by representation rules.
@@ -157,7 +160,7 @@ class RingExpr:
         raise KindMismatchError(f"monomial ideal incompatible with {self}")
 
     def monomial_ideal_is_zero(self, gens: frozenset[int]) -> bool:
-        return not gens
+        raise KindMismatchError(f"monomial ideal incompatible with {self}")
 
     def nilradical(self) -> IdealRepr:
         raise UnsupportedError(
@@ -218,25 +221,23 @@ class RingExpr:
 
     def up_points(self, p: PrimePoint) -> set[PrimePoint] | None:
         """The specializations of p; None when that is every point."""
-        return {q for q in self.spec_points() if self.leq_specialization(p, q)}
+        return {q for q in self.spec_points() if self._leq(p, q)}
 
     def down_points(self, p: PrimePoint) -> set[PrimePoint] | None:
         """The generalizations of p; None when that is every point."""
-        return {q for q in self.spec_points() if self.leq_specialization(q, p)}
+        return {q for q in self.spec_points() if self._leq(q, p)}
 
     def locus(self, r: El, limit) -> tuple[set[PrimePoint], bool]:
         """(points, complement): V(r) is the finite set `points`, or its
         complement when `complement` is set."""
         if not self.is_enumerable():
             raise NonEnumerableError(f"no locus rule over {self}")
-        return {p for p in self.spec_points() if self.point_contains(p, r)}, False
+        return {p for p in self.spec_points() if self._contains(p, r)}, False
 
     def is_minimal_prime(self, p: PrimePoint) -> bool:
         if not self.is_enumerable():
             raise NonEnumerableError(f"cannot test minimality over {self}")
-        return not any(
-            q != p and self.leq_specialization(q, p) for q in self.spec_points()
-        )
+        return not any(q != p and self._leq(q, p) for q in self.spec_points())
 
     def density_rule(self, zariski: bool) -> tuple[bool, El | None, str]:
         """(holds, witness, rationale) for "every infinite subset is dense"
@@ -900,6 +901,11 @@ class SymbolicSupplement(_Monomial):
     def _kills(self, exp: tuple[int, ...]) -> bool:
         return len(mono_support(exp)) >= 2
 
+    def monomial_ideal_is_zero(self, gens: frozenset[int]) -> bool:
+        # x_i x_k = 0 for i != k: a monomial vanishes exactly when it
+        # touches two or more axes, that is, its mask has two or more bits.
+        return all(g & (g - 1) for g in gens)
+
     def has_point(self, p: PrimePoint) -> bool:
         return isinstance(p, SuppTop) or isinstance(p, SuppMin) and p.k >= 1
 
@@ -1005,11 +1011,13 @@ class Product(RingExpr):
                 return
         raise KindMismatchError(f"{point_str(p)} is not a point of {self}")
 
+    # validate_point has checked the inner point against its factor.
+
     def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
-        return p.slot == q.slot and self.factors[p.slot].leq_specialization(p.inner, q.inner)
+        return p.slot == q.slot and self.factors[p.slot]._leq(p.inner, q.inner)
 
     def _contains(self, p: PrimePoint, r: El) -> bool:
-        return self.factors[p.slot].point_contains(p.inner, r.items[p.slot])
+        return self.factors[p.slot]._contains(p.inner, r.items[p.slot])
 
     def point_ideal_generators(self, p: PrimePoint) -> list[El]:
         def lift(k: int, g: El) -> El:
@@ -1126,14 +1134,20 @@ def symbolic_supplement(field: PrimeField | RationalField) -> SymbolicSupplement
     return SymbolicSupplement(field)
 
 
-@lru_cache(maxsize=None)
+# Memo tables keyed on monomial quotients.  A `verify all` run meets 22
+# distinct quotients (21 of them in the supplement suite), so this bound
+# evicts nothing there while keeping a long-lived process bounded.
+_RING_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=_RING_MEMO_SIZE)
 def quotient_dim(R: MonomialQuotient) -> int:
     """Krull dimension of T/I: nvars minus the minimum vertex cover size."""
     edges = [mask_support(g) for g in R.gens]
     return R.nvars - covers.min_cover_size(edges, R.nvars)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RING_MEMO_SIZE)
 def minimal_cover_sets(R: MonomialQuotient) -> tuple[frozenset[int], ...]:
     edges = [mask_support(g) for g in R.gens]
     return tuple(covers.minimal_covers(edges, R.nvars))
@@ -1142,12 +1156,12 @@ def minimal_cover_sets(R: MonomialQuotient) -> tuple[frozenset[int], ...]:
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 97, 101, 257)
 
 
-def _irreducible_pool(p: int, count: int = 12) -> list[tuple[int, ...]]:
-    out = []
-    gen = gfpoly.irreducibles(p)
-    for _ in range(count):
-        out.append(next(gen))
-    return out
+# The pool depends on p only; one entry per prime of _PRIME_POOL is room
+# for every GF(p)[x] a run samples from.
+@lru_cache(maxsize=len(_PRIME_POOL))
+def _irreducible_pool(p: int) -> tuple[tuple[int, ...], ...]:
+    """The first 12 monic irreducibles over GF(p), in canonical order."""
+    return tuple(islice(gfpoly.irreducibles(p), 12))
 
 
 def _random_irreducible(p: int, rng) -> tuple[int, ...]:

@@ -10,6 +10,17 @@ points except a finite list, with or without the generic point", "all
 minimal axes except a finite list, with or without the top point", or the
 whole space.  Every membership and inclusion question on these
 representations is decidable.
+
+Invariant: every point inside a subset value is a point of its ring.
+Points are checked once, where they enter: the builders (explicit,
+cofinite_closed, cofinite, cofinite_min) and the functions that take a
+point from the caller (subset_member, leq_specialization,
+point_contains) validate each one.  The subset algebra (union,
+intersection, complement, inclusion) only recombines points that are
+already inside subsets, so it goes through the private canonicalizers
+_explicit, _cofinite_closed and _cofinite_min, which turn an empty set
+into EmptySet and a full set into Whole and check nothing.  The subset
+dataclasses are internal constructors: build subsets with the builders.
 """
 
 from __future__ import annotations
@@ -121,13 +132,42 @@ def empty_set(R: RingExpr) -> SpecSubset:
     return EmptySet(R)
 
 
+# The canonicalizers: points handed to these are already points of R.
+
+
+def _explicit(R: RingExpr, points) -> SpecSubset:
+    pts = frozenset(points)
+    return Explicit(R, pts) if pts else EmptySet(R)
+
+
+def _cofinite_closed(R: RingExpr, excluded, with_generic: bool) -> SpecSubset:
+    pts = frozenset(excluded)
+    if not pts and with_generic:
+        return Whole(R)
+    return CofiniteClosed(R, pts, with_generic)
+
+
+def _cofinite_min(R: RingExpr, excluded, with_top: bool) -> SpecSubset:
+    ks = frozenset(excluded)
+    if not ks and with_top:
+        return Whole(R)
+    return CofiniteMin(R, ks, with_top)
+
+
+def _cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
+    if R.generic is not None:
+        return _cofinite_closed(R, frozenset(excluded) - {R.generic}, with_limit)
+    return _cofinite_min(R, {p.k for p in excluded if p != R.top}, with_limit)
+
+
+# The builders: validate, then canonicalize.
+
+
 def explicit(R: RingExpr, points) -> SpecSubset:
     pts = frozenset(points)
     for p in pts:
         validate_point(p, R)
-    if not pts:
-        return EmptySet(R)
-    return Explicit(R, pts)
+    return _explicit(R, pts)
 
 
 def cofinite_closed(R: RingExpr, excluded, with_generic: bool) -> SpecSubset:
@@ -140,54 +180,57 @@ def cofinite_closed(R: RingExpr, excluded, with_generic: bool) -> SpecSubset:
         validate_point(p, R)
         if p == R.generic:
             raise KindMismatchError("excluded points must be closed points")
-    if not pts and with_generic:
-        return Whole(R)
-    return CofiniteClosed(R, pts, with_generic)
+    return _cofinite_closed(R, pts, with_generic)
 
 
 def cofinite_min(R: RingExpr, excluded, with_top: bool) -> SpecSubset:
     if R.top is None:
         raise UnsupportedSymbolicError("cofinite-min sets exist only over the axes ring")
-    ks = frozenset(int(k) for k in excluded)
+    try:
+        ks = frozenset(int(k) for k in excluded)
+    except (TypeError, ValueError) as exc:
+        raise KindMismatchError("axis indices must be integers") from exc
     if any(k < 1 for k in ks):
         raise KindMismatchError("axis indices start at 1")
-    if not ks and with_top:
-        return Whole(R)
-    return CofiniteMin(R, ks, with_top)
+    return _cofinite_min(R, ks, with_top)
 
 
 def cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
     """All points of a symbolic spectrum outside `excluded`, plus its limit
     point (the generic point, or the top of the axes ring) iff with_limit;
     a limit point among `excluded` is ignored."""
-    if R.generic is not None:
-        return cofinite_closed(R, set(excluded) - {R.generic}, with_limit)
-    return cofinite_min(R, {p.k for p in excluded if p != R.top}, with_limit)
+    if not R.symbolic:
+        raise UnsupportedSymbolicError(
+            "cofinite sets exist only over Z, GF(p)[x] and the axes ring"
+        )
+    pts = frozenset(excluded)
+    for p in pts:
+        validate_point(p, R)
+    return _cofinite(R, pts, with_limit)
 
 
 def whole(R: RingExpr) -> SpecSubset:
     if R.symbolic:
         return Whole(R)
-    return explicit(R, spec_points(R))
+    return _explicit(R, spec_points(R))
 
 
 def subset_member(p: PrimePoint, E: SpecSubset) -> bool:
+    validate_point(p, E.ring)
+    return _member(p, E)
+
+
+def _member(p: PrimePoint, E: SpecSubset) -> bool:
+    """Membership of a point of E's ring."""
     if isinstance(E, EmptySet):
         return False
     if isinstance(E, Explicit):
         return p in E.points
     if isinstance(E, CofiniteClosed):
-        if isinstance(p, (ZGeneric, FpxGeneric)):
-            return E.with_generic
-        validate_point(p, E.ring)
-        return p not in E.excluded
+        return E.with_generic if p == E.ring.generic else p not in E.excluded
     if isinstance(E, CofiniteMin):
-        if isinstance(p, SuppTop):
-            return E.with_top
-        validate_point(p, E.ring)
-        return p.k not in E.excluded
+        return E.with_top if p == E.ring.top else p.k not in E.excluded
     if isinstance(E, Whole):
-        validate_point(p, E.ring)
         return True
     raise KindMismatchError(f"unknown subset {E}")
 
@@ -218,15 +261,15 @@ def subset_union(A: SpecSubset, B: SpecSubset) -> SpecSubset:
     if isinstance(B, EmptySet):
         return A
     if isinstance(A, Explicit) and isinstance(B, Explicit):
-        return explicit(R, A.points | B.points)
+        return _explicit(R, A.points | B.points)
     if isinstance(A, CofiniteClosed) or isinstance(B, CofiniteClosed):
         if isinstance(A, Explicit):
             A, B = B, A
         if isinstance(B, Explicit):
-            return cofinite_closed(
+            return _cofinite_closed(
                 R, A.excluded - B.points, A.with_generic or R.generic in B.points
             )
-        return cofinite_closed(
+        return _cofinite_closed(
             R, A.excluded & B.excluded, A.with_generic or B.with_generic
         )
     if isinstance(A, CofiniteMin) or isinstance(B, CofiniteMin):
@@ -235,8 +278,8 @@ def subset_union(A: SpecSubset, B: SpecSubset) -> SpecSubset:
         if isinstance(B, Explicit):
             ks = {p.k for p in B.points if isinstance(p, SuppMin)}
             top = any(isinstance(p, SuppTop) for p in B.points)
-            return cofinite_min(R, A.excluded - ks, A.with_top or top)
-        return cofinite_min(R, A.excluded & B.excluded, A.with_top or B.with_top)
+            return _cofinite_min(R, A.excluded - ks, A.with_top or top)
+        return _cofinite_min(R, A.excluded & B.excluded, A.with_top or B.with_top)
     raise UnsupportedSymbolicError("no union rule for this pair of representations")
 
 
@@ -249,15 +292,15 @@ def subset_intersect(A: SpecSubset, B: SpecSubset) -> SpecSubset:
     if isinstance(B, Whole):
         return A
     if isinstance(A, Explicit):
-        return explicit(R, {p for p in A.points if subset_member(p, B)})
+        return _explicit(R, {p for p in A.points if _member(p, B)})
     if isinstance(B, Explicit):
-        return explicit(R, {p for p in B.points if subset_member(p, A)})
+        return _explicit(R, {p for p in B.points if _member(p, A)})
     if isinstance(A, CofiniteClosed) and isinstance(B, CofiniteClosed):
-        return cofinite_closed(
+        return _cofinite_closed(
             R, A.excluded | B.excluded, A.with_generic and B.with_generic
         )
     if isinstance(A, CofiniteMin) and isinstance(B, CofiniteMin):
-        return cofinite_min(R, A.excluded | B.excluded, A.with_top and B.with_top)
+        return _cofinite_min(R, A.excluded | B.excluded, A.with_top and B.with_top)
     raise UnsupportedSymbolicError("no intersection rule for this pair")
 
 
@@ -269,15 +312,15 @@ def subset_complement(E: SpecSubset) -> SpecSubset:
         return EmptySet(R)
     if isinstance(E, CofiniteClosed):
         extra = [] if E.with_generic else [R.generic]
-        return explicit(R, set(E.excluded) | set(extra))
+        return _explicit(R, set(E.excluded) | set(extra))
     if isinstance(E, CofiniteMin):
         extra = [] if E.with_top else [R.top]
-        return explicit(R, {SuppMin(k) for k in E.excluded} | set(extra))
+        return _explicit(R, {SuppMin(k) for k in E.excluded} | set(extra))
     if isinstance(E, Explicit):
         if not R.symbolic:
-            return explicit(R, set(spec_points(R)) - set(E.points))
+            return _explicit(R, set(spec_points(R)) - set(E.points))
         limit = R.generic if R.generic is not None else R.top
-        return cofinite(R, E.points, limit not in E.points)
+        return _cofinite(R, E.points, limit not in E.points)
     raise KindMismatchError(f"unknown subset {E}")
 
 
@@ -291,12 +334,12 @@ def subset_le(A: SpecSubset, B: SpecSubset) -> bool:
     if isinstance(A, EmptySet) or isinstance(B, Whole):
         return True
     if isinstance(A, Explicit):
-        return all(subset_member(p, B) for p in A.points)
+        return all(_member(p, B) for p in A.points)
     if isinstance(A, Whole):
         if isinstance(B, Whole):
             return True
         if not R.symbolic:
-            return all(subset_member(p, B) for p in spec_points(R))
+            return all(_member(p, B) for p in spec_points(R))
         return False
     if isinstance(A, CofiniteClosed):
         if isinstance(B, CofiniteClosed):
@@ -343,7 +386,7 @@ def subset_str(E: SpecSubset) -> str:
 def v_locus(r: El, R: RingExpr, limit=USE_ACTIVE) -> SpecSubset:
     """V(r): the primes containing r, as a canonical subset."""
     points, complement = R.locus(R.normalize(r), limit)
-    E = explicit(R, points)
+    E = _explicit(R, points)
     return subset_complement(E) if complement else E
 
 

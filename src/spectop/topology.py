@@ -49,16 +49,19 @@ def _resolve_ring(E: SpecSubset, R: RingExpr | None) -> RingExpr:
 
 
 def _points_or_whole(R: RingExpr, points) -> SpecSubset:
-    return Whole(R) if points is None else sp.explicit(R, points)
+    # The ring's up and down sets hold points of R only.
+    return Whole(R) if points is None else sp._explicit(R, points)
 
 
 def up_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
     """V(p): all specializations of p."""
+    sp.validate_point(p, R)
     return _points_or_whole(R, R.up_points(p))
 
 
 def down_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
     """The generalizations of p; the flat closure of the singleton."""
+    sp.validate_point(p, R)
     return _points_or_whole(R, R.down_points(p))
 
 
@@ -70,7 +73,7 @@ def zariski_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
     if isinstance(E, Explicit):
         out: SpecSubset = EmptySet(R)
         for p in E.points:
-            out = sp.subset_union(out, up_set(p, R))
+            out = sp.subset_union(out, _points_or_whole(R, R.up_points(p)))
         return out
     if isinstance(E, CofiniteClosed):
         # An infinite set of maximal ideals meets every nonempty open:
@@ -79,7 +82,7 @@ def zariski_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
     if isinstance(E, CofiniteMin):
         # Every prime over the intersection of the kept axes is one of
         # those axes or the top point.
-        return sp.cofinite_min(R, E.excluded, True)
+        return sp._cofinite_min(R, E.excluded, True)
     raise UnsupportedSymbolicError(f"no zariski rule for {sp.subset_str(E)}")
 
 
@@ -91,10 +94,10 @@ def flat_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
     if isinstance(E, Explicit):
         out: SpecSubset = EmptySet(R)
         for p in E.points:
-            out = sp.subset_union(out, down_set(p, R))
+            out = sp.subset_union(out, _points_or_whole(R, R.down_points(p)))
         return out
     if isinstance(E, CofiniteClosed):
-        return sp.cofinite_closed(R, E.excluded, True)
+        return sp._cofinite_closed(R, E.excluded, True)
     if isinstance(E, CofiniteMin):
         # An infinite set of axes meets every nonempty flat open: each
         # D(a), a a nonunit, is a finite set on the axes ring.
@@ -108,9 +111,9 @@ def patch_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
     if isinstance(E, (EmptySet, Whole, Explicit)):
         return E
     if isinstance(E, CofiniteClosed):
-        return sp.cofinite_closed(R, E.excluded, True)
+        return sp._cofinite_closed(R, E.excluded, True)
     if isinstance(E, CofiniteMin):
-        return sp.cofinite_min(R, E.excluded, True)
+        return sp._cofinite_min(R, E.excluded, True)
     raise UnsupportedSymbolicError(f"no patch rule for {sp.subset_str(E)}")
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +168,45 @@ def test_malformed_json_shapes_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+FOREIGN_POINT = '{"type":"explicit","points":[{"type":"zMax","p":4}]}'
+X_SQUARED = '{"type":"fpxMax","coeffs":[0,0,1]}'
+F2X = '{"kind":"FpPoly","p":2}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "--topology", "flat", "--ring", Z, "--set", FOREIGN_POINT],
+        ["dense", "--topology", "zariski", "--ring", Z, "--set", FOREIGN_POINT],
+        ["stable", "--mode", "specialization", "--ring", Z, "--set", FOREIGN_POINT],
+        ["image", "--kind", "quotient", "--ring", Z, "--set", FOREIGN_POINT],
+        ["closure", "--topology", "zariski", "--ring", F2X,
+         "--set", '{"type":"cofiniteClosed","excluded":[' + X_SQUARED + "]}"],
+        ["lyover", "--map", '{"type":"quotientMap","ring":' + F2X + ',"prime":' + X_SQUARED + "}",
+         "--prime", '{"type":"fpxGeneric"}'],
+        ["lyover", "--map", '{"type":"residueMap","ring":' + Z + ',"prime":{"type":"zMax","p":4}}',
+         "--prime", '{"type":"zGeneric"}'],
+        ["lyover", "--map", '{"type":"canonicalIntoLocalProduct","ring":' + Z + ',"set":{"type":"whole"}}',
+         "--prime", '{"type":"zMax","p":4}'],
+    ],
+)
+def test_non_prime_points_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "is not a point of" in err
+
+
+def test_python_dash_m_spectop():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectop", "verify", "pz", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"][0]["suite"] == "pz"
 
 
 def test_unknown_topology_rejected(capsys):

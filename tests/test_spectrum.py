@@ -4,13 +4,15 @@ from random import Random
 import pytest
 
 from conftest import AXES_F2, F2, F2X, enumerable_zoo, symbolic_zoo
-from spectop import construction, rings
+from spectop import construction, gfpoly, jsonio, maps, products, rings
 from spectop import spectrum as sp
-from spectop.errors import KindMismatchError, NonEnumerableError
+from spectop import topology as top
+from spectop.errors import KindMismatchError, NonEnumerableError, SpectopError
 from spectop.rings import IntEl, PolyEl
 from spectop.spectrum import (
     CofiniteClosed,
     FieldZero,
+    FpxGeneric,
     FpxMax,
     MonoPrime,
     SuppMin,
@@ -239,3 +241,146 @@ def test_point_validation():
 @pytest.fixture
 def rng():
     return Random(29)
+
+
+@pytest.mark.parametrize(
+    "p, E",
+    [
+        (FpxGeneric(), sp.cofinite_closed(rings.ZZ, {ZMax(2)}, True)),
+        (ZGeneric(), sp.cofinite_closed(F2X, set(), False)),
+        (ZGeneric(), sp.cofinite_min(AXES_F2, {1}, True)),
+        (ZMax(4), sp.explicit(rings.ZZ, {ZMax(2)})),
+        (ZMax(4), sp.empty_set(rings.ZZ)),
+    ],
+)
+def test_subset_member_validates_before_answering(p, E):
+    # Membership is asked only of points of E's ring, limit points and
+    # empty or explicit subsets included.
+    with pytest.raises(KindMismatchError):
+        sp.subset_member(p, E)
+
+
+# Every public entry that takes a point from the caller, with the rings it
+# is defined over.  Each must refuse a foreign or non-prime point.
+PROD = rings.product(rings.zmod(6), rings.zmod(10))
+
+# (ring, a bad point, a good point)
+BAD_POINTS = {
+    "Z-composite": (rings.ZZ, ZMax(4), ZMax(2)),
+    "F2x-square": (F2X, FpxMax((0, 0, 1)), FpxMax((0, 1))),
+    "F2x-foreign": (F2X, ZMax(2), FpxMax((0, 1))),
+    "product-slot": (PROD, TamePrime(2, ZmodPrime(2)), TamePrime(0, ZmodPrime(2))),
+    "axes-index-0": (AXES_F2, SuppMin(0), SuppMin(1)),
+}
+
+
+ENTRIES = {
+    "explicit": (lambda R, p, good: sp.explicit(R, {p}), None),
+    "cofinite_closed": (
+        lambda R, p, good: sp.cofinite_closed(R, {p}, True),
+        lambda R: R.generic is not None,
+    ),
+    "cofinite": (lambda R, p, good: sp.cofinite(R, {p}, True), lambda R: R.symbolic),
+    "cofinite_min": (
+        lambda R, p, good: sp.cofinite_min(R, {getattr(p, "k", p)}, True),
+        lambda R: R.top is not None,
+    ),
+    "up_set": (lambda R, p, good: top.up_set(p, R), None),
+    "down_set": (lambda R, p, good: top.down_set(p, R), None),
+    "leq_left": (lambda R, p, good: sp.leq_specialization(p, good, R), None),
+    "leq_right": (lambda R, p, good: sp.leq_specialization(good, p, R), None),
+    "point_contains": (lambda R, p, good: sp.point_contains(p, rings.one(R), R), None),
+    "member_empty": (lambda R, p, good: sp.subset_member(p, sp.empty_set(R)), None),
+    "member_explicit": (
+        lambda R, p, good: sp.subset_member(p, sp.explicit(R, {good})),
+        None,
+    ),
+    "member_whole": (lambda R, p, good: sp.subset_member(p, sp.whole(R)), None),
+    "member_cofinite_with_limit": (
+        lambda R, p, good: sp.subset_member(p, sp.cofinite(R, {good}, True)),
+        lambda R: R.symbolic,
+    ),
+    "member_cofinite_without_limit": (
+        lambda R, p, good: sp.subset_member(p, sp.cofinite(R, {good}, False)),
+        lambda R: R.symbolic,
+    ),
+    "jsonio_explicit": (
+        lambda R, p, good: jsonio.subset_from_json(
+            {"type": "explicit", "points": [jsonio.point_to_json(p)]}, R
+        ),
+        None,
+    ),
+    "jsonio_cofinite_closed": (
+        lambda R, p, good: jsonio.subset_from_json(
+            {"type": "cofiniteClosed", "excluded": [jsonio.point_to_json(p)]}, R
+        ),
+        lambda R: R.generic is not None,
+    ),
+    "jsonio_quotient_map": (
+        lambda R, p, good: jsonio.map_from_json(
+            {
+                "type": "quotientMap",
+                "ring": jsonio.ring_to_json(R),
+                "prime": jsonio.point_to_json(p),
+            }
+        ),
+        None,
+    ),
+    "contract": (lambda R, p, good: maps.contract(maps.QuotientMap(R, good), p), None),
+    "contract_local_slot": (
+        lambda R, p, good: maps.contract(
+            maps.CanonicalIntoLocalProduct(R, sp.whole(R)), TamePrime(good, p)
+        ),
+        None,
+    ),
+    "laying_over": (
+        lambda R, p, good: maps.laying_over(maps.QuotientMap(R, good), p),
+        None,
+    ),
+    "is_injective": (lambda R, p, good: maps.is_injective(maps.QuotientMap(R, p)), None),
+    "residue_field": (lambda R, p, good: maps.residue_field(R, p), None),
+    "tame_contract": (
+        lambda R, p, good: products.tame_contract(
+            p, R, R.factors[0], maps.CanonicalIntoQuotientProduct(R.factors[0], sp.whole(R.factors[0]))
+        ),
+        lambda R: isinstance(R, rings.Product),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        (entry, case)
+        for entry, (_, applies) in ENTRIES.items()
+        for case, (R, _, _) in BAD_POINTS.items()
+        if applies is None or applies(R)
+    ],
+)
+def test_every_entry_refuses_a_bad_point(entry, case):
+    fn, _ = ENTRIES[entry]
+    R, bad, good = BAD_POINTS[case]
+    try:
+        fn(R, good, good)
+    except KindMismatchError:
+        pytest.fail("the good point was refused")
+    except SpectopError:
+        pass  # refused for another reason, e.g. a map that is not injective
+    with pytest.raises(KindMismatchError):
+        fn(R, bad, good)
+
+
+def test_existing_subsets_are_not_validated_again(monkeypatch):
+    E = sp.explicit(F2X, {FpxGeneric(), FpxMax((0, 1)), FpxMax((1, 1, 1)), FpxMax((1, 1, 0, 1))})
+    F = sp.explicit(F2X, {FpxMax((1, 1)), FpxMax((1, 0, 1, 1))})
+    G = sp.cofinite(F2X, {FpxMax((1, 1, 1))}, False)
+    calls = []
+    real = gfpoly.is_irreducible
+    monkeypatch.setattr(
+        gfpoly, "is_irreducible", lambda f, p: calls.append(f) or real(f, p)
+    )
+    top.zariski_closure(E)
+    top.flat_closure(E)
+    sp.subset_union(E, F)
+    sp.subset_union(E, G)
+    assert calls == []
