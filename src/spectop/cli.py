@@ -20,7 +20,10 @@ from .errors import SpectopError
 
 def _load_json(value: str) -> dict:
     text = value if value.lstrip().startswith("{") else open(value, encoding="utf-8").read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
 
 
 def _field_from_name(name: str):

@@ -105,7 +105,7 @@ def krull_dim(R: RingExpr) -> int:
         return R.krull_dim()
     pts = sp.spec_points(R)
     below = {
-        p: [q for q in pts if q != p and sp.leq_specialization(q, p, R)]
+        p: [q for q in pts if q != p and R._leq(q, p)]
         for p in pts
     }
     memo: dict[PrimePoint, int] = {}
@@ -135,6 +135,15 @@ def _family_intersection_contained(
     return R.meet_inside(family, q)
 
 
+def _validated(points, R: RingExpr) -> list[PrimePoint]:
+    # The caller's points, checked once: the loops below compare them
+    # with R._leq and R._contains.
+    pts = list(points)
+    for p in pts:
+        sp.validate_point(p, R)
+    return pts
+
+
 def absorbance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
     """Infinite prime absorbance over an explicit family of primes.
 
@@ -143,6 +152,7 @@ def absorbance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
     primes of a product meet slot by slot, so over a product the statement
     holds exactly when it holds in every factor.
     """
+    points = _validated(points, R)
     return all(_absorbance_walk(pts, f) for f, pts in R.slots(points))
 
 
@@ -152,7 +162,7 @@ def _absorbance_walk(pts: list[PrimePoint], R: RingExpr) -> bool:
     n = len(pts)
     ideals = [sp.point_ideal(p, R) for p in pts]
     below = [
-        sum(1 << i for i in range(n) if sp.leq_specialization(pts[i], pts[j], R))
+        sum(1 << i for i in range(n) if R._leq(pts[i], pts[j]))
         for j in range(n)
     ]
 
@@ -187,7 +197,7 @@ def _degree_le2_members(q: PrimePoint, R: RingExpr):
         el = rings.mpoly_el(R, {e: 1})
         if rings.is_zero(R, el):
             continue
-        if sp.point_contains(q, el, R):
+        if R._contains(q, el):
             out.append(el)
     return out
 
@@ -203,7 +213,7 @@ def avoidance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
     every listed prime is computed once; the subset sweep is then pure
     bitmask work.
     """
-    pts = list(points)
+    pts = _validated(points, R)
     n = len(pts)
     sample_masks: list[list[int]] = []
     for q in pts:
@@ -213,11 +223,11 @@ def avoidance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
             if rings.is_zero(R, el):
                 continue
             masks.append(
-                sum(1 << i for i in range(n) if sp.point_contains(pts[i], el, R))
+                sum(1 << i for i in range(n) if R._contains(pts[i], el))
             )
         sample_masks.append(masks)
     above = [
-        sum(1 << i for i in range(n) if sp.leq_specialization(pts[j], pts[i], R))
+        sum(1 << i for i in range(n) if R._leq(pts[j], pts[i]))
         for j in range(n)
     ]
     for family in range(1, 1 << n):

@@ -35,8 +35,7 @@ from .rings import (
     TupleEl,
 )
 from .spectrum import (
-    CofiniteClosed,
-    CofiniteMin,
+    Cofinite,
     EmptySet,
     Explicit,
     FieldZero,
@@ -64,13 +63,21 @@ def dumps_canonical(obj) -> str:
 
 
 def _int(v, what: str) -> int:
-    """An integer field: a JSON integer, an integral number or a decimal string."""
-    if isinstance(v, (int, str)) or isinstance(v, float) and v.is_integer():
+    """An integer field: a JSON integer, an integral number or a decimal
+    string; never a JSON boolean."""
+    number = isinstance(v, (int, str)) or isinstance(v, float) and v.is_integer()
+    if number and not isinstance(v, bool):
         try:
             return int(v)
         except ValueError:
             pass
     raise KindMismatchError(f"{what} must be an integer, got {v!r}")
+
+
+def _bool(v, what: str) -> bool:
+    if not isinstance(v, bool):
+        raise KindMismatchError(f"{what} must be true or false, got {v!r}")
+    return v
 
 
 def _fraction(v) -> Fraction:
@@ -273,7 +280,7 @@ def point_from_json(obj: dict) -> PrimePoint:
         return SuppTop()
     if t == "tamePrime":
         slot = obj["slot"]
-        slot = slot if isinstance(slot, int) else point_from_json(slot)
+        slot = _int(slot, "slot") if isinstance(slot, int) else point_from_json(slot)
         return TamePrime(slot, point_from_json(obj["inner"]))
     raise KindMismatchError(f"unknown point type {t!r}")
 
@@ -291,17 +298,17 @@ def subset_to_json(E: SpecSubset) -> dict:
             "type": "explicit",
             "points": [point_to_json(p) for p in sp.sorted_points(E.points)],
         }
-    if isinstance(E, CofiniteClosed):
+    if isinstance(E, Cofinite) and E.limit_above:
+        return {
+            "type": "cofiniteMin",
+            "excluded": sorted(p.k for p in E.excluded),
+            "withTop": E.with_limit,
+        }
+    if isinstance(E, Cofinite):
         return {
             "type": "cofiniteClosed",
             "excluded": [point_to_json(p) for p in sp.sorted_points(E.excluded)],
-            "withGeneric": E.with_generic,
-        }
-    if isinstance(E, CofiniteMin):
-        return {
-            "type": "cofiniteMin",
-            "excluded": sorted(E.excluded),
-            "withTop": E.with_top,
+            "withGeneric": E.with_limit,
         }
     if isinstance(E, Whole):
         return {"type": "whole"}
@@ -318,13 +325,13 @@ def subset_from_json(obj: dict, R: RingExpr) -> SpecSubset:
         return sp.cofinite_closed(
             R,
             {point_from_json(p) for p in _list(obj["excluded"], "excluded")},
-            bool(obj.get("withGeneric", False)),
+            _bool(obj.get("withGeneric", False), "withGeneric"),
         )
     if t == "cofiniteMin":
         return sp.cofinite_min(
             R,
             {_int(k, "axis") for k in _list(obj["excluded"], "excluded")},
-            bool(obj.get("withTop", False)),
+            _bool(obj.get("withTop", False), "withTop"),
         )
     if t == "whole":
         return sp.whole(R)

@@ -28,15 +28,12 @@ from .errors import (
 )
 from .rings import ResidueField, RingExpr  # ResidueField is named from here too
 from .spectrum import (
-    CofiniteClosed,
-    CofiniteMin,
+    Cofinite,
     EmptySet,
     Explicit,
     FieldZero,
     PrimePoint,
     SpecSubset,
-    SuppMin,
-    SuppTop,
     TamePrime,
     Whole,
     ZmodPrime,
@@ -165,14 +162,15 @@ def tame_points(m: RingMapSpec) -> list[PrimePoint]:
     """All tame primes of the target, for enumerable targets."""
     if isinstance(m, QuotientMap):
         R = m.ring
-        return [q for q in sp.spec_points(R) if sp.leq_specialization(m.prime, q, R)]
+        sp.validate_point(m.prime, R)
+        return [q for q in sp.spec_points(R) if R._leq(m.prime, q)]
     if isinstance(m, CanonicalIntoQuotientProduct):
         R = m.ring
         pts = sp.spec_points(R)
         out = []
         for slot, base in enumerate(sp.subset_points(m.subset)):
             out.extend(
-                TamePrime(slot, q) for q in pts if sp.leq_specialization(base, q, R)
+                TamePrime(slot, q) for q in pts if R._leq(base, q)
             )
         return out
     if isinstance(m, CanonicalIntoLocalProduct):
@@ -181,7 +179,7 @@ def tame_points(m: RingMapSpec) -> list[PrimePoint]:
         out = []
         for slot, base in enumerate(sp.subset_points(m.subset)):
             out.extend(
-                TamePrime(slot, q) for q in pts if sp.leq_specialization(q, base, R)
+                TamePrime(slot, q) for q in pts if R._leq(q, base)
             )
         return out
     if isinstance(m, DiagonalIntoModProduct):
@@ -224,12 +222,11 @@ def _quotient_product_kernel_zero(R: RingExpr, E: SpecSubset) -> bool:
         return False
     if isinstance(E, Whole):
         return True if R.symbolic else _finite_meet_zero(R, sp.spec_points(R))
-    if isinstance(E, CofiniteClosed):
-        # A nonzero element has finitely many prime divisors.
-        return True
-    if isinstance(E, CofiniteMin):
-        # Excluding axis k leaves x_k inside every remaining minimal prime.
-        return not E.excluded
+    if isinstance(E, Cofinite):
+        # Below the limit: a nonzero element has finitely many prime
+        # divisors.  Above it: excluding axis k leaves x_k inside every
+        # remaining minimal prime.
+        return not E.limit_above or not E.excluded
     if isinstance(E, Explicit):
         if any(R.point_is_zero(p) for p in E.points):
             return True
@@ -331,20 +328,16 @@ def _symbolic_laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
 def _least_slot(E: SpecSubset, p: PrimePoint) -> PrimePoint:
     """A member of E whose localization keeps p, a minimal prime outside E.
 
-    Every member keeps p.  Outside E, p is the generic point, so E holds
-    closed points only, and the least of them is taken; on the axes ring
-    the top point is taken first.
+    Every member keeps p.  Over Z and GF(p)[x], p outside E is the generic
+    point, so E holds closed points only, and the least of them is taken.
+    On the axes ring the map is injective only when E holds the top point
+    or every axis, and the top point, above every axis, is taken.
     """
-    if isinstance(E, CofiniteClosed):
-        return next(q for q in E.ring.closed_points() if q not in E.excluded)
-    if isinstance(E, CofiniteMin):
-        if E.with_top:
-            return SuppTop()
-        k = 1
-        while k in E.excluded:
-            k += 1
-        return SuppMin(k)
-    raise NonEnumerableError(f"no slot rule for {sp.subset_str(E)}")
+    if not isinstance(E, Cofinite):
+        raise NonEnumerableError(f"no slot rule for {sp.subset_str(E)}")
+    if E.with_limit:
+        return E.limit
+    return next(q for q in E.ring.closed_points() if q not in E.excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +354,8 @@ def residue_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
     """Image of Spec(prod k(p)) -> Spec(R) for the canonical map.
 
     Independent of the closure rules: finite sets go through residue-map
-    contraction, the generic point enters through lying over the minimal
-    prime along the injective canonical map, finite exclusions are
-    certified by an element vanishing on E but not at the excluded point,
-    and the top point of the axes family enters because every element of
-    the maximal ideal maps into the direct-sum ideal.
+    contraction, and an infinite set gives itself plus its limit point, by
+    the argument at its branch.
     """
     if R != E.ring:
         raise KindMismatchError("subset does not live over the given ring")
@@ -376,32 +366,21 @@ def residue_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
         return sp._explicit(R, pts)
     if isinstance(E, Whole):
         return E
-    if isinstance(E, CofiniteClosed):
-        still_out = set()
-        for q in E.excluded:
-            # q's generator is invertible in every k(p), p in E, exactly
-            # when q is not a member of E; then q cannot be contracted.
-            if not sp._member(q, E):
-                still_out.add(q)
-        generic_in = is_injective(CanonicalIntoQuotientProduct(R, E))
-        if not generic_in:
+    if isinstance(E, Cofinite):
+        # The image is E plus the limit point.  Below the family (Z,
+        # GF(p)[x]): an excluded q's generator is a unit in every k(p), p in
+        # E, yet lies in q, so no prime of the product contracts onto q; the
+        # generic point lies over the minimal prime along the canonical map,
+        # which is injective.  Above it (the axes ring): x_k is zero in every
+        # k(p) yet misses P_k; elements of the maximal ideal vanish at
+        # cofinitely many axes, hence land in the direct-sum ideal, and any
+        # prime above that contracts onto the maximal ideal.
+        if E.limit_above:
+            for q in E.excluded:
+                x_k = rings.var_el(R, q.k)
+                if not sp.subset_le(E, sp.v_locus(x_k, R)) or R._contains(q, x_k):
+                    raise AssertionError("exclusion witnesses must verify")
+        elif not is_injective(CanonicalIntoQuotientProduct(R, E)):
             raise AssertionError("cofinite families must have zero kernel")
-        return sp._cofinite_closed(R, still_out, True)
-    if isinstance(E, CofiniteMin):
-        still_out = set()
-        for k in E.excluded:
-            x_k = rings.var_el(R, k)
-            vanishes_on_e = sp.subset_le(
-                sp._cofinite_min(R, E.excluded, False), sp.v_locus(x_k, R)
-            )
-            if vanishes_on_e and not sp.point_contains(SuppMin(k), x_k, R):
-                # x_k maps to the zero sequence yet misses P_k, so no
-                # prime of the product contracts onto P_k.
-                still_out.add(k)
-        if still_out != set(E.excluded):
-            raise AssertionError("exclusion witnesses must verify")
-        # Elements of the maximal ideal vanish at cofinitely many axes,
-        # hence land in the direct-sum ideal; any prime above it
-        # contracts onto the maximal ideal of this local ring.
-        return sp._cofinite_min(R, still_out, True)
+        return sp._cofinite(R, E.excluded, True)
     raise UnsupportedMapError(f"no residue-product rule for {sp.subset_str(E)}")

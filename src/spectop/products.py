@@ -27,8 +27,7 @@ from .errors import (
 from .primes import USE_ACTIVE
 from .rings import El, Product, RingExpr, TupleEl
 from .spectrum import (
-    CofiniteClosed,
-    CofiniteMin,
+    Cofinite,
     EmptySet,
     Explicit,
     PrimePoint,
@@ -85,43 +84,37 @@ def tame_contract(
 
 def quotient_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
     """Image of Spec(prod_{p in E} R/p) -> Spec(R)."""
-    if R != E.ring:
-        raise KindMismatchError("subset does not live over the given ring")
-    if isinstance(E, (EmptySet, Whole)):
-        return E
-    if isinstance(E, Explicit):
-        # The union of the up sets V(p): the Zariski closure of E.
-        return top.zariski_closure(E, R)
-    if isinstance(E, CofiniteClosed):
-        if E.with_generic:
-            # The factor R/(0) is R itself, contributing all of V(0).
-            return Whole(R)
-        # Maximal-point branch: the image is E plus the generic point; an
-        # element avoiding every member of E is invertible in the product.
-        return sp._cofinite_closed(R, E.excluded, True)
-    if isinstance(E, CofiniteMin):
-        # Axes branch: the image is E plus the maximal ideal; the top
-        # point, if present, only contributes V(m) = {m} again.
-        return sp._cofinite_min(R, E.excluded, True)
-    raise UnsupportedSymbolicError(f"no image rule for {sp.subset_str(E)}")
+    return _product_image(R, E, up=True)
 
 
 def local_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
     """Image of Spec(prod_{p in E} R_p) -> Spec(R)."""
+    return _product_image(R, E, up=False)
+
+
+def _product_image(R: RingExpr, E: SpecSubset, up: bool) -> SpecSubset:
+    """The quotient (up) or localization image: the union of the members'
+    up (down) sets, plus the limit point of an infinite set.
+
+    When an infinite E holds a limit point on the other side of the
+    family, the limit's factor (R/(0) over Z and GF(p)[x], R_m on the axes
+    ring) is R itself and the image is everything.  Otherwise the union
+    adds at most the limit, and the image holds the limit in any case:
+    over Z and GF(p)[x] the canonical map is injective, so (0) lies under
+    a prime of the product; on the axes ring the primes above the
+    direct-sum ideal contract onto m.
+    """
     if R != E.ring:
         raise KindMismatchError("subset does not live over the given ring")
     if isinstance(E, (EmptySet, Whole)):
         return E
     if isinstance(E, Explicit):
-        # The union of the down sets: the flat closure of E.
-        return top.flat_closure(E, R)
-    if isinstance(E, CofiniteClosed):
-        return sp._cofinite_closed(R, E.excluded, True)
-    if isinstance(E, CofiniteMin):
-        if E.with_top:
-            # The factor R_m is R itself; everything survives.
+        # The union of the up (down) sets: the Zariski (flat) closure of E.
+        return top.zariski_closure(E, R) if up else top.flat_closure(E, R)
+    if isinstance(E, Cofinite):
+        if E.with_limit and E.limit_above != up:
             return Whole(R)
-        return sp._cofinite_min(R, E.excluded, True)
+        return sp._cofinite(R, E.excluded, True)
     raise UnsupportedSymbolicError(f"no image rule for {sp.subset_str(E)}")
 
 
@@ -165,7 +158,7 @@ def is_unit_in_quotient_product(
         return not any(sp.point_contains(p, r, R) for p in E.points)
     if isinstance(E, Whole):
         return rings.is_unit(r, R)
-    if isinstance(E, (CofiniteClosed, CofiniteMin)):
+    if isinstance(E, Cofinite):
         # r avoids every member of E exactly when V(r) misses E.
         return isinstance(sp.subset_intersect(sp.v_locus(r, R, limit), E), EmptySet)
     raise UnsupportedSymbolicError(f"no unit rule for {sp.subset_str(E)}")

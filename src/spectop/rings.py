@@ -131,7 +131,7 @@ class RingExpr:
     domain = False
     # The generic point below infinitely many closed points (Z, GF(p)[x]),
     # and the maximal ideal above infinitely many minimal primes (the axes
-    # ring); the two cofinite subset representations hang on these.
+    # ring): the limit point of a cofinite subset, and its side of the order.
     generic: PrimePoint | None = None
     top: PrimePoint | None = None
 
@@ -205,7 +205,8 @@ class RingExpr:
         return ideal_contains(self.point_ideal(q), meet, self)
 
     def slots(self, points) -> list[tuple[RingExpr, list[PrimePoint]]]:
-        """Each factor with the points of its slot; a non-product is its own slot."""
+        """Each factor with the points (of this ring) in its slot; a
+        non-product is its own slot."""
         return [(self, list(points))]
 
     def is_enumerable(self) -> bool:
@@ -1041,8 +1042,6 @@ class Product(RingExpr):
 
     def slots(self, points) -> list[tuple[RingExpr, list[PrimePoint]]]:
         points = list(points)
-        for p in points:
-            self.validate_point(p)
         return [
             (f, [p.inner for p in points if p.slot == k]) for k, f in enumerate(self.factors)
         ]

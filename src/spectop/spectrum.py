@@ -4,10 +4,12 @@ The points themselves, their order and membership are rules of each ring
 family (see rings); the functions here ask the ring.  Spectra come in two
 flavors.  Enumerable spectra (Z/n, fields, dimension <= 1 monomial rings,
 finite products of these) are finite point lists.  Symbolic spectra (Z,
-GF(p)[x], the infinite axes ring) are infinite; their subsets are
-represented exactly by one of: empty, an explicit finite set, "all closed
-points except a finite list, with or without the generic point", "all
-minimal axes except a finite list, with or without the top point", or the
+GF(p)[x], the infinite axes ring) are infinite: each is an infinite
+family of points (the closed points of Z and GF(p)[x], the minimal axes
+of the axes ring) plus one limit point (the generic point below the
+family, the top point above it).  Their subsets are represented exactly
+by one of: empty, an explicit finite set, Cofinite ("all points of the
+family except a finite list, with or without the limit point"), or the
 whole space.  Every membership and inclusion question on these
 representations is decidable.
 
@@ -18,9 +20,9 @@ point from the caller (subset_member, leq_specialization,
 point_contains) validate each one.  The subset algebra (union,
 intersection, complement, inclusion) only recombines points that are
 already inside subsets, so it goes through the private canonicalizers
-_explicit, _cofinite_closed and _cofinite_min, which turn an empty set
-into EmptySet and a full set into Whole and check nothing.  The subset
-dataclasses are internal constructors: build subsets with the builders.
+_explicit and _cofinite, which turn an empty set into EmptySet and a
+full set into Whole and check nothing.  The subset dataclasses are
+internal constructors: build subsets with the builders.
 """
 
 from __future__ import annotations
@@ -100,24 +102,29 @@ class Explicit:
 
 
 @dataclass(frozen=True)
-class CofiniteClosed:
-    """All closed points except `excluded`, plus the generic point iff set.
+class Cofinite:
+    """All points of a symbolic spectrum outside `excluded`, plus its limit
+    point iff with_limit.
 
-    Only over Z and GF(p)[x], whose closed points are an infinite family.
+    The limit point is the generic point of Z and GF(p)[x], below their
+    infinite family of closed points, and the top point of the axes ring,
+    above its infinite family of minimal primes; `excluded` holds points
+    of the family only.
     """
 
     ring: RingExpr
     excluded: frozenset
-    with_generic: bool
+    with_limit: bool
 
+    @property
+    def limit(self) -> PrimePoint:
+        return _limit(self.ring)
 
-@dataclass(frozen=True)
-class CofiniteMin:
-    """All axes P_k except the excluded indices, plus the top point iff set."""
-
-    ring: RingExpr
-    excluded: frozenset
-    with_top: bool
+    @property
+    def limit_above(self) -> bool:
+        """Whether the limit point lies above the family in the order (the
+        axes ring), not below it (Z, GF(p)[x])."""
+        return self.ring.top is not None
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,11 @@ class Whole:
     ring: RingExpr
 
 
-SpecSubset = EmptySet | Explicit | CofiniteClosed | CofiniteMin | Whole
+SpecSubset = EmptySet | Explicit | Cofinite | Whole
+
+
+def _limit(R: RingExpr) -> PrimePoint | None:
+    return R.generic if R.generic is not None else R.top
 
 
 def empty_set(R: RingExpr) -> SpecSubset:
@@ -140,24 +151,11 @@ def _explicit(R: RingExpr, points) -> SpecSubset:
     return Explicit(R, pts) if pts else EmptySet(R)
 
 
-def _cofinite_closed(R: RingExpr, excluded, with_generic: bool) -> SpecSubset:
-    pts = frozenset(excluded)
-    if not pts and with_generic:
-        return Whole(R)
-    return CofiniteClosed(R, pts, with_generic)
-
-
-def _cofinite_min(R: RingExpr, excluded, with_top: bool) -> SpecSubset:
-    ks = frozenset(excluded)
-    if not ks and with_top:
-        return Whole(R)
-    return CofiniteMin(R, ks, with_top)
-
-
 def _cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
-    if R.generic is not None:
-        return _cofinite_closed(R, frozenset(excluded) - {R.generic}, with_limit)
-    return _cofinite_min(R, {p.k for p in excluded if p != R.top}, with_limit)
+    pts = frozenset(excluded) - {_limit(R)}
+    if not pts and with_limit:
+        return Whole(R)
+    return Cofinite(R, pts, with_limit)
 
 
 # The builders: validate, then canonicalize.
@@ -180,7 +178,7 @@ def cofinite_closed(R: RingExpr, excluded, with_generic: bool) -> SpecSubset:
         validate_point(p, R)
         if p == R.generic:
             raise KindMismatchError("excluded points must be closed points")
-    return _cofinite_closed(R, pts, with_generic)
+    return _cofinite(R, pts, with_generic)
 
 
 def cofinite_min(R: RingExpr, excluded, with_top: bool) -> SpecSubset:
@@ -192,7 +190,7 @@ def cofinite_min(R: RingExpr, excluded, with_top: bool) -> SpecSubset:
         raise KindMismatchError("axis indices must be integers") from exc
     if any(k < 1 for k in ks):
         raise KindMismatchError("axis indices start at 1")
-    return _cofinite_min(R, ks, with_top)
+    return _cofinite(R, {SuppMin(k) for k in ks}, with_top)
 
 
 def cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
@@ -226,10 +224,8 @@ def _member(p: PrimePoint, E: SpecSubset) -> bool:
         return False
     if isinstance(E, Explicit):
         return p in E.points
-    if isinstance(E, CofiniteClosed):
-        return E.with_generic if p == E.ring.generic else p not in E.excluded
-    if isinstance(E, CofiniteMin):
-        return E.with_top if p == E.ring.top else p.k not in E.excluded
+    if isinstance(E, Cofinite):
+        return E.with_limit if p == E.limit else p not in E.excluded
     if isinstance(E, Whole):
         return True
     raise KindMismatchError(f"unknown subset {E}")
@@ -262,25 +258,11 @@ def subset_union(A: SpecSubset, B: SpecSubset) -> SpecSubset:
         return A
     if isinstance(A, Explicit) and isinstance(B, Explicit):
         return _explicit(R, A.points | B.points)
-    if isinstance(A, CofiniteClosed) or isinstance(B, CofiniteClosed):
-        if isinstance(A, Explicit):
-            A, B = B, A
-        if isinstance(B, Explicit):
-            return _cofinite_closed(
-                R, A.excluded - B.points, A.with_generic or R.generic in B.points
-            )
-        return _cofinite_closed(
-            R, A.excluded & B.excluded, A.with_generic or B.with_generic
-        )
-    if isinstance(A, CofiniteMin) or isinstance(B, CofiniteMin):
-        if isinstance(A, Explicit):
-            A, B = B, A
-        if isinstance(B, Explicit):
-            ks = {p.k for p in B.points if isinstance(p, SuppMin)}
-            top = any(isinstance(p, SuppTop) for p in B.points)
-            return _cofinite_min(R, A.excluded - ks, A.with_top or top)
-        return _cofinite_min(R, A.excluded & B.excluded, A.with_top or B.with_top)
-    raise UnsupportedSymbolicError("no union rule for this pair of representations")
+    if isinstance(A, Explicit):
+        A, B = B, A
+    if isinstance(B, Explicit):
+        return _cofinite(R, A.excluded - B.points, A.with_limit or A.limit in B.points)
+    return _cofinite(R, A.excluded & B.excluded, A.with_limit or B.with_limit)
 
 
 def subset_intersect(A: SpecSubset, B: SpecSubset) -> SpecSubset:
@@ -295,13 +277,7 @@ def subset_intersect(A: SpecSubset, B: SpecSubset) -> SpecSubset:
         return _explicit(R, {p for p in A.points if _member(p, B)})
     if isinstance(B, Explicit):
         return _explicit(R, {p for p in B.points if _member(p, A)})
-    if isinstance(A, CofiniteClosed) and isinstance(B, CofiniteClosed):
-        return _cofinite_closed(
-            R, A.excluded | B.excluded, A.with_generic and B.with_generic
-        )
-    if isinstance(A, CofiniteMin) and isinstance(B, CofiniteMin):
-        return _cofinite_min(R, A.excluded | B.excluded, A.with_top and B.with_top)
-    raise UnsupportedSymbolicError("no intersection rule for this pair")
+    return _cofinite(R, A.excluded | B.excluded, A.with_limit and B.with_limit)
 
 
 def subset_complement(E: SpecSubset) -> SpecSubset:
@@ -310,17 +286,12 @@ def subset_complement(E: SpecSubset) -> SpecSubset:
         return whole(R)
     if isinstance(E, Whole):
         return EmptySet(R)
-    if isinstance(E, CofiniteClosed):
-        extra = [] if E.with_generic else [R.generic]
-        return _explicit(R, set(E.excluded) | set(extra))
-    if isinstance(E, CofiniteMin):
-        extra = [] if E.with_top else [R.top]
-        return _explicit(R, {SuppMin(k) for k in E.excluded} | set(extra))
+    if isinstance(E, Cofinite):
+        return _explicit(R, E.excluded if E.with_limit else E.excluded | {E.limit})
     if isinstance(E, Explicit):
         if not R.symbolic:
             return _explicit(R, set(spec_points(R)) - set(E.points))
-        limit = R.generic if R.generic is not None else R.top
-        return _cofinite(R, E.points, limit not in E.points)
+        return _cofinite(R, E.points, _limit(R) not in E.points)
     raise KindMismatchError(f"unknown subset {E}")
 
 
@@ -341,19 +312,15 @@ def subset_le(A: SpecSubset, B: SpecSubset) -> bool:
         if not R.symbolic:
             return all(_member(p, B) for p in spec_points(R))
         return False
-    if isinstance(A, CofiniteClosed):
-        if isinstance(B, CofiniteClosed):
-            return B.excluded <= A.excluded and (not A.with_generic or B.with_generic)
-        return False
-    if isinstance(A, CofiniteMin):
-        if isinstance(B, CofiniteMin):
-            return B.excluded <= A.excluded and (not A.with_top or B.with_top)
+    if isinstance(A, Cofinite):
+        if isinstance(B, Cofinite):
+            return B.excluded <= A.excluded and (not A.with_limit or B.with_limit)
         return False
     raise KindMismatchError(f"unknown subset {A}")
 
 
 def is_infinite_subset(E: SpecSubset) -> bool:
-    if isinstance(E, (CofiniteClosed, CofiniteMin)):
+    if isinstance(E, Cofinite):
         return True
     if isinstance(E, Whole):
         return E.ring.symbolic
@@ -365,14 +332,11 @@ def subset_str(E: SpecSubset) -> str:
         return "{}"
     if isinstance(E, Explicit):
         return "{" + ", ".join(point_str(p) for p in sorted_points(E.points)) + "}"
-    if isinstance(E, CofiniteClosed):
+    if isinstance(E, Cofinite):
         excl = ", ".join(point_str(p) for p in sorted_points(E.excluded)) or "none"
-        gen = "with (0)" if E.with_generic else "without (0)"
-        return f"all closed points except {excl}, {gen}"
-    if isinstance(E, CofiniteMin):
-        excl = ", ".join(f"P_{k}" for k in sorted(E.excluded)) or "none"
-        top = "with m" if E.with_top else "without m"
-        return f"all minimal primes except {excl}, {top}"
+        family = "minimal primes" if E.limit_above else "closed points"
+        side = "with" if E.with_limit else "without"
+        return f"all {family} except {excl}, {side} {point_str(E.limit)}"
     if isinstance(E, Whole):
         return f"Spec({E.ring})"
     return str(E)

@@ -16,8 +16,7 @@ from . import spectrum as sp
 from . import topology as top
 from .rings import IntEl, RingExpr
 from .spectrum import (
-    CofiniteClosed,
-    CofiniteMin,
+    Cofinite,
     Explicit,
     MonoPrime,
     SpecSubset,
@@ -479,10 +478,8 @@ def _axioms_hold(R: RingExpr, E: SpecSubset) -> tuple[bool, str]:
 
 def _enlarge(R: RingExpr, E: SpecSubset) -> SpecSubset:
     """A superset companion for the monotonicity check."""
-    if isinstance(E, (CofiniteClosed,)):
-        return sp.cofinite_closed(R, set(), True)
-    if isinstance(E, (CofiniteMin,)):
-        return sp.cofinite_min(R, set(), True)
+    if isinstance(E, Cofinite):
+        return sp.whole(R)
     if isinstance(E, Explicit) and not R.symbolic:
         pts = sp.spec_points(R)
         return sp.explicit(R, list(E.points) + pts[:1])

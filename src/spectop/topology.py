@@ -24,8 +24,7 @@ from .rings import (  # the density rationales are named from here too
     RingExpr,
 )
 from .spectrum import (
-    CofiniteClosed,
-    CofiniteMin,
+    Cofinite,
     EmptySet,
     Explicit,
     PrimePoint,
@@ -67,42 +66,38 @@ def down_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
 
 def zariski_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
     """Smallest specialization-stable patch-closed superset of E."""
-    R = _resolve_ring(E, R)
-    if isinstance(E, (EmptySet, Whole)):
-        return E
-    if isinstance(E, Explicit):
-        out: SpecSubset = EmptySet(R)
-        for p in E.points:
-            out = sp.subset_union(out, _points_or_whole(R, R.up_points(p)))
-        return out
-    if isinstance(E, CofiniteClosed):
-        # An infinite set of maximal ideals meets every nonempty open:
-        # each V(a), a nonzero, is a finite set here.
-        return Whole(R)
-    if isinstance(E, CofiniteMin):
-        # Every prime over the intersection of the kept axes is one of
-        # those axes or the top point.
-        return sp._cofinite_min(R, E.excluded, True)
-    raise UnsupportedSymbolicError(f"no zariski rule for {sp.subset_str(E)}")
+    return _order_closure(E, _resolve_ring(E, R), up=True)
 
 
 def flat_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
     """Smallest generalization-stable patch-closed superset of E."""
-    R = _resolve_ring(E, R)
+    return _order_closure(E, _resolve_ring(E, R), up=False)
+
+
+def _order_closure(E: SpecSubset, R: RingExpr, up: bool) -> SpecSubset:
+    """The Zariski (up) or flat closure.
+
+    A finite set gives the union of its points' up (down) sets.  An
+    infinite set gives its patch closure when the limit point lies on the
+    closure's side of the order, else the whole spectrum.  On the limit's
+    side, every prime over the meet of the kept family points is one of
+    them or the limit.  On the other side, an infinite part of the family
+    meets every nonempty open: each V(a), a nonzero, is finite over Z and
+    GF(p)[x], and each D(a), a a nonunit, is finite on the axes ring.
+    """
     if isinstance(E, (EmptySet, Whole)):
         return E
     if isinstance(E, Explicit):
+        reach = R.up_points if up else R.down_points
         out: SpecSubset = EmptySet(R)
         for p in E.points:
-            out = sp.subset_union(out, _points_or_whole(R, R.down_points(p)))
+            out = sp.subset_union(out, _points_or_whole(R, reach(p)))
         return out
-    if isinstance(E, CofiniteClosed):
-        return sp._cofinite_closed(R, E.excluded, True)
-    if isinstance(E, CofiniteMin):
-        # An infinite set of axes meets every nonempty flat open: each
-        # D(a), a a nonunit, is a finite set on the axes ring.
-        return Whole(R)
-    raise UnsupportedSymbolicError(f"no flat rule for {sp.subset_str(E)}")
+    if isinstance(E, Cofinite):
+        return sp._cofinite(R, E.excluded, True) if E.limit_above == up else Whole(R)
+    raise UnsupportedSymbolicError(
+        f"no {ZARISKI if up else FLAT} rule for {sp.subset_str(E)}"
+    )
 
 
 def patch_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
@@ -110,10 +105,9 @@ def patch_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
     R = _resolve_ring(E, R)
     if isinstance(E, (EmptySet, Whole, Explicit)):
         return E
-    if isinstance(E, CofiniteClosed):
-        return sp._cofinite_closed(R, E.excluded, True)
-    if isinstance(E, CofiniteMin):
-        return sp._cofinite_min(R, E.excluded, True)
+    if isinstance(E, Cofinite):
+        # The family's one limit point is the only point added.
+        return sp._cofinite(R, E.excluded, True)
     raise UnsupportedSymbolicError(f"no patch rule for {sp.subset_str(E)}")
 
 
@@ -147,14 +141,10 @@ def is_stable(E: SpecSubset, R: RingExpr | None, mode: str) -> bool:
             if pts is None or not pts <= E.points:
                 return False
         return True
-    if isinstance(E, CofiniteClosed):
-        if mode == SPECIALIZATION:
-            return not E.with_generic
-        return E.with_generic
-    if isinstance(E, CofiniteMin):
-        if mode == SPECIALIZATION:
-            return E.with_top
-        return not E.with_top
+    if isinstance(E, Cofinite):
+        # A family point's up (down) set is the point and the limit when the
+        # limit lies on that side; the limit's is everything when it does not.
+        return E.with_limit == (E.limit_above == (mode == SPECIALIZATION))
     raise UnsupportedSymbolicError(f"no stability rule for {sp.subset_str(E)}")
 
 

@@ -13,6 +13,7 @@ Z = '{"kind":"Z"}'
 AXES = '{"kind":"SymbolicSupplement","field":{"kind":"Fp","p":2}}'
 E_NO_11 = '{"type":"cofiniteClosed","excluded":[{"type":"zMax","p":11}],"withGeneric":false}'
 FIVE = '{"type":"explicit","points":[{"type":"zMax","p":5}]}'
+Z_MOD_6 = '{"kind":"Zmod","n":6}'
 
 
 def run(capsys, *argv):
@@ -162,12 +163,35 @@ def test_bad_json_exit_code(capsys):
         ["spec", "--ring", '{"kind":"Product","factors":7}'],
         ["closure", "--topology", "zariski", "--ring", Z,
          "--set", '{"type":"explicit","points":[{"type":"zMax","p":null}]}'],
+        # JSON booleans only where a boolean belongs, and there only.
+        ["closure", "--topology", "flat", "--ring", Z,
+         "--set", '{"type":"cofiniteClosed","excluded":[],"withGeneric":"no"}'],
+        ["closure", "--topology", "zariski", "--ring", AXES,
+         "--set", '{"type":"cofiniteMin","excluded":[2],"withTop":1}'],
+        ["closure", "--topology", "zariski", "--ring", AXES,
+         "--set", '{"type":"explicit","points":[{"type":"suppMin","k":true}]}'],
+        ["closure", "--topology", "zariski", "--ring", AXES,
+         "--set", '{"type":"cofiniteMin","excluded":[true]}'],
+        ["spec", "--ring", '{"kind":"LocalizedAtIrrelevant","inner":{"kind":"MonomialQuotient",'
+                           '"field":{"kind":"Fp","p":2},"nvars":true,"gens":[]}}'],
+        ["closure", "--topology", "zariski", "--ring", '{"kind":"Product","factors":[' + Z_MOD_6 + "," + Z_MOD_6 + "]}",
+         "--set", '{"type":"explicit","points":[{"type":"tamePrime","slot":true,"inner":{"type":"zmodPrime","p":2}}]}'],
     ],
 )
 def test_malformed_json_shapes_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_deeply_nested_json_exits_2(capsys):
+    prime = '{"type":"fieldZero"}'
+    for _ in range(2000):
+        prime = '{"type":"tamePrime","slot":0,"inner":' + prime + "}"
+    quotient = '{"type":"quotientMap","ring":' + Z + ',"prime":{"type":"zGeneric"}}'
+    code, _, err = run(capsys, "lyover", "--map", quotient, "--prime", prime)
+    assert code == 2
+    assert "nested too deeply" in err
 
 
 FOREIGN_POINT = '{"type":"explicit","points":[{"type":"zMax","p":4}]}'

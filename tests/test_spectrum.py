@@ -10,7 +10,7 @@ from spectop import topology as top
 from spectop.errors import KindMismatchError, NonEnumerableError, SpectopError
 from spectop.rings import IntEl, PolyEl
 from spectop.spectrum import (
-    CofiniteClosed,
+    Cofinite,
     FieldZero,
     FpxGeneric,
     FpxMax,
@@ -220,7 +220,7 @@ def test_subset_canonicalization():
     assert sp.explicit(rings.ZZ, set()) == sp.empty_set(rings.ZZ)
     assert isinstance(sp.whole(rings.zmod(12)), sp.Explicit)
     assert isinstance(
-        sp.cofinite_closed(rings.ZZ, set(), False), CofiniteClosed
+        sp.cofinite_closed(rings.ZZ, set(), False), Cofinite
     )
 
 
@@ -339,6 +339,9 @@ ENTRIES = {
     ),
     "is_injective": (lambda R, p, good: maps.is_injective(maps.QuotientMap(R, p)), None),
     "residue_field": (lambda R, p, good: maps.residue_field(R, p), None),
+    "absorbance_holds": (lambda R, p, good: construction.absorbance_holds([good, p], R), None),
+    "avoidance_holds": (lambda R, p, good: construction.avoidance_holds([good, p], R), None),
+    "tame_points": (lambda R, p, good: maps.tame_points(maps.QuotientMap(R, p)), None),
     "tame_contract": (
         lambda R, p, good: products.tame_contract(
             p, R, R.factors[0], maps.CanonicalIntoQuotientProduct(R.factors[0], sp.whole(R.factors[0]))
