@@ -103,19 +103,15 @@ def krull_dim(R: RingExpr) -> int:
     """Longest chain of primes: enumerated when possible, else by formula."""
     if not R.is_enumerable():
         return R.krull_dim()
-    pts = sp.spec_points(R)
-    below = {
-        p: [q for q in pts if q != p and R._leq(q, p)]
-        for p in pts
-    }
     memo: dict[PrimePoint, int] = {}
 
     def depth(p: PrimePoint) -> int:
         if p not in memo:
-            memo[p] = 1 + max(depth(q) for q in below[p]) if below[p] else 0
+            below = R.down_points(p) - {p}
+            memo[p] = 1 + max(depth(q) for q in below) if below else 0
         return memo[p]
 
-    return max((depth(p) for p in pts), default=0)
+    return max((depth(p) for p in sp.spec_points(R)), default=0)
 
 
 def is_reduced(R: RingExpr) -> bool:

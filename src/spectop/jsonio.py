@@ -52,6 +52,7 @@ from .spectrum import (
     ZmodPrime,
     ZMax,
 )
+from .values import _int
 
 
 def dumps_canonical(obj) -> str:
@@ -60,18 +61,6 @@ def dumps_canonical(obj) -> str:
 
 # Shape checks for decoded input: a field of the wrong JSON type is refused
 # with a SpectopError, never left to fail deep inside a constructor.
-
-
-def _int(v, what: str) -> int:
-    """An integer field: a JSON integer, an integral number or a decimal
-    string; never a JSON boolean."""
-    number = isinstance(v, (int, str)) or isinstance(v, float) and v.is_integer()
-    if number and not isinstance(v, bool):
-        try:
-            return int(v)
-        except ValueError:
-            pass
-    raise KindMismatchError(f"{what} must be an integer, got {v!r}")
 
 
 def _bool(v, what: str) -> bool:

@@ -167,11 +167,12 @@ def is_unit_in_quotient_product(
 def _nilpotent_by_squaring(R: RingExpr, r: El, rounds: int = 8) -> bool:
     """Oracle nilpotence test: square until zero or the round budget ends."""
     cur = rings.normalize(r, R)
+    zero = rings.zero(R)
     for _ in range(rounds):
-        if cur == rings.zero(R):
+        if cur == zero:
             return True
-        cur = rings.mul(R, cur, cur)
-    return cur == rings.zero(R)
+        cur = R.mul(cur, cur)
+    return cur == zero
 
 
 def nilradical_product_law_check(R: Product) -> bool:

@@ -212,33 +212,38 @@ class RingExpr:
     def is_enumerable(self) -> bool:
         return False
 
-    def spec_points(self) -> list[PrimePoint]:
-        """The full spectrum as a sorted point list; enumerable rings only."""
+    def _enumerate(self) -> list[PrimePoint]:
+        """Every point, in any order; enumerable rings only.  Read through
+        the spectrum memo, never directly."""
         raise NonEnumerableError(f"{self} has a symbolic spectrum")
 
+    def spec_points(self) -> list[PrimePoint]:
+        """The full spectrum as a sorted point list; enumerable rings only."""
+        return list(_spectrum(self))
+
     def sample_points(self, rng, count: int) -> list[PrimePoint]:
-        pts = self.spec_points()
+        pts = _spectrum(self)
         return [pts[rng.randrange(len(pts))] for _ in range(count)]
 
     def up_points(self, p: PrimePoint) -> set[PrimePoint] | None:
         """The specializations of p; None when that is every point."""
-        return {q for q in self.spec_points() if self._leq(p, q)}
+        return {q for q in _spectrum(self) if self._leq(p, q)}
 
     def down_points(self, p: PrimePoint) -> set[PrimePoint] | None:
         """The generalizations of p; None when that is every point."""
-        return {q for q in self.spec_points() if self._leq(q, p)}
+        return {q for q in _spectrum(self) if self._leq(q, p)}
 
     def locus(self, r: El, limit) -> tuple[set[PrimePoint], bool]:
         """(points, complement): V(r) is the finite set `points`, or its
         complement when `complement` is set."""
         if not self.is_enumerable():
             raise NonEnumerableError(f"no locus rule over {self}")
-        return {p for p in self.spec_points() if self._contains(p, r)}, False
+        return {p for p in _spectrum(self) if self._contains(p, r)}, False
 
     def is_minimal_prime(self, p: PrimePoint) -> bool:
         if not self.is_enumerable():
             raise NonEnumerableError(f"cannot test minimality over {self}")
-        return not any(q != p and self._leq(q, p) for q in self.spec_points())
+        return not any(q != p and self._leq(q, p) for q in _spectrum(self))
 
     def density_rule(self, zariski: bool) -> tuple[bool, El | None, str]:
         """(holds, witness, rationale) for "every infinite subset is dense"
@@ -327,7 +332,7 @@ class _Field(_Domain):
     def is_enumerable(self) -> bool:
         return True
 
-    def spec_points(self) -> list[PrimePoint]:
+    def _enumerate(self) -> list[PrimePoint]:
         return [FieldZero()]
 
     def residue_field(self, p: PrimePoint) -> ResidueField:
@@ -540,7 +545,7 @@ class ModRing(_Residue):
     def is_enumerable(self) -> bool:
         return True
 
-    def spec_points(self) -> list[PrimePoint]:
+    def _enumerate(self) -> list[PrimePoint]:
         return [ZmodPrime(p) for p, _ in self.factorization]
 
     def residue_field(self, p: PrimePoint) -> ResidueField:
@@ -676,10 +681,6 @@ def _coeff_add(field, a, b):
     return _coeff_norm(field, (a + b) % field.p if isinstance(field, PrimeField) else a + b)
 
 
-def _coeff_mul(field, a, b):
-    return _coeff_norm(field, (a * b) % field.p if isinstance(field, PrimeField) else a * b)
-
-
 class _Monomial(RingExpr):
     """The three monomial kinds: K[x_1, x_2, ...] modulo square-free
     monomials, elements kept as sparse terms with every monomial of the
@@ -712,16 +713,21 @@ class _Monomial(RingExpr):
         return self.reduce_terms(list(a.terms) + list(b.terms))
 
     def mul(self, a: El, b: El) -> El:
-        prods = []
+        # Reduced operands have canonical exponents (no trailing zeros), so
+        # each sum, padded with the longer exponent's tail, is canonical too.
+        acc: dict[tuple[int, ...], object] = {}
         for ca, ea in a.terms:
             for cb, eb in b.terms:
-                n = max(len(ea), len(eb))
-                ea_p = ea + (0,) * (n - len(ea))
-                eb_p = eb + (0,) * (n - len(eb))
-                prods.append(
-                    (_coeff_mul(self.field, ca, cb), tuple(x + y for x, y in zip(ea_p, eb_p)))
-                )
-        return self.reduce_terms(prods)
+                short, long = (ea, eb) if len(ea) <= len(eb) else (eb, ea)
+                exp = tuple(x + y for x, y in zip(short, long)) + long[len(short):]
+                if not self._kills(exp):
+                    acc[exp] = acc.get(exp, 0) + ca * cb
+        terms = []
+        for exp, c in acc.items():
+            c = _coeff_norm(self.field, c)
+            if c != 0:
+                terms.append((c, exp))
+        return MPolyEl(tuple(sorted(terms, key=lambda t: t[1])))
 
     def is_unit(self, r: El) -> bool:
         # Local ring: units are exactly the elements outside the maximal ideal.
@@ -832,7 +838,7 @@ class MonomialQuotient(_Quotient):
     def is_enumerable(self) -> bool:
         return quotient_dim(self) == 0
 
-    def spec_points(self) -> list[PrimePoint]:
+    def _enumerate(self) -> list[PrimePoint]:
         if quotient_dim(self) != 0:
             raise NonEnumerableError(
                 "an unlocalized monomial quotient of positive dimension has "
@@ -875,10 +881,10 @@ class LocalizedAtIrrelevant(_Quotient):
     def is_enumerable(self) -> bool:
         return True
 
-    def spec_points(self) -> list[PrimePoint]:
+    def _enumerate(self) -> list[PrimePoint]:
         pts = {MonoPrime(c) for c in minimal_cover_sets(self.inner)}
         pts.add(MonoPrime(frozenset(self.monomial_variables())))
-        return sorted_points(pts)
+        return list(pts)
 
 
 @dataclass(frozen=True)
@@ -1049,13 +1055,13 @@ class Product(RingExpr):
     def is_enumerable(self) -> bool:
         return all(f.is_enumerable() for f in self.factors)
 
-    def spec_points(self) -> list[PrimePoint]:
+    def _enumerate(self) -> list[PrimePoint]:
         pts = []
         for k, f in enumerate(self.factors):
             if not f.is_enumerable():
                 raise NonEnumerableError(f"factor {f} has a symbolic spectrum")
-            pts.extend(TamePrime(k, q) for q in f.spec_points())
-        return sorted_points(pts)
+            pts.extend(TamePrime(k, q) for q in _spectrum(f))
+        return pts
 
     def residue_field(self, p: PrimePoint) -> ResidueField:
         return self.factors[p.slot].residue_field(p.inner)
@@ -1133,10 +1139,20 @@ def symbolic_supplement(field: PrimeField | RationalField) -> SymbolicSupplement
     return SymbolicSupplement(field)
 
 
-# Memo tables keyed on monomial quotients.  A `verify all` run meets 22
-# distinct quotients (21 of them in the supplement suite), so this bound
-# evicts nothing there while keeping a long-lived process bounded.
+# Memo tables keyed on immutable rings.  A `verify all` run meets 22
+# distinct monomial quotients (21 of them in the supplement suite) and
+# about 190 enumerable rings.  This bound evicts no quotient there and
+# costs the spectrum table about 15 repeat enumerations, while keeping a
+# long-lived process bounded.
 _RING_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=_RING_MEMO_SIZE)
+def _spectrum(R: RingExpr) -> tuple[PrimePoint, ...]:
+    """The sorted spectrum of an enumerable ring, enumerated once per ring.
+    A ring that cannot be enumerated raises on every call (lru_cache does
+    not keep exceptions)."""
+    return tuple(sorted_points(R._enumerate()))
 
 
 @lru_cache(maxsize=_RING_MEMO_SIZE)

@@ -54,6 +54,7 @@ from .rings import (  # the point types are named from here too
     point_str,
     sorted_points,
 )
+from .values import _int
 
 # ---------------------------------------------------------------------------
 # Points: the rules live with each ring family in rings
@@ -184,10 +185,7 @@ def cofinite_closed(R: RingExpr, excluded, with_generic: bool) -> SpecSubset:
 def cofinite_min(R: RingExpr, excluded, with_top: bool) -> SpecSubset:
     if R.top is None:
         raise UnsupportedSymbolicError("cofinite-min sets exist only over the axes ring")
-    try:
-        ks = frozenset(int(k) for k in excluded)
-    except (TypeError, ValueError) as exc:
-        raise KindMismatchError("axis indices must be integers") from exc
+    ks = frozenset(_int(k, "axis") for k in excluded)
     if any(k < 1 for k in ks):
         raise KindMismatchError("axis indices start at 1")
     return _cofinite(R, {SuppMin(k) for k in ks}, with_top)

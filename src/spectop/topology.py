@@ -89,10 +89,13 @@ def _order_closure(E: SpecSubset, R: RingExpr, up: bool) -> SpecSubset:
         return E
     if isinstance(E, Explicit):
         reach = R.up_points if up else R.down_points
-        out: SpecSubset = EmptySet(R)
+        out: set[PrimePoint] = set()
         for p in E.points:
-            out = sp.subset_union(out, _points_or_whole(R, reach(p)))
-        return out
+            pts = reach(p)
+            if pts is None:
+                return Whole(R)
+            out |= pts
+        return sp._explicit(R, out)
     if isinstance(E, Cofinite):
         return sp._cofinite(R, E.excluded, True) if E.limit_above == up else Whole(R)
     raise UnsupportedSymbolicError(

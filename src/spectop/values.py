@@ -26,6 +26,19 @@ from .errors import KindMismatchError
 if TYPE_CHECKING:
     from .rings import RingExpr
 
+
+def _int(v, what: str) -> int:
+    """An integer field or index: an int, an integral number or a decimal
+    string; never a boolean."""
+    number = isinstance(v, (int, str)) or isinstance(v, float) and v.is_integer()
+    if number and not isinstance(v, bool):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise KindMismatchError(f"{what} must be an integer, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # Points
 # ---------------------------------------------------------------------------
@@ -333,7 +346,7 @@ def mpoly_el(R: RingExpr, term_map: dict) -> El:
 
 
 def add(R: RingExpr, a: El, b: El) -> El:
-    return R.add(a, b)
+    return R.add(R.normalize(a), R.normalize(b))
 
 
 def neg(R: RingExpr, a: El) -> El:
@@ -345,7 +358,7 @@ def sub(R: RingExpr, a: El, b: El) -> El:
 
 
 def mul(R: RingExpr, a: El, b: El) -> El:
-    return R.mul(a, b)
+    return R.mul(R.normalize(a), R.normalize(b))
 
 
 def power(R: RingExpr, a: El, k: int) -> El:

@@ -149,3 +149,78 @@ def test_mixed_length_generators_print_and_encode_as_before(R, text, doc):
 def test_monomial_ideal_refuses_non_square_free():
     with pytest.raises(KindMismatchError):
         rings.monomial_ideal({(2,)})
+
+
+# ---------------------------------------------------------------------------
+# Element product: reduced operands multiplied directly, against the
+# pad, sum and re-canonicalize reference.
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(R, a, b):
+    prods = []
+    for ca, ea in a.terms:
+        for cb, eb in b.terms:
+            n = max(len(ea), len(eb))
+            ea_p = ea + (0,) * (n - len(ea))
+            eb_p = eb + (0,) * (n - len(eb))
+            prods.append((ca * cb, tuple(x + y for x, y in zip(ea_p, eb_p))))
+    return R.reduce_terms(prods)
+
+
+def _product_rings():
+    out = []
+    for field in (F2, rings.prime_field(3), rings.prime_field(7), rings.QQ):
+        out.append(rings.symbolic_supplement(field))
+        # The four-axes ring: dimension one, so it may be localized.
+        axes4 = {(1, 1), (1, 0, 1), (1, 0, 0, 1), (0, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1)}
+        out.append(rings.localized(rings.monomial_quotient(field, 4, axes4)))
+        out.append(rings.monomial_quotient(field, 5, {(1, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1)}))
+    return out
+
+
+PRODUCT_RINGS = _product_rings()
+product_terms = st.dictionaries(
+    st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=4)),
+    max_size=5,
+)
+
+
+def _element(R, terms):
+    if isinstance(R.field, rings.PrimeField):
+        terms = {e: c for e, c in terms.items() if c.denominator % R.field.p}
+    return rings.mpoly_el(R, terms)
+
+
+@PROPERTY
+@given(st.sampled_from(PRODUCT_RINGS), product_terms, product_terms)
+def test_mul_matches_pad_sum_reduce(R, s, t):
+    a, b = _element(R, s), _element(R, t)
+    assert rings.mul(R, a, b) == ref_mul(R, a, b)
+    assert rings.mul(R, b, a) == ref_mul(R, b, a)
+    assert rings.mul(R, a, a) == ref_mul(R, a, a)
+
+
+@pytest.mark.parametrize("R", PRODUCT_RINGS, ids=str)
+def test_mul_of_different_lengths(R):
+    # (1 + 2 x1 + x2^2) * (3 + x1 x3 + x3): exponents of lengths 0..3 on
+    # both sides, with products the ring kills and products it keeps.
+    a = rings.mpoly_el(R, {(): 1, (1,): 2, (0, 2): 1})
+    b = rings.mpoly_el(R, {(): 3, (1, 0, 1): 1, (0, 0, 1): 1})
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        assert rings.mul(R, x, y) == ref_mul(R, x, y)
+
+
+def test_mul_and_add_normalize_their_operands():
+    # The ring rule expects reduced operands; the public functions reduce
+    # first, so a hand-built element with a trailing zero still multiplies
+    # to the canonical product.
+    R = rings.monomial_quotient(rings.prime_field(3), 3, {(1, 1)})
+    raw = rings.MPolyEl(((1, (1, 0)), (4, (1,))))
+    two_x1 = rings.var_el(R, 1, coeff=2)
+    assert rings.mul(R, raw, rings.one(R)) == two_x1
+    assert rings.mul(R, rings.one(R), raw) == two_x1
+    assert rings.add(R, raw, rings.zero(R)) == two_x1
+    with pytest.raises(KindMismatchError):
+        rings.mul(R, rings.IntEl(1), raw)

@@ -224,6 +224,19 @@ def test_subset_canonicalization():
     )
 
 
+@pytest.mark.parametrize("excluded", [{1.5, True}, {True}, {False}, {2.5}, {"x"}, {None}])
+def test_cofinite_min_refuses_bool_and_non_integral_axes(excluded):
+    # int() used to truncate 1.5 and read True as axis 1.
+    with pytest.raises(KindMismatchError):
+        sp.cofinite_min(AXES_F2, excluded, False)
+
+
+def test_cofinite_min_takes_integral_axes():
+    want = sp.cofinite_min(AXES_F2, {2, 3}, False)
+    assert sp.cofinite_min(AXES_F2, {2.0, "3"}, False) == want
+    assert sp.subset_str(want) == "all minimal primes except P_2, P_3, without m"
+
+
 def test_point_validation():
     with pytest.raises(KindMismatchError):
         sp.validate_point(ZmodPrime(5), rings.zmod(12))

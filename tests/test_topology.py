@@ -7,6 +7,7 @@ from conftest import AXES_F2, F2, F2X, enumerable_zoo, symbolic_zoo
 from spectop import construction, rings
 from spectop import spectrum as sp
 from spectop import topology as top
+from spectop.errors import NonEnumerableError
 from spectop.spectrum import SuppMin, SuppTop, ZGeneric, ZMax
 
 SUPP3 = construction.build_supplement(F2, 3)
@@ -278,3 +279,52 @@ def test_symbolic_axes_closures_match_concrete_model(rng):
                     concrete, {to_concrete(p) for p in sp.subset_points(sym_cl)}
                 )
             assert conc_cl == expected, (t, sp.subset_str(sym))
+
+
+# ---------------------------------------------------------------------------
+# Explicit closures against the order, and the spectrum memo
+# ---------------------------------------------------------------------------
+
+
+def _subsets(pts, rng):
+    """Every subset of a spectrum of at most six points, else a seeded sample."""
+    if len(pts) <= 6:
+        return [sub for k in range(len(pts) + 1) for sub in combinations(pts, k)]
+    return [rng.sample(pts, rng.randint(0, len(pts))) for _ in range(64)]
+
+
+def test_explicit_closures_are_brute_force_order_closures():
+    rng = Random(7)
+    for R in enumerable_zoo():
+        pts = sp.spec_points(R)
+        for sub in _subsets(pts, rng):
+            E = sp.explicit(R, sub)
+            up = {q for q in pts if any(R._leq(p, q) for p in sub)}
+            down = {q for q in pts if any(R._leq(q, p) for p in sub)}
+            assert top.zariski_closure(E) == sp.explicit(R, up), (str(R), sub)
+            assert top.flat_closure(E) == sp.explicit(R, down), (str(R), sub)
+
+
+def test_spec_points_hands_out_a_copy():
+    for R in enumerable_zoo():
+        pts = sp.spec_points(R)
+        ups = {p: R.up_points(p) for p in pts}
+        whole = sp.whole(R)
+        mutated = sp.spec_points(R)
+        mutated.reverse()
+        mutated.append(mutated[0])
+        assert sp.spec_points(R) == pts
+        assert sp.whole(R) == whole
+        assert {p: R.up_points(p) for p in pts} == ups
+        mutated.clear()
+        assert sp.spec_points(R) == pts
+        assert sp.whole(R) == whole
+
+
+def test_positive_dim_quotient_refuses_on_every_call():
+    R = rings.monomial_quotient(F2, 3, {(1, 1)})
+    for _ in range(3):
+        with pytest.raises(NonEnumerableError):
+            sp.spec_points(R)
+        with pytest.raises(NonEnumerableError):
+            R.up_points(sp.MonoPrime(frozenset({1})))
