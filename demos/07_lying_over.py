@@ -12,7 +12,7 @@ from spectop import construction, maps, rings, spectrum as sp
 
 # A diagonal map Z/12 -> Z/4 x Z/3 (injective because lcm(4, 3) = 12).
 m = maps.DiagonalIntoModProduct(12, (4, 3))
-print(maps.map_str(m), "injective:", maps.is_injective(m))
+print(m, "injective:", maps.is_injective(m))
 for p in sp.spec_points(rings.zmod(12)):
     q = maps.laying_over(m, p)
     print(f"  over {sp.point_str(p)}: {sp.point_str(q)} "
@@ -23,7 +23,7 @@ for p in sp.spec_points(rings.zmod(12)):
 R = construction.build_supplement(rings.prime_field(2), 3)
 mins = [p for p in sp.spec_points(R) if len(p.cover) == 2]
 m2 = maps.CanonicalIntoQuotientProduct(R, sp.explicit(R, mins))
-print("\n" + maps.map_str(m2), "injective:", maps.is_injective(m2))
+print(f"\n{m2}", "injective:", maps.is_injective(m2))
 for p in mins:
     q = maps.laying_over(m2, p)
     print(f"  over {sp.point_str(p)}: {sp.point_str(q)}")
@@ -32,7 +32,7 @@ for p in mins:
 E = sp.cofinite_closed(rings.ZZ, {sp.ZMax(2)}, False)
 m3 = maps.CanonicalIntoLocalProduct(rings.ZZ, E)
 q = maps.laying_over(m3, sp.ZGeneric())
-print("\n" + maps.map_str(m3))
+print(f"\n{m3}")
 print("  over (0):", sp.point_str(q))
 
 # Where only wild primes would lie over, the engine refuses rather than

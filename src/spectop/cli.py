@@ -166,7 +166,7 @@ def _cmd_lyover(args) -> int:
             "contracts-back": jsonio.point_to_json(back),
         },
         args.json,
-        f"{sp.point_str(q)} lies over {sp.point_str(p)} along {maps.map_str(m)}",
+        f"{sp.point_str(q)} lies over {sp.point_str(p)} along {m}",
     )
     return 0
 

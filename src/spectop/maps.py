@@ -1,15 +1,16 @@
-"""Ring map descriptors, contraction of primes, and lying over.
+"""Ring map kinds, contraction of primes, and lying over.
 
 Maps are symbolic: a quotient map R -> R/p, the canonical map into a
 product of quotients or localizations indexed by a subset of Spec(R), a
-diagonal Z/n -> prod Z/d_i, or a residue map R -> k(p).  Primes of the
-quotient and localization factors are represented upstairs through the
-order correspondences Spec(R/p) = {q >= p} and Spec(R_p) = {q <= p}, so
-contraction never builds the factor rings.
+diagonal Z/n -> prod Z/d_i, or a residue map R -> k(p).  Each map class
+owns its kind's rules.  Primes of the quotient and localization factors
+are represented upstairs through the order correspondences
+Spec(R/p) = {q >= p} and Spec(R_p) = {q <= p}, so contraction never
+builds the factor rings.
 
 Lying over a minimal prime is found by enumerative search on enumerable
-targets and by branch rules on symbolic ones; the tensor-product pushout
-that proves existence in general is not modeled.
+targets and by each kind's rule on symbolic ones; the tensor-product
+pushout that proves existence in general is not modeled.
 """
 
 from __future__ import annotations
@@ -40,67 +41,221 @@ from .spectrum import (
 )
 
 # ---------------------------------------------------------------------------
-# Map descriptors
+# Map kinds
 # ---------------------------------------------------------------------------
 
 
+class RingMapSpec:
+    """A ring map: the rules every kind shares, and the refusal of each
+    rule some kind lacks.
+
+    Every kind has `source`, `__str__`, `contract(q)`, `tame_points()` and
+    `is_injective()`.  Kinds over the same fields share a dataclass base;
+    its equality compares the class too, so R -> R/p and R -> k(p) differ.
+    """
+
+    @property
+    def source(self) -> RingExpr:
+        return self.ring
+
+    def symbolic_lying_over(self, p: PrimePoint) -> PrimePoint:
+        """A tame prime over the minimal prime p, for an injective map whose
+        tame primes cannot be enumerated."""
+        raise NonEnumerableError(f"no symbolic lying-over rule for {self}")
+
+
 @dataclass(frozen=True)
-class QuotientMap:
+class _PrimeMap(RingMapSpec):
+    """R -> R/p and R -> k(p): both kernels are p."""
+
     ring: RingExpr
     prime: PrimePoint
 
+    def is_injective(self) -> bool:
+        # R -> k(p) factors through R/p, and Frac is injective on domains.
+        sp.validate_point(self.prime, self.ring)
+        return self.ring.point_is_zero(self.prime)
+
+
+class QuotientMap(_PrimeMap):
+    def __str__(self) -> str:
+        return f"{self.ring} -> {self.ring}/{sp.point_str(self.prime)}"
+
+    def contract(self, q: PrimePoint) -> PrimePoint:
+        return _factor_contract(self.ring, self.prime, q, up=True)
+
+    def tame_points(self) -> list[PrimePoint]:
+        R = self.ring
+        sp.validate_point(self.prime, R)
+        return [q for q in sp.spec_points(R) if R._leq(self.prime, q)]
+
+    def symbolic_lying_over(self, p: PrimePoint) -> PrimePoint:
+        # Injective quotient maps have a zero kernel, so the map is an
+        # isomorphism onto the quotient: lift p to itself.
+        return p
+
+
+class ResidueMap(_PrimeMap):
+    def __str__(self) -> str:
+        return f"{self.ring} -> k({sp.point_str(self.prime)})"
+
+    def contract(self, q: PrimePoint) -> PrimePoint:
+        if isinstance(q, FieldZero):
+            return self.prime
+        raise WildPrimeError("residue fields have a single point, (0)")
+
+    def tame_points(self) -> list[PrimePoint]:
+        return [FieldZero()]
+
 
 @dataclass(frozen=True)
-class CanonicalIntoQuotientProduct:
+class _ProductMap(RingMapSpec):
+    """R -> prod R/p (up) or prod R_p (down) over the members p of E.
+
+    The tame prime (slot, q) is the prime q of the slot's factor, written
+    upstairs: above the slot's member for R/p, below it for R_p.
+    """
+
     ring: RingExpr
     subset: SpecSubset
 
+    def __str__(self) -> str:
+        factor = "R/p" if self.up else "R_p"
+        return f"{self.ring} -> prod {factor} over {sp.subset_str(self.subset)}"
+
+    def contract(self, q: PrimePoint) -> PrimePoint:
+        if not isinstance(q, TamePrime):
+            raise WildPrimeError(f"{sp.point_str(q)} is not tame")
+        base = _resolve_slot(self.subset, q.slot)
+        return _factor_contract(self.ring, base, q.inner, self.up)
+
+    def tame_points(self) -> list[PrimePoint]:
+        R = self.ring
+        pts = sp.spec_points(R)
+        return [
+            TamePrime(slot, q)
+            for slot, base in enumerate(sp.subset_points(self.subset))
+            for q in pts
+            if R._leq(*_ordered(base, q, self.up))
+        ]
+
+    def symbolic_lying_over(self, p: PrimePoint) -> PrimePoint:
+        E = self.subset
+        if sp.subset_member(p, E):
+            slot = p
+        elif self.up:
+            raise NonEnumerableError(
+                "only wild primes of the quotient product lie over this point; "
+                "wild primes are not materialized"
+            )
+        else:
+            slot = _least_slot(E, p)
+        q = TamePrime(slot, p)
+        assert self.contract(q) == p
+        return q
+
+
+class CanonicalIntoQuotientProduct(_ProductMap):
+    up = True  # Spec(R/p) = {q >= p}
+
+    def is_injective(self) -> bool:
+        """Whether the intersection of the members of E vanishes."""
+        R, E = self.ring, self.subset
+        if isinstance(E, EmptySet):
+            return False
+        if isinstance(E, Whole):
+            return True if R.symbolic else _finite_meet_zero(R, sp.spec_points(R))
+        if isinstance(E, Cofinite):
+            # Below the limit: a nonzero element has finitely many prime
+            # divisors.  Above it: excluding axis k leaves x_k inside every
+            # remaining minimal prime.
+            return not E.limit_above or not E.excluded
+        if isinstance(E, Explicit):
+            if any(R.point_is_zero(p) for p in E.points):
+                return True
+            if R.symbolic:
+                return False
+            return _finite_meet_zero(R, list(E.points))
+        raise UnsupportedMapError(f"no kernel rule for {sp.subset_str(E)}")
+
+
+class CanonicalIntoLocalProduct(_ProductMap):
+    up = False  # Spec(R_p) = {q <= p}
+
+    def is_injective(self) -> bool:
+        R, E = self.ring, self.subset
+        if isinstance(E, EmptySet):
+            return False
+        if R.domain:
+            return True  # localizations of a domain
+        if R.top is not None:
+            # R_m is R itself, and at a minimal prime of a reduced ring the
+            # kernel is the prime: only all the minimal primes together meet in 0.
+            return (
+                sp.subset_member(R.top, E)
+                or CanonicalIntoQuotientProduct(R, E).is_injective()
+            )
+        # Localizing at a tame prime keeps only its slot's factor.
+        return all(
+            inner and (f.domain or f.local_kernel_zero(inner))
+            for f, inner in R.slots(sp.subset_points(E))
+        )
+
 
 @dataclass(frozen=True)
-class CanonicalIntoLocalProduct:
-    ring: RingExpr
-    subset: SpecSubset
-
-
-@dataclass(frozen=True)
-class DiagonalIntoModProduct:
+class DiagonalIntoModProduct(RingMapSpec):
     n: int
     divisors: tuple[int, ...]
 
+    @property
+    def source(self) -> RingExpr:
+        # Built when read, not when the map is, under the size limit then
+        # in force.
+        return rings.zmod(self.n)
 
-@dataclass(frozen=True)
-class ResidueMap:
-    ring: RingExpr
-    prime: PrimePoint
+    def __str__(self) -> str:
+        return f"Z/{self.n} -> " + " x ".join(f"Z/{d}" for d in self.divisors)
+
+    def contract(self, q: PrimePoint) -> PrimePoint:
+        if not isinstance(q, TamePrime) or not isinstance(q.slot, int):
+            raise WildPrimeError(f"{sp.point_str(q)} is not tame")
+        if not 0 <= q.slot < len(self.divisors):
+            raise WildPrimeError(f"slot {q.slot} out of range")
+        d = self.divisors[q.slot]
+        inner = q.inner
+        if not isinstance(inner, ZmodPrime) or d % inner.p != 0:
+            raise KindMismatchError(f"{sp.point_str(inner)} is not a prime of Z/{d}")
+        return ZmodPrime(inner.p)
+
+    def tame_points(self) -> list[PrimePoint]:
+        return [
+            TamePrime(slot, ZmodPrime(p))
+            for slot, d in enumerate(self.divisors)
+            if d >= 2
+            for p, _ in rings.zmod(d).factorization
+        ]
+
+    def is_injective(self) -> bool:
+        if any(d < 1 or self.n % d != 0 for d in self.divisors):
+            raise KindMismatchError("divisors must be positive and divide n")
+        return math.lcm(*self.divisors) == self.n if self.divisors else False
 
 
-RingMapSpec = (
-    QuotientMap
-    | CanonicalIntoQuotientProduct
-    | CanonicalIntoLocalProduct
-    | DiagonalIntoModProduct
-    | ResidueMap
-)
+def _ordered(base: PrimePoint, q: PrimePoint, up: bool) -> tuple[PrimePoint, PrimePoint]:
+    """(smaller, larger) for a prime q of R/base (up) or R_base (down)."""
+    return (base, q) if up else (q, base)
 
 
-def map_source(m: RingMapSpec) -> RingExpr:
-    if isinstance(m, DiagonalIntoModProduct):
-        return rings.zmod(m.n)
-    return m.ring
-
-
-def map_str(m: RingMapSpec) -> str:
-    if isinstance(m, QuotientMap):
-        return f"{m.ring} -> {m.ring}/{sp.point_str(m.prime)}"
-    if isinstance(m, CanonicalIntoQuotientProduct):
-        return f"{m.ring} -> prod R/p over {sp.subset_str(m.subset)}"
-    if isinstance(m, CanonicalIntoLocalProduct):
-        return f"{m.ring} -> prod R_p over {sp.subset_str(m.subset)}"
-    if isinstance(m, DiagonalIntoModProduct):
-        return f"Z/{m.n} -> " + " x ".join(f"Z/{d}" for d in m.divisors)
-    if isinstance(m, ResidueMap):
-        return f"{m.ring} -> k({sp.point_str(m.prime)})"
-    return str(m)
+def _factor_contract(R: RingExpr, base: PrimePoint, q: PrimePoint, up: bool) -> PrimePoint:
+    """The preimage in R of the prime q of R/base (up) or R_base (down)."""
+    if up and isinstance(q, FieldZero):
+        # The zero ideal of R/p pulls back to the kernel.
+        return base
+    if sp.leq_specialization(*_ordered(base, q, up), R):
+        return q
+    raise WildPrimeError(
+        f"{sp.point_str(q)} is not a prime of the factor at {sp.point_str(base)}"
+    )
 
 
 def _resolve_slot(E: SpecSubset, slot) -> PrimePoint:
@@ -115,127 +270,6 @@ def _resolve_slot(E: SpecSubset, slot) -> PrimePoint:
     return slot
 
 
-# ---------------------------------------------------------------------------
-# Contraction
-# ---------------------------------------------------------------------------
-
-
-def contract(m: RingMapSpec, q: PrimePoint) -> PrimePoint:
-    """The preimage of a (tame) prime of the target."""
-    if isinstance(m, QuotientMap):
-        if isinstance(q, FieldZero):
-            # The zero ideal of R/p pulls back to the kernel.
-            return m.prime
-        if sp.leq_specialization(m.prime, q, m.ring):
-            return q
-        raise WildPrimeError("the point does not dominate the quotient kernel")
-    if isinstance(m, CanonicalIntoQuotientProduct):
-        if not isinstance(q, TamePrime):
-            raise WildPrimeError(f"{sp.point_str(q)} is not tame")
-        base = _resolve_slot(m.subset, q.slot)
-        return contract(QuotientMap(m.ring, base), q.inner)
-    if isinstance(m, CanonicalIntoLocalProduct):
-        if not isinstance(q, TamePrime):
-            raise WildPrimeError(f"{sp.point_str(q)} is not tame")
-        base = _resolve_slot(m.subset, q.slot)
-        if sp.leq_specialization(q.inner, base, m.ring):
-            return q.inner
-        raise WildPrimeError("the point does not survive the localization")
-    if isinstance(m, DiagonalIntoModProduct):
-        if not isinstance(q, TamePrime) or not isinstance(q.slot, int):
-            raise WildPrimeError(f"{sp.point_str(q)} is not tame")
-        if not 0 <= q.slot < len(m.divisors):
-            raise WildPrimeError(f"slot {q.slot} out of range")
-        d = m.divisors[q.slot]
-        inner = q.inner
-        if not isinstance(inner, ZmodPrime) or d % inner.p != 0:
-            raise KindMismatchError(f"{sp.point_str(inner)} is not a prime of Z/{d}")
-        return ZmodPrime(inner.p)
-    if isinstance(m, ResidueMap):
-        if isinstance(q, FieldZero):
-            return m.prime
-        raise WildPrimeError("residue fields have a single point, (0)")
-    raise UnsupportedMapError(f"unknown map {m}")
-
-
-def tame_points(m: RingMapSpec) -> list[PrimePoint]:
-    """All tame primes of the target, for enumerable targets."""
-    if isinstance(m, QuotientMap):
-        R = m.ring
-        sp.validate_point(m.prime, R)
-        return [q for q in sp.spec_points(R) if R._leq(m.prime, q)]
-    if isinstance(m, CanonicalIntoQuotientProduct):
-        R = m.ring
-        pts = sp.spec_points(R)
-        out = []
-        for slot, base in enumerate(sp.subset_points(m.subset)):
-            out.extend(
-                TamePrime(slot, q) for q in pts if R._leq(base, q)
-            )
-        return out
-    if isinstance(m, CanonicalIntoLocalProduct):
-        R = m.ring
-        pts = sp.spec_points(R)
-        out = []
-        for slot, base in enumerate(sp.subset_points(m.subset)):
-            out.extend(
-                TamePrime(slot, q) for q in pts if R._leq(q, base)
-            )
-        return out
-    if isinstance(m, DiagonalIntoModProduct):
-        out = []
-        for slot, d in enumerate(m.divisors):
-            if d >= 2:
-                out.extend(TamePrime(slot, ZmodPrime(p)) for p, _ in rings.zmod(d).factorization)
-        return out
-    if isinstance(m, ResidueMap):
-        return [FieldZero()]
-    raise UnsupportedMapError(f"unknown map {m}")
-
-
-# ---------------------------------------------------------------------------
-# Injectivity
-# ---------------------------------------------------------------------------
-
-
-def is_injective(m: RingMapSpec) -> bool:
-    """Whether the described map has zero kernel."""
-    if isinstance(m, DiagonalIntoModProduct):
-        if any(m.n % d != 0 for d in m.divisors):
-            raise KindMismatchError("divisors must divide n")
-        return math.lcm(*m.divisors) == m.n if m.divisors else False
-    if isinstance(m, (QuotientMap, ResidueMap)):
-        # Both kernels are p: R -> k(p) factors through R/p, and Frac is
-        # injective on domains.
-        sp.validate_point(m.prime, m.ring)
-        return m.ring.point_is_zero(m.prime)
-    if isinstance(m, CanonicalIntoQuotientProduct):
-        return _quotient_product_kernel_zero(m.ring, m.subset)
-    if isinstance(m, CanonicalIntoLocalProduct):
-        return _local_product_kernel_zero(m.ring, m.subset)
-    raise UnsupportedMapError(f"unknown map {m}")
-
-
-def _quotient_product_kernel_zero(R: RingExpr, E: SpecSubset) -> bool:
-    """Whether the intersection of the members of E vanishes."""
-    if isinstance(E, EmptySet):
-        return False
-    if isinstance(E, Whole):
-        return True if R.symbolic else _finite_meet_zero(R, sp.spec_points(R))
-    if isinstance(E, Cofinite):
-        # Below the limit: a nonzero element has finitely many prime
-        # divisors.  Above it: excluding axis k leaves x_k inside every
-        # remaining minimal prime.
-        return not E.limit_above or not E.excluded
-    if isinstance(E, Explicit):
-        if any(R.point_is_zero(p) for p in E.points):
-            return True
-        if R.symbolic:
-            return False
-        return _finite_meet_zero(R, list(E.points))
-    raise UnsupportedMapError(f"no kernel rule for {sp.subset_str(E)}")
-
-
 def _finite_meet_zero(R: RingExpr, points) -> bool:
     # Tame primes meet slot by slot; an unmentioned slot keeps the whole
     # factor, which is nonzero.
@@ -248,25 +282,41 @@ def _finite_meet_zero(R: RingExpr, points) -> bool:
     )
 
 
-def _local_product_kernel_zero(R: RingExpr, E: SpecSubset) -> bool:
-    if isinstance(E, EmptySet):
-        return False
-    if R.domain:
-        return True  # localizations of a domain
-    if R.top is not None:
-        # R_m is R itself, and at a minimal prime of a reduced ring the
-        # kernel is the prime: only all the minimal primes together meet in 0.
-        return sp.subset_member(R.top, E) or _quotient_product_kernel_zero(R, E)
-    # Localizing at a tame prime keeps only its slot's factor.
-    return all(
-        inner and (f.domain or f.local_kernel_zero(inner))
-        for f, inner in R.slots(sp.subset_points(E))
-    )
+def _least_slot(E: SpecSubset, p: PrimePoint) -> PrimePoint:
+    """A member of E whose localization keeps p, a minimal prime outside E.
+
+    A member keeps p when it lies above p.  Of a finite E the least such
+    member is taken; one exists when the map is injective.  Of a cofinite
+    E: over Z and GF(p)[x], p outside E is the generic point, so E holds
+    closed points only, and the least of them is taken.  On the axes ring
+    the map is injective only when E holds the top point or every axis,
+    and the top point, above every axis, is taken.
+    """
+    if isinstance(E, Explicit):
+        return next(q for q in sp.subset_points(E) if E.ring._leq(p, q))
+    if E.with_limit:
+        return E.limit
+    return next(q for q in E.ring.closed_points() if q not in E.excluded)
 
 
 # ---------------------------------------------------------------------------
-# Lying over
+# The rules as functions
 # ---------------------------------------------------------------------------
+
+
+def contract(m: RingMapSpec, q: PrimePoint) -> PrimePoint:
+    """The preimage of a (tame) prime of the target."""
+    return m.contract(q)
+
+
+def tame_points(m: RingMapSpec) -> list[PrimePoint]:
+    """All tame primes of the target, for enumerable targets."""
+    return m.tame_points()
+
+
+def is_injective(m: RingMapSpec) -> bool:
+    """Whether the described map has zero kernel."""
+    return m.is_injective()
 
 
 def laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
@@ -276,7 +326,7 @@ def laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
     Raises only on misuse (non-injective map, non-minimal p) or when the
     sole witnesses would be wild primes, which are never materialized.
     """
-    src = map_source(m)
+    src = m.source
     sp.validate_point(p, src)
     if not src.is_minimal_prime(p):
         raise LyingOverNotFoundError(f"{sp.point_str(p)} is not a minimal prime")
@@ -284,60 +334,15 @@ def laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
         raise LyingOverNotFoundError("the map is not injective")
     try:
         candidates = tame_points(m)
-    except (NonEnumerableError, UnsupportedMapError):
-        candidates = None
-    if candidates is not None:
-        for q in sorted(candidates, key=sp.point_sort_key):
-            try:
-                if contract(m, q) == p:
-                    return q
-            except WildPrimeError:
-                continue
-        raise LyingOverNotFoundError("no tame prime lies over the given point")
-    return _symbolic_laying_over(m, p)
-
-
-def _symbolic_laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
-    if isinstance(m, QuotientMap):
-        # Injective quotient maps have a zero kernel, so the map is an
-        # isomorphism onto the quotient: lift p to itself.
-        return p
-    if isinstance(m, CanonicalIntoQuotientProduct):
-        E = m.subset
-        if sp.subset_member(p, E):
-            q = TamePrime(p, p)
-            assert contract(m, q) == p
-            return q
-        raise NonEnumerableError(
-            "only wild primes of the quotient product lie over this point; "
-            "wild primes are not materialized"
-        )
-    if isinstance(m, CanonicalIntoLocalProduct):
-        E = m.subset
-        if sp.subset_member(p, E):
-            q = TamePrime(p, p)
-            assert contract(m, q) == p
-            return q
-        slot = _least_slot(E, p)
-        q = TamePrime(slot, p)
-        assert contract(m, q) == p
-        return q
-    raise NonEnumerableError(f"no symbolic lying-over rule for {map_str(m)}")
-
-
-def _least_slot(E: SpecSubset, p: PrimePoint) -> PrimePoint:
-    """A member of E whose localization keeps p, a minimal prime outside E.
-
-    Every member keeps p.  Over Z and GF(p)[x], p outside E is the generic
-    point, so E holds closed points only, and the least of them is taken.
-    On the axes ring the map is injective only when E holds the top point
-    or every axis, and the top point, above every axis, is taken.
-    """
-    if not isinstance(E, Cofinite):
-        raise NonEnumerableError(f"no slot rule for {sp.subset_str(E)}")
-    if E.with_limit:
-        return E.limit
-    return next(q for q in E.ring.closed_points() if q not in E.excluded)
+    except NonEnumerableError:
+        return m.symbolic_lying_over(p)
+    for q in sorted(candidates, key=sp.point_sort_key):
+        try:
+            if contract(m, q) == p:
+                return q
+        except WildPrimeError:
+            continue
+    raise LyingOverNotFoundError("no tame prime lies over the given point")
 
 
 # ---------------------------------------------------------------------------

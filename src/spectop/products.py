@@ -75,7 +75,7 @@ def tame_contract(
     """Contraction of a tame prime along a canonical map into a product."""
     if not isinstance(p, TamePrime):
         raise KindMismatchError("expected a tame prime")
-    if maps.map_source(m) != source:
+    if m.source != source:
         raise KindMismatchError("map source does not match the given ring")
     if R is not None:
         sp.validate_point(p, R)

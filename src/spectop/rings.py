@@ -1139,12 +1139,11 @@ def symbolic_supplement(field: PrimeField | RationalField) -> SymbolicSupplement
     return SymbolicSupplement(field)
 
 
-# Memo tables keyed on immutable rings.  A `verify all` run meets 22
-# distinct monomial quotients (21 of them in the supplement suite) and
-# about 190 enumerable rings.  This bound evicts no quotient there and
-# costs the spectrum table about 15 repeat enumerations, while keeping a
-# long-lived process bounded.
-_RING_MEMO_SIZE = 128
+# Memo tables keyed on immutable rings.  Sized for one `verify all` run:
+# it meets 22 distinct monomial quotients (21 of them in the supplement
+# suite) and 192 distinct enumerable rings, so no spectrum is enumerated
+# twice there, while a long-lived process stays bounded.
+_RING_MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=_RING_MEMO_SIZE)

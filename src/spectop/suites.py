@@ -309,7 +309,7 @@ def suite_lying_over(seed: int = 0, cases: int = 50, **_: object) -> SuiteResult
             _case(
                 res,
                 f"{i:03d}-{sp.point_str(p)}",
-                f"{maps.map_str(m)} over {sp.point_str(p)}",
+                f"{m} over {sp.point_str(p)}",
                 sp.point_str(p),
                 sp.point_str(back),
             )

@@ -176,6 +176,9 @@ def test_bad_json_exit_code(capsys):
                            '"field":{"kind":"Fp","p":2},"nvars":true,"gens":[]}}'],
         ["closure", "--topology", "zariski", "--ring", '{"kind":"Product","factors":[' + Z_MOD_6 + "," + Z_MOD_6 + "]}",
          "--set", '{"type":"explicit","points":[{"type":"tamePrime","slot":true,"inner":{"type":"zmodPrime","p":2}}]}'],
+        # Diagonal divisors must be positive.
+        *(["lyover", "--map", '{"type":"diagonalIntoModProduct","n":6,"divisors":' + divisors + "}",
+           "--prime", '{"type":"zmodPrime","p":2}'] for divisors in ("[0]", "[-2,3]", "[-6]")),
     ],
 )
 def test_malformed_json_shapes_exit_2(capsys, argv):

@@ -99,6 +99,32 @@ def test_is_injective_axes_cases():
     )
 
 
+def test_diagonal_refuses_divisors_below_one():
+    for divisors in ((0,), (-2, 3), (-6,)):
+        m = maps.DiagonalIntoModProduct(6, divisors)
+        with pytest.raises(KindMismatchError, match="positive and divide n"):
+            maps.is_injective(m)
+        with pytest.raises(KindMismatchError, match="positive and divide n"):
+            maps.laying_over(m, ZmodPrime(2))
+
+
+def test_laying_over_local_product_of_a_finite_set():
+    # The least member of E above p is the slot; for a finite E one exists
+    # whenever the map is injective.
+    for R, members, p, slot in (
+        (rings.ZZ, [ZMax(3)], ZGeneric(), ZMax(3)),
+        (rings.ZZ, [ZMax(7), ZMax(3)], ZGeneric(), ZMax(3)),
+        (F2X, [sp.FpxMax((1, 1)), sp.FpxMax((0, 1))], sp.FpxGeneric(), sp.FpxMax((0, 1))),
+        (AXES_F2, [SuppTop()], SuppMin(4), SuppTop()),
+        (AXES_F2, [SuppMin(1), SuppTop()], SuppMin(4), SuppTop()),
+    ):
+        m = maps.CanonicalIntoLocalProduct(R, sp.explicit(R, members))
+        assert maps.is_injective(m)
+        q = maps.laying_over(m, p)
+        assert q == TamePrime(slot, p)
+        assert maps.contract(m, q) == p
+
+
 def test_laying_over_examples():
     m = maps.DiagonalIntoModProduct(6, (2, 3))
     q = maps.laying_over(m, ZmodPrime(2))
