@@ -4,6 +4,10 @@ The wire format mirrors the type tags.  Integers and multivariate
 coefficients travel as strings so arbitrary precision survives JSON;
 plain numbers are accepted on input.  Subsets are serialized without
 their ring, which the surrounding document or CLI flag supplies.
+
+One table row per value class declares its tag, its fields in wire order
+with a codec each, and the validating builder the decoded fields go to;
+encoding and decoding both read the row.
 """
 
 from __future__ import annotations
@@ -11,47 +15,11 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import maps, products, rings, topology
 from . import spectrum as sp
 from .errors import KindMismatchError
-from .rings import (
-    El,
-    IntegerRing,
-    IntEl,
-    LocalizedAtIrrelevant,
-    ModEl,
-    ModRing,
-    MonomialQuotient,
-    MPolyEl,
-    PolyEl,
-    PolyRingOverPrimeField,
-    PrimeField,
-    Product,
-    RatEl,
-    RationalField,
-    RingExpr,
-    SymbolicSupplement,
-    TupleEl,
-)
-from .spectrum import (
-    Cofinite,
-    EmptySet,
-    Explicit,
-    FieldZero,
-    FpxGeneric,
-    FpxMax,
-    MonoPrime,
-    PrimePoint,
-    SpecSubset,
-    SuppMin,
-    SuppTop,
-    TamePrime,
-    Whole,
-    ZGeneric,
-    ZmodPrime,
-    ZMax,
-)
 from .values import _int
 
 
@@ -88,303 +56,286 @@ def _obj(v, what: str) -> dict:
     return v
 
 
-# ---------------------------------------------------------------------------
-# Rings
-# ---------------------------------------------------------------------------
-
-
-def ring_to_json(R: RingExpr) -> dict:
-    if isinstance(R, IntegerRing):
-        return {"kind": "Z"}
-    if isinstance(R, RationalField):
-        return {"kind": "Q"}
-    if isinstance(R, ModRing):
-        return {"kind": "Zmod", "n": R.n}
-    if isinstance(R, PrimeField):
-        return {"kind": "Fp", "p": R.p}
-    if isinstance(R, PolyRingOverPrimeField):
-        return {"kind": "FpPoly", "p": R.p}
-    if isinstance(R, MonomialQuotient):
-        gens = sorted(
-            list(rings.mask_to_exp(g)) + [0] * (R.nvars - g.bit_length()) for g in R.gens
-        )
-        return {
-            "kind": "MonomialQuotient",
-            "field": ring_to_json(R.field),
-            "nvars": R.nvars,
-            "gens": gens,
-        }
-    if isinstance(R, LocalizedAtIrrelevant):
-        return {"kind": "LocalizedAtIrrelevant", "inner": ring_to_json(R.inner)}
-    if isinstance(R, Product):
-        return {"kind": "Product", "factors": [ring_to_json(f) for f in R.factors]}
-    if isinstance(R, SymbolicSupplement):
-        return {"kind": "SymbolicSupplement", "field": ring_to_json(R.field)}
-    raise KindMismatchError(f"unknown ring {R}")
-
-
-def ring_from_json(obj: dict) -> RingExpr:
-    kind = _obj(obj, "ring").get("kind")
-    if kind == "Z":
-        return rings.ZZ
-    if kind == "Q":
-        return rings.QQ
-    if kind == "Zmod":
-        return rings.zmod(_int(obj["n"], "n"))
-    if kind == "Fp":
-        return rings.prime_field(_int(obj["p"], "p"))
-    if kind == "FpPoly":
-        return rings.poly_ring(_int(obj["p"], "p"))
-    if kind == "MonomialQuotient":
-        field = ring_from_json(obj["field"])
-        gens = [
-            tuple(_int(e, "exponent") for e in _list(g, "generator"))
-            for g in _list(obj["gens"], "gens")
-        ]
-        return rings.monomial_quotient(field, _int(obj["nvars"], "nvars"), gens)
-    if kind == "LocalizedAtIrrelevant":
-        return rings.localized(ring_from_json(obj["inner"]))
-    if kind == "Product":
-        return rings.product(*(ring_from_json(f) for f in _list(obj["factors"], "factors")))
-    if kind == "SymbolicSupplement":
-        return rings.symbolic_supplement(ring_from_json(obj["field"]))
-    raise KindMismatchError(f"unknown ring kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Elements
-# ---------------------------------------------------------------------------
-
-
-def element_to_json(e: El, R: RingExpr) -> dict:
-    if isinstance(e, IntEl):
-        return {"kind": "int", "v": str(e.v)}
-    if isinstance(e, RatEl):
-        return {"kind": "rat", "v": str(e.v)}
-    if isinstance(e, ModEl):
-        return {"kind": "mod", "v": e.v}
-    if isinstance(e, PolyEl):
-        return {"kind": "poly", "coeffs": list(e.coeffs)}
-    if isinstance(e, MPolyEl):
-        return {
-            "kind": "mpoly",
-            "terms": [{"c": str(c), "e": list(exp)} for c, exp in e.terms],
-        }
-    if isinstance(e, TupleEl):
-        return {
-            "kind": "tuple",
-            "items": [element_to_json(x, f) for x, f in zip(e.items, R.factors)],
-        }
-    raise KindMismatchError(f"unknown element {e}")
-
-
-def _parse_coeff(c):
+def _coeff(c, what: str):
+    """A multivariate coefficient: an integer, a finite float (exactly) or
+    an "a/b" string."""
     if isinstance(c, str) and "/" in c:
         return _fraction(c)
     if isinstance(c, float) and math.isfinite(c):
-        return c
-    return _int(c, "coefficient")
-
-
-def element_from_json(obj: dict, R: RingExpr) -> El:
-    kind = _obj(obj, "element").get("kind")
-    if kind == "int":
-        v = _int(obj["v"], "v")
-        if isinstance(R, RationalField):
-            return rings.normalize(RatEl(Fraction(v)), R)
-        if isinstance(R, (MonomialQuotient, LocalizedAtIrrelevant, SymbolicSupplement)):
-            return R.from_int(v)
-        return rings.normalize(IntEl(v), R)
-    if kind == "rat":
-        return rings.normalize(RatEl(_fraction(obj["v"])), R)
-    if kind == "mod":
-        return rings.normalize(ModEl(_int(obj["v"], "v")), R)
-    if kind == "poly":
-        coeffs = tuple(_int(c, "coefficient") for c in _list(obj["coeffs"], "coeffs"))
-        return rings.normalize(PolyEl(coeffs), R)
-    if kind == "mpoly":
-        terms = []
-        for t in _list(obj["terms"], "terms"):
-            exp = tuple(_int(x, "exponent") for x in _list(_obj(t, "term")["e"], "e"))
-            terms.append((_parse_coeff(t["c"]), exp))
-        return rings.normalize(MPolyEl(tuple(terms)), R)
-    if kind == "tuple":
-        if not isinstance(R, Product) or len(_list(obj["items"], "items")) != len(R.factors):
-            raise KindMismatchError("tuple element needs a matching product ring")
-        return TupleEl(
-            tuple(element_from_json(x, f) for x, f in zip(obj["items"], R.factors))
-        )
-    raise KindMismatchError(f"unknown element kind {kind!r}")
+        return Fraction(c)
+    return _int(c, what)
 
 
 # ---------------------------------------------------------------------------
-# Points
+# The wire table
 # ---------------------------------------------------------------------------
 
 
-def point_to_json(p: PrimePoint) -> dict:
-    if isinstance(p, ZGeneric):
-        return {"type": "zGeneric"}
-    if isinstance(p, ZMax):
-        return {"type": "zMax", "p": p.p}
-    if isinstance(p, ZmodPrime):
-        return {"type": "zmodPrime", "p": p.p}
-    if isinstance(p, FpxGeneric):
-        return {"type": "fpxGeneric"}
-    if isinstance(p, FpxMax):
-        return {"type": "fpxMax", "coeffs": list(p.coeffs)}
-    if isinstance(p, FieldZero):
-        return {"type": "fieldZero"}
-    if isinstance(p, MonoPrime):
-        return {"type": "monoPrime", "cover": sorted(p.cover)}
-    if isinstance(p, SuppMin):
-        return {"type": "suppMin", "k": p.k}
-    if isinstance(p, SuppTop):
-        return {"type": "suppTop"}
-    if isinstance(p, TamePrime):
-        slot = p.slot if isinstance(p.slot, int) else point_to_json(p.slot)
-        return {"type": "tamePrime", "slot": slot, "inner": point_to_json(p.inner)}
-    raise KindMismatchError(f"unknown point {p}")
+class _Codec(NamedTuple):
+    """One field's wire form.  enc(value, R) gives its JSON and
+    dec(JSON, key, R) the value, refusing malformed input; R is the ring in
+    scope (see _Table.decode), and key names the field in refusals."""
+
+    enc: Callable
+    dec: Callable
 
 
-def point_from_json(obj: dict) -> PrimePoint:
-    t = _obj(obj, "point").get("type")
-    if t == "zGeneric":
-        return ZGeneric()
-    if t == "zMax":
-        return ZMax(_int(obj["p"], "p"))
-    if t == "zmodPrime":
-        return ZmodPrime(_int(obj["p"], "p"))
-    if t == "fpxGeneric":
-        return FpxGeneric()
-    if t == "fpxMax":
-        return FpxMax(tuple(_int(c, "coefficient") for c in _list(obj["coeffs"], "coeffs")))
-    if t == "fieldZero":
-        return FieldZero()
-    if t == "monoPrime":
-        return MonoPrime(frozenset(_int(i, "variable") for i in _list(obj["cover"], "cover")))
-    if t == "suppMin":
-        return SuppMin(_int(obj["k"], "k"))
-    if t == "suppTop":
-        return SuppTop()
-    if t == "tamePrime":
-        slot = obj["slot"]
-        slot = _int(slot, "slot") if isinstance(slot, int) else point_from_json(slot)
-        return TamePrime(slot, point_from_json(obj["inner"]))
-    raise KindMismatchError(f"unknown point type {t!r}")
+_REQUIRED = object()
 
 
-# ---------------------------------------------------------------------------
-# Subsets
-# ---------------------------------------------------------------------------
+class _Field(NamedTuple):
+    key: str
+    codec: _Codec
+    attr: str | None = None  # the attribute it carries, when not `key`
+    default: object = _REQUIRED  # the value of a missing key
 
 
-def subset_to_json(E: SpecSubset) -> dict:
-    if isinstance(E, EmptySet):
-        return {"type": "empty"}
-    if isinstance(E, Explicit):
-        return {
-            "type": "explicit",
-            "points": [point_to_json(p) for p in sp.sorted_points(E.points)],
-        }
-    if isinstance(E, Cofinite) and E.limit_above:
-        return {
-            "type": "cofiniteMin",
-            "excluded": sorted(p.k for p in E.excluded),
-            "withTop": E.with_limit,
-        }
-    if isinstance(E, Cofinite):
-        return {
-            "type": "cofiniteClosed",
-            "excluded": [point_to_json(p) for p in sp.sorted_points(E.excluded)],
-            "withGeneric": E.with_limit,
-        }
-    if isinstance(E, Whole):
-        return {"type": "whole"}
-    raise KindMismatchError(f"unknown subset {E}")
+class _Row(NamedTuple):
+    cls: type
+    tag: str
+    fields: tuple[_Field, ...]
+    build: Callable
+    when: Callable | None  # for a class with two wire forms, which one a value takes
 
 
-def subset_from_json(obj: dict, R: RingExpr) -> SpecSubset:
-    t = _obj(obj, "subset").get("type")
-    if t == "empty":
-        return sp.empty_set(R)
-    if t == "explicit":
-        return sp.explicit(R, {point_from_json(p) for p in _list(obj["points"], "points")})
-    if t == "cofiniteClosed":
-        return sp.cofinite_closed(
-            R,
-            {point_from_json(p) for p in _list(obj["excluded"], "excluded")},
-            _bool(obj.get("withGeneric", False), "withGeneric"),
-        )
-    if t == "cofiniteMin":
-        return sp.cofinite_min(
-            R,
-            {_int(k, "axis") for k in _list(obj["excluded"], "excluded")},
-            _bool(obj.get("withTop", False), "withTop"),
-        )
-    if t == "whole":
-        return sp.whole(R)
-    raise KindMismatchError(f"unknown subset type {t!r}")
+def _row(cls, tag, *fields, build=None, when=None) -> _Row:
+    return _Row(cls, tag, tuple(_Field(*f) for f in fields), build or cls, when)
 
 
-# ---------------------------------------------------------------------------
-# Maps
-# ---------------------------------------------------------------------------
+class _Table:
+    """The rows of one family of values, told apart by the tag under `key`."""
+
+    def __init__(self, key: str, what: str, *rows: _Row):
+        self.key, self.what, self.rows = key, what, rows
+        self.by_tag = {r.tag: r for r in rows}
+        self.by_class: dict[type, list[_Row]] = {}
+        for r in rows:
+            self.by_class.setdefault(r.cls, []).append(r)
+
+    def encode(self, x, R=None) -> dict:
+        """The document of x; R is the ring x lives over, or x itself."""
+        rows = self.by_class.get(type(x))
+        if rows is None:
+            raise KindMismatchError(f"unknown {self.what} {x}")
+        row = next(r for r in rows if r.when is None or r.when(x))
+        doc = {self.key: row.tag}
+        for f in row.fields:
+            doc[f.key] = f.codec.enc(getattr(x, f.attr or f.key), R)
+        return doc
+
+    def decode(self, obj, R=None):
+        """The value obj denotes.  Element and subset builders take R, the
+        ring the value lives over, first; fields after a ring field are
+        read over that ring."""
+        tag = _obj(obj, self.what).get(self.key)
+        row = self.by_tag.get(tag) if isinstance(tag, str) else None
+        if row is None:
+            raise KindMismatchError(f"unknown {self.what} {self.key} {tag!r}")
+        args = [] if R is None else [R]
+        for f in row.fields:
+            raw = obj[f.key] if f.default is _REQUIRED else obj.get(f.key, f.default)
+            args.append(f.codec.dec(raw, f.key, R))
+            if f.codec is _RING:
+                R = args[-1]
+        return row.build(*args)
+
+
+def _as_is(v, R):
+    return v
+
+
+def _seq(item: _Codec, what: str, into=tuple, order=list) -> _Codec:
+    """A JSON list of items, each called `what` in refusals; decoded into
+    `into`, encoded in the order `order` gives."""
+    return _Codec(
+        lambda v, R: [item.enc(x, R) for x in order(v)],
+        lambda v, key, R: into(item.dec(x, what, R) for x in _list(v, key)),
+    )
+
+
+def _point_of(v, key: str, R):
+    p = point_from_json(v)
+    sp.validate_point(p, R)
+    return p
+
+
+def _padded_exponents(gens, R) -> list:
+    return sorted(
+        list(rings.mask_to_exp(g)) + [0] * (R.nvars - g.bit_length()) for g in gens
+    )
+
+
+def _term(v, key: str, R):
+    t = _obj(v, key)
+    return _coeff(t["c"], "coefficient"), _EXPONENTS.dec(t["e"], "e", R)
+
+
+def _tuple_items(v, key: str, R):
+    if not isinstance(R, rings.Product) or len(_list(v, key)) != len(R.factors):
+        raise KindMismatchError("tuple element needs a matching product ring")
+    return tuple(element_from_json(x, f) for x, f in zip(v, R.factors))
+
+
+def _int_element(R, v: int):
+    # An "int" is a constant of Z, Q or a monomial kind; other rings refuse it.
+    monomial = (rings.MonomialQuotient, rings.LocalizedAtIrrelevant, rings.SymbolicSupplement)
+    if isinstance(R, (rings.RationalField, *monomial)):
+        return R.from_int(v)
+    return rings.normalize(rings.IntEl(v), R)
+
+
+def _normalized(cls):
+    return lambda R, *fields: rings.normalize(cls(*fields), R)
+
+
+_INT = _Codec(_as_is, lambda v, key, R: _int(v, key))
+_DECIMAL = _Codec(lambda v, R: str(v), _INT.dec)
+_EXPONENTS = _seq(_INT, "exponent")
+_RAT = _Codec(lambda v, R: str(v), lambda v, key, R: _fraction(v))
+_FLAG = _Codec(_as_is, lambda v, key, R: _bool(v, key))
+_RING = _Codec(lambda v, R: ring_to_json(v), lambda v, key, R: ring_from_json(v))
+_POINT = _Codec(lambda v, R: point_to_json(v), lambda v, key, R: point_from_json(v))
+_POINTS = _seq(_POINT, "point", frozenset, sp.sorted_points)
+# A factor index, or the base point of the set of a canonical map.
+_SLOT = _Codec(
+    lambda v, R: v if isinstance(v, int) else point_to_json(v),
+    lambda v, key, R: _int(v, key) if isinstance(v, int) else point_from_json(v),
+)
+_TERM = _Codec(lambda t, R: {"c": str(t[0]), "e": list(t[1])}, _term)
+# An excluded minimal prime of the axes ring, by its axis.
+_AXIS = _Codec(lambda p, R: p.k, _INT.dec)
+
+_RING_ROWS = _Table(
+    "kind", "ring",
+    _row(rings.IntegerRing, "Z", build=lambda: rings.ZZ),
+    _row(rings.RationalField, "Q", build=lambda: rings.QQ),
+    _row(rings.ModRing, "Zmod", ("n", _INT), build=rings.zmod),
+    _row(rings.PrimeField, "Fp", ("p", _INT), build=rings.prime_field),
+    _row(rings.PolyRingOverPrimeField, "FpPoly", ("p", _INT), build=rings.poly_ring),
+    _row(
+        rings.MonomialQuotient, "MonomialQuotient",
+        ("field", _RING),
+        ("nvars", _INT),
+        ("gens", _Codec(_padded_exponents, _seq(_EXPONENTS, "generator").dec)),
+        build=rings.monomial_quotient,
+    ),
+    _row(rings.LocalizedAtIrrelevant, "LocalizedAtIrrelevant", ("inner", _RING),
+         build=rings.localized),
+    _row(rings.Product, "Product", ("factors", _seq(_RING, "factor")),
+         build=lambda factors: rings.product(*factors)),
+    _row(rings.SymbolicSupplement, "SymbolicSupplement", ("field", _RING),
+         build=rings.symbolic_supplement),
+)
+
+_ELEMENT_ROWS = _Table(
+    "kind", "element",
+    _row(rings.IntEl, "int", ("v", _DECIMAL), build=_int_element),
+    _row(rings.RatEl, "rat", ("v", _RAT), build=_normalized(rings.RatEl)),
+    _row(rings.ModEl, "mod", ("v", _INT), build=_normalized(rings.ModEl)),
+    _row(rings.PolyEl, "poly", ("coeffs", _seq(_INT, "coefficient")),
+         build=_normalized(rings.PolyEl)),
+    _row(rings.MPolyEl, "mpoly", ("terms", _seq(_TERM, "term")),
+         build=_normalized(rings.MPolyEl)),
+    _row(
+        rings.TupleEl, "tuple",
+        ("items", _Codec(
+            lambda items, R: [element_to_json(x, f) for x, f in zip(items, R.factors)],
+            _tuple_items,
+        )),
+        build=lambda R, items: rings.TupleEl(items),
+    ),
+)
+
+_POINT_ROWS = _Table(
+    "type", "point",
+    _row(sp.ZGeneric, "zGeneric"),
+    _row(sp.ZMax, "zMax", ("p", _INT)),
+    _row(sp.ZmodPrime, "zmodPrime", ("p", _INT)),
+    _row(sp.FpxGeneric, "fpxGeneric"),
+    _row(sp.FpxMax, "fpxMax", ("coeffs", _seq(_INT, "coefficient"))),
+    _row(sp.FieldZero, "fieldZero"),
+    _row(sp.MonoPrime, "monoPrime", ("cover", _seq(_INT, "variable", frozenset, sorted))),
+    _row(sp.SuppMin, "suppMin", ("k", _INT)),
+    _row(sp.SuppTop, "suppTop"),
+    _row(sp.TamePrime, "tamePrime", ("slot", _SLOT), ("inner", _POINT)),
+)
+
+_SUBSET_ROWS = _Table(
+    "type", "subset",
+    _row(sp.EmptySet, "empty", build=sp.empty_set),
+    _row(sp.Explicit, "explicit", ("points", _POINTS), build=sp.explicit),
+    _row(
+        sp.Cofinite, "cofiniteMin",
+        ("excluded", _seq(_AXIS, "axis", frozenset, sp.sorted_points)),
+        ("withTop", _FLAG, "with_limit", False),
+        build=sp.cofinite_min,
+        when=lambda E: E.limit_above,
+    ),
+    _row(
+        sp.Cofinite, "cofiniteClosed",
+        ("excluded", _POINTS),
+        ("withGeneric", _FLAG, "with_limit", False),
+        build=sp.cofinite_closed,
+        when=lambda E: not E.limit_above,
+    ),
+    _row(sp.Whole, "whole", build=sp.whole),
+)
+
+_SUBSET = _Codec(lambda v, R: subset_to_json(v), lambda v, key, R: subset_from_json(v, R))
+# The prime of the map's ring that a quotient or residue map is taken at.
+_PRIME = _Codec(_POINT.enc, _point_of)
+
+_MAP_ROWS = _Table(
+    "type", "map",
+    _row(maps.QuotientMap, "quotientMap", ("ring", _RING), ("prime", _PRIME)),
+    _row(maps.CanonicalIntoQuotientProduct, "canonicalIntoQuotientProduct",
+         ("ring", _RING), ("set", _SUBSET, "subset")),
+    _row(maps.CanonicalIntoLocalProduct, "canonicalIntoLocalProduct",
+         ("ring", _RING), ("set", _SUBSET, "subset")),
+    _row(maps.DiagonalIntoModProduct, "diagonalIntoModProduct",
+         ("n", _INT), ("divisors", _seq(_INT, "divisor"))),
+    _row(maps.ResidueMap, "residueMap", ("ring", _RING), ("prime", _PRIME)),
+)
+
+
+def ring_to_json(R: rings.RingExpr) -> dict:
+    return _RING_ROWS.encode(R, R)
+
+
+def ring_from_json(obj: dict) -> rings.RingExpr:
+    return _RING_ROWS.decode(obj)
+
+
+def element_to_json(e: rings.El, R: rings.RingExpr) -> dict:
+    return _ELEMENT_ROWS.encode(e, R)
+
+
+def element_from_json(obj: dict, R: rings.RingExpr) -> rings.El:
+    return _ELEMENT_ROWS.decode(obj, R)
+
+
+def point_to_json(p: sp.PrimePoint) -> dict:
+    return _POINT_ROWS.encode(p)
+
+
+def point_from_json(obj: dict) -> sp.PrimePoint:
+    return _POINT_ROWS.decode(obj)
+
+
+def subset_to_json(E: sp.SpecSubset) -> dict:
+    return _SUBSET_ROWS.encode(E)
+
+
+def subset_from_json(obj: dict, R: rings.RingExpr) -> sp.SpecSubset:
+    return _SUBSET_ROWS.decode(obj, R)
 
 
 def map_to_json(m: maps.RingMapSpec) -> dict:
-    if isinstance(m, maps.QuotientMap):
-        return {
-            "type": "quotientMap",
-            "ring": ring_to_json(m.ring),
-            "prime": point_to_json(m.prime),
-        }
-    if isinstance(m, maps.CanonicalIntoQuotientProduct):
-        return {
-            "type": "canonicalIntoQuotientProduct",
-            "ring": ring_to_json(m.ring),
-            "set": subset_to_json(m.subset),
-        }
-    if isinstance(m, maps.CanonicalIntoLocalProduct):
-        return {
-            "type": "canonicalIntoLocalProduct",
-            "ring": ring_to_json(m.ring),
-            "set": subset_to_json(m.subset),
-        }
-    if isinstance(m, maps.DiagonalIntoModProduct):
-        return {"type": "diagonalIntoModProduct", "n": m.n, "divisors": list(m.divisors)}
-    if isinstance(m, maps.ResidueMap):
-        return {
-            "type": "residueMap",
-            "ring": ring_to_json(m.ring),
-            "prime": point_to_json(m.prime),
-        }
-    raise KindMismatchError(f"unknown map {m}")
-
-
-def _ring_and_prime(obj: dict) -> tuple[RingExpr, PrimePoint]:
-    R = ring_from_json(obj["ring"])
-    p = point_from_json(obj["prime"])
-    sp.validate_point(p, R)
-    return R, p
+    return _MAP_ROWS.encode(m)
 
 
 def map_from_json(obj: dict) -> maps.RingMapSpec:
-    t = _obj(obj, "map").get("type")
-    if t == "quotientMap":
-        return maps.QuotientMap(*_ring_and_prime(obj))
-    if t == "canonicalIntoQuotientProduct":
-        R = ring_from_json(obj["ring"])
-        return maps.CanonicalIntoQuotientProduct(R, subset_from_json(obj["set"], R))
-    if t == "canonicalIntoLocalProduct":
-        R = ring_from_json(obj["ring"])
-        return maps.CanonicalIntoLocalProduct(R, subset_from_json(obj["set"], R))
-    if t == "diagonalIntoModProduct":
-        divisors = tuple(_int(d, "divisor") for d in _list(obj["divisors"], "divisors"))
-        return maps.DiagonalIntoModProduct(_int(obj["n"], "n"), divisors)
-    if t == "residueMap":
-        return maps.ResidueMap(*_ring_and_prime(obj))
-    raise KindMismatchError(f"unknown map type {t!r}")
+    return _MAP_ROWS.decode(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +353,7 @@ def image_report_to_json(rep: products.ImageReport) -> dict:
     }
 
 
-def density_certificate_to_json(cert: topology.DensityCertificate, R: RingExpr) -> dict:
+def density_certificate_to_json(cert: topology.DensityCertificate, R: rings.RingExpr) -> dict:
     return {
         "holds": cert.holds,
         "mode": cert.mode,

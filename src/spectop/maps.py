@@ -216,7 +216,12 @@ class DiagonalIntoModProduct(RingMapSpec):
     def __str__(self) -> str:
         return f"Z/{self.n} -> " + " x ".join(f"Z/{d}" for d in self.divisors)
 
+    def _check_divisors(self) -> None:
+        if any(d < 1 or self.n % d != 0 for d in self.divisors):
+            raise KindMismatchError("divisors must be positive and divide n")
+
     def contract(self, q: PrimePoint) -> PrimePoint:
+        self._check_divisors()
         if not isinstance(q, TamePrime) or not isinstance(q.slot, int):
             raise WildPrimeError(f"{sp.point_str(q)} is not tame")
         if not 0 <= q.slot < len(self.divisors):
@@ -228,6 +233,7 @@ class DiagonalIntoModProduct(RingMapSpec):
         return ZmodPrime(inner.p)
 
     def tame_points(self) -> list[PrimePoint]:
+        self._check_divisors()
         return [
             TamePrime(slot, ZmodPrime(p))
             for slot, d in enumerate(self.divisors)
@@ -236,8 +242,7 @@ class DiagonalIntoModProduct(RingMapSpec):
         ]
 
     def is_injective(self) -> bool:
-        if any(d < 1 or self.n % d != 0 for d in self.divisors):
-            raise KindMismatchError("divisors must be positive and divide n")
+        self._check_divisors()
         return math.lcm(*self.divisors) == self.n if self.divisors else False
 
 

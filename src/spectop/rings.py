@@ -1112,6 +1112,8 @@ def _dim_at_most_one(R: MonomialQuotient) -> bool:
 
 
 def localized(inner: MonomialQuotient) -> LocalizedAtIrrelevant:
+    if not isinstance(inner, MonomialQuotient):
+        raise KindMismatchError("only a monomial quotient can be localized")
     if not _dim_at_most_one(inner):
         raise UnsupportedError(
             "localization is only supported for quotients of dimension <= 1"

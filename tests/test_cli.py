@@ -176,6 +176,11 @@ def test_bad_json_exit_code(capsys):
                            '"field":{"kind":"Fp","p":2},"nvars":true,"gens":[]}}'],
         ["closure", "--topology", "zariski", "--ring", '{"kind":"Product","factors":[' + Z_MOD_6 + "," + Z_MOD_6 + "]}",
          "--set", '{"type":"explicit","points":[{"type":"tamePrime","slot":true,"inner":{"type":"zmodPrime","p":2}}]}'],
+        # Only a monomial quotient can be localized.
+        ["spec", "--ring", '{"kind":"LocalizedAtIrrelevant","inner":{"kind":"Z"}}'],
+        ["spec", "--ring", '{"kind":"LocalizedAtIrrelevant","inner":{"kind":"LocalizedAtIrrelevant",'
+                           '"inner":{"kind":"MonomialQuotient","field":{"kind":"Fp","p":2},'
+                           '"nvars":2,"gens":[[1,1]]}}}'],
         # Diagonal divisors must be positive.
         *(["lyover", "--map", '{"type":"diagonalIntoModProduct","n":6,"divisors":' + divisors + "}",
            "--prime", '{"type":"zmodPrime","p":2}'] for divisors in ("[0]", "[-2,3]", "[-6]")),

@@ -1,10 +1,13 @@
 import json
+from collections import Counter
+from fractions import Fraction
 from random import Random
+from typing import get_args
 
 import pytest
 
-from conftest import AXES_F2, F2, enumerable_zoo, symbolic_zoo
-from spectop import construction, jsonio, maps, rings
+from conftest import AXES_F2, AXES_Q, F2, enumerable_zoo, symbolic_zoo
+from spectop import construction, jsonio, maps, rings, values
 from spectop import spectrum as sp
 from spectop.errors import KindMismatchError
 from spectop.rings import IntEl
@@ -63,6 +66,16 @@ def test_element_kind_mismatch():
         jsonio.element_from_json({"kind": "mod", "v": 5}, rings.ZZ)
 
 
+def test_float_coefficients_are_exact():
+    # 1.5 is 3/2: F_2 cannot invert the 2, F_5 reads 3 * 3 = 4, Q keeps it.
+    doc = {"kind": "mpoly", "terms": [{"c": 1.5, "e": [1]}]}
+    with pytest.raises(KindMismatchError, match="denominator"):
+        jsonio.element_from_json(doc, AXES_F2)
+    axes_f5 = rings.symbolic_supplement(rings.prime_field(5))
+    assert jsonio.element_from_json(doc, axes_f5) == rings.var_el(axes_f5, 1, coeff=4)
+    assert jsonio.element_from_json(doc, AXES_Q) == rings.var_el(AXES_Q, 1, coeff=Fraction(3, 2))
+
+
 def test_point_round_trip():
     pts = [
         sp.ZGeneric(),
@@ -98,6 +111,13 @@ def test_subset_round_trip_and_documented_form():
     E2 = sp.cofinite_min(AXES_F2, {1, 7}, True)
     assert jsonio.subset_from_json(jsonio.subset_to_json(E2), AXES_F2) == E2
     assert jsonio.subset_from_json({"type": "whole"}, AXES_F2) == sp.Whole(AXES_F2)
+    # A missing limit flag leaves the limit point out.
+    assert jsonio.subset_from_json({"type": "cofiniteMin", "excluded": [2]}, AXES_F2) == (
+        sp.cofinite_min(AXES_F2, {2}, False)
+    )
+    assert jsonio.subset_from_json({"type": "cofiniteClosed", "excluded": []}, rings.ZZ) == (
+        sp.cofinite_closed(rings.ZZ, set(), False)
+    )
 
 
 def test_map_round_trip():
@@ -119,6 +139,33 @@ def test_canonical_dumps_deterministic():
     a = jsonio.dumps_canonical(jsonio.subset_to_json(E))
     b = jsonio.dumps_canonical(jsonio.subset_to_json(E))
     assert a == b
+
+
+def _public_subclasses(base) -> set:
+    found = set()
+    for cls in base.__subclasses__():
+        found |= _public_subclasses(cls)
+        if not cls.__name__.startswith("_"):
+            found.add(cls)
+    return found
+
+
+def test_every_value_class_has_one_wire_row():
+    # A class without a row would fail only at its first query; Cofinite
+    # has one row per wire form.
+    classes = (
+        _public_subclasses(rings.RingExpr)
+        | _public_subclasses(maps.RingMapSpec)
+        | set(get_args(values.PrimePoint))
+        | set(get_args(values.El))
+        | set(get_args(sp.SpecSubset))
+    )
+    tables = [jsonio._RING_ROWS, jsonio._ELEMENT_ROWS, jsonio._POINT_ROWS,
+              jsonio._SUBSET_ROWS, jsonio._MAP_ROWS]
+    rows = Counter(row.cls for table in tables for row in table.rows)
+    assert rows == {cls: 2 if cls is sp.Cofinite else 1 for cls in classes}
+    for table in tables:
+        assert len(table.by_tag) == len(table.rows)
 
 
 @pytest.fixture

@@ -141,9 +141,10 @@ def answers(m) -> dict:
 
 # Recorded before each map kind owned its rules.  Four rows differ from
 # that recording: the diagonal map with divisor 0, whose injectivity and
-# lying over crashed with ZeroDivisionError, and the localization product
-# over {m} on Axes(F_2), {(x)} on F_2[x] and {(3)} on Z, whose lying over
-# raised NonEnumerableError although the map is injective.
+# lying over crashed with ZeroDivisionError and whose tame points were an
+# empty list, and the localization product over {m} on Axes(F_2), {(x)} on
+# F_2[x] and {(3)} on Z, whose lying over raised NonEnumerableError
+# although the map is injective.
 EXPECTED = {'diagonal/12/()': {'str': 'Z/12 -> ',
                     'source': 'Z/12',
                     'json': '{"divisors":[],"n":12,"type":"diagonalIntoModProduct"}',
@@ -171,8 +172,7 @@ EXPECTED = {'diagonal/12/()': {'str': 'Z/12 -> ',
                      'source': 'Z/6',
                      'json': '{"divisors":[0],"n":6,"type":"diagonalIntoModProduct"}',
                      'injective': 'raises KindMismatchError',
-                     'tame': '',
-                     'contract': {},
+                     'tame': 'raises KindMismatchError',
                      'over': {'(2)': 'raises KindMismatchError',
                               '(3)': 'raises KindMismatchError'}},
  'diagonal/6/(2, 3)': {'str': 'Z/6 -> Z/2 x Z/3',

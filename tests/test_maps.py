@@ -108,6 +108,16 @@ def test_diagonal_refuses_divisors_below_one():
             maps.laying_over(m, ZmodPrime(2))
 
 
+def test_diagonal_checks_divisors_in_every_rule():
+    # 10 does not divide 6, and 0 is no divisor: (5) is no prime of Z/6.
+    five = TamePrime(0, ZmodPrime(5))
+    for divisors in ((10,), (0,), (2, 10)):
+        m = maps.DiagonalIntoModProduct(6, divisors)
+        for rule in (maps.is_injective, maps.tame_points, lambda m: maps.contract(m, five)):
+            with pytest.raises(KindMismatchError, match="positive and divide n"):
+                rule(m)
+
+
 def test_laying_over_local_product_of_a_finite_set():
     # The least member of E above p is the slot; for a finite E one exists
     # whenever the map is injective.
