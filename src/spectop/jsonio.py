@@ -56,14 +56,14 @@ def _obj(v, what: str) -> dict:
     return v
 
 
-def _coeff(c, what: str):
+def _coeff(c):
     """A multivariate coefficient: an integer, a finite float (exactly) or
     an "a/b" string."""
     if isinstance(c, str) and "/" in c:
         return _fraction(c)
     if isinstance(c, float) and math.isfinite(c):
         return Fraction(c)
-    return _int(c, what)
+    return _int(c, "coefficient")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def _padded_exponents(gens, R) -> list:
 
 def _term(v, key: str, R):
     t = _obj(v, key)
-    return _coeff(t["c"], "coefficient"), _EXPONENTS.dec(t["e"], "e", R)
+    return _coeff(t["c"]), _EXPONENTS.dec(t["e"], "e", R)
 
 
 def _tuple_items(v, key: str, R):

@@ -112,7 +112,6 @@ def test_point_json_round_trip(p):
 
 
 ELEMENT_RINGS = enumerable_zoo() + symbolic_zoo() + [
-    rings.ZZ,
     rings.poly_ring(3),
     AXES_Q,
     rings.monomial_quotient(rings.QQ, 3, [(1, 1)]),
