@@ -9,6 +9,7 @@ usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -198,7 +199,9 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The spectop argument parser, built on first use and shared by every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
     common.add_argument(

@@ -64,6 +64,8 @@ def scale(f: Poly, c: int, p: int) -> Poly:
 def divmod_(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    if g[-1] % p == 0:
+        raise ValueError(f"divisor {g} has a zero leading coefficient mod {p}")
     rem = list(f)
     q = [0] * max(len(f) - len(g) + 1, 0)
     inv_lead = pow(g[-1], p - 2, p)

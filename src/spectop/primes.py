@@ -1,8 +1,9 @@
 """Integer primality and factorization.
 
-Trial division handles desk-scale inputs; a Pollard rho (Brent cycle
-finding) fallback covers larger composites.  Inputs are capped at 64 bits
-unless the caller lifts the bound.  Everything is deterministic.
+Trial division by the primes below 2^10 strips small factors; Pollard rho
+with Brent's cycle finding (R. P. Brent, BIT 20, 1980) splits the rest,
+and Miller-Rabin decides which parts are prime.  Inputs are capped at 64
+bits unless the caller lifts the bound.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -61,23 +62,44 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Steps of y between two gcds with n in the rho loop.
+_RHO_BLOCK = 128
+
+
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of an odd composite n (Brent variant)."""
-    if n % 2 == 0:
-        return 2
-    # Deterministic parameter sweep; some (x0, c) pair always succeeds.
+    """One nontrivial factor of a composite n with no prime factor below 2^10.
+
+    Brent's cycle finding: y runs through stretches of doubling length
+    away from a saved x, and the products of x - y mod n meet n in one
+    gcd per block.  A block whose gcd is n is replayed one step at a time.
+    """
+    root = math.isqrt(n)
+    if root * root == n:
+        return root
+    # Deterministic parameter sweep over the polynomials x^2 + c.
     for c in range(1, 256):
-        x = y = 2
-        d = 1
-        q = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            q = q * abs(x - y) % n
-            d = math.gcd(q if q else abs(x - y), n)
-        if d != n:
-            return d
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BLOCK, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BLOCK
+            r *= 2
+        if g == n:
+            # Some step of the last block shares a factor with n.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
     raise FactorizationLimitError(f"pollard rho failed on {n}")
 
 
@@ -104,17 +126,12 @@ def factorint(n: int, limit=USE_ACTIVE) -> tuple[tuple[int, int], ...]:
     if limit is not None and n > limit:
         raise FactorizationLimitError(f"{n} exceeds factorization bound {limit}")
     acc: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            acc[p] = acc.get(p, 0) + 1
-            n //= p
-    # Trial division up to a fixed desk-scale bound, rho for the rest.
-    d = _SMALL_PRIMES[-1] + 2
-    while d * d <= n and d < 100_000:
+    for d in _TRIAL_PRIMES:
+        if d * d > n:
+            break
         while n % d == 0:
             acc[d] = acc.get(d, 0) + 1
             n //= d
-        d += 2
     if n > 1:
         _factor_into(n, acc)
     return tuple(sorted(acc.items()))
@@ -155,3 +172,7 @@ def next_prime(n: int) -> int:
     while not is_prime(k):
         k += 2
     return k
+
+
+# Trial divisors for factorint; Pollard rho finds every larger prime factor.
+_TRIAL_PRIMES = tuple(primes_below(1 << 10))

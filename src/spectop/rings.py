@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedError,
     UnsupportedMapError,
 )
-from .primes import factorint, is_prime, next_prime, prime_factors, radical
+from .primes import factorint, is_prime, next_prime, prime_factors
 from .values import (  # the values and their functions are named from here too
     El,
     FieldZero,
@@ -525,7 +525,7 @@ class ModRing(_Residue):
         return principal_ideal(self, ModEl(a.v * b.v // math.gcd(a.v, b.v)))
 
     def nilradical(self) -> IdealRepr:
-        return PrincipalIdeal(ModEl(radical(self.n) % self.n))
+        return PrincipalIdeal(ModEl(math.prod(p for p, _ in self.factorization) % self.n))
 
     def has_point(self, p: PrimePoint) -> bool:
         return isinstance(p, ZmodPrime) and self.n % p.p == 0 and is_prime(p.p)
@@ -628,8 +628,11 @@ class PolyRingOverPrimeField(_Dedekind):
     def has_point(self, p: PrimePoint) -> bool:
         if isinstance(p, FpxGeneric):
             return True
+        # Unreduced or untrimmed coefficients name no point; irreducibility
+        # is only tested on a canonical polynomial.
         return (
             isinstance(p, FpxMax)
+            and p.coeffs == gfpoly.trim(p.coeffs, self.p)
             and gfpoly.is_irreducible(p.coeffs, self.p)
             and p.coeffs == gfpoly.monic(p.coeffs, self.p)
         )

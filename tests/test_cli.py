@@ -230,6 +230,33 @@ def test_non_prime_points_exit_2(capsys, argv):
     assert "is not a point of" in err
 
 
+F2X_CLOSURE = ["closure", "--topology", "zariski", "--ring", F2X, "--set"]
+
+
+def test_unreduced_fpx_points_exit_2(capsys):
+    # Over F_2, [3,1] would name the prime (x + 1) a second time.
+    two = '{"type":"explicit","points":[{"type":"fpxMax","coeffs":[1,1]},{"type":"fpxMax","coeffs":[3,1]}]}'
+    code, _, err = run(capsys, *F2X_CLOSURE, two)
+    assert code == 2
+    assert "is not a point of" in err
+    code, out, _ = run(capsys, *F2X_CLOSURE, '{"type":"explicit","points":[{"type":"fpxMax","coeffs":[1,1]}]}')
+    assert code == 0 and "(x + 1)" in out
+
+
+def test_untrimmed_fpx_point_exits_2_promptly():
+    # A trailing zero coefficient once sent the irreducibility test into an
+    # endless polynomial division.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectop", *F2X_CLOSURE,
+         '{"type":"explicit","points":[{"type":"fpxMax","coeffs":[1,1,0]}]}'],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert "is not a point of" in proc.stderr
+
+
 def test_python_dash_m_spectop():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -261,6 +288,29 @@ def test_allow_big_flag(capsys):
         capsys, "spec", "--ring", json.dumps({"kind": "Zmod", "n": big}), "--allow-big"
     )
     assert code == 0
+
+
+def test_shared_parser_keeps_calls_independent(capsys):
+    big = json.dumps({"kind": "Zmod", "n": 2**70 + 1})
+    code, _, _ = run(capsys, "spec", "--ring", big, "--allow-big")
+    assert code == 0
+    code, _, err = run(capsys, "spec", "--ring", big)
+    assert code == 2 and "exceeds factorization bound" in err
+
+    with pytest.raises(SystemExit) as exc:
+        run_command(["spec", "--ring"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "spec", "--ring", '{"kind":"Zmod","n":12}', "--json")
+    assert code == 0
+    assert json.loads(out)["spectrum"] == {
+        "type": "explicit", "points": [{"type": "zmodPrime", "p": 2}, {"type": "zmodPrime", "p": 3}]
+    }
+
+    argv = ["closure", "--topology", "flat", "--ring", Z, "--set", FIVE, "--json"]
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
 
 
 def test_failing_suite_case_carries_repro():

@@ -36,6 +36,12 @@ def test_divmod_invariant(p):
         assert gf.deg(r) < gf.deg(b)
 
 
+@pytest.mark.parametrize("g, p", [((1, 1, 0), 2), ((1, 4), 2), ((2, 3), 3), ((5,), 5)])
+def test_divmod_refuses_zero_leading_coefficient(g, p):
+    with pytest.raises(ValueError, match="zero leading coefficient"):
+        gf.divmod_((1, 0, 1, 1), g, p)
+
+
 def test_gcd_divides_both():
     p = 3
     rng = Random(7)

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from conftest import AXES_F2, F2, enumerable_zoo
-from spectop import construction, rings
+from spectop import construction, primes, rings
 from spectop.errors import KindMismatchError, UnsupportedError
 from spectop.primes import factorint
 from spectop.rings import (
@@ -306,3 +306,19 @@ def test_is_unit_matches_projection_oracle(rng):
                     projections_unit = False
                     break
             assert rings.is_unit(e, R) == projections_unit
+
+
+def test_zmod_nilradical_reuses_the_cached_factorization(monkeypatch):
+    p, q = 4294967291, 4294967279
+    monkeypatch.setattr(primes, "_active_limit", None)
+    R = rings.zmod(p * p * q)
+    calls = []
+
+    def counting(n, limit=primes.USE_ACTIVE):
+        calls.append(n)
+        return factorint(n, limit)
+
+    monkeypatch.setattr(primes, "factorint", counting)
+    monkeypatch.setattr(rings, "factorint", counting)
+    assert rings.nilradical(R) == PrincipalIdeal(ModEl(p * q))
+    assert calls == []
