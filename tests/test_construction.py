@@ -1,10 +1,12 @@
+import hashlib
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from conftest import F2, F3, enumerable_zoo
 from spectop import construction as con
-from spectop import covers, rings
+from spectop import covers, jsonio, rings
 from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.errors import BadArityError, SpectrumTooLargeError, TooManyVarsError
@@ -194,3 +196,59 @@ def test_duality_sanity_in_axes_ring():
 @pytest.fixture
 def rng():
     return Random(37)
+
+
+# ---------------------------------------------------------------------------
+# Absorbance against a brute force over every subfamily, with no shared
+# prefixes and no short-circuit.
+# ---------------------------------------------------------------------------
+
+
+def _brute_absorbance(points, R):
+    """Every nonempty F and every q: the meet of F lies in q exactly when
+    some member of F does (the converse is trivial, so both directions
+    are checked); the verdict is whether the forward direction held."""
+    ideals = [sp.point_ideal(p, R) for p in points]
+    holds = True
+    for size in range(1, len(points) + 1):
+        for F in combinations(range(len(points)), size):
+            meet = rings.ideal_intersect_all([ideals[i] for i in F], R)
+            for j, q in enumerate(points):
+                inside = rings.ideal_contains(ideals[j], meet, R)
+                member = any(sp.leq_specialization(points[i], q, R) for i in F)
+                assert member <= inside
+                holds = holds and inside <= member
+    return holds
+
+
+ABSORBANCE_RINGS = [
+    con.build_supplement(K, n) for K in (F2, rings.QQ) for n in range(2, 6)
+] + [rings.zmod(n) for n in (12, 30, 36)]
+
+
+@pytest.mark.parametrize("R", ABSORBANCE_RINGS, ids=str)
+def test_absorbance_matches_brute_force(R):
+    pts = sp.spec_points(R)
+    for size in range(1, len(pts) + 1):
+        for family in combinations(pts, size):
+            family = list(family)
+            assert con.absorbance_holds(family, R) == _brute_absorbance(family, R)
+            assert con.absorbance_holds(family[::-1], R) == _brute_absorbance(family, R)
+    assert con.pz_check(R)
+
+
+# Recorded before the ideal-layer pruning: n = 9 is past the benchmark's
+# and `verify all`'s n <= 8, where the meets of axis primes are largest.
+SUPPLEMENT_9_DIGESTS = {
+    "F_2": "96b40b889ff4d2fc",
+    "F_5": "2717c1e96050e7fd",
+    "Q": "4da18826b87debec",
+}
+
+
+@pytest.mark.parametrize("K", [F2, rings.prime_field(5), rings.QQ], ids=str)
+def test_supplement_report_n9_golden(K):
+    rep = con.supplement_report(K, 9)
+    doc = jsonio.dumps_canonical(jsonio.supplement_report_to_json(rep))
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == SUPPLEMENT_9_DIGESTS[str(K)]
+    assert rep.all_ok

@@ -84,6 +84,46 @@ def test_contains_matches_reference(G, H):
     assert rings.ideal_contains(I, J, AMBIENT) == want
 
 
+# Overlapping pairs over ten variables: J takes multiples of some of I's
+# generators, so each side often already lies in the other, next to the
+# unit ideal (the empty monomial) and the zero ideal (no generators).
+WIDE = 10
+WIDE_AMBIENT = rings.monomial_quotient(rings.QQ, WIDE, frozenset())
+wide_mask = st.integers(0, (1 << WIDE) - 1)
+
+
+def _wide_exp(m):
+    return tuple(m >> i & 1 for i in range(WIDE))
+
+
+def _or_special(draw, masks):
+    """masks, or one time in four the zero or the unit ideal."""
+    k = draw(st.integers(0, 7))
+    return (frozenset(), frozenset({0}))[k] if k < 2 else masks
+
+
+@st.composite
+def overlapping_pair(draw):
+    I = _or_special(draw, draw(st.frozensets(wide_mask, min_size=1, max_size=12)))
+    J = {g | draw(wide_mask) for g in sorted(I) if draw(st.booleans())}
+    J |= draw(st.frozensets(wide_mask, max_size=12 - len(J)))
+    J = _or_special(draw, J)
+    pair = ({_wide_exp(m) for m in I}, {_wide_exp(m) for m in J})
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(overlapping_pair())
+def test_overlapping_intersect_and_contains_match_reference(pair):
+    G, H = pair
+    I, J = rings.monomial_ideal(G), rings.monomial_ideal(H)
+    want = ref_minimalize({ref_lcm(ref_canon(u), ref_canon(v)) for u in G for v in H})
+    assert exps(rings.ideal_intersect(I, J, WIDE_AMBIENT)) == want
+    assert exps(rings.ideal_intersect(J, I, WIDE_AMBIENT)) == want
+    assert rings.ideal_contains(I, J, WIDE_AMBIENT) == all(ref_in(G, ref_canon(m)) for m in H)
+    assert rings.ideal_contains(J, I, WIDE_AMBIENT) == all(ref_in(H, ref_canon(m)) for m in G)
+
+
 @PROPERTY
 @given(gen_sets, element_terms)
 def test_member_matches_reference(G, terms):
