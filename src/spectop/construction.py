@@ -166,8 +166,10 @@ def _absorbance_walk(pts: list[PrimePoint], R: RingExpr) -> bool:
         if i == n:
             if mask == 0:
                 return True
+            # A member of the family below q_j settles q_j before its
+            # containment test is run.
             for j in range(n):
-                if rings.ideal_contains(ideals[j], meet, R) and not (below[j] & mask):
+                if not (below[j] & mask) and rings.ideal_contains(ideals[j], meet, R):
                     return False
             return True
         if not walk(i + 1, mask, meet):
@@ -228,9 +230,8 @@ def avoidance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
     ]
     for family in range(1, 1 << n):
         for j in range(n):
-            if all(mask & family for mask in sample_masks[j]):
-                if not (above[j] & family):
-                    return False
+            if not (above[j] & family) and all(mask & family for mask in sample_masks[j]):
+                return False
     return True
 
 

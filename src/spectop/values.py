@@ -423,9 +423,18 @@ def ideal_member(I: IdealRepr, r: El, R: RingExpr) -> bool:
 
 
 def ideal_intersect(I: IdealRepr, J: IdealRepr, R: RingExpr) -> IdealRepr:
-    """Intersection; folds associatively to finite intersections."""
+    """Intersection; folds associatively to finite intersections.
+
+    Monomial ideals meet in the lcms u | v of their generators.  A
+    generator of one side that lies in the other divides every lcm it
+    takes part in, so it is kept as it is and only the remaining pairs
+    are formed; the minimal generating set is the same.
+    """
     if isinstance(I, MonomialIdeal) and isinstance(J, MonomialIdeal):
-        return MonomialIdeal(_minimal_masks({u | v for u in I.gens for v in J.gens}))
+        I_in = {u for u in I.gens if _mask_in(J.gens, u)}
+        J_in = {v for v in J.gens if _mask_in(I.gens, v)}
+        lcms = {u | v for u in I.gens - I_in for v in J.gens - J_in}
+        return MonomialIdeal(_minimal_masks(I_in | J_in | lcms))
     if isinstance(I, PrincipalIdeal) and isinstance(J, PrincipalIdeal):
         return R.principal_intersect(I.gen, J.gen)
     raise KindMismatchError("ideal kinds do not match")
