@@ -3,7 +3,8 @@
 Rings, sets, points and maps are given as JSON, either inline (the value
 starts with "{") or as a path to a UTF-8 JSON file.  Exit codes: 0 for
 success or all checks passing, 1 for a verification failure, 2 for a
-usage or input error.
+usage or input error, 3 for an internal error (a bug in spectop; pass
+--traceback to see where it was raised).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 
 from . import construction, jsonio, maps, primes, products, rings, suites
 from . import spectrum as sp
@@ -209,6 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="lift the 64-bit factorization bound (arbitrary precision)",
     )
+    common.add_argument(
+        "--traceback", action="store_true", help="print the traceback of an internal error"
+    )
 
     parser = argparse.ArgumentParser(
         prog="spectop",
@@ -288,6 +293,12 @@ def run_command(argv: list[str] | None = None) -> int:
     except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - any other exception is a bug
+        if args.traceback:
+            traceback.print_exc()
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     finally:
         primes.set_factorization_limit(primes.DEFAULT_LIMIT)
 

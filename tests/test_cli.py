@@ -131,7 +131,9 @@ def test_verify_all_json_bytes(capsys, seed, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
-def test_suite_type_error_escapes(monkeypatch):
+def test_suite_type_error_is_an_internal_error(monkeypatch, capsys):
+    # A TypeError is not an input error: it must not become exit 2, nor
+    # exit 1, which reads as a failed verification.
     from spectop import suites
 
     def broken_pz(seed=0, cases=None, **_):
@@ -140,8 +142,29 @@ def test_suite_type_error_escapes(monkeypatch):
         return suites.suite_pz(seed=seed)
 
     monkeypatch.setitem(suites.SUITES, "pz", broken_pz)
-    with pytest.raises(TypeError):
-        run_command(["verify", "pz", "--cases", "3"])
+    code, out, err = run(capsys, "verify", "pz", "--cases", "3")
+    assert (code, out) == (3, "")
+    assert err == "internal error: TypeError: bug inside the suite\n"
+
+
+def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
+    from spectop import construction
+
+    def crash(*_, **__):
+        raise RuntimeError("engine bug\n  on two lines")
+
+    monkeypatch.setattr(construction, "supplement_report", crash)
+    argv = ["construct", "supplement", "--n", "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: engine bug on two lines\n"
+    code, out, err = run(capsys, *argv, "--traceback")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):")
+    assert 'raise RuntimeError("engine bug' in err
+    assert err.endswith("\ninternal error: RuntimeError: engine bug on two lines\n")
+    monkeypatch.undo()
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_usage_error_exit_code(capsys):
