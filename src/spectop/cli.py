@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-import traceback
 
 from . import construction, jsonio, maps, primes, products, rings, suites
 from . import spectrum as sp
@@ -295,6 +294,8 @@ def run_command(argv: list[str] | None = None) -> int:
         return 2
     except Exception as exc:  # noqa: BLE001 - any other exception is a bug
         if args.traceback:
+            import traceback  # only here: it costs every start-up a few ms
+
             traceback.print_exc()
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -166,8 +166,8 @@ def _absorbance_walk(pts: list[PrimePoint], R: RingExpr) -> bool:
         if i == n:
             if mask == 0:
                 return True
-            # A member of the family below q_j settles q_j before its
-            # containment test is run.
+            # When a member of the family lies in q_j the implication
+            # holds, so only the other q_j need the containment test.
             for j in range(n):
                 if not (below[j] & mask) and rings.ideal_contains(ideals[j], meet, R):
                     return False
