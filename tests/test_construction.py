@@ -232,13 +232,14 @@ def test_absorbance_matches_brute_force(R):
     for size in range(1, len(pts) + 1):
         for family in combinations(pts, size):
             family = list(family)
-            assert con.absorbance_holds(family, R) == _brute_absorbance(family, R)
-            assert con.absorbance_holds(family[::-1], R) == _brute_absorbance(family, R)
+            want = _brute_absorbance(family, R)
+            assert con.absorbance_holds(family, R) == want
+            assert con.absorbance_holds(family[::-1], R) == want
     assert con.pz_check(R)
 
 
-# Recorded before the ideal-layer pruning: n = 9 is past the benchmark's
-# and `verify all`'s n <= 8, where the meets of axis primes are largest.
+# Recorded with the unpruned ideal layer.  n = 9 lies past the n <= 8 of
+# the benchmark and of `verify all`, so its meets are the largest checked.
 SUPPLEMENT_9_DIGESTS = {
     "F_2": "96b40b889ff4d2fc",
     "F_5": "2717c1e96050e7fd",
