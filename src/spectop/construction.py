@@ -3,10 +3,16 @@
 build_supplement(K, n) constructs K[x_1..x_n]/(x_i x_k : i != k)
 localized at (x_1..x_n): the local ring at the origin of n coordinate
 axes.  Its minimal primes are the ideals I_k = (x_i : i != k), one per
-axis, the defining ideal is their intersection, the ring is reduced of
-Krull dimension one, and every prime containing an intersection of
-minimal primes contains one of them (infinite prime absorbance).  All
-four facts are checked here at desk scale against brute-force oracles.
+axis, the defining ideal is their intersection, and the ring is reduced
+of Krull dimension one.  These facts are checked here at desk scale
+against brute-force oracles.
+
+Prime absorbance (a prime that contains the intersection of a family of
+primes contains a member) and prime avoidance (a prime inside the union
+of a family lies inside a member) are decided for any subset of a
+spectrum by comparing its closures.  Both hold for every finite family.
+On the infinite axes ring absorbance holds for every set of axes, and
+avoidance fails for every infinite set of axes without m.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from itertools import combinations
 
 from . import covers, rings
 from . import spectrum as sp
+from . import topology as top
 from .errors import (
     BadArityError,
     SpectrumTooLargeError,
@@ -28,7 +35,7 @@ from .rings import (
     RationalField,
     RingExpr,
 )
-from .spectrum import MonoPrime, PrimePoint
+from .spectrum import MonoPrime, PrimePoint, SpecSubset
 
 SPECTRUM_BOUND = 20
 
@@ -124,132 +131,62 @@ def is_reduced(R: RingExpr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _family_intersection_contained(
-    family: list[PrimePoint], q: PrimePoint, R: RingExpr
-) -> bool:
-    """Whether the intersection of the family's ideals sits inside q's ideal."""
-    return R.meet_inside(family, q)
+def absorbance_holds(E: SpecSubset) -> bool:
+    """Prime absorbance on E: every prime that contains the intersection
+    of the members of E contains one of them.
 
-
-def _validated(points, R: RingExpr) -> list[PrimePoint]:
-    # The caller's points, checked once: the loops below compare them
-    # with R._leq and R._contains.
-    pts = list(points)
-    for p in pts:
-        sp.validate_point(p, R)
-    return pts
-
-
-def absorbance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
-    """Infinite prime absorbance over an explicit family of primes.
-
-    For every nonempty subfamily F and every prime q in the list, if the
-    intersection of F is contained in q then some member of F is.  Tame
-    primes of a product meet slot by slot, so over a product the statement
-    holds exactly when it holds in every factor.
+    The primes that contain the intersection form V(∩E), the Zariski
+    closure of E, and the primes that contain a member form the up
+    closure of E, so the statement reads "the Zariski closure of E lies
+    in the up closure of E".  A finite E holds by prime avoidance.  Over
+    Z and GF(p)[x] an infinite set of closed points meets in (0), since a
+    nonzero element has finitely many prime factors; (0) lies above no
+    closed point, so E holds exactly when it holds (0).  On the axes ring
+    the Zariski closure of an infinite set of axes adds only m, which
+    lies above every axis, so E holds.
     """
-    points = _validated(points, R)
-    return all(_absorbance_walk(pts, f) for f, pts in R.slots(points))
+    if not sp.is_infinite_subset(E):
+        return True
+    return sp.subset_le(top.zariski_closure(E), top.order_closure(E, up=True))
 
 
-def _absorbance_walk(pts: list[PrimePoint], R: RingExpr) -> bool:
-    """The subset walk shares intersection prefixes, so each node costs one
-    ideal intersection."""
-    n = len(pts)
-    ideals = [sp.point_ideal(p, R) for p in pts]
-    below = [
-        sum(1 << i for i in range(n) if R._leq(pts[i], pts[j]))
-        for j in range(n)
-    ]
+def avoidance_holds(E: SpecSubset) -> bool:
+    """Prime avoidance on E, the compact packing of Reis and Viswanathan
+    (1970): every prime inside the union of the members of E lies inside
+    one of them.
 
-    def walk(i: int, mask: int, meet) -> bool:
-        if i == n:
-            if mask == 0:
-                return True
-            # When a member of the family lies in q_j the implication
-            # holds, so only the other q_j need the containment test.
-            for j in range(n):
-                if not (below[j] & mask) and rings.ideal_contains(ideals[j], meet, R):
-                    return False
-            return True
-        if not walk(i + 1, mask, meet):
-            return False
-        nxt = ideals[i] if meet is None else rings.ideal_intersect(meet, ideals[i], R)
-        return walk(i + 1, mask | (1 << i), nxt)
-
-    return walk(0, 0, None)
-
-
-def _degree_le2_members(q: PrimePoint, R: RingExpr):
-    """Monomials of total degree <= 2 lying in q, for the union test."""
-    variables = R.monomial_variables()
-    out = []
-    exps = [(0,) * (i - 1) + (1,) for i in variables]
-    exps += [(0,) * (i - 1) + (2,) for i in variables]
-    for i, k in combinations(variables, 2):
-        e = [0] * k
-        e[i - 1] = 1
-        e[k - 1] = 1
-        exps.append(tuple(e))
-    for e in exps:
-        el = rings.mpoly_el(R, {e: 1})
-        if rings.is_zero(R, el):
-            continue
-        if R._contains(q, el):
-            out.append(el)
-    return out
-
-
-def avoidance_holds(points: list[PrimePoint], R: RingExpr) -> bool:
-    """Prime-family avoidance over an explicit family, on a decidable fragment.
-
-    "q is inside the union of the family" is tested on the generators of
-    q plus, on monomial rings, every monomial of degree <= 2 inside q.
-    This overapproximates union membership (sums of generators are not
-    sampled), so avoidance verdicts are conservative; the fragment is
-    exact on chains and on Z/n.  Membership of every sample element in
-    every listed prime is computed once; the subset sweep is then pure
-    bitmask work.
+    A finite E holds by prime avoidance.  An infinite E holds exactly
+    when its flat closure lies in its down closure.  Over Z and GF(p)[x]
+    a nonzero prime (π) inside the union has π in a member, which is then
+    (π) itself, and (0) lies in every member, so E holds; the flat
+    closure adds only (0), which lies below every closed point.  On the
+    axes ring each element of m involves finitely many x_i, so it lies in
+    P_k for every k outside them: m, and with it every prime, lies inside
+    the union of an infinite set of axes P_k, while m lies inside no P_k.
+    So E holds exactly when it holds m, and the flat closure of E is the
+    whole spectrum.
     """
-    pts = _validated(points, R)
-    n = len(pts)
-    sample_masks: list[list[int]] = []
-    for q in pts:
-        samples = R.point_ideal_generators(q) + _degree_le2_members(q, R)
-        masks = []
-        for el in samples:
-            if rings.is_zero(R, el):
-                continue
-            masks.append(
-                sum(1 << i for i in range(n) if R._contains(pts[i], el))
-            )
-        sample_masks.append(masks)
-    above = [
-        sum(1 << i for i in range(n) if R._leq(pts[j], pts[i]))
-        for j in range(n)
-    ]
-    for family in range(1, 1 << n):
-        for j in range(n):
-            if not (above[j] & family) and all(mask & family for mask in sample_masks[j]):
-                return False
-    return True
+    if not sp.is_infinite_subset(E):
+        return True
+    return sp.subset_le(top.flat_closure(E), top.order_closure(E, up=False))
 
 
-def _bounded_spec(R: RingExpr) -> list[PrimePoint]:
+def _bounded_spec(R: RingExpr) -> SpecSubset:
+    """The whole spectrum of R, refused above SPECTRUM_BOUND points."""
     pts = sp.spec_points(R)
     if len(pts) > SPECTRUM_BOUND:
         raise SpectrumTooLargeError(f"|Spec| = {len(pts)} exceeds {SPECTRUM_BOUND}")
-    return pts
+    return sp.whole(R)
 
 
 def pz_check(R: RingExpr) -> bool:
-    """Infinite prime absorbance over the whole (enumerated) spectrum."""
-    return absorbance_holds(_bounded_spec(R), R)
+    """Prime absorbance over the whole (enumerated) spectrum."""
+    return absorbance_holds(_bounded_spec(R))
 
 
 def cp_check(R: RingExpr) -> bool:
-    """Prime avoidance over the whole (enumerated) spectrum, conservative."""
-    return avoidance_holds(_bounded_spec(R), R)
+    """Prime avoidance over the whole (enumerated) spectrum."""
+    return avoidance_holds(_bounded_spec(R))
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +226,17 @@ class SupplementReport:
 def supplement_report(
     field: PrimeField | RationalField, n: int, check: bool = True
 ) -> SupplementReport:
+    # n <= 12 in verify_intersection is the tightest bound of the report
+    # (the cover oracle allows 20 variables, SPECTRUM_BOUND 20 points), so
+    # it is checked before the ring is built.
+    intersection_ok = verify_intersection(n, field)
     ring = build_supplement(field, n)
     mins = minimal_primes_monomial(MonomialIdeal(ring.inner.gens), n, check=check)
     return SupplementReport(
         n=n,
         field=str(field),
         degenerate=supplement_is_degenerate(n),
-        intersection_ok=verify_intersection(n, field),
+        intersection_ok=intersection_ok,
         minimal_primes=tuple(mins),
         dim=krull_dim(ring),
         reduced=is_reduced(ring),

@@ -93,29 +93,18 @@ def local_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
 
 
 def _product_image(R: RingExpr, E: SpecSubset, up: bool) -> SpecSubset:
-    """The quotient (up) or localization image: the union of the members'
-    up (down) sets, plus the limit point of an infinite set.
+    """The quotient (up) or localization image: the up (down) closure of
+    E together with its patch closure.
 
-    When an infinite E holds a limit point on the other side of the
-    family, the limit's factor (R/(0) over Z and GF(p)[x], R_m on the axes
-    ring) is R itself and the image is everything.  Otherwise the union
-    adds at most the limit, and the image holds the limit in any case:
-    over Z and GF(p)[x] the canonical map is injective, so (0) lies under
-    a prime of the product; on the axes ring the primes above the
-    direct-sum ideal contract onto m.
+    The tame primes of the factor R/p (R_p) contract onto the primes
+    above (below) p.  An infinite E also gives its limit point, the one
+    point its patch closure adds: over Z and GF(p)[x] the canonical map is
+    injective, so (0) lies under a prime of the product; on the axes ring
+    the primes above the direct-sum ideal contract onto m.
     """
     if R != E.ring:
         raise KindMismatchError("subset does not live over the given ring")
-    if isinstance(E, (EmptySet, Whole)):
-        return E
-    if isinstance(E, Explicit):
-        # The union of the up (down) sets: the Zariski (flat) closure of E.
-        return top.zariski_closure(E, R) if up else top.flat_closure(E, R)
-    if isinstance(E, Cofinite):
-        if E.with_limit and E.limit_above != up:
-            return Whole(R)
-        return sp._cofinite(R, E.excluded, True)
-    raise UnsupportedSymbolicError(f"no image rule for {sp.subset_str(E)}")
+    return sp.subset_union(top.order_closure(E, up), top._patch(E))
 
 
 def brute_force_image(R: RingExpr, E: SpecSubset, kind: str) -> SpecSubset:

@@ -167,10 +167,6 @@ class RingExpr:
             "nilradical is unsupported here; products go through the product-law check"
         )
 
-    def monomial_variables(self) -> range:
-        """Indices of the variables of a monomial quotient; none elsewhere."""
-        return range(0)
-
     # -- points ------------------------------------------------------------
 
     def validate_point(self, p: PrimePoint) -> None:
@@ -192,17 +188,9 @@ class RingExpr:
     def point_ideal(self, p: PrimePoint) -> IdealRepr:
         raise UnsupportedError(f"no ideal representation for points of {self}")
 
-    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
-        raise UnsupportedError(f"no ideal generators for points of {self}")
-
     def point_is_zero(self, p: PrimePoint) -> bool:
         """Whether the prime of p is the zero ideal."""
         return ideal_is_zero(self.point_ideal(p), self)
-
-    def meet_inside(self, family: list[PrimePoint], q: PrimePoint) -> bool:
-        """Whether the intersection of the family's primes lies inside q's."""
-        meet = ideal_intersect_all([self.point_ideal(p) for p in family], self)
-        return ideal_contains(self.point_ideal(q), meet, self)
 
     def slots(self, points) -> list[tuple[RingExpr, list[PrimePoint]]]:
         """Each factor with the points (of this ring) in its slot; a
@@ -326,9 +314,6 @@ class _Field(_Domain):
     def point_ideal(self, p: PrimePoint) -> IdealRepr:
         return PrincipalIdeal(self.from_int(0))
 
-    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
-        return [self.from_int(0)]
-
     def is_enumerable(self) -> bool:
         return True
 
@@ -429,9 +414,6 @@ class IntegerRing(_Dedekind):
 
     def point_ideal(self, p: PrimePoint) -> IdealRepr:
         return principal_ideal(self, IntEl(0 if p == self.generic else p.p))
-
-    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
-        return [IntEl(0 if p == self.generic else p.p)]
 
     def closed_points(self):
         """The closed points in canonical order."""
@@ -539,9 +521,6 @@ class ModRing(_Residue):
     def point_ideal(self, p: PrimePoint) -> IdealRepr:
         return principal_ideal(self, ModEl(p.p))
 
-    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
-        return [ModEl(p.p % self.n)]
-
     def is_enumerable(self) -> bool:
         return True
 
@@ -646,9 +625,6 @@ class PolyRingOverPrimeField(_Dedekind):
         if p == self.generic:
             return PrincipalIdeal(PolyEl(()))
         return principal_ideal(self, PolyEl(p.coeffs))
-
-    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
-        return [PolyEl(() if p == self.generic else p.coeffs)]
 
     def closed_points(self):
         """The closed points in canonical order."""
@@ -788,9 +764,6 @@ class _Quotient(_Monomial):
     def point_ideal(self, p: PrimePoint) -> IdealRepr:
         # The variables of the cover, as masks (bit i-1 is x_i): already minimal.
         return MonomialIdeal(frozenset(1 << (i - 1) for i in p.cover))
-
-    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
-        return [var_el(self, i) for i in sorted(p.cover)]
 
     def residue_field(self, p: PrimePoint) -> ResidueField:
         free = sorted(set(self.monomial_variables()) - set(p.cover))
@@ -1029,25 +1002,10 @@ class Product(RingExpr):
     def _contains(self, p: PrimePoint, r: El) -> bool:
         return self.factors[p.slot]._contains(p.inner, r.items[p.slot])
 
-    def point_ideal_generators(self, p: PrimePoint) -> list[El]:
-        def lift(k: int, g: El) -> El:
-            return TupleEl(tuple(g if i == k else f.from_int(0) for i, f in enumerate(self.factors)))
-
-        # The unit idempotent of every other slot, then p's own generators.
-        gens = [lift(j, f.from_int(1)) for j, f in enumerate(self.factors) if j != p.slot]
-        inner = self.factors[p.slot].point_ideal_generators(p.inner)
-        return gens + [lift(p.slot, g) for g in inner]
-
     def point_is_zero(self, p: PrimePoint) -> bool:
         # With two or more factors the prime holds the unit idempotent of
         # another slot, which is nonzero.
         return len(self.factors) == 1 and self.factors[0].point_is_zero(p.inner)
-
-    def meet_inside(self, family: list[PrimePoint], q: PrimePoint) -> bool:
-        inner = [p.inner for p in family if p.slot == q.slot]
-        # With no member in q's slot the intersection is the whole factor
-        # there, and no proper ideal of the factor contains it.
-        return bool(inner) and self.factors[q.slot].meet_inside(inner, q.inner)
 
     def slots(self, points) -> list[tuple[RingExpr, list[PrimePoint]]]:
         points = list(points)

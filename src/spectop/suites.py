@@ -318,7 +318,9 @@ def suite_lying_over(seed: int = 0, cases: int = 50, **_: object) -> SuiteResult
 
 
 def suite_pz(seed: int = 0, max_n: int = 5, **_: object) -> SuiteResult:
-    """Prime absorbance on the zoo; avoidance on Z/n and on chains."""
+    """Prime absorbance and avoidance over finite families: the axes rings,
+    Z/n and chains of monomial primes, where prime avoidance makes both
+    hold."""
     res = SuiteResult("pz", seed, {"max_n": max_n})
     for n in range(1, max_n + 1):
         R = construction.build_supplement(F2, n)
@@ -335,14 +337,14 @@ def suite_pz(seed: int = 0, max_n: int = 5, **_: object) -> SuiteResult:
             f"chain-{length}-pz",
             f"chain of length {length}",
             True,
-            construction.absorbance_holds(chain, ambient),
+            construction.absorbance_holds(sp.explicit(ambient, chain)),
         )
         _case(
             res,
             f"chain-{length}-cp",
             f"chain of length {length}",
             True,
-            construction.avoidance_holds(chain, ambient),
+            construction.avoidance_holds(sp.explicit(ambient, chain)),
         )
     return res
 

@@ -1,10 +1,12 @@
 """Zariski, flat and patch closure operators, stability and density.
 
-On an enumerable spectrum the Zariski closure of a set is its up closure
-in the specialization order, the flat closure its down closure, and the
-patch topology is discrete.  On the three symbolic families the closures
-are given by representation rules, each backed by an exact statement
-about that ring family (finite vanishing loci over Z and GF(p)[x], finite
+Three rules per subset form carry every closure: the up closure (the
+primes above some member), the down closure (the primes below some
+member) and the patch closure.  In a spectral space the Zariski (flat)
+closure of a set is the up (down) closure of its patch closure (Hochster
+1969).  On an enumerable spectrum the patch topology is discrete; on the
+three symbolic families the rules rest on an exact statement about the
+ring family (finite vanishing loci over Z and GF(p)[x], finite
 non-vanishing loci on the infinite axes ring).  The engine refuses rather
 than guess when a representation has no rule.
 """
@@ -47,44 +49,25 @@ def _resolve_ring(E: SpecSubset, R: RingExpr | None) -> RingExpr:
     return E.ring
 
 
-def _points_or_whole(R: RingExpr, points) -> SpecSubset:
-    # The ring's up and down sets hold points of R only.
-    return Whole(R) if points is None else sp._explicit(R, points)
-
-
 def up_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
     """V(p): all specializations of p."""
-    sp.validate_point(p, R)
-    return _points_or_whole(R, R.up_points(p))
+    return order_closure(sp.explicit(R, {p}), up=True)
 
 
 def down_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
     """The generalizations of p; the flat closure of the singleton."""
-    sp.validate_point(p, R)
-    return _points_or_whole(R, R.down_points(p))
+    return order_closure(sp.explicit(R, {p}), up=False)
 
 
-def zariski_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
-    """Smallest specialization-stable patch-closed superset of E."""
-    return _order_closure(E, _resolve_ring(E, R), up=True)
+def order_closure(E: SpecSubset, up: bool) -> SpecSubset:
+    """The up closure of E (the primes above some member, up=True) or its
+    down closure (the primes below some member).
 
-
-def flat_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
-    """Smallest generalization-stable patch-closed superset of E."""
-    return _order_closure(E, _resolve_ring(E, R), up=False)
-
-
-def _order_closure(E: SpecSubset, R: RingExpr, up: bool) -> SpecSubset:
-    """The Zariski (up) or flat closure.
-
-    A finite set gives the union of its points' up (down) sets.  An
-    infinite set gives its patch closure when the limit point lies on the
-    closure's side of the order, else the whole spectrum.  On the limit's
-    side, every prime over the meet of the kept family points is one of
-    them or the limit.  On the other side, an infinite part of the family
-    meets every nonempty open: each V(a), a nonzero, is finite over Z and
-    GF(p)[x], and each D(a), a a nonunit, is finite on the axes ring.
+    A family point's up (down) set is the point and the limit when the
+    limit lies on that side of the order; the limit's up (down) set is
+    everything when it does not.
     """
+    R = E.ring
     if isinstance(E, (EmptySet, Whole)):
         return E
     if isinstance(E, Explicit):
@@ -97,21 +80,43 @@ def _order_closure(E: SpecSubset, R: RingExpr, up: bool) -> SpecSubset:
             out |= pts
         return sp._explicit(R, out)
     if isinstance(E, Cofinite):
-        return sp._cofinite(R, E.excluded, True) if E.limit_above == up else Whole(R)
-    raise UnsupportedSymbolicError(
-        f"no {ZARISKI if up else FLAT} rule for {sp.subset_str(E)}"
-    )
+        if E.limit_above == up:
+            return sp._cofinite(R, E.excluded, True)
+        return Whole(R) if E.with_limit else E
+    raise UnsupportedSymbolicError(f"no order rule for {sp.subset_str(E)}")
+
+
+def _patch(E: SpecSubset) -> SpecSubset:
+    if isinstance(E, (EmptySet, Whole, Explicit)):
+        return E
+    if isinstance(E, Cofinite):
+        # Every family point is patch-isolated, and every patch neighbourhood
+        # of the limit holds all but finitely many family points: each V(a),
+        # a nonzero, is finite over Z and GF(p)[x], and each D(a), a a
+        # nonunit, is finite on the axes ring.  So the limit is the only
+        # point added.
+        return sp._cofinite(E.ring, E.excluded, True)
+    raise UnsupportedSymbolicError(f"no patch rule for {sp.subset_str(E)}")
 
 
 def patch_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
     """Patch (constructible) closure; finite spectra are patch discrete."""
-    R = _resolve_ring(E, R)
-    if isinstance(E, (EmptySet, Whole, Explicit)):
-        return E
-    if isinstance(E, Cofinite):
-        # The family's one limit point is the only point added.
-        return sp._cofinite(R, E.excluded, True)
-    raise UnsupportedSymbolicError(f"no patch rule for {sp.subset_str(E)}")
+    _resolve_ring(E, R)
+    return _patch(E)
+
+
+def zariski_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
+    """Smallest specialization-stable patch-closed superset of E: the up
+    closure of its patch closure (Hochster 1969)."""
+    _resolve_ring(E, R)
+    return order_closure(_patch(E), up=True)
+
+
+def flat_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
+    """Smallest generalization-stable patch-closed superset of E: the down
+    closure of its patch closure."""
+    _resolve_ring(E, R)
+    return order_closure(_patch(E), up=False)
 
 
 def closure(E: SpecSubset, topology: str, R: RingExpr | None = None) -> SpecSubset:

@@ -122,11 +122,20 @@ def test_verify_json_deterministic(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("seed,digest", [(0, "b3071f872a0016d1"), (7, "f3cad6a4b2187fb9")])
-def test_verify_all_json_bytes(capsys, seed, digest):
+@pytest.mark.parametrize(
+    "flags,digest",
+    [
+        pytest.param(["--seed", "0"], "b3071f872a0016d1", id="0-b3071f872a0016d1"),
+        pytest.param(["--seed", "7"], "f3cad6a4b2187fb9", id="7-f3cad6a4b2187fb9"),
+        pytest.param(
+            ["--cases", "5", "--max-n", "4"], "6ae3375edb22a4ed", id="cases5-maxn4-6ae3375edb22a4ed"
+        ),
+    ],
+)
+def test_verify_all_json_bytes(capsys, flags, digest):
     # The report bytes recorded before the ring rules moved into the ring
     # classes; any change of answer changes them.
-    code, out, _ = run(capsys, "verify", "all", "--json", "--seed", str(seed))
+    code, out, _ = run(capsys, "verify", "all", "--json", *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
@@ -278,6 +287,18 @@ def test_untrimmed_fpx_point_exits_2_promptly():
     )
     assert proc.returncode == 2
     assert "is not a point of" in proc.stderr
+
+
+def test_supplement_bound_exits_2_before_building():
+    # n <= 12 is checked before the ring is built: building the n = 100
+    # axes ring alone took seconds.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectop", "construct", "supplement", "--n", "100"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2
 
 
 def test_python_dash_m_spectop():

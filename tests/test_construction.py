@@ -4,13 +4,13 @@ from random import Random
 
 import pytest
 
-from conftest import F2, F3, enumerable_zoo
+from conftest import AXES_F2, AXES_Q, F2, F2X, F3, enumerable_zoo
 from spectop import construction as con
 from spectop import covers, jsonio, rings
 from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.errors import BadArityError, SpectrumTooLargeError, TooManyVarsError
-from spectop.spectrum import MonoPrime
+from spectop.spectrum import FpxMax, MonoPrime, SuppMin, ZMax
 
 
 def test_build_supplement_generators():
@@ -133,7 +133,6 @@ def test_pz_witness_consistency():
     R = con.build_supplement(F2, 3)
     p1 = MonoPrime(frozenset({2, 3}))
     p2 = MonoPrime(frozenset({1, 3}))
-    assert con._family_intersection_contained([p1, p2], p1, R)
     assert sp.leq_specialization(p1, p1, R)
 
 
@@ -151,8 +150,8 @@ def test_chains_pass_both_checks():
     ambient = rings.monomial_quotient(F2, 5, frozenset())
     for length in range(1, 6):
         chain = [MonoPrime(frozenset(range(1, j + 1))) for j in range(1, length + 1)]
-        assert con.absorbance_holds(chain, ambient)
-        assert con.avoidance_holds(chain, ambient)
+        assert con.absorbance_holds(sp.explicit(ambient, chain))
+        assert con.avoidance_holds(sp.explicit(ambient, chain))
 
 
 def test_is_reduced_examples():
@@ -233,9 +232,62 @@ def test_absorbance_matches_brute_force(R):
         for family in combinations(pts, size):
             family = list(family)
             want = _brute_absorbance(family, R)
-            assert con.absorbance_holds(family, R) == want
-            assert con.absorbance_holds(family[::-1], R) == want
+            assert con.absorbance_holds(sp.explicit(R, family)) == want
+            assert con.absorbance_holds(sp.explicit(R, family[::-1])) == want
     assert con.pz_check(R)
+
+
+# ---------------------------------------------------------------------------
+# The infinite families where a statement fails, with the witness checked
+# from the definition and without closures: the sets of the cofinite grid
+# that leave out the limit point.
+# ---------------------------------------------------------------------------
+
+
+def _without_limit(R, pts):
+    return [sp.cofinite(R, pts[:n], False) for n in range(3)]
+
+
+@pytest.mark.parametrize(
+    "R, pts",
+    [(rings.ZZ, (ZMax(2), ZMax(3))), (F2X, (FpxMax((0, 1)), FpxMax((1, 1))))],
+    ids=["Z", "F2x"],
+)
+def test_absorbance_fails_with_witness_zero(R, pts, rng):
+    zero_ideal = R.generic
+    for E in _without_limit(R, pts):
+        assert not con.absorbance_holds(E)
+        # (0) contains the intersection of E: no nonzero element lies in
+        # every member ...
+        for a in rings.sample_elements(R, rng, 40):
+            if a != rings.zero(R):
+                assert not sp.subset_le(E, sp.v_locus(a, R))
+        # ... and no member of E lies below (0).
+        assert not sp.subset_member(zero_ideal, E)
+        for p in sp.sample_points(R, rng, 40):
+            if sp.subset_member(p, E):
+                assert not sp.leq_specialization(p, zero_ideal, R)
+
+
+@pytest.mark.parametrize("R", [AXES_F2, AXES_Q], ids=str)
+def test_avoidance_fails_with_witness_m(R, rng):
+    m = R.top
+    for E in _without_limit(R, (SuppMin(1), SuppMin(2))):
+        assert not con.avoidance_holds(E)
+        # m lies inside the union of E: each element of m lies in some P_k
+        # with k in E ...
+        in_m = [a for a in rings.sample_elements(R, rng, 40) if sp.point_contains(m, a, R)]
+        assert in_m
+        for a in in_m:
+            assert any(
+                sp.subset_member(P, E) and sp.point_contains(P, a, R)
+                for P in map(SuppMin, range(1, 100))
+            )
+        # ... and no member of E lies above m.
+        assert not sp.subset_member(m, E)
+        for p in sp.sample_points(R, rng, 40):
+            if sp.subset_member(p, E):
+                assert not sp.leq_specialization(m, p, R)
 
 
 # Recorded with the unpruned ideal layer.  n = 9 lies past the n <= 8 of

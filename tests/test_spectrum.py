@@ -352,8 +352,8 @@ ENTRIES = {
     ),
     "is_injective": (lambda R, p, good: maps.is_injective(maps.QuotientMap(R, p)), None),
     "residue_field": (lambda R, p, good: maps.residue_field(R, p), None),
-    "absorbance_holds": (lambda R, p, good: construction.absorbance_holds([good, p], R), None),
-    "avoidance_holds": (lambda R, p, good: construction.avoidance_holds([good, p], R), None),
+    "absorbance_holds": (lambda R, p, good: construction.absorbance_holds(sp.explicit(R, [good, p])), None),
+    "avoidance_holds": (lambda R, p, good: construction.avoidance_holds(sp.explicit(R, [good, p])), None),
     "tame_points": (lambda R, p, good: maps.tame_points(maps.QuotientMap(R, p)), None),
     "tame_contract": (
         lambda R, p, good: products.tame_contract(
