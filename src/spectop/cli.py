@@ -4,7 +4,9 @@ Rings, sets, points and maps are given as JSON, either inline (the value
 starts with "{") or as a path to a UTF-8 JSON file.  Exit codes: 0 for
 success or all checks passing, 1 for a verification failure, 2 for a
 usage or input error, 3 for an internal error (a bug in spectop; pass
---traceback to see where it was raised).
+--traceback to see where it was raised).  Only a SpectopError is an input
+error.  Output whose reader has gone (say `spectop ... | head`) also exits
+2, with one line that says standard output was closed.
 """
 
 from __future__ import annotations
@@ -21,30 +23,31 @@ from .errors import SpectopError
 
 
 def _load_json(value: str) -> dict:
-    text = value if value.lstrip().startswith("{") else open(value, encoding="utf-8").read()
     try:
-        return json.loads(text)
+        if value.lstrip().startswith("{"):
+            return json.loads(value)
+        with open(value, encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise SpectopError(f"bad JSON input: {exc}") from exc
     except RecursionError as exc:
-        raise ValueError("JSON nested too deeply") from exc
+        raise SpectopError("JSON nested too deeply") from exc
 
 
 def _field_from_name(name: str):
     if name.upper() == "Q":
         return rings.QQ
-    if name.upper().startswith("F"):
+    if name.upper().startswith("F") and name[1:].isdecimal():
         return rings.prime_field(int(name[1:]))
     raise SpectopError(f"unknown field {name!r}; use Q or F<p>")
 
 
 def _print(doc: dict, as_json: bool, human: str) -> None:
-    if as_json:
-        print(jsonio.dumps_canonical(doc))
-    else:
-        print(human)
+    print(jsonio.dumps_canonical(doc) if as_json else human)
 
 
 def _cmd_spec(args) -> int:
-    R = jsonio.ring_from_json(_load_json(args.ring))
+    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
     E = sp.whole(R)
     _print(
         {"ring": jsonio.ring_to_json(R), "spectrum": jsonio.subset_to_json(E)},
@@ -55,7 +58,7 @@ def _cmd_spec(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    R = jsonio.ring_from_json(_load_json(args.ring))
+    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
     E = jsonio.subset_from_json(_load_json(args.set), R)
     cl = top.closure(E, args.topology, R)
     _print(
@@ -67,7 +70,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_dense(args) -> int:
-    R = jsonio.ring_from_json(_load_json(args.ring))
+    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
     E = jsonio.subset_from_json(_load_json(args.set), R)
     dense = top.is_dense(E, R, args.topology)
     _print(
@@ -79,7 +82,7 @@ def _cmd_dense(args) -> int:
 
 
 def _cmd_stable(args) -> int:
-    R = jsonio.ring_from_json(_load_json(args.ring))
+    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
     E = jsonio.subset_from_json(_load_json(args.set), R)
     stable = top.is_stable(E, R, args.mode)
     _print(
@@ -91,7 +94,7 @@ def _cmd_stable(args) -> int:
 
 
 def _cmd_criterion(args) -> int:
-    R = jsonio.ring_from_json(_load_json(args.ring))
+    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
     cert = top.density_criterion(R, args.mode)
     witness = (
         ""
@@ -108,7 +111,7 @@ def _cmd_criterion(args) -> int:
 
 
 def _cmd_image(args) -> int:
-    R = jsonio.ring_from_json(_load_json(args.ring))
+    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
     E = jsonio.subset_from_json(_load_json(args.set), R)
     topology = top.ZARISKI if args.kind == products.QUOTIENT else top.FLAT
     rep = products.strictness_demo(R, E, topology)
@@ -138,8 +141,11 @@ def _cmd_construct(args) -> int:
     rep = construction.supplement_report(field, args.n, check=not args.no_oracle)
     doc = jsonio.supplement_report_to_json(rep)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dumps_canonical(doc))
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(jsonio.dumps_canonical(doc))
+        except OSError as exc:
+            raise SpectopError(f"cannot write the report: {exc}") from exc
     mins = ", ".join(sp.point_str(p) for p in rep.minimal_primes)
     human = "\n".join(
         [
@@ -156,7 +162,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_lyover(args) -> int:
-    m = jsonio.map_from_json(_load_json(args.map))
+    m = jsonio.map_from_json(_load_json(args.map), args.limit)
     p = jsonio.point_from_json(_load_json(args.prime))
     q = maps.laying_over(m, p)
     back = maps.contract(m, q)
@@ -205,10 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The spectop argument parser, built on first use and shared by every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
-    common.add_argument(
-        "--allow-big",
-        action="store_true",
-        help="lift the 64-bit factorization bound (arbitrary precision)",
+    common.add_argument(  # args.limit is the bound handed to the decoders
+        "--allow-big", action="store_const", const=None, default=primes.DEFAULT_LIMIT,
+        dest="limit", help="lift the 64-bit factorization bound (arbitrary precision)",
     )
     common.add_argument(
         "--traceback", action="store_true", help="print the traceback of an internal error"
@@ -282,15 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "allow_big", False):
-        primes.set_factorization_limit(None)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed output is seen here
+        return code
     except SpectopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        print("error: standard output was closed", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - any other exception is a bug
         if args.traceback:
@@ -300,8 +305,6 @@ def run_command(argv: list[str] | None = None) -> int:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
-    finally:
-        primes.set_factorization_limit(primes.DEFAULT_LIMIT)
 
 
 def main() -> None:

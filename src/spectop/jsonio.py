@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 from . import maps, products, rings, topology
 from . import spectrum as sp
 from .errors import KindMismatchError
+from .primes import DEFAULT_LIMIT
 from .values import _int
 
 
@@ -73,8 +74,9 @@ def _coeff(c):
 
 class _Codec(NamedTuple):
     """One field's wire form.  enc(value, R) gives its JSON and
-    dec(JSON, key, R) the value, refusing malformed input; R is the ring in
-    scope (see _Table.decode), and key names the field in refusals."""
+    dec(JSON, key, R, limit) the value, refusing malformed input; R is the
+    ring in scope (see _Table.decode), key names the field in refusals, and
+    limit is the factorization bound of every Z/n the value holds."""
 
     enc: Callable
     dec: Callable
@@ -96,10 +98,11 @@ class _Row(NamedTuple):
     fields: tuple[_Field, ...]
     build: Callable
     when: Callable | None  # for a class with two wire forms, which one a value takes
+    bounded: bool  # whether build takes the factorization bound last
 
 
-def _row(cls, tag, *fields, build=None, when=None) -> _Row:
-    return _Row(cls, tag, tuple(_Field(*f) for f in fields), build or cls, when)
+def _row(cls, tag, *fields, build=None, when=None, bounded=False) -> _Row:
+    return _Row(cls, tag, tuple(_Field(*f) for f in fields), build or cls, when, bounded)
 
 
 class _Table:
@@ -123,21 +126,23 @@ class _Table:
             doc[f.key] = f.codec.enc(getattr(x, f.attr or f.key), R)
         return doc
 
-    def decode(self, obj, R=None):
+    def decode(self, obj, R=None, limit=DEFAULT_LIMIT):
         """The value obj denotes.  Element and subset builders take R, the
         ring the value lives over, first; fields after a ring field are
-        read over that ring."""
+        read over that ring.  limit bounds the n of every Z/n built."""
         tag = _obj(obj, self.what).get(self.key)
         row = self.by_tag.get(tag) if isinstance(tag, str) else None
         if row is None:
             raise KindMismatchError(f"unknown {self.what} {self.key} {tag!r}")
         args = [] if R is None else [R]
         for f in row.fields:
-            raw = obj[f.key] if f.default is _REQUIRED else obj.get(f.key, f.default)
-            args.append(f.codec.dec(raw, f.key, R))
+            raw = obj.get(f.key, f.default)
+            if raw is _REQUIRED:
+                raise KindMismatchError(f"{self.what} {tag!r} needs the key {f.key!r}")
+            args.append(f.codec.dec(raw, f.key, R, limit))
             if f.codec is _RING:
                 R = args[-1]
-        return row.build(*args)
+        return row.build(*args, limit) if row.bounded else row.build(*args)
 
 
 def _as_is(v, R):
@@ -149,11 +154,11 @@ def _seq(item: _Codec, what: str, into=tuple, order=list) -> _Codec:
     `into`, encoded in the order `order` gives."""
     return _Codec(
         lambda v, R: [item.enc(x, R) for x in order(v)],
-        lambda v, key, R: into(item.dec(x, what, R) for x in _list(v, key)),
+        lambda v, key, R, limit: into(item.dec(x, what, R, limit) for x in _list(v, key)),
     )
 
 
-def _point_of(v, key: str, R):
+def _point_of(v, key: str, R, limit):
     p = point_from_json(v)
     sp.validate_point(p, R)
     return p
@@ -165,12 +170,12 @@ def _padded_exponents(gens, R) -> list:
     )
 
 
-def _term(v, key: str, R):
+def _term(v, key: str, R, limit):
     t = _obj(v, key)
-    return _coeff(t["c"]), _EXPONENTS.dec(t["e"], "e", R)
+    return _coeff(t["c"]), _EXPONENTS.dec(t["e"], "e", R, limit)
 
 
-def _tuple_items(v, key: str, R):
+def _tuple_items(v, key: str, R, limit):
     if not isinstance(R, rings.Product) or len(_list(v, key)) != len(R.factors):
         raise KindMismatchError("tuple element needs a matching product ring")
     return tuple(element_from_json(x, f) for x, f in zip(v, R.factors))
@@ -188,18 +193,18 @@ def _normalized(cls):
     return lambda R, *fields: rings.normalize(cls(*fields), R)
 
 
-_INT = _Codec(_as_is, lambda v, key, R: _int(v, key))
+_INT = _Codec(_as_is, lambda v, key, R, limit: _int(v, key))
 _DECIMAL = _Codec(lambda v, R: str(v), _INT.dec)
 _EXPONENTS = _seq(_INT, "exponent")
-_RAT = _Codec(lambda v, R: str(v), lambda v, key, R: _fraction(v))
-_FLAG = _Codec(_as_is, lambda v, key, R: _bool(v, key))
-_RING = _Codec(lambda v, R: ring_to_json(v), lambda v, key, R: ring_from_json(v))
-_POINT = _Codec(lambda v, R: point_to_json(v), lambda v, key, R: point_from_json(v))
+_RAT = _Codec(lambda v, R: str(v), lambda v, key, R, limit: _fraction(v))
+_FLAG = _Codec(_as_is, lambda v, key, R, limit: _bool(v, key))
+_RING = _Codec(lambda v, R: ring_to_json(v), lambda v, key, R, limit: ring_from_json(v, limit))
+_POINT = _Codec(lambda v, R: point_to_json(v), lambda v, key, R, limit: point_from_json(v))
 _POINTS = _seq(_POINT, "point", frozenset, sp.sorted_points)
 # A factor index, or the base point of the set of a canonical map.
 _SLOT = _Codec(
     lambda v, R: v if isinstance(v, int) else point_to_json(v),
-    lambda v, key, R: _int(v, key) if isinstance(v, int) else point_from_json(v),
+    lambda v, key, R, limit: _int(v, key) if isinstance(v, int) else point_from_json(v),
 )
 _TERM = _Codec(lambda t, R: {"c": str(t[0]), "e": list(t[1])}, _term)
 # An excluded minimal prime of the axes ring, by its axis.
@@ -209,7 +214,7 @@ _RING_ROWS = _Table(
     "kind", "ring",
     _row(rings.IntegerRing, "Z", build=lambda: rings.ZZ),
     _row(rings.RationalField, "Q", build=lambda: rings.QQ),
-    _row(rings.ModRing, "Zmod", ("n", _INT), build=rings.zmod),
+    _row(rings.ModRing, "Zmod", ("n", _INT), build=rings.zmod, bounded=True),
     _row(rings.PrimeField, "Fp", ("p", _INT), build=rings.prime_field),
     _row(rings.PolyRingOverPrimeField, "FpPoly", ("p", _INT), build=rings.poly_ring),
     _row(
@@ -281,7 +286,7 @@ _SUBSET_ROWS = _Table(
     _row(sp.Whole, "whole", build=sp.whole),
 )
 
-_SUBSET = _Codec(lambda v, R: subset_to_json(v), lambda v, key, R: subset_from_json(v, R))
+_SUBSET = _Codec(lambda v, R: subset_to_json(v), lambda v, key, R, limit: subset_from_json(v, R))
 # The prime of the map's ring that a quotient or residue map is taken at.
 _PRIME = _Codec(_POINT.enc, _point_of)
 
@@ -293,7 +298,7 @@ _MAP_ROWS = _Table(
     _row(maps.CanonicalIntoLocalProduct, "canonicalIntoLocalProduct",
          ("ring", _RING), ("set", _SUBSET, "subset")),
     _row(maps.DiagonalIntoModProduct, "diagonalIntoModProduct",
-         ("n", _INT), ("divisors", _seq(_INT, "divisor"))),
+         ("n", _INT), ("divisors", _seq(_INT, "divisor")), bounded=True),
     _row(maps.ResidueMap, "residueMap", ("ring", _RING), ("prime", _PRIME)),
 )
 
@@ -302,8 +307,9 @@ def ring_to_json(R: rings.RingExpr) -> dict:
     return _RING_ROWS.encode(R, R)
 
 
-def ring_from_json(obj: dict) -> rings.RingExpr:
-    return _RING_ROWS.decode(obj)
+def ring_from_json(obj: dict, limit: int | None = DEFAULT_LIMIT) -> rings.RingExpr:
+    """The ring obj denotes, refusing a Z/n with n above limit (None: no bound)."""
+    return _RING_ROWS.decode(obj, limit=limit)
 
 
 def element_to_json(e: rings.El, R: rings.RingExpr) -> dict:
@@ -334,8 +340,9 @@ def map_to_json(m: maps.RingMapSpec) -> dict:
     return _MAP_ROWS.encode(m)
 
 
-def map_from_json(obj: dict) -> maps.RingMapSpec:
-    return _MAP_ROWS.decode(obj)
+def map_from_json(obj: dict, limit: int | None = DEFAULT_LIMIT) -> maps.RingMapSpec:
+    """The map obj denotes, refusing a ring or source Z/n with n above limit."""
+    return _MAP_ROWS.decode(obj, limit=limit)
 
 
 # ---------------------------------------------------------------------------

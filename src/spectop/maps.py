@@ -16,7 +16,7 @@ pushout that proves existence in general is not modeled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import rings
 from . import spectrum as sp
@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedMapError,
     WildPrimeError,
 )
+from .primes import DEFAULT_LIMIT
 from .rings import ResidueField, RingExpr  # ResidueField is named from here too
 from .spectrum import (
     Cofinite,
@@ -206,12 +207,13 @@ class CanonicalIntoLocalProduct(_ProductMap):
 class DiagonalIntoModProduct(RingMapSpec):
     n: int
     divisors: tuple[int, ...]
+    limit: int | None = field(default=DEFAULT_LIMIT, compare=False)  # zmod's bound on n
 
     @property
     def source(self) -> RingExpr:
-        # Built when read, not when the map is, under the size limit then
-        # in force.
-        return rings.zmod(self.n)
+        # Built when read, not when the map is, so that any map document
+        # can be written and read back.
+        return rings.zmod(self.n, self.limit)
 
     def __str__(self) -> str:
         return f"Z/{self.n} -> " + " x ".join(f"Z/{d}" for d in self.divisors)
@@ -234,11 +236,13 @@ class DiagonalIntoModProduct(RingMapSpec):
 
     def tame_points(self) -> list[PrimePoint]:
         self._check_divisors()
+        # Each d divides n, so the primes of d are the primes of n dividing d.
+        primes = [p for p, _ in self.source.factorization]
         return [
             TamePrime(slot, ZmodPrime(p))
             for slot, d in enumerate(self.divisors)
-            if d >= 2
-            for p, _ in rings.zmod(d).factorization
+            for p in primes
+            if d % p == 0
         ]
 
     def is_injective(self) -> bool:

@@ -2,8 +2,8 @@
 
 Trial division by the primes below 2^10 strips small factors; Pollard rho
 with Brent's cycle finding (R. P. Brent, BIT 20, 1980) splits the rest,
-and Miller-Rabin decides which parts are prime.  Inputs are capped at 64
-bits unless the caller lifts the bound.  Everything is deterministic.
+and Miller-Rabin decides which parts are prime.  Inputs above 64 bits are
+refused unless the caller passes limit=None.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -13,21 +13,6 @@ import math
 from .errors import FactorizationLimitError
 
 DEFAULT_LIMIT = 2**64
-
-# Sentinel meaning "use the process-wide limit"; the CLI --allow-big flag
-# clears the process-wide limit for arbitrary precision inputs.
-USE_ACTIVE = object()
-_active_limit: int | None = DEFAULT_LIMIT
-
-
-def set_factorization_limit(limit: int | None) -> None:
-    global _active_limit
-    _active_limit = limit
-
-
-def _resolve_limit(limit) -> int | None:
-    return _active_limit if limit is USE_ACTIVE else limit
-
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -114,15 +99,14 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
     _factor_into(n // d, acc)
 
 
-def factorint(n: int, limit=USE_ACTIVE) -> tuple[tuple[int, int], ...]:
+def factorint(n: int, limit: int | None = DEFAULT_LIMIT) -> tuple[tuple[int, int], ...]:
     """Factor n >= 1 into sorted (prime, exponent) pairs.
 
     limit caps the accepted input size; pass None to allow arbitrary
-    precision, or leave it to use the process-wide bound.
+    precision.
     """
     if n < 1:
         raise ValueError("factorint expects n >= 1")
-    limit = _resolve_limit(limit)
     if limit is not None and n > limit:
         raise FactorizationLimitError(f"{n} exceeds factorization bound {limit}")
     acc: dict[int, int] = {}
@@ -137,17 +121,9 @@ def factorint(n: int, limit=USE_ACTIVE) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(acc.items()))
 
 
-def prime_factors(n: int, limit=USE_ACTIVE) -> tuple[int, ...]:
-    """Sorted distinct prime divisors of |n|, n nonzero."""
-    return tuple(p for p, _ in factorint(abs(n), limit))
-
-
-def radical(n: int, limit=USE_ACTIVE) -> int:
-    """Product of the distinct prime divisors of n >= 1."""
-    r = 1
-    for p, _ in factorint(n, limit):
-        r *= p
-    return r
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Sorted distinct prime divisors of |n|, n nonzero, |n| <= 2^64."""
+    return tuple(p for p, _ in factorint(abs(n)))
 
 
 def primes_below(bound: int) -> list[int]:

@@ -24,7 +24,6 @@ from .errors import (
     UnsupportedError,
     UnsupportedSymbolicError,
 )
-from .primes import USE_ACTIVE
 from .rings import El, Product, RingExpr, TupleEl
 from .spectrum import (
     Cofinite,
@@ -130,9 +129,7 @@ def brute_force_image(R: RingExpr, E: SpecSubset, kind: str) -> SpecSubset:
     return sp.explicit(R, image)
 
 
-def is_unit_in_quotient_product(
-    r: El, E: SpecSubset, R: RingExpr, limit=USE_ACTIVE
-) -> bool:
+def is_unit_in_quotient_product(r: El, E: SpecSubset, R: RingExpr) -> bool:
     """Whether the image of r in prod_{p in E} R/p is invertible.
 
     Equivalent to r avoiding every member of E; over Z this reads "no
@@ -149,7 +146,7 @@ def is_unit_in_quotient_product(
         return rings.is_unit(r, R)
     if isinstance(E, Cofinite):
         # r avoids every member of E exactly when V(r) misses E.
-        return isinstance(sp.subset_intersect(sp.v_locus(r, R, limit), E), EmptySet)
+        return isinstance(sp.subset_intersect(sp.v_locus(r, R), E), EmptySet)
     raise UnsupportedSymbolicError(f"no unit rule for {sp.subset_str(E)}")
 
 

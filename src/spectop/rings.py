@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedError,
     UnsupportedMapError,
 )
-from .primes import factorint, is_prime, next_prime, prime_factors
+from .primes import DEFAULT_LIMIT, factorint, is_prime, next_prime, prime_factors
 from .values import (  # the values and their functions are named from here too
     El,
     FieldZero,
@@ -221,7 +221,7 @@ class RingExpr:
         """The generalizations of p; None when that is every point."""
         return {q for q in _spectrum(self) if self._leq(q, p)}
 
-    def locus(self, r: El, limit) -> tuple[set[PrimePoint], bool]:
+    def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
         """(points, complement): V(r) is the finite set `points`, or its
         complement when `complement` is set."""
         if not self.is_enumerable():
@@ -346,12 +346,12 @@ class _Dedekind(_Domain):
     def down_points(self, p: PrimePoint) -> set[PrimePoint] | None:
         return {p} if p == self.generic else {p, self.generic}
 
-    def locus(self, r: El, limit) -> tuple[set[PrimePoint], bool]:
+    def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
         if r == self.from_int(0):
             return set(), True
         if self.is_unit(r):
             return set(), False
-        return self.prime_divisors(r, limit), False
+        return self.prime_divisors(r), False
 
     def is_minimal_prime(self, p: PrimePoint) -> bool:
         return p == self.generic
@@ -425,8 +425,8 @@ class IntegerRing(_Dedekind):
     def _random_closed_point(self, rng) -> PrimePoint:
         return ZMax(_PRIME_POOL[rng.randrange(len(_PRIME_POOL))])
 
-    def prime_divisors(self, r: El, limit) -> set[PrimePoint]:
-        return {ZMax(q) for q in prime_factors(r.v, limit)}
+    def prime_divisors(self, r: El) -> set[PrimePoint]:
+        return {ZMax(q) for q in prime_factors(r.v)}
 
     def residue_field(self, p: PrimePoint) -> ResidueField:
         if p == self.generic:
@@ -634,7 +634,7 @@ class PolyRingOverPrimeField(_Dedekind):
     def _random_closed_point(self, rng) -> PrimePoint:
         return FpxMax(_random_irreducible(self.p, rng))
 
-    def prime_divisors(self, r: El, limit) -> set[PrimePoint]:
+    def prime_divisors(self, r: El) -> set[PrimePoint]:
         return {FpxMax(f) for f, _ in gfpoly.factor(r.coeffs, self.p)}
 
     def residue_field(self, p: PrimePoint) -> ResidueField:
@@ -919,7 +919,7 @@ class SymbolicSupplement(_Monomial):
     def down_points(self, p: PrimePoint) -> set[PrimePoint] | None:
         return None if p == self.top else {p}
 
-    def locus(self, r: El, limit) -> tuple[set[PrimePoint], bool]:
+    def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
         if r.terms == ():
             return set(), True
         if constant_term(r) != 0:
@@ -1032,8 +1032,11 @@ ZZ = IntegerRing()
 QQ = RationalField()
 
 
-def zmod(n: int) -> ModRing:
-    return ModRing(n, factorint(n))
+def zmod(n: int, limit: int | None = DEFAULT_LIMIT) -> ModRing:
+    """Z/n; an n above limit is refused, and None lifts the bound."""
+    if n < 2:
+        raise BadArityError("ModRing needs n >= 2")
+    return ModRing(n, factorint(n, limit))
 
 
 def prime_field(p: int) -> PrimeField:

@@ -35,7 +35,6 @@ from .errors import (
     NonEnumerableError,
     UnsupportedSymbolicError,
 )
-from .primes import USE_ACTIVE
 from .rings import (  # the point types are named from here too
     El,
     FieldZero,
@@ -345,16 +344,16 @@ def subset_str(E: SpecSubset) -> str:
 # ---------------------------------------------------------------------------
 
 
-def v_locus(r: El, R: RingExpr, limit=USE_ACTIVE) -> SpecSubset:
+def v_locus(r: El, R: RingExpr) -> SpecSubset:
     """V(r): the primes containing r, as a canonical subset."""
-    points, complement = R.locus(R.normalize(r), limit)
+    points, complement = R.locus(R.normalize(r))
     E = _explicit(R, points)
     return subset_complement(E) if complement else E
 
 
-def d_locus(r: El, R: RingExpr, limit=USE_ACTIVE) -> SpecSubset:
+def d_locus(r: El, R: RingExpr) -> SpecSubset:
     """D(r): the complement of V(r)."""
-    return subset_complement(v_locus(r, R, limit))
+    return subset_complement(v_locus(r, R))
 
 
 def sample_points(R: RingExpr, rng, count: int) -> list[PrimePoint]:

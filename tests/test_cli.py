@@ -289,6 +289,52 @@ def test_untrimmed_fpx_point_exits_2_promptly():
     assert "is not a point of" in proc.stderr
 
 
+@pytest.mark.parametrize("exc", [KeyError("internal"), ValueError("internal")])
+def test_engine_key_and_value_errors_are_internal(monkeypatch, capsys, exc):
+    # Only a SpectopError is a refused input; a KeyError or ValueError from
+    # inside the engine is a bug.
+    from spectop import construction
+
+    def crash(*_, **__):
+        raise exc
+
+    monkeypatch.setattr(construction, "supplement_report", crash)
+    code, out, err = run(capsys, "construct", "supplement", "--n", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"internal error: {type(exc).__name__}:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "supplement", "--n", "3", "--field", "Fx"],
+        ["construct", "supplement", "--n", "3", "--report", "/nonexistent/dir/r.json"],
+        ["spec", "--ring", "/nonexistent.json"],
+    ],
+    ids=["field-Fx", "report-path", "ring-path"],
+)
+def test_refused_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "\n" not in err.rstrip("\n")
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectop", "spec", "--ring", Z_MOD_6],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: standard output was closed\n"
+
+
 def test_supplement_bound_exits_2_before_building():
     # n <= 12 is checked before the ring is built: building the n = 100
     # axes ring alone took seconds.
@@ -332,6 +378,30 @@ def test_allow_big_flag(capsys):
         capsys, "spec", "--ring", json.dumps({"kind": "Zmod", "n": big}), "--allow-big"
     )
     assert code == 0
+
+
+BIG_N = 6 * (2**61 - 1) * (2**31 - 1)  # 95 bits: above the default bound
+BIG_PRODUCT = json.dumps(
+    {"kind": "Product", "factors": [{"kind": "Fp", "p": 5}, {"kind": "Zmod", "n": BIG_N}]}
+)
+BIG_DIAGONAL = json.dumps(
+    {"type": "diagonalIntoModProduct", "n": BIG_N, "divisors": [6, 2**61 - 1, 2**31 - 1]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spec", "--ring", BIG_PRODUCT],
+        ["lyover", "--map", BIG_DIAGONAL, "--prime", '{"type":"zmodPrime","p":2}'],
+    ],
+    ids=["product-factor", "diagonal-source"],
+)
+def test_allow_big_reaches_nested_moduli(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "exceeds factorization bound" in err
+    code, out, _ = run(capsys, *argv, "--allow-big")
+    assert code == 0 and str(2**61 - 1) in out
 
 
 def test_shared_parser_keeps_calls_independent(capsys):

@@ -9,7 +9,7 @@ import pytest
 from conftest import AXES_F2, AXES_Q, F2, enumerable_zoo, symbolic_zoo
 from spectop import construction, jsonio, maps, rings, values
 from spectop import spectrum as sp
-from spectop.errors import KindMismatchError
+from spectop.errors import FactorizationLimitError, KindMismatchError
 from spectop.rings import IntEl
 from spectop.spectrum import SuppMin, TamePrime, ZMax
 
@@ -132,6 +132,37 @@ def test_map_round_trip():
     for m in examples:
         doc = jsonio.map_to_json(m)
         assert jsonio.map_from_json(json.loads(json.dumps(doc))) == m
+
+
+BIG = 2**70 + 1  # above the default 64-bit factorization bound
+BIG_RINGS = [
+    {"kind": "Zmod", "n": BIG},
+    {"kind": "Product", "factors": [{"kind": "Z"}, {"kind": "Zmod", "n": BIG}]},
+]
+
+
+@pytest.mark.parametrize("doc", BIG_RINGS, ids=["Zmod", "Product"])
+def test_ring_from_json_takes_the_bound_as_a_value(doc):
+    with pytest.raises(FactorizationLimitError):
+        jsonio.ring_from_json(doc)
+    assert jsonio.ring_to_json(jsonio.ring_from_json(doc, limit=None)) == doc
+    with pytest.raises(FactorizationLimitError):
+        jsonio.ring_from_json(doc)
+
+
+def test_map_from_json_takes_the_bound_as_a_value():
+    ring = {"kind": "Zmod", "n": BIG}
+    quotient = {"type": "canonicalIntoQuotientProduct", "ring": ring, "set": {"type": "whole"}}
+    with pytest.raises(FactorizationLimitError):
+        jsonio.map_from_json(quotient)
+    assert jsonio.map_from_json(quotient, limit=None).ring == rings.zmod(BIG, limit=None)
+    diagonal = {"type": "diagonalIntoModProduct", "n": BIG, "divisors": [1, BIG]}
+    with pytest.raises(FactorizationLimitError):
+        jsonio.map_from_json(diagonal).source
+    m = jsonio.map_from_json(diagonal, limit=None)
+    assert m.limit is None
+    assert m.source == rings.zmod(BIG, limit=None)
+    assert jsonio.map_to_json(m) == diagonal
 
 
 def test_canonical_dumps_deterministic():

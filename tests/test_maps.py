@@ -5,9 +5,11 @@ import pytest
 
 from conftest import AXES_F2, F2, F2X, enumerable_zoo, symbolic_zoo
 from spectop import construction, maps, rings
+from spectop.primes import factorint
 from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.errors import (
+    FactorizationLimitError,
     KindMismatchError,
     LyingOverNotFoundError,
     NonEnumerableError,
@@ -116,6 +118,36 @@ def test_diagonal_checks_divisors_in_every_rule():
         for rule in (maps.is_injective, maps.tame_points, lambda m: maps.contract(m, five)):
             with pytest.raises(KindMismatchError, match="positive and divide n"):
                 rule(m)
+
+
+def test_diagonal_source_takes_the_bound_as_a_value():
+    n = 2**70 + 1
+    with pytest.raises(FactorizationLimitError):
+        maps.DiagonalIntoModProduct(n, (n,)).source
+    m = maps.DiagonalIntoModProduct(n, (n,), limit=None)
+    assert m.source == rings.zmod(n, limit=None)
+    assert m == maps.DiagonalIntoModProduct(n, (n,))  # the bound is no part of the map
+    assert maps.tame_points(m) == [
+        TamePrime(0, ZmodPrime(p)) for p, _ in m.source.factorization
+    ]
+
+
+def test_diagonal_tame_points_match_factoring_each_divisor():
+    # The rule that factored each divisor on its own, kept as the oracle
+    # for the primes of n that divide it.
+    rng = Random(12)
+    for n in range(2, 2001):
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        samples = [tuple(divs)] + [
+            tuple(rng.choice(divs) for _ in range(rng.randint(0, 4))) for _ in range(3)
+        ]
+        for divisors in samples:
+            expected = [
+                TamePrime(slot, ZmodPrime(p))
+                for slot, d in enumerate(divisors)
+                for p, _ in factorint(d)
+            ]
+            assert maps.tame_points(maps.DiagonalIntoModProduct(n, divisors)) == expected
 
 
 def test_laying_over_local_product_of_a_finite_set():

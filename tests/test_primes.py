@@ -11,7 +11,6 @@ from spectop.primes import (
     next_prime,
     prime_factors,
     primes_below,
-    radical,
 )
 
 
@@ -151,9 +150,6 @@ def test_limit_enforced_and_liftable():
 
 
 def test_radical_and_prime_factors():
-    assert radical(12) == 6
-    assert radical(1) == 1
-    assert radical(360) == 30
     assert prime_factors(-84) == (2, 3, 7)
 
 

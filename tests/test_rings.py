@@ -310,11 +310,10 @@ def test_is_unit_matches_projection_oracle(rng):
 
 def test_zmod_nilradical_reuses_the_cached_factorization(monkeypatch):
     p, q = 4294967291, 4294967279
-    monkeypatch.setattr(primes, "_active_limit", None)
-    R = rings.zmod(p * p * q)
+    R = rings.zmod(p * p * q, limit=None)
     calls = []
 
-    def counting(n, limit=primes.USE_ACTIVE):
+    def counting(n, limit=primes.DEFAULT_LIMIT):
         calls.append(n)
         return factorint(n, limit)
 
