@@ -181,6 +181,9 @@ def _cmd_lyover(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
+    for flag, size in (("--cases", args.cases), ("--max-n", args.max_n)):
+        if size is not None and size < 1:
+            raise SpectopError(f"{flag} must be at least 1, got {size}")
     params = {}
     if args.cases is not None:
         params["cases"] = args.cases

@@ -10,11 +10,16 @@ so results are reproducible.  Degrees are capped at desk scale.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .errors import FactorizationLimitError
 from .primes import prime_factors
 
 DEGREE_CAP = 16
+
+# Room for every polynomial a verify run tests: the points of its subsets
+# and the search for the first irreducibles of each sampled GF(p)[x].
+_IRREDUCIBLE_MEMO_SIZE = 1024
 
 Poly = tuple[int, ...]
 
@@ -117,8 +122,10 @@ def derivative(f: Poly, p: int) -> Poly:
     return trim([i * c for i, c in enumerate(f)][1:], p)
 
 
+@lru_cache(maxsize=_IRREDUCIBLE_MEMO_SIZE)
 def is_irreducible(f: Poly, p: int, cap: int | None = DEGREE_CAP) -> bool:
-    """Rabin test: x^(p^d) = x mod f, and no proper p^(d/t) fixed part."""
+    """Rabin test: x^(p^d) = x mod f, and no proper p^(d/t) fixed part.
+    Memoized on (f, p, cap); a degree above cap raises on every call."""
     d = deg(f)
     if d < 1:
         return False

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from . import maps, products, rings, topology
 from . import spectrum as sp
-from .errors import KindMismatchError
+from .errors import KindMismatchError, SpectopError
 from .primes import DEFAULT_LIMIT
 from .values import _int
 
@@ -143,6 +143,14 @@ class _Table:
             if f.codec is _RING:
                 R = args[-1]
         return row.build(*args, limit) if row.bounded else row.build(*args)
+
+    def read(self, obj, R=None, limit=DEFAULT_LIMIT):
+        """decode, with a document nested past the interpreter's recursion
+        limit refused as input instead of escaping as a RecursionError."""
+        try:
+            return self.decode(obj, R, limit)
+        except RecursionError as exc:
+            raise SpectopError("JSON value nested too deeply") from exc
 
 
 def _as_is(v, R):
@@ -309,7 +317,7 @@ def ring_to_json(R: rings.RingExpr) -> dict:
 
 def ring_from_json(obj: dict, limit: int | None = DEFAULT_LIMIT) -> rings.RingExpr:
     """The ring obj denotes, refusing a Z/n with n above limit (None: no bound)."""
-    return _RING_ROWS.decode(obj, limit=limit)
+    return _RING_ROWS.read(obj, limit=limit)
 
 
 def element_to_json(e: rings.El, R: rings.RingExpr) -> dict:
@@ -317,7 +325,7 @@ def element_to_json(e: rings.El, R: rings.RingExpr) -> dict:
 
 
 def element_from_json(obj: dict, R: rings.RingExpr) -> rings.El:
-    return _ELEMENT_ROWS.decode(obj, R)
+    return _ELEMENT_ROWS.read(obj, R)
 
 
 def point_to_json(p: sp.PrimePoint) -> dict:
@@ -325,7 +333,7 @@ def point_to_json(p: sp.PrimePoint) -> dict:
 
 
 def point_from_json(obj: dict) -> sp.PrimePoint:
-    return _POINT_ROWS.decode(obj)
+    return _POINT_ROWS.read(obj)
 
 
 def subset_to_json(E: sp.SpecSubset) -> dict:
@@ -333,7 +341,7 @@ def subset_to_json(E: sp.SpecSubset) -> dict:
 
 
 def subset_from_json(obj: dict, R: rings.RingExpr) -> sp.SpecSubset:
-    return _SUBSET_ROWS.decode(obj, R)
+    return _SUBSET_ROWS.read(obj, R)
 
 
 def map_to_json(m: maps.RingMapSpec) -> dict:
@@ -342,7 +350,7 @@ def map_to_json(m: maps.RingMapSpec) -> dict:
 
 def map_from_json(obj: dict, limit: int | None = DEFAULT_LIMIT) -> maps.RingMapSpec:
     """The map obj denotes, refusing a ring or source Z/n with n above limit."""
-    return _MAP_ROWS.decode(obj, limit=limit)
+    return _MAP_ROWS.read(obj, limit=limit)
 
 
 # ---------------------------------------------------------------------------

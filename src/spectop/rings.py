@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from random import Random
+from types import MappingProxyType
 
 from . import covers, gfpoly
 from .errors import (
@@ -213,13 +214,13 @@ class RingExpr:
         pts = _spectrum(self)
         return [pts[rng.randrange(len(pts))] for _ in range(count)]
 
-    def up_points(self, p: PrimePoint) -> set[PrimePoint] | None:
+    def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
         """The specializations of p; None when that is every point."""
-        return {q for q in _spectrum(self) if self._leq(p, q)}
+        return _order(self)[p][0]
 
-    def down_points(self, p: PrimePoint) -> set[PrimePoint] | None:
+    def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
         """The generalizations of p; None when that is every point."""
-        return {q for q in _spectrum(self) if self._leq(q, p)}
+        return _order(self)[p][1]
 
     def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
         """(points, complement): V(r) is the finite set `points`, or its
@@ -231,7 +232,7 @@ class RingExpr:
     def is_minimal_prime(self, p: PrimePoint) -> bool:
         if not self.is_enumerable():
             raise NonEnumerableError(f"cannot test minimality over {self}")
-        return not any(q != p and self._leq(q, p) for q in _spectrum(self))
+        return _order(self)[p][1] == {p}
 
     def density_rule(self, zariski: bool) -> tuple[bool, El | None, str]:
         """(holds, witness, rationale) for "every infinite subset is dense"
@@ -340,11 +341,11 @@ class _Dedekind(_Domain):
             for _ in range(count)
         ]
 
-    def up_points(self, p: PrimePoint) -> set[PrimePoint] | None:
-        return None if p == self.generic else {p}
+    def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
+        return None if p == self.generic else frozenset({p})
 
-    def down_points(self, p: PrimePoint) -> set[PrimePoint] | None:
-        return {p} if p == self.generic else {p, self.generic}
+    def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
+        return frozenset({p} if p == self.generic else {p, self.generic})
 
     def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
         if r == self.from_int(0):
@@ -510,7 +511,9 @@ class ModRing(_Residue):
         return PrincipalIdeal(ModEl(math.prod(p for p, _ in self.factorization) % self.n))
 
     def has_point(self, p: PrimePoint) -> bool:
-        return isinstance(p, ZmodPrime) and self.n % p.p == 0 and is_prime(p.p)
+        # The factorization was checked at construction: its primes are
+        # exactly the primes dividing n.
+        return isinstance(p, ZmodPrime) and any(p.p == q for q, _ in self.factorization)
 
     def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
         return p == q
@@ -664,7 +667,7 @@ class _Monomial(RingExpr):
     """The three monomial kinds: K[x_1, x_2, ...] modulo square-free
     monomials, elements kept as sparse terms with every monomial of the
     defining ideal deleted.  Square-free generators make them reduced.
-    Subclasses give field, nvars (None: unbounded) and _kills."""
+    Subclasses give field, nvars (None: unbounded) and _kills_mask."""
 
     def reduce_terms(self, terms) -> MPolyEl:
         acc: dict[tuple[int, ...], object] = {}
@@ -677,7 +680,9 @@ class _Monomial(RingExpr):
                 acc[exp] = _coeff_add(self.field, acc[exp], c)
             else:
                 acc[exp] = c
-        cleaned = [(c, e) for e, c in acc.items() if c != 0 and not self._kills(e)]
+        cleaned = [
+            (c, e) for e, c in acc.items() if c != 0 and not self._kills_mask(exp_to_mask(e))
+        ]
         return MPolyEl(tuple(sorted(cleaned, key=lambda t: t[1])))
 
     def normalize(self, e: El) -> El:
@@ -692,20 +697,28 @@ class _Monomial(RingExpr):
         return self.reduce_terms(list(a.terms) + list(b.terms))
 
     def mul(self, a: El, b: El) -> El:
-        # Reduced operands have canonical exponents (no trailing zeros), so
-        # each sum, padded with the longer exponent's tail, is canonical too.
+        # The support of a product monomial is the union of its factors'
+        # supports, so a product the ring kills is dropped before its
+        # exponent is built.  Reduced operands have canonical exponents (no
+        # trailing zeros), so each sum, padded with the longer exponent's
+        # tail, is canonical too.
+        kills = self._kills_mask
+        right = [(cb, eb, exp_to_mask(eb)) for cb, eb in b.terms]
         acc: dict[tuple[int, ...], object] = {}
         for ca, ea in a.terms:
-            for cb, eb in b.terms:
+            ma = exp_to_mask(ea)
+            for cb, eb, mb in right:
+                if kills(ma | mb):
+                    continue
                 short, long = (ea, eb) if len(ea) <= len(eb) else (eb, ea)
                 exp = tuple(x + y for x, y in zip(short, long)) + long[len(short):]
-                if not self._kills(exp):
-                    acc[exp] = acc.get(exp, 0) + ca * cb
-        terms = []
-        for exp, c in acc.items():
-            c = _coeff_norm(self.field, c)
-            if c != 0:
-                terms.append((c, exp))
+                acc[exp] = acc.get(exp, 0) + ca * cb
+        # Reduced coefficients are residues mod p, or fractions over Q.
+        if isinstance(self.field, PrimeField):
+            p = self.field.p
+            terms = [(c % p, exp) for exp, c in acc.items() if c % p]
+        else:
+            terms = [(Fraction(c), exp) for exp, c in acc.items() if c]
         return MPolyEl(tuple(sorted(terms, key=lambda t: t[1])))
 
     def is_unit(self, r: El) -> bool:
@@ -717,6 +730,9 @@ class _Monomial(RingExpr):
 
     def monomial_member(self, gens: frozenset[int], r: El) -> bool:
         return all(_mask_in(gens, exp_to_mask(e)) for _, e in r.terms)
+
+    def monomial_ideal_is_zero(self, gens: frozenset[int]) -> bool:
+        return all(self._kills_mask(g) for g in gens)
 
     def sample_element(self, rng: Random) -> El:
         nvars = self.nvars or 6  # the axes ring: sample from its first six axes
@@ -740,11 +756,9 @@ class _Quotient(_Monomial):
     """A monomial quotient, localized or not: its primes are the monomial
     primes (x_i : i in cover), one per vertex cover of the generators."""
 
-    def _kills(self, exp: tuple[int, ...]) -> bool:
-        return _mask_in(self.gens, exp_to_mask(exp))
-
-    def monomial_ideal_is_zero(self, gens: frozenset[int]) -> bool:
-        return all(_mask_in(self.gens, m) for m in gens)
+    def _kills_mask(self, m: int) -> bool:
+        """Whether a monomial with support mask m lies in the defining ideal."""
+        return _mask_in(self.gens, m)
 
     def monomial_variables(self) -> range:
         return range(1, self.nvars + 1)
@@ -881,13 +895,10 @@ class SymbolicSupplement(_Monomial):
     def __str__(self) -> str:
         return f"Axes({self.field})"
 
-    def _kills(self, exp: tuple[int, ...]) -> bool:
-        return len(mono_support(exp)) >= 2
-
-    def monomial_ideal_is_zero(self, gens: frozenset[int]) -> bool:
+    def _kills_mask(self, m: int) -> bool:
         # x_i x_k = 0 for i != k: a monomial vanishes exactly when it
         # touches two or more axes, that is, its mask has two or more bits.
-        return all(g & (g - 1) for g in gens)
+        return m & (m - 1) != 0
 
     def has_point(self, p: PrimePoint) -> bool:
         return isinstance(p, SuppTop) or isinstance(p, SuppMin) and p.k >= 1
@@ -913,11 +924,11 @@ class SymbolicSupplement(_Monomial):
             for _ in range(count)
         ]
 
-    def up_points(self, p: PrimePoint) -> set[PrimePoint] | None:
-        return {p} if p == self.top else {p, self.top}
+    def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
+        return frozenset({p} if p == self.top else {p, self.top})
 
-    def down_points(self, p: PrimePoint) -> set[PrimePoint] | None:
-        return None if p == self.top else {p}
+    def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
+        return None if p == self.top else frozenset({p})
 
     def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
         if r.terms == ():
@@ -1105,10 +1116,12 @@ def symbolic_supplement(field: PrimeField | RationalField) -> SymbolicSupplement
     return SymbolicSupplement(field)
 
 
-# Memo tables keyed on immutable rings.  Sized for one `verify all` run:
-# it meets 22 distinct monomial quotients (21 of them in the supplement
-# suite) and 192 distinct enumerable rings, so no spectrum is enumerated
-# twice there, while a long-lived process stays bounded.
+# Memo tables keyed on immutable rings: the spectrum and its order, and
+# the dimension and minimal covers of a monomial quotient.  Sized for one
+# `verify all` run: it meets 22 distinct monomial quotients (21 of them in
+# the supplement suite) and 192 distinct enumerable rings, so no spectrum
+# is enumerated or ordered twice there, while a long-lived process stays
+# bounded.
 _RING_MEMO_SIZE = 256
 
 
@@ -1118,6 +1131,22 @@ def _spectrum(R: RingExpr) -> tuple[PrimePoint, ...]:
     A ring that cannot be enumerated raises on every call (lru_cache does
     not keep exceptions)."""
     return tuple(sorted_points(R._enumerate()))
+
+
+@lru_cache(maxsize=_RING_MEMO_SIZE)
+def _order(R: RingExpr) -> MappingProxyType:
+    """For each point of an enumerable ring, the frozensets of the points
+    above it and of the points below it; _leq is asked once per pair.  A
+    ring that cannot be enumerated raises on every call, as in _spectrum."""
+    pts = _spectrum(R)
+    up: dict[PrimePoint, list[PrimePoint]] = {p: [] for p in pts}
+    down: dict[PrimePoint, list[PrimePoint]] = {p: [] for p in pts}
+    for p in pts:
+        for q in pts:
+            if R._leq(p, q):
+                up[p].append(q)
+                down[q].append(p)
+    return MappingProxyType({p: (frozenset(up[p]), frozenset(down[p])) for p in pts})
 
 
 @lru_cache(maxsize=_RING_MEMO_SIZE)

@@ -234,6 +234,35 @@ def test_deeply_nested_json_exits_2(capsys):
     assert "nested too deeply" in err
 
 
+def test_nested_value_past_the_recursion_limit_exits_2(capsys):
+    # Shallow enough for json.loads, too deep for the decoder's recursion.
+    prime = '{"type":"fieldZero"}'
+    for _ in range(600):
+        prime = '{"type":"tamePrime","slot":0,"inner":' + prime + "}"
+    json.loads(prime)
+    quotient = '{"type":"quotientMap","ring":' + Z + ',"prime":{"type":"zGeneric"}}'
+    code, out, err = run(capsys, "lyover", "--map", quotient, "--prime", prime)
+    assert (code, out) == (2, "")
+    assert err == "error: JSON value nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "pz", "--cases", "-3"],
+        ["verify", "density", "--cases", "0"],
+        ["verify", "oracle-agreement", "--max-n", "-3"],
+        ["verify", "all", "--max-n", "0"],
+    ],
+    ids=["pz-cases-3", "density-cases0", "oracle-max-n-3", "all-max-n0"],
+)
+def test_suite_sizes_below_one_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be at least 1" in err
+    assert "\n" not in err.rstrip("\n")
+
+
 FOREIGN_POINT = '{"type":"explicit","points":[{"type":"zMax","p":4}]}'
 X_SQUARED = '{"type":"fpxMax","coeffs":[0,0,1]}'
 F2X = '{"kind":"FpPoly","p":2}'
@@ -254,6 +283,9 @@ F2X = '{"kind":"FpPoly","p":2}'
          "--prime", '{"type":"zGeneric"}'],
         ["lyover", "--map", '{"type":"canonicalIntoLocalProduct","ring":' + Z + ',"set":{"type":"whole"}}',
          "--prime", '{"type":"zMax","p":4}'],
+        # (0) once reached n % 0 and exited 3.
+        ["closure", "--topology", "zariski", "--ring", Z_MOD_6,
+         "--set", '{"type":"explicit","points":[{"type":"zmodPrime","p":0}]}'],
     ],
 )
 def test_non_prime_points_exit_2(capsys, argv):

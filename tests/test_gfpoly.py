@@ -1,8 +1,10 @@
+from itertools import product
 from random import Random
 
 import pytest
 
 from spectop import gfpoly as gf
+from spectop.errors import FactorizationLimitError
 
 
 def rand_poly(rng, p, max_deg):
@@ -122,3 +124,24 @@ def test_irreducibles_stream_is_sorted_and_irreducible():
     assert degrees == sorted(degrees)
     for f in seen:
         assert gf.is_irreducible(f, 2)
+
+
+def _monic_polys(p, max_deg):
+    for d in range(max_deg + 1):
+        for tail in product(range(p), repeat=d):
+            yield tail + (1,)
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 6), (3, 6), (5, 4)])
+def test_memoized_rabin_test_matches_the_uncached_one(p, max_deg):
+    for f in _monic_polys(p, max_deg):
+        want = gf.is_irreducible.__wrapped__(f, p)
+        assert gf.is_irreducible(f, p) == want, f
+        assert gf.is_irreducible(f, p) == want, f  # now read from the memo
+
+
+def test_degree_cap_refuses_on_every_call():
+    f = (1,) + (0,) * 16 + (1,)  # degree 17, above DEGREE_CAP
+    for _ in range(2):
+        with pytest.raises(FactorizationLimitError):
+            gf.is_irreducible(f, 2)

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -9,7 +10,7 @@ import pytest
 from conftest import AXES_F2, AXES_Q, F2, enumerable_zoo, symbolic_zoo
 from spectop import construction, jsonio, maps, rings, values
 from spectop import spectrum as sp
-from spectop.errors import FactorizationLimitError, KindMismatchError
+from spectop.errors import FactorizationLimitError, KindMismatchError, SpectopError
 from spectop.rings import IntEl
 from spectop.spectrum import SuppMin, TamePrime, ZMax
 
@@ -202,3 +203,32 @@ def test_every_value_class_has_one_wire_row():
 @pytest.fixture
 def rng():
     return Random(47)
+
+
+def _nested(wrap, inner, depth):
+    doc = inner
+    for _ in range(depth):
+        doc = wrap(doc)
+    return doc
+
+
+DEEP = sys.getrecursionlimit()
+DEEP_RING = _nested(lambda d: {"kind": "Product", "factors": [d]}, {"kind": "Z"}, DEEP)
+DEEP_POINT = _nested(lambda d: {"type": "tamePrime", "slot": 0, "inner": d}, {"type": "zGeneric"}, DEEP)
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [
+        lambda: jsonio.ring_from_json(DEEP_RING),
+        lambda: jsonio.point_from_json(DEEP_POINT),
+        lambda: jsonio.subset_from_json({"type": "explicit", "points": [DEEP_POINT]}, rings.ZZ),
+        lambda: jsonio.map_from_json(
+            {"type": "quotientMap", "ring": DEEP_RING, "prime": {"type": "zGeneric"}}
+        ),
+    ],
+    ids=["ring", "point", "subset", "map"],
+)
+def test_values_nested_past_the_recursion_limit_are_refused(decode):
+    with pytest.raises(SpectopError, match="nested too deeply"):
+        decode()

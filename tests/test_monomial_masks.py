@@ -240,6 +240,11 @@ def test_mul_matches_pad_sum_reduce(R, s, t):
     assert rings.mul(R, a, b) == ref_mul(R, a, b)
     assert rings.mul(R, b, a) == ref_mul(R, b, a)
     assert rings.mul(R, a, a) == ref_mul(R, a, a)
+    # The ring rule itself, on the reduced operands: products killed by
+    # their support mask, coefficients of the type reduce_terms gives.
+    got, want = R.mul(a, b), ref_mul(R, a, b)
+    assert got == want
+    assert [type(c) for c, _ in got.terms] == [type(c) for c, _ in want.terms]
 
 
 @pytest.mark.parametrize("R", PRODUCT_RINGS, ids=str)

@@ -15,3 +15,34 @@ def test_no_global_or_nonlocal_statements():
         if isinstance(node, (ast.Global, ast.Nonlocal))
     ]
     assert found == []
+
+
+def _decorator_name(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def test_every_memo_table_is_bounded():
+    # An lru_cache names a maxsize other than None, so a long-lived process
+    # keeps bounded tables; an unbounded cache may only hold the one result
+    # of a function without arguments.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in fn.decorator_list:
+                name = _decorator_name(dec)
+                where = f"{path.relative_to(SRC)}:{fn.name}"
+                if name == "lru_cache":
+                    args = dec.args if isinstance(dec, ast.Call) else []
+                    keywords = dec.keywords if isinstance(dec, ast.Call) else []
+                    size = next((k.value for k in keywords if k.arg == "maxsize"), None)
+                    size = args[0] if args else size
+                    if size is None or isinstance(size, ast.Constant) and size.value is None:
+                        found.append(where)
+                elif name == "cache":
+                    a = fn.args
+                    if a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
+                        found.append(where)
+    assert found == []

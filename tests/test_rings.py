@@ -321,3 +321,12 @@ def test_zmod_nilradical_reuses_the_cached_factorization(monkeypatch):
     monkeypatch.setattr(rings, "factorint", counting)
     assert rings.nilradical(R) == PrincipalIdeal(ModEl(p * q))
     assert calls == []
+
+
+def test_zmod_has_point_matches_divisibility_and_primality():
+    primes_below = {p for p in range(2003) if primes.is_prime(p)}
+    points = [rings.ZmodPrime(p) for p in range(2003)]
+    for n in range(2, 2001):
+        R = rings.zmod(n)
+        got = {p for p in range(n + 2) if R.has_point(points[p])}
+        assert got == {p for p in range(n + 2) if p in primes_below and n % p == 0}, n

@@ -1,0 +1,83 @@
+"""The closure-axioms suite catches each way a closure operator can break.
+
+Each variant below replaces one operator of `topology` with a broken
+version; the suite must then fail, and with the message of the axiom the
+variant breaks.  Together the variants reach all seven messages, so no
+check of `suites._axioms_hold` is dead.
+"""
+
+import pytest
+
+from spectop import suites
+from spectop import spectrum as sp
+from spectop import topology as top
+
+REAL_ZARISKI = top.zariski_closure
+REAL_FLAT = top.flat_closure
+REAL_STABLE = top.is_stable
+
+
+def drop_every_point(E, R=None):
+    """Not extensive: the closure of every set is empty."""
+    return sp.empty_set(E.ring)
+
+
+def one_point_more(E, R=None):
+    """Not idempotent: each call adds the first point not yet in the set,
+    so applying the closure again never converges."""
+    if E.ring.symbolic:
+        return REAL_ZARISKI(E, R)
+    cl = REAL_ZARISKI(E, R)
+    missing = [p for p in sp.spec_points(E.ring) if not sp.subset_member(p, cl)]
+    return sp.subset_union(cl, sp.explicit(E.ring, missing[:1]))
+
+
+def shrink_when_bigger(E, R=None):
+    """Not monotone: a set holding the ring's first point is its own
+    closure, though a smaller set may close to more."""
+    if not E.ring.symbolic and sp.subset_member(sp.spec_points(E.ring)[0], E):
+        return E
+    return REAL_FLAT(E, R)
+
+
+def zariski_without_patch(E, R=None):
+    """The up closure of E itself, not of its patch closure, so the limit
+    point Γ adds can lie outside it."""
+    return top.order_closure(E, up=True)
+
+
+def flat_without_patch(E, R=None):
+    return top.order_closure(E, up=False)
+
+
+def flip(mode):
+    def is_stable(E, R, m):
+        return REAL_STABLE(E, R, m) != (m == mode)
+
+    return is_stable
+
+
+VARIANTS = [
+    ("zariski_closure", drop_every_point, "zariski not extensive"),
+    ("zariski_closure", one_point_more, "zariski not idempotent"),
+    ("flat_closure", shrink_when_bigger, "flat not monotone"),
+    ("zariski_closure", zariski_without_patch, "patch not inside zariski"),
+    ("flat_closure", flat_without_patch, "patch not inside flat"),
+    ("is_stable", flip(top.SPECIALIZATION), "zariski characterization fails"),
+    ("is_stable", flip(top.GENERALIZATION), "flat characterization fails"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, broken, message", VARIANTS, ids=[m.replace(" ", "-") for _, _, m in VARIANTS]
+)
+def test_closure_axioms_suite_catches_a_broken_operator(monkeypatch, name, broken, message):
+    monkeypatch.setattr(top, name, broken)
+    res = suites.suite_closure_axioms(seed=0, cases=30)
+    assert not res.passed
+    failed = [c.input for c in res.cases if not c.passed and c.id != "all-cases"]
+    assert any(m.startswith(message + " on ") for m in failed), failed[:5]
+
+
+def test_closure_axioms_suite_passes_with_the_real_operators():
+    assert suites.suite_closure_axioms(seed=0, cases=30).passed

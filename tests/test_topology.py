@@ -328,3 +328,15 @@ def test_positive_dim_quotient_refuses_on_every_call():
             sp.spec_points(R)
         with pytest.raises(NonEnumerableError):
             R.up_points(sp.MonoPrime(frozenset({1})))
+
+
+def test_order_table_matches_a_brute_force_scan():
+    for R in enumerable_zoo():
+        pts = sp.spec_points(R)
+        for p in pts:
+            up = {q for q in pts if R._leq(p, q)}
+            down = {q for q in pts if R._leq(q, p)}
+            assert R.up_points(p) == up, (str(R), p)
+            assert R.down_points(p) == down, (str(R), p)
+            minimal = not any(q != p and R._leq(q, p) for q in pts)
+            assert R.is_minimal_prime(p) == minimal, (str(R), p)
