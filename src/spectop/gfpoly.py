@@ -17,8 +17,10 @@ from .primes import prime_factors
 
 DEGREE_CAP = 16
 
-# Room for every polynomial a verify run tests: the points of its subsets
-# and the search for the first irreducibles of each sampled GF(p)[x].
+# Room for every point polynomial a verify run tests.  The irreducibles
+# stream calls the unmemoized test (_rabin): its candidates, mostly
+# reducible and keyed with cap=None, would fill the table and never be
+# asked for again, since point checks key on (f, p).
 _IRREDUCIBLE_MEMO_SIZE = 1024
 
 Poly = tuple[int, ...]
@@ -142,6 +144,9 @@ def is_irreducible(f: Poly, p: int, cap: int | None = DEGREE_CAP) -> bool:
     return True
 
 
+_rabin = is_irreducible.__wrapped__
+
+
 def _equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
     """Split a squarefree product of degree-d irreducibles."""
     n = deg(f)
@@ -219,7 +224,7 @@ def irreducibles(p: int):
     while True:
         for tail in _tuples(p, d):
             f = tail + (1,)
-            if is_irreducible(f, p, cap=None):
+            if _rabin(f, p, cap=None):
                 yield f
         d += 1
 

@@ -276,6 +276,23 @@ class _Residue(RingExpr):
         return ModEl(rng.randrange(self.modulus))
 
 
+class _ZeroDimensional(RingExpr):
+    """Z/n and the fields: every prime is both maximal and minimal, so the
+    order is equality and no order table is built for them."""
+
+    def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
+        return p == q
+
+    def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
+        return frozenset((p,))
+
+    def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
+        return frozenset((p,))
+
+    def is_minimal_prime(self, p: PrimePoint) -> bool:
+        return True
+
+
 class _Domain(RingExpr):
     """Integral domains: the zero ideal is prime and every localization injective."""
 
@@ -288,7 +305,7 @@ class _Domain(RingExpr):
         return PrincipalIdeal(self.from_int(0))
 
 
-class _Field(_Domain):
+class _Field(_ZeroDimensional, _Domain):
     """Q and F_p: one point, (0), and every nonzero element a unit."""
 
     def is_unit(self, r: El) -> bool:
@@ -305,9 +322,6 @@ class _Field(_Domain):
 
     def has_point(self, p: PrimePoint) -> bool:
         return isinstance(p, FieldZero)
-
-    def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
-        return p == q
 
     def _contains(self, p: PrimePoint, r: El) -> bool:
         return is_zero(self, r)
@@ -459,7 +473,7 @@ class RationalField(_Field):
 
 
 @dataclass(frozen=True)
-class ModRing(_Residue):
+class ModRing(_Residue, _ZeroDimensional):
     """Z/n with the factorization of n cached at construction."""
 
     n: int
@@ -514,9 +528,6 @@ class ModRing(_Residue):
         # The factorization was checked at construction: its primes are
         # exactly the primes dividing n.
         return isinstance(p, ZmodPrime) and any(p.p == q for q, _ in self.factorization)
-
-    def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
-        return p == q
 
     def _contains(self, p: PrimePoint, r: El) -> bool:
         return r.v % p.p == 0

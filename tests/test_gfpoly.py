@@ -126,6 +126,18 @@ def test_irreducibles_stream_is_sorted_and_irreducible():
         assert gf.is_irreducible(f, 2)
 
 
+def test_irreducibles_stream_leaves_the_memo_alone(monkeypatch):
+    # The stream runs the unmemoized test: it adds no memo entry, and it
+    # keeps working when is_irreducible is replaced by a plain wrapper, as
+    # a profiler does.
+    gf.is_irreducible.cache_clear()
+    monkeypatch.setattr(gf, "is_irreducible", lambda *a, **k: pytest.fail("memo called"))
+    gen = gf.irreducibles(3)
+    assert [next(gen) for _ in range(12)][:3] == [(0, 1), (1, 1), (2, 1)]
+    monkeypatch.undo()
+    assert gf.is_irreducible.cache_info().currsize == 0
+
+
 def _monic_polys(p, max_deg):
     for d in range(max_deg + 1):
         for tail in product(range(p), repeat=d):

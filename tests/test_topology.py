@@ -330,6 +330,17 @@ def test_positive_dim_quotient_refuses_on_every_call():
             R.up_points(sp.MonoPrime(frozenset({1})))
 
 
+def test_zero_dimensional_rings_build_no_order_table():
+    # Z/n and the fields answer order questions without the _order memo,
+    # so a sweep over many one-off Z/n keeps the table empty.
+    rings._order.cache_clear()
+    for R in (rings.zmod(210), rings.zmod(8), rings.prime_field(5), rings.QQ):
+        for p in sp.spec_points(R):
+            assert R.up_points(p) == R.down_points(p) == {p}
+            assert R.is_minimal_prime(p)
+    assert rings._order.cache_info().currsize == 0
+
+
 def test_order_table_matches_a_brute_force_scan():
     for R in enumerable_zoo():
         pts = sp.spec_points(R)
