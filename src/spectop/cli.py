@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
@@ -181,16 +182,20 @@ def _cmd_lyover(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
-    for flag, size in (("--cases", args.cases), ("--max-n", args.max_n)):
-        if size is not None and size < 1:
-            raise SpectopError(f"{flag} must be at least 1, got {size}")
-    params = {}
-    if args.cases is not None:
-        params["cases"] = args.cases
-    if args.max_n is not None:
-        params["max_n"] = args.max_n
+    flags = {"cases": args.cases, "max_n": args.max_n}
+    given = {key: size for key, size in flags.items() if size is not None}
+    for key, size in given.items():
+        if size < 1:
+            raise SpectopError(f"--{key.replace('_', '-')} must be at least 1, got {size}")
     results = []
     for name in names:
+        # A suite gets the size flags its signature names; one named suite
+        # refuses a flag it would ignore.
+        takes = inspect.signature(suites.SUITES[name]).parameters
+        params = {key: size for key, size in given.items() if key in takes}
+        extra = given.keys() - params.keys()
+        if extra and args.suite != "all":
+            raise SpectopError(f"verify {name} takes no --{min(extra).replace('_', '-')}")
         results.append(suites.run_suite(name, seed=args.seed, **params))
     if args.json:
         doc = {"results": [r.to_json() for r in results]}

@@ -97,7 +97,7 @@ class _Row(NamedTuple):
     tag: str
     fields: tuple[_Field, ...]
     build: Callable
-    when: Callable | None  # for a class with two wire forms, which one a value takes
+    when: Callable | None  # for a class with several wire forms, which one a value takes
     bounded: bool  # whether build takes the factorization bound last
 
 
@@ -275,8 +275,9 @@ _POINT_ROWS = _Table(
 
 _SUBSET_ROWS = _Table(
     "type", "subset",
-    _row(sp.EmptySet, "empty", build=sp.empty_set),
+    _row(sp.Explicit, "empty", build=sp.empty_set, when=lambda E: not E.points),
     _row(sp.Explicit, "explicit", ("points", _POINTS), build=sp.explicit),
+    _row(sp.Cofinite, "whole", build=sp.whole, when=lambda E: E.is_whole),
     _row(
         sp.Cofinite, "cofiniteMin",
         ("excluded", _seq(_AXIS, "axis", frozenset, sp.sorted_points)),
@@ -291,7 +292,6 @@ _SUBSET_ROWS = _Table(
         build=sp.cofinite_closed,
         when=lambda E: not E.limit_above,
     ),
-    _row(sp.Whole, "whole", build=sp.whole),
 )
 
 _SUBSET = _Codec(lambda v, R: subset_to_json(v), lambda v, key, R, limit: subset_from_json(v, R))

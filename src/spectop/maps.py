@@ -24,20 +24,17 @@ from .errors import (
     KindMismatchError,
     LyingOverNotFoundError,
     NonEnumerableError,
-    UnsupportedMapError,
     WildPrimeError,
 )
 from .primes import DEFAULT_LIMIT
 from .rings import ResidueField, RingExpr  # ResidueField is named from here too
 from .spectrum import (
     Cofinite,
-    EmptySet,
     Explicit,
     FieldZero,
     PrimePoint,
     SpecSubset,
     TamePrime,
-    Whole,
     ZmodPrime,
 )
 
@@ -162,22 +159,16 @@ class CanonicalIntoQuotientProduct(_ProductMap):
     def is_injective(self) -> bool:
         """Whether the intersection of the members of E vanishes."""
         R, E = self.ring, self.subset
-        if isinstance(E, EmptySet):
-            return False
-        if isinstance(E, Whole):
-            return True if R.symbolic else _finite_meet_zero(R, sp.spec_points(R))
         if isinstance(E, Cofinite):
             # Below the limit: a nonzero element has finitely many prime
             # divisors.  Above it: excluding axis k leaves x_k inside every
             # remaining minimal prime.
             return not E.limit_above or not E.excluded
-        if isinstance(E, Explicit):
-            if any(R.point_is_zero(p) for p in E.points):
-                return True
-            if R.symbolic:
-                return False
-            return _finite_meet_zero(R, list(E.points))
-        raise UnsupportedMapError(f"no kernel rule for {sp.subset_str(E)}")
+        if any(R.point_is_zero(p) for p in E.points):
+            return True
+        if R.symbolic:
+            return False
+        return _finite_meet_zero(R, list(E.points))
 
 
 class CanonicalIntoLocalProduct(_ProductMap):
@@ -185,8 +176,8 @@ class CanonicalIntoLocalProduct(_ProductMap):
 
     def is_injective(self) -> bool:
         R, E = self.ring, self.subset
-        if isinstance(E, EmptySet):
-            return False
+        if E == sp.empty_set(R):
+            return False  # the map into the zero ring
         if R.domain:
             return True  # localizations of a domain
         if R.top is not None:
@@ -369,32 +360,26 @@ def residue_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
 
     Independent of the closure rules: finite sets go through residue-map
     contraction, and an infinite set gives itself plus its limit point, by
-    the argument at its branch.
+    the argument below.
     """
     if R != E.ring:
         raise KindMismatchError("subset does not live over the given ring")
-    if isinstance(E, EmptySet):
-        return E
-    if isinstance(E, (Explicit,)) or (isinstance(E, Whole) and not R.symbolic):
-        pts = {contract(ResidueMap(R, p), FieldZero()) for p in sp.subset_points(E)}
+    if isinstance(E, Explicit):
+        pts = {contract(ResidueMap(R, p), FieldZero()) for p in E.points}
         return sp._explicit(R, pts)
-    if isinstance(E, Whole):
-        return E
-    if isinstance(E, Cofinite):
-        # The image is E plus the limit point.  Below the family (Z,
-        # GF(p)[x]): an excluded q's generator is a unit in every k(p), p in
-        # E, yet lies in q, so no prime of the product contracts onto q; the
-        # generic point lies over the minimal prime along the canonical map,
-        # which is injective.  Above it (the axes ring): x_k is zero in every
-        # k(p) yet misses P_k; elements of the maximal ideal vanish at
-        # cofinitely many axes, hence land in the direct-sum ideal, and any
-        # prime above that contracts onto the maximal ideal.
-        if E.limit_above:
-            for q in E.excluded:
-                x_k = rings.var_el(R, q.k)
-                if not sp.subset_le(E, sp.v_locus(x_k, R)) or R._contains(q, x_k):
-                    raise AssertionError("exclusion witnesses must verify")
-        elif not is_injective(CanonicalIntoQuotientProduct(R, E)):
-            raise AssertionError("cofinite families must have zero kernel")
-        return sp._cofinite(R, E.excluded, True)
-    raise UnsupportedMapError(f"no residue-product rule for {sp.subset_str(E)}")
+    # The image is E plus the limit point.  Below the family (Z,
+    # GF(p)[x]): an excluded q's generator is a unit in every k(p), p in
+    # E, yet lies in q, so no prime of the product contracts onto q; the
+    # generic point lies over the minimal prime along the canonical map,
+    # which is injective.  Above it (the axes ring): x_k is zero in every
+    # k(p) yet misses P_k; elements of the maximal ideal vanish at
+    # cofinitely many axes, hence land in the direct-sum ideal, and any
+    # prime above that contracts onto the maximal ideal.
+    if E.limit_above:
+        for q in E.excluded:
+            x_k = rings.var_el(R, q.k)
+            if not sp.subset_le(E, sp.v_locus(x_k, R)) or R._contains(q, x_k):
+                raise AssertionError("exclusion witnesses must verify")
+    elif not is_injective(CanonicalIntoQuotientProduct(R, E)):
+        raise AssertionError("cofinite families must have zero kernel")
+    return sp._cofinite(R, E.excluded, True)

@@ -22,18 +22,9 @@ from .errors import (
     KindMismatchError,
     NonEnumerableError,
     UnsupportedError,
-    UnsupportedSymbolicError,
 )
 from .rings import El, Product, RingExpr, TupleEl
-from .spectrum import (
-    Cofinite,
-    EmptySet,
-    Explicit,
-    PrimePoint,
-    SpecSubset,
-    TamePrime,
-    Whole,
-)
+from .spectrum import Explicit, PrimePoint, SpecSubset, TamePrime
 
 QUOTIENT = "quotient"
 LOCAL = "local"
@@ -62,7 +53,7 @@ def direct_sum_locus(R: Product) -> SpecSubset:
         total = rings.add(R, total, unit_idempotent(k, R))
     if total != rings.one(R):
         raise AssertionError("idempotents of a finite product must sum to 1")
-    return EmptySet(R)
+    return sp.empty_set(R)
 
 
 def tame_contract(
@@ -117,14 +108,12 @@ def brute_force_image(R: RingExpr, E: SpecSubset, kind: str) -> SpecSubset:
         raise UnsupportedError(f"unknown image kind {kind!r}")
     if not R.is_enumerable():
         raise NonEnumerableError("the oracle needs an enumerable spectrum")
-    if not isinstance(E, (EmptySet, Explicit)):
+    if not isinstance(E, Explicit):
         raise NonEnumerableError("the oracle needs a finite subset")
     if kind == QUOTIENT:
         m: maps.RingMapSpec = maps.CanonicalIntoQuotientProduct(R, E)
     else:
         m = maps.CanonicalIntoLocalProduct(R, E)
-    if isinstance(E, EmptySet):
-        return EmptySet(R)
     image = {maps.contract(m, q) for q in maps.tame_points(m)}
     return sp.explicit(R, image)
 
@@ -138,16 +127,10 @@ def is_unit_in_quotient_product(r: El, E: SpecSubset, R: RingExpr) -> bool:
     r = rings.normalize(r, R)
     if R != E.ring:
         raise KindMismatchError("subset does not live over the given ring")
-    if isinstance(E, EmptySet):
-        return True
     if isinstance(E, Explicit):
         return not any(sp.point_contains(p, r, R) for p in E.points)
-    if isinstance(E, Whole):
-        return rings.is_unit(r, R)
-    if isinstance(E, Cofinite):
-        # r avoids every member of E exactly when V(r) misses E.
-        return isinstance(sp.subset_intersect(sp.v_locus(r, R), E), EmptySet)
-    raise UnsupportedSymbolicError(f"no unit rule for {sp.subset_str(E)}")
+    # r avoids every member of E exactly when V(r) misses E.
+    return sp.subset_intersect(sp.v_locus(r, R), E) == sp.empty_set(R)
 
 
 def _nilpotent_by_squaring(R: RingExpr, r: El, rounds: int = 8) -> bool:

@@ -8,10 +8,11 @@ GF(p)[x], the infinite axes ring) are infinite: each is an infinite
 family of points (the closed points of Z and GF(p)[x], the minimal axes
 of the axes ring) plus one limit point (the generic point below the
 family, the top point above it).  Their subsets are represented exactly
-by one of: empty, an explicit finite set, Cofinite ("all points of the
-family except a finite list, with or without the limit point"), or the
-whole space.  Every membership and inclusion question on these
-representations is decidable.
+by one of two forms: Explicit, a finite set of points (the empty set is
+one with no points), or Cofinite ("all points of the family except a
+finite list, with or without the limit point"; the whole space excludes
+nothing and holds the limit).  Every membership and inclusion question
+on these representations is decidable.
 
 Invariant: every point inside a subset value is a point of its ring.
 Points are checked once, where they enter: the builders (explicit,
@@ -20,9 +21,10 @@ point from the caller (subset_member, leq_specialization,
 point_contains) validate each one.  The subset algebra (union,
 intersection, complement, inclusion) only recombines points that are
 already inside subsets, so it goes through the private canonicalizers
-_explicit and _cofinite, which turn an empty set into EmptySet and a
-full set into Whole and check nothing.  The subset dataclasses are
-internal constructors: build subsets with the builders.
+_explicit and _cofinite, which check nothing; _cofinite keeps the limit
+point out of `excluded`, so each set has exactly one value and == is set
+equality.  The subset dataclasses are internal constructors: build
+subsets with the builders.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ def spec_points(R: RingExpr) -> list[PrimePoint]:
 
 
 @dataclass(frozen=True)
-class EmptySet:
-    ring: RingExpr
-
-
-@dataclass(frozen=True)
 class Explicit:
     ring: RingExpr
     points: frozenset
@@ -126,39 +123,34 @@ class Cofinite:
         axes ring), not below it (Z, GF(p)[x])."""
         return self.ring.top is not None
 
+    @property
+    def is_whole(self) -> bool:
+        return self.with_limit and not self.excluded
 
-@dataclass(frozen=True)
-class Whole:
-    ring: RingExpr
 
-
-SpecSubset = EmptySet | Explicit | Cofinite | Whole
+SpecSubset = Explicit | Cofinite
 
 
 def _limit(R: RingExpr) -> PrimePoint | None:
     return R.generic if R.generic is not None else R.top
 
 
-def empty_set(R: RingExpr) -> SpecSubset:
-    return EmptySet(R)
-
-
 # The canonicalizers: points handed to these are already points of R.
 
 
 def _explicit(R: RingExpr, points) -> SpecSubset:
-    pts = frozenset(points)
-    return Explicit(R, pts) if pts else EmptySet(R)
+    return Explicit(R, frozenset(points))
 
 
 def _cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
-    pts = frozenset(excluded) - {_limit(R)}
-    if not pts and with_limit:
-        return Whole(R)
-    return Cofinite(R, pts, with_limit)
+    return Cofinite(R, frozenset(excluded) - {_limit(R)}, with_limit)
 
 
 # The builders: validate, then canonicalize.
+
+
+def empty_set(R: RingExpr) -> SpecSubset:
+    return _explicit(R, ())
 
 
 def explicit(R: RingExpr, points) -> SpecSubset:
@@ -206,7 +198,7 @@ def cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
 
 def whole(R: RingExpr) -> SpecSubset:
     if R.symbolic:
-        return Whole(R)
+        return _cofinite(R, (), True)
     return _explicit(R, spec_points(R))
 
 
@@ -217,25 +209,15 @@ def subset_member(p: PrimePoint, E: SpecSubset) -> bool:
 
 def _member(p: PrimePoint, E: SpecSubset) -> bool:
     """Membership of a point of E's ring."""
-    if isinstance(E, EmptySet):
-        return False
     if isinstance(E, Explicit):
         return p in E.points
-    if isinstance(E, Cofinite):
-        return E.with_limit if p == E.limit else p not in E.excluded
-    if isinstance(E, Whole):
-        return True
-    raise KindMismatchError(f"unknown subset {E}")
+    return E.with_limit if p == E.limit else p not in E.excluded
 
 
 def subset_points(E: SpecSubset) -> list[PrimePoint]:
     """Point list of a finite subset."""
-    if isinstance(E, EmptySet):
-        return []
     if isinstance(E, Explicit):
         return sorted_points(E.points)
-    if isinstance(E, Whole) and not E.ring.symbolic:
-        return spec_points(E.ring)
     raise NonEnumerableError(f"{subset_str(E)} is not a finite set")
 
 
@@ -247,12 +229,6 @@ def _check_same_ring(A: SpecSubset, B: SpecSubset) -> RingExpr:
 
 def subset_union(A: SpecSubset, B: SpecSubset) -> SpecSubset:
     R = _check_same_ring(A, B)
-    if isinstance(A, Whole) or isinstance(B, Whole):
-        return Whole(R)
-    if isinstance(A, EmptySet):
-        return B
-    if isinstance(B, EmptySet):
-        return A
     if isinstance(A, Explicit) and isinstance(B, Explicit):
         return _explicit(R, A.points | B.points)
     if isinstance(A, Explicit):
@@ -264,12 +240,6 @@ def subset_union(A: SpecSubset, B: SpecSubset) -> SpecSubset:
 
 def subset_intersect(A: SpecSubset, B: SpecSubset) -> SpecSubset:
     R = _check_same_ring(A, B)
-    if isinstance(A, EmptySet) or isinstance(B, EmptySet):
-        return EmptySet(R)
-    if isinstance(A, Whole):
-        return B
-    if isinstance(B, Whole):
-        return A
     if isinstance(A, Explicit):
         return _explicit(R, {p for p in A.points if _member(p, B)})
     if isinstance(B, Explicit):
@@ -279,17 +249,11 @@ def subset_intersect(A: SpecSubset, B: SpecSubset) -> SpecSubset:
 
 def subset_complement(E: SpecSubset) -> SpecSubset:
     R = E.ring
-    if isinstance(E, EmptySet):
-        return whole(R)
-    if isinstance(E, Whole):
-        return EmptySet(R)
     if isinstance(E, Cofinite):
         return _explicit(R, E.excluded if E.with_limit else E.excluded | {E.limit})
-    if isinstance(E, Explicit):
-        if not R.symbolic:
-            return _explicit(R, set(spec_points(R)) - set(E.points))
-        return _cofinite(R, E.points, _limit(R) not in E.points)
-    raise KindMismatchError(f"unknown subset {E}")
+    if not R.symbolic:
+        return _explicit(R, set(spec_points(R)) - E.points)
+    return _cofinite(R, E.points, _limit(R) not in E.points)
 
 
 def subset_difference(A: SpecSubset, B: SpecSubset) -> SpecSubset:
@@ -298,45 +262,27 @@ def subset_difference(A: SpecSubset, B: SpecSubset) -> SpecSubset:
 
 def subset_le(A: SpecSubset, B: SpecSubset) -> bool:
     """Decide A included in B on the canonical representations."""
-    R = _check_same_ring(A, B)
-    if isinstance(A, EmptySet) or isinstance(B, Whole):
-        return True
+    _check_same_ring(A, B)
     if isinstance(A, Explicit):
         return all(_member(p, B) for p in A.points)
-    if isinstance(A, Whole):
-        if isinstance(B, Whole):
-            return True
-        if not R.symbolic:
-            return all(_member(p, B) for p in spec_points(R))
-        return False
-    if isinstance(A, Cofinite):
-        if isinstance(B, Cofinite):
-            return B.excluded <= A.excluded and (not A.with_limit or B.with_limit)
-        return False
-    raise KindMismatchError(f"unknown subset {A}")
+    if isinstance(B, Cofinite):
+        return B.excluded <= A.excluded and (not A.with_limit or B.with_limit)
+    return False  # an infinite set inside a finite one
 
 
 def is_infinite_subset(E: SpecSubset) -> bool:
-    if isinstance(E, Cofinite):
-        return True
-    if isinstance(E, Whole):
-        return E.ring.symbolic
-    return False
+    return isinstance(E, Cofinite)
 
 
 def subset_str(E: SpecSubset) -> str:
-    if isinstance(E, EmptySet):
-        return "{}"
     if isinstance(E, Explicit):
         return "{" + ", ".join(point_str(p) for p in sorted_points(E.points)) + "}"
-    if isinstance(E, Cofinite):
-        excl = ", ".join(point_str(p) for p in sorted_points(E.excluded)) or "none"
-        family = "minimal primes" if E.limit_above else "closed points"
-        side = "with" if E.with_limit else "without"
-        return f"all {family} except {excl}, {side} {point_str(E.limit)}"
-    if isinstance(E, Whole):
+    if E.is_whole:
         return f"Spec({E.ring})"
-    return str(E)
+    excl = ", ".join(point_str(p) for p in sorted_points(E.excluded)) or "none"
+    family = "minimal primes" if E.limit_above else "closed points"
+    side = "with" if E.with_limit else "without"
+    return f"all {family} except {excl}, {side} {point_str(E.limit)}"
 
 
 # ---------------------------------------------------------------------------

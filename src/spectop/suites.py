@@ -171,7 +171,7 @@ def suite_finite_closure(seed: int = 0, cases: int = 100, max_n: int = 10**6) ->
     return res
 
 
-def suite_remark_v5(seed: int = 0, **_: object) -> SuiteResult:
+def suite_remark_v5(seed: int = 0) -> SuiteResult:
     """Strictness of the quotient-product image over Z, excluded prime 11."""
     res = SuiteResult("remark-v5", seed, {})
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
@@ -198,7 +198,7 @@ def suite_remark_v5(seed: int = 0, **_: object) -> SuiteResult:
     return res
 
 
-def suite_remark_flat(seed: int = 0, **_: object) -> SuiteResult:
+def suite_remark_flat(seed: int = 0) -> SuiteResult:
     """Strictness of the localization-product image on the axes ring."""
     res = SuiteResult("remark-flat", seed, {})
     E = sp.cofinite_min(AXES_F2, {7}, False)
@@ -223,7 +223,7 @@ def suite_remark_flat(seed: int = 0, **_: object) -> SuiteResult:
     return res
 
 
-def suite_supplement(seed: int = 0, max_n: int = 8, **_: object) -> SuiteResult:
+def suite_supplement(seed: int = 0, max_n: int = 8) -> SuiteResult:
     """All axes-ring statements for n in [2, max_n] over F2, F3 and Q."""
     res = SuiteResult("supplement", seed, {"max_n": max_n})
     for K in (F2, F3, rings.QQ):
@@ -233,7 +233,7 @@ def suite_supplement(seed: int = 0, max_n: int = 8, **_: object) -> SuiteResult:
     return res
 
 
-def suite_nilradical_product(seed: int = 0, cases: int = 20, **_: object) -> SuiteResult:
+def suite_nilradical_product(seed: int = 0, cases: int = 20) -> SuiteResult:
     """Componentwise nilpotents and dense minimal tame primes on products."""
     res = SuiteResult("nilradical-product", seed, {"cases": cases})
     rng = Random(seed)
@@ -252,7 +252,7 @@ def suite_nilradical_product(seed: int = 0, cases: int = 20, **_: object) -> Sui
     return res
 
 
-def suite_lying_over(seed: int = 0, cases: int = 50, **_: object) -> SuiteResult:
+def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
     """Round trips contract(laying_over(p)) = p over injective maps."""
     res = SuiteResult("lying-over", seed, {"cases": cases})
     rng = Random(seed)
@@ -317,7 +317,7 @@ def suite_lying_over(seed: int = 0, cases: int = 50, **_: object) -> SuiteResult
     return res
 
 
-def suite_pz(seed: int = 0, max_n: int = 5, **_: object) -> SuiteResult:
+def suite_pz(seed: int = 0, max_n: int = 5) -> SuiteResult:
     """Prime absorbance and avoidance over finite families: the axes rings,
     Z/n and chains of monomial primes, where prime avoidance makes both
     hold."""
@@ -349,7 +349,7 @@ def suite_pz(seed: int = 0, max_n: int = 5, **_: object) -> SuiteResult:
     return res
 
 
-def suite_density(seed: int = 0, cases: int = 50, **_: object) -> SuiteResult:
+def suite_density(seed: int = 0, cases: int = 50) -> SuiteResult:
     """Density criteria plus dense/non-dense confirmations."""
     res = SuiteResult("density", seed, {"cases": cases})
     rng = Random(seed)
@@ -424,7 +424,7 @@ def _random_infinite_subset(R: RingExpr, rng: Random) -> SpecSubset:
     return sp.cofinite(R, excl, rng.random() < 0.5)
 
 
-def suite_closure_axioms(seed: int = 0, cases: int = 500, **_: object) -> SuiteResult:
+def suite_closure_axioms(seed: int = 0, cases: int = 500) -> SuiteResult:
     """Closure axioms, the ordering, and the stability characterization."""
     res = SuiteResult("closure-axioms", seed, {"cases": cases})
     rng = Random(seed)
@@ -488,7 +488,7 @@ def _enlarge(R: RingExpr, E: SpecSubset) -> SpecSubset:
     return E
 
 
-def suite_oracle_agreement(seed: int = 0, **_: object) -> SuiteResult:
+def suite_oracle_agreement(seed: int = 0) -> SuiteResult:
     """Brute-force tame enumeration equals the image formulas, inside closures."""
     res = SuiteResult("oracle-agreement", seed, {})
     res.notes.append(WILD_PRIME_NOTE)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import spectrum as sp
-from .errors import KindMismatchError, UnsupportedError, UnsupportedSymbolicError
+from .errors import KindMismatchError, UnsupportedError
 from .rings import (  # the density rationales are named from here too
     COUNTEREXAMPLE,
     FACTORIZATION_FINITE,
@@ -25,14 +25,7 @@ from .rings import (  # the density rationales are named from here too
     El,
     RingExpr,
 )
-from .spectrum import (
-    Cofinite,
-    EmptySet,
-    Explicit,
-    PrimePoint,
-    SpecSubset,
-    Whole,
-)
+from .spectrum import Explicit, PrimePoint, SpecSubset
 
 ZARISKI = "zariski"
 FLAT = "flat"
@@ -68,35 +61,28 @@ def order_closure(E: SpecSubset, up: bool) -> SpecSubset:
     everything when it does not.
     """
     R = E.ring
-    if isinstance(E, (EmptySet, Whole)):
-        return E
     if isinstance(E, Explicit):
         reach = R.up_points if up else R.down_points
         out: set[PrimePoint] = set()
         for p in E.points:
             pts = reach(p)
             if pts is None:
-                return Whole(R)
+                return sp.whole(R)
             out |= pts
         return sp._explicit(R, out)
-    if isinstance(E, Cofinite):
-        if E.limit_above == up:
-            return sp._cofinite(R, E.excluded, True)
-        return Whole(R) if E.with_limit else E
-    raise UnsupportedSymbolicError(f"no order rule for {sp.subset_str(E)}")
+    if E.limit_above == up:
+        return _patch(E)  # adds the limit, and nothing else
+    return sp.whole(R) if E.with_limit else E
 
 
 def _patch(E: SpecSubset) -> SpecSubset:
-    if isinstance(E, (EmptySet, Whole, Explicit)):
+    if isinstance(E, Explicit) or E.with_limit:
         return E
-    if isinstance(E, Cofinite):
-        # Every family point is patch-isolated, and every patch neighbourhood
-        # of the limit holds all but finitely many family points: each V(a),
-        # a nonzero, is finite over Z and GF(p)[x], and each D(a), a a
-        # nonunit, is finite on the axes ring.  So the limit is the only
-        # point added.
-        return sp._cofinite(E.ring, E.excluded, True)
-    raise UnsupportedSymbolicError(f"no patch rule for {sp.subset_str(E)}")
+    # Every family point is patch-isolated, and every patch neighbourhood of
+    # the limit holds all but finitely many family points: each V(a), a
+    # nonzero, is finite over Z and GF(p)[x], and each D(a), a a nonunit, is
+    # finite on the axes ring.  So the limit is the only point added.
+    return sp._cofinite(E.ring, E.excluded, True)
 
 
 def patch_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
@@ -139,8 +125,6 @@ def is_stable(E: SpecSubset, R: RingExpr | None, mode: str) -> bool:
     R = _resolve_ring(E, R)
     if mode not in (SPECIALIZATION, GENERALIZATION):
         raise UnsupportedError(f"unknown stability mode {mode!r}")
-    if isinstance(E, (EmptySet, Whole)):
-        return True
     if isinstance(E, Explicit):
         # Stable exactly when every point's up (down) set stays inside E.
         reach = R.up_points if mode == SPECIALIZATION else R.down_points
@@ -149,11 +133,10 @@ def is_stable(E: SpecSubset, R: RingExpr | None, mode: str) -> bool:
             if pts is None or not pts <= E.points:
                 return False
         return True
-    if isinstance(E, Cofinite):
-        # A family point's up (down) set is the point and the limit when the
-        # limit lies on that side; the limit's is everything when it does not.
-        return E.with_limit == (E.limit_above == (mode == SPECIALIZATION))
-    raise UnsupportedSymbolicError(f"no stability rule for {sp.subset_str(E)}")
+    # The whole spectrum is stable both ways.  Otherwise: a family point's up
+    # (down) set is the point and the limit when the limit lies on that
+    # side; the limit's is everything when it does not.
+    return E.is_whole or E.with_limit == (E.limit_above == (mode == SPECIALIZATION))
 
 
 def is_dense(E: SpecSubset, R: RingExpr | None, topology: str) -> bool:

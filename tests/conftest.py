@@ -1,8 +1,9 @@
-"""Shared fixtures: ring zoos and seeded generators."""
+"""Shared fixtures: ring zoos, seeded generators and property settings."""
 
 from random import Random
 
 import pytest
+from hypothesis import settings
 
 from spectop import construction, rings
 
@@ -11,6 +12,10 @@ F3 = rings.prime_field(3)
 F2X = rings.poly_ring(2)
 AXES_F2 = rings.symbolic_supplement(F2)
 AXES_Q = rings.symbolic_supplement(rings.QQ)
+SUPP3 = construction.build_supplement(F2, 3)
+
+# Property tests replay the same examples on every run and keep no database.
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 def enumerable_zoo():

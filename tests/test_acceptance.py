@@ -49,7 +49,7 @@ def test_acceptance_2_strict_quotient_image_over_z():
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
     image = products.quotient_product_image(rings.ZZ, E)
     assert image == sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
-    assert top.zariski_closure(E, rings.ZZ) == sp.Whole(rings.ZZ)
+    assert top.zariski_closure(E, rings.ZZ) == sp.whole(rings.ZZ)
     rep = products.strictness_demo(rings.ZZ, E, top.ZARISKI)
     assert rep.strict and rep.witness == ZMax(11)
     assert products.is_unit_in_quotient_product(IntEl(11), E, rings.ZZ)
@@ -96,7 +96,7 @@ def test_acceptance_4_dual_image_pair_on_axes_ring():
         li = products.local_product_image(AXES_F2, E)
         assert li == expected
         fl = top.flat_closure(E, AXES_F2)
-        assert fl == sp.Whole(AXES_F2)
+        assert fl == sp.whole(AXES_F2)
         assert sp.subset_le(li, fl) and li != fl
     print("ACCEPTANCE 4 (minimal-point images on the axes ring, 50 cases): PASS")
 

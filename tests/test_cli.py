@@ -263,6 +263,21 @@ def test_suite_sizes_below_one_exit_2(capsys, argv):
     assert "\n" not in err.rstrip("\n")
 
 
+@pytest.mark.parametrize(
+    "suite,flag,value",
+    [
+        ("closure-axioms", "--max-n", "2"),
+        ("pz", "--cases", "5"),
+        ("remark-v5", "--cases", "3"),
+    ],
+)
+def test_size_flag_the_suite_does_not_take_exits_2(capsys, suite, flag, value):
+    # A flag with no effect on the named suite is refused, not dropped.
+    code, out, err = run(capsys, "verify", suite, flag, value, "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: verify {suite} takes no {flag}\n"
+
+
 FOREIGN_POINT = '{"type":"explicit","points":[{"type":"zMax","p":4}]}'
 X_SQUARED = '{"type":"fpxMax","coeffs":[0,0,1]}'
 F2X = '{"kind":"FpPoly","p":2}'

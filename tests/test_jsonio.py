@@ -111,7 +111,7 @@ def test_subset_round_trip_and_documented_form():
         assert jsonio.subset_from_json(jsonio.subset_to_json(E), R) == E
     E2 = sp.cofinite_min(AXES_F2, {1, 7}, True)
     assert jsonio.subset_from_json(jsonio.subset_to_json(E2), AXES_F2) == E2
-    assert jsonio.subset_from_json({"type": "whole"}, AXES_F2) == sp.Whole(AXES_F2)
+    assert jsonio.subset_from_json({"type": "whole"}, AXES_F2) == sp.whole(AXES_F2)
     # A missing limit flag leaves the limit point out.
     assert jsonio.subset_from_json({"type": "cofiniteMin", "excluded": [2]}, AXES_F2) == (
         sp.cofinite_min(AXES_F2, {2}, False)
@@ -183,8 +183,8 @@ def _public_subclasses(base) -> set:
 
 
 def test_every_value_class_has_one_wire_row():
-    # A class without a row would fail only at its first query; Cofinite
-    # has one row per wire form.
+    # A class without a row would fail only at its first query; Explicit
+    # and Cofinite have one row per wire form.
     classes = (
         _public_subclasses(rings.RingExpr)
         | _public_subclasses(maps.RingMapSpec)
@@ -195,7 +195,7 @@ def test_every_value_class_has_one_wire_row():
     tables = [jsonio._RING_ROWS, jsonio._ELEMENT_ROWS, jsonio._POINT_ROWS,
               jsonio._SUBSET_ROWS, jsonio._MAP_ROWS]
     rows = Counter(row.cls for table in tables for row in table.rows)
-    assert rows == {cls: 2 if cls is sp.Cofinite else 1 for cls in classes}
+    assert rows == {cls: {sp.Explicit: 2, sp.Cofinite: 3}.get(cls, 1) for cls in classes}
     for table in tables:
         assert len(table.by_tag) == len(table.rows)
 

@@ -7,10 +7,10 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import AXES_F2, AXES_Q, F2, F2X, F3, enumerable_zoo, symbolic_zoo
+from conftest import AXES_F2, AXES_Q, F2, F2X, F3, PROPERTY, enumerable_zoo, symbolic_zoo
 from spectop import construction, jsonio, rings
 from spectop import spectrum as sp
 from spectop.cli import run_command
@@ -28,8 +28,6 @@ from spectop.spectrum import (
     ZmodPrime,
     ZMax,
 )
-
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 def _json_trip(doc):

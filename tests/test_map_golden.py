@@ -12,13 +12,12 @@ were recorded before each map kind owned its rules.
 
 import pytest
 
-from conftest import AXES_F2, F2, F2X
-from spectop import construction, jsonio, maps, rings
+from conftest import AXES_F2, F2X, SUPP3
+from spectop import jsonio, maps, rings
 from spectop import spectrum as sp
 from spectop.errors import SpectopError
 from spectop.spectrum import FpxGeneric, FpxMax, SuppMin, SuppTop, ZGeneric, ZMax
 
-SUPP3 = construction.build_supplement(F2, 3)
 Z30 = rings.zmod(30)
 SUPP3_MINS = [p for p in sp.spec_points(SUPP3) if SUPP3.is_minimal_prime(p)]
 

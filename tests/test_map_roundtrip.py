@@ -5,16 +5,15 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import AXES_F2, F2, F2X
+from conftest import AXES_F2, F2, F2X, PROPERTY
 from spectop import construction, jsonio, maps, rings
 from spectop import spectrum as sp
 from spectop.cli import run_command
 from spectop.spectrum import FpxGeneric, FpxMax, SuppMin, SuppTop, ZGeneric, ZMax
 
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 Z6 = rings.zmod(6)
 RINGS = [

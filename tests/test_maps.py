@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 
-from conftest import AXES_F2, F2, F2X, enumerable_zoo, symbolic_zoo
-from spectop import construction, maps, rings
+from conftest import AXES_F2, F2, F2X, SUPP3, enumerable_zoo, symbolic_zoo
+from spectop import maps, rings
 from spectop.primes import factorint
 from spectop import spectrum as sp
 from spectop import topology as top
@@ -25,8 +25,6 @@ from spectop.spectrum import (
     ZmodPrime,
     ZMax,
 )
-
-SUPP3 = construction.build_supplement(F2, 3)
 
 
 def test_contract_examples():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import F2
+from conftest import F2, PROPERTY
 from spectop import jsonio, rings
 from spectop.errors import KindMismatchError
 
@@ -59,7 +59,6 @@ element_terms = st.dictionaries(
     max_size=4,
 )
 AMBIENT = rings.monomial_quotient(rings.QQ, NVARS, frozenset())
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 @PROPERTY

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from conftest import AXES_F2, F2, enumerable_zoo
+from conftest import AXES_F2, F2, SUPP3, enumerable_zoo
 from spectop import construction, maps, products, rings
 from spectop import spectrum as sp
 from spectop import topology as top
@@ -19,8 +19,6 @@ from spectop.spectrum import (
     ZmodPrime,
     ZMax,
 )
-
-SUPP3 = construction.build_supplement(F2, 3)
 
 
 def test_unit_idempotents():
@@ -84,7 +82,7 @@ def test_quotient_image_finite_examples():
     E = sp.explicit(rings.ZZ, {ZMax(2), ZMax(3)})
     assert products.quotient_product_image(rings.ZZ, E) == E
     E_gen = sp.explicit(rings.ZZ, {ZGeneric(), ZMax(5)})
-    assert products.quotient_product_image(rings.ZZ, E_gen) == sp.Whole(rings.ZZ)
+    assert products.quotient_product_image(rings.ZZ, E_gen) == sp.whole(rings.ZZ)
 
 
 def test_quotient_image_symbolic_examples():
@@ -93,14 +91,14 @@ def test_quotient_image_symbolic_examples():
         rings.ZZ, {ZMax(11)}, True
     )
     E2 = sp.cofinite_min(AXES_F2, set(), False)
-    assert products.quotient_product_image(AXES_F2, E2) == sp.Whole(AXES_F2)
+    assert products.quotient_product_image(AXES_F2, E2) == sp.whole(AXES_F2)
 
 
 def test_quotient_image_with_generic_member_is_whole():
     # A set containing the generic point routes through the factor
     # R/(0) = R, whose spectrum contracts onto everything.
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
-    assert products.quotient_product_image(rings.ZZ, E) == sp.Whole(rings.ZZ)
+    assert products.quotient_product_image(rings.ZZ, E) == sp.whole(rings.ZZ)
     assert products.local_product_image(rings.ZZ, E) == E
 
 
@@ -137,7 +135,7 @@ def test_local_image_examples():
         AXES_F2, {5}, True
     )
     E4 = sp.explicit(AXES_F2, {SuppTop()})
-    assert products.local_product_image(AXES_F2, E4) == sp.Whole(AXES_F2)
+    assert products.local_product_image(AXES_F2, E4) == sp.whole(AXES_F2)
 
 
 def test_brute_force_examples():
@@ -215,7 +213,7 @@ def test_strictness_demos():
     rep = products.strictness_demo(rings.ZZ, E, top.ZARISKI)
     assert rep.strict and rep.witness == ZMax(11)
     assert rep.image == sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
-    assert rep.closure == sp.Whole(rings.ZZ)
+    assert rep.closure == sp.whole(rings.ZZ)
 
     E2 = sp.cofinite_min(AXES_F2, {7}, False)
     rep2 = products.strictness_demo(AXES_F2, E2, top.FLAT)

@@ -17,7 +17,8 @@ def test_no_global_or_nonlocal_statements():
     assert found == []
 
 
-def _decorator_name(node):
+def _callee_name(node):
+    """The name a decorator or a call refers to, without its module."""
     target = node.func if isinstance(node, ast.Call) else node
     return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
 
@@ -32,7 +33,7 @@ def test_every_memo_table_is_bounded():
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for dec in fn.decorator_list:
-                name = _decorator_name(dec)
+                name = _callee_name(dec)
                 where = f"{path.relative_to(SRC)}:{fn.name}"
                 if name == "lru_cache":
                     args = dec.args if isinstance(dec, ast.Call) else []
@@ -45,4 +46,26 @@ def test_every_memo_table_is_bounded():
                     a = fn.args
                     if a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
                         found.append(where)
+    assert found == []
+
+
+def test_only_the_canonicalizers_build_subsets():
+    # Two subset forms give each set one value only because every subset
+    # passes through spectrum._explicit or spectrum._cofinite, and the
+    # latter keeps the limit point out of `excluded`.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "spectrum.py":
+            for fn in tree.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("_explicit", "_cofinite"):
+                    allowed |= {id(node) for node in ast.walk(fn)}
+        found += [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _callee_name(node) in ("Explicit", "Cofinite")
+            and id(node) not in allowed
+        ]
     assert found == []

@@ -4,8 +4,8 @@ from random import Random
 
 import pytest
 
-from conftest import AXES_F2, F2, enumerable_zoo
-from spectop import construction, primes, rings
+from conftest import AXES_F2, F2, SUPP3, enumerable_zoo
+from spectop import primes, rings
 from spectop.errors import KindMismatchError, UnsupportedError
 from spectop.primes import factorint
 from spectop.rings import (
@@ -20,7 +20,6 @@ from spectop.rings import (
 )
 
 MQ_F2_2 = rings.monomial_quotient(F2, 2, {(1, 1)})
-SUPP3 = construction.build_supplement(F2, 3)
 
 
 def test_normalize_deletes_ideal_monomials():

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from conftest import AXES_F2, F2, F2X, enumerable_zoo, symbolic_zoo
+from conftest import AXES_F2, F2, F2X, SUPP3, enumerable_zoo, symbolic_zoo
 from spectop import construction, gfpoly, jsonio, maps, products, rings
 from spectop import spectrum as sp
 from spectop import topology as top
@@ -22,8 +22,6 @@ from spectop.spectrum import (
     ZmodPrime,
     ZMax,
 )
-
-SUPP3 = construction.build_supplement(F2, 3)
 
 
 def test_enumerate_zmod12():
@@ -51,7 +49,7 @@ def test_enumerate_axes_ring():
 
 def test_enumerate_symbolic_is_whole():
     for R in symbolic_zoo():
-        assert sp.whole(R) == sp.Whole(R)
+        assert sp.whole(R) == sp.cofinite(R, (), True)
         with pytest.raises(NonEnumerableError):
             sp.spec_points(R)
 
@@ -105,7 +103,7 @@ def test_v_locus_integers():
     # Oracle: 12 = 2^2 * 3 by plain division.
     assert 12 % 2 == 0 and 12 % 3 == 0 and 12 % 5 != 0
     assert sp.v_locus(IntEl(12), rings.ZZ) == sp.explicit(rings.ZZ, {ZMax(2), ZMax(3)})
-    assert sp.v_locus(IntEl(0), rings.ZZ) == sp.Whole(rings.ZZ)
+    assert sp.v_locus(IntEl(0), rings.ZZ) == sp.whole(rings.ZZ)
     assert sp.v_locus(IntEl(1), rings.ZZ) == sp.empty_set(rings.ZZ)
     assert sp.v_locus(IntEl(-30), rings.ZZ) == sp.explicit(
         rings.ZZ, {ZMax(2), ZMax(3), ZMax(5)}
@@ -186,37 +184,68 @@ def test_v_locus_multiplicative(rng):
         assert lhs == rhs
 
 
+# Per symbolic ring: its limit point and five points of its infinite
+# family.  The sets below name only the first four, so membership at these
+# six points tells any two of them apart.
+FAMILY_POINTS = {
+    rings.ZZ: (ZGeneric(), [ZMax(2), ZMax(3), ZMax(11), ZMax(13), ZMax(17)]),
+    F2X: (
+        FpxGeneric(),
+        [FpxMax((0, 1)), FpxMax((1, 1)), FpxMax((1, 1, 1)), FpxMax((1, 1, 0, 1)),
+         FpxMax((1, 0, 1, 1))],
+    ),
+    AXES_F2: (SuppTop(), [SuppMin(1), SuppMin(2), SuppMin(3), SuppMin(4), SuppMin(5)]),
+}
+
+
 def test_subset_algebra_by_membership(rng):
-    R = rings.ZZ
-    probes = sp.sample_points(R, rng, 40)
-    subsets = [
-        sp.empty_set(R),
-        sp.whole(R),
-        sp.explicit(R, {ZMax(2), ZMax(11)}),
-        sp.explicit(R, {ZGeneric(), ZMax(3)}),
-        sp.cofinite_closed(R, {ZMax(2)}, True),
-        sp.cofinite_closed(R, {ZMax(11), ZMax(13)}, False),
-    ]
-    for A in subsets:
-        comp = sp.subset_complement(A)
-        for p in probes:
-            assert sp.subset_member(p, A) != sp.subset_member(p, comp)
-        for B in subsets:
-            u = sp.subset_union(A, B)
-            i = sp.subset_intersect(A, B)
+    for R in symbolic_zoo():
+        limit, family = FAMILY_POINTS[R]
+        p1, p2, p3, p4, _ = family
+        probes = sp.sample_points(R, rng, 40)
+        subsets = [
+            sp.empty_set(R),
+            sp.whole(R),
+            sp.explicit(R, {p1, p3}),
+            sp.explicit(R, {limit, p2}),
+            sp.cofinite(R, {p1}, True),
+            sp.cofinite(R, {p3, p4}, False),
+            # The complement of the second explicit set, built directly.
+            sp.cofinite(R, {p2}, False),
+        ]
+        derived = []
+        for A in subsets:
+            comp = sp.subset_complement(A)
             for p in probes:
-                assert sp.subset_member(p, u) == (
-                    sp.subset_member(p, A) or sp.subset_member(p, B)
-                )
-                assert sp.subset_member(p, i) == (
-                    sp.subset_member(p, A) and sp.subset_member(p, B)
-                )
-            assert sp.subset_le(i, A) and sp.subset_le(A, u)
+                assert sp.subset_member(p, A) != sp.subset_member(p, comp)
+            assert sp.subset_union(A, comp) == sp.whole(R)
+            assert sp.subset_intersect(A, comp) == sp.empty_set(R)
+            derived.append(comp)
+            for B in subsets:
+                u = sp.subset_union(A, B)
+                i = sp.subset_intersect(A, B)
+                for p in probes:
+                    assert sp.subset_member(p, u) == (
+                        sp.subset_member(p, A) or sp.subset_member(p, B)
+                    )
+                    assert sp.subset_member(p, i) == (
+                        sp.subset_member(p, A) and sp.subset_member(p, B)
+                    )
+                assert sp.subset_le(i, A) and sp.subset_le(A, u)
+                derived += [u, i]
+        # Each set has one value, so == is set equality: the invariant that
+        # is_dense reads, checked on the builders' and the algebra's values.
+        pool = [(E, [sp.subset_member(p, E) for p in (limit, *family)])
+                for E in subsets + derived]
+        for A, in_a in pool:
+            for B, in_b in pool:
+                assert (A == B) == (sp.subset_le(A, B) and sp.subset_le(B, A))
+                assert (A == B) == (in_a == in_b)
 
 
 def test_subset_canonicalization():
-    assert sp.cofinite_closed(rings.ZZ, set(), True) == sp.Whole(rings.ZZ)
-    assert sp.cofinite_min(AXES_F2, set(), True) == sp.Whole(AXES_F2)
+    assert sp.cofinite_closed(rings.ZZ, set(), True) == sp.whole(rings.ZZ)
+    assert sp.cofinite_min(AXES_F2, set(), True) == sp.whole(AXES_F2)
     assert sp.explicit(rings.ZZ, set()) == sp.empty_set(rings.ZZ)
     assert isinstance(sp.whole(rings.zmod(12)), sp.Explicit)
     assert isinstance(
