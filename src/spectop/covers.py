@@ -70,9 +70,3 @@ def brute_force_minimal_covers(edges: list[frozenset[int]], nvars: int) -> list[
             if is_cover(cand, edges):
                 covers.add(cand)
     return _minimalize(covers)
-
-
-def min_cover_size(edges: list[frozenset[int]], nvars: int) -> int:
-    if not edges:
-        return 0
-    return min(len(c) for c in minimal_covers(edges, nvars))

@@ -180,11 +180,11 @@ class CanonicalIntoLocalProduct(_ProductMap):
             return False  # the map into the zero ring
         if R.domain:
             return True  # localizations of a domain
-        if R.top is not None:
+        if R.limit_above:
             # R_m is R itself, and at a minimal prime of a reduced ring the
             # kernel is the prime: only all the minimal primes together meet in 0.
             return (
-                sp.subset_member(R.top, E)
+                sp.subset_member(R.limit, E)
                 or CanonicalIntoQuotientProduct(R, E).is_injective()
             )
         # Localizing at a tame prime keeps only its slot's factor.

@@ -66,6 +66,7 @@ from .values import (  # the values and their functions are named from here too
     ZMax,
     _canonical_exp,
     _generator_mask,
+    _int,
     _mask_in,
     _minimal_masks,
     add,
@@ -119,22 +120,21 @@ class RingExpr:
     each rule some family lacks.
 
     Element arguments of the rule methods are already in canonical form;
-    the module-level functions normalize first.  Point methods that
-    answer a question about a point from the caller (leq_specialization,
-    point_contains) validate it; the others, _leq and _contains among
-    them, expect a point of this ring, and loops over the ring's own
-    points call _leq and _contains directly.
+    the module-level functions normalize first.  Point arguments are
+    points of this ring: the spectrum functions that take a point from the
+    caller validate it first, and loops over the ring's own points call
+    _leq and _contains directly.
     """
 
     # Infinite spectrum: subsets are given by representation rules.
     symbolic = False
     # Every ring of the family is an integral domain.
     domain = False
-    # The generic point below infinitely many closed points (Z, GF(p)[x]),
-    # and the maximal ideal above infinitely many minimal primes (the axes
-    # ring): the limit point of a cofinite subset, and its side of the order.
-    generic: PrimePoint | None = None
-    top: PrimePoint | None = None
+    # The limit point of a symbolic spectrum (see _Symbolic), and its side
+    # of the order: above the infinite family (the maximal ideal of the
+    # axes ring), or below it (the generic point of Z and GF(p)[x]).
+    limit: PrimePoint | None = None
+    limit_above = False
 
     # -- elements ----------------------------------------------------------
 
@@ -174,17 +174,6 @@ class RingExpr:
         """Check that p denotes a prime of this ring; raise KindMismatchError otherwise."""
         if not self.has_point(p):
             raise KindMismatchError(f"{point_str(p)} is not a point of {self}")
-
-    def leq_specialization(self, p: PrimePoint, q: PrimePoint) -> bool:
-        """Containment of the prime ideals, p included in q."""
-        self.validate_point(p)
-        self.validate_point(q)
-        return self._leq(p, q)
-
-    def point_contains(self, p: PrimePoint, r: El) -> bool:
-        """Whether the element r lies in the prime ideal named by p."""
-        self.validate_point(p)
-        return self._contains(p, self.normalize(r))
 
     def point_ideal(self, p: PrimePoint) -> IdealRepr:
         raise UnsupportedError(f"no ideal representation for points of {self}")
@@ -230,9 +219,7 @@ class RingExpr:
         return {p for p in _spectrum(self) if self._contains(p, r)}, False
 
     def is_minimal_prime(self, p: PrimePoint) -> bool:
-        if not self.is_enumerable():
-            raise NonEnumerableError(f"cannot test minimality over {self}")
-        return _order(self)[p][1] == {p}
+        return self.down_points(p) == {p}
 
     def density_rule(self, zariski: bool) -> tuple[bool, El | None, str]:
         """(holds, witness, rationale) for "every infinite subset is dense"
@@ -261,7 +248,7 @@ class _Residue(RingExpr):
     def normalize(self, e: El) -> El:
         if not isinstance(e, ModEl):
             raise KindMismatchError(f"expected a residue element, got {e}")
-        return ModEl(e.v % self.modulus)
+        return ModEl(_int(e.v, "residue") % self.modulus)
 
     def from_int(self, k: int) -> El:
         return ModEl(k % self.modulus)
@@ -288,9 +275,6 @@ class _ZeroDimensional(RingExpr):
 
     def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
         return frozenset((p,))
-
-    def is_minimal_prime(self, p: PrimePoint) -> bool:
-        return True
 
 
 class _Domain(RingExpr):
@@ -339,37 +323,62 @@ class _Field(_ZeroDimensional, _Domain):
         return ResidueField(str(self), self)
 
 
-class _Dedekind(_Domain):
-    """Z and GF(p)[x]: a generic point under infinitely many closed points,
-    which factoring finds.  Every nonzero element lies in finitely many
-    closed points, so subsets are finite or cofinite in the closed points."""
+class _Symbolic(RingExpr):
+    """An infinite family of pairwise incomparable points plus one limit
+    point, above every family point when limit_above is set and below every
+    one otherwise.  The two sides mirror each other (the flat topology is
+    the Zariski topology of the reversed order, Hochster 1969), so the
+    order, sampling, locus shape and dimension are stated once here.  A
+    family gives limit and limit_above, has_point, membership, residue
+    fields, density_rule, _random_family_point(rng) and _family_locus(r):
+    for r neither zero nor a unit, the finite set of family points that
+    V(r) holds, or misses when the limit is above."""
 
     symbolic = True
 
     def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
-        return p == self.generic or p == q
+        return p == q or (q if self.limit_above else p) == self.limit
+
+    def _reach(self, p: PrimePoint, toward: bool) -> frozenset[PrimePoint] | None:
+        """Toward the limit's side a point reaches itself and the limit; away
+        from it the limit reaches every point (None), a family point itself."""
+        if toward:
+            return frozenset({p, self.limit})
+        return None if p == self.limit else frozenset({p})
+
+    def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
+        return self._reach(p, self.limit_above)
+
+    def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
+        return self._reach(p, not self.limit_above)
 
     def sample_points(self, rng, count: int) -> list[PrimePoint]:
         return [
-            self.generic if rng.random() < 0.15 else self._random_closed_point(rng)
+            self.limit if rng.random() < 0.15 else self._random_family_point(rng)
             for _ in range(count)
         ]
-
-    def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
-        return None if p == self.generic else frozenset({p})
-
-    def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
-        return frozenset({p} if p == self.generic else {p, self.generic})
 
     def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
         if r == self.from_int(0):
             return set(), True
         if self.is_unit(r):
             return set(), False
-        return self.prime_divisors(r), False
+        return self._family_locus(r), self.limit_above
 
-    def is_minimal_prime(self, p: PrimePoint) -> bool:
-        return p == self.generic
+    def krull_dim(self) -> int:
+        return 1
+
+
+class _Dedekind(_Symbolic, _Domain):
+    """Z and GF(p)[x]: a generic point under infinitely many closed points,
+    which factoring finds.  Every point is a principal prime: a family
+    gives its generator, 0 at the generic point."""
+
+    def _contains(self, p: PrimePoint, r: El) -> bool:
+        return self.principal_member(self._generator(p), r)
+
+    def point_ideal(self, p: PrimePoint) -> IdealRepr:
+        return principal_ideal(self, self._generator(p))
 
     def density_rule(self, zariski: bool) -> tuple[bool, El | None, str]:
         if zariski:
@@ -377,13 +386,10 @@ class _Dedekind(_Domain):
             return True, None, FACTORIZATION_FINITE
         return False, self.prime_element, COUNTEREXAMPLE
 
-    def krull_dim(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class IntegerRing(_Dedekind):
-    generic = ZGeneric()
+    limit = ZGeneric()
     prime_element = IntEl(2)
 
     def __str__(self) -> str:
@@ -392,7 +398,7 @@ class IntegerRing(_Dedekind):
     def normalize(self, e: El) -> El:
         if not isinstance(e, IntEl):
             raise KindMismatchError(f"expected an integer element, got {e}")
-        return IntEl(int(e.v))
+        return IntEl(_int(e.v, "integer element"))
 
     def from_int(self, k: int) -> El:
         return IntEl(k)
@@ -422,13 +428,8 @@ class IntegerRing(_Dedekind):
     def has_point(self, p: PrimePoint) -> bool:
         return isinstance(p, ZGeneric) or isinstance(p, ZMax) and is_prime(p.p)
 
-    def _contains(self, p: PrimePoint, r: El) -> bool:
-        if p == self.generic:
-            return r.v == 0
-        return r.v % p.p == 0
-
-    def point_ideal(self, p: PrimePoint) -> IdealRepr:
-        return principal_ideal(self, IntEl(0 if p == self.generic else p.p))
+    def _generator(self, p: PrimePoint) -> El:
+        return IntEl(0 if p == self.limit else p.p)
 
     def closed_points(self):
         """The closed points in canonical order."""
@@ -437,14 +438,14 @@ class IntegerRing(_Dedekind):
             yield ZMax(q)
             q = next_prime(q)
 
-    def _random_closed_point(self, rng) -> PrimePoint:
+    def _random_family_point(self, rng) -> PrimePoint:
         return ZMax(_PRIME_POOL[rng.randrange(len(_PRIME_POOL))])
 
-    def prime_divisors(self, r: El) -> set[PrimePoint]:
+    def _family_locus(self, r: El) -> set[PrimePoint]:
         return {ZMax(q) for q in prime_factors(r.v)}
 
     def residue_field(self, p: PrimePoint) -> ResidueField:
-        if p == self.generic:
+        if p == self.limit:
             return ResidueField("Q", QQ)
         return ResidueField(f"F_{p.p}", PrimeField(p.p))
 
@@ -457,7 +458,7 @@ class RationalField(_Field):
     def normalize(self, e: El) -> El:
         if not isinstance(e, RatEl):
             raise KindMismatchError(f"expected a rational element, got {e}")
-        return RatEl(Fraction(e.v))
+        return RatEl(_coeff_norm(self, e.v))
 
     def from_int(self, k: int) -> El:
         return RatEl(Fraction(k))
@@ -571,7 +572,7 @@ class PolyRingOverPrimeField(_Dedekind):
 
     p: int
 
-    generic = FpxGeneric()
+    limit = FpxGeneric()
     prime_element = PolyEl((0, 1))
 
     def __post_init__(self):
@@ -584,7 +585,7 @@ class PolyRingOverPrimeField(_Dedekind):
     def normalize(self, e: El) -> El:
         if not isinstance(e, PolyEl):
             raise KindMismatchError(f"expected a polynomial element, got {e}")
-        return PolyEl(gfpoly.trim(e.coeffs, self.p))
+        return PolyEl(gfpoly.trim([_int(c, "coefficient") for c in e.coeffs], self.p))
 
     def from_int(self, k: int) -> El:
         return PolyEl(gfpoly.trim((k,), self.p))
@@ -630,29 +631,22 @@ class PolyRingOverPrimeField(_Dedekind):
             and p.coeffs == gfpoly.monic(p.coeffs, self.p)
         )
 
-    def _contains(self, p: PrimePoint, r: El) -> bool:
-        if p == self.generic:
-            return r.coeffs == ()
-        return gfpoly.divides(p.coeffs, r.coeffs, self.p)
-
-    def point_ideal(self, p: PrimePoint) -> IdealRepr:
-        if p == self.generic:
-            return PrincipalIdeal(PolyEl(()))
-        return principal_ideal(self, PolyEl(p.coeffs))
+    def _generator(self, p: PrimePoint) -> El:
+        return PolyEl(() if p == self.limit else p.coeffs)
 
     def closed_points(self):
         """The closed points in canonical order."""
         for f in gfpoly.irreducibles(self.p):
             yield FpxMax(f)
 
-    def _random_closed_point(self, rng) -> PrimePoint:
+    def _random_family_point(self, rng) -> PrimePoint:
         return FpxMax(_random_irreducible(self.p, rng))
 
-    def prime_divisors(self, r: El) -> set[PrimePoint]:
+    def _family_locus(self, r: El) -> set[PrimePoint]:
         return {FpxMax(f) for f, _ in gfpoly.factor(r.coeffs, self.p)}
 
     def residue_field(self, p: PrimePoint) -> ResidueField:
-        if p == self.generic:
+        if p == self.limit:
             return ResidueField(f"F_{self.p}(x)", None)
         d = gfpoly.deg(p.coeffs)
         if d == 1:
@@ -661,17 +655,17 @@ class PolyRingOverPrimeField(_Dedekind):
 
 
 def _coeff_norm(field: PrimeField | RationalField, c):
-    if isinstance(field, PrimeField):
-        if isinstance(c, Fraction):
-            if c.denominator % field.p == 0:
-                raise KindMismatchError("denominator not invertible mod p")
-            return c.numerator * pow(c.denominator, -1, field.p) % field.p
-        return int(c) % field.p
-    return Fraction(c)
-
-
-def _coeff_add(field, a, b):
-    return _coeff_norm(field, (a + b) % field.p if isinstance(field, PrimeField) else a + b)
+    """c in the field: an int or a Fraction, or a finite float read as the
+    Fraction it equals (as jsonio reads one); a bool is refused."""
+    if type(c) is not int and not isinstance(c, Fraction):
+        c = Fraction(c) if isinstance(c, float) and math.isfinite(c) else _int(c, "coefficient")
+    if isinstance(field, RationalField):
+        return Fraction(c)
+    if type(c) is int:
+        return c % field.p
+    if c.denominator % field.p == 0:
+        raise KindMismatchError("denominator not invertible mod p")
+    return c.numerator * pow(c.denominator, -1, field.p) % field.p
 
 
 class _Monomial(RingExpr):
@@ -687,14 +681,20 @@ class _Monomial(RingExpr):
             if self.nvars is not None and len(exp) > self.nvars:
                 raise KindMismatchError("monomial uses more variables than the ring has")
             c = _coeff_norm(self.field, c)
-            if exp in acc:
-                acc[exp] = _coeff_add(self.field, acc[exp], c)
-            else:
-                acc[exp] = c
-        cleaned = [
-            (c, e) for e, c in acc.items() if c != 0 and not self._kills_mask(exp_to_mask(e))
-        ]
-        return MPolyEl(tuple(sorted(cleaned, key=lambda t: t[1])))
+            if not self._kills_mask(exp_to_mask(exp)):
+                acc[exp] = acc.get(exp, 0) + c
+        return self._element(acc)
+
+    def _element(self, acc: dict[tuple[int, ...], object]) -> MPolyEl:
+        """The element with the coefficient sums acc {exponent: sum}, none of
+        whose monomials lies in the defining ideal: residues mod p, or
+        fractions over Q."""
+        if isinstance(self.field, PrimeField):
+            p = self.field.p
+            terms = [(c % p, exp) for exp, c in acc.items() if c % p]
+        else:
+            terms = [(Fraction(c), exp) for exp, c in acc.items() if c]
+        return MPolyEl(tuple(sorted(terms, key=lambda t: t[1])))
 
     def normalize(self, e: El) -> El:
         if not isinstance(e, MPolyEl):
@@ -724,13 +724,7 @@ class _Monomial(RingExpr):
                 short, long = (ea, eb) if len(ea) <= len(eb) else (eb, ea)
                 exp = tuple(x + y for x, y in zip(short, long)) + long[len(short):]
                 acc[exp] = acc.get(exp, 0) + ca * cb
-        # Reduced coefficients are residues mod p, or fractions over Q.
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            terms = [(c % p, exp) for exp, c in acc.items() if c % p]
-        else:
-            terms = [(Fraction(c), exp) for exp, c in acc.items() if c]
-        return MPolyEl(tuple(sorted(terms, key=lambda t: t[1])))
+        return self._element(acc)
 
     def is_unit(self, r: El) -> bool:
         # Local ring: units are exactly the elements outside the maximal ideal.
@@ -889,7 +883,7 @@ class LocalizedAtIrrelevant(_Quotient):
 
 
 @dataclass(frozen=True)
-class SymbolicSupplement(_Monomial):
+class SymbolicSupplement(_Symbolic, _Monomial):
     """K[x_i : i >= 1]/(x_i x_k : i != k) localized at (x_1, x_2, ...).
 
     The local ring at the origin of countably many coordinate axes,
@@ -899,8 +893,8 @@ class SymbolicSupplement(_Monomial):
 
     field: PrimeField | RationalField
 
-    symbolic = True
-    top = SuppTop()
+    limit = SuppTop()
+    limit_above = True
     nvars = None
 
     def __str__(self) -> str:
@@ -914,13 +908,10 @@ class SymbolicSupplement(_Monomial):
     def has_point(self, p: PrimePoint) -> bool:
         return isinstance(p, SuppTop) or isinstance(p, SuppMin) and p.k >= 1
 
-    def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
-        return q == self.top or p == q
-
     def _contains(self, p: PrimePoint, r: El) -> bool:
         if constant_term(r) != 0:
             return False
-        if p == self.top:
+        if p == self.limit:
             return True
         # Reduced terms are single-axis; membership in P_k only excludes axis k.
         return all(mono_support(e) != frozenset({p.k}) for _, e in r.terms)
@@ -929,28 +920,12 @@ class SymbolicSupplement(_Monomial):
         # x_j witnesses a nonzero element of every prime here.
         return False
 
-    def sample_points(self, rng, count: int) -> list[PrimePoint]:
-        return [
-            self.top if rng.random() < 0.15 else SuppMin(rng.randint(1, 30))
-            for _ in range(count)
-        ]
+    def _random_family_point(self, rng) -> PrimePoint:
+        return SuppMin(rng.randint(1, 30))
 
-    def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
-        return frozenset({p} if p == self.top else {p, self.top})
-
-    def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
-        return None if p == self.top else frozenset({p})
-
-    def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
-        if r.terms == ():
-            return set(), True
-        if constant_term(r) != 0:
-            return set(), False
+    def _family_locus(self, r: El) -> set[PrimePoint]:
         # A nonunit misses exactly the axes its terms touch.
-        return {SuppMin(k) for _, e in r.terms for k in mono_support(e)}, True
-
-    def is_minimal_prime(self, p: PrimePoint) -> bool:
-        return isinstance(p, SuppMin)
+        return {SuppMin(k) for _, e in r.terms for k in mono_support(e)}
 
     def density_rule(self, zariski: bool) -> tuple[bool, El | None, str]:
         if not zariski:
@@ -959,11 +934,8 @@ class SymbolicSupplement(_Monomial):
             return True, None, FINITE_SUPPORT
         return False, var_el(self, 1), COUNTEREXAMPLE
 
-    def krull_dim(self) -> int:
-        return 1
-
     def residue_field(self, p: PrimePoint) -> ResidueField:
-        if p == self.top:
+        if p == self.limit:
             return ResidueField(str(self.field), self.field)
         return ResidueField(f"{self.field}(x{p.k})", None)
 
@@ -1128,10 +1100,10 @@ def symbolic_supplement(field: PrimeField | RationalField) -> SymbolicSupplement
 
 
 # Memo tables keyed on immutable rings: the spectrum and its order, and
-# the dimension and minimal covers of a monomial quotient.  Sized for one
-# `verify all` run: it meets 22 distinct monomial quotients (21 of them in
-# the supplement suite) and 192 distinct enumerable rings, so no spectrum
-# is enumerated or ordered twice there, while a long-lived process stays
+# the minimal covers of a monomial quotient.  Sized for one `verify all`
+# run: it meets 22 distinct monomial quotients (21 of them in the
+# supplement suite) and 192 distinct enumerable rings, so no spectrum is
+# enumerated or ordered twice there, while a long-lived process stays
 # bounded.
 _RING_MEMO_SIZE = 256
 
@@ -1160,11 +1132,9 @@ def _order(R: RingExpr) -> MappingProxyType:
     return MappingProxyType({p: (frozenset(up[p]), frozenset(down[p])) for p in pts})
 
 
-@lru_cache(maxsize=_RING_MEMO_SIZE)
 def quotient_dim(R: MonomialQuotient) -> int:
     """Krull dimension of T/I: nvars minus the minimum vertex cover size."""
-    edges = [mask_support(g) for g in R.gens]
-    return R.nvars - covers.min_cover_size(edges, R.nvars)
+    return R.nvars - min(len(c) for c in minimal_cover_sets(R))
 
 
 @lru_cache(maxsize=_RING_MEMO_SIZE)

@@ -69,12 +69,15 @@ def validate_point(p: PrimePoint, R: RingExpr) -> None:
 
 def leq_specialization(p: PrimePoint, q: PrimePoint, R: RingExpr) -> bool:
     """Containment of the corresponding prime ideals (p included in q)."""
-    return R.leq_specialization(p, q)
+    R.validate_point(p)
+    R.validate_point(q)
+    return R._leq(p, q)
 
 
 def point_contains(p: PrimePoint, r: El, R: RingExpr) -> bool:
     """Whether the element r lies in the prime ideal named by p."""
-    return R.point_contains(p, r)
+    R.validate_point(p)
+    return R._contains(p, R.normalize(r))
 
 
 def point_ideal(p: PrimePoint, R: RingExpr) -> rings.IdealRepr:
@@ -115,13 +118,13 @@ class Cofinite:
 
     @property
     def limit(self) -> PrimePoint:
-        return _limit(self.ring)
+        return self.ring.limit
 
     @property
     def limit_above(self) -> bool:
         """Whether the limit point lies above the family in the order (the
         axes ring), not below it (Z, GF(p)[x])."""
-        return self.ring.top is not None
+        return self.ring.limit_above
 
     @property
     def is_whole(self) -> bool:
@@ -129,10 +132,6 @@ class Cofinite:
 
 
 SpecSubset = Explicit | Cofinite
-
-
-def _limit(R: RingExpr) -> PrimePoint | None:
-    return R.generic if R.generic is not None else R.top
 
 
 # The canonicalizers: points handed to these are already points of R.
@@ -143,7 +142,7 @@ def _explicit(R: RingExpr, points) -> SpecSubset:
 
 
 def _cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
-    return Cofinite(R, frozenset(excluded) - {_limit(R)}, with_limit)
+    return Cofinite(R, frozenset(excluded) - {R.limit}, with_limit)
 
 
 # The builders: validate, then canonicalize.
@@ -161,20 +160,20 @@ def explicit(R: RingExpr, points) -> SpecSubset:
 
 
 def cofinite_closed(R: RingExpr, excluded, with_generic: bool) -> SpecSubset:
-    if R.generic is None:
+    if R.limit is None or R.limit_above:
         raise UnsupportedSymbolicError(
             "cofinite-closed sets exist only over Z and GF(p)[x]"
         )
     pts = frozenset(excluded)
     for p in pts:
         validate_point(p, R)
-        if p == R.generic:
+        if p == R.limit:
             raise KindMismatchError("excluded points must be closed points")
     return _cofinite(R, pts, with_generic)
 
 
 def cofinite_min(R: RingExpr, excluded, with_top: bool) -> SpecSubset:
-    if R.top is None:
+    if not R.limit_above:
         raise UnsupportedSymbolicError("cofinite-min sets exist only over the axes ring")
     ks = frozenset(_int(k, "axis") for k in excluded)
     if any(k < 1 for k in ks):
@@ -253,7 +252,7 @@ def subset_complement(E: SpecSubset) -> SpecSubset:
         return _explicit(R, E.excluded if E.with_limit else E.excluded | {E.limit})
     if not R.symbolic:
         return _explicit(R, set(spec_points(R)) - E.points)
-    return _cofinite(R, E.points, _limit(R) not in E.points)
+    return _cofinite(R, E.points, R.limit not in E.points)
 
 
 def subset_difference(A: SpecSubset, B: SpecSubset) -> SpecSubset:

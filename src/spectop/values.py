@@ -30,6 +30,8 @@ if TYPE_CHECKING:
 def _int(v, what: str) -> int:
     """An integer field or index: an int, an integral number or a decimal
     string; never a boolean."""
+    if type(v) is int:
+        return v
     number = isinstance(v, (int, str)) or isinstance(v, float) and v.is_integer()
     if number and not isinstance(v, bool):
         try:
@@ -247,7 +249,7 @@ class ResidueField:
 
 
 def _canonical_exp(exp) -> tuple[int, ...]:
-    exp = tuple(int(e) for e in exp)
+    exp = tuple(_int(e, "exponent") for e in exp)
     while exp and exp[-1] == 0:
         exp = exp[:-1]
     if any(e < 0 for e in exp):
@@ -277,7 +279,7 @@ def mask_support(mask: int) -> frozenset[int]:
 
 def _generator_mask(g) -> int:
     """Mask of a generator given as an exponent tuple; square-free only."""
-    exp = tuple(int(e) for e in g)
+    exp = tuple(_int(e, "exponent") for e in g)
     if any(e not in (0, 1) for e in exp):
         raise KindMismatchError("only square-free monomial generators are admitted")
     return exp_to_mask(exp)

@@ -40,7 +40,7 @@ def _outcome(fn) -> str:
 
 def answers(R, pts, n: int, with_limit: bool) -> dict[str, str]:
     E = sp.cofinite(R, pts[:n], with_limit)
-    limit = R.generic if R.generic is not None else R.top
+    limit = R.limit
     F = sp.explicit(R, {limit, pts[0]})
     ops = {
         "set": lambda: E,

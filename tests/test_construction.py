@@ -254,7 +254,7 @@ def _without_limit(R, pts):
     ids=["Z", "F2x"],
 )
 def test_absorbance_fails_with_witness_zero(R, pts, rng):
-    zero_ideal = R.generic
+    zero_ideal = R.limit
     for E in _without_limit(R, pts):
         assert not con.absorbance_holds(E)
         # (0) contains the intersection of E: no nonzero element lies in
@@ -271,7 +271,7 @@ def test_absorbance_fails_with_witness_zero(R, pts, rng):
 
 @pytest.mark.parametrize("R", [AXES_F2, AXES_Q], ids=str)
 def test_avoidance_fails_with_witness_m(R, rng):
-    m = R.top
+    m = R.limit
     for E in _without_limit(R, (SuppMin(1), SuppMin(2))):
         assert not con.avoidance_holds(E)
         # m lies inside the union of E: each element of m lies in some P_k

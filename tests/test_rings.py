@@ -49,6 +49,40 @@ def test_normalize_kind_mismatch():
         rings.normalize(IntEl(3), rings.zmod(12))
 
 
+AXES_F5 = rings.symbolic_supplement(rings.prime_field(5))
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        # 2.5 = 5/2, which is 0 mod 5, read as a Fraction or as a float.
+        (lambda: rings.var_el(AXES_F5, 1, coeff=2.5), MPolyEl(())),
+        (lambda: rings.var_el(AXES_F5, 1, coeff=Fraction(5, 2)), MPolyEl(())),
+        (lambda: rings.mpoly_el(MQ_F2_2, {(1.5,): 1}), KindMismatchError),
+        (lambda: rings.normalize(ModEl(2.5), rings.zmod(6)), KindMismatchError),
+        (lambda: rings.normalize(IntEl(2.5), rings.ZZ), KindMismatchError),
+        (lambda: rings.normalize(PolyEl((0.5, 1)), rings.poly_ring(3)), KindMismatchError),
+        (lambda: rings.normalize(IntEl(True), rings.ZZ), KindMismatchError),
+        (lambda: rings.normalize(RatEl(True), rings.QQ), KindMismatchError),
+        (lambda: rings.normalize(RatEl(0.5), rings.QQ), RatEl(Fraction(1, 2))),
+        (lambda: rings.normalize(IntEl(2.0), rings.ZZ), IntEl(2)),
+    ],
+    ids=[
+        "float-coeff", "fraction-coeff", "float-exponent", "float-residue",
+        "float-integer", "float-poly-coeff", "bool-integer", "bool-rational",
+        "float-rational", "integral-float",
+    ],
+)
+def test_element_fields_are_read_exactly(build, expected):
+    # A number is taken at its exact value or refused, never truncated.
+    if expected is KindMismatchError:
+        with pytest.raises(KindMismatchError):
+            build()
+    else:
+        # repr tells IntEl(v=2) from IntEl(v=2.0), which compare equal.
+        assert repr(build()) == repr(expected)
+
+
 def test_is_unit_examples():
     assert rings.is_unit(ModEl(5), rings.zmod(12))
     assert not rings.is_unit(ModEl(4), rings.zmod(12))

@@ -320,12 +320,12 @@ ENTRIES = {
     "explicit": (lambda R, p, good: sp.explicit(R, {p}), None),
     "cofinite_closed": (
         lambda R, p, good: sp.cofinite_closed(R, {p}, True),
-        lambda R: R.generic is not None,
+        lambda R: R.symbolic and not R.limit_above,
     ),
     "cofinite": (lambda R, p, good: sp.cofinite(R, {p}, True), lambda R: R.symbolic),
     "cofinite_min": (
         lambda R, p, good: sp.cofinite_min(R, {getattr(p, "k", p)}, True),
-        lambda R: R.top is not None,
+        lambda R: R.limit_above,
     ),
     "up_set": (lambda R, p, good: top.up_set(p, R), None),
     "down_set": (lambda R, p, good: top.down_set(p, R), None),
@@ -356,7 +356,7 @@ ENTRIES = {
         lambda R, p, good: jsonio.subset_from_json(
             {"type": "cofiniteClosed", "excluded": [jsonio.point_to_json(p)]}, R
         ),
-        lambda R: R.generic is not None,
+        lambda R: R.symbolic and not R.limit_above,
     ),
     "jsonio_quotient_map": (
         lambda R, p, good: jsonio.map_from_json(

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from conftest import AXES_F2, F2, F2X, SUPP3, enumerable_zoo, symbolic_zoo
+from conftest import AXES_F2, AXES_Q, F2, F2X, SUPP3, enumerable_zoo, symbolic_zoo
 from spectop import construction, rings
 from spectop import spectrum as sp
 from spectop import topology as top
@@ -339,13 +339,41 @@ def test_zero_dimensional_rings_build_no_order_table():
     assert rings._order.cache_info().currsize == 0
 
 
+SCANNED_SYMBOLIC = [rings.ZZ, F2X, AXES_F2, AXES_Q]
+
+
+def _scan_sample(R):
+    """The spectrum of an enumerable ring; over a symbolic one, the limit
+    and at least three points of the family."""
+    if R.is_enumerable():
+        return sp.spec_points(R)
+    pts = set(sp.sample_points(R, Random(11), 24)) | {R.limit}
+    assert len(pts) >= 4, str(R)
+    return sp.sorted_points(pts)
+
+
 def test_order_table_matches_a_brute_force_scan():
-    for R in enumerable_zoo():
-        pts = sp.spec_points(R)
+    for R in enumerable_zoo() + SCANNED_SYMBOLIC:
+        pts = _scan_sample(R)
         for p in pts:
             up = {q for q in pts if R._leq(p, q)}
             down = {q for q in pts if R._leq(q, p)}
-            assert R.up_points(p) == up, (str(R), p)
-            assert R.down_points(p) == down, (str(R), p)
+            for got, scan, upward in ((R.up_points(p), up, True), (R.down_points(p), down, False)):
+                if got is None:
+                    # None is every point: only from the limit, toward the family.
+                    assert p == R.limit and R.limit_above != upward, (str(R), p)
+                    assert scan == set(pts), (str(R), p)
+                else:
+                    assert got == scan, (str(R), p)
             minimal = not any(q != p and R._leq(q, p) for q in pts)
             assert R.is_minimal_prime(p) == minimal, (str(R), p)
+
+
+def test_symbolic_locus_matches_membership():
+    rng = Random(12)
+    for R in SCANNED_SYMBOLIC:
+        pts = _scan_sample(R)
+        for r in rings.sample_elements(R, rng, 40) + [rings.zero(R), rings.one(R)]:
+            V = sp.v_locus(r, R)
+            for p in pts:
+                assert sp.subset_member(p, V) == R._contains(p, r), (str(R), r, p)
