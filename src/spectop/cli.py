@@ -154,6 +154,8 @@ def _cmd_construct(args) -> int:
             + (" (degenerate: zero ideal)" if rep.degenerate else ""),
             f"  defining ideal = intersection of the axis primes: {rep.intersection_ok}",
             f"  minimal primes: {mins}",
+            "  2^n cover oracle: "
+            + ("skipped (--no-oracle)" if args.no_oracle else "ran and agrees"),
             f"  dim = {rep.dim}, reduced = {rep.reduced}, absorbance = {rep.pz_ok}",
             f"  all statements hold: {rep.all_ok}",
         ]

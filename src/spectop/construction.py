@@ -4,8 +4,8 @@ build_supplement(K, n) constructs K[x_1..x_n]/(x_i x_k : i != k)
 localized at (x_1..x_n): the local ring at the origin of n coordinate
 axes.  Its minimal primes are the ideals I_k = (x_i : i != k), one per
 axis, the defining ideal is their intersection, and the ring is reduced
-of Krull dimension one.  These facts are checked here at desk scale
-against brute-force oracles.
+of Krull dimension one.  These facts are checked here for n up to
+AXES_N_BOUND, and against brute-force oracles at desk scale.
 
 Prime absorbance (a prime that contains the intersection of a family of
 primes contains a member) and prime avoidance (a prime inside the union
@@ -25,6 +25,7 @@ from . import spectrum as sp
 from . import topology as top
 from .errors import (
     BadArityError,
+    KindMismatchError,
     SpectrumTooLargeError,
     TooManyVarsError,
 )
@@ -38,25 +39,33 @@ from .rings import (
 from .spectrum import MonoPrime, PrimePoint, SpecSubset
 
 SPECTRUM_BOUND = 20
+# The largest n of an axes ring.  The intersection fold does about n^3/6
+# mask steps: the whole report takes 0.1 s at n = 64 and 1.0 s at n = 128
+# (check=False, one 2-vCPU host), and would take 10 s at n = 256.
+AXES_N_BOUND = 128
+
+
+def _check_axes_n(n: int) -> None:
+    if n < 1:
+        raise BadArityError("the axes construction needs n >= 1")
+    if n > AXES_N_BOUND:
+        raise TooManyVarsError(f"n = {n} exceeds the axes-ring bound {AXES_N_BOUND}")
+
+
+def _pair_masks(n: int) -> frozenset[int]:
+    """The products x_i x_k with i < k <= n, as masks."""
+    return frozenset(1 << i | 1 << k for i, k in combinations(range(n), 2))
 
 
 def supplement_gens(n: int) -> frozenset[tuple[int, ...]]:
     """Exponent vectors of all products x_i x_k with i < k <= n."""
-    gens = set()
-    for i, k in combinations(range(1, n + 1), 2):
-        exp = [0] * k
-        exp[i - 1] = 1
-        exp[k - 1] = 1
-        gens.add(tuple(exp))
-    return frozenset(gens)
+    return frozenset(rings.mask_to_exp(m) for m in _pair_masks(n))
 
 
 def build_supplement(field: PrimeField | RationalField, n: int) -> LocalizedAtIrrelevant:
     """The n-axes local ring; n = 1 degenerates to K[x]_(x)."""
-    if n < 1:
-        raise BadArityError("the axes construction needs n >= 1")
-    inner = rings.monomial_quotient(field, n, supplement_gens(n))
-    return rings.localized(inner)
+    _check_axes_n(n)
+    return rings.localized(rings.mask_quotient(field, n, _pair_masks(n)))
 
 
 def supplement_is_degenerate(n: int) -> bool:
@@ -70,40 +79,43 @@ def minimal_primes_monomial(
     """Minimal primes of a monomial ideal, as minimal vertex covers.
 
     The ideal is a MonomialIdeal or an iterable of square-free exponent
-    tuples.  With check=True (the default) the result is compared against
-    the 2^nvars subset-scan oracle, which caps nvars; pass check=False to
-    skip the oracle.
+    tuples, in the variables x_1..x_nvars; the unit ideal has no primes
+    and is refused.  With check=True (the default) the result is compared
+    against the 2^nvars subset-scan oracle, which caps nvars; pass
+    check=False to skip the oracle.
     """
     if not isinstance(ideal, MonomialIdeal):
         ideal = rings.monomial_ideal(ideal)
-    edges = [rings.mask_support(g) for g in ideal.gens]
-    fast = covers.minimal_covers(edges, nvars)
-    if check:
-        if nvars > covers.ORACLE_VAR_BOUND:
-            raise TooManyVarsError(
-                f"{nvars} variables exceeds the oracle bound; pass check=False"
-            )
-        oracle = covers.brute_force_minimal_covers(edges, nvars)
-        if fast != oracle:
-            raise AssertionError(
-                f"cover enumeration disagrees with the subset oracle on {edges}"
-            )
-    return [MonoPrime(c) for c in fast]
+    if 0 in ideal.gens:
+        raise KindMismatchError("the unit ideal has no minimal primes")
+    if any(g.bit_length() > nvars for g in ideal.gens):
+        raise KindMismatchError(f"a generator uses more than {nvars} variables")
+    if check and nvars > covers.ORACLE_VAR_BOUND:
+        raise TooManyVarsError(
+            f"{nvars} variables exceeds the oracle bound; pass check=False (--no-oracle)"
+        )
+    fast = rings.minimal_cover_masks(ideal.gens, nvars)
+    if check and list(fast) != covers.brute_force_minimal_covers(ideal.gens, nvars):
+        raise AssertionError(
+            f"cover enumeration disagrees with the subset oracle on {sorted(ideal.gens)}"
+        )
+    return [MonoPrime(rings.mask_support(c)) for c in fast]
 
 
 def verify_intersection(n: int, field: PrimeField | RationalField) -> bool:
-    """Whether (x_i x_k : i != k) equals the intersection of the I_k."""
-    if n < 1:
-        raise BadArityError("need n >= 1")
-    if n > 12:
-        raise TooManyVarsError("intersection fold is capped at n = 12")
-    ambient = rings.monomial_quotient(field, n, frozenset())
-    axis_ideals = []
-    for k in range(1, n + 1):
-        exps = {(0,) * (i - 1) + (1,) for i in range(1, n + 1) if i != k}
-        axis_ideals.append(rings.monomial_ideal(exps))
+    """Whether (x_i x_k : i != k) equals the intersection of the axis
+    ideals I_k = (x_i : i != k), for 1 <= n <= AXES_N_BOUND.
+
+    The ideals are built from masks and folded pairwise; after k steps
+    the meet is (x_{k+1}, ..., x_n) plus the pairs among x_1..x_k, so
+    every mask in the fold has at most two bits.
+    """
+    _check_axes_n(n)
+    ambient = rings.mask_quotient(field, n, ())
+    variables = [1 << i for i in range(n)]
+    axis_ideals = [MonomialIdeal(frozenset(variables) - {v}) for v in variables]
     meet = rings.ideal_intersect_all(axis_ideals, ambient)
-    return meet == rings.monomial_ideal(supplement_gens(n))
+    return meet == MonomialIdeal(_pair_masks(n))
 
 
 def krull_dim(R: RingExpr) -> int:
@@ -226,19 +238,19 @@ class SupplementReport:
 def supplement_report(
     field: PrimeField | RationalField, n: int, check: bool = True
 ) -> SupplementReport:
-    # n <= 12 in verify_intersection is the tightest bound of the report
-    # (the cover oracle allows 20 variables, SPECTRUM_BOUND 20 points), so
-    # it is checked before the ring is built.
-    intersection_ok = verify_intersection(n, field)
+    # build_supplement checks n against AXES_N_BOUND before the ring is
+    # built; with check=True the cover oracle's bound of 20 variables is
+    # checked before any cover search.  The minimal primes and the
+    # spectrum that krull_dim walks read one cover search.
     ring = build_supplement(field, n)
-    mins = minimal_primes_monomial(MonomialIdeal(ring.inner.gens), n, check=check)
+    mins = minimal_primes_monomial(MonomialIdeal(ring.gens), n, check=check)
     return SupplementReport(
         n=n,
         field=str(field),
         degenerate=supplement_is_degenerate(n),
-        intersection_ok=intersection_ok,
+        intersection_ok=verify_intersection(n, field),
         minimal_primes=tuple(mins),
         dim=krull_dim(ring),
         reduced=is_reduced(ring),
-        pz_ok=pz_check(ring),
+        pz_ok=absorbance_holds(sp.whole(ring)),
     )

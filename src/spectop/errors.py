@@ -46,7 +46,7 @@ class LyingOverNotFoundError(SpectopError):
 
 
 class TooManyVarsError(SpectopError):
-    """Variable count exceeds the brute-force oracle bound."""
+    """Variable count exceeds the brute-force oracle bound or the axes-ring bound."""
 
 
 class SpectrumTooLargeError(SpectopError):

@@ -286,18 +286,37 @@ def _generator_mask(g) -> int:
 
 
 def _minimal_masks(masks) -> frozenset[int]:
-    """The masks no other mask divides.  A proper divisor is a proper
-    subset of the bits, hence a smaller int, so one pass in increasing
-    order against the masks kept so far suffices."""
-    kept: list[int] = []
-    for m in sorted(masks):
-        if all(k & ~m for k in kept):
+    """The masks no other mask divides, that is, with no proper submask
+    in the set.  Each mask walks its own proper submasks when it has
+    fewer of them than the set has masks (the axes fold's masks have at
+    most two bits), and scans the set otherwise."""
+    masks = set(masks)
+    size = len(masks)
+    kept = []
+    for m in masks:
+        if size >> m.bit_count():
+            s = m
+            while s:
+                s = (s - 1) & m
+                if s in masks:
+                    break
+            else:
+                kept.append(m)
+        elif all(k & ~m or k == m for k in masks):
             kept.append(m)
     return frozenset(kept)
 
 
 def _mask_in(gens: frozenset[int], m: int) -> bool:
-    """Whether some generator divides the monomial m."""
+    """Whether some generator divides the monomial m: a walk over the
+    submasks of m when they are fewer than the generators, else a scan."""
+    if len(gens) >> m.bit_count():
+        s = m
+        while s not in gens:
+            if not s:
+                return False
+            s = (s - 1) & m
+        return True
     return any(g & ~m == 0 for g in gens)
 
 

@@ -110,10 +110,8 @@ def test_acceptance_5_axes_ring_statements_full_range():
             mins = construction.minimal_primes_monomial(
                 MonomialIdeal(ring.inner.gens), n, check=False
             )
-            oracle = covers.brute_force_minimal_covers(
-                [rings.mask_support(g) for g in ring.inner.gens], n
-            )
-            assert [p.cover for p in mins] == oracle
+            oracle = covers.brute_force_minimal_covers(ring.inner.gens, n)
+            assert [p.cover for p in mins] == [rings.mask_support(c) for c in oracle]
             full = frozenset(range(1, n + 1))
             assert {p.cover for p in mins} == {full - {k} for k in range(1, n + 1)}
             assert construction.krull_dim(ring) == 1

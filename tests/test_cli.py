@@ -97,8 +97,19 @@ def test_construct_supplement(capsys, tmp_path):
     )
     assert code == 0
     assert "all statements hold: True" in out
+    assert "2^n cover oracle: ran and agrees" in out
     doc = json.loads(report.read_text())
     assert doc["allOk"] is True and doc["dim"] == 1
+
+
+def test_construct_supplement_says_when_the_oracle_is_skipped(capsys):
+    code, out, _ = run(capsys, "construct", "supplement", "--n", "3", "--no-oracle")
+    assert code == 0
+    assert "2^n cover oracle: skipped (--no-oracle)" in out
+    # The JSON report does not depend on whether the oracle ran.
+    with_oracle = run(capsys, "construct", "supplement", "--n", "3", "--json")
+    without = run(capsys, "construct", "supplement", "--n", "3", "--json", "--no-oracle")
+    assert with_oracle == without
 
 
 def test_lyover(capsys):
@@ -383,15 +394,17 @@ def test_closed_stdout_exits_2_without_traceback():
 
 
 def test_supplement_bound_exits_2_before_building():
-    # n <= 12 is checked before the ring is built: building the n = 100
-    # axes ring alone took seconds.
+    # n <= construction.AXES_N_BOUND (128) is checked before the ring is
+    # built.  The report's cost grows as n^3, so at n = 512 it would take
+    # over a minute; without the oracle nothing else refuses this n.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "spectop", "construct", "supplement", "--n", "100"],
+        [sys.executable, "-m", "spectop", "construct", "supplement", "--n", "512", "--no-oracle"],
         capture_output=True, text=True, env=env, timeout=10,
     )
     assert proc.returncode == 2
+    assert "exceeds the axes-ring bound" in proc.stderr
 
 
 def test_python_dash_m_spectop():

@@ -9,7 +9,12 @@ from spectop import construction as con
 from spectop import covers, jsonio, rings
 from spectop import spectrum as sp
 from spectop import topology as top
-from spectop.errors import BadArityError, SpectrumTooLargeError, TooManyVarsError
+from spectop.errors import (
+    BadArityError,
+    KindMismatchError,
+    SpectrumTooLargeError,
+    TooManyVarsError,
+)
 from spectop.spectrum import FpxMax, MonoPrime, SuppMin, ZMax
 
 
@@ -57,10 +62,61 @@ def test_minimal_primes_oracle_agreement(rng):
                 gens.add(g)
         if not gens:
             continue
-        edges = [rings.mono_support(g) for g in gens]
+        edges = [rings.exp_to_mask(g) for g in gens]
         fast = covers.minimal_covers(edges, nvars)
         slow = covers.brute_force_minimal_covers(edges, nvars)
         assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "gens, check",
+    [({(0, 0, 1)}, True), ({(0, 0, 1)}, False), ({()}, True)],
+    ids=["x3-in-2-vars-oracle", "x3-in-2-vars-no-oracle", "unit"],
+)
+def test_minimal_primes_refuses_bad_generators(gens, check):
+    # x3 in a 2-variable ring, and the unit ideal, which has no primes.
+    with pytest.raises(KindMismatchError):
+        con.minimal_primes_monomial(gens, 2, check=check)
+
+
+def _support_sets(n):
+    return [frozenset(i + 1 for i in range(n) if m >> i & 1) for m in range(1 << n)]
+
+
+def _hypergraphs(n, rng):
+    """Every edge set for n <= 3, every graph for n <= 5, else 60 random
+    hypergraphs; edges are nonempty masks, the empty edge set included."""
+    nonempty = range(1, 1 << n)
+    pairs = [1 << i | 1 << j for i, j in combinations(range(n), 2)]
+    if n <= 5:
+        pool = nonempty if n <= 3 else pairs
+        return [[e for i, e in enumerate(pool) if k >> i & 1] for k in range(1 << len(pool))]
+    return [rng.sample(nonempty, rng.randint(0, 8)) for _ in range(60)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cover_oracle_meets_the_definition(n, rng):
+    # Against the definition, over every subset of the n vertices: each
+    # returned set meets every edge, loses that property when any one of
+    # its vertices is dropped, and every cover contains a returned set.
+    subsets = _support_sets(n)
+    for masks in _hypergraphs(n, rng):
+        edges = [subsets[e] for e in masks]
+        got = [rings.mask_support(c) for c in covers.brute_force_minimal_covers(masks, n)]
+        for c in got:
+            assert all(e & c for e in edges)
+            assert all(any(not e & (c - {v}) for e in edges) for v in c)
+        for s in subsets:
+            if all(e & s for e in edges):
+                assert any(c <= s for c in got)
+        assert covers.minimal_covers(masks, n) == covers.brute_force_minimal_covers(masks, n)
+
+
+def test_cover_search_takes_covers_of_any_size():
+    # 1,200 singleton edges force one cover of 1,200 vertices; the search
+    # keeps its branches on a stack, so no recursion limit is reached.
+    edges = [1 << i for i in range(1200)]
+    assert covers.minimal_covers(edges, 1200) == [(1 << 1200) - 1]
 
 
 def test_minimal_primes_var_bound():
@@ -169,6 +225,42 @@ def test_supplement_theorem_small_range():
             assert rep.all_ok
             assert not rep.degenerate
             assert len(rep.minimal_primes) == n
+
+
+def test_supplement_statements_at_the_bound():
+    # The paper's four statements at the largest n the report admits.
+    n = con.AXES_N_BOUND
+    rep = con.supplement_report(F2, n, check=False)
+    full = frozenset(range(1, n + 1))
+    assert rep.all_ok and rep.intersection_ok and rep.reduced and rep.pz_ok
+    assert set(rep.minimal_primes) == {MonoPrime(full - {k}) for k in full}
+    assert len(rep.minimal_primes) == n
+    assert rep.dim == 1
+
+
+def test_supplement_bound_is_checked_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("the ring was built")
+
+    monkeypatch.setattr(rings, "mask_quotient", build)
+    monkeypatch.setattr(rings, "monomial_quotient", build)
+    for check in (True, False):
+        with pytest.raises(TooManyVarsError):
+            con.supplement_report(F2, con.AXES_N_BOUND + 1, check=check)
+    with pytest.raises(TooManyVarsError):
+        con.verify_intersection(con.AXES_N_BOUND + 1, F2)
+
+
+def test_supplement_runs_one_cover_search():
+    # The minimal primes and the spectrum that krull_dim walks share one
+    # memo entry, keyed on the generator masks.
+    for memo in (rings.minimal_cover_masks, rings._spectrum, rings._order):
+        memo.cache_clear()
+    rep = con.supplement_report(F3, 6)
+    assert rep.all_ok
+    info = rings.minimal_cover_masks.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits >= 1
 
 
 def test_supplement_degenerate_report():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import F2, PROPERTY
 from spectop import jsonio, rings
 from spectop.errors import KindMismatchError
+from spectop.values import _mask_in, _minimal_masks
 
 NVARS = 8
 
@@ -139,6 +140,43 @@ def test_is_zero_matches_reference(defining, G):
     R = rings.monomial_quotient(F2, NVARS, defining)
     want = all(ref_in(defining, ref_canon(m)) for m in G)
     assert rings.ideal_is_zero(rings.monomial_ideal(G), R) == want
+
+
+# The two kernels directly, over 64 variables.  A mask with b bits walks
+# its 2^b submasks when the set has at least that many masks, and scans
+# the set otherwise: the families mix up to 40 masks of at most four bits
+# (walked) with a few masks of many bits (scanned).  Submasks and
+# multiples of drawn masks are added so that divisibility occurs on both
+# sides.
+BIG = 64
+small_mask = st.sets(st.integers(0, BIG - 1), max_size=4).map(
+    lambda bits: sum(1 << b for b in bits)
+)
+big_mask = st.integers(0, (1 << BIG) - 1)
+
+
+@st.composite
+def mask_family(draw):
+    small = draw(st.lists(small_mask, max_size=40))
+    small += [m & draw(big_mask) for m in small[:8]]
+    big = draw(st.lists(big_mask, max_size=3))
+    big += [draw(big_mask) | m for m in small[:2]]
+    return small + big
+
+
+def _exp64(m):
+    return ref_canon(tuple(m >> i & 1 for i in range(BIG)))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(mask_family(), st.one_of(small_mask, big_mask), st.booleans())
+def test_mask_kernels_match_reference_over_64_variables(masks, m, widen):
+    G = {_exp64(g) for g in masks}
+    assert {_exp64(g) for g in _minimal_masks(masks)} == ref_minimalize(G)
+    gens = frozenset(masks)
+    if widen and masks:
+        m |= masks[m % len(masks)]  # a multiple of some generator
+    assert _mask_in(gens, m) == ref_in(G, _exp64(m))
 
 
 # ---------------------------------------------------------------------------

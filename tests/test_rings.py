@@ -325,7 +325,7 @@ def test_is_unit_matches_projection_oracle(rng):
         R = rings.monomial_quotient(F2, nvars, gens)
         if rings.quotient_dim(R) > 1:
             continue
-        covers_min = rings.minimal_cover_sets(R)
+        covers_min = [rings.mask_support(c) for c in rings.minimal_cover_masks(R.gens, R.nvars)]
         for e in rings.sample_elements(R, rng, 8):
             projections_unit = True
             for C in covers_min:
