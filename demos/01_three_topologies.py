@@ -17,7 +17,7 @@ print("Spec =", sp.subset_str(sp.whole(R)))
 
 E = sp.explicit(R, {sp.ZmodPrime(2)})
 for t in top.TOPOLOGIES:
-    print(f"  {t:8s} closure of {sp.subset_str(E)} =", sp.subset_str(top.closure(E, t, R)))
+    print(f"  {t:8s} closure of {sp.subset_str(E)} =", sp.subset_str(top.closure(E, t)))
 
 # A one-dimensional example: the local ring at the origin of three
 # coordinate axes.  The specialization order is three minimal primes
@@ -31,9 +31,9 @@ print("Spec =", "{" + ", ".join(sp.point_str(p) for p in pts) + "}")
 
 P1 = sp.MonoPrime(frozenset({2, 3}))  # the first axis
 single = sp.explicit(A, {P1})
-print("zariski closure of {P_1} =", sp.subset_str(top.zariski_closure(single, A)))
-print("flat closure of {P_1}    =", sp.subset_str(top.flat_closure(single, A)))
-print("patch closure of {P_1}   =", sp.subset_str(top.patch_closure(single, A)))
+print("zariski closure of {P_1} =", sp.subset_str(top.zariski_closure(single)))
+print("flat closure of {P_1}    =", sp.subset_str(top.flat_closure(single)))
+print("patch closure of {P_1}   =", sp.subset_str(top.patch_closure(single)))
 
 # The patch closure always sits inside the other two.
 for k in range(len(pts) + 1):
@@ -41,7 +41,7 @@ for k in range(len(pts) + 1):
 
     for sub in combinations(pts, k):
         E = sp.explicit(A, sub)
-        gamma = top.patch_closure(E, A)
-        assert sp.subset_le(gamma, top.zariski_closure(E, A))
-        assert sp.subset_le(gamma, top.flat_closure(E, A))
+        gamma = top.patch_closure(E)
+        assert sp.subset_le(gamma, top.zariski_closure(E))
+        assert sp.subset_le(gamma, top.flat_closure(E))
 print("\npatch closure contained in zariski and flat closures: checked on all subsets")

@@ -16,19 +16,19 @@ from spectop.spectrum import ZMax
 E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
 print("E =", sp.subset_str(E))
 
-image = products.quotient_product_image(rings.ZZ, E)
-closure = top.zariski_closure(E, rings.ZZ)
+image = products.quotient_product_image(E)
+closure = top.zariski_closure(E)
 print("Im pi*          =", sp.subset_str(image))
 print("zariski closure =", sp.subset_str(closure))
 
-report = products.strictness_demo(rings.ZZ, E, top.ZARISKI)
+report = products.strictness_demo(E, top.ZARISKI)
 assert report.strict
 print("strict inclusion, witness:", sp.point_str(report.witness))
 
 # The mechanism: 11 avoids every member of E, so its image in the
 # product is invertible and no prime of the product can contract to (11).
-assert products.is_unit_in_quotient_product(IntEl(11), E, rings.ZZ)
-assert not products.is_unit_in_quotient_product(IntEl(22), E, rings.ZZ)
+assert products.is_unit_in_quotient_product(IntEl(11), E)
+assert not products.is_unit_in_quotient_product(IntEl(22), E)
 print("image of 11 in prod Z/p is a unit: confirmed")
 
 # The image still picks up the generic point (0): the kernel of the

@@ -35,7 +35,7 @@ for n in (2, 3, 5):
           "{" + ", ".join(sp.point_str(p) for p in mins) + "}")
 
     print(f"  (iii) krull_dim = {con.krull_dim(R)}")
-    print(f"  (iv)  reduced = {con.is_reduced(R)}, absorbance = {con.pz_check(R)}")
+    print(f"  (iv)  reduced = {con.is_reduced(R)}, absorbance = {con.absorbance_holds(sp.whole(R))}")
     print()
 
 # The full report object bundles the same checks.

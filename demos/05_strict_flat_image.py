@@ -15,12 +15,12 @@ E = sp.cofinite_min(R, {7}, False)  # every axis except the seventh
 print("ring:", R)
 print("E =", sp.subset_str(E))
 
-image = products.local_product_image(R, E)
-closure = top.flat_closure(E, R)
+image = products.local_product_image(E)
+closure = top.flat_closure(E)
 print("Im pi*       =", sp.subset_str(image))
 print("flat closure =", sp.subset_str(closure))
 
-report = products.strictness_demo(R, E, top.FLAT)
+report = products.strictness_demo(E, top.FLAT)
 assert report.strict
 print("strict inclusion, witness:", sp.point_str(report.witness))
 
@@ -33,6 +33,6 @@ assert not sp.point_contains(sp.SuppMin(7), x7, R)
 
 # On the Zariski side the same E is NOT dense; its closure just adds the
 # maximal ideal, and there the image fills the whole closure.
-print("zariski closure =", sp.subset_str(top.zariski_closure(E, R)))
-zrep = products.strictness_demo(R, E, top.ZARISKI)
+print("zariski closure =", sp.subset_str(top.zariski_closure(E)))
+zrep = products.strictness_demo(E, top.ZARISKI)
 print("zariski-side strict:", zrep.strict)

@@ -22,7 +22,7 @@ for p in sp.spec_points(rings.zmod(12)):
 # axis quotients; the kernel is the intersection of the axes, i.e. zero.
 R = construction.build_supplement(rings.prime_field(2), 3)
 mins = [p for p in sp.spec_points(R) if len(p.cover) == 2]
-m2 = maps.CanonicalIntoQuotientProduct(R, sp.explicit(R, mins))
+m2 = maps.CanonicalIntoQuotientProduct(sp.explicit(R, mins))
 print(f"\n{m2}", "injective:", maps.is_injective(m2))
 for p in mins:
     q = maps.laying_over(m2, p)
@@ -30,14 +30,14 @@ for p in mins:
 
 # A symbolic target: localizations of Z at a cofinite set of primes.
 E = sp.cofinite_closed(rings.ZZ, {sp.ZMax(2)}, False)
-m3 = maps.CanonicalIntoLocalProduct(rings.ZZ, E)
+m3 = maps.CanonicalIntoLocalProduct(E)
 q = maps.laying_over(m3, sp.ZGeneric())
 print(f"\n{m3}")
 print("  over (0):", sp.point_str(q))
 
 # Where only wild primes would lie over, the engine refuses rather than
 # fabricate one: quotients kill the generic point of Z.
-m4 = maps.CanonicalIntoQuotientProduct(rings.ZZ, E)
+m4 = maps.CanonicalIntoQuotientProduct(E)
 try:
     maps.laying_over(m4, sp.ZGeneric())
 except Exception as exc:

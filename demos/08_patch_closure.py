@@ -20,8 +20,8 @@ R = rings.zmod(30)
 for k in (0, 1, 3):
     for sub in combinations(sp.spec_points(R), k):
         E = sp.explicit(R, sub)
-        assert top.patch_closure(E, R) == E
-        assert maps.residue_product_image(R, E) == E
+        assert top.patch_closure(E) == E
+        assert maps.residue_product_image(E) == E
 print("finite spectra: patch closure is the identity (checked on Z/30)")
 
 # Residue fields themselves.
@@ -39,14 +39,14 @@ for ring, point in (
 # On the symbolic families the closure adds exactly one limit point.
 E = sp.cofinite_closed(rings.ZZ, {sp.ZMax(11)}, False)
 print("\nover Z, E =", sp.subset_str(E))
-print("  patch closure       =", sp.subset_str(top.patch_closure(E, rings.ZZ)))
-print("  residue-field image =", sp.subset_str(maps.residue_product_image(rings.ZZ, E)))
+print("  patch closure       =", sp.subset_str(top.patch_closure(E)))
+print("  residue-field image =", sp.subset_str(maps.residue_product_image(E)))
 
 AXES = rings.symbolic_supplement(rings.prime_field(2))
 F = sp.cofinite_min(AXES, {2, 5}, False)
 print("on the axes ring, E =", sp.subset_str(F))
-print("  patch closure       =", sp.subset_str(top.patch_closure(F, AXES)))
-print("  residue-field image =", sp.subset_str(maps.residue_product_image(AXES, F)))
+print("  patch closure       =", sp.subset_str(top.patch_closure(F)))
+print("  residue-field image =", sp.subset_str(maps.residue_product_image(F)))
 
 # And at random, across all three symbolic families.
 rng = Random(1)
@@ -54,5 +54,5 @@ for ring in (rings.ZZ, rings.poly_ring(2), AXES):
     for _ in range(50):
         pts = sp.sample_points(ring, rng, rng.randint(1, 4))
         E = sp.explicit(ring, pts)
-        assert maps.residue_product_image(ring, E) == top.patch_closure(E, ring)
+        assert maps.residue_product_image(E) == top.patch_closure(E)
 print("\nrandom finite sets over symbolic spectra: identity confirmed")

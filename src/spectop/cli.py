@@ -35,6 +35,12 @@ def _load_json(value: str) -> dict:
         raise SpectopError("JSON nested too deeply") from exc
 
 
+def _load_subset(args) -> sp.SpecSubset:
+    """The --set subset, read over the --ring ring."""
+    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
+    return jsonio.subset_from_json(_load_json(args.set), R)
+
+
 def _field_from_name(name: str):
     if name.upper() == "Q":
         return rings.QQ
@@ -59,21 +65,19 @@ def _cmd_spec(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
-    E = jsonio.subset_from_json(_load_json(args.set), R)
-    cl = top.closure(E, args.topology, R)
+    E = _load_subset(args)
+    cl = top.closure(E, args.topology)
     _print(
         {"topology": args.topology, "closure": jsonio.subset_to_json(cl)},
         args.json,
-        f"{args.topology} closure of {sp.subset_str(E)} over {R} = {sp.subset_str(cl)}",
+        f"{args.topology} closure of {sp.subset_str(E)} over {E.ring} = {sp.subset_str(cl)}",
     )
     return 0
 
 
 def _cmd_dense(args) -> int:
-    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
-    E = jsonio.subset_from_json(_load_json(args.set), R)
-    dense = top.is_dense(E, R, args.topology)
+    E = _load_subset(args)
+    dense = top.is_dense(E, args.topology)
     _print(
         {"topology": args.topology, "dense": dense},
         args.json,
@@ -83,9 +87,8 @@ def _cmd_dense(args) -> int:
 
 
 def _cmd_stable(args) -> int:
-    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
-    E = jsonio.subset_from_json(_load_json(args.set), R)
-    stable = top.is_stable(E, R, args.mode)
+    E = _load_subset(args)
+    stable = top.is_stable(E, args.mode)
     _print(
         {"mode": args.mode, "stable": stable},
         args.json,
@@ -112,14 +115,13 @@ def _cmd_criterion(args) -> int:
 
 
 def _cmd_image(args) -> int:
-    R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
-    E = jsonio.subset_from_json(_load_json(args.set), R)
+    E = _load_subset(args)
     topology = top.ZARISKI if args.kind == products.QUOTIENT else top.FLAT
-    rep = products.strictness_demo(R, E, topology)
+    rep = products.strictness_demo(E, topology)
     doc = jsonio.image_report_to_json(rep)
     oracle_ok = None
     if args.oracle:
-        oracle = products.brute_force_image(R, E, args.kind)
+        oracle = products.brute_force_image(E, args.kind)
         oracle_ok = oracle == rep.image
         doc["oracleAgrees"] = oracle_ok
     lines = [

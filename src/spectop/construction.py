@@ -23,12 +23,7 @@ from itertools import combinations
 from . import covers, rings
 from . import spectrum as sp
 from . import topology as top
-from .errors import (
-    BadArityError,
-    KindMismatchError,
-    SpectrumTooLargeError,
-    TooManyVarsError,
-)
+from .errors import BadArityError, KindMismatchError, TooManyVarsError
 from .rings import (
     LocalizedAtIrrelevant,
     MonomialIdeal,
@@ -38,7 +33,6 @@ from .rings import (
 )
 from .spectrum import MonoPrime, PrimePoint, SpecSubset
 
-SPECTRUM_BOUND = 20
 # The largest n of an axes ring.  The intersection fold does about n^3/6
 # mask steps: the whole report takes 0.1 s at n = 64 and 1.0 s at n = 128
 # (check=False, one 2-vCPU host), and would take 10 s at n = 256.
@@ -181,24 +175,6 @@ def avoidance_holds(E: SpecSubset) -> bool:
     if not sp.is_infinite_subset(E):
         return True
     return sp.subset_le(top.flat_closure(E), top.order_closure(E, up=False))
-
-
-def _bounded_spec(R: RingExpr) -> SpecSubset:
-    """The whole spectrum of R, refused above SPECTRUM_BOUND points."""
-    pts = sp.spec_points(R)
-    if len(pts) > SPECTRUM_BOUND:
-        raise SpectrumTooLargeError(f"|Spec| = {len(pts)} exceeds {SPECTRUM_BOUND}")
-    return sp.whole(R)
-
-
-def pz_check(R: RingExpr) -> bool:
-    """Prime absorbance over the whole (enumerated) spectrum."""
-    return absorbance_holds(_bounded_spec(R))
-
-
-def cp_check(R: RingExpr) -> bool:
-    """Prime avoidance over the whole (enumerated) spectrum."""
-    return avoidance_holds(_bounded_spec(R))
 
 
 # ---------------------------------------------------------------------------

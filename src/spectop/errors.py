@@ -47,7 +47,3 @@ class LyingOverNotFoundError(SpectopError):
 
 class TooManyVarsError(SpectopError):
     """Variable count exceeds the brute-force oracle bound or the axes-ring bound."""
-
-
-class SpectrumTooLargeError(SpectopError):
-    """The enumerated spectrum exceeds the exhaustive-check bound."""

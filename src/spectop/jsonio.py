@@ -201,6 +201,11 @@ def _normalized(cls):
     return lambda R, *fields: rings.normalize(cls(*fields), R)
 
 
+def _of_subset(cls):
+    # A product map's ring is its set's: the set was decoded over the ring field.
+    return lambda R, E: cls(E)
+
+
 _INT = _Codec(_as_is, lambda v, key, R, limit: _int(v, key))
 _DECIMAL = _Codec(lambda v, R: str(v), _INT.dec)
 _EXPONENTS = _seq(_INT, "exponent")
@@ -302,9 +307,11 @@ _MAP_ROWS = _Table(
     "type", "map",
     _row(maps.QuotientMap, "quotientMap", ("ring", _RING), ("prime", _PRIME)),
     _row(maps.CanonicalIntoQuotientProduct, "canonicalIntoQuotientProduct",
-         ("ring", _RING), ("set", _SUBSET, "subset")),
+         ("ring", _RING), ("set", _SUBSET, "subset"),
+         build=_of_subset(maps.CanonicalIntoQuotientProduct)),
     _row(maps.CanonicalIntoLocalProduct, "canonicalIntoLocalProduct",
-         ("ring", _RING), ("set", _SUBSET, "subset")),
+         ("ring", _RING), ("set", _SUBSET, "subset"),
+         build=_of_subset(maps.CanonicalIntoLocalProduct)),
     _row(maps.DiagonalIntoModProduct, "diagonalIntoModProduct",
          ("n", _INT), ("divisors", _seq(_INT, "divisor")), bounded=True),
     _row(maps.ResidueMap, "residueMap", ("ring", _RING), ("prime", _PRIME)),

@@ -114,8 +114,11 @@ class _ProductMap(RingMapSpec):
     upstairs: above the slot's member for R/p, below it for R_p.
     """
 
-    ring: RingExpr
     subset: SpecSubset
+
+    @property
+    def ring(self) -> RingExpr:
+        return self.subset.ring
 
     def __str__(self) -> str:
         factor = "R/p" if self.up else "R_p"
@@ -185,7 +188,7 @@ class CanonicalIntoLocalProduct(_ProductMap):
             # kernel is the prime: only all the minimal primes together meet in 0.
             return (
                 sp.subset_member(R.limit, E)
-                or CanonicalIntoQuotientProduct(R, E).is_injective()
+                or CanonicalIntoQuotientProduct(E).is_injective()
             )
         # Localizing at a tame prime keeps only its slot's factor.
         return all(
@@ -355,15 +358,14 @@ def residue_field(R: RingExpr, p: PrimePoint) -> ResidueField:
     return R.residue_field(p)
 
 
-def residue_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
+def residue_product_image(E: SpecSubset) -> SpecSubset:
     """Image of Spec(prod k(p)) -> Spec(R) for the canonical map.
 
     Independent of the closure rules: finite sets go through residue-map
     contraction, and an infinite set gives itself plus its limit point, by
     the argument below.
     """
-    if R != E.ring:
-        raise KindMismatchError("subset does not live over the given ring")
+    R = E.ring
     if isinstance(E, Explicit):
         pts = {contract(ResidueMap(R, p), FieldZero()) for p in E.points}
         return sp._explicit(R, pts)
@@ -380,6 +382,6 @@ def residue_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
             x_k = rings.var_el(R, q.k)
             if not sp.subset_le(E, sp.v_locus(x_k, R)) or R._contains(q, x_k):
                 raise AssertionError("exclusion witnesses must verify")
-    elif not is_injective(CanonicalIntoQuotientProduct(R, E)):
+    elif not is_injective(CanonicalIntoQuotientProduct(E)):
         raise AssertionError("cofinite families must have zero kernel")
     return sp._cofinite(R, E.excluded, True)

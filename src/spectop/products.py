@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedError,
 )
 from .rings import El, Product, RingExpr, TupleEl
-from .spectrum import Explicit, PrimePoint, SpecSubset, TamePrime
+from .spectrum import Explicit, PrimePoint, SpecSubset
 
 QUOTIENT = "quotient"
 LOCAL = "local"
@@ -43,46 +43,17 @@ def unit_idempotent(k: int, R: Product) -> El:
     )
 
 
-def direct_sum_locus(R: Product) -> SpecSubset:
-    """V(direct sum ideal): the wild primes.  Empty for finite products."""
-    if not isinstance(R, Product):
-        raise KindMismatchError("expected a product ring")
-    # The direct sum of finitely many factors contains sum(e_k) = 1.
-    total = rings.zero(R)
-    for k in range(len(R.factors)):
-        total = rings.add(R, total, unit_idempotent(k, R))
-    if total != rings.one(R):
-        raise AssertionError("idempotents of a finite product must sum to 1")
-    return sp.empty_set(R)
-
-
-def tame_contract(
-    p: TamePrime,
-    R: Product | None,
-    source: RingExpr,
-    m: maps.RingMapSpec,
-) -> PrimePoint:
-    """Contraction of a tame prime along a canonical map into a product."""
-    if not isinstance(p, TamePrime):
-        raise KindMismatchError("expected a tame prime")
-    if m.source != source:
-        raise KindMismatchError("map source does not match the given ring")
-    if R is not None:
-        sp.validate_point(p, R)
-    return maps.contract(m, p)
-
-
-def quotient_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
+def quotient_product_image(E: SpecSubset) -> SpecSubset:
     """Image of Spec(prod_{p in E} R/p) -> Spec(R)."""
-    return _product_image(R, E, up=True)
+    return _product_image(E, up=True)
 
 
-def local_product_image(R: RingExpr, E: SpecSubset) -> SpecSubset:
+def local_product_image(E: SpecSubset) -> SpecSubset:
     """Image of Spec(prod_{p in E} R_p) -> Spec(R)."""
-    return _product_image(R, E, up=False)
+    return _product_image(E, up=False)
 
 
-def _product_image(R: RingExpr, E: SpecSubset, up: bool) -> SpecSubset:
+def _product_image(E: SpecSubset, up: bool) -> SpecSubset:
     """The quotient (up) or localization image: the up (down) closure of
     E together with its patch closure.
 
@@ -92,12 +63,10 @@ def _product_image(R: RingExpr, E: SpecSubset, up: bool) -> SpecSubset:
     injective, so (0) lies under a prime of the product; on the axes ring
     the primes above the direct-sum ideal contract onto m.
     """
-    if R != E.ring:
-        raise KindMismatchError("subset does not live over the given ring")
     return sp.subset_union(top.order_closure(E, up), top._patch(E))
 
 
-def brute_force_image(R: RingExpr, E: SpecSubset, kind: str) -> SpecSubset:
+def brute_force_image(E: SpecSubset, kind: str) -> SpecSubset:
     """Oracle: enumerate the product's tame primes and contract each.
 
     Goes through the order correspondences Spec(R/p) = {q >= p} and
@@ -106,27 +75,27 @@ def brute_force_image(R: RingExpr, E: SpecSubset, kind: str) -> SpecSubset:
     """
     if kind not in (QUOTIENT, LOCAL):
         raise UnsupportedError(f"unknown image kind {kind!r}")
+    R = E.ring
     if not R.is_enumerable():
         raise NonEnumerableError("the oracle needs an enumerable spectrum")
     if not isinstance(E, Explicit):
         raise NonEnumerableError("the oracle needs a finite subset")
     if kind == QUOTIENT:
-        m: maps.RingMapSpec = maps.CanonicalIntoQuotientProduct(R, E)
+        m: maps.RingMapSpec = maps.CanonicalIntoQuotientProduct(E)
     else:
-        m = maps.CanonicalIntoLocalProduct(R, E)
+        m = maps.CanonicalIntoLocalProduct(E)
     image = {maps.contract(m, q) for q in maps.tame_points(m)}
     return sp.explicit(R, image)
 
 
-def is_unit_in_quotient_product(r: El, E: SpecSubset, R: RingExpr) -> bool:
+def is_unit_in_quotient_product(r: El, E: SpecSubset) -> bool:
     """Whether the image of r in prod_{p in E} R/p is invertible.
 
     Equivalent to r avoiding every member of E; over Z this reads "no
     prime factor of r lies in E".
     """
+    R = E.ring
     r = rings.normalize(r, R)
-    if R != E.ring:
-        raise KindMismatchError("subset does not live over the given ring")
     if isinstance(E, Explicit):
         return not any(sp.point_contains(p, r, R) for p in E.points)
     # r avoids every member of E exactly when V(r) misses E.
@@ -184,18 +153,18 @@ class ImageReport:
     witness: PrimePoint | None
 
 
-def strictness_demo(R: RingExpr, E: SpecSubset, topology: str) -> ImageReport:
+def strictness_demo(E: SpecSubset, topology: str) -> ImageReport:
     """Compare Im pi* with the matching closure and exhibit a gap point.
 
     The quotient-product image is compared with the Zariski closure, the
     localization-product image with the flat closure.
     """
     if topology == top.ZARISKI:
-        image = quotient_product_image(R, E)
-        cl = top.zariski_closure(E, R)
+        image = quotient_product_image(E)
+        cl = top.zariski_closure(E)
     elif topology == top.FLAT:
-        image = local_product_image(R, E)
-        cl = top.flat_closure(E, R)
+        image = local_product_image(E)
+        cl = top.flat_closure(E)
     else:
         raise UnsupportedError(f"strictness compares zariski or flat, not {topology!r}")
     strict = image != cl

@@ -141,7 +141,8 @@ def _axiom_zoo() -> list[RingExpr]:
     ]
 
 
-def _up_closure_brute(R: RingExpr, E: SpecSubset) -> SpecSubset:
+def _up_closure_brute(E: SpecSubset) -> SpecSubset:
+    R = E.ring
     pts = sp.spec_points(R)
     members = [q for q in pts if any(sp.leq_specialization(p, q, R) for p in sp.subset_points(E))]
     return sp.explicit(R, members)
@@ -163,7 +164,7 @@ def suite_finite_closure(seed: int = 0, cases: int = 100, max_n: int = 10**6) ->
         chosen = [p for p in pts if rng.random() < 0.6] or [pts[0]]
         E = sp.explicit(R, chosen)
         cl = top.zariski_closure(E)
-        brute = _up_closure_brute(R, E)
+        brute = _up_closure_brute(E)
         meet = rings.ideal_intersect_all([sp.point_ideal(p, R) for p in chosen], R)
         v_of_fold = sp.v_locus(meet.gen, R)
         ok = cl == brute and cl == v_of_fold
@@ -175,7 +176,7 @@ def suite_remark_v5(seed: int = 0) -> SuiteResult:
     """Strictness of the quotient-product image over Z, excluded prime 11."""
     res = SuiteResult("remark-v5", seed, {})
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    img = products.quotient_product_image(rings.ZZ, E)
+    img = products.quotient_product_image(E)
     _case(
         res,
         "image",
@@ -185,7 +186,7 @@ def suite_remark_v5(seed: int = 0) -> SuiteResult:
     )
     cl = top.zariski_closure(E)
     _case(res, "closure", sp.subset_str(E), "Spec(Z)", sp.subset_str(cl))
-    rep = products.strictness_demo(rings.ZZ, E, top.ZARISKI)
+    rep = products.strictness_demo(E, top.ZARISKI)
     _case(res, "strict", sp.subset_str(E), True, rep.strict)
     _case(res, "witness", sp.subset_str(E), "(11)", sp.point_str(rep.witness))
     _case(
@@ -193,7 +194,7 @@ def suite_remark_v5(seed: int = 0) -> SuiteResult:
         "unit-11",
         "is_unit_in_quotient_product(11, E)",
         True,
-        products.is_unit_in_quotient_product(IntEl(11), E, rings.ZZ),
+        products.is_unit_in_quotient_product(IntEl(11), E),
     )
     return res
 
@@ -202,7 +203,7 @@ def suite_remark_flat(seed: int = 0) -> SuiteResult:
     """Strictness of the localization-product image on the axes ring."""
     res = SuiteResult("remark-flat", seed, {})
     E = sp.cofinite_min(AXES_F2, {7}, False)
-    img = products.local_product_image(AXES_F2, E)
+    img = products.local_product_image(E)
     _case(
         res,
         "image",
@@ -217,7 +218,7 @@ def suite_remark_flat(seed: int = 0) -> SuiteResult:
         sp.subset_str(sp.whole(AXES_F2)),
         sp.subset_str(top.flat_closure(E)),
     )
-    rep = products.strictness_demo(AXES_F2, E, top.FLAT)
+    rep = products.strictness_demo(E, top.FLAT)
     _case(res, "strict", sp.subset_str(E), True, rep.strict)
     _case(res, "witness", sp.subset_str(E), "P_7", sp.point_str(rep.witness))
     return res
@@ -280,7 +281,7 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
         elif roll < 0.6:
             n = 2 * 3 * 5 * 7
             R = rings.zmod(n)
-            m = maps.CanonicalIntoQuotientProduct(R, sp.whole(R))
+            m = maps.CanonicalIntoQuotientProduct(sp.whole(R))
             src = R
             minimals = sp.spec_points(R)
         elif roll < 0.8:
@@ -289,16 +290,16 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
             E = sp.explicit(R, mins if rng.random() < 0.5 else sp.spec_points(R))
             kind = rng.random() < 0.5
             m = (
-                maps.CanonicalIntoQuotientProduct(R, E)
+                maps.CanonicalIntoQuotientProduct(E)
                 if kind
-                else maps.CanonicalIntoLocalProduct(R, E)
+                else maps.CanonicalIntoLocalProduct(E)
             )
             src = R
             minimals = mins
         else:
             excl = {ZMax(p) for p in rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 3))}
             E = sp.cofinite_closed(rings.ZZ, excl, rng.random() < 0.5)
-            m = maps.CanonicalIntoLocalProduct(rings.ZZ, E)
+            m = maps.CanonicalIntoLocalProduct(E)
             src = rings.ZZ
             minimals = [sp.ZGeneric()]
         if not maps.is_injective(m):
@@ -324,11 +325,11 @@ def suite_pz(seed: int = 0, max_n: int = 5) -> SuiteResult:
     res = SuiteResult("pz", seed, {"max_n": max_n})
     for n in range(1, max_n + 1):
         R = construction.build_supplement(F2, n)
-        _case(res, f"axes-n{n}", str(R), True, construction.pz_check(R))
+        _case(res, f"axes-n{n}", str(R), True, construction.absorbance_holds(sp.whole(R)))
     for n in (8, 12, 30, 210):
         R = rings.zmod(n)
-        _case(res, f"zmod-{n}-pz", str(R), True, construction.pz_check(R))
-        _case(res, f"zmod-{n}-cp", str(R), True, construction.cp_check(R))
+        _case(res, f"zmod-{n}-pz", str(R), True, construction.absorbance_holds(sp.whole(R)))
+        _case(res, f"zmod-{n}-cp", str(R), True, construction.avoidance_holds(sp.whole(R)))
     ambient = rings.monomial_quotient(F2, 5, frozenset())
     for length in range(1, 6):
         chain = [MonoPrime(frozenset(range(1, j + 1))) for j in range(1, length + 1)]
@@ -367,7 +368,7 @@ def suite_density(seed: int = 0, cases: int = 50) -> SuiteResult:
                 f"{R}-{good_mode}-dense-{j:02d}",
                 sp.subset_str(E),
                 True,
-                top.is_dense(E, R, good_mode),
+                top.is_dense(E, good_mode),
             )
         cert = top.density_criterion(R, bad_mode)
         _case(res, f"{R}-{bad_mode}-fails", str(R), False, cert.holds)
@@ -388,7 +389,7 @@ def suite_density(seed: int = 0, cases: int = 50) -> SuiteResult:
             f"{R}-{bad_mode}-witness-nondense",
             sp.subset_str(locus),
             False,
-            top.is_dense(locus, R, bad_mode),
+            top.is_dense(locus, bad_mode),
         )
         if bad_mode == top.ZARISKI:
             _case(
@@ -435,7 +436,7 @@ def suite_closure_axioms(seed: int = 0, cases: int = 500) -> SuiteResult:
         for k in range(len(pts) + 1):
             for sub in combinations(pts, k):
                 E = sp.explicit(R, sub)
-                ok, msg = _axioms_hold(R, E)
+                ok, msg = _axioms_hold(E)
                 total += 1
                 if not ok:
                     failures += 1
@@ -443,7 +444,7 @@ def suite_closure_axioms(seed: int = 0, cases: int = 500) -> SuiteResult:
     for R in (rings.ZZ, F2X, AXES_F2):
         for j in range(cases // 3):
             E = _random_symbolic_subset(R, rng)
-            ok, msg = _axioms_hold(R, E)
+            ok, msg = _axioms_hold(E)
             total += 1
             if not ok:
                 failures += 1
@@ -452,34 +453,35 @@ def suite_closure_axioms(seed: int = 0, cases: int = 500) -> SuiteResult:
     return res
 
 
-def _axioms_hold(R: RingExpr, E: SpecSubset) -> tuple[bool, str]:
+def _axioms_hold(E: SpecSubset) -> tuple[bool, str]:
     # Each closure of E is computed once and read by every check below.
-    zariski = top.zariski_closure(E, R)
-    flat = top.flat_closure(E, R)
-    gamma = top.patch_closure(E, R)
-    bigger = sp.subset_union(E, _enlarge(R, E))
+    zariski = top.zariski_closure(E)
+    flat = top.flat_closure(E)
+    gamma = top.patch_closure(E)
+    bigger = sp.subset_union(E, _enlarge(E))
     for t, cl in ((top.ZARISKI, zariski), (top.FLAT, flat), (top.PATCH, gamma)):
         if not sp.subset_le(E, cl):
             return False, f"{t} not extensive on {sp.subset_str(E)}"
-        if top.closure(cl, t, R) != cl:
+        if top.closure(cl, t) != cl:
             return False, f"{t} not idempotent on {sp.subset_str(E)}"
-        if not sp.subset_le(cl, top.closure(bigger, t, R)):
+        if not sp.subset_le(cl, top.closure(bigger, t)):
             return False, f"{t} not monotone on {sp.subset_str(E)}"
     if not sp.subset_le(gamma, zariski):
         return False, f"patch not inside zariski on {sp.subset_str(E)}"
     if not sp.subset_le(gamma, flat):
         return False, f"patch not inside flat on {sp.subset_str(E)}"
-    char = gamma == E and top.is_stable(E, R, top.SPECIALIZATION)
+    char = gamma == E and top.is_stable(E, top.SPECIALIZATION)
     if (zariski == E) != char:
         return False, f"zariski characterization fails on {sp.subset_str(E)}"
-    char = gamma == E and top.is_stable(E, R, top.GENERALIZATION)
+    char = gamma == E and top.is_stable(E, top.GENERALIZATION)
     if (flat == E) != char:
         return False, f"flat characterization fails on {sp.subset_str(E)}"
     return True, ""
 
 
-def _enlarge(R: RingExpr, E: SpecSubset) -> SpecSubset:
+def _enlarge(E: SpecSubset) -> SpecSubset:
     """A superset companion for the monotonicity check."""
+    R = E.ring
     if isinstance(E, Cofinite):
         return sp.whole(R)
     if isinstance(E, Explicit) and not R.symbolic:
@@ -506,9 +508,9 @@ def suite_oracle_agreement(seed: int = 0) -> SuiteResult:
                     (products.LOCAL, products.local_product_image, top.flat_closure),
                 ):
                     total += 1
-                    formula = image_op(R, E)
-                    oracle = products.brute_force_image(R, E, kind)
-                    cl = closure_op(E, R)
+                    formula = image_op(E)
+                    oracle = products.brute_force_image(E, kind)
+                    cl = closure_op(E)
                     if formula != oracle or not sp.subset_le(formula, cl) or not sp.subset_le(E, formula):
                         failures += 1
                         _case(

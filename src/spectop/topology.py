@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import spectrum as sp
-from .errors import KindMismatchError, UnsupportedError
+from .errors import UnsupportedError
 from .rings import (  # the density rationales are named from here too
     COUNTEREXAMPLE,
     FACTORIZATION_FINITE,
@@ -34,12 +34,6 @@ TOPOLOGIES = (ZARISKI, FLAT, PATCH)
 
 SPECIALIZATION = "specialization"
 GENERALIZATION = "generalization"
-
-
-def _resolve_ring(E: SpecSubset, R: RingExpr | None) -> RingExpr:
-    if R is not None and R != E.ring:
-        raise KindMismatchError("subset does not live over the given ring")
-    return E.ring
 
 
 def up_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
@@ -85,49 +79,45 @@ def _patch(E: SpecSubset) -> SpecSubset:
     return sp._cofinite(E.ring, E.excluded, True)
 
 
-def patch_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
+def patch_closure(E: SpecSubset) -> SpecSubset:
     """Patch (constructible) closure; finite spectra are patch discrete."""
-    _resolve_ring(E, R)
     return _patch(E)
 
 
-def zariski_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
+def zariski_closure(E: SpecSubset) -> SpecSubset:
     """Smallest specialization-stable patch-closed superset of E: the up
     closure of its patch closure (Hochster 1969)."""
-    _resolve_ring(E, R)
     return order_closure(_patch(E), up=True)
 
 
-def flat_closure(E: SpecSubset, R: RingExpr | None = None) -> SpecSubset:
+def flat_closure(E: SpecSubset) -> SpecSubset:
     """Smallest generalization-stable patch-closed superset of E: the down
     closure of its patch closure."""
-    _resolve_ring(E, R)
     return order_closure(_patch(E), up=False)
 
 
-def closure(E: SpecSubset, topology: str, R: RingExpr | None = None) -> SpecSubset:
+def closure(E: SpecSubset, topology: str) -> SpecSubset:
     if topology == ZARISKI:
-        return zariski_closure(E, R)
+        return zariski_closure(E)
     if topology == FLAT:
-        return flat_closure(E, R)
+        return flat_closure(E)
     if topology == PATCH:
-        return patch_closure(E, R)
+        return patch_closure(E)
     raise UnsupportedError(f"unknown topology {topology!r}")
 
 
-def is_stable(E: SpecSubset, R: RingExpr | None, mode: str) -> bool:
+def is_stable(E: SpecSubset, mode: str) -> bool:
     """Stability under specialization or generalization.
 
     An explicit set is stable when the up (down) set of each of its
     points stays inside it; the cofinite sets follow representation
     rules.
     """
-    R = _resolve_ring(E, R)
     if mode not in (SPECIALIZATION, GENERALIZATION):
         raise UnsupportedError(f"unknown stability mode {mode!r}")
     if isinstance(E, Explicit):
         # Stable exactly when every point's up (down) set stays inside E.
-        reach = R.up_points if mode == SPECIALIZATION else R.down_points
+        reach = E.ring.up_points if mode == SPECIALIZATION else E.ring.down_points
         for p in E.points:
             pts = reach(p)
             if pts is None or not pts <= E.points:
@@ -139,8 +129,8 @@ def is_stable(E: SpecSubset, R: RingExpr | None, mode: str) -> bool:
     return E.is_whole or E.with_limit == (E.limit_above == (mode == SPECIALIZATION))
 
 
-def is_dense(E: SpecSubset, R: RingExpr | None, topology: str) -> bool:
-    return closure(E, topology, R) == sp.whole(_resolve_ring(E, R))
+def is_dense(E: SpecSubset, topology: str) -> bool:
+    return closure(E, topology) == sp.whole(E.ring)
 
 
 # ---------------------------------------------------------------------------

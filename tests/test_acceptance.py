@@ -27,7 +27,7 @@ def test_acceptance_1_finite_closure_formula():
         pts = sp.spec_points(R)
         chosen = [p for p in pts if rng.random() < 0.6] or [pts[0]]
         E = sp.explicit(R, chosen)
-        cl = top.zariski_closure(E, R)
+        cl = top.zariski_closure(E)
         brute = sp.explicit(
             R,
             {
@@ -47,12 +47,12 @@ def test_acceptance_1_finite_closure_formula():
 def test_acceptance_2_strict_quotient_image_over_z():
     start = time.monotonic()
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    image = products.quotient_product_image(rings.ZZ, E)
+    image = products.quotient_product_image(E)
     assert image == sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
-    assert top.zariski_closure(E, rings.ZZ) == sp.whole(rings.ZZ)
-    rep = products.strictness_demo(rings.ZZ, E, top.ZARISKI)
+    assert top.zariski_closure(E) == sp.whole(rings.ZZ)
+    rep = products.strictness_demo(E, top.ZARISKI)
     assert rep.strict and rep.witness == ZMax(11)
-    assert products.is_unit_in_quotient_product(IntEl(11), E, rings.ZZ)
+    assert products.is_unit_in_quotient_product(IntEl(11), E)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     print(f"ACCEPTANCE 2 (strict image, witness (11)): PASS in {elapsed:.2f}s")
@@ -69,18 +69,18 @@ def test_acceptance_3_dedekind_image_pair():
         excl_z = {ZMax(p) for p in rng.sample(z_primes, rng.randint(0, 4))}
         E = sp.cofinite_closed(rings.ZZ, excl_z, False)
         expected = sp.cofinite_closed(rings.ZZ, excl_z, True)
-        assert products.quotient_product_image(rings.ZZ, E) == expected
-        local = products.local_product_image(rings.ZZ, E)
+        assert products.quotient_product_image(E) == expected
+        local = products.local_product_image(E)
         assert local == expected
-        assert local == top.flat_closure(E, rings.ZZ)
+        assert local == top.flat_closure(E)
 
         excl_f = {FpxMax(f) for f in rng.sample(irr, rng.randint(0, 4))}
         Ef = sp.cofinite_closed(F2X, excl_f, False)
         expected_f = sp.cofinite_closed(F2X, excl_f, True)
-        assert products.quotient_product_image(F2X, Ef) == expected_f
-        local_f = products.local_product_image(F2X, Ef)
+        assert products.quotient_product_image(Ef) == expected_f
+        local_f = products.local_product_image(Ef)
         assert local_f == expected_f
-        assert local_f == top.flat_closure(Ef, F2X)
+        assert local_f == top.flat_closure(Ef)
     print("ACCEPTANCE 3 (maximal-point images over Z and GF(2)[x], 50 cases each): PASS")
 
 
@@ -90,12 +90,12 @@ def test_acceptance_4_dual_image_pair_on_axes_ring():
         excl = set(rng.sample(range(1, 40), rng.randint(1, 5)))
         E = sp.cofinite_min(AXES_F2, excl, False)
         expected = sp.cofinite_min(AXES_F2, excl, True)
-        qi = products.quotient_product_image(AXES_F2, E)
+        qi = products.quotient_product_image(E)
         assert qi == expected
-        assert qi == top.zariski_closure(E, AXES_F2)
-        li = products.local_product_image(AXES_F2, E)
+        assert qi == top.zariski_closure(E)
+        li = products.local_product_image(E)
         assert li == expected
-        fl = top.flat_closure(E, AXES_F2)
+        fl = top.flat_closure(E)
         assert fl == sp.whole(AXES_F2)
         assert sp.subset_le(li, fl) and li != fl
     print("ACCEPTANCE 4 (minimal-point images on the axes ring, 50 cases): PASS")
@@ -116,7 +116,7 @@ def test_acceptance_5_axes_ring_statements_full_range():
             assert {p.cover for p in mins} == {full - {k} for k in range(1, n + 1)}
             assert construction.krull_dim(ring) == 1
             assert construction.is_reduced(ring)
-            assert construction.pz_check(ring)
+            assert construction.absorbance_holds(sp.whole(ring))
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"ACCEPTANCE 5 (axes rings n=2..8 over F2,F3,Q): PASS in {elapsed:.2f}s")
@@ -148,10 +148,10 @@ def test_acceptance_6_oracle_agreement_exhaustive():
                     (products.QUOTIENT, products.quotient_product_image, top.zariski_closure),
                     (products.LOCAL, products.local_product_image, top.flat_closure),
                 ):
-                    formula = image_op(R, E)
-                    assert formula == products.brute_force_image(R, E, kind)
+                    formula = image_op(E)
+                    assert formula == products.brute_force_image(E, kind)
                     assert sp.subset_le(E, formula)
-                    assert sp.subset_le(formula, closure_op(E, R))
+                    assert sp.subset_le(formula, closure_op(E))
                     checked += 1
     print(
         f"ACCEPTANCE 6 (oracle agreement, {checked} exhaustive cases): PASS -- "
@@ -177,13 +177,13 @@ def test_acceptance_7_patch_equals_residue_field_image():
         for k in range(len(pts) + 1):
             for sub in combinations(pts, k):
                 E = sp.explicit(R, sub)
-                assert top.patch_closure(E, R) == E
-                assert maps.residue_product_image(R, E) == E
+                assert top.patch_closure(E) == E
+                assert maps.residue_product_image(E) == E
     count = 0
     for R in (rings.ZZ, F2X, AXES_F2):
         for _ in range(67):
             E = _random_symbolic_subset(R, rng)
-            assert maps.residue_product_image(R, E) == top.patch_closure(E, R)
+            assert maps.residue_product_image(E) == top.patch_closure(E)
             count += 1
     assert count >= 200
     print(f"ACCEPTANCE 7 (patch closure = residue-field image, {count} symbolic cases): PASS")
@@ -196,7 +196,7 @@ def test_acceptance_8_density_criteria():
         assert cert.holds
         for _ in range(50):
             E = _random_infinite_subset(R, rng)
-            assert top.is_dense(E, R, mode)
+            assert top.is_dense(E, mode)
     for R, mode in ((rings.ZZ, top.FLAT), (F2X, top.FLAT), (AXES_F2, top.ZARISKI)):
         cert = top.density_criterion(R, mode)
         assert not cert.holds and cert.witness is not None
@@ -206,7 +206,7 @@ def test_acceptance_8_density_criteria():
             else sp.d_locus(cert.witness, R)
         )
         assert sp.is_infinite_subset(locus)
-        assert not top.is_dense(locus, R, mode)
+        assert not top.is_dense(locus, mode)
     print("ACCEPTANCE 8 (density criteria with 50 confirmations per family): PASS")
 
 
@@ -235,13 +235,13 @@ def test_acceptance_9_closure_axioms_and_characterization():
         for k in range(len(pts) + 1):
             for sub in combinations(pts, k):
                 E = sp.explicit(R, sub)
-                _assert_axioms(R, E)
+                _assert_axioms(E)
                 checked += 1
     randomized = 0
     for R in (rings.ZZ, F2X, AXES_F2):
         for _ in range(167):
             E = _random_symbolic_subset(R, rng)
-            _assert_axioms(R, E)
+            _assert_axioms(E)
             randomized += 1
     assert randomized >= 500
     print(
@@ -274,16 +274,16 @@ def test_acceptance_10_lying_over_round_trips():
         elif roll < 0.75:
             sq_free = 2 * 3 * 5 * rng.choice((1, 7, 77))
             R = rings.zmod(sq_free)
-            m = maps.CanonicalIntoQuotientProduct(R, sp.whole(R))
+            m = maps.CanonicalIntoQuotientProduct(sp.whole(R))
             minimals = sp.spec_points(R)
         else:
             R = construction.build_supplement(F2, rng.randint(2, 4))
             mins = [p for p in sp.spec_points(R) if len(p.cover) < R.inner.nvars]
             E = sp.explicit(R, mins)
             m = (
-                maps.CanonicalIntoQuotientProduct(R, E)
+                maps.CanonicalIntoQuotientProduct(E)
                 if rng.random() < 0.5
-                else maps.CanonicalIntoLocalProduct(R, E)
+                else maps.CanonicalIntoLocalProduct(E)
             )
             minimals = mins
         assert maps.is_injective(m)
@@ -299,18 +299,18 @@ def test_acceptance_10_lying_over_round_trips():
 # ---------------------------------------------------------------------------
 
 
-def _assert_axioms(R, E):
+def _assert_axioms(E):
     for t in top.TOPOLOGIES:
-        cl = top.closure(E, t, R)
+        cl = top.closure(E, t)
         assert sp.subset_le(E, cl)
-        assert top.closure(cl, t, R) == cl
-    gamma = top.patch_closure(E, R)
-    assert sp.subset_le(gamma, top.zariski_closure(E, R))
-    assert sp.subset_le(gamma, top.flat_closure(E, R))
-    z_closed = top.zariski_closure(E, R) == E
-    assert z_closed == (gamma == E and top.is_stable(E, R, top.SPECIALIZATION))
-    f_closed = top.flat_closure(E, R) == E
-    assert f_closed == (gamma == E and top.is_stable(E, R, top.GENERALIZATION))
+        assert top.closure(cl, t) == cl
+    gamma = top.patch_closure(E)
+    assert sp.subset_le(gamma, top.zariski_closure(E))
+    assert sp.subset_le(gamma, top.flat_closure(E))
+    z_closed = top.zariski_closure(E) == E
+    assert z_closed == (gamma == E and top.is_stable(E, top.SPECIALIZATION))
+    f_closed = top.flat_closure(E) == E
+    assert f_closed == (gamma == E and top.is_stable(E, top.GENERALIZATION))
 
 
 def _random_symbolic_subset(R, rng):

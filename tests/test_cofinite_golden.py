@@ -47,18 +47,18 @@ def answers(R, pts, n: int, with_limit: bool) -> dict[str, str]:
         "zariski": lambda: top.zariski_closure(E),
         "flat": lambda: top.flat_closure(E),
         "patch": lambda: top.patch_closure(E),
-        "stable_up": lambda: top.is_stable(E, R, top.SPECIALIZATION),
-        "stable_down": lambda: top.is_stable(E, R, top.GENERALIZATION),
-        "quotient_image": lambda: products.quotient_product_image(R, E),
-        "local_image": lambda: products.local_product_image(R, E),
-        "residue_image": lambda: maps.residue_product_image(R, E),
+        "stable_up": lambda: top.is_stable(E, top.SPECIALIZATION),
+        "stable_down": lambda: top.is_stable(E, top.GENERALIZATION),
+        "quotient_image": lambda: products.quotient_product_image(E),
+        "local_image": lambda: products.local_product_image(E),
+        "residue_image": lambda: maps.residue_product_image(E),
         "complement": lambda: sp.subset_complement(E),
         "union": lambda: sp.subset_union(E, F),
         "intersect": lambda: sp.subset_intersect(E, F),
         "quotient_injective": lambda: maps.is_injective(
-            maps.CanonicalIntoQuotientProduct(R, E)
+            maps.CanonicalIntoQuotientProduct(E)
         ),
-        "local_injective": lambda: maps.is_injective(maps.CanonicalIntoLocalProduct(R, E)),
+        "local_injective": lambda: maps.is_injective(maps.CanonicalIntoLocalProduct(E)),
         "up": lambda: top.order_closure(E, up=True),
         "down": lambda: top.order_closure(E, up=False),
         "absorbance": lambda: construction.absorbance_holds(E),

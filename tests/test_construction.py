@@ -9,12 +9,7 @@ from spectop import construction as con
 from spectop import covers, jsonio, rings
 from spectop import spectrum as sp
 from spectop import topology as top
-from spectop.errors import (
-    BadArityError,
-    KindMismatchError,
-    SpectrumTooLargeError,
-    TooManyVarsError,
-)
+from spectop.errors import BadArityError, KindMismatchError, TooManyVarsError
 from spectop.spectrum import FpxMax, MonoPrime, SuppMin, ZMax
 
 
@@ -176,11 +171,11 @@ def test_krull_dim_chain_oracle():
 
 
 def test_pz_examples():
-    assert con.pz_check(con.build_supplement(F2, 4))
-    assert con.pz_check(rings.zmod(30))
+    assert con.absorbance_holds(sp.whole(con.build_supplement(F2, 4)))
+    assert con.absorbance_holds(sp.whole(rings.zmod(30)))
     for R in enumerable_zoo():
         if len(sp.spec_points(R)) <= 7:
-            assert con.pz_check(R)
+            assert con.absorbance_holds(sp.whole(R))
 
 
 def test_pz_witness_consistency():
@@ -192,14 +187,9 @@ def test_pz_witness_consistency():
     assert sp.leq_specialization(p1, p1, R)
 
 
-def test_pz_spectrum_bound():
-    with pytest.raises(SpectrumTooLargeError):
-        con.pz_check(con.build_supplement(F2, 21))
-
-
 def test_cp_on_zmod_and_exact_fragment():
     for n in (8, 12, 30, 210):
-        assert con.cp_check(rings.zmod(n))
+        assert con.avoidance_holds(sp.whole(rings.zmod(n)))
 
 
 def test_chains_pass_both_checks():
@@ -278,10 +268,10 @@ def test_duality_sanity_in_axes_ring():
         for k in range(1, n + 1):
             P_k = MonoPrime(full - {k})
             single = sp.explicit(R, {P_k})
-            assert top.zariski_closure(single, R) == sp.explicit(
+            assert top.zariski_closure(single) == sp.explicit(
                 R, {P_k, MonoPrime(full)}
             )
-            assert top.flat_closure(single, R) == single
+            assert top.flat_closure(single) == single
 
 
 @pytest.fixture
@@ -326,7 +316,7 @@ def test_absorbance_matches_brute_force(R):
             want = _brute_absorbance(family, R)
             assert con.absorbance_holds(sp.explicit(R, family)) == want
             assert con.absorbance_holds(sp.explicit(R, family[::-1])) == want
-    assert con.pz_check(R)
+    assert con.absorbance_holds(sp.whole(R))
 
 
 # ---------------------------------------------------------------------------

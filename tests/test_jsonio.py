@@ -125,8 +125,8 @@ def test_map_round_trip():
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
     examples = [
         maps.QuotientMap(rings.ZZ, ZMax(5)),
-        maps.CanonicalIntoQuotientProduct(rings.ZZ, E),
-        maps.CanonicalIntoLocalProduct(rings.ZZ, E),
+        maps.CanonicalIntoQuotientProduct(E),
+        maps.CanonicalIntoLocalProduct(E),
         maps.DiagonalIntoModProduct(6, (2, 3)),
         maps.ResidueMap(rings.ZZ, sp.ZGeneric()),
     ]

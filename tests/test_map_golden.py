@@ -89,8 +89,8 @@ def _grid() -> dict:
     for name, (R, sets) in PRODUCT_RINGS.items():
         for E in [sp.empty_set(R), sp.whole(R)] + sets:
             key = f"{name}/{sp.subset_str(E)}"
-            grid[f"quotient-product/{key}"] = maps.CanonicalIntoQuotientProduct(R, E)
-            grid[f"local-product/{key}"] = maps.CanonicalIntoLocalProduct(R, E)
+            grid[f"quotient-product/{key}"] = maps.CanonicalIntoQuotientProduct(E)
+            grid[f"local-product/{key}"] = maps.CanonicalIntoLocalProduct(E)
     for n, divisors in DIAGONALS:
         grid[f"diagonal/{n}/{divisors}"] = maps.DiagonalIntoModProduct(n, divisors)
     return grid

@@ -65,7 +65,7 @@ def ring_maps(draw):
     R = draw(st.sampled_from(RINGS))
     if kind in (maps.QuotientMap, maps.ResidueMap):
         return kind(R, draw(st.sampled_from(_pool(R))))
-    return kind(R, draw(subsets(R)))
+    return kind(draw(subsets(R)))
 
 
 @PROPERTY

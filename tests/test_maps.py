@@ -32,7 +32,7 @@ def test_contract_examples():
     assert maps.contract(m, FieldZero()) == ZMax(5)
     m2 = maps.DiagonalIntoModProduct(6, (2, 3))
     assert maps.contract(m2, TamePrime(0, ZmodPrime(2))) == ZmodPrime(2)
-    m3 = maps.CanonicalIntoLocalProduct(rings.ZZ, sp.explicit(rings.ZZ, {ZMax(2)}))
+    m3 = maps.CanonicalIntoLocalProduct(sp.explicit(rings.ZZ, {ZMax(2)}))
     assert maps.contract(m3, TamePrime(0, ZGeneric())) == ZGeneric()
 
 
@@ -40,7 +40,7 @@ def test_contract_rejects_non_dominating_points():
     m = maps.QuotientMap(rings.ZZ, ZMax(5))
     with pytest.raises(WildPrimeError):
         maps.contract(m, ZMax(7))
-    m2 = maps.CanonicalIntoLocalProduct(rings.ZZ, sp.explicit(rings.ZZ, {ZMax(2)}))
+    m2 = maps.CanonicalIntoLocalProduct(sp.explicit(rings.ZZ, {ZMax(2)}))
     with pytest.raises(WildPrimeError):
         maps.contract(m2, TamePrime(0, ZMax(3)))
 
@@ -49,7 +49,7 @@ def test_contract_monotone_within_slot():
     for R in enumerable_zoo():
         pts = sp.spec_points(R)
         E = sp.explicit(R, pts)
-        m = maps.CanonicalIntoQuotientProduct(R, E)
+        m = maps.CanonicalIntoQuotientProduct(E)
         tames = maps.tame_points(m)
         for a in tames:
             for b in tames:
@@ -62,9 +62,9 @@ def test_is_injective_examples():
     assert maps.is_injective(maps.DiagonalIntoModProduct(6, (2, 3)))
     assert not maps.is_injective(maps.DiagonalIntoModProduct(12, (2, 3)))
     E = sp.explicit(rings.ZZ, {ZMax(2), ZMax(3)})
-    assert not maps.is_injective(maps.CanonicalIntoQuotientProduct(rings.ZZ, E))
+    assert not maps.is_injective(maps.CanonicalIntoQuotientProduct(E))
     E2 = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    assert maps.is_injective(maps.CanonicalIntoQuotientProduct(rings.ZZ, E2))
+    assert maps.is_injective(maps.CanonicalIntoQuotientProduct(E2))
     assert maps.is_injective(maps.QuotientMap(rings.ZZ, ZGeneric()))
     assert not maps.is_injective(maps.QuotientMap(rings.ZZ, ZMax(7)))
 
@@ -86,16 +86,16 @@ def test_is_injective_residue_and_quotient_over_products():
 def test_is_injective_axes_cases():
     mins = [p for p in sp.spec_points(SUPP3) if len(p.cover) == 2]
     all_mins = sp.explicit(SUPP3, mins)
-    assert maps.is_injective(maps.CanonicalIntoQuotientProduct(SUPP3, all_mins))
+    assert maps.is_injective(maps.CanonicalIntoQuotientProduct(all_mins))
     two = sp.explicit(SUPP3, mins[:2])
-    assert not maps.is_injective(maps.CanonicalIntoQuotientProduct(SUPP3, two))
-    assert maps.is_injective(maps.CanonicalIntoLocalProduct(SUPP3, all_mins))
-    assert not maps.is_injective(maps.CanonicalIntoLocalProduct(SUPP3, two))
+    assert not maps.is_injective(maps.CanonicalIntoQuotientProduct(two))
+    assert maps.is_injective(maps.CanonicalIntoLocalProduct(all_mins))
+    assert not maps.is_injective(maps.CanonicalIntoLocalProduct(two))
     assert maps.is_injective(
-        maps.CanonicalIntoQuotientProduct(AXES_F2, sp.cofinite_min(AXES_F2, set(), False))
+        maps.CanonicalIntoQuotientProduct(sp.cofinite_min(AXES_F2, set(), False))
     )
     assert not maps.is_injective(
-        maps.CanonicalIntoQuotientProduct(AXES_F2, sp.cofinite_min(AXES_F2, {3}, True))
+        maps.CanonicalIntoQuotientProduct(sp.cofinite_min(AXES_F2, {3}, True))
     )
 
 
@@ -158,7 +158,7 @@ def test_laying_over_local_product_of_a_finite_set():
         (AXES_F2, [SuppTop()], SuppMin(4), SuppTop()),
         (AXES_F2, [SuppMin(1), SuppTop()], SuppMin(4), SuppTop()),
     ):
-        m = maps.CanonicalIntoLocalProduct(R, sp.explicit(R, members))
+        m = maps.CanonicalIntoLocalProduct(sp.explicit(R, members))
         assert maps.is_injective(m)
         q = maps.laying_over(m, p)
         assert q == TamePrime(slot, p)
@@ -176,7 +176,7 @@ def test_laying_over_examples():
         key=sp.point_sort_key,
     )
     E = sp.explicit(SUPP3, mins)
-    m2 = maps.CanonicalIntoQuotientProduct(SUPP3, E)
+    m2 = maps.CanonicalIntoQuotientProduct(E)
     q2 = maps.laying_over(m2, mins[0])
     assert maps.contract(m2, q2) == mins[0]
 
@@ -191,8 +191,8 @@ def test_laying_over_round_trip_enumerable(rng):
             continue
         E = sp.explicit(R, pts)
         for m in (
-            maps.CanonicalIntoQuotientProduct(R, E),
-            maps.CanonicalIntoLocalProduct(R, E),
+            maps.CanonicalIntoQuotientProduct(E),
+            maps.CanonicalIntoLocalProduct(E),
         ):
             if not maps.is_injective(m):
                 continue
@@ -210,11 +210,11 @@ def test_laying_over_symbolic_local(rng):
     for _ in range(25):
         excl = {ZMax(p) for p in rng.sample((2, 3, 5, 7, 11), rng.randint(0, 3))}
         E = sp.cofinite_closed(rings.ZZ, excl, rng.random() < 0.5)
-        m = maps.CanonicalIntoLocalProduct(rings.ZZ, E)
+        m = maps.CanonicalIntoLocalProduct(E)
         q = maps.laying_over(m, ZGeneric())
         assert maps.contract(m, q) == ZGeneric()
     E2 = sp.cofinite_min(AXES_F2, {2}, True)
-    m2 = maps.CanonicalIntoLocalProduct(AXES_F2, E2)
+    m2 = maps.CanonicalIntoLocalProduct(E2)
     q2 = maps.laying_over(m2, SuppMin(2))
     assert q2 == TamePrime(SuppTop(), SuppMin(2))
     assert maps.contract(m2, q2) == SuppMin(2)
@@ -222,7 +222,7 @@ def test_laying_over_symbolic_local(rng):
 
 def test_laying_over_wild_only_case_refuses():
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    m = maps.CanonicalIntoQuotientProduct(rings.ZZ, E)
+    m = maps.CanonicalIntoQuotientProduct(E)
     assert maps.is_injective(m)
     with pytest.raises(NonEnumerableError):
         maps.laying_over(m, ZGeneric())
@@ -233,7 +233,7 @@ def test_laying_over_misuse():
     with pytest.raises(LyingOverNotFoundError):
         maps.laying_over(m, ZmodPrime(2))
     m2 = maps.CanonicalIntoQuotientProduct(
-        AXES_F2, sp.cofinite_min(AXES_F2, set(), False)
+        sp.cofinite_min(AXES_F2, set(), False)
     )
     with pytest.raises(LyingOverNotFoundError):
         maps.laying_over(m2, SuppTop())
@@ -262,14 +262,14 @@ def test_patch_identity_finite():
         for k in range(len(pts) + 1):
             for sub in combinations(pts, k):
                 E = sp.explicit(R, sub)
-                assert maps.residue_product_image(R, E) == top.patch_closure(E, R)
+                assert maps.residue_product_image(E) == top.patch_closure(E)
 
 
 def test_patch_identity_symbolic(rng):
     for R in symbolic_zoo():
         for _ in range(70):
             E = _random_subset(R, rng)
-            assert maps.residue_product_image(R, E) == top.patch_closure(E, R)
+            assert maps.residue_product_image(E) == top.patch_closure(E)
 
 
 def test_laying_over_does_not_hide_kind_mismatch(monkeypatch):

@@ -49,57 +49,59 @@ def test_idempotent_laws_random_products(rng):
         assert total == rings.one(R)
 
 
-def test_direct_sum_locus_empty():
+def test_unit_idempotents_sum_to_one():
+    # The direct sum of finitely many factors holds the sum of the e_k,
+    # which is 1: a finite product has no wild primes.
     for R in (
         rings.product(rings.zmod(4), rings.zmod(9)),
         rings.product(rings.zmod(4), rings.zmod(9), rings.zmod(25)),
         rings.product(rings.zmod(8)),
     ):
-        assert products.direct_sum_locus(R) == sp.empty_set(R)
+        total = rings.zero(R)
+        for k in range(len(R.factors)):
+            total = rings.add(R, total, products.unit_idempotent(k, R))
+        assert total == rings.one(R)
 
 
-def test_tame_contract_examples():
+def test_contract_along_canonical_product_maps():
     E = sp.explicit(rings.ZZ, {ZMax(2), ZMax(3)})
-    m = maps.CanonicalIntoQuotientProduct(rings.ZZ, E)
-    got = products.tame_contract(TamePrime(0, FieldZero()), None, rings.ZZ, m)
-    assert got == ZMax(2)
+    m = maps.CanonicalIntoQuotientProduct(E)
+    assert maps.contract(m, TamePrime(0, FieldZero())) == ZMax(2)
     E_loc = sp.explicit(rings.ZZ, {ZMax(5)})
-    m_loc = maps.CanonicalIntoLocalProduct(rings.ZZ, E_loc)
-    got = products.tame_contract(TamePrime(0, ZGeneric()), None, rings.ZZ, m_loc)
-    assert got == ZGeneric()
+    m_loc = maps.CanonicalIntoLocalProduct(E_loc)
+    assert maps.contract(m_loc, TamePrime(0, ZGeneric())) == ZGeneric()
     mins = sorted(
         (p for p in sp.spec_points(SUPP3) if len(p.cover) == 2),
         key=sp.point_sort_key,
     )
     E_s = sp.explicit(SUPP3, mins[:2])
-    m_s = maps.CanonicalIntoQuotientProduct(SUPP3, E_s)
+    m_s = maps.CanonicalIntoQuotientProduct(E_s)
     full = MonoPrime(frozenset({1, 2, 3}))
-    got = products.tame_contract(TamePrime(1, full), None, SUPP3, m_s)
-    assert got == full
+    assert maps.contract(m_s, TamePrime(1, full)) == full
 
 
 def test_quotient_image_finite_examples():
     E = sp.explicit(rings.ZZ, {ZMax(2), ZMax(3)})
-    assert products.quotient_product_image(rings.ZZ, E) == E
+    assert products.quotient_product_image(E) == E
     E_gen = sp.explicit(rings.ZZ, {ZGeneric(), ZMax(5)})
-    assert products.quotient_product_image(rings.ZZ, E_gen) == sp.whole(rings.ZZ)
+    assert products.quotient_product_image(E_gen) == sp.whole(rings.ZZ)
 
 
 def test_quotient_image_symbolic_examples():
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    assert products.quotient_product_image(rings.ZZ, E) == sp.cofinite_closed(
+    assert products.quotient_product_image(E) == sp.cofinite_closed(
         rings.ZZ, {ZMax(11)}, True
     )
     E2 = sp.cofinite_min(AXES_F2, set(), False)
-    assert products.quotient_product_image(AXES_F2, E2) == sp.whole(AXES_F2)
+    assert products.quotient_product_image(E2) == sp.whole(AXES_F2)
 
 
 def test_quotient_image_with_generic_member_is_whole():
     # A set containing the generic point routes through the factor
     # R/(0) = R, whose spectrum contracts onto everything.
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
-    assert products.quotient_product_image(rings.ZZ, E) == sp.whole(rings.ZZ)
-    assert products.local_product_image(rings.ZZ, E) == E
+    assert products.quotient_product_image(E) == sp.whole(rings.ZZ)
+    assert products.local_product_image(E) == E
 
 
 def test_patch_identity_image_intersection(rng):
@@ -116,40 +118,40 @@ def test_patch_identity_image_intersection(rng):
                 R, set(rng.sample(range(1, 12), rng.randint(0, 3))), rng.random() < 0.5
             )
         both = sp.subset_intersect(
-            products.quotient_product_image(R, E), products.local_product_image(R, E)
+            products.quotient_product_image(E), products.local_product_image(E)
         )
-        assert both == top.patch_closure(E, R)
+        assert both == top.patch_closure(E)
 
 
 def test_local_image_examples():
     E = sp.explicit(rings.ZZ, {ZMax(2), ZMax(3)})
-    assert products.local_product_image(rings.ZZ, E) == sp.explicit(
+    assert products.local_product_image(E) == sp.explicit(
         rings.ZZ, {ZGeneric(), ZMax(2), ZMax(3)}
     )
     E2 = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    assert products.local_product_image(rings.ZZ, E2) == sp.cofinite_closed(
+    assert products.local_product_image(E2) == sp.cofinite_closed(
         rings.ZZ, {ZMax(11)}, True
     )
     E3 = sp.cofinite_min(AXES_F2, {5}, False)
-    assert products.local_product_image(AXES_F2, E3) == sp.cofinite_min(
+    assert products.local_product_image(E3) == sp.cofinite_min(
         AXES_F2, {5}, True
     )
     E4 = sp.explicit(AXES_F2, {SuppTop()})
-    assert products.local_product_image(AXES_F2, E4) == sp.whole(AXES_F2)
+    assert products.local_product_image(E4) == sp.whole(AXES_F2)
 
 
 def test_brute_force_examples():
     R = rings.zmod(12)
     E = sp.explicit(R, {ZmodPrime(2)})
-    assert products.brute_force_image(R, E, products.QUOTIENT) == E
+    assert products.brute_force_image(E, products.QUOTIENT) == E
     mins = sorted(
         (p for p in sp.spec_points(SUPP3) if len(p.cover) == 2),
         key=sp.point_sort_key,
     )
     one_min = sp.explicit(SUPP3, {mins[0]})
-    assert products.brute_force_image(SUPP3, one_min, products.LOCAL) == one_min
+    assert products.brute_force_image(one_min, products.LOCAL) == one_min
     two_mins = sp.explicit(SUPP3, mins[:2])
-    got = products.brute_force_image(SUPP3, two_mins, products.QUOTIENT)
+    got = products.brute_force_image(two_mins, products.QUOTIENT)
     expected = sp.explicit(SUPP3, set(mins[:2]) | {MonoPrime(frozenset({1, 2, 3}))})
     assert got == expected
 
@@ -157,7 +159,7 @@ def test_brute_force_examples():
 def test_brute_force_requires_finite_enumerable():
     with pytest.raises(NonEnumerableError):
         products.brute_force_image(
-            rings.ZZ, sp.cofinite_closed(rings.ZZ, set(), False), products.QUOTIENT
+            sp.cofinite_closed(rings.ZZ, set(), False), products.QUOTIENT
         )
 
 
@@ -174,17 +176,17 @@ def test_oracle_agreement_exhaustive():
                     (products.QUOTIENT, products.quotient_product_image, top.zariski_closure),
                     (products.LOCAL, products.local_product_image, top.flat_closure),
                 ):
-                    formula = image_op(R, E)
-                    oracle = products.brute_force_image(R, E, kind)
+                    formula = image_op(E)
+                    oracle = products.brute_force_image(E, kind)
                     assert formula == oracle
                     assert sp.subset_le(E, formula)
-                    assert sp.subset_le(formula, closure_op(E, R))
+                    assert sp.subset_le(formula, closure_op(E))
 
 
 def test_is_unit_in_quotient_product_examples():
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    assert products.is_unit_in_quotient_product(IntEl(11), E, rings.ZZ)
-    assert not products.is_unit_in_quotient_product(IntEl(6), E, rings.ZZ)
+    assert products.is_unit_in_quotient_product(IntEl(11), E)
+    assert not products.is_unit_in_quotient_product(IntEl(6), E)
     mins = sorted(
         (p for p in sp.spec_points(SUPP3) if len(p.cover) == 2),
         key=sp.point_sort_key,
@@ -192,9 +194,9 @@ def test_is_unit_in_quotient_product_examples():
     # P_2 and P_3 both contain x1.
     E_s = sp.explicit(SUPP3, {MonoPrime(frozenset({1, 3})), MonoPrime(frozenset({1, 2}))})
     x1 = rings.var_el(SUPP3, 1)
-    assert not products.is_unit_in_quotient_product(x1, E_s, SUPP3)
+    assert not products.is_unit_in_quotient_product(x1, E_s)
     assert products.is_unit_in_quotient_product(
-        rings.mpoly_el(SUPP3, {(): 1, (1,): 1}), E_s, SUPP3
+        rings.mpoly_el(SUPP3, {(): 1, (1,): 1}), E_s
     )
 
 
@@ -210,17 +212,17 @@ def test_nilradical_product_law_examples():
 
 def test_strictness_demos():
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    rep = products.strictness_demo(rings.ZZ, E, top.ZARISKI)
+    rep = products.strictness_demo(E, top.ZARISKI)
     assert rep.strict and rep.witness == ZMax(11)
     assert rep.image == sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
     assert rep.closure == sp.whole(rings.ZZ)
 
     E2 = sp.cofinite_min(AXES_F2, {7}, False)
-    rep2 = products.strictness_demo(AXES_F2, E2, top.FLAT)
+    rep2 = products.strictness_demo(E2, top.FLAT)
     assert rep2.strict and rep2.witness == SuppMin(7)
 
     E3 = sp.explicit(rings.ZZ, {ZMax(2), ZMax(3)})
-    rep3 = products.strictness_demo(rings.ZZ, E3, top.ZARISKI)
+    rep3 = products.strictness_demo(E3, top.ZARISKI)
     assert not rep3.strict and rep3.witness is None
     assert rep3.image == rep3.closure == E3
 
@@ -236,17 +238,17 @@ def test_images_inside_closures_symbolic(rng):
             E = sp.cofinite_min(
                 R, set(rng.sample(range(1, 12), rng.randint(0, 3))), rng.random() < 0.5
             )
-        qi = products.quotient_product_image(R, E)
-        li = products.local_product_image(R, E)
+        qi = products.quotient_product_image(E)
+        li = products.local_product_image(E)
         assert sp.subset_le(E, qi) and sp.subset_le(E, li)
-        assert sp.subset_le(qi, top.zariski_closure(E, R))
-        assert sp.subset_le(li, top.flat_closure(E, R))
+        assert sp.subset_le(qi, top.zariski_closure(E))
+        assert sp.subset_le(li, top.flat_closure(E))
         probes = sp.sample_points(R, rng, 6)
         for p in probes:
             if sp.subset_member(p, qi):
-                assert sp.subset_member(p, top.zariski_closure(E, R))
+                assert sp.subset_member(p, top.zariski_closure(E))
             if sp.subset_member(p, li):
-                assert sp.subset_member(p, top.flat_closure(E, R))
+                assert sp.subset_member(p, top.flat_closure(E))
 
 
 def test_dedekind_image_pair_on_polynomials(rng):
@@ -263,10 +265,10 @@ def test_dedekind_image_pair_on_polynomials(rng):
         excl = {sp.FpxMax(f) for f in rng.sample(pool, rng.randint(0, 3))}
         E = sp.cofinite_closed(F2X, excl, False)
         expected = sp.cofinite_closed(F2X, excl, True)
-        assert products.quotient_product_image(F2X, E) == expected
-        li = products.local_product_image(F2X, E)
+        assert products.quotient_product_image(E) == expected
+        li = products.local_product_image(E)
         assert li == expected
-        assert li == top.flat_closure(E, F2X)
+        assert li == top.flat_closure(E)
 
 
 @pytest.fixture
@@ -285,7 +287,7 @@ def test_image_report_witness_invariant(rng):
         (rings.ZZ, sp.explicit(rings.ZZ, {ZMax(2), ZMax(3)}), top.ZARISKI),
     ]
     for R, E, t in cases:
-        rep = products.strictness_demo(R, E, t)
+        rep = products.strictness_demo(E, t)
         assert rep.strict == (rep.witness is not None)
         if rep.witness is not None:
             assert sp.subset_member(rep.witness, rep.closure)

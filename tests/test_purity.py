@@ -2,6 +2,7 @@
 or enclosing name, so every result depends only on the arguments."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectop"
@@ -68,4 +69,34 @@ def test_only_the_canonicalizers_build_subsets():
             and _callee_name(node) in ("Explicit", "Cofinite")
             and id(node) not in allowed
         ]
+    assert found == []
+
+
+def _annotation_names(annotation) -> set[str]:
+    """The names an annotation mentions, read from its source text: with
+    `from __future__ import annotations` every annotation is a string."""
+    if annotation is None:
+        return set()
+    return set(re.findall(r"\w+", ast.unparse(annotation)))
+
+
+def test_no_subset_operator_takes_its_ring_beside_it():
+    # A subset carries its ring, so no function or dataclass may take both:
+    # a second copy of the ring could disagree with E.ring.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                annotations = [p.annotation for p in params if p is not None]
+            elif isinstance(node, ast.ClassDef) and any(
+                _callee_name(dec) == "dataclass" for dec in node.decorator_list
+            ):
+                annotations = [s.annotation for s in node.body if isinstance(s, ast.AnnAssign)]
+            else:
+                continue
+            names = [_annotation_names(ann) for ann in annotations]
+            if any("SpecSubset" in n for n in names) and any("RingExpr" in n for n in names):
+                found.append(f"{path.relative_to(SRC)}:{node.name}")
     assert found == []

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from conftest import AXES_F2, F2, F2X, SUPP3, enumerable_zoo, symbolic_zoo
-from spectop import construction, gfpoly, jsonio, maps, products, rings
+from spectop import construction, gfpoly, jsonio, maps, rings
 from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.errors import KindMismatchError, NonEnumerableError, SpectopError
@@ -371,7 +371,7 @@ ENTRIES = {
     "contract": (lambda R, p, good: maps.contract(maps.QuotientMap(R, good), p), None),
     "contract_local_slot": (
         lambda R, p, good: maps.contract(
-            maps.CanonicalIntoLocalProduct(R, sp.whole(R)), TamePrime(good, p)
+            maps.CanonicalIntoLocalProduct(sp.whole(R)), TamePrime(good, p)
         ),
         None,
     ),
@@ -384,12 +384,6 @@ ENTRIES = {
     "absorbance_holds": (lambda R, p, good: construction.absorbance_holds(sp.explicit(R, [good, p])), None),
     "avoidance_holds": (lambda R, p, good: construction.avoidance_holds(sp.explicit(R, [good, p])), None),
     "tame_points": (lambda R, p, good: maps.tame_points(maps.QuotientMap(R, p)), None),
-    "tame_contract": (
-        lambda R, p, good: products.tame_contract(
-            p, R, R.factors[0], maps.CanonicalIntoQuotientProduct(R.factors[0], sp.whole(R.factors[0]))
-        ),
-        lambda R: isinstance(R, rings.Product),
-    ),
 }
 
 

@@ -17,42 +17,42 @@ REAL_FLAT = top.flat_closure
 REAL_STABLE = top.is_stable
 
 
-def drop_every_point(E, R=None):
+def drop_every_point(E):
     """Not extensive: the closure of every set is empty."""
     return sp.empty_set(E.ring)
 
 
-def one_point_more(E, R=None):
+def one_point_more(E):
     """Not idempotent: each call adds the first point not yet in the set,
     so applying the closure again never converges."""
     if E.ring.symbolic:
-        return REAL_ZARISKI(E, R)
-    cl = REAL_ZARISKI(E, R)
+        return REAL_ZARISKI(E)
+    cl = REAL_ZARISKI(E)
     missing = [p for p in sp.spec_points(E.ring) if not sp.subset_member(p, cl)]
     return sp.subset_union(cl, sp.explicit(E.ring, missing[:1]))
 
 
-def shrink_when_bigger(E, R=None):
+def shrink_when_bigger(E):
     """Not monotone: a set holding the ring's first point is its own
     closure, though a smaller set may close to more."""
     if not E.ring.symbolic and sp.subset_member(sp.spec_points(E.ring)[0], E):
         return E
-    return REAL_FLAT(E, R)
+    return REAL_FLAT(E)
 
 
-def zariski_without_patch(E, R=None):
+def zariski_without_patch(E):
     """The up closure of E itself, not of its patch closure, so the limit
     point Γ adds can lie outside it."""
     return top.order_closure(E, up=True)
 
 
-def flat_without_patch(E, R=None):
+def flat_without_patch(E):
     return top.order_closure(E, up=False)
 
 
 def flip(mode):
-    def is_stable(E, R, m):
-        return REAL_STABLE(E, R, m) != (m == mode)
+    def is_stable(E, m):
+        return REAL_STABLE(E, m) != (m == mode)
 
     return is_stable
 

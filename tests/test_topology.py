@@ -67,31 +67,31 @@ def test_patch_examples():
 
 def test_stability_examples():
     E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    assert top.is_stable(E, rings.ZZ, top.SPECIALIZATION)
-    assert not top.is_stable(E, rings.ZZ, top.GENERALIZATION)
+    assert top.is_stable(E, top.SPECIALIZATION)
+    assert not top.is_stable(E, top.GENERALIZATION)
     E2 = sp.explicit(AXES_F2, {SuppMin(1), SuppTop()})
-    assert not top.is_stable(E2, AXES_F2, top.GENERALIZATION)
+    assert not top.is_stable(E2, top.GENERALIZATION)
     # Same shape on the concrete three-axes ring, by brute force over the
     # four-point poset: P_2 below the maximal ideal is missing.
     P1 = sp.MonoPrime(frozenset({2, 3}))
     m = sp.MonoPrime(frozenset({1, 2, 3}))
     E_conc = sp.explicit(SUPP3, {P1, m})
-    assert not top.is_stable(E_conc, SUPP3, top.GENERALIZATION)
-    assert top.is_stable(E_conc, SUPP3, top.SPECIALIZATION)
+    assert not top.is_stable(E_conc, top.GENERALIZATION)
+    assert top.is_stable(E_conc, top.SPECIALIZATION)
     # With the generic point present, excluded closed points break
     # stability under specialization.
     E3 = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
-    assert not top.is_stable(E3, rings.ZZ, top.SPECIALIZATION)
+    assert not top.is_stable(E3, top.SPECIALIZATION)
 
 
 def test_density_examples():
     E = sp.cofinite_closed(rings.ZZ, {ZMax(3)}, False)
-    assert top.is_dense(E, rings.ZZ, top.ZARISKI)
+    assert top.is_dense(E, top.ZARISKI)
     E2 = sp.explicit(rings.zmod(12), {sp.ZmodPrime(2)})
-    assert not top.is_dense(E2, rings.zmod(12), top.ZARISKI)
+    assert not top.is_dense(E2, top.ZARISKI)
     E3 = sp.cofinite_min(AXES_F2, {4}, False)
-    assert top.is_dense(E3, AXES_F2, top.FLAT)
-    assert not top.is_dense(E3, AXES_F2, top.ZARISKI)
+    assert top.is_dense(E3, top.FLAT)
+    assert not top.is_dense(E3, top.ZARISKI)
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +105,10 @@ def test_closure_axioms_random_pairs(rng):
             E = random_symbolic_subset(R, rng)
             F = sp.subset_union(E, random_symbolic_subset(R, rng))
             for t in top.TOPOLOGIES:
-                clE = top.closure(E, t, R)
+                clE = top.closure(E, t)
                 assert sp.subset_le(E, clE)
-                assert top.closure(clE, t, R) == clE
-                assert sp.subset_le(clE, top.closure(F, t, R))
+                assert top.closure(clE, t) == clE
+                assert sp.subset_le(clE, top.closure(F, t))
 
 
 def test_closure_axioms_enumerable_exhaustive():
@@ -120,26 +120,26 @@ def test_closure_axioms_enumerable_exhaustive():
             for sub in combinations(pts, k):
                 E = sp.explicit(R, sub)
                 for t in top.TOPOLOGIES:
-                    clE = top.closure(E, t, R)
+                    clE = top.closure(E, t)
                     assert sp.subset_le(E, clE)
-                    assert top.closure(clE, t, R) == clE
+                    assert top.closure(clE, t) == clE
 
 
 def test_patch_inside_both(rng):
     for R in symbolic_zoo():
         for _ in range(80):
             E = random_symbolic_subset(R, rng)
-            gamma = top.patch_closure(E, R)
-            assert sp.subset_le(gamma, top.zariski_closure(E, R))
-            assert sp.subset_le(gamma, top.flat_closure(E, R))
+            gamma = top.patch_closure(E)
+            assert sp.subset_le(gamma, top.zariski_closure(E))
+            assert sp.subset_le(gamma, top.flat_closure(E))
     for R in enumerable_zoo():
         pts = sp.spec_points(R)
         for k in range(len(pts) + 1):
             for sub in combinations(pts, k):
                 E = sp.explicit(R, sub)
-                gamma = top.patch_closure(E, R)
-                assert sp.subset_le(gamma, top.zariski_closure(E, R))
-                assert sp.subset_le(gamma, top.flat_closure(E, R))
+                gamma = top.patch_closure(E)
+                assert sp.subset_le(gamma, top.zariski_closure(E))
+                assert sp.subset_le(gamma, top.flat_closure(E))
 
 
 def test_characterization_finite_exhaustive():
@@ -151,22 +151,22 @@ def test_characterization_finite_exhaustive():
         for k in range(len(pts) + 1):
             for sub in combinations(pts, k):
                 E = sp.explicit(R, sub)
-                patch_fixed = top.patch_closure(E, R) == E
-                z = top.zariski_closure(E, R) == E
-                assert z == (patch_fixed and top.is_stable(E, R, top.SPECIALIZATION))
-                f = top.flat_closure(E, R) == E
-                assert f == (patch_fixed and top.is_stable(E, R, top.GENERALIZATION))
+                patch_fixed = top.patch_closure(E) == E
+                z = top.zariski_closure(E) == E
+                assert z == (patch_fixed and top.is_stable(E, top.SPECIALIZATION))
+                f = top.flat_closure(E) == E
+                assert f == (patch_fixed and top.is_stable(E, top.GENERALIZATION))
 
 
 def test_characterization_symbolic(rng):
     for R in symbolic_zoo():
         for _ in range(170):
             E = random_symbolic_subset(R, rng)
-            patch_fixed = top.patch_closure(E, R) == E
-            z = top.zariski_closure(E, R) == E
-            assert z == (patch_fixed and top.is_stable(E, R, top.SPECIALIZATION))
-            f = top.flat_closure(E, R) == E
-            assert f == (patch_fixed and top.is_stable(E, R, top.GENERALIZATION))
+            patch_fixed = top.patch_closure(E) == E
+            z = top.zariski_closure(E) == E
+            assert z == (patch_fixed and top.is_stable(E, top.SPECIALIZATION))
+            f = top.flat_closure(E) == E
+            assert f == (patch_fixed and top.is_stable(E, top.GENERALIZATION))
 
 
 def test_finite_formula_on_integers(rng):
@@ -193,7 +193,7 @@ def test_density_criterion_holds_sides(rng):
         assert cert.holds
         for _ in range(50):
             E = _random_infinite(R, rng)
-            assert top.is_dense(E, R, mode)
+            assert top.is_dense(E, mode)
 
 
 def test_density_criterion_failure_witnesses():
@@ -207,7 +207,7 @@ def test_density_criterion_failure_witnesses():
             else sp.d_locus(cert.witness, R)
         )
         assert sp.is_infinite_subset(locus)
-        assert not top.is_dense(locus, R, mode)
+        assert not top.is_dense(locus, mode)
         if mode == top.ZARISKI:
             assert not rings.is_nilpotent(cert.witness, R)
         else:
@@ -235,8 +235,8 @@ def test_up_down_sets_match_singleton_closures():
     for R in enumerable_zoo():
         for p in sp.spec_points(R):
             single = sp.explicit(R, {p})
-            assert top.up_set(p, R) == top.zariski_closure(single, R)
-            assert top.down_set(p, R) == top.flat_closure(single, R)
+            assert top.up_set(p, R) == top.zariski_closure(single)
+            assert top.down_set(p, R) == top.flat_closure(single)
 
 
 @pytest.fixture
@@ -268,8 +268,8 @@ def test_symbolic_axes_closures_match_concrete_model(rng):
         sym = sp.explicit(AXES_F2, pts)
         conc = sp.explicit(concrete, {to_concrete(p) for p in pts})
         for t in top.TOPOLOGIES:
-            sym_cl = top.closure(sym, t, AXES_F2)
-            conc_cl = top.closure(conc, t, concrete)
+            sym_cl = top.closure(sym, t)
+            conc_cl = top.closure(conc, t)
             if sym_cl == sp.whole(AXES_F2):
                 expected = sp.whole(concrete)
             else:
