@@ -33,9 +33,10 @@ from .rings import (
 )
 from .spectrum import MonoPrime, PrimePoint, SpecSubset
 
-# The largest n of an axes ring.  The intersection fold does about n^3/6
-# mask steps: the whole report takes 0.1 s at n = 64 and 1.0 s at n = 128
-# (check=False, one 2-vCPU host), and would take 10 s at n = 256.
+# The largest n of an axes ring.  The report takes 0.05 s at n = 64 and
+# 0.3 s at n = 128 (check=False, one 2-vCPU host); the balanced
+# intersection fold is 0.12 s of the latter, and alone takes 0.8 s at
+# n = 256.  Raising the bound would change which inputs are accepted.
 AXES_N_BOUND = 128
 
 
@@ -75,8 +76,9 @@ def minimal_primes_monomial(
     The ideal is a MonomialIdeal or an iterable of square-free exponent
     tuples, in the variables x_1..x_nvars; the unit ideal has no primes
     and is refused.  With check=True (the default) the result is compared
-    against the 2^nvars subset-scan oracle, which caps nvars; pass
-    check=False to skip the oracle.
+    against covers.brute_force_minimal_covers, which decides all 2^nvars
+    vertex sets at once as the bits of one int and so caps nvars at
+    covers.ORACLE_VAR_BOUND; pass check=False to skip the oracle.
     """
     if not isinstance(ideal, MonomialIdeal):
         ideal = rings.monomial_ideal(ideal)
@@ -100,9 +102,11 @@ def verify_intersection(n: int, field: PrimeField | RationalField) -> bool:
     """Whether (x_i x_k : i != k) equals the intersection of the axis
     ideals I_k = (x_i : i != k), for 1 <= n <= AXES_N_BOUND.
 
-    The ideals are built from masks and folded pairwise; after k steps
-    the meet is (x_{k+1}, ..., x_n) plus the pairs among x_1..x_k, so
-    every mask in the fold has at most two bits.
+    The ideals are built from masks and met pairwise in rounds as a
+    balanced tree: after round r each meet covers a block B of up to 2^r
+    consecutive axes and is (x_i : i not in B) plus the pairs x_i x_k
+    with i, k in B, so every mask in the fold has at most two bits, and
+    no meet but the last holds all n(n-1)/2 pairs.
     """
     _check_axes_n(n)
     ambient = rings.mask_quotient(field, n, ())

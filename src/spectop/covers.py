@@ -3,10 +3,15 @@
 Minimal primes of a square-free monomial ideal correspond to minimal
 vertex covers of the hypergraph whose edges are the supports of the
 generators.  Edges and covers are int bitmasks, as the generators are:
-bit i-1 stands for the vertex (variable) x_i.
+bit i-1 stands for the vertex (variable) x_i.  minimal_covers finds the
+minimal covers by branching; brute_force_minimal_covers is its
+independent oracle, which checks every vertex set in one bit-parallel
+scan.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import TooManyVarsError
 
@@ -59,19 +64,36 @@ def minimal_covers(edges, nvars: int) -> list[int]:
 
 
 def brute_force_minimal_covers(edges, nvars: int) -> list[int]:
-    """Independent oracle: scan all 2^nvars masks (nvars <= 20) for the
-    covers that stop being covers when any one vertex is dropped."""
+    """Independent oracle: the covers among all 2^nvars vertex sets that
+    stop being covers when any one vertex is dropped (nvars <= 20).
+
+    Every vertex set is decided at once.  Bit m of a 2^nvars-bit int
+    stands for the vertex set m, and has[i] holds the sets that contain
+    vertex i.  The covers are the AND over the edges of the OR of has[v]
+    over each edge's vertices (an edge's bits at or above nvars meet no
+    set).  A cover m is redundant when m minus some vertex i is still a
+    cover, that is, when `cover << (1 << i) & has[i]` sets bit m.
+    """
     if nvars > ORACLE_VAR_BOUND:
         raise TooManyVarsError(f"{nvars} variables exceeds oracle bound {ORACLE_VAR_BOUND}")
-    edges = set(edges)
-
-    def is_cover(m: int) -> bool:
-        return all(e & m for e in edges)
-
-    found = [
-        m
-        for m in range(1 << nvars)
-        if is_cover(m)
-        and not any(m >> i & 1 and is_cover(m & ~(1 << i)) for i in range(nvars))
-    ]
-    return sorted(found, key=_cover_key)
+    size = 1 << nvars
+    has = []
+    for i in range(nvars):
+        # 2^i clear bits then 2^i set bits, doubled until it spans size.
+        pattern, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < size:
+            pattern |= pattern << width
+            width <<= 1
+        has.append(pattern)
+    cover = (1 << size) - 1
+    for e in set(edges):
+        hit = 0
+        for i in range(nvars):
+            if e >> i & 1:
+                hit |= has[i]
+        cover &= hit
+    redundant = 0
+    for i in range(nvars):
+        redundant |= cover << (1 << i) & has[i]
+    bits = f"{cover & ~redundant:b}"[::-1]
+    return sorted((m.start() for m in re.finditer("1", bits)), key=_cover_key)

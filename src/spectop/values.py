@@ -462,11 +462,16 @@ def ideal_intersect(I: IdealRepr, J: IdealRepr, R: RingExpr) -> IdealRepr:
 
 
 def ideal_intersect_all(ideals, R: RingExpr) -> IdealRepr:
+    """Intersection of a nonempty family, met pairwise in rounds as a
+    balanced tree.  Meeting is associative and commutative, and each kind
+    has one canonical generating set, so the result is the left fold's;
+    but no meet grows to hold the whole family's generators until the
+    last round."""
     ideals = list(ideals)
-    acc = ideals[0]
-    for nxt in ideals[1:]:
-        acc = ideal_intersect(acc, nxt, R)
-    return acc
+    while len(ideals) > 1:
+        paired = [ideal_intersect(I, J, R) for I, J in zip(ideals[::2], ideals[1::2])]
+        ideals = paired + ideals[len(paired) * 2:]
+    return ideals[0]
 
 
 def ideal_is_zero(I: IdealRepr, R: RingExpr) -> bool:

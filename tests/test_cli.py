@@ -395,8 +395,9 @@ def test_closed_stdout_exits_2_without_traceback():
 
 def test_supplement_bound_exits_2_before_building():
     # n <= construction.AXES_N_BOUND (128) is checked before the ring is
-    # built.  The report's cost grows as n^3, so at n = 512 it would take
-    # over a minute; without the oracle nothing else refuses this n.
+    # built.  Without the oracle nothing else refuses this n, and the
+    # report at n = 512 would take over 10 s: the intersection fold alone
+    # takes about 12 s there on a 2-vCPU host.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

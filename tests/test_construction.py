@@ -6,7 +6,7 @@ import pytest
 
 from conftest import AXES_F2, AXES_Q, F2, F2X, F3, enumerable_zoo
 from spectop import construction as con
-from spectop import covers, jsonio, rings
+from spectop import covers, jsonio, rings, values
 from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.errors import BadArityError, KindMismatchError, TooManyVarsError
@@ -107,6 +107,74 @@ def test_cover_oracle_meets_the_definition(n, rng):
         assert covers.minimal_covers(masks, n) == covers.brute_force_minimal_covers(masks, n)
 
 
+def ref_minimal_covers(edges, nvars):
+    """The plain scan: every mask below 2^nvars, one at a time."""
+    edges = set(edges)
+
+    def is_cover(m):
+        return all(e & m for e in edges)
+
+    found = [
+        m
+        for m in range(1 << nvars)
+        if is_cover(m)
+        and not any(m >> i & 1 and is_cover(m & ~(1 << i)) for i in range(nvars))
+    ]
+    return sorted(found, key=lambda m: (m.bit_count(), [i for i in range(nvars) if m >> i & 1]))
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_bit_parallel_oracle_matches_the_plain_scan(n, rng):
+    # Every edge set for n <= 3, every graph for n <= 5, and seeded
+    # hypergraphs above that, some with repeated edges.
+    if n <= 5:
+        families = _hypergraphs(n, rng)
+    else:
+        nonempty = range(1, 1 << n)
+        families = [rng.choices(nonempty, k=rng.randint(0, 10)) for _ in range(12)]
+    for edges in families:
+        assert covers.brute_force_minimal_covers(edges, n) == ref_minimal_covers(edges, n)
+
+
+@pytest.mark.parametrize(
+    "edges, nvars",
+    [
+        ([], 0),
+        ([], 1),
+        ([], 4),
+        ([0], 0),
+        ([0], 3),
+        ([0b101, 0], 3),
+        ([1], 0),
+        ([1], 1),
+        ([0b10], 1),
+        ([0b11, 0b11, 0b11], 2),
+        ([0b110, 0b011, 0b110, 0b011], 3),
+        ([0b1001, 0b1_0000], 4),
+    ],
+    ids=[
+        "no-edges-0", "no-edges-1", "no-edges-4", "empty-edge-0", "empty-edge-3",
+        "empty-edge-beside-another", "x1-in-0-vars", "x1-in-1-var", "x2-in-1-var",
+        "repeated-edge", "repeated-edges", "edge-beyond-nvars",
+    ],
+)
+def test_bit_parallel_oracle_edge_cases(edges, nvars):
+    # No edges: only the empty set.  The empty edge: no cover at all.
+    # Bits at or above nvars meet no vertex set.
+    assert covers.brute_force_minimal_covers(edges, nvars) == ref_minimal_covers(edges, nvars)
+
+
+def test_minimal_primes_with_the_oracle_at_its_bound():
+    # The 20-variable pair ideal, checked against the oracle, gives the
+    # 20 axis primes; 21 variables are refused before any search.
+    n = covers.ORACLE_VAR_BOUND
+    full = frozenset(range(1, n + 1))
+    got = con.minimal_primes_monomial(con.supplement_gens(n), n, check=True)
+    assert got == [MonoPrime(full - {k}) for k in range(n, 0, -1)]
+    with pytest.raises(TooManyVarsError):
+        con.minimal_primes_monomial(con.supplement_gens(n + 1), n + 1, check=True)
+
+
 def test_cover_search_takes_covers_of_any_size():
     # 1,200 singleton edges force one cover of 1,200 vertices; the search
     # keeps its branches on a stack, so no recursion limit is reached.
@@ -124,6 +192,24 @@ def test_verify_intersection_small_n():
     for n in (1, 2, 3, 4, 5):
         assert con.verify_intersection(n, F2)
         assert con.verify_intersection(n, rings.QQ)
+
+
+def test_axes_fold_passes_quadratically_many_masks(monkeypatch):
+    # The balanced fold at n = 128 hands _minimal_masks 31,168 masks in
+    # all; a left fold, whose meet after k steps holds all k(k-1)/2
+    # pairs, hands it 357,505.
+    n = con.AXES_N_BOUND
+    passed = []
+    minimal_masks = values._minimal_masks
+
+    def counting(masks):
+        masks = set(masks)
+        passed.append(len(masks))
+        return minimal_masks(masks)
+
+    monkeypatch.setattr(values, "_minimal_masks", counting)
+    assert con.verify_intersection(n, F2)
+    assert sum(passed) <= 4 * n * n
 
 
 def test_verify_intersection_brute_force_membership():

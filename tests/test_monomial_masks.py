@@ -1,6 +1,8 @@
 """The bitmask ideal layer against an exponent-tuple reference, and the
 boundary where monomials enter and leave it as exponent tuples."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -306,3 +308,50 @@ def test_mul_and_add_normalize_their_operands():
     assert rings.add(R, raw, rings.zero(R)) == two_x1
     with pytest.raises(KindMismatchError):
         rings.mul(R, rings.IntEl(1), raw)
+
+
+# ---------------------------------------------------------------------------
+# Finite meets: ideal_intersect_all meets its ideals as a balanced tree;
+# the reference folds them from the left.  A monomial ideal has one
+# minimal generating set and a principal ideal one canonical generator,
+# so the two must agree exactly.
+# ---------------------------------------------------------------------------
+
+
+def ref_left_fold(ideals, R):
+    acc = ideals[0]
+    for J in ideals[1:]:
+        acc = rings.ideal_intersect(acc, J, R)
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_balanced_fold_matches_left_fold_on_monomial_families(seed):
+    # Families of 1 to 17 ideals over ten variables, with the zero ideal
+    # (no generators) and the unit ideal (the empty monomial) mixed in.
+    rng = Random(seed)
+    for _ in range(60):
+        family = []
+        for _ in range(rng.randint(1, 17)):
+            k = rng.randrange(12)
+            gens = () if k == 0 else ((),) if k == 1 else {
+                _wide_exp(rng.randrange(1, 1 << WIDE)) for _ in range(rng.randint(1, 6))
+            }
+            family.append(rings.monomial_ideal(gens))
+        want = ref_left_fold(family, WIDE_AMBIENT)
+        assert rings.ideal_intersect_all(family, WIDE_AMBIENT) == want
+        assert rings.ideal_intersect_all(iter(family), WIDE_AMBIENT) == want
+
+
+@pytest.mark.parametrize(
+    "R", [rings.ZZ, rings.poly_ring(3), rings.zmod(360)], ids=str
+)
+def test_balanced_fold_matches_left_fold_on_principal_families(R):
+    # The principal callers: the Zariski-closure fold over Z/n, and the
+    # localization-kernel meets over Z and F_p[x].
+    rng = Random(11)
+    for _ in range(200):
+        family = [
+            rings.principal_ideal(R, R.sample_element(rng)) for _ in range(rng.randint(1, 9))
+        ]
+        assert rings.ideal_intersect_all(family, R) == ref_left_fold(family, R)
