@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectop import primes
 from spectop.errors import FactorizationLimitError
 from spectop.primes import (
     factorint,
@@ -78,16 +79,16 @@ def test_semiprimes_just_below_2_64():
     assert factorint(PAST_TRIAL[0] * big) == ((PAST_TRIAL[0], 1), (big, 1))
 
 
-@pytest.mark.parametrize(
-    "n, fac",
-    [
-        (561, ((3, 1), (11, 1), (17, 1))),
-        (41041, ((7, 1), (11, 1), (13, 1), (41, 1))),
-        (825265, ((5, 1), (7, 1), (17, 1), (19, 1), (73, 1))),
-        # A strong pseudoprime to the bases 2, 3, 5 and 7.
-        (3215031751, ((151, 1), (751, 1), (28351, 1))),
-    ],
-)
+CARMICHAEL = [
+    (561, ((3, 1), (11, 1), (17, 1))),
+    (41041, ((7, 1), (11, 1), (13, 1), (41, 1))),
+    (825265, ((5, 1), (7, 1), (17, 1), (19, 1), (73, 1))),
+    # A strong pseudoprime to the bases 2, 3, 5 and 7.
+    (3215031751, ((151, 1), (751, 1), (28351, 1))),
+]
+
+
+@pytest.mark.parametrize("n, fac", CARMICHAEL)
 def test_carmichael_and_strong_pseudoprimes(n, fac):
     assert not is_prime(n)
     assert factorint(n) == fac
@@ -108,6 +109,143 @@ def test_one_and_primes_below_2_64():
     for p in P64:
         assert is_prime(p)
         assert factorint(p) == ((p, 1),)
+
+
+def _product(fac):
+    n = 1
+    for p, e in fac:
+        n *= p**e
+    return n
+
+
+def _random_prime(rng, lo, hi):
+    """A prime in [lo, hi), drawn from the seeded rng."""
+    while True:
+        p = next_prime(rng.randrange(lo - 1, hi - 1))
+        if p < hi:
+            return p
+
+
+def test_ecm_tables_cover_every_prime_up_to_b2():
+    bits, stage2 = primes._ECM_TABLES
+    k = int("1" + bits, 2)
+    b1, b2, d = primes._ECM_B1, primes._ECM_B2, primes._ECM_D
+    for p in primes_below(b1 + 1):
+        e = 1
+        while p ** (e + 1) <= b1:
+            e += 1
+        assert k % p**e == 0 and k % p ** (e + 1) != 0
+    assert _product(factorint(k, limit=None)) == k
+    covered = set()
+    for m, js in stage2:
+        for j in js:
+            assert j % 2 == 1 and j <= d // 2
+            covered |= {m * d - j, m * d + j}
+    assert {p for p in primes_below(b2 + 1) if p > b1} <= covered
+
+
+def suyama_group_order(p, sigma):
+    """The order of the group of F_p-points that holds Suyama's start point.
+
+    Counts the points of y^2 = x^3 + A x^2 + x; the start point lies on it
+    or on its quadratic twist, which has p + 1 - t points where it has
+    p + 1 + t.
+    """
+    u, v = sigma * sigma - 5, 4 * sigma
+    a = ((v - u) ** 3 * (3 * u + v) * pow(4 * u**3 * v, -1, p) - 2) % p
+    square = bytearray(p)
+    for y in range(1, p):
+        square[y * y % p] = 1
+    t = 0
+    for x in range(p):
+        f = (x**3 + a * x * x + x) % p
+        if f:
+            t += 1 if square[f] else -1
+    x0 = u**3 * pow(v**3, -1, p) % p
+    return p + 1 + (t if square[(x0**3 + a * x0 * x0 + x0) % p] else -t)
+
+
+# Curves mod 71011 whose group order is a divisor of the stage 1 multiplier
+# times one prime q in (B1, B2].  The start point's order is a multiple of q
+# (stage 1 alone does not find 71011 on these curves), so stage 1 leaves a
+# point of order q, and the baby-step/giant-step pass at m = round(q / D)
+# must find it.
+@pytest.mark.parametrize("sigma, q, m", [(6, 173, 1), (25, 2969, 14), (14, 5953, 28)])
+def test_ecm_stage_2_finds_the_last_prime_of_the_order(sigma, q, m):
+    p, k = 71011, int("1" + primes._ECM_TABLES[0], 2)
+    order = suyama_group_order(p, sigma)
+    assert order % 12 == 0 and is_prime(q) and primes._ECM_B1 < q <= primes._ECM_B2
+    assert order % q == 0 and k % (order // q) == 0 and k % q != 0
+    assert (q + primes._ECM_D // 2) // primes._ECM_D == m
+    assert primes._ecm_curve(p * (2**61 - 1), sigma) == p
+
+
+def test_ecm_splits_balanced_64bit_semiprimes(monkeypatch):
+    def no_fallback(n):
+        raise AssertionError(f"{n} fell through to the unbounded rho")
+
+    ecm, splits = primes._ecm, []
+
+    def counted_ecm(n):
+        splits.append(n)
+        return ecm(n)
+
+    monkeypatch.setattr(primes, "_pollard_rho", no_fallback)
+    monkeypatch.setattr(primes, "_ecm", counted_ecm)
+    rng = Random(19)
+    for _ in range(12):
+        p, q = sorted(_random_prime(rng, 2**31 + 1, 2**32) for _ in range(2))
+        assert factorint(p * q) == ((p, 1), (q, 1))
+    # The short rho gives up on every one of them within its budget.
+    assert len(splits) == 12
+
+
+# Primes in (2^17, 2^21): ECM's gcd on p^3 or p^2 q can be a power of p or n.
+P17, P19, P21 = 131101, 536651, 2092163
+
+FIXED_CASES = (
+    CARMICHAEL
+    + [(n * n, tuple((p, 2 * e) for p, e in fac)) for n, fac in CARMICHAEL]
+    + [(p**e, ((p, e),)) for p in (P32, Q32, 2147483659) for e in (2, 3)]
+    + [(3 * p**3, ((3, 1), (p, 3))) for p in (P32, Q32, 2147483659)]
+    + [
+        (P32 * Q32, ((Q32, 1), (P32, 1))),
+        (1031 * (2**53 + 5), ((1031, 1), (2**53 + 5, 1))),
+        (2**5 * 1021**2 * 1031**3, ((2, 5), (1021, 2), (1031, 3))),
+        (P17**3, ((P17, 3),)),
+        (P21**3, ((P21, 3),)),
+        (P17**2 * P19, ((P17, 2), (P19, 1))),
+        (P21**2 * P17, ((P17, 1), (P21, 2))),
+        (P19**2 * P32, ((P19, 2), (P32, 1))),
+    ]
+)
+
+
+@pytest.mark.parametrize("stage", ["without-ecm", "without-short-rho"])
+def test_each_fallback_stays_exact(stage, monkeypatch):
+    if stage == "without-ecm":
+        monkeypatch.setattr(primes, "_ecm", lambda n: None)
+    else:
+        monkeypatch.setattr(primes, "_SHORT_RHO_R", 0)
+    for n, fac in FIXED_CASES:
+        assert _product(fac) == n
+        assert factorint(n, limit=None) == fac
+
+
+def test_mid_size_moduli_of_the_query_mix_shape():
+    rng = Random(26)
+    seen = 0
+    while seen < 100:
+        ps = [_random_prime(rng, 10**5, 2**26) for _ in range(rng.randint(2, 3))]
+        small = rng.choice((1, 2, 6, 9, 35))
+        acc = dict(naive_factor(small))
+        for p in ps:
+            acc[p] = acc.get(p, 0) + 1
+        n = _product(acc.items())
+        if n >= 2**64:
+            continue
+        assert factorint(n) == tuple(sorted(acc.items()))
+        seen += 1
 
 
 # Size bands of the random prime factors: trial divisors, just past them,
