@@ -33,10 +33,6 @@ class BadArityError(SpectopError):
     """Invalid size parameter for a ring construction."""
 
 
-class UnsupportedMapError(SpectopError):
-    """The ring map descriptor is not one the operation can handle."""
-
-
 class WildPrimeError(SpectopError):
     """The point is not a tame prime of the product, so it cannot be contracted."""
 

@@ -8,6 +8,16 @@ are represented upstairs through the order correspondences
 Spec(R/p) = {q >= p} and Spec(R_p) = {q <= p}, so contraction never
 builds the factor rings.
 
+Injectivity of the canonical maps is a closure fact, decided by topology
+for every ring kind.  The kernel of R -> prod_{p in E} R/p is the meet of
+E, a radical ideal containing the nilradical, and V(meet E) is the
+Zariski closure of E: the map is injective iff R is reduced and E is
+Zariski dense.  R -> R/p and R -> k(p) have kernel p, the case E = {p}.
+In R_p, r/1 = 0 exactly when r lies in every minimal prime below p, so
+R -> prod_{p in E} R_p is injective iff the down closure of E is Zariski
+dense; that is exact on reduced rings and on zero-dimensional ones, Z/n
+and products with Z/n, which covers every ring the engine builds.
+
 Lying over a minimal prime is found by enumerative search on enumerable
 targets and by each kind's rule on symbolic ones; the tensor-product
 pushout that proves existence in general is not modeled.
@@ -20,6 +30,7 @@ from dataclasses import dataclass, field
 
 from . import rings
 from . import spectrum as sp
+from . import topology as top
 from .errors import (
     KindMismatchError,
     LyingOverNotFoundError,
@@ -29,7 +40,6 @@ from .errors import (
 from .primes import DEFAULT_LIMIT
 from .rings import ResidueField, RingExpr  # ResidueField is named from here too
 from .spectrum import (
-    Cofinite,
     Explicit,
     FieldZero,
     PrimePoint,
@@ -71,8 +81,7 @@ class _PrimeMap(RingMapSpec):
 
     def is_injective(self) -> bool:
         # R -> k(p) factors through R/p, and Frac is injective on domains.
-        sp.validate_point(self.prime, self.ring)
-        return self.ring.point_is_zero(self.prime)
+        return _meet_is_zero(sp.explicit(self.ring, {self.prime}))
 
 
 class QuotientMap(_PrimeMap):
@@ -160,41 +169,15 @@ class CanonicalIntoQuotientProduct(_ProductMap):
     up = True  # Spec(R/p) = {q >= p}
 
     def is_injective(self) -> bool:
-        """Whether the intersection of the members of E vanishes."""
-        R, E = self.ring, self.subset
-        if isinstance(E, Cofinite):
-            # Below the limit: a nonzero element has finitely many prime
-            # divisors.  Above it: excluding axis k leaves x_k inside every
-            # remaining minimal prime.
-            return not E.limit_above or not E.excluded
-        if any(R.point_is_zero(p) for p in E.points):
-            return True
-        if R.symbolic:
-            return False
-        return _finite_meet_zero(R, list(E.points))
+        return _meet_is_zero(self.subset)
 
 
 class CanonicalIntoLocalProduct(_ProductMap):
     up = False  # Spec(R_p) = {q <= p}
 
     def is_injective(self) -> bool:
-        R, E = self.ring, self.subset
-        if E == sp.empty_set(R):
-            return False  # the map into the zero ring
-        if R.domain:
-            return True  # localizations of a domain
-        if R.limit_above:
-            # R_m is R itself, and at a minimal prime of a reduced ring the
-            # kernel is the prime: only all the minimal primes together meet in 0.
-            return (
-                sp.subset_member(R.limit, E)
-                or CanonicalIntoQuotientProduct(E).is_injective()
-            )
-        # Localizing at a tame prime keeps only its slot's factor.
-        return all(
-            inner and (f.domain or f.local_kernel_zero(inner))
-            for f, inner in R.slots(sp.subset_points(E))
-        )
+        # The kernel is the meet of the minimal primes below E.
+        return top.is_dense(top.order_closure(self.subset, up=False), top.ZARISKI)
 
 
 @dataclass(frozen=True)
@@ -261,6 +244,12 @@ def _factor_contract(R: RingExpr, base: PrimePoint, q: PrimePoint, up: bool) -> 
     )
 
 
+def _meet_is_zero(E: SpecSubset) -> bool:
+    """Whether the members of E meet in 0: the meet is radical and holds the
+    nilradical, and its vanishing locus is the Zariski closure of E."""
+    return E.ring.is_reduced() and top.is_dense(E, top.ZARISKI)
+
+
 def _resolve_slot(E: SpecSubset, slot) -> PrimePoint:
     """The base point of E a tame slot refers to."""
     if isinstance(slot, int):
@@ -271,18 +260,6 @@ def _resolve_slot(E: SpecSubset, slot) -> PrimePoint:
     if not sp.subset_member(slot, E):
         raise WildPrimeError(f"{sp.point_str(slot)} is not a member of the index set")
     return slot
-
-
-def _finite_meet_zero(R: RingExpr, points) -> bool:
-    # Tame primes meet slot by slot; an unmentioned slot keeps the whole
-    # factor, which is nonzero.
-    return all(
-        inner
-        and rings.ideal_is_zero(
-            rings.ideal_intersect_all([f.point_ideal(p) for p in inner], f), f
-        )
-        for f, inner in R.slots(points)
-    )
 
 
 def _least_slot(E: SpecSubset, p: PrimePoint) -> PrimePoint:
@@ -340,11 +317,8 @@ def laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
     except NonEnumerableError:
         return m.symbolic_lying_over(p)
     for q in sorted(candidates, key=sp.point_sort_key):
-        try:
-            if contract(m, q) == p:
-                return q
-        except WildPrimeError:
-            continue
+        if contract(m, q) == p:
+            return q
     raise LyingOverNotFoundError("no tame prime lies over the given point")
 
 
@@ -373,15 +347,17 @@ def residue_product_image(E: SpecSubset) -> SpecSubset:
     # GF(p)[x]): an excluded q's generator is a unit in every k(p), p in
     # E, yet lies in q, so no prime of the product contracts onto q; the
     # generic point lies over the minimal prime along the canonical map,
-    # which is injective.  Above it (the axes ring): x_k is zero in every
-    # k(p) yet misses P_k; elements of the maximal ideal vanish at
-    # cofinitely many axes, hence land in the direct-sum ideal, and any
-    # prime above that contracts onto the maximal ideal.
+    # which is injective: the locus rule puts a nonzero element in only
+    # finitely many closed points, so never in every member.  Above it
+    # (the axes ring): x_k is zero in every k(p) yet misses P_k; elements
+    # of the maximal ideal vanish at cofinitely many axes, hence land in
+    # the direct-sum ideal, and any prime above that contracts onto the
+    # maximal ideal.
     if E.limit_above:
         for q in E.excluded:
             x_k = rings.var_el(R, q.k)
             if not sp.subset_le(E, sp.v_locus(x_k, R)) or R._contains(q, x_k):
                 raise AssertionError("exclusion witnesses must verify")
-    elif not is_injective(CanonicalIntoQuotientProduct(E)):
-        raise AssertionError("cofinite families must have zero kernel")
+    elif R.locus(R.prime_element)[1]:
+        raise AssertionError("a nonzero element must lie in finitely many family points")
     return sp._cofinite(R, E.excluded, True)

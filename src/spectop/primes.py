@@ -20,19 +20,17 @@ from .errors import FactorizationLimitError
 
 DEFAULT_LIMIT = 2**64
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
 # Deterministic Miller-Rabin witnesses below psi_13 = 3317044064679887385961981
 # (Sorenson and Webster, Math. Comp. 2017).  The bases 2..37 alone pass the
-# composite psi_12 = 318665857834031151167461.  Every base is also a trial
-# divisor above, so the tested n is never a base.
+# composite psi_12 = 318665857834031151167461.  Every base is tried as a
+# divisor first, so the tested n is never a base.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

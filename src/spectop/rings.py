@@ -38,7 +38,6 @@ from .errors import (
     KindMismatchError,
     NonEnumerableError,
     UnsupportedError,
-    UnsupportedMapError,
 )
 from .primes import DEFAULT_LIMIT, factorint, is_prime, next_prime, prime_factors
 from .values import (  # the values and their functions are named from here too
@@ -128,8 +127,6 @@ class RingExpr:
 
     # Infinite spectrum: subsets are given by representation rules.
     symbolic = False
-    # Every ring of the family is an integral domain.
-    domain = False
     # The limit point of a symbolic spectrum (see _Symbolic), and its side
     # of the order: above the infinite family (the maximal ideal of the
     # axes ring), or below it (the generic point of Z and GF(p)[x]).
@@ -178,15 +175,6 @@ class RingExpr:
     def point_ideal(self, p: PrimePoint) -> IdealRepr:
         raise UnsupportedError(f"no ideal representation for points of {self}")
 
-    def point_is_zero(self, p: PrimePoint) -> bool:
-        """Whether the prime of p is the zero ideal."""
-        return ideal_is_zero(self.point_ideal(p), self)
-
-    def slots(self, points) -> list[tuple[RingExpr, list[PrimePoint]]]:
-        """Each factor with the points (of this ring) in its slot; a
-        non-product is its own slot."""
-        return [(self, list(points))]
-
     def is_enumerable(self) -> bool:
         return False
 
@@ -233,10 +221,6 @@ class RingExpr:
         """Krull dimension by formula, for spectra that cannot be enumerated."""
         raise NonEnumerableError(f"cannot chase chains in {self}")
 
-    def local_kernel_zero(self, points: list[PrimePoint]) -> bool:
-        """Whether R -> prod R_p over the (nonempty, finite) points is injective."""
-        raise UnsupportedMapError(f"no localization kernel rule over {self}")
-
 
 def _int_divides(g: int, r: int) -> bool:
     return r == 0 if g == 0 else r % g == 0
@@ -278,9 +262,9 @@ class _ZeroDimensional(RingExpr):
 
 
 class _Domain(RingExpr):
-    """Integral domains: the zero ideal is prime and every localization injective."""
-
-    domain = True
+    """Integral domains: the zero ideal is prime, and its point lies below
+    every other, so its Zariski closure is the whole spectrum.  That makes
+    R -> R/(0) and R -> prod R_p over any nonempty E injective (see maps)."""
 
     def is_regular(self, r: El) -> bool:
         return r != self.from_int(0)
@@ -545,10 +529,6 @@ class ModRing(_Residue, _ZeroDimensional):
     def residue_field(self, p: PrimePoint) -> ResidueField:
         return ResidueField(f"F_{p.p}", PrimeField(p.p))
 
-    def local_kernel_zero(self, points: list[PrimePoint]) -> bool:
-        exps = dict(self.factorization)
-        return math.prod(p.p ** exps[p.p] for p in points) == self.n
-
 
 @dataclass(frozen=True)
 class PrimeField(_Residue, _Field):
@@ -791,13 +771,6 @@ class _Quotient(_Monomial):
         vars_str = ",".join(f"x{i}" for i in free)
         return ResidueField(f"{self.field}({vars_str})", None)
 
-    def local_kernel_zero(self, points: list[PrimePoint]) -> bool:
-        full = frozenset(self.monomial_variables())
-        if any(p.cover == full for p in points):
-            return True
-        meet = ideal_intersect_all([self.point_ideal(p) for p in points], self)
-        return ideal_is_zero(meet, self)
-
 
 @dataclass(frozen=True)
 class MonomialQuotient(_Quotient):
@@ -916,10 +889,6 @@ class SymbolicSupplement(_Symbolic, _Monomial):
         # Reduced terms are single-axis; membership in P_k only excludes axis k.
         return all(mono_support(e) != frozenset({p.k}) for _, e in r.terms)
 
-    def point_is_zero(self, p: PrimePoint) -> bool:
-        # x_j witnesses a nonzero element of every prime here.
-        return False
-
     def _random_family_point(self, rng) -> PrimePoint:
         return SuppMin(rng.randint(1, 30))
 
@@ -995,17 +964,6 @@ class Product(RingExpr):
 
     def _contains(self, p: PrimePoint, r: El) -> bool:
         return self.factors[p.slot]._contains(p.inner, r.items[p.slot])
-
-    def point_is_zero(self, p: PrimePoint) -> bool:
-        # With two or more factors the prime holds the unit idempotent of
-        # another slot, which is nonzero.
-        return len(self.factors) == 1 and self.factors[0].point_is_zero(p.inner)
-
-    def slots(self, points) -> list[tuple[RingExpr, list[PrimePoint]]]:
-        points = list(points)
-        return [
-            (f, [p.inner for p in points if p.slot == k]) for k, f in enumerate(self.factors)
-        ]
 
     def is_enumerable(self) -> bool:
         return all(f.is_enumerable() for f in self.factors)
