@@ -13,7 +13,6 @@ encoding and decoding both read the row.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -58,13 +57,11 @@ def _obj(v, what: str) -> dict:
 
 
 def _coeff(c):
-    """A multivariate coefficient: an integer, a finite float (exactly) or
-    an "a/b" string."""
-    if isinstance(c, str) and "/" in c:
-        return _fraction(c)
-    if isinstance(c, float) and math.isfinite(c):
-        return Fraction(c)
-    return _int(c, "coefficient")
+    """A multivariate coefficient: an "a/b" string is read as a Fraction,
+    and every other value is left to the ring's coefficient reader
+    (rings._coeff_norm), which takes integers, integral strings and finite
+    floats."""
+    return _fraction(c) if isinstance(c, str) and "/" in c else c
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +277,23 @@ _POINT_ROWS = _Table(
 
 _SUBSET_ROWS = _Table(
     "type", "subset",
-    _row(sp.Explicit, "empty", build=sp.empty_set, when=lambda E: not E.points),
-    _row(sp.Explicit, "explicit", ("points", _POINTS), build=sp.explicit),
-    _row(sp.Cofinite, "whole", build=sp.whole, when=lambda E: E.is_whole),
+    _row(sp.SpecSubset, "empty", build=sp.empty_set,
+         when=lambda E: not (E.cofinite or E.points)),
+    _row(sp.SpecSubset, "explicit", ("points", _POINTS), build=sp.explicit,
+         when=lambda E: not E.cofinite),
+    _row(sp.SpecSubset, "whole", build=sp.whole, when=lambda E: not E.points),
     _row(
-        sp.Cofinite, "cofiniteMin",
+        sp.SpecSubset, "cofiniteMin",
         ("excluded", _seq(_AXIS, "axis", frozenset, sp.sorted_points)),
         ("withTop", _FLAG, "with_limit", False),
         build=sp.cofinite_min,
-        when=lambda E: E.limit_above,
+        when=lambda E: E.ring.limit_above,
     ),
     _row(
-        sp.Cofinite, "cofiniteClosed",
+        sp.SpecSubset, "cofiniteClosed",
         ("excluded", _POINTS),
         ("withGeneric", _FLAG, "with_limit", False),
         build=sp.cofinite_closed,
-        when=lambda E: not E.limit_above,
     ),
 )
 

@@ -40,7 +40,6 @@ from .errors import (
 from .primes import DEFAULT_LIMIT
 from .rings import ResidueField, RingExpr  # ResidueField is named from here too
 from .spectrum import (
-    Explicit,
     FieldZero,
     PrimePoint,
     SpecSubset,
@@ -272,11 +271,12 @@ def _least_slot(E: SpecSubset, p: PrimePoint) -> PrimePoint:
     the map is injective only when E holds the top point or every axis,
     and the top point, above every axis, is taken.
     """
-    if isinstance(E, Explicit):
-        return next(q for q in sp.subset_points(E) if E.ring._leq(p, q))
+    R = E.ring
+    if not E.cofinite:
+        return next(q for q in sp.subset_points(E) if R._leq(p, q))
     if E.with_limit:
-        return E.limit
-    return next(q for q in E.ring.closed_points() if q not in E.excluded)
+        return R.limit
+    return next(q for q in R.closed_points() if q not in E.points)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +340,9 @@ def residue_product_image(E: SpecSubset) -> SpecSubset:
     the argument below.
     """
     R = E.ring
-    if isinstance(E, Explicit):
+    if not E.cofinite:
         pts = {contract(ResidueMap(R, p), FieldZero()) for p in E.points}
-        return sp._explicit(R, pts)
+        return sp._subset(R, pts)
     # The image is E plus the limit point.  Below the family (Z,
     # GF(p)[x]): an excluded q's generator is a unit in every k(p), p in
     # E, yet lies in q, so no prime of the product contracts onto q; the
@@ -353,11 +353,11 @@ def residue_product_image(E: SpecSubset) -> SpecSubset:
     # of the maximal ideal vanish at cofinitely many axes, hence land in
     # the direct-sum ideal, and any prime above that contracts onto the
     # maximal ideal.
-    if E.limit_above:
+    if R.limit_above:
         for q in E.excluded:
             x_k = rings.var_el(R, q.k)
             if not sp.subset_le(E, sp.v_locus(x_k, R)) or R._contains(q, x_k):
                 raise AssertionError("exclusion witnesses must verify")
     elif R.locus(R.prime_element)[1]:
         raise AssertionError("a nonzero element must lie in finitely many family points")
-    return sp._cofinite(R, E.excluded, True)
+    return sp._subset(R, E.excluded, True)

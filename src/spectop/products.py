@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedError,
 )
 from .rings import El, Product, RingExpr, TupleEl
-from .spectrum import Explicit, PrimePoint, SpecSubset
+from .spectrum import PrimePoint, SpecSubset
 
 QUOTIENT = "quotient"
 LOCAL = "local"
@@ -78,8 +78,6 @@ def brute_force_image(E: SpecSubset, kind: str) -> SpecSubset:
     R = E.ring
     if not R.is_enumerable():
         raise NonEnumerableError("the oracle needs an enumerable spectrum")
-    if not isinstance(E, Explicit):
-        raise NonEnumerableError("the oracle needs a finite subset")
     if kind == QUOTIENT:
         m: maps.RingMapSpec = maps.CanonicalIntoQuotientProduct(E)
     else:
@@ -91,15 +89,12 @@ def brute_force_image(E: SpecSubset, kind: str) -> SpecSubset:
 def is_unit_in_quotient_product(r: El, E: SpecSubset) -> bool:
     """Whether the image of r in prod_{p in E} R/p is invertible.
 
-    Equivalent to r avoiding every member of E; over Z this reads "no
-    prime factor of r lies in E".
+    r is a unit in R/p exactly when no prime above p contains it, so the
+    image is a unit iff V(r) misses the up closure of E; over Z this reads
+    "no prime factor of r lies above a member of E".
     """
     R = E.ring
-    r = rings.normalize(r, R)
-    if isinstance(E, Explicit):
-        return not any(sp.point_contains(p, r, R) for p in E.points)
-    # r avoids every member of E exactly when V(r) misses E.
-    return sp.subset_intersect(sp.v_locus(r, R), E) == sp.empty_set(R)
+    return sp.subset_intersect(sp.v_locus(r, R), top.order_closure(E, up=True)) == sp.empty_set(R)
 
 
 def _nilpotent_by_squaring(R: RingExpr, r: El, rounds: int = 8) -> bool:
@@ -139,7 +134,7 @@ def nilradical_product_law_check(R: Product) -> bool:
         if product_side != component_side:
             return False
     minimal = [p for p in pts if R.is_minimal_prime(p)]
-    return top.zariski_closure(sp._explicit(R, minimal)) == sp.whole(R)
+    return top.zariski_closure(sp._subset(R, minimal)) == sp.whole(R)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ GF(p)[x], the infinite axes ring) are infinite: each is an infinite
 family of points (the closed points of Z and GF(p)[x], the minimal axes
 of the axes ring) plus one limit point (the generic point below the
 family, the top point above it).  Their subsets are represented exactly
-by one of two forms: Explicit, a finite set of points (the empty set is
-one with no points), or Cofinite ("all points of the family except a
-finite list, with or without the limit point"; the whole space excludes
-nothing and holds the limit).  Every membership and inclusion question
-on these representations is decidable.
+in the finite/cofinite Boolean algebra (Hochster 1969): a SpecSubset is
+a finite set of points, or, with its `cofinite` flag set, the complement
+of one, the limit counted as an ordinary point.  The empty set has no
+points; the whole symbolic spectrum is cofinite with no points.  Every
+membership and inclusion question on these representations is
+decidable.
 
 Invariant: every point inside a subset value is a point of its ring.
 Points are checked once, where they enter: the builders (explicit,
@@ -20,11 +21,11 @@ cofinite_closed, cofinite, cofinite_min) and the functions that take a
 point from the caller (subset_member, leq_specialization,
 point_contains) validate each one.  The subset algebra (union,
 intersection, complement, inclusion) only recombines points that are
-already inside subsets, so it goes through the private canonicalizers
-_explicit and _cofinite, which check nothing; _cofinite keeps the limit
-point out of `excluded`, so each set has exactly one value and == is set
-equality.  The subset dataclasses are internal constructors: build
-subsets with the builders.
+already inside subsets, so it goes through the private canonicalizer
+_subset, which checks nothing.  _subset stores a cofinite set over a
+ring that is not symbolic as the finite set it is, so each set has
+exactly one value and == is set equality.  The SpecSubset constructor is
+internal: build subsets with the builders.
 """
 
 from __future__ import annotations
@@ -96,67 +97,54 @@ def spec_points(R: RingExpr) -> list[PrimePoint]:
 
 
 @dataclass(frozen=True)
-class Explicit:
-    ring: RingExpr
-    points: frozenset
-
-
-@dataclass(frozen=True)
-class Cofinite:
-    """All points of a symbolic spectrum outside `excluded`, plus its limit
-    point iff with_limit.
-
-    The limit point is the generic point of Z and GF(p)[x], below their
-    infinite family of closed points, and the top point of the axes ring,
-    above its infinite family of minimal primes; `excluded` holds points
-    of the family only.
+class SpecSubset:
+    """The points of Spec(ring) in `points`, or, with `cofinite` set, every
+    point outside them.  The limit point of a symbolic spectrum (the
+    generic point of Z and GF(p)[x], the top of the axes ring) counts as
+    an ordinary point, so membership is (p in points) != cofinite.
     """
 
     ring: RingExpr
-    excluded: frozenset
-    with_limit: bool
+    points: frozenset
+    cofinite: bool = False
 
     @property
-    def limit(self) -> PrimePoint:
-        return self.ring.limit
+    def excluded(self) -> frozenset:
+        """The family points a cofinite set leaves out."""
+        return self.points - {self.ring.limit}
 
     @property
-    def limit_above(self) -> bool:
-        """Whether the limit point lies above the family in the order (the
-        axes ring), not below it (Z, GF(p)[x])."""
-        return self.ring.limit_above
-
-    @property
-    def is_whole(self) -> bool:
-        return self.with_limit and not self.excluded
+    def with_limit(self) -> bool:
+        """Whether a cofinite set holds the limit point."""
+        return self.ring.limit not in self.points
 
 
-SpecSubset = Explicit | Cofinite
+def _subset(R: RingExpr, points, cofinite: bool = False) -> SpecSubset:
+    """The canonicalizer: points handed here are already points of R.  A
+    cofinite set over a ring that is not symbolic is stored as the finite
+    set it is."""
+    if cofinite and not R.symbolic:
+        return SpecSubset(R, frozenset(spec_points(R)).difference(points))
+    return SpecSubset(R, frozenset(points), cofinite)
 
 
-# The canonicalizers: points handed to these are already points of R.
-
-
-def _explicit(R: RingExpr, points) -> SpecSubset:
-    return Explicit(R, frozenset(points))
-
-
-def _cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
-    return Cofinite(R, frozenset(excluded) - {R.limit}, with_limit)
+def _cofinite(R: RingExpr, excluded: frozenset, with_limit: bool) -> SpecSubset:
+    """The family minus `excluded`, plus the limit point iff with_limit."""
+    return _subset(R, excluded - {R.limit} if with_limit else excluded | {R.limit}, True)
 
 
 # The builders: validate, then canonicalize.
 
 
 def empty_set(R: RingExpr) -> SpecSubset:
-    return _explicit(R, ())
+    return _subset(R, ())
 
 
 def explicit(R: RingExpr, points) -> SpecSubset:
     pts = frozenset(points)
     for p in pts:
         validate_point(p, R)
-    return _explicit(R, pts)
+    return _subset(R, pts)
 
 
 def cofinite_closed(R: RingExpr, excluded, with_generic: bool) -> SpecSubset:
@@ -178,7 +166,7 @@ def cofinite_min(R: RingExpr, excluded, with_top: bool) -> SpecSubset:
     ks = frozenset(_int(k, "axis") for k in excluded)
     if any(k < 1 for k in ks):
         raise KindMismatchError("axis indices start at 1")
-    return _cofinite(R, {SuppMin(k) for k in ks}, with_top)
+    return _cofinite(R, frozenset(SuppMin(k) for k in ks), with_top)
 
 
 def cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
@@ -196,9 +184,7 @@ def cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
 
 
 def whole(R: RingExpr) -> SpecSubset:
-    if R.symbolic:
-        return _cofinite(R, (), True)
-    return _explicit(R, spec_points(R))
+    return _subset(R, (), True)
 
 
 def subset_member(p: PrimePoint, E: SpecSubset) -> bool:
@@ -208,51 +194,34 @@ def subset_member(p: PrimePoint, E: SpecSubset) -> bool:
 
 def _member(p: PrimePoint, E: SpecSubset) -> bool:
     """Membership of a point of E's ring."""
-    if isinstance(E, Explicit):
-        return p in E.points
-    return E.with_limit if p == E.limit else p not in E.excluded
+    return (p in E.points) != E.cofinite
 
 
 def subset_points(E: SpecSubset) -> list[PrimePoint]:
     """Point list of a finite subset."""
-    if isinstance(E, Explicit):
-        return sorted_points(E.points)
-    raise NonEnumerableError(f"{subset_str(E)} is not a finite set")
-
-
-def _check_same_ring(A: SpecSubset, B: SpecSubset) -> RingExpr:
-    if A.ring != B.ring:
-        raise KindMismatchError("subsets live over different rings")
-    return A.ring
+    if E.cofinite:
+        raise NonEnumerableError(f"{subset_str(E)} is not a finite set")
+    return sorted_points(E.points)
 
 
 def subset_union(A: SpecSubset, B: SpecSubset) -> SpecSubset:
-    R = _check_same_ring(A, B)
-    if isinstance(A, Explicit) and isinstance(B, Explicit):
-        return _explicit(R, A.points | B.points)
-    if isinstance(A, Explicit):
+    if not A.cofinite:
         A, B = B, A
-    if isinstance(B, Explicit):
-        return _cofinite(R, A.excluded - B.points, A.with_limit or A.limit in B.points)
-    return _cofinite(R, A.excluded & B.excluded, A.with_limit or B.with_limit)
+    if not A.cofinite:
+        return _subset(A.ring, A.points | B.points)
+    return _subset(A.ring, A.points & B.points if B.cofinite else A.points - B.points, True)
 
 
 def subset_intersect(A: SpecSubset, B: SpecSubset) -> SpecSubset:
-    R = _check_same_ring(A, B)
-    if isinstance(A, Explicit):
-        return _explicit(R, {p for p in A.points if _member(p, B)})
-    if isinstance(B, Explicit):
-        return _explicit(R, {p for p in B.points if _member(p, A)})
-    return _cofinite(R, A.excluded | B.excluded, A.with_limit and B.with_limit)
+    if A.cofinite:
+        A, B = B, A
+    if A.cofinite:
+        return _subset(A.ring, A.points | B.points, True)
+    return _subset(A.ring, A.points - B.points if B.cofinite else A.points & B.points)
 
 
 def subset_complement(E: SpecSubset) -> SpecSubset:
-    R = E.ring
-    if isinstance(E, Cofinite):
-        return _explicit(R, E.excluded if E.with_limit else E.excluded | {E.limit})
-    if not R.symbolic:
-        return _explicit(R, set(spec_points(R)) - E.points)
-    return _cofinite(R, E.points, R.limit not in E.points)
+    return _subset(E.ring, E.points, not E.cofinite)
 
 
 def subset_difference(A: SpecSubset, B: SpecSubset) -> SpecSubset:
@@ -260,28 +229,23 @@ def subset_difference(A: SpecSubset, B: SpecSubset) -> SpecSubset:
 
 
 def subset_le(A: SpecSubset, B: SpecSubset) -> bool:
-    """Decide A included in B on the canonical representations."""
-    _check_same_ring(A, B)
-    if isinstance(A, Explicit):
-        return all(_member(p, B) for p in A.points)
-    if isinstance(B, Cofinite):
-        return B.excluded <= A.excluded and (not A.with_limit or B.with_limit)
-    return False  # an infinite set inside a finite one
-
-
-def is_infinite_subset(E: SpecSubset) -> bool:
-    return isinstance(E, Cofinite)
+    """Decide A included in B on the canonical representations; an
+    infinite set never lies inside a finite one."""
+    if A.cofinite:
+        return B.cofinite and B.points <= A.points
+    return all(_member(p, B) for p in A.points)
 
 
 def subset_str(E: SpecSubset) -> str:
-    if isinstance(E, Explicit):
+    if not E.cofinite:
         return "{" + ", ".join(point_str(p) for p in sorted_points(E.points)) + "}"
-    if E.is_whole:
-        return f"Spec({E.ring})"
+    R = E.ring
+    if not E.points:
+        return f"Spec({R})"
     excl = ", ".join(point_str(p) for p in sorted_points(E.excluded)) or "none"
-    family = "minimal primes" if E.limit_above else "closed points"
+    family = "minimal primes" if R.limit_above else "closed points"
     side = "with" if E.with_limit else "without"
-    return f"all {family} except {excl}, {side} {point_str(E.limit)}"
+    return f"all {family} except {excl}, {side} {point_str(R.limit)}"
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +255,7 @@ def subset_str(E: SpecSubset) -> str:
 
 def v_locus(r: El, R: RingExpr) -> SpecSubset:
     """V(r): the primes containing r, as a canonical subset."""
-    points, complement = R.locus(R.normalize(r))
-    E = _explicit(R, points)
-    return subset_complement(E) if complement else E
+    return _subset(R, *R.locus(R.normalize(r)))
 
 
 def d_locus(r: El, R: RingExpr) -> SpecSubset:

@@ -1,14 +1,14 @@
 """Zariski, flat and patch closure operators, stability and density.
 
-Three rules per subset form carry every closure: the up closure (the
-primes above some member), the down closure (the primes below some
-member) and the patch closure.  In a spectral space the Zariski (flat)
-closure of a set is the up (down) closure of its patch closure (Hochster
-1969).  On an enumerable spectrum the patch topology is discrete; on the
-three symbolic families the rules rest on an exact statement about the
-ring family (finite vanishing loci over Z and GF(p)[x], finite
-non-vanishing loci on the infinite axes ring).  The engine refuses rather
-than guess when a representation has no rule.
+Three rules, each with a finite and a cofinite case, carry every
+closure: the up closure (the primes above some member), the down closure
+(the primes below some member) and the patch closure.  In a spectral
+space the Zariski (flat) closure of a set is the up (down) closure of its
+patch closure (Hochster 1969).  On an enumerable spectrum the patch
+topology is discrete; on the three symbolic families the rules rest on an
+exact statement about the ring family (finite vanishing loci over Z and
+GF(p)[x], finite non-vanishing loci on the infinite axes ring).  The
+engine refuses rather than guess when a representation has no rule.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .rings import (  # the density rationales are named from here too
     El,
     RingExpr,
 )
-from .spectrum import Explicit, PrimePoint, SpecSubset
+from .spectrum import PrimePoint, SpecSubset
 
 ZARISKI = "zariski"
 FLAT = "flat"
@@ -55,7 +55,7 @@ def order_closure(E: SpecSubset, up: bool) -> SpecSubset:
     everything when it does not.
     """
     R = E.ring
-    if isinstance(E, Explicit):
+    if not E.cofinite:
         reach = R.up_points if up else R.down_points
         out: set[PrimePoint] = set()
         for p in E.points:
@@ -63,20 +63,20 @@ def order_closure(E: SpecSubset, up: bool) -> SpecSubset:
             if pts is None:
                 return sp.whole(R)
             out |= pts
-        return sp._explicit(R, out)
-    if E.limit_above == up:
+        return sp._subset(R, out)
+    if R.limit_above == up:
         return _patch(E)  # adds the limit, and nothing else
     return sp.whole(R) if E.with_limit else E
 
 
 def _patch(E: SpecSubset) -> SpecSubset:
-    if isinstance(E, Explicit) or E.with_limit:
+    if not E.cofinite or E.with_limit:
         return E
     # Every family point is patch-isolated, and every patch neighbourhood of
     # the limit holds all but finitely many family points: each V(a), a
     # nonzero, is finite over Z and GF(p)[x], and each D(a), a a nonunit, is
     # finite on the axes ring.  So the limit is the only point added.
-    return sp._cofinite(E.ring, E.excluded, True)
+    return sp._subset(E.ring, E.excluded, True)
 
 
 def patch_closure(E: SpecSubset) -> SpecSubset:
@@ -109,13 +109,12 @@ def closure(E: SpecSubset, topology: str) -> SpecSubset:
 def is_stable(E: SpecSubset, mode: str) -> bool:
     """Stability under specialization or generalization.
 
-    An explicit set is stable when the up (down) set of each of its
-    points stays inside it; the cofinite sets follow representation
-    rules.
+    A finite set is stable when the up (down) set of each of its points
+    stays inside it; the cofinite sets follow representation rules.
     """
     if mode not in (SPECIALIZATION, GENERALIZATION):
         raise UnsupportedError(f"unknown stability mode {mode!r}")
-    if isinstance(E, Explicit):
+    if not E.cofinite:
         # Stable exactly when every point's up (down) set stays inside E.
         reach = E.ring.up_points if mode == SPECIALIZATION else E.ring.down_points
         for p in E.points:
@@ -126,7 +125,7 @@ def is_stable(E: SpecSubset, mode: str) -> bool:
     # The whole spectrum is stable both ways.  Otherwise: a family point's up
     # (down) set is the point and the limit when the limit lies on that
     # side; the limit's is everything when it does not.
-    return E.is_whole or E.with_limit == (E.limit_above == (mode == SPECIALIZATION))
+    return not E.points or E.with_limit == (E.ring.limit_above == (mode == SPECIALIZATION))
 
 
 def is_dense(E: SpecSubset, topology: str) -> bool:

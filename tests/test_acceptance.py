@@ -205,7 +205,7 @@ def test_acceptance_8_density_criteria():
             if mode == top.ZARISKI
             else sp.d_locus(cert.witness, R)
         )
-        assert sp.is_infinite_subset(locus)
+        assert locus.cofinite
         assert not top.is_dense(locus, mode)
     print("ACCEPTANCE 8 (density criteria with 50 confirmations per family): PASS")
 

@@ -183,19 +183,19 @@ def _public_subclasses(base) -> set:
 
 
 def test_every_value_class_has_one_wire_row():
-    # A class without a row would fail only at its first query; Explicit
-    # and Cofinite have one row per wire form.
+    # A class without a row would fail only at its first query; SpecSubset
+    # has one row per wire form.
     classes = (
         _public_subclasses(rings.RingExpr)
         | _public_subclasses(maps.RingMapSpec)
         | set(get_args(values.PrimePoint))
         | set(get_args(values.El))
-        | set(get_args(sp.SpecSubset))
+        | {sp.SpecSubset}
     )
     tables = [jsonio._RING_ROWS, jsonio._ELEMENT_ROWS, jsonio._POINT_ROWS,
               jsonio._SUBSET_ROWS, jsonio._MAP_ROWS]
     rows = Counter(row.cls for table in tables for row in table.rows)
-    assert rows == {cls: {sp.Explicit: 2, sp.Cofinite: 3}.get(cls, 1) for cls in classes}
+    assert rows == {cls: {sp.SpecSubset: 5}.get(cls, 1) for cls in classes}
     for table in tables:
         assert len(table.by_tag) == len(table.rows)
 

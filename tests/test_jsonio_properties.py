@@ -348,3 +348,8 @@ def test_garbage_element_field_is_refused(R, doc):
             continue
         with pytest.raises((SpectopError, KeyError)):
             jsonio.element_from_json(_apply(doc, path, wrong), R)
+    # A bool or an exponent string is no coefficient either.
+    for path in [path for path, _ in _fields(doc) if path[-1] == "c"]:
+        for wrong in (True, "1e3"):
+            with pytest.raises(SpectopError):
+                jsonio.element_from_json(_apply(doc, path, wrong), R)

@@ -198,6 +198,33 @@ def test_is_unit_in_quotient_product_examples():
     assert products.is_unit_in_quotient_product(
         rings.mpoly_el(SUPP3, {(): 1, (1,): 1}), E_s
     )
+    # A unit of R/p avoids every prime above p, not only p.  2 is no unit
+    # of Z/(0) = Z, also when (0) is one member among many.
+    assert not products.is_unit_in_quotient_product(IntEl(2), sp.explicit(rings.ZZ, {ZGeneric()}))
+    assert not products.is_unit_in_quotient_product(
+        IntEl(2), sp.cofinite_closed(rings.ZZ, {ZMax(2)}, True)
+    )
+    # R/P_2 is F_2[x_2] localized at (x_2), where x_2 is no unit.
+    assert not products.is_unit_in_quotient_product(
+        rings.var_el(AXES_F2, 2), sp.explicit(AXES_F2, {SuppMin(2)})
+    )
+
+
+def test_unit_in_quotient_product_by_maximal_ideals(rng):
+    # r is a unit in R/p exactly when no maximal ideal above p contains it.
+    for R in enumerable_zoo():
+        pts = sp.spec_points(R)
+        maximal = [q for q in pts if R.up_points(q) == {q}]
+        elements = rings.sample_elements(R, rng, 6) + [rings.zero(R), rings.one(R)]
+        for r in elements:
+            in_maximal = [q for q in maximal if sp.point_contains(q, r, R)]
+            for k in range(len(pts) + 1):
+                for sub in combinations(pts, k):
+                    want = not any(
+                        sp.leq_specialization(p, q, R) for p in sub for q in in_maximal
+                    )
+                    got = products.is_unit_in_quotient_product(r, sp.explicit(R, sub))
+                    assert got == want, (str(R), r, sub)
 
 
 def test_nilradical_product_law_examples():

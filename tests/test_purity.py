@@ -51,22 +51,22 @@ def test_every_memo_table_is_bounded():
 
 
 def test_only_the_canonicalizers_build_subsets():
-    # Two subset forms give each set one value only because every subset
-    # passes through spectrum._explicit or spectrum._cofinite, and the
-    # latter keeps the limit point out of `excluded`.
+    # Each set has one value only because every subset passes through
+    # spectrum._subset, which stores a cofinite set over a ring that is not
+    # symbolic as the finite set it is.
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = set()
         if path.name == "spectrum.py":
             for fn in tree.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name in ("_explicit", "_cofinite"):
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_subset":
                     allowed |= {id(node) for node in ast.walk(fn)}
         found += [
             f"{path.relative_to(SRC)}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and _callee_name(node) in ("Explicit", "Cofinite")
+            and _callee_name(node) == "SpecSubset"
             and id(node) not in allowed
         ]
     assert found == []

@@ -10,7 +10,6 @@ from spectop import topology as top
 from spectop.errors import KindMismatchError, NonEnumerableError, SpectopError
 from spectop.rings import IntEl, PolyEl
 from spectop.spectrum import (
-    Cofinite,
     FieldZero,
     FpxGeneric,
     FpxMax,
@@ -198,11 +197,52 @@ FAMILY_POINTS = {
 }
 
 
+def _check_algebra(R, subsets, probes, named) -> list:
+    """Check the subset algebra on `subsets` against membership: at the
+    probes, and exactly at `named`, points at which membership tells any
+    two of the sets and of their combinations apart.  Returns every value
+    checked."""
+    derived = []
+    for A in subsets:
+        comp = sp.subset_complement(A)
+        for p in probes:
+            assert sp.subset_member(p, A) != sp.subset_member(p, comp)
+        assert sp.subset_union(A, comp) == sp.whole(R)
+        assert sp.subset_intersect(A, comp) == sp.empty_set(R)
+        derived.append(comp)
+        for B in subsets:
+            u = sp.subset_union(A, B)
+            i = sp.subset_intersect(A, B)
+            d = sp.subset_difference(A, B)
+            for p in probes:
+                in_a, in_b = sp.subset_member(p, A), sp.subset_member(p, B)
+                assert sp.subset_member(p, u) == (in_a or in_b)
+                assert sp.subset_member(p, i) == (in_a and in_b)
+                assert sp.subset_member(p, d) == (in_a and not in_b)
+                if sp.subset_le(A, B):
+                    assert in_b or not in_a
+            assert sp.subset_le(i, A) and sp.subset_le(A, u)
+            assert sp.subset_le(d, A) and sp.subset_intersect(d, B) == sp.empty_set(R)
+            derived += [u, i, d]
+    # Each set has one value, so == is set equality: the invariant that
+    # is_dense reads, checked on the builders' and the algebra's values.
+    values = subsets + derived
+    pool = dict.fromkeys((E, tuple(sp.subset_member(p, E) for p in named)) for E in values)
+    for A, in_a in pool:
+        for B, in_b in pool:
+            le = sp.subset_le(A, B)
+            assert le == all(b or not a for a, b in zip(in_a, in_b))
+            if A.cofinite and not B.cofinite:
+                assert not le  # an infinite set inside a finite one
+            assert (A == B) == (le and sp.subset_le(B, A))
+            assert (A == B) == (in_a == in_b)
+    return values
+
+
 def test_subset_algebra_by_membership(rng):
     for R in symbolic_zoo():
         limit, family = FAMILY_POINTS[R]
         p1, p2, p3, p4, _ = family
-        probes = sp.sample_points(R, rng, 40)
         subsets = [
             sp.empty_set(R),
             sp.whole(R),
@@ -213,44 +253,41 @@ def test_subset_algebra_by_membership(rng):
             # The complement of the second explicit set, built directly.
             sp.cofinite(R, {p2}, False),
         ]
-        derived = []
-        for A in subsets:
-            comp = sp.subset_complement(A)
-            for p in probes:
-                assert sp.subset_member(p, A) != sp.subset_member(p, comp)
-            assert sp.subset_union(A, comp) == sp.whole(R)
-            assert sp.subset_intersect(A, comp) == sp.empty_set(R)
-            derived.append(comp)
-            for B in subsets:
-                u = sp.subset_union(A, B)
-                i = sp.subset_intersect(A, B)
-                for p in probes:
-                    assert sp.subset_member(p, u) == (
-                        sp.subset_member(p, A) or sp.subset_member(p, B)
-                    )
-                    assert sp.subset_member(p, i) == (
-                        sp.subset_member(p, A) and sp.subset_member(p, B)
-                    )
-                assert sp.subset_le(i, A) and sp.subset_le(A, u)
-                derived += [u, i]
-        # Each set has one value, so == is set equality: the invariant that
-        # is_dense reads, checked on the builders' and the algebra's values.
-        pool = [(E, [sp.subset_member(p, E) for p in (limit, *family)])
-                for E in subsets + derived]
-        for A, in_a in pool:
-            for B, in_b in pool:
-                assert (A == B) == (sp.subset_le(A, B) and sp.subset_le(B, A))
-                assert (A == B) == (in_a == in_b)
+        _check_algebra(R, subsets, sp.sample_points(R, rng, 40), (limit, *family))
+
+
+def test_no_subset_of_an_enumerable_ring_is_cofinite(rng):
+    # _subset stores a cofinite set over an enumerable ring as the finite
+    # set it is, so no builder, algebra, closure or locus value there has
+    # the flag, and the algebra checks above hold on these rings too.
+    for R in enumerable_zoo():
+        pts = sp.spec_points(R)
+        elements = rings.sample_elements(R, rng, 2)
+        subsets = [
+            sp.empty_set(R),
+            sp.whole(R),
+            sp.explicit(R, pts[:1]),
+            sp.explicit(R, rng.sample(pts, rng.randint(1, len(pts)))),
+            sp.v_locus(elements[0], R),
+            sp.d_locus(elements[1], R),
+        ]
+        values = _check_algebra(R, subsets, pts, pts)
+        values += [
+            cl(E)
+            for E in subsets
+            for cl in (top.zariski_closure, top.flat_closure, top.patch_closure,
+                       lambda E: top.order_closure(E, up=True),
+                       lambda E: top.order_closure(E, up=False))
+        ]
+        assert [sp.subset_str(E) for E in values if E.cofinite] == [], str(R)
 
 
 def test_subset_canonicalization():
     assert sp.cofinite_closed(rings.ZZ, set(), True) == sp.whole(rings.ZZ)
     assert sp.cofinite_min(AXES_F2, set(), True) == sp.whole(AXES_F2)
     assert sp.explicit(rings.ZZ, set()) == sp.empty_set(rings.ZZ)
-    assert isinstance(sp.whole(rings.zmod(12)), sp.Explicit)
-    assert isinstance(
-        sp.cofinite_closed(rings.ZZ, set(), False), Cofinite
-    )
+    assert not sp.whole(rings.zmod(12)).cofinite
+    assert sp.cofinite_closed(rings.ZZ, set(), False).cofinite
 
 
 @pytest.mark.parametrize("excluded", [{1.5, True}, {True}, {False}, {2.5}, {"x"}, {None}])

@@ -206,7 +206,7 @@ def test_density_criterion_failure_witnesses():
             if mode == top.ZARISKI
             else sp.d_locus(cert.witness, R)
         )
-        assert sp.is_infinite_subset(locus)
+        assert locus.cofinite
         assert not top.is_dense(locus, mode)
         if mode == top.ZARISKI:
             assert not rings.is_nilpotent(cert.witness, R)
