@@ -23,7 +23,7 @@ from .errors import (
     NonEnumerableError,
     UnsupportedError,
 )
-from .rings import El, Product, RingExpr, TupleEl
+from .rings import El, ModRing, Product, RingExpr, TupleEl
 from .spectrum import PrimePoint, SpecSubset
 
 QUOTIENT = "quotient"
@@ -97,15 +97,15 @@ def is_unit_in_quotient_product(r: El, E: SpecSubset) -> bool:
     return sp.subset_intersect(sp.v_locus(r, R), top.order_closure(E, up=True)) == sp.empty_set(R)
 
 
-def _nilpotent_by_squaring(R: RingExpr, r: El, rounds: int = 8) -> bool:
-    """Oracle nilpotence test: square until zero or the round budget ends."""
-    cur = rings.normalize(r, R)
-    zero = rings.zero(R)
-    for _ in range(rounds):
-        if cur == zero:
-            return True
-        cur = R.mul(cur, cur)
-    return cur == zero
+# The oracle squares this many times, so it sees a nilpotency index up to 2^8.
+_SQUARINGS = 8
+
+
+def _nilpotent_by_squaring(R: RingExpr, r: El, zero: El) -> bool:
+    """Oracle nilpotence test: whether the canonical r, squared _SQUARINGS
+    times, is R's zero.  Pure arithmetic, so it cannot agree with the
+    radical rules by construction."""
+    return R.power(r, 1 << _SQUARINGS) == zero
 
 
 def nilradical_product_law_check(R: Product) -> bool:
@@ -114,20 +114,29 @@ def nilradical_product_law_check(R: Product) -> bool:
     (a) On a generated element sample, nilpotence by repeated squaring
     agrees with the conjunction of componentwise nilpotence tests.
     (b) The minimal tame primes are Zariski dense in the enumerated
-    spectrum.  Both always hold for finite products; a failure flags an
-    engine bug.
+    spectrum.  Both always hold for finite products, so a failure flags
+    an engine bug.  Squaring sees a nilpotency index up to 2^8 only.  A
+    nilpotent of Z/n has index at most log2(n), so a Z/n factor with
+    n >= 2^257 is refused with UnsupportedError rather than answered.
     """
     if not isinstance(R, Product):
         raise KindMismatchError("expected a product ring")
+    for f in R.factors:
+        if isinstance(f, ModRing) and f.n.bit_length() - 1 > 1 << _SQUARINGS:
+            raise UnsupportedError(
+                f"a nilpotent of Z/n with n >= 2^{(1 << _SQUARINGS) + 1} may have an "
+                f"index above 2^{_SQUARINGS}, which repeated squaring cannot see"
+            )
     pts = sp.spec_points(R)
     rng = Random(0x5EED)
+    zero = rings.zero(R)
     sample = rings.sample_elements(R, rng, 40)
-    sample.append(rings.zero(R))
+    sample.append(zero)
     sample.append(rings.one(R))
     for k in range(len(R.factors)):
         sample.append(unit_idempotent(k, R))
     for t in sample:
-        product_side = _nilpotent_by_squaring(R, t)
+        product_side = _nilpotent_by_squaring(R, t, zero)
         component_side = all(
             rings.is_nilpotent(x, f) for x, f in zip(t.items, R.factors)
         )

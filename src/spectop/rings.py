@@ -138,6 +138,17 @@ class RingExpr:
     def reduce_terms(self, terms) -> MPolyEl:
         raise KindMismatchError(f"{self} has no coefficient field")
 
+    def power(self, a: El, k: int) -> El:
+        """a^k for k >= 0, by square-and-multiply over mul."""
+        result = self.from_int(1)
+        while k:
+            if k & 1:
+                result = self.mul(result, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
+        return result
+
     def is_nilpotent(self, r: El) -> bool:
         # Every family but Z/n and products is reduced.
         return r == self.from_int(0)
@@ -242,6 +253,9 @@ class _Residue(RingExpr):
 
     def mul(self, a: El, b: El) -> El:
         return ModEl((a.v * b.v) % self.modulus)
+
+    def power(self, a: El, k: int) -> El:
+        return ModEl(pow(a.v, k, self.modulus))
 
     def sample_element(self, rng: Random) -> El:
         return ModEl(rng.randrange(self.modulus))
@@ -634,6 +648,13 @@ class PolyRingOverPrimeField(_Dedekind):
         return ResidueField(f"GF({self.p}^{d})", None)
 
 
+def _is_power_of(k: int, p: int) -> bool:
+    """Whether k = p^j for some j >= 0."""
+    while k > 1 and k % p == 0:
+        k //= p
+    return k == 1
+
+
 def _coeff_norm(field: PrimeField | RationalField, c):
     """c in the field: an int or a Fraction, or a finite float read as the
     Fraction it equals (as jsonio reads one); a bool is refused."""
@@ -705,6 +726,15 @@ class _Monomial(RingExpr):
                 exp = tuple(x + y for x, y in zip(short, long)) + long[len(short):]
                 acc[exp] = acc.get(exp, 0) + ca * cb
         return self._element(acc)
+
+    def power(self, a: El, k: int) -> El:
+        # Over F_p the Frobenius a -> a^p is a ring map fixing F_p, so for
+        # k = p^j the power is the sum of the terms' powers, each with its
+        # coefficient.  A power keeps its monomial's support, so no term
+        # is killed, no two merge, and scaled exponents keep their order.
+        if isinstance(self.field, PrimeField) and _is_power_of(k, self.field.p):
+            return MPolyEl(tuple((c, tuple(e * k for e in exp)) for c, exp in a.terms))
+        return super().power(a, k)
 
     def is_unit(self, r: El) -> bool:
         # Local ring: units are exactly the elements outside the maximal ideal.
@@ -934,6 +964,9 @@ class Product(RingExpr):
 
     def mul(self, a: El, b: El) -> El:
         return TupleEl(tuple(f.mul(x, y) for f, x, y in zip(self.factors, a.items, b.items)))
+
+    def power(self, a: El, k: int) -> El:
+        return TupleEl(tuple(f.power(x, k) for f, x in zip(self.factors, a.items)))
 
     def is_unit(self, r: El) -> bool:
         return all(f.is_unit(x) for x, f in zip(r.items, self.factors))

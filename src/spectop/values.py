@@ -385,14 +385,7 @@ def mul(R: RingExpr, a: El, b: El) -> El:
 def power(R: RingExpr, a: El, k: int) -> El:
     if k < 0:
         raise KindMismatchError("negative powers are not supported")
-    result = one(R)
-    base = a
-    while k:
-        if k & 1:
-            result = mul(R, result, base)
-        base = mul(R, base, base)
-        k >>= 1
-    return result
+    return R.power(R.normalize(a), k)
 
 
 def is_zero(R: RingExpr, a: El) -> bool:

@@ -7,7 +7,7 @@ from conftest import AXES_F2, F2, SUPP3, enumerable_zoo
 from spectop import construction, maps, products, rings
 from spectop import spectrum as sp
 from spectop import topology as top
-from spectop.errors import BadSlotError, NonEnumerableError
+from spectop.errors import BadSlotError, NonEnumerableError, UnsupportedError
 from spectop.rings import IntEl, ModEl, TupleEl
 from spectop.spectrum import (
     FieldZero,
@@ -235,6 +235,15 @@ def test_nilradical_product_law_examples():
         rings.product(rings.zmod(12), rings.zmod(12))
     )
     assert products.nilradical_product_law_check(rings.product(rings.zmod(8)))
+
+
+def test_nilradical_product_law_refuses_indices_squaring_cannot_see():
+    # 2 is nilpotent of index e in Z/2^e; eight squarings reach index 256.
+    big = rings.zmod(2**200, limit=None)
+    assert products.nilradical_product_law_check(rings.product(big, rings.zmod(9)))
+    huge = rings.zmod(2**300, limit=None)
+    with pytest.raises(UnsupportedError):
+        products.nilradical_product_law_check(rings.product(huge))
 
 
 def test_strictness_demos():

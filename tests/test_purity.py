@@ -100,3 +100,17 @@ def test_no_subset_operator_takes_its_ring_beside_it():
             if any("SpecSubset" in n for n in names) and any("RingExpr" in n for n in names):
                 found.append(f"{path.relative_to(SRC)}:{node.name}")
     assert found == []
+
+
+def test_the_nilpotence_oracle_is_arithmetic():
+    # The product side of the nilradical law check must not read the
+    # per-slot radical rules, or it would agree with them by construction.
+    tree = ast.parse((SRC / "products.py").read_text(encoding="utf-8"))
+    (fn,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_nilpotent_by_squaring"
+    ]
+    names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+    assert names.isdisjoint({"is_nilpotent", "nilradical", "factorization"})

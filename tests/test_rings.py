@@ -3,9 +3,11 @@ from itertools import product as iproduct
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import AXES_F2, F2, SUPP3, enumerable_zoo
-from spectop import primes, rings
+from conftest import AXES_F2, AXES_Q, F2, F2X, F3, PROPERTY, SUPP3, enumerable_zoo
+from spectop import construction, primes, rings
 from spectop.errors import KindMismatchError, UnsupportedError
 from spectop.primes import factorint
 from spectop.rings import (
@@ -127,6 +129,56 @@ def test_is_nilpotent_examples():
         assert rings.power(MQ_F2_2, x1, k) != rings.zero(MQ_F2_2)
     for R in (rings.ZZ, rings.zmod(30), MQ_F2_2, AXES_F2):
         assert rings.is_nilpotent(rings.zero(R), R)
+
+
+# Each ring with the prime p of its coefficient field, or None.
+POWER_RINGS = [
+    (rings.ZZ, None),
+    (rings.QQ, None),
+    (F2, 2),
+    (F3, 3),
+    (rings.prime_field(5), 5),
+    (rings.zmod(12), None),
+    (rings.zmod(1024), None),
+    (F2X, 2),
+    (rings.poly_ring(3), 3),
+    (MQ_F2_2, 2),
+    (rings.monomial_quotient(F3, 3, [(1, 1)]), 3),
+    (rings.monomial_quotient(rings.QQ, 3, [(1, 1)]), None),
+    (SUPP3, 2),
+    (construction.build_supplement(F3, 3), 3),
+    (construction.build_supplement(rings.QQ, 2), None),
+    (AXES_F2, 2),
+    (rings.symbolic_supplement(F3), 3),
+    (AXES_Q, None),
+    (rings.product(rings.zmod(8), SUPP3, F2), 2),
+    (rings.product(rings.zmod(6), rings.poly_ring(3), rings.monomial_quotient(F3, 2, [])), 3),
+    (rings.product(rings.ZZ, rings.QQ, rings.zmod(12)), None),
+]
+
+
+@pytest.mark.parametrize("R, p", POWER_RINGS, ids=[str(R) for R, _ in POWER_RINGS])
+@settings(PROPERTY, max_examples=20)
+@given(data=st.data())
+def test_power_is_repeated_multiplication(R, p, data):
+    a = R.sample_element(data.draw(st.randoms(use_true_random=False)))
+    exponents = st.integers(0, 20)
+    if p is not None:
+        exponents = st.one_of(exponents, st.integers(1, 4).map(lambda j: p**j))
+    k = data.draw(exponents)
+    want = rings.one(R)
+    for _ in range(k):
+        want = rings.mul(R, want, a)
+    assert R.power(a, k) == want
+    assert rings.power(R, a, k) == want
+
+
+@pytest.mark.parametrize("R", [R for R, _ in POWER_RINGS], ids=str)
+def test_power_zero_is_one_and_negative_is_refused(R, rng):
+    a = R.sample_element(rng)
+    assert rings.power(R, a, 0) == rings.one(R)
+    with pytest.raises(KindMismatchError):
+        rings.power(R, a, -1)
 
 
 def test_is_regular_examples():
