@@ -1,10 +1,12 @@
 """Dense univariate polynomial arithmetic over GF(p).
 
 A polynomial is a tuple of coefficients in [0, p), ascending degree, with
-no trailing zeros; () is the zero polynomial.  Irreducibility follows the
-x^(p^d) - x gcd test; factorization is distinct-degree splitting followed
-by Cantor-Zassenhaus equal-degree splitting with a fixed-seed generator,
-so results are reproducible.  Degrees are capped at desk scale.
+no trailing zeros; () is the zero polynomial.  Irreducibility is Ben-Or's
+test (FOCS 1981): f is irreducible when gcd(x^(p^i) - x, f) = 1 for every
+i <= deg(f)/2.  Factorization is distinct-degree splitting over the same
+powers x^(p^i), then Cantor-Zassenhaus equal-degree splitting with a
+fixed-seed generator, so results are reproducible.  Degrees are capped at
+desk scale.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ import random
 from functools import lru_cache
 
 from .errors import FactorizationLimitError
-from .primes import prime_factors
 
 DEGREE_CAP = 16
 
 # Room for every point polynomial a verify run tests.  The irreducibles
-# stream calls the unmemoized test (_rabin): its candidates, mostly
+# stream calls the unmemoized test (_ben_or): its candidates, mostly
 # reducible and keyed with cap=None, would fill the table and never be
 # asked for again, since point checks key on (f, p).
 _IRREDUCIBLE_MEMO_SIZE = 1024
@@ -124,27 +125,36 @@ def derivative(f: Poly, p: int) -> Poly:
     return trim([i * c for i, c in enumerate(f)][1:], p)
 
 
+def _frobenius(w: Poly, f: Poly, p: int) -> tuple[Poly, Poly]:
+    """x^(p^i) mod f from w = x^(p^(i-1)) mod f, and gcd(x^(p^i) - x, f):
+    the product of the distinct irreducible factors of f whose degree
+    divides i."""
+    w = pow_mod(w, p, f, p)
+    return w, gcd(sub(w, mod(X, f, p), p), f, p)
+
+
 @lru_cache(maxsize=_IRREDUCIBLE_MEMO_SIZE)
 def is_irreducible(f: Poly, p: int, cap: int | None = DEGREE_CAP) -> bool:
-    """Rabin test: x^(p^d) = x mod f, and no proper p^(d/t) fixed part.
-    Memoized on (f, p, cap); a degree above cap raises on every call."""
+    """Ben-Or's test: gcd(x^(p^i) - x, f) = 1 for i = 1 .. deg(f) // 2.
+
+    A reducible f of degree d has an irreducible factor of some degree
+    i <= d/2, and that factor divides x^(p^i) - x.  Memoized on (f, p,
+    cap); a degree above cap raises on every call.
+    """
     d = deg(f)
     if d < 1:
         return False
     if cap is not None and d > cap:
         raise FactorizationLimitError(f"degree {d} exceeds cap {cap}")
-    if d == 1:
-        return True
-    if pow_mod(X, p**d, f, p) != mod(X, f, p):
-        return False
-    for t in prime_factors(d):
-        h = sub(pow_mod(X, p ** (d // t), f, p), mod(X, f, p), p)
-        if deg(gcd(h, f, p)) != 0:
+    w = mod(X, f, p)
+    for _ in range(d // 2):
+        w, g = _frobenius(w, f, p)
+        if deg(g) > 0:
             return False
     return True
 
 
-_rabin = is_irreducible.__wrapped__
+_ben_or = is_irreducible.__wrapped__
 
 
 def _equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
@@ -177,8 +187,7 @@ def _squarefree_factor(f: Poly, p: int, rng: random.Random, out: dict[Poly, int]
     d = 1
     w = mod(X, f, p)
     while deg(f) >= 2 * d:
-        w = pow_mod(w, p, f, p)
-        g = gcd(sub(w, mod(X, f, p), p), f, p)
+        w, g = _frobenius(w, f, p)
         if deg(g) > 0:
             for irr in _equal_degree_split(g, d, p, rng):
                 out[irr] = out.get(irr, 0) + mult
@@ -224,7 +233,7 @@ def irreducibles(p: int):
     while True:
         for tail in _tuples(p, d):
             f = tail + (1,)
-            if _rabin(f, p, cap=None):
+            if _ben_or(f, p, cap=None):
                 yield f
         d += 1
 

@@ -5,16 +5,20 @@ cofactor is split in turn by a perfect-square check; a short Pollard rho
 with Brent's cycle finding (R. P. Brent, BIT 20, 1980) for small factors;
 Lenstra's elliptic curve method (H. W. Lenstra, Ann. Math. 126, 1987) on
 Montgomery's x-only curves with the baby-step/giant-step stage 2
-(P. L. Montgomery, Math. Comp. 48, 1987), which splits a 64-bit modulus
-with two 32-bit factors in a few curves; and, when every curve fails,
-Brent's rho with no work budget.  Every factor is a gcd with n, and
-Miller-Rabin decides which parts are prime.  Inputs above 64 bits are
-refused unless the caller passes limit=None.  Everything is deterministic.
+(P. L. Montgomery, Math. Comp. 48, 1987), whose bound B1 grows by a tenth
+with each curve; and, when every curve fails, Brent's rho with no work
+budget.  Every factor is a gcd with n, and Miller-Rabin, with as many
+bases as the size of n needs, decides which parts are prime.  Inputs above
+64 bits are refused unless the caller passes limit=None.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import compress
 
 from .errors import FactorizationLimitError
 
@@ -25,6 +29,15 @@ DEFAULT_LIMIT = 2**64
 # composite psi_12 = 318665857834031151167461.  Every base is tried as a
 # divisor first, so the tested n is never a base.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_t for t = 1..12, the least composite that is a strong probable prime
+# to each of the first t bases (OEIS A014233; G. Jaeschke, Math. Comp. 61,
+# 1993; Sorenson and Webster).  Below psi_t the first t bases decide.
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -38,7 +51,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -55,7 +68,7 @@ def is_prime(n: int) -> bool:
 _RHO_BLOCK = 128
 
 # The short rho gives up once its stretch length passes this.
-_SHORT_RHO_R = 1 << 7
+_SHORT_RHO_R = 1 << 4
 
 
 def _brent(n: int, c: int, r_max: int | None) -> int:
@@ -109,43 +122,56 @@ def _pollard_rho(n: int) -> int:
 # ECM, stage 1: one ladder on the product of the prime powers up to B1.
 # Stage 2: every prime p in (B1, B2] is m*D +- j with j <= D/2, j odd, and
 # mod a prime factor of n, x(mD Q) = x(j Q) exactly when (mD - j) Q or
-# (mD + j) Q is zero.
-_ECM_B1, _ECM_B2, _ECM_D, _ECM_CURVES = 120, 6000, 210, 60
+# (mD + j) Q is zero.  Curve i runs at B1 = floor(70 * 1.1^i) and
+# B2 = 30 * B1, so a small factor costs only cheap early curves, and a
+# 32-bit one meets the later, longer ones (P. Zimmermann and B. Dodson,
+# "20 years of ECM", ANTS 2006).
+_ECM_D, _ECM_CURVES, _ECM_B2_PER_B1 = 210, 60, 30
+_ECM_B1S = tuple(70 * 11**i // 10**i for i in range(_ECM_CURVES))
 
 
-def _ecm_tables() -> tuple[str, tuple[tuple[int, tuple[int, ...]], ...]]:
-    primes = primes_below(_ECM_B2 + 1)
+@lru_cache(maxsize=_ECM_CURVES)
+def _ecm_tables(b1: int) -> tuple[str, tuple[tuple[int, bytes], ...]]:
+    """Stage 1's multiplier in binary, less its leading 1, and stage 2's
+    (m, js) pairs, for bounds b1 and _ECM_B2_PER_B1 * b1."""
+    b2, h = _ECM_B2_PER_B1 * b1, _ECM_D // 2
+    prime = _sieve(b2 + _ECM_D + 1)
     k = 1
-    for p in primes:
-        if p > _ECM_B1:
-            break
+    for p in compress(range(b1 + 1), prime):
         q = p
-        while q * p <= _ECM_B1:
+        while q * p <= b1:
             q *= p
         k *= q
-    pairs: dict[int, set[int]] = {}
-    for p in primes:
-        if p > _ECM_B1:
-            m = (p + _ECM_D // 2) // _ECM_D
-            pairs.setdefault(m, set()).add(abs(p - m * _ECM_D))
-    return bin(k)[3:], tuple((m, tuple(sorted(js))) for m, js in sorted(pairs.items()))
+    prime[: b1 + 1] = bytes(b1 + 1)
+    prime[b2 + 1 :] = bytes(len(prime) - b2 - 1)
+    pairs = []
+    for m in range((b2 + h) // _ECM_D + 1):
+        # Byte j - 1 is 1 when mD - j or mD + j is a prime in (b1, b2].
+        c = m * _ECM_D
+        below = int.from_bytes(prime[max(c - h, 0) : c], "big")
+        above = int.from_bytes(prime[c + 1 : c + h + 1], "little")
+        js = bytes(compress(range(1, h + 1), (below | above).to_bytes(h, "little")))
+        if js:
+            pairs.append((m, js))
+    return bin(k)[3:], tuple(pairs)
 
 
 def _ecm(n: int) -> int | None:
     """A nontrivial divisor of the composite n, or None after every curve.
 
     Lenstra's elliptic curve method (Ann. Math. 126, 1987) on Suyama's
-    curves sigma = 6, 7, ...; a gcd of n moves on to the next curve.
+    curves sigma = 6, 7, ..., curve i at B1 = _ECM_B1S[i]; a gcd of n
+    moves on to the next curve.
     """
-    for sigma in range(6, 6 + _ECM_CURVES):
-        g = _ecm_curve(n, sigma)
+    for sigma, b1 in enumerate(_ECM_B1S, start=6):
+        g = _ecm_curve(n, sigma, b1)
         if 1 < g < n:
             return g
     return None
 
 
-def _ecm_curve(n: int, sigma: int) -> int:
-    """The first gcd with n other than 1 from one curve, or 1.
+def _ecm_curve(n: int, sigma: int, b1: int) -> int:
+    """The first gcd with n other than 1 from one curve at bound b1, or 1.
 
     Suyama's curve for sigma in Montgomery's form B y^2 = x^3 + A x^2 + x,
     in (X:Z) coordinates (P. L. Montgomery, Math. Comp. 48, 1987).  One
@@ -163,7 +189,7 @@ def _ecm_curve(n: int, sigma: int) -> int:
         t = s - d
         return s * d % n, t * (d + a24 * t) % n
 
-    bits, stage2 = _ECM_TABLES
+    bits, stage2 = _ecm_tables(b1)
     u, v = sigma * sigma - 5, 4 * sigma
     den = 16 * u**3 * v**3
     g = math.gcd(den, n)
@@ -191,9 +217,12 @@ def _ecm_curve(n: int, sigma: int) -> int:
     for j in range(5, _ECM_D // 2 + 1, 2):
         baby[j] = add(*baby[j - 2], x2, z2, *baby[j - 4])
     gx, gz = dbl(*baby[_ECM_D // 2])
-    mx, mz, nx, nz = gx, gz, *dbl(gx, gz)  # mDQ and (m+1)DQ, m = 1
-    m, acc = 1, 1
+    # mDQ, and (m+1)DQ from m = 1 on.  0DQ is the point at infinity (1:0),
+    # so a prime j below D/2 gives the factor Z(jQ).
+    m, mx, mz, acc = 0, 1, 0, 1
     for m_next, js in stage2:
+        if m == 0 < m_next:
+            m, mx, mz, nx, nz = 1, gx, gz, *dbl(gx, gz)
         while m < m_next:
             mx, mz, nx, nz = nx, nz, *add(nx, nz, gx, gz, mx, mz)
             m += 1
@@ -250,16 +279,19 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factorint(abs(n)))
 
 
-def primes_below(bound: int) -> list[int]:
-    """All primes < bound by a plain sieve."""
-    if bound <= 2:
-        return []
+def _sieve(bound: int) -> bytearray:
+    """1 at each prime below bound >= 2, 0 elsewhere (Eratosthenes)."""
     sieve = bytearray([1]) * bound
-    sieve[0] = sieve[1] = 0
+    sieve[:2] = b"\0\0"
     for i in range(2, math.isqrt(bound - 1) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(bound) if sieve[i]]
+            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
+    return sieve
+
+
+def primes_below(bound: int) -> list[int]:
+    """All primes < bound by a plain sieve."""
+    return list(compress(range(bound), _sieve(bound))) if bound > 2 else []
 
 
 def next_prime(n: int) -> int:
@@ -276,4 +308,3 @@ def next_prime(n: int) -> int:
 
 # Trial divisors for factorint; rho and ECM find every larger prime factor.
 _TRIAL_PRIMES = tuple(primes_below(1 << 10))
-_ECM_TABLES = _ecm_tables()

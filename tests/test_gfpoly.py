@@ -2,6 +2,8 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectop import gfpoly as gf
 from spectop.errors import FactorizationLimitError
@@ -150,6 +152,73 @@ def test_memoized_rabin_test_matches_the_uncached_one(p, max_deg):
         want = gf.is_irreducible.__wrapped__(f, p)
         assert gf.is_irreducible(f, p) == want, f
         assert gf.is_irreducible(f, p) == want, f  # now read from the memo
+
+
+def ref_rabin(f, p):
+    """Rabin's test (SIAM J. Comput. 9, 1980), the reference for Ben-Or's:
+    f of degree d divides x^(p^d) - x, and gcd(x^(p^(d/t)) - x, f) = 1 for
+    every prime t dividing d."""
+    d = gf.deg(f)
+    if d < 1:
+        return False
+    x = gf.mod(gf.X, f, p)
+    if gf.pow_mod(gf.X, p**d, f, p) != x:
+        return False
+    for t in (t for t in range(2, d + 1) if d % t == 0 and all(t % s for s in range(2, t))):
+        h = gf.sub(gf.pow_mod(gf.X, p ** (d // t), f, p), x, p)
+        if gf.deg(gf.gcd(h, f, p)) != 0:
+            return False
+    return True
+
+
+@st.composite
+def monic_polys(draw):
+    """A monic f of degree 1..16 over a small field: uniform, or a product of
+    two uniform monic factors, so that reducible f without small factors
+    come up too."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13, 101)))
+
+    def monic(d):
+        return tuple(draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))) + (1,)
+
+    d = draw(st.integers(1, gf.DEGREE_CAP))
+    if d == 1 or draw(st.booleans()):
+        return monic(d), p
+    a = draw(st.integers(1, d - 1))
+    return gf.mul(monic(a), monic(d - a), p), p
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(monic_polys())
+def test_ben_or_matches_rabin(case):
+    f, p = case
+    assert gf._ben_or(f, p) == ref_rabin(f, p)
+
+
+def _gauss_count(p, d):
+    """Monic irreducibles of degree d over GF(p): (1/d) sum_{k | d} mu(k) p^(d/k)."""
+
+    def mu(k):
+        sign, m = 1, k
+        for q in range(2, k + 1):
+            if m % q == 0:
+                m //= q
+                if m % q == 0:
+                    return 0
+                sign = -sign
+        return sign
+
+    return sum(mu(k) * p ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+
+
+@pytest.mark.parametrize("p, max_deg", [(2, 8), (3, 5), (5, 3)])
+def test_irreducibles_stream_meets_gauss_count(p, max_deg):
+    counts = [0] * (max_deg + 1)
+    for f in gf.irreducibles(p):
+        if gf.deg(f) > max_deg:
+            break
+        counts[gf.deg(f)] += 1
+    assert counts[1:] == [_gauss_count(p, d) for d in range(1, max_deg + 1)]
 
 
 def test_degree_cap_refuses_on_every_call():

@@ -45,9 +45,37 @@ def test_factorint_random_larger(rng):
 
 
 def test_is_prime_against_sieve():
-    sieve = set(primes_below(5000))
-    for n in range(5000):
+    sieve = set(primes_below(10**5))
+    for n in range(10**5):
         assert is_prime(n) == (n in sieve)
+
+
+def _strong_probable_prime(n, a):
+    """The Miller-Rabin round of base a on odd n > a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_miller_rabin_base_table():
+    # psi_t is composite and a strong probable prime to the first t bases, so
+    # at psi_t the (t+1)-th base is needed; is_prime runs it there.
+    bases = primes_below(200)
+    assert primes._MR_BASES == tuple(bases[:13])
+    assert len(primes._MR_PSI) == 12
+    assert list(primes._MR_PSI) == sorted(primes._MR_PSI)
+    for t, psi in enumerate(primes._MR_PSI, start=1):
+        assert all(_strong_probable_prime(psi, a) for a in bases[:t])
+        assert not all(_strong_probable_prime(psi, a) for a in bases)
+        assert not is_prime(psi)
 
 
 def test_pollard_on_64bit_semiprime():
@@ -127,21 +155,32 @@ def _random_prime(rng, lo, hi):
 
 
 def test_ecm_tables_cover_every_prime_up_to_b2():
-    bits, stage2 = primes._ECM_TABLES
-    k = int("1" + bits, 2)
-    b1, b2, d = primes._ECM_B1, primes._ECM_B2, primes._ECM_D
-    for p in primes_below(b1 + 1):
-        e = 1
-        while p ** (e + 1) <= b1:
-            e += 1
-        assert k % p**e == 0 and k % p ** (e + 1) != 0
-    assert _product(factorint(k, limit=None)) == k
-    covered = set()
-    for m, js in stage2:
-        for j in js:
-            assert j % 2 == 1 and j <= d // 2
-            covered |= {m * d - j, m * d + j}
-    assert {p for p in primes_below(b2 + 1) if p > b1} <= covered
+    d = primes._ECM_D
+    for b1 in primes._ECM_B1S:
+        bits, stage2 = primes._ecm_tables(b1)
+        k = int("1" + bits, 2)
+        powers = 1
+        for p in primes_below(b1 + 1):
+            e = 1
+            while p ** (e + 1) <= b1:
+                e += 1
+            assert k % p**e == 0 and k % p ** (e + 1) != 0
+            powers *= p**e
+        # k is exactly these prime powers; factorint takes k apart only
+        # while trial division does.
+        assert k == powers
+        if b1 < 2**10:
+            assert _product(factorint(k, limit=None)) == k
+        b2 = primes._ECM_B2_PER_B1 * b1
+        stage2_primes = {p for p in primes_below(b2 + 1) if p > b1}
+        covered = set()
+        for m, js in stage2:
+            for j in js:
+                assert j % 2 == 1 and j <= d // 2
+                # Each pair pays one product term for a prime of stage 2.
+                assert {m * d - j, m * d + j} & stage2_primes
+                covered |= {m * d - j, m * d + j}
+        assert stage2_primes <= covered
 
 
 def suyama_group_order(p, sigma):
@@ -165,19 +204,28 @@ def suyama_group_order(p, sigma):
     return p + 1 + (t if square[(x0**3 + a * x0 * x0 + x0) % p] else -t)
 
 
-# Curves mod 71011 whose group order is a divisor of the stage 1 multiplier
-# times one prime q in (B1, B2].  The start point's order is a multiple of q
-# (stage 1 alone does not find 71011 on these curves), so stage 1 leaves a
-# point of order q, and the baby-step/giant-step pass at m = round(q / D)
-# must find it.
-@pytest.mark.parametrize("sigma, q, m", [(6, 173, 1), (25, 2969, 14), (14, 5953, 28)])
+# Curves mod 71011 whose group order is a divisor of a level's stage 1
+# multiplier times one prime q in (B1, B2] of that level.  The start point's
+# order is a multiple of q (stage 1 alone does not find 71011 on these
+# curves), so stage 1 leaves a point of order q, and the baby-step/giant-step
+# pass at m = round(q / D) must find it at every such level.  At m = 0,
+# q < D/2 is a baby step itself.
+@pytest.mark.parametrize(
+    "sigma, q, m", [(6, 173, 1), (25, 2969, 14), (14, 5953, 28), (16, 79, 0)]
+)
 def test_ecm_stage_2_finds_the_last_prime_of_the_order(sigma, q, m):
-    p, k = 71011, int("1" + primes._ECM_TABLES[0], 2)
+    p = 71011
     order = suyama_group_order(p, sigma)
-    assert order % 12 == 0 and is_prime(q) and primes._ECM_B1 < q <= primes._ECM_B2
-    assert order % q == 0 and k % (order // q) == 0 and k % q != 0
+    assert order % 12 == 0 and is_prime(q) and order % q == 0
     assert (q + primes._ECM_D // 2) // primes._ECM_D == m
-    assert primes._ecm_curve(p * (2**61 - 1), sigma) == p
+    levels = []
+    for b1 in primes._ECM_B1S:
+        k = int("1" + primes._ecm_tables(b1)[0], 2)
+        if b1 < q <= primes._ECM_B2_PER_B1 * b1 and k % (order // q) == 0:
+            assert k % q != 0
+            assert primes._ecm_curve(p * (2**61 - 1), sigma, b1) == p
+            levels.append(b1)
+    assert levels
 
 
 def test_ecm_splits_balanced_64bit_semiprimes(monkeypatch):
@@ -198,6 +246,14 @@ def test_ecm_splits_balanced_64bit_semiprimes(monkeypatch):
         assert factorint(p * q) == ((p, 1), (q, 1))
     # The short rho gives up on every one of them within its budget.
     assert len(splits) == 12
+
+
+def test_factorint_splits_2_127_minus_2():
+    # n - 1 of the Mersenne prime 2^127 - 1, with factors for every stage.
+    assert factorint(2**127 - 2, limit=None) == (
+        (2, 1), (3, 3), (7, 2), (19, 1), (43, 1), (73, 1), (127, 1), (337, 1),
+        (5419, 1), (92737, 1), (649657, 1), (77158673929, 1),
+    )
 
 
 # Primes in (2^17, 2^21): ECM's gcd on p^3 or p^2 q can be a power of p or n.

@@ -114,3 +114,12 @@ def test_the_nilpotence_oracle_is_arithmetic():
     names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
     assert names.isdisjoint({"is_nilpotent", "nilradical", "factorization"})
+
+
+def test_the_polynomial_kernel_factors_no_integers():
+    # Ben-Or's test needs no prime divisors of the degree, so gfpoly
+    # imports nothing from primes.
+    tree = ast.parse((SRC / "gfpoly.py").read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    assert not {m for m in modules if m and m.split(".")[-1] == "primes"}
