@@ -13,7 +13,7 @@ from spectop import products, rings, spectrum as sp, topology as top
 from spectop.rings import IntEl
 from spectop.spectrum import ZMax
 
-E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
+E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
 print("E =", sp.subset_str(E))
 
 image = products.quotient_product_image(E)

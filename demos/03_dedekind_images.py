@@ -12,7 +12,7 @@ products contracts onto (0).
 from spectop import products, rings, spectrum as sp, topology as top
 from spectop.spectrum import FpxMax, ZMax
 
-E = sp.cofinite_closed(rings.ZZ, {ZMax(2), ZMax(7)}, False)
+E = sp.cofinite(rings.ZZ, {ZMax(2), ZMax(7)}, False)
 print("over Z, E =", sp.subset_str(E))
 print("  quotient image =", sp.subset_str(products.quotient_product_image(E)))
 li = products.local_product_image(E)
@@ -23,7 +23,7 @@ assert li == top.flat_closure(E)
 F2X = rings.poly_ring(2)
 x_plus_1 = FpxMax((1, 1))
 x2_x_1 = FpxMax((1, 1, 1))
-Ef = sp.cofinite_closed(F2X, {x_plus_1, x2_x_1}, False)
+Ef = sp.cofinite(F2X, {x_plus_1, x2_x_1}, False)
 print("\nover GF(2)[x], E =", sp.subset_str(Ef))
 print("  quotient image =", sp.subset_str(products.quotient_product_image(Ef)))
 print("  local image    =", sp.subset_str(products.local_product_image(Ef)))

@@ -11,7 +11,7 @@ proper infinite set E of axes is only E plus the maximal ideal.
 from spectop import products, rings, spectrum as sp, topology as top
 
 R = rings.symbolic_supplement(rings.prime_field(2))
-E = sp.cofinite_min(R, {7}, False)  # every axis except the seventh
+E = sp.cofinite(R, {sp.SuppMin(7)}, False)  # every axis except the seventh
 print("ring:", R)
 print("E =", sp.subset_str(E))
 

@@ -31,12 +31,12 @@ for R in (rings.ZZ, rings.poly_ring(2), AXES):
 
 # Confirm the positive side concretely: a cofinite set of primes of Z is
 # Zariski dense, and a cofinite set of axes is flat dense.
-E = sp.cofinite_closed(rings.ZZ, {sp.ZMax(2), sp.ZMax(3), sp.ZMax(31)}, False)
+E = sp.cofinite(rings.ZZ, {sp.ZMax(2), sp.ZMax(3), sp.ZMax(31)}, False)
 print("over Z,", sp.subset_str(E))
 print("  zariski dense:", top.is_dense(E, top.ZARISKI))
 print("  flat dense:   ", top.is_dense(E, top.FLAT))
 
-F = sp.cofinite_min(AXES, {1, 4}, False)
+F = sp.cofinite(AXES, {sp.SuppMin(1), sp.SuppMin(4)}, False)
 print("on the axes ring,", sp.subset_str(F))
 print("  flat dense:   ", top.is_dense(F, top.FLAT))
 print("  zariski dense:", top.is_dense(F, top.ZARISKI))

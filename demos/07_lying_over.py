@@ -29,7 +29,7 @@ for p in mins:
     print(f"  over {sp.point_str(p)}: {sp.point_str(q)}")
 
 # A symbolic target: localizations of Z at a cofinite set of primes.
-E = sp.cofinite_closed(rings.ZZ, {sp.ZMax(2)}, False)
+E = sp.cofinite(rings.ZZ, {sp.ZMax(2)}, False)
 m3 = maps.CanonicalIntoLocalProduct(E)
 q = maps.laying_over(m3, sp.ZGeneric())
 print(f"\n{m3}")

@@ -37,13 +37,13 @@ for ring, point in (
     print(f"  k({sp.point_str(point)}) over {ring} = {rf.label}")
 
 # On the symbolic families the closure adds exactly one limit point.
-E = sp.cofinite_closed(rings.ZZ, {sp.ZMax(11)}, False)
+E = sp.cofinite(rings.ZZ, {sp.ZMax(11)}, False)
 print("\nover Z, E =", sp.subset_str(E))
 print("  patch closure       =", sp.subset_str(top.patch_closure(E)))
 print("  residue-field image =", sp.subset_str(maps.residue_product_image(E)))
 
 AXES = rings.symbolic_supplement(rings.prime_field(2))
-F = sp.cofinite_min(AXES, {2, 5}, False)
+F = sp.cofinite(AXES, {sp.SuppMin(2), sp.SuppMin(5)}, False)
 print("on the axes ring, E =", sp.subset_str(F))
 print("  patch closure       =", sp.subset_str(top.patch_closure(F)))
 print("  residue-field image =", sp.subset_str(maps.residue_product_image(F)))

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import maps, products, rings, topology
 from . import spectrum as sp
-from .errors import KindMismatchError, SpectopError
+from .errors import KindMismatchError, SpectopError, UnsupportedSymbolicError
 from .primes import DEFAULT_LIMIT
 from .values import _int
 
@@ -186,6 +186,15 @@ def _tuple_items(v, key: str, R, limit):
     return tuple(element_from_json(x, f) for x, f in zip(v, R.factors))
 
 
+def _cofinite_on(above: bool, refusal: str):
+    """sp.cofinite, for a wire form that names the side of the ring's limit."""
+    def build(R, excluded, with_limit):
+        if R.limit_above != above:
+            raise UnsupportedSymbolicError(refusal)
+        return sp.cofinite(R, excluded, with_limit)
+    return build
+
+
 def _int_element(R, v: int):
     # An "int" is a constant of Z, Q or a monomial kind; other rings refuse it.
     monomial = (rings.MonomialQuotient, rings.LocalizedAtIrrelevant, rings.SymbolicSupplement)
@@ -218,7 +227,7 @@ _SLOT = _Codec(
 )
 _TERM = _Codec(lambda t, R: {"c": str(t[0]), "e": list(t[1])}, _term)
 # An excluded minimal prime of the axes ring, by its axis.
-_AXIS = _Codec(lambda p, R: p.k, _INT.dec)
+_AXIS = _Codec(lambda p, R: p.k, lambda v, key, R, limit: sp.SuppMin(_int(v, key)))
 
 _RING_ROWS = _Table(
     "kind", "ring",
@@ -286,14 +295,14 @@ _SUBSET_ROWS = _Table(
         sp.SpecSubset, "cofiniteMin",
         ("excluded", _seq(_AXIS, "axis", frozenset, sp.sorted_points)),
         ("withTop", _FLAG, "with_limit", False),
-        build=sp.cofinite_min,
+        build=_cofinite_on(True, "cofinite-min sets exist only over the axes ring"),
         when=lambda E: E.ring.limit_above,
     ),
     _row(
         sp.SpecSubset, "cofiniteClosed",
         ("excluded", _POINTS),
         ("withGeneric", _FLAG, "with_limit", False),
-        build=sp.cofinite_closed,
+        build=_cofinite_on(False, "cofinite-closed sets exist only over Z and GF(p)[x]"),
     ),
 )
 

@@ -18,9 +18,9 @@ R -> prod_{p in E} R_p is injective iff the down closure of E is Zariski
 dense; that is exact on reduced rings and on zero-dimensional ones, Z/n
 and products with Z/n, which covers every ring the engine builds.
 
-Lying over a minimal prime is found by enumerative search on enumerable
-targets and by each kind's rule on symbolic ones; the tensor-product
-pushout that proves existence in general is not modeled.
+Lying over a minimal prime is found by enumerative search when the
+source is enumerable and by each kind's rule otherwise; the
+tensor-product pushout that proves existence in general is not modeled.
 """
 
 from __future__ import annotations
@@ -112,6 +112,10 @@ class ResidueMap(_PrimeMap):
 
     def tame_points(self) -> list[PrimePoint]:
         return [FieldZero()]
+
+    def symbolic_lying_over(self, p: PrimePoint) -> PrimePoint:
+        # Injective, so the kernel, the prime, is zero: it is p itself.
+        return FieldZero()
 
 
 @dataclass(frozen=True)
@@ -312,11 +316,9 @@ def laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
         raise LyingOverNotFoundError(f"{sp.point_str(p)} is not a minimal prime")
     if not is_injective(m):
         raise LyingOverNotFoundError("the map is not injective")
-    try:
-        candidates = tame_points(m)
-    except NonEnumerableError:
+    if not src.is_enumerable():
         return m.symbolic_lying_over(p)
-    for q in sorted(candidates, key=sp.point_sort_key):
+    for q in sorted(tame_points(m), key=sp.point_sort_key):
         if contract(m, q) == p:
             return q
     raise LyingOverNotFoundError("no tame prime lies over the given point")

@@ -424,7 +424,7 @@ class IntegerRing(_Dedekind):
         return IntEl(rng.randint(-60, 60))
 
     def has_point(self, p: PrimePoint) -> bool:
-        return isinstance(p, ZGeneric) or isinstance(p, ZMax) and is_prime(p.p)
+        return isinstance(p, ZGeneric) or isinstance(p, ZMax) and type(p.p) is int and is_prime(p.p)
 
     def _generator(self, p: PrimePoint) -> El:
         return IntEl(0 if p == self.limit else p.p)
@@ -526,7 +526,8 @@ class ModRing(_Residue, _ZeroDimensional):
     def has_point(self, p: PrimePoint) -> bool:
         # The factorization was checked at construction: its primes are
         # exactly the primes dividing n.
-        return isinstance(p, ZmodPrime) and any(p.p == q for q, _ in self.factorization)
+        ok = isinstance(p, ZmodPrime) and type(p.p) is int
+        return ok and any(p.p == q for q, _ in self.factorization)
 
     def _contains(self, p: PrimePoint, r: El) -> bool:
         return r.v % p.p == 0
@@ -909,7 +910,7 @@ class SymbolicSupplement(_Symbolic, _Monomial):
         return m & (m - 1) != 0
 
     def has_point(self, p: PrimePoint) -> bool:
-        return isinstance(p, SuppTop) or isinstance(p, SuppMin) and p.k >= 1
+        return isinstance(p, SuppTop) or isinstance(p, SuppMin) and type(p.k) is int and p.k >= 1
 
     def _contains(self, p: PrimePoint, r: El) -> bool:
         if constant_term(r) != 0:

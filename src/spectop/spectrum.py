@@ -16,10 +16,10 @@ membership and inclusion question on these representations is
 decidable.
 
 Invariant: every point inside a subset value is a point of its ring.
-Points are checked once, where they enter: the builders (explicit,
-cofinite_closed, cofinite, cofinite_min) and the functions that take a
-point from the caller (subset_member, leq_specialization,
-point_contains) validate each one.  The subset algebra (union,
+Points are checked once, where they enter: the builders (explicit for a
+finite set, cofinite for an infinite one) and the functions that take a
+point from the caller (subset_member, leq_specialization, point_contains,
+point_ideal) validate each one.  The subset algebra (union,
 intersection, complement, inclusion) only recombines points that are
 already inside subsets, so it goes through the private canonicalizer
 _subset, which checks nothing.  _subset stores a cofinite set over a
@@ -56,7 +56,6 @@ from .rings import (  # the point types are named from here too
     point_str,
     sorted_points,
 )
-from .values import _int
 
 # ---------------------------------------------------------------------------
 # Points: the rules live with each ring family in rings
@@ -83,6 +82,7 @@ def point_contains(p: PrimePoint, r: El, R: RingExpr) -> bool:
 
 def point_ideal(p: PrimePoint, R: RingExpr) -> rings.IdealRepr:
     """The prime ideal of p as an IdealRepr, where one exists."""
+    R.validate_point(p)
     return R.point_ideal(p)
 
 
@@ -128,11 +128,6 @@ def _subset(R: RingExpr, points, cofinite: bool = False) -> SpecSubset:
     return SpecSubset(R, frozenset(points), cofinite)
 
 
-def _cofinite(R: RingExpr, excluded: frozenset, with_limit: bool) -> SpecSubset:
-    """The family minus `excluded`, plus the limit point iff with_limit."""
-    return _subset(R, excluded - {R.limit} if with_limit else excluded | {R.limit}, True)
-
-
 # The builders: validate, then canonicalize.
 
 
@@ -147,32 +142,10 @@ def explicit(R: RingExpr, points) -> SpecSubset:
     return _subset(R, pts)
 
 
-def cofinite_closed(R: RingExpr, excluded, with_generic: bool) -> SpecSubset:
-    if R.limit is None or R.limit_above:
-        raise UnsupportedSymbolicError(
-            "cofinite-closed sets exist only over Z and GF(p)[x]"
-        )
-    pts = frozenset(excluded)
-    for p in pts:
-        validate_point(p, R)
-        if p == R.limit:
-            raise KindMismatchError("excluded points must be closed points")
-    return _cofinite(R, pts, with_generic)
-
-
-def cofinite_min(R: RingExpr, excluded, with_top: bool) -> SpecSubset:
-    if not R.limit_above:
-        raise UnsupportedSymbolicError("cofinite-min sets exist only over the axes ring")
-    ks = frozenset(_int(k, "axis") for k in excluded)
-    if any(k < 1 for k in ks):
-        raise KindMismatchError("axis indices start at 1")
-    return _cofinite(R, frozenset(SuppMin(k) for k in ks), with_top)
-
-
 def cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
-    """All points of a symbolic spectrum outside `excluded`, plus its limit
-    point (the generic point, or the top of the axes ring) iff with_limit;
-    a limit point among `excluded` is ignored."""
+    """All family points of a symbolic spectrum outside `excluded`, plus its
+    limit point (the generic point, or the top of the axes ring) iff
+    with_limit.  The one builder of an infinite subset."""
     if not R.symbolic:
         raise UnsupportedSymbolicError(
             "cofinite sets exist only over Z, GF(p)[x] and the axes ring"
@@ -180,7 +153,9 @@ def cofinite(R: RingExpr, excluded, with_limit: bool) -> SpecSubset:
     pts = frozenset(excluded)
     for p in pts:
         validate_point(p, R)
-    return _cofinite(R, pts, with_limit)
+    if R.limit in pts:
+        raise KindMismatchError(f"{point_str(R.limit)} is chosen by the flag, not excluded")
+    return _subset(R, pts if with_limit else pts | {R.limit}, True)
 
 
 def whole(R: RingExpr) -> SpecSubset:

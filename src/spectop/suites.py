@@ -15,7 +15,7 @@ from . import construction, maps, products, rings
 from . import spectrum as sp
 from . import topology as top
 from .rings import IntEl, RingExpr
-from .spectrum import MonoPrime, SpecSubset, ZMax
+from .spectrum import MonoPrime, SpecSubset, SuppMin, ZMax
 
 WILD_PRIME_NOTE = (
     "finite brute force cannot reproduce the limit-point term of the "
@@ -103,8 +103,7 @@ def _random_symbolic_subset(R: RingExpr, rng: Random) -> SpecSubset:
         return sp.whole(R)
     if roll < 0.5:
         return sp.explicit(R, sp.sample_points(R, rng, rng.randint(1, 4)))
-    excl = sp.sample_points(R, rng, rng.randint(0, 3))
-    return sp.cofinite(R, excl, rng.random() < 0.5)
+    return _random_infinite_subset(R, rng, 3)
 
 
 def _oracle_zoo() -> list[RingExpr]:
@@ -169,13 +168,13 @@ def suite_finite_closure(seed: int = 0, cases: int = 100, max_n: int = 10**6) ->
 def suite_remark_v5(seed: int = 0) -> SuiteResult:
     """Strictness of the quotient-product image over Z, excluded prime 11."""
     res = SuiteResult("remark-v5", seed, {})
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
+    E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
     img = products.quotient_product_image(E)
     _case(
         res,
         "image",
         sp.subset_str(E),
-        sp.subset_str(sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)),
+        sp.subset_str(sp.cofinite(rings.ZZ, {ZMax(11)}, True)),
         sp.subset_str(img),
     )
     cl = top.zariski_closure(E)
@@ -196,13 +195,13 @@ def suite_remark_v5(seed: int = 0) -> SuiteResult:
 def suite_remark_flat(seed: int = 0) -> SuiteResult:
     """Strictness of the localization-product image on the axes ring."""
     res = SuiteResult("remark-flat", seed, {})
-    E = sp.cofinite_min(AXES_F2, {7}, False)
+    E = sp.cofinite(AXES_F2, {SuppMin(7)}, False)
     img = products.local_product_image(E)
     _case(
         res,
         "image",
         sp.subset_str(E),
-        sp.subset_str(sp.cofinite_min(AXES_F2, {7}, True)),
+        sp.subset_str(sp.cofinite(AXES_F2, {SuppMin(7)}, True)),
         sp.subset_str(img),
     )
     _case(
@@ -292,7 +291,7 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
             minimals = mins
         else:
             excl = {ZMax(p) for p in rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 3))}
-            E = sp.cofinite_closed(rings.ZZ, excl, rng.random() < 0.5)
+            E = sp.cofinite(rings.ZZ, excl, rng.random() < 0.5)
             m = maps.CanonicalIntoLocalProduct(E)
             src = rings.ZZ
             minimals = [sp.ZGeneric()]
@@ -414,9 +413,10 @@ def suite_density(seed: int = 0, cases: int = 50) -> SuiteResult:
     return res
 
 
-def _random_infinite_subset(R: RingExpr, rng: Random) -> SpecSubset:
-    excl = sp.sample_points(R, rng, rng.randint(0, 4))
-    return sp.cofinite(R, excl, rng.random() < 0.5)
+def _random_infinite_subset(R: RingExpr, rng: Random, most: int = 4) -> SpecSubset:
+    # A sampled limit point is left to the flag: the limit is never excluded.
+    excl = sp.sample_points(R, rng, rng.randint(0, most))
+    return sp.cofinite(R, set(excl) - {R.limit}, rng.random() < 0.5)
 
 
 def suite_closure_axioms(seed: int = 0, cases: int = 500) -> SuiteResult:

@@ -357,6 +357,8 @@ def one(R: RingExpr) -> El:
 
 def var_el(R: RingExpr, i: int, e: int = 1, coeff=1) -> El:
     """The monomial coeff * x_i^e in a multivariate ring (i is 1-based)."""
+    if i < 1:
+        raise KindMismatchError(f"variable indices start at 1, got {i}")
     exp = (0,) * (i - 1) + (e,)
     return R.reduce_terms([(coeff, exp)])
 

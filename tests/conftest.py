@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from spectop import construction, rings
+from spectop import spectrum as sp
 
 F2 = rings.prime_field(2)
 F3 = rings.prime_field(3)
@@ -42,6 +43,26 @@ def enumerable_zoo():
 
 def symbolic_zoo():
     return [rings.ZZ, F2X, AXES_F2]
+
+
+def random_symbolic_subset(R, rng):
+    """A seeded subset of the symbolic spectrum R: empty, whole, finite or
+    cofinite."""
+    roll = rng.random()
+    if roll < 0.1:
+        return sp.empty_set(R)
+    if roll < 0.2:
+        return sp.whole(R)
+    if roll < 0.5:
+        return sp.explicit(R, sp.sample_points(R, rng, rng.randint(1, 4)))
+    return random_infinite_subset(R, rng, 3)
+
+
+def random_infinite_subset(R, rng, most=4):
+    """A seeded cofinite subset of R leaving out at most `most` sampled
+    points; a sampled limit point is left to the flag."""
+    excl = sp.sample_points(R, rng, rng.randint(0, most))
+    return sp.cofinite(R, set(excl) - {R.limit}, rng.random() < 0.5)
 
 
 @pytest.fixture

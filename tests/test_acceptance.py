@@ -13,7 +13,7 @@ from spectop import construction, covers, gfpoly, maps, products, rings
 from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.rings import IntEl, MonomialIdeal
-from spectop.spectrum import FpxGeneric, FpxMax, SuppMin, ZGeneric, ZMax
+from spectop.spectrum import FpxGeneric, FpxMax, SuppMin, SuppTop, ZGeneric, ZMax
 
 SEED = 0x5A11
 
@@ -46,9 +46,9 @@ def test_acceptance_1_finite_closure_formula():
 
 def test_acceptance_2_strict_quotient_image_over_z():
     start = time.monotonic()
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
+    E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
     image = products.quotient_product_image(E)
-    assert image == sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
+    assert image == sp.cofinite(rings.ZZ, {ZMax(11)}, True)
     assert top.zariski_closure(E) == sp.whole(rings.ZZ)
     rep = products.strictness_demo(E, top.ZARISKI)
     assert rep.strict and rep.witness == ZMax(11)
@@ -67,16 +67,16 @@ def test_acceptance_3_dedekind_image_pair():
         irr.append(next(gen))
     for _ in range(50):
         excl_z = {ZMax(p) for p in rng.sample(z_primes, rng.randint(0, 4))}
-        E = sp.cofinite_closed(rings.ZZ, excl_z, False)
-        expected = sp.cofinite_closed(rings.ZZ, excl_z, True)
+        E = sp.cofinite(rings.ZZ, excl_z, False)
+        expected = sp.cofinite(rings.ZZ, excl_z, True)
         assert products.quotient_product_image(E) == expected
         local = products.local_product_image(E)
         assert local == expected
         assert local == top.flat_closure(E)
 
         excl_f = {FpxMax(f) for f in rng.sample(irr, rng.randint(0, 4))}
-        Ef = sp.cofinite_closed(F2X, excl_f, False)
-        expected_f = sp.cofinite_closed(F2X, excl_f, True)
+        Ef = sp.cofinite(F2X, excl_f, False)
+        expected_f = sp.cofinite(F2X, excl_f, True)
         assert products.quotient_product_image(Ef) == expected_f
         local_f = products.local_product_image(Ef)
         assert local_f == expected_f
@@ -87,9 +87,9 @@ def test_acceptance_3_dedekind_image_pair():
 def test_acceptance_4_dual_image_pair_on_axes_ring():
     rng = Random(SEED + 4)
     for _ in range(50):
-        excl = set(rng.sample(range(1, 40), rng.randint(1, 5)))
-        E = sp.cofinite_min(AXES_F2, excl, False)
-        expected = sp.cofinite_min(AXES_F2, excl, True)
+        excl = {SuppMin(k) for k in rng.sample(range(1, 40), rng.randint(1, 5))}
+        E = sp.cofinite(AXES_F2, excl, False)
+        expected = sp.cofinite(AXES_F2, excl, True)
         qi = products.quotient_product_image(E)
         assert qi == expected
         assert qi == top.zariski_closure(E)
@@ -326,8 +326,5 @@ def _random_symbolic_subset(R, rng):
 
 def _random_infinite_subset(R, rng):
     excl = sp.sample_points(R, rng, rng.randint(0, 4))
-    if isinstance(R, rings.SymbolicSupplement):
-        ks = {p.k for p in excl if isinstance(p, SuppMin)}
-        return sp.cofinite_min(R, ks, rng.random() < 0.5)
-    closed = {p for p in excl if not isinstance(p, (ZGeneric, FpxGeneric))}
-    return sp.cofinite_closed(R, closed, rng.random() < 0.5)
+    family = {p for p in excl if not isinstance(p, (ZGeneric, FpxGeneric, SuppTop))}
+    return sp.cofinite(R, family, rng.random() < 0.5)

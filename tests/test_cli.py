@@ -227,6 +227,16 @@ def test_bad_json_exit_code(capsys):
         # Diagonal divisors must be positive.
         *(["lyover", "--map", '{"type":"diagonalIntoModProduct","n":6,"divisors":' + divisors + "}",
            "--prime", '{"type":"zmodPrime","p":2}'] for divisors in ("[0]", "[-2,3]", "[-6]")),
+        # Axes out of range, and each cofinite row on the other side of its
+        # ring's limit or with the limit among its excluded points.
+        *(["closure", "--topology", "zariski", "--ring", AXES,
+           "--set", '{"type":"cofiniteMin","excluded":[' + axis + "]}"] for axis in ("0", "1.5")),
+        ["closure", "--topology", "zariski", "--ring", Z,
+         "--set", '{"type":"cofiniteMin","excluded":[1]}'],
+        ["closure", "--topology", "zariski", "--ring", AXES,
+         "--set", '{"type":"cofiniteClosed","excluded":[]}'],
+        ["closure", "--topology", "zariski", "--ring", Z,
+         "--set", '{"type":"cofiniteClosed","excluded":[{"type":"zGeneric"}]}'],
     ],
 )
 def test_malformed_json_shapes_exit_2(capsys, argv):

@@ -7,10 +7,15 @@ from typing import get_args
 
 import pytest
 
-from conftest import AXES_F2, AXES_Q, F2, enumerable_zoo, symbolic_zoo
+from conftest import AXES_F2, AXES_Q, F2, F2X, enumerable_zoo, symbolic_zoo
 from spectop import construction, jsonio, maps, rings, values
 from spectop import spectrum as sp
-from spectop.errors import FactorizationLimitError, KindMismatchError, SpectopError
+from spectop.errors import (
+    FactorizationLimitError,
+    KindMismatchError,
+    SpectopError,
+    UnsupportedSymbolicError,
+)
 from spectop.rings import IntEl
 from spectop.spectrum import SuppMin, TamePrime, ZMax
 
@@ -97,7 +102,7 @@ def test_point_round_trip():
 
 
 def test_subset_round_trip_and_documented_form():
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
+    E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
     doc = jsonio.subset_to_json(E)
     assert doc == {
         "type": "cofiniteClosed",
@@ -109,20 +114,44 @@ def test_subset_round_trip_and_documented_form():
         pts = sp.spec_points(R)
         E = sp.explicit(R, pts[:2])
         assert jsonio.subset_from_json(jsonio.subset_to_json(E), R) == E
-    E2 = sp.cofinite_min(AXES_F2, {1, 7}, True)
+    E2 = sp.cofinite(AXES_F2, {SuppMin(1), SuppMin(7)}, True)
     assert jsonio.subset_from_json(jsonio.subset_to_json(E2), AXES_F2) == E2
     assert jsonio.subset_from_json({"type": "whole"}, AXES_F2) == sp.whole(AXES_F2)
     # A missing limit flag leaves the limit point out.
     assert jsonio.subset_from_json({"type": "cofiniteMin", "excluded": [2]}, AXES_F2) == (
-        sp.cofinite_min(AXES_F2, {2}, False)
+        sp.cofinite(AXES_F2, {SuppMin(2)}, False)
     )
     assert jsonio.subset_from_json({"type": "cofiniteClosed", "excluded": []}, rings.ZZ) == (
-        sp.cofinite_closed(rings.ZZ, set(), False)
+        sp.cofinite(rings.ZZ, set(), False)
     )
+
+
+@pytest.mark.parametrize(
+    "R, doc, error",
+    [
+        (rings.ZZ, {"type": "cofiniteMin", "excluded": [1]}, UnsupportedSymbolicError),
+        (AXES_F2, {"type": "cofiniteClosed", "excluded": []}, UnsupportedSymbolicError),
+        (rings.zmod(6), {"type": "cofiniteClosed", "excluded": []}, UnsupportedSymbolicError),
+        (rings.zmod(6), {"type": "cofiniteMin", "excluded": []}, UnsupportedSymbolicError),
+        (rings.ZZ, {"type": "cofiniteClosed", "excluded": [{"type": "zGeneric"}]},
+         KindMismatchError),
+        (F2X, {"type": "cofiniteClosed", "excluded": [{"type": "fpxGeneric"}]},
+         KindMismatchError),
+    ],
+    ids=[
+        "min-over-Z", "closed-over-axes", "closed-over-Zmod", "min-over-Zmod",
+        "generic-excluded-Z", "generic-excluded-F2x",
+    ],
+)
+def test_wire_cofinite_rows_refuse(R, doc, error):
+    # Each row names the side of the ring's limit point; the limit itself
+    # is chosen by the row's flag, never excluded.
+    with pytest.raises(error):
+        jsonio.subset_from_json(doc, R)
 
 
 def test_map_round_trip():
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
+    E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
     examples = [
         maps.QuotientMap(rings.ZZ, ZMax(5)),
         maps.CanonicalIntoQuotientProduct(E),
@@ -167,7 +196,7 @@ def test_map_from_json_takes_the_bound_as_a_value():
 
 
 def test_canonical_dumps_deterministic():
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11), ZMax(2)}, True)
+    E = sp.cofinite(rings.ZZ, {ZMax(11), ZMax(2)}, True)
     a = jsonio.dumps_canonical(jsonio.subset_to_json(E))
     b = jsonio.dumps_canonical(jsonio.subset_to_json(E))
     assert a == b

@@ -162,7 +162,8 @@ def subsets(draw):
     ]
     if R.symbolic:
         pair = st.tuples(st.lists(pool, max_size=3), st.booleans())
-        shapes.append(pair.map(lambda a: sp.cofinite(R, *a)))
+        # A drawn limit point is left to the flag: the limit is never excluded.
+        shapes.append(pair.map(lambda a: sp.cofinite(R, set(a[0]) - {R.limit}, a[1])))
     return R, draw(st.one_of(shapes))
 
 

@@ -88,18 +88,18 @@ def test_quotient_image_finite_examples():
 
 
 def test_quotient_image_symbolic_examples():
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    assert products.quotient_product_image(E) == sp.cofinite_closed(
+    E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
+    assert products.quotient_product_image(E) == sp.cofinite(
         rings.ZZ, {ZMax(11)}, True
     )
-    E2 = sp.cofinite_min(AXES_F2, set(), False)
+    E2 = sp.cofinite(AXES_F2, set(), False)
     assert products.quotient_product_image(E2) == sp.whole(AXES_F2)
 
 
 def test_quotient_image_with_generic_member_is_whole():
     # A set containing the generic point routes through the factor
     # R/(0) = R, whose spectrum contracts onto everything.
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
+    E = sp.cofinite(rings.ZZ, {ZMax(11)}, True)
     assert products.quotient_product_image(E) == sp.whole(rings.ZZ)
     assert products.local_product_image(E) == E
 
@@ -111,12 +111,11 @@ def test_patch_identity_image_intersection(rng):
         if rng.random() < 0.5:
             R = rings.ZZ
             excl = {ZMax(p) for p in rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 3))}
-            E = sp.cofinite_closed(R, excl, rng.random() < 0.5)
+            E = sp.cofinite(R, excl, rng.random() < 0.5)
         else:
             R = AXES_F2
-            E = sp.cofinite_min(
-                R, set(rng.sample(range(1, 12), rng.randint(0, 3))), rng.random() < 0.5
-            )
+            excl = {SuppMin(k) for k in rng.sample(range(1, 12), rng.randint(0, 3))}
+            E = sp.cofinite(R, excl, rng.random() < 0.5)
         both = sp.subset_intersect(
             products.quotient_product_image(E), products.local_product_image(E)
         )
@@ -128,14 +127,12 @@ def test_local_image_examples():
     assert products.local_product_image(E) == sp.explicit(
         rings.ZZ, {ZGeneric(), ZMax(2), ZMax(3)}
     )
-    E2 = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    assert products.local_product_image(E2) == sp.cofinite_closed(
+    E2 = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
+    assert products.local_product_image(E2) == sp.cofinite(
         rings.ZZ, {ZMax(11)}, True
     )
-    E3 = sp.cofinite_min(AXES_F2, {5}, False)
-    assert products.local_product_image(E3) == sp.cofinite_min(
-        AXES_F2, {5}, True
-    )
+    E3 = sp.cofinite(AXES_F2, {SuppMin(5)}, False)
+    assert products.local_product_image(E3) == sp.cofinite(AXES_F2, {SuppMin(5)}, True)
     E4 = sp.explicit(AXES_F2, {SuppTop()})
     assert products.local_product_image(E4) == sp.whole(AXES_F2)
 
@@ -159,7 +156,7 @@ def test_brute_force_examples():
 def test_brute_force_requires_finite_enumerable():
     with pytest.raises(NonEnumerableError):
         products.brute_force_image(
-            sp.cofinite_closed(rings.ZZ, set(), False), products.QUOTIENT
+            sp.cofinite(rings.ZZ, set(), False), products.QUOTIENT
         )
 
 
@@ -184,7 +181,7 @@ def test_oracle_agreement_exhaustive():
 
 
 def test_is_unit_in_quotient_product_examples():
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
+    E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
     assert products.is_unit_in_quotient_product(IntEl(11), E)
     assert not products.is_unit_in_quotient_product(IntEl(6), E)
     mins = sorted(
@@ -202,7 +199,7 @@ def test_is_unit_in_quotient_product_examples():
     # of Z/(0) = Z, also when (0) is one member among many.
     assert not products.is_unit_in_quotient_product(IntEl(2), sp.explicit(rings.ZZ, {ZGeneric()}))
     assert not products.is_unit_in_quotient_product(
-        IntEl(2), sp.cofinite_closed(rings.ZZ, {ZMax(2)}, True)
+        IntEl(2), sp.cofinite(rings.ZZ, {ZMax(2)}, True)
     )
     # R/P_2 is F_2[x_2] localized at (x_2), where x_2 is no unit.
     assert not products.is_unit_in_quotient_product(
@@ -247,13 +244,13 @@ def test_nilradical_product_law_refuses_indices_squaring_cannot_see():
 
 
 def test_strictness_demos():
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
+    E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
     rep = products.strictness_demo(E, top.ZARISKI)
     assert rep.strict and rep.witness == ZMax(11)
-    assert rep.image == sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
+    assert rep.image == sp.cofinite(rings.ZZ, {ZMax(11)}, True)
     assert rep.closure == sp.whole(rings.ZZ)
 
-    E2 = sp.cofinite_min(AXES_F2, {7}, False)
+    E2 = sp.cofinite(AXES_F2, {SuppMin(7)}, False)
     rep2 = products.strictness_demo(E2, top.FLAT)
     assert rep2.strict and rep2.witness == SuppMin(7)
 
@@ -268,12 +265,11 @@ def test_images_inside_closures_symbolic(rng):
         if rng.random() < 0.5:
             R = rings.ZZ
             excl = {ZMax(p) for p in rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 3))}
-            E = sp.cofinite_closed(R, excl, rng.random() < 0.5)
+            E = sp.cofinite(R, excl, rng.random() < 0.5)
         else:
             R = AXES_F2
-            E = sp.cofinite_min(
-                R, set(rng.sample(range(1, 12), rng.randint(0, 3))), rng.random() < 0.5
-            )
+            excl = {SuppMin(k) for k in rng.sample(range(1, 12), rng.randint(0, 3))}
+            E = sp.cofinite(R, excl, rng.random() < 0.5)
         qi = products.quotient_product_image(E)
         li = products.local_product_image(E)
         assert sp.subset_le(E, qi) and sp.subset_le(E, li)
@@ -299,8 +295,8 @@ def test_dedekind_image_pair_on_polynomials(rng):
     F2X = rings.poly_ring(2)
     for _ in range(25):
         excl = {sp.FpxMax(f) for f in rng.sample(pool, rng.randint(0, 3))}
-        E = sp.cofinite_closed(F2X, excl, False)
-        expected = sp.cofinite_closed(F2X, excl, True)
+        E = sp.cofinite(F2X, excl, False)
+        expected = sp.cofinite(F2X, excl, True)
         assert products.quotient_product_image(E) == expected
         li = products.local_product_image(E)
         assert li == expected
@@ -316,10 +312,10 @@ def test_image_report_witness_invariant(rng):
     # strict iff a witness exists, and the witness sits in the closure
     # but not in the image.
     cases = [
-        (rings.ZZ, sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False), top.ZARISKI),
-        (rings.ZZ, sp.cofinite_closed(rings.ZZ, {ZMax(2)}, False), top.FLAT),
-        (AXES_F2, sp.cofinite_min(AXES_F2, {3, 4}, False), top.FLAT),
-        (AXES_F2, sp.cofinite_min(AXES_F2, {3}, False), top.ZARISKI),
+        (rings.ZZ, sp.cofinite(rings.ZZ, {ZMax(11)}, False), top.ZARISKI),
+        (rings.ZZ, sp.cofinite(rings.ZZ, {ZMax(2)}, False), top.FLAT),
+        (AXES_F2, sp.cofinite(AXES_F2, {SuppMin(3), SuppMin(4)}, False), top.FLAT),
+        (AXES_F2, sp.cofinite(AXES_F2, {SuppMin(3)}, False), top.ZARISKI),
         (rings.ZZ, sp.explicit(rings.ZZ, {ZMax(2), ZMax(3)}), top.ZARISKI),
     ]
     for R, E, t in cases:

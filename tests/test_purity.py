@@ -24,6 +24,23 @@ def _callee_name(node):
     return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
 
 
+def test_no_engine_error_is_caught_outside_the_cli():
+    # A caught SpectopError could turn an engine bug into an answer; only
+    # the CLI turns these errors into exit codes.
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    names = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and names & {_callee_name(n) for n in ast.walk(node.type)}
+    ]
+    assert found == []
+
+
 def test_every_memo_table_is_bounded():
     # An lru_cache names a maxsize other than None, so a long-lived process
     # keeps bounded tables; an unbounded cache may only hold the one result

@@ -51,6 +51,13 @@ def test_normalize_kind_mismatch():
         rings.normalize(IntEl(3), rings.zmod(12))
 
 
+@pytest.mark.parametrize("i", [0, -2, 4])
+def test_var_el_refuses_an_index_outside_the_variables(i):
+    # x_0 and x_-2 once came out as x_1.
+    with pytest.raises(KindMismatchError):
+        rings.var_el(SUPP3, i)
+
+
 AXES_F5 = rings.symbolic_supplement(rings.prime_field(5))
 
 

@@ -3,28 +3,22 @@ from random import Random
 
 import pytest
 
-from conftest import AXES_F2, AXES_Q, F2, F2X, SUPP3, enumerable_zoo, symbolic_zoo
+from conftest import (
+    AXES_F2,
+    AXES_Q,
+    F2,
+    F2X,
+    SUPP3,
+    enumerable_zoo,
+    random_infinite_subset,
+    random_symbolic_subset,
+    symbolic_zoo,
+)
 from spectop import construction, rings
 from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.errors import NonEnumerableError
 from spectop.spectrum import SuppMin, SuppTop, ZGeneric, ZMax
-
-
-def random_symbolic_subset(R, rng):
-    roll = rng.random()
-    if roll < 0.1:
-        return sp.empty_set(R)
-    if roll < 0.2:
-        return sp.whole(R)
-    if roll < 0.5:
-        return sp.explicit(R, sp.sample_points(R, rng, rng.randint(1, 4)))
-    excl = sp.sample_points(R, rng, rng.randint(0, 3))
-    flag = rng.random() < 0.5
-    if isinstance(R, rings.SymbolicSupplement):
-        return sp.cofinite_min(R, {p.k for p in excl if isinstance(p, SuppMin)}, flag)
-    closed = {p for p in excl if not isinstance(p, (sp.ZGeneric, sp.FpxGeneric))}
-    return sp.cofinite_closed(R, closed, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -34,16 +28,16 @@ def random_symbolic_subset(R, rng):
 
 def test_zariski_examples():
     assert top.zariski_closure(sp.explicit(rings.ZZ, {ZGeneric()})) == sp.whole(rings.ZZ)
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(2), ZMax(3)}, False)
+    E = sp.cofinite(rings.ZZ, {ZMax(2), ZMax(3)}, False)
     assert top.zariski_closure(E) == sp.whole(rings.ZZ)
-    E2 = sp.cofinite_min(AXES_F2, {1}, False)
-    assert top.zariski_closure(E2) == sp.cofinite_min(AXES_F2, {1}, True)
+    E2 = sp.cofinite(AXES_F2, {SuppMin(1)}, False)
+    assert top.zariski_closure(E2) == sp.cofinite(AXES_F2, {SuppMin(1)}, True)
 
 
 def test_flat_examples():
     E = sp.explicit(rings.ZZ, {ZMax(5)})
     assert top.flat_closure(E) == sp.explicit(rings.ZZ, {ZGeneric(), ZMax(5)})
-    E2 = sp.cofinite_min(AXES_F2, {2}, False)
+    E2 = sp.cofinite(AXES_F2, {SuppMin(2)}, False)
     assert top.flat_closure(E2) == sp.whole(AXES_F2)
     E3 = sp.explicit(AXES_F2, {SuppMin(1), SuppMin(3)})
     assert top.flat_closure(E3) == E3
@@ -60,13 +54,13 @@ def test_patch_examples():
         for sub in combinations(sp.spec_points(R), k):
             E = sp.explicit(R, sub)
             assert top.patch_closure(E) == E
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
-    assert top.patch_closure(E) == sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
+    E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
+    assert top.patch_closure(E) == sp.cofinite(rings.ZZ, {ZMax(11)}, True)
     assert top.patch_closure(sp.empty_set(rings.ZZ)) == sp.empty_set(rings.ZZ)
 
 
 def test_stability_examples():
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, False)
+    E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
     assert top.is_stable(E, top.SPECIALIZATION)
     assert not top.is_stable(E, top.GENERALIZATION)
     E2 = sp.explicit(AXES_F2, {SuppMin(1), SuppTop()})
@@ -80,16 +74,16 @@ def test_stability_examples():
     assert top.is_stable(E_conc, top.SPECIALIZATION)
     # With the generic point present, excluded closed points break
     # stability under specialization.
-    E3 = sp.cofinite_closed(rings.ZZ, {ZMax(11)}, True)
+    E3 = sp.cofinite(rings.ZZ, {ZMax(11)}, True)
     assert not top.is_stable(E3, top.SPECIALIZATION)
 
 
 def test_density_examples():
-    E = sp.cofinite_closed(rings.ZZ, {ZMax(3)}, False)
+    E = sp.cofinite(rings.ZZ, {ZMax(3)}, False)
     assert top.is_dense(E, top.ZARISKI)
     E2 = sp.explicit(rings.zmod(12), {sp.ZmodPrime(2)})
     assert not top.is_dense(E2, top.ZARISKI)
-    E3 = sp.cofinite_min(AXES_F2, {4}, False)
+    E3 = sp.cofinite(AXES_F2, {SuppMin(4)}, False)
     assert top.is_dense(E3, top.FLAT)
     assert not top.is_dense(E3, top.ZARISKI)
 
@@ -192,7 +186,7 @@ def test_density_criterion_holds_sides(rng):
         cert = top.density_criterion(R, mode)
         assert cert.holds
         for _ in range(50):
-            E = _random_infinite(R, rng)
+            E = random_infinite_subset(R, rng)
             assert top.is_dense(E, mode)
 
 
@@ -219,16 +213,6 @@ def test_density_criterion_finite_spectrum():
         for mode in (top.ZARISKI, top.FLAT):
             cert = top.density_criterion(R, mode)
             assert cert.holds and cert.rationale == top.FINITE_SPECTRUM
-
-
-def _random_infinite(R, rng):
-    excl = sp.sample_points(R, rng, rng.randint(0, 4))
-    if isinstance(R, rings.SymbolicSupplement):
-        return sp.cofinite_min(
-            R, {p.k for p in excl if isinstance(p, SuppMin)}, rng.random() < 0.5
-        )
-    closed = {p for p in excl if not isinstance(p, (sp.ZGeneric, sp.FpxGeneric))}
-    return sp.cofinite_closed(R, closed, rng.random() < 0.5)
 
 
 def test_up_down_sets_match_singleton_closures():
