@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import rings
 from . import spectrum as sp
@@ -136,18 +137,32 @@ class _ProductMap(RingMapSpec):
         factor = "R/p" if self.up else "R_p"
         return f"{self.ring} -> prod {factor} over {sp.subset_str(self.subset)}"
 
+    @cached_property
+    def _members(self) -> tuple[PrimePoint, ...]:
+        """The members of a finite E, sorted once per map: slot k is the k-th."""
+        return tuple(sp.subset_points(self.subset))
+
     def contract(self, q: PrimePoint) -> PrimePoint:
         if not isinstance(q, TamePrime):
             raise WildPrimeError(f"{sp.point_str(q)} is not tame")
-        base = _resolve_slot(self.subset, q.slot)
-        return _factor_contract(self.ring, base, q.inner, self.up)
+        return _factor_contract(self.ring, self._resolve_slot(q.slot), q.inner, self.up)
+
+    def _resolve_slot(self, slot) -> PrimePoint:
+        """The base point of E a tame slot refers to."""
+        if type(slot) is int:
+            if not 0 <= slot < len(self._members):
+                raise WildPrimeError(f"slot {slot} out of range for {sp.subset_str(self.subset)}")
+            return self._members[slot]
+        if not sp.subset_member(slot, self.subset):
+            raise WildPrimeError(f"{sp.point_str(slot)} is not a member of the index set")
+        return slot
 
     def tame_points(self) -> list[PrimePoint]:
         R = self.ring
         pts = sp.spec_points(R)
         return [
             TamePrime(slot, q)
-            for slot, base in enumerate(sp.subset_points(self.subset))
+            for slot, base in enumerate(self._members)
             for q in pts
             if R._leq(*_ordered(base, q, self.up))
         ]
@@ -189,10 +204,10 @@ class DiagonalIntoModProduct(RingMapSpec):
     divisors: tuple[int, ...]
     limit: int | None = field(default=DEFAULT_LIMIT, compare=False)  # zmod's bound on n
 
-    @property
+    @cached_property
     def source(self) -> RingExpr:
-        # Built when read, not when the map is, so that any map document
-        # can be written and read back.
+        # Built on first read, not when the map is, so that any map document
+        # can be written and read back; n is factored once per map.
         return rings.zmod(self.n, self.limit)
 
     def __str__(self) -> str:
@@ -204,15 +219,16 @@ class DiagonalIntoModProduct(RingMapSpec):
 
     def contract(self, q: PrimePoint) -> PrimePoint:
         self._check_divisors()
-        if not isinstance(q, TamePrime) or not isinstance(q.slot, int):
+        if not isinstance(q, TamePrime) or type(q.slot) is not int:
             raise WildPrimeError(f"{sp.point_str(q)} is not tame")
         if not 0 <= q.slot < len(self.divisors):
             raise WildPrimeError(f"slot {q.slot} out of range")
         d = self.divisors[q.slot]
         inner = q.inner
-        if not isinstance(inner, ZmodPrime) or d % inner.p != 0:
+        # The primes of Z/d are the primes of n that divide d.
+        if not self.source.has_point(inner) or d % inner.p != 0:
             raise KindMismatchError(f"{sp.point_str(inner)} is not a prime of Z/{d}")
-        return ZmodPrime(inner.p)
+        return inner
 
     def tame_points(self) -> list[PrimePoint]:
         self._check_divisors()
@@ -251,18 +267,6 @@ def _meet_is_zero(E: SpecSubset) -> bool:
     """Whether the members of E meet in 0: the meet is radical and holds the
     nilradical, and its vanishing locus is the Zariski closure of E."""
     return E.ring.is_reduced() and top.is_dense(E, top.ZARISKI)
-
-
-def _resolve_slot(E: SpecSubset, slot) -> PrimePoint:
-    """The base point of E a tame slot refers to."""
-    if isinstance(slot, int):
-        pts = sp.subset_points(E)
-        if not 0 <= slot < len(pts):
-            raise WildPrimeError(f"slot {slot} out of range for {sp.subset_str(E)}")
-        return pts[slot]
-    if not sp.subset_member(slot, E):
-        raise WildPrimeError(f"{sp.point_str(slot)} is not a member of the index set")
-    return slot
 
 
 def _least_slot(E: SpecSubset, p: PrimePoint) -> PrimePoint:

@@ -27,10 +27,9 @@ import math
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, islice
+from functools import cached_property, lru_cache
+from itertools import combinations, compress, islice
 from random import Random
-from types import MappingProxyType
 
 from . import covers, gfpoly
 from .errors import (
@@ -191,31 +190,50 @@ class RingExpr:
 
     def _enumerate(self) -> list[PrimePoint]:
         """Every point, in any order; enumerable rings only.  Read through
-        the spectrum memo, never directly."""
+        _spectrum_table, never directly."""
         raise NonEnumerableError(f"{self} has a symbolic spectrum")
+
+    @cached_property
+    def _spectrum_table(self) -> tuple[PrimePoint, ...]:
+        """The sorted spectrum, enumerated on first read and kept on the
+        instance, as is the order table: a frozen dataclass compares and
+        hashes on its fields only.  A ring that cannot be enumerated
+        raises on every read, since cached_property keeps no exception."""
+        return tuple(sorted_points(self._enumerate()))
+
+    @cached_property
+    def _order_table(self) -> dict[PrimePoint, tuple[frozenset, frozenset]]:
+        """For each point, the frozensets of the points above it and of the
+        points below it; _leq is asked once per pair."""
+        pts = self._spectrum_table
+        rows = [[self._leq(p, q) for q in pts] for p in pts]  # row p: p <= q
+        return {
+            p: (frozenset(compress(pts, row)), frozenset(compress(pts, col)))
+            for p, row, col in zip(pts, rows, zip(*rows))
+        }
 
     def spec_points(self) -> list[PrimePoint]:
         """The full spectrum as a sorted point list; enumerable rings only."""
-        return list(_spectrum(self))
+        return list(self._spectrum_table)
 
     def sample_points(self, rng, count: int) -> list[PrimePoint]:
-        pts = _spectrum(self)
+        pts = self._spectrum_table
         return [pts[rng.randrange(len(pts))] for _ in range(count)]
 
     def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
         """The specializations of p; None when that is every point."""
-        return _order(self)[p][0]
+        return self._order_table[p][0]
 
     def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
         """The generalizations of p; None when that is every point."""
-        return _order(self)[p][1]
+        return self._order_table[p][1]
 
     def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
         """(points, complement): V(r) is the finite set `points`, or its
         complement when `complement` is set."""
         if not self.is_enumerable():
             raise NonEnumerableError(f"no locus rule over {self}")
-        return {p for p in _spectrum(self) if self._contains(p, r)}, False
+        return {p for p in self._spectrum_table if self._contains(p, r)}, False
 
     def is_minimal_prime(self, p: PrimePoint) -> bool:
         return self.down_points(p) == {p}
@@ -523,11 +541,13 @@ class ModRing(_Residue, _ZeroDimensional):
     def nilradical(self) -> IdealRepr:
         return PrincipalIdeal(ModEl(math.prod(p for p, _ in self.factorization) % self.n))
 
+    @cached_property
+    def _primes(self) -> frozenset[int]:
+        """The primes dividing n: the factorization was checked at construction."""
+        return frozenset(q for q, _ in self.factorization)
+
     def has_point(self, p: PrimePoint) -> bool:
-        # The factorization was checked at construction: its primes are
-        # exactly the primes dividing n.
-        ok = isinstance(p, ZmodPrime) and type(p.p) is int
-        return ok and any(p.p == q for q, _ in self.factorization)
+        return isinstance(p, ZmodPrime) and type(p.p) is int and p.p in self._primes
 
     def _contains(self, p: PrimePoint, r: El) -> bool:
         return r.v % p.p == 0
@@ -617,10 +637,11 @@ class PolyRingOverPrimeField(_Dedekind):
     def has_point(self, p: PrimePoint) -> bool:
         if isinstance(p, FpxGeneric):
             return True
-        # Unreduced or untrimmed coefficients name no point; irreducibility
-        # is only tested on a canonical polynomial.
+        # Non-int, unreduced or untrimmed coefficients name no point;
+        # irreducibility is only tested on a canonical polynomial.
         return (
             isinstance(p, FpxMax)
+            and all(type(c) is int for c in p.coeffs)
             and p.coeffs == gfpoly.trim(p.coeffs, self.p)
             and gfpoly.is_irreducible(p.coeffs, self.p)
             and p.coeffs == gfpoly.monic(p.coeffs, self.p)
@@ -780,9 +801,13 @@ class _Quotient(_Monomial):
         return range(1, self.nvars + 1)
 
     def has_point(self, p: PrimePoint) -> bool:
-        if not isinstance(p, MonoPrime) or not p.cover <= frozenset(self.monomial_variables()):
+        if not isinstance(p, MonoPrime):
             return False
-        cover = sum(1 << (i - 1) for i in p.cover)  # bit i-1 is x_i
+        nvars, cover = self.nvars, 0  # bit i-1 of cover is x_i
+        for i in p.cover:
+            if type(i) is not int or not 0 < i <= nvars:
+                return False
+            cover |= 1 << (i - 1)
         return all(g & cover for g in self.gens)
 
     def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
@@ -985,7 +1010,7 @@ class Product(RingExpr):
         return TupleEl(tuple(f.sample_element(rng) for f in self.factors))
 
     def validate_point(self, p: PrimePoint) -> None:
-        if isinstance(p, TamePrime) and isinstance(p.slot, int):
+        if isinstance(p, TamePrime) and type(p.slot) is int:
             if 0 <= p.slot < len(self.factors):
                 self.factors[p.slot].validate_point(p.inner)
                 return
@@ -1007,7 +1032,7 @@ class Product(RingExpr):
         for k, f in enumerate(self.factors):
             if not f.is_enumerable():
                 raise NonEnumerableError(f"factor {f} has a symbolic spectrum")
-            pts.extend(TamePrime(k, q) for q in _spectrum(f))
+            pts.extend(TamePrime(k, q) for q in f._spectrum_table)
         return pts
 
     def residue_field(self, p: PrimePoint) -> ResidueField:
@@ -1090,37 +1115,11 @@ def symbolic_supplement(field: PrimeField | RationalField) -> SymbolicSupplement
     return SymbolicSupplement(field)
 
 
-# Memo tables keyed on immutable values: the spectrum and order of a
-# ring, and the minimal covers of a monomial ideal's masks.  Sized for
-# one `verify all` run: it meets 8 distinct monomial ideals (7 of them
-# the supplement suite's, each shared by its three fields) and 192
-# distinct enumerable rings, so no cover search, spectrum or order runs
-# twice there, while a long-lived process stays bounded.
+# The memo of minimal covers, keyed on a monomial ideal's masks.  Sized
+# for one `verify all` run, which meets 8 distinct monomial ideals (7 of
+# them the supplement suite's, each shared by its three fields), so no
+# cover search runs twice there, while a long-lived process stays bounded.
 _RING_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=_RING_MEMO_SIZE)
-def _spectrum(R: RingExpr) -> tuple[PrimePoint, ...]:
-    """The sorted spectrum of an enumerable ring, enumerated once per ring.
-    A ring that cannot be enumerated raises on every call (lru_cache does
-    not keep exceptions)."""
-    return tuple(sorted_points(R._enumerate()))
-
-
-@lru_cache(maxsize=_RING_MEMO_SIZE)
-def _order(R: RingExpr) -> MappingProxyType:
-    """For each point of an enumerable ring, the frozensets of the points
-    above it and of the points below it; _leq is asked once per pair.  A
-    ring that cannot be enumerated raises on every call, as in _spectrum."""
-    pts = _spectrum(R)
-    up: dict[PrimePoint, list[PrimePoint]] = {p: [] for p in pts}
-    down: dict[PrimePoint, list[PrimePoint]] = {p: [] for p in pts}
-    for p in pts:
-        for q in pts:
-            if R._leq(p, q):
-                up[p].append(q)
-                down[q].append(p)
-    return MappingProxyType({p: (frozenset(up[p]), frozenset(down[p])) for p in pts})
 
 
 def quotient_dim(R: MonomialQuotient) -> int:

@@ -128,25 +128,29 @@ PrimePoint = (
 )
 
 
+# The canonical point order, one key rule per point class: generic points
+# first, then the family points by size, then the axes ring's top, then
+# tame primes by slot and inner point.
+_SORT_KEYS = {
+    **dict.fromkeys((ZGeneric, FpxGeneric, FieldZero), lambda p: (0, 0, ())),
+    **dict.fromkeys((ZMax, ZmodPrime), lambda p: (1, p.p, ())),
+    FpxMax: lambda p: (1, len(p.coeffs), p.coeffs),
+    MonoPrime: lambda p: (1, len(p.cover), tuple(sorted(p.cover))),
+    SuppMin: lambda p: (1, p.k, ()),
+    SuppTop: lambda p: (2, 0, ()),
+    TamePrime: lambda p: (
+        3,
+        (0, p.slot, ()) if isinstance(p.slot, int) else (1,) + point_sort_key(p.slot),
+        point_sort_key(p.inner),
+    ),
+}
+
+
 def point_sort_key(p: PrimePoint):
-    if isinstance(p, (ZGeneric, FpxGeneric, FieldZero)):
-        return (0, 0, ())
-    if isinstance(p, ZMax):
-        return (1, p.p, ())
-    if isinstance(p, ZmodPrime):
-        return (1, p.p, ())
-    if isinstance(p, FpxMax):
-        return (1, len(p.coeffs), p.coeffs)
-    if isinstance(p, MonoPrime):
-        return (1, len(p.cover), tuple(sorted(p.cover)))
-    if isinstance(p, SuppMin):
-        return (1, p.k, ())
-    if isinstance(p, SuppTop):
-        return (2, 0, ())
-    if isinstance(p, TamePrime):
-        slot = (0, p.slot, ()) if isinstance(p.slot, int) else (1,) + point_sort_key(p.slot)
-        return (3, slot, point_sort_key(p.inner))
-    raise KindMismatchError(f"unknown point {p}")
+    key = _SORT_KEYS.get(type(p))
+    if key is None:
+        raise KindMismatchError(f"unknown point {p}")
+    return key(p)
 
 
 def sorted_points(points) -> list[PrimePoint]:
@@ -156,9 +160,7 @@ def sorted_points(points) -> list[PrimePoint]:
 def point_str(p: PrimePoint) -> str:
     if isinstance(p, (ZGeneric, FpxGeneric, FieldZero)):
         return "(0)"
-    if isinstance(p, ZMax):
-        return f"({p.p})"
-    if isinstance(p, ZmodPrime):
+    if isinstance(p, (ZMax, ZmodPrime)):
         return f"({p.p})"
     if isinstance(p, FpxMax):
         return f"({gfpoly.poly_str(p.coeffs)})"
@@ -501,11 +503,7 @@ def sample_elements(R: RingExpr, rng: Random, count: int) -> list[El]:
 
 
 def el_str(e: El, R: RingExpr) -> str:
-    if isinstance(e, IntEl):
-        return str(e.v)
-    if isinstance(e, RatEl):
-        return str(e.v)
-    if isinstance(e, ModEl):
+    if isinstance(e, (IntEl, RatEl, ModEl)):
         return str(e.v)
     if isinstance(e, PolyEl):
         return gfpoly.poly_str(e.coeffs)

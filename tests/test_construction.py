@@ -329,9 +329,9 @@ def test_supplement_bound_is_checked_before_building(monkeypatch):
 
 def test_supplement_runs_one_cover_search():
     # The minimal primes and the spectrum that krull_dim walks share one
-    # memo entry, keyed on the generator masks.
-    for memo in (rings.minimal_cover_masks, rings._spectrum, rings._order):
-        memo.cache_clear()
+    # memo entry, keyed on the generator masks; the spectrum and order
+    # tables live on the report's own ring.
+    rings.minimal_cover_masks.cache_clear()
     rep = con.supplement_report(F3, 6)
     assert rep.all_ok
     info = rings.minimal_cover_masks.cache_info()

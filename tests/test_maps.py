@@ -277,6 +277,42 @@ def test_diagonal_source_takes_the_bound_as_a_value():
     ]
 
 
+def test_diagonal_contracts_only_primes_of_the_slot_divisor():
+    m = maps.DiagonalIntoModProduct(8, (8,))
+    assert maps.contract(m, TamePrime(0, ZmodPrime(2))) == ZmodPrime(2)
+    # Neither 4 nor 1 is a prime of Z/8; 2.0 and True are no int primes.
+    for inner in (ZmodPrime(4), ZmodPrime(1), ZmodPrime(2.0), ZmodPrime(True), ZMax(2)):
+        with pytest.raises(KindMismatchError, match="is not a prime of Z/8"):
+            maps.contract(m, TamePrime(0, inner))
+    # 3 divides n = 12 but not the slot's divisor 4.
+    with pytest.raises(KindMismatchError, match="is not a prime of Z/4"):
+        maps.contract(maps.DiagonalIntoModProduct(12, (4, 3)), TamePrime(0, ZmodPrime(3)))
+    # A bool is no slot index, as for every other non-int slot.
+    with pytest.raises(WildPrimeError, match="is not tame"):
+        maps.contract(maps.DiagonalIntoModProduct(6, (2, 3)), TamePrime(True, ZmodPrime(3)))
+
+
+def test_diagonal_factors_n_once_per_map(monkeypatch):
+    m = maps.DiagonalIntoModProduct(6, (2, 3))
+    calls = []
+    real = rings.zmod
+    monkeypatch.setattr(rings, "zmod", lambda *a: calls.append(a) or real(*a))
+    for q in maps.tame_points(m):
+        maps.contract(m, q)
+    maps.laying_over(m, ZmodPrime(2))
+    assert len(calls) == 1
+
+
+def test_product_map_slots_are_ints_or_members():
+    E = sp.explicit(rings.zmod(6), {ZmodPrime(2), ZmodPrime(3)})
+    m = maps.CanonicalIntoQuotientProduct(E)
+    assert maps.contract(m, TamePrime(1, ZmodPrime(3))) == ZmodPrime(3)
+    assert maps.contract(m, TamePrime(ZmodPrime(3), ZmodPrime(3))) == ZmodPrime(3)
+    # True would name slot 1; it is read as a base point and refused.
+    with pytest.raises(KindMismatchError):
+        maps.contract(m, TamePrime(True, ZmodPrime(3)))
+
+
 def test_diagonal_tame_points_match_factoring_each_divisor():
     # The rule that factored each divisor on its own, kept as the oracle
     # for the primes of n that divide it.

@@ -67,6 +67,36 @@ def test_every_memo_table_is_bounded():
     assert found == []
 
 
+def _ring_class_names() -> set[str]:
+    """RingExpr and every class in rings.py derived from it."""
+    tree = ast.parse((SRC / "rings.py").read_text(encoding="utf-8"))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    names = {"RingExpr"}
+    size = 0
+    while size != len(names):
+        size = len(names)
+        names |= {c.name for c in classes if names & {_callee_name(b) for b in c.bases}}
+    return names
+
+
+def test_no_memo_is_keyed_by_a_ring():
+    # Each ring keeps its own spectrum and order tables.  A memo keyed by
+    # ring value would hash the ring's fields on every lookup and keep
+    # rings alive after their use.
+    ring_classes = _ring_class_names()
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not {_callee_name(dec) for dec in fn.decorator_list} & {"lru_cache", "cache"}:
+                continue
+            params = fn.args.posonlyargs + fn.args.args
+            if params and (params[0].arg == "R" or _annotation_names(params[0].annotation) & ring_classes):
+                found.append(f"{path.relative_to(SRC)}:{fn.name}")
+    assert found == []
+
+
 def test_only_the_canonicalizers_build_subsets():
     # Each set has one value only because every subset passes through
     # spectrum._subset, which stores a cofinite set over a ring that is not

@@ -422,3 +422,29 @@ def test_zmod_has_point_matches_divisibility_and_primality():
         R = rings.zmod(n)
         got = {p for p in range(n + 2) if R.has_point(points[p])}
         assert got == {p for p in range(n + 2) if p in primes_below and n % p == 0}, n
+
+
+def _localized_pair_quotient():
+    return rings.localized(rings.monomial_quotient(F3, 3, {(1, 1), (0, 1, 1), (1, 0, 1)}))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: rings.product(rings.zmod(6), rings.zmod(35)), _localized_pair_quotient],
+    ids=["product", "localized"],
+)
+def test_equal_rings_built_apart_share_their_answers(build):
+    # The spectrum and order tables live on each instance; two equal rings
+    # still compare and hash equal, before and after either builds them.
+    A, B = build(), build()
+    assert A is not B and A == B and hash(A) == hash(B)
+    pts = A.spec_points()
+    for p in pts:
+        A.up_points(p)
+    assert {"_spectrum_table", "_order_table"} <= vars(A).keys()
+    assert "_spectrum_table" not in vars(B)
+    assert A == B and hash(A) == hash(B) and {A: 1}[B] == 1
+    assert B.spec_points() == pts
+    for p in pts:
+        assert A.up_points(p) == B.up_points(p)
+        assert A.down_points(p) == B.down_points(p)

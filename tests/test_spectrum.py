@@ -2,8 +2,10 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import AXES_F2, F2, F2X, SUPP3, enumerable_zoo, symbolic_zoo
+from conftest import AXES_F2, F2, F2X, PROPERTY, SUPP3, enumerable_zoo, symbolic_zoo
 from spectop import construction, gfpoly, jsonio, maps, rings
 from spectop import spectrum as sp
 from spectop import topology as top
@@ -354,6 +356,7 @@ def test_subset_member_validates_before_answering(p, E):
 # Every public entry that takes a point from the caller, with the rings it
 # is defined over.  Each must refuse a foreign or non-prime point.
 PROD = rings.product(rings.zmod(6), rings.zmod(10))
+LOCAL = rings.localized(rings.monomial_quotient(F2, 2, {(1, 1)}))
 
 # (ring, a bad point, a good point)
 BAD_POINTS = {
@@ -367,10 +370,17 @@ BAD_POINTS = {
     "Zmod-float": (rings.zmod(12), ZmodPrime(2.0), ZmodPrime(3)),
     "axes-float": (AXES_F2, SuppMin(1.5), SuppMin(2)),
     "axes-bool": (AXES_F2, SuppMin(True), SuppMin(2)),
+    "F2x-float": (F2X, FpxMax((1.0, 1)), FpxMax((0, 1))),
+    "F2x-bool": (F2X, FpxMax((True, True)), FpxMax((0, 1))),
+    "product-bool-slot": (PROD, TamePrime(True, ZmodPrime(5)), TamePrime(0, ZmodPrime(2))),
+    "local-float-index": (LOCAL, MonoPrime(frozenset({1.0})), MonoPrime(frozenset({2}))),
+    "local-bool-index": (LOCAL, MonoPrime(frozenset({True})), MonoPrime(frozenset({2}))),
+    "local-index-0": (LOCAL, MonoPrime(frozenset({0, 1})), MonoPrime(frozenset({2}))),
+    "local-index-above": (LOCAL, MonoPrime(frozenset({1, 3})), MonoPrime(frozenset({2}))),
 }
 # The wire reads an integral number as the integer it equals, so these
 # bad points are good ones once written as JSON.
-INTEGRAL_ON_THE_WIRE = {"Z-float", "Zmod-float"}
+INTEGRAL_ON_THE_WIRE = {"Z-float", "Zmod-float", "F2x-float", "local-float-index"}
 
 
 ENTRIES = {
@@ -480,3 +490,57 @@ def test_existing_subsets_are_not_validated_again(monkeypatch):
     sp.subset_union(E, F)
     sp.subset_union(E, G)
     assert calls == []
+
+
+def _chain_sort_key(p):
+    """The isinstance chain point_sort_key replaced, kept as its oracle."""
+    if isinstance(p, (ZGeneric, FpxGeneric, FieldZero)):
+        return (0, 0, ())
+    if isinstance(p, ZMax):
+        return (1, p.p, ())
+    if isinstance(p, ZmodPrime):
+        return (1, p.p, ())
+    if isinstance(p, FpxMax):
+        return (1, len(p.coeffs), p.coeffs)
+    if isinstance(p, MonoPrime):
+        return (1, len(p.cover), tuple(sorted(p.cover)))
+    if isinstance(p, SuppMin):
+        return (1, p.k, ())
+    if isinstance(p, SuppTop):
+        return (2, 0, ())
+    if isinstance(p, TamePrime):
+        slot = (0, p.slot, ()) if isinstance(p.slot, int) else (1,) + _chain_sort_key(p.slot)
+        return (3, slot, _chain_sort_key(p.inner))
+    raise KindMismatchError(f"unknown point {p}")
+
+
+SORTED_RINGS = enumerable_zoo() + symbolic_zoo() + [
+    rings.localized(rings.monomial_quotient(F2, 3, {(1, 1), (0, 1, 1), (1, 0, 1)})),
+    rings.poly_ring(3),
+]
+
+
+@st.composite
+def sampled_points(draw):
+    """A point sampled from a ring of some family, or a tame prime of a
+    canonical map's target, whose slot is a base point."""
+    R = draw(st.sampled_from(SORTED_RINGS))
+    rng = draw(st.randoms(use_true_random=False))
+    p = sp.sample_points(R, rng, 1)[0]
+    if draw(st.booleans()):
+        p = TamePrime(sp.sample_points(R, rng, 1)[0], p)
+    return p
+
+
+@PROPERTY
+@given(st.lists(sampled_points(), max_size=8))
+def test_point_sort_key_orders_as_the_isinstance_chain(points):
+    for p in points:
+        assert sp.point_sort_key(p) == _chain_sort_key(p)
+    assert sp.sorted_points(points) == sorted(points, key=_chain_sort_key)
+
+
+@pytest.mark.parametrize("value", [IntEl(2), "m", None, 3, TamePrime(0, IntEl(2))])
+def test_point_sort_key_refuses_a_non_point(value):
+    with pytest.raises(KindMismatchError, match="unknown point"):
+        sp.point_sort_key(value)

@@ -313,14 +313,18 @@ def test_positive_dim_quotient_refuses_on_every_call():
 
 
 def test_zero_dimensional_rings_build_no_order_table():
-    # Z/n and the fields answer order questions without the _order memo,
-    # so a sweep over many one-off Z/n keeps the table empty.
-    rings._order.cache_clear()
+    # Z/n and the fields answer order questions without an order table,
+    # so a sweep over many one-off Z/n builds none.
     for R in (rings.zmod(210), rings.zmod(8), rings.prime_field(5), rings.QQ):
         for p in sp.spec_points(R):
             assert R.up_points(p) == R.down_points(p) == {p}
             assert R.is_minimal_prime(p)
-    assert rings._order.cache_info().currsize == 0
+        assert "_order_table" not in vars(R)
+    # A ring of positive dimension builds its table on first use.
+    R = rings.localized(rings.monomial_quotient(F2, 2, {(1, 1)}))
+    assert "_order_table" not in vars(R)
+    R.up_points(sp.spec_points(R)[0])
+    assert "_order_table" in vars(R)
 
 
 SCANNED_SYMBOLIC = [rings.ZZ, F2X, AXES_F2, AXES_Q]
