@@ -31,7 +31,7 @@ from .rings import (
     RationalField,
     RingExpr,
 )
-from .spectrum import MonoPrime, PrimePoint, SpecSubset
+from .spectrum import MonoPrime, SpecSubset
 
 # The largest n of an axes ring.  The report takes 0.05 s at n = 64 and
 # 0.3 s at n = 128 (check=False, one 2-vCPU host); the balanced
@@ -117,18 +117,8 @@ def verify_intersection(n: int, field: PrimeField | RationalField) -> bool:
 
 
 def krull_dim(R: RingExpr) -> int:
-    """Longest chain of primes: enumerated when possible, else by formula."""
-    if not R.is_enumerable():
-        return R.krull_dim()
-    memo: dict[PrimePoint, int] = {}
-
-    def depth(p: PrimePoint) -> int:
-        if p not in memo:
-            below = R.down_points(p) - {p}
-            memo[p] = 1 + max(depth(q) for q in below) if below else 0
-        return memo[p]
-
-    return max((depth(p) for p in sp.spec_points(R)), default=0)
+    """Longest chain of primes; the ring's own rule (RingExpr.krull_dim)."""
+    return R.krull_dim()
 
 
 def is_reduced(R: RingExpr) -> bool:

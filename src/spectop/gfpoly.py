@@ -20,8 +20,7 @@ DEGREE_CAP = 16
 
 # Room for every point polynomial a verify run tests.  The irreducibles
 # stream calls the unmemoized test (_ben_or): its candidates, mostly
-# reducible and keyed with cap=None, would fill the table and never be
-# asked for again, since point checks key on (f, p).
+# reducible, would fill the table and never be asked for again.
 _IRREDUCIBLE_MEMO_SIZE = 1024
 
 Poly = tuple[int, ...]
@@ -133,19 +132,16 @@ def _frobenius(w: Poly, f: Poly, p: int) -> tuple[Poly, Poly]:
     return w, gcd(sub(w, mod(X, f, p), p), f, p)
 
 
-@lru_cache(maxsize=_IRREDUCIBLE_MEMO_SIZE)
-def is_irreducible(f: Poly, p: int, cap: int | None = DEGREE_CAP) -> bool:
+def _ben_or(f: Poly, p: int) -> bool:
     """Ben-Or's test: gcd(x^(p^i) - x, f) = 1 for i = 1 .. deg(f) // 2.
 
     A reducible f of degree d has an irreducible factor of some degree
-    i <= d/2, and that factor divides x^(p^i) - x.  Memoized on (f, p,
-    cap); a degree above cap raises on every call.
+    i <= d/2, and that factor divides x^(p^i) - x.  Uncapped and
+    unmemoized.
     """
     d = deg(f)
     if d < 1:
         return False
-    if cap is not None and d > cap:
-        raise FactorizationLimitError(f"degree {d} exceeds cap {cap}")
     w = mod(X, f, p)
     for _ in range(d // 2):
         w, g = _frobenius(w, f, p)
@@ -154,7 +150,13 @@ def is_irreducible(f: Poly, p: int, cap: int | None = DEGREE_CAP) -> bool:
     return True
 
 
-_ben_or = is_irreducible.__wrapped__
+@lru_cache(maxsize=_IRREDUCIBLE_MEMO_SIZE)
+def is_irreducible(f: Poly, p: int) -> bool:
+    """Ben-Or's test for degrees up to DEGREE_CAP, memoized on (f, p); a
+    larger degree raises on every call."""
+    if deg(f) > DEGREE_CAP:
+        raise FactorizationLimitError(f"degree {deg(f)} exceeds cap {DEGREE_CAP}")
+    return _ben_or(f, p)
 
 
 def _equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
@@ -216,12 +218,13 @@ def _factor_monic(f: Poly, p: int, rng: random.Random, out: dict[Poly, int], mul
     _factor_monic(divmod_(f, g, p)[0], p, rng, out, mult)
 
 
-def factor(f: Poly, p: int, cap: int | None = DEGREE_CAP) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors of f != 0 with multiplicities, sorted."""
+def factor(f: Poly, p: int) -> list[tuple[Poly, int]]:
+    """Monic irreducible factors of f != 0 with multiplicities, sorted;
+    degrees above DEGREE_CAP are refused."""
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    if cap is not None and deg(f) > cap:
-        raise FactorizationLimitError(f"degree {deg(f)} exceeds cap {cap}")
+    if deg(f) > DEGREE_CAP:
+        raise FactorizationLimitError(f"degree {deg(f)} exceeds cap {DEGREE_CAP}")
     out: dict[Poly, int] = {}
     _factor_monic(monic(f, p), p, random.Random(0xC0FFEE), out, 1)
     return sorted(out.items(), key=lambda kv: (deg(kv[0]), kv[0]))
@@ -233,7 +236,7 @@ def irreducibles(p: int):
     while True:
         for tail in _tuples(p, d):
             f = tail + (1,)
-            if _ben_or(f, p, cap=None):
+            if _ben_or(f, p):
                 yield f
         d += 1
 
@@ -247,7 +250,7 @@ def _tuples(p: int, length: int):
             yield rest + (c,)
 
 
-def poly_str(f: Poly, var: str = "x") -> str:
+def poly_str(f: Poly) -> str:
     if not f:
         return "0"
     parts = []
@@ -258,5 +261,5 @@ def poly_str(f: Poly, var: str = "x") -> str:
             parts.append(str(c))
         else:
             head = "" if c == 1 else str(c) + "*"
-            parts.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
+            parts.append(f"{head}x" + (f"^{i}" if i > 1 else ""))
     return " + ".join(reversed(parts))

@@ -247,8 +247,19 @@ class RingExpr:
         return True, None, FINITE_SPECTRUM
 
     def krull_dim(self) -> int:
-        """Krull dimension by formula, for spectra that cannot be enumerated."""
-        raise NonEnumerableError(f"cannot chase chains in {self}")
+        """Longest chain of primes, walked down an enumerable spectrum; the
+        other families give it by formula."""
+        if not self.is_enumerable():
+            raise NonEnumerableError(f"cannot chase chains in {self}")
+        memo: dict[PrimePoint, int] = {}
+
+        def depth(p: PrimePoint) -> int:
+            if p not in memo:
+                below = self.down_points(p) - {p}
+                memo[p] = 1 + max(depth(q) for q in below) if below else 0
+            return memo[p]
+
+        return max((depth(p) for p in self._spectrum_table), default=0)
 
 
 def _int_divides(g: int, r: int) -> bool:

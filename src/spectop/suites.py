@@ -107,7 +107,7 @@ def _random_symbolic_subset(R: RingExpr, rng: Random) -> SpecSubset:
 
 
 def _oracle_zoo() -> list[RingExpr]:
-    """Enumerable rings with at most 6 points."""
+    """Enumerable rings with at most 5 points."""
     return [
         rings.zmod(12),
         rings.zmod(8),
@@ -132,6 +132,14 @@ def _axiom_zoo() -> list[RingExpr]:
         construction.build_supplement(F2, 1),
         rings.product(rings.zmod(30), rings.prime_field(3)),
     ]
+
+
+def _every_subset(R: RingExpr):
+    """Each subset of an enumerable spectrum, by size, then in point order."""
+    pts = sp.spec_points(R)
+    for k in range(len(pts) + 1):
+        for sub in combinations(pts, k):
+            yield sp.explicit(R, sub)
 
 
 def _up_closure_brute(E: SpecSubset) -> SpecSubset:
@@ -165,23 +173,26 @@ def suite_finite_closure(seed: int = 0, cases: int = 100, max_n: int = 10**6) ->
     return res
 
 
+def _strictness_remark(
+    name: str, seed: int, E: SpecSubset, topology: str, closure: str, witness: str
+) -> SuiteResult:
+    """One strictness remark: the product image of E gains only the limit
+    point, the closure is `closure`, and `witness` lies between them."""
+    res = SuiteResult(name, seed, {})
+    rep = products.strictness_demo(E, topology)
+    inp = sp.subset_str(E)
+    image = sp.subset_str(sp.cofinite(E.ring, E.excluded, True))
+    _case(res, "image", inp, image, sp.subset_str(rep.image))
+    _case(res, "closure", inp, closure, sp.subset_str(rep.closure))
+    _case(res, "strict", inp, True, rep.strict)
+    _case(res, "witness", inp, witness, sp.point_str(rep.witness))
+    return res
+
+
 def suite_remark_v5(seed: int = 0) -> SuiteResult:
     """Strictness of the quotient-product image over Z, excluded prime 11."""
-    res = SuiteResult("remark-v5", seed, {})
     E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
-    img = products.quotient_product_image(E)
-    _case(
-        res,
-        "image",
-        sp.subset_str(E),
-        sp.subset_str(sp.cofinite(rings.ZZ, {ZMax(11)}, True)),
-        sp.subset_str(img),
-    )
-    cl = top.zariski_closure(E)
-    _case(res, "closure", sp.subset_str(E), "Spec(Z)", sp.subset_str(cl))
-    rep = products.strictness_demo(E, top.ZARISKI)
-    _case(res, "strict", sp.subset_str(E), True, rep.strict)
-    _case(res, "witness", sp.subset_str(E), "(11)", sp.point_str(rep.witness))
+    res = _strictness_remark("remark-v5", seed, E, top.ZARISKI, "Spec(Z)", "(11)")
     _case(
         res,
         "unit-11",
@@ -194,27 +205,9 @@ def suite_remark_v5(seed: int = 0) -> SuiteResult:
 
 def suite_remark_flat(seed: int = 0) -> SuiteResult:
     """Strictness of the localization-product image on the axes ring."""
-    res = SuiteResult("remark-flat", seed, {})
     E = sp.cofinite(AXES_F2, {SuppMin(7)}, False)
-    img = products.local_product_image(E)
-    _case(
-        res,
-        "image",
-        sp.subset_str(E),
-        sp.subset_str(sp.cofinite(AXES_F2, {SuppMin(7)}, True)),
-        sp.subset_str(img),
-    )
-    _case(
-        res,
-        "closure",
-        sp.subset_str(E),
-        sp.subset_str(sp.whole(AXES_F2)),
-        sp.subset_str(top.flat_closure(E)),
-    )
-    rep = products.strictness_demo(E, top.FLAT)
-    _case(res, "strict", sp.subset_str(E), True, rep.strict)
-    _case(res, "witness", sp.subset_str(E), "P_7", sp.point_str(rep.witness))
-    return res
+    whole = sp.subset_str(sp.whole(AXES_F2))
+    return _strictness_remark("remark-flat", seed, E, top.FLAT, whole, "P_7")
 
 
 def suite_supplement(seed: int = 0, max_n: int = 8) -> SuiteResult:
@@ -343,6 +336,15 @@ def suite_pz(seed: int = 0, max_n: int = 5) -> SuiteResult:
     return res
 
 
+# A witness r of a failing density criterion: its infinite, non-dense
+# locus, and the rule it must fail.  V(r) needs r not nilpotent for the
+# Zariski topology; D(r) needs r not a unit for the flat one.
+_WITNESS_RULES = {
+    top.ZARISKI: (sp.v_locus, "nilpotent", rings.is_nilpotent),
+    top.FLAT: (sp.d_locus, "unit", rings.is_unit),
+}
+
+
 def suite_density(seed: int = 0, cases: int = 50) -> SuiteResult:
     """Density criteria plus dense/non-dense confirmations."""
     res = SuiteResult("density", seed, {"cases": cases})
@@ -365,11 +367,8 @@ def suite_density(seed: int = 0, cases: int = 50) -> SuiteResult:
             )
         cert = top.density_criterion(R, bad_mode)
         _case(res, f"{R}-{bad_mode}-fails", str(R), False, cert.holds)
-        locus = (
-            sp.v_locus(cert.witness, R)
-            if bad_mode == top.ZARISKI
-            else sp.d_locus(cert.witness, R)
-        )
+        locus_of, kind, rule = _WITNESS_RULES[bad_mode]
+        locus = locus_of(cert.witness, R)
         _case(
             res,
             f"{R}-{bad_mode}-witness-infinite",
@@ -384,22 +383,13 @@ def suite_density(seed: int = 0, cases: int = 50) -> SuiteResult:
             False,
             top.is_dense(locus, bad_mode),
         )
-        if bad_mode == top.ZARISKI:
-            _case(
-                res,
-                f"{R}-{bad_mode}-witness-not-nilpotent",
-                rings.el_str(cert.witness, R),
-                False,
-                rings.is_nilpotent(cert.witness, R),
-            )
-        else:
-            _case(
-                res,
-                f"{R}-{bad_mode}-witness-not-unit",
-                rings.el_str(cert.witness, R),
-                False,
-                rings.is_unit(cert.witness, R),
-            )
+        _case(
+            res,
+            f"{R}-{bad_mode}-witness-not-{kind}",
+            rings.el_str(cert.witness, R),
+            False,
+            rule(cert.witness, R),
+        )
     for R in (rings.zmod(12), rings.prime_field(7)):
         for mode in (top.ZARISKI, top.FLAT):
             cert = top.density_criterion(R, mode)
@@ -426,15 +416,12 @@ def suite_closure_axioms(seed: int = 0, cases: int = 500) -> SuiteResult:
     failures = 0
     total = 0
     for R in _axiom_zoo():
-        pts = sp.spec_points(R)
-        for k in range(len(pts) + 1):
-            for sub in combinations(pts, k):
-                E = sp.explicit(R, sub)
-                ok, msg = _axioms_hold(E)
-                total += 1
-                if not ok:
-                    failures += 1
-                    _case(res, f"enum-{R}-{sp.subset_str(E)}", msg, True, False)
+        for E in _every_subset(R):
+            ok, msg = _axioms_hold(E)
+            total += 1
+            if not ok:
+                failures += 1
+                _case(res, f"enum-{R}-{sp.subset_str(E)}", msg, True, False)
     for R in (rings.ZZ, F2X, AXES_F2):
         for j in range(cases // 3):
             E = _random_symbolic_subset(R, rng)
@@ -474,14 +461,14 @@ def _axioms_hold(E: SpecSubset) -> tuple[bool, str]:
 
 
 def _enlarge(E: SpecSubset) -> SpecSubset:
-    """A superset companion for the monotonicity check."""
+    """What the monotonicity check adds to E: everything for a cofinite
+    set, the ring's first point over an enumerable ring, else nothing."""
     R = E.ring
     if E.cofinite:
         return sp.whole(R)
     if not R.symbolic:
-        pts = sp.spec_points(R)
-        return sp.explicit(R, list(E.points) + pts[:1])
-    return E
+        return sp.explicit(R, sp.spec_points(R)[:1])
+    return sp.empty_set(R)
 
 
 def suite_oracle_agreement(seed: int = 0) -> SuiteResult:
@@ -491,29 +478,24 @@ def suite_oracle_agreement(seed: int = 0) -> SuiteResult:
     failures = 0
     total = 0
     for R in _oracle_zoo():
-        pts = sp.spec_points(R)
-        if len(pts) > 6:
-            continue
-        for k in range(len(pts) + 1):
-            for sub in combinations(pts, k):
-                E = sp.explicit(R, sub)
-                for kind, image_op, closure_op in (
-                    (products.QUOTIENT, products.quotient_product_image, top.zariski_closure),
-                    (products.LOCAL, products.local_product_image, top.flat_closure),
-                ):
-                    total += 1
-                    formula = image_op(E)
-                    oracle = products.brute_force_image(E, kind)
-                    cl = closure_op(E)
-                    if formula != oracle or not sp.subset_le(formula, cl) or not sp.subset_le(E, formula):
-                        failures += 1
-                        _case(
-                            res,
-                            f"{R}-{kind}-{sp.subset_str(E)}",
-                            "oracle == formula inside closure",
-                            True,
-                            False,
-                        )
+        for E in _every_subset(R):
+            for kind, image_op, closure_op in (
+                (products.QUOTIENT, products.quotient_product_image, top.zariski_closure),
+                (products.LOCAL, products.local_product_image, top.flat_closure),
+            ):
+                total += 1
+                formula = image_op(E)
+                oracle = products.brute_force_image(E, kind)
+                cl = closure_op(E)
+                if formula != oracle or not sp.subset_le(formula, cl) or not sp.subset_le(E, formula):
+                    failures += 1
+                    _case(
+                        res,
+                        f"{R}-{kind}-{sp.subset_str(E)}",
+                        "oracle == formula inside closure",
+                        True,
+                        False,
+                    )
     _case(res, "all-cases", f"{total} (ring, subset, kind) triples", 0, failures)
     return res
 

@@ -357,11 +357,11 @@ def one(R: RingExpr) -> El:
     return R.from_int(1)
 
 
-def var_el(R: RingExpr, i: int, e: int = 1, coeff=1) -> El:
-    """The monomial coeff * x_i^e in a multivariate ring (i is 1-based)."""
+def var_el(R: RingExpr, i: int, coeff=1) -> El:
+    """The monomial coeff * x_i in a multivariate ring (i is 1-based)."""
     if i < 1:
         raise KindMismatchError(f"variable indices start at 1, got {i}")
-    exp = (0,) * (i - 1) + (e,)
+    exp = (0,) * (i - 1) + (1,)
     return R.reduce_terms([(coeff, exp)])
 
 

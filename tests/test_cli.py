@@ -151,6 +151,24 @@ def test_verify_all_json_bytes(capsys, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+SUITES_SYMBOLIC = Path(__file__).resolve().parents[1] / "bench" / "expected" / "suites-symbolic.json"
+
+
+@pytest.mark.parametrize("seed", range(0, 100, 11))
+def test_verify_suite_json_bytes_match_the_benchmark_record(capsys, seed):
+    # The benchmark's answer check holds "total:digest" per (suite, seed),
+    # so a change to any reported byte (a case, an input drawn from the
+    # seed) fails here too, not only in the benchmark.
+    recorded = json.loads(SUITES_SYMBOLIC.read_text())
+    suites = sorted({key.split("/")[0] for key in recorded})
+    for suite in suites:
+        code, out, _ = run(capsys, "verify", suite, "--seed", str(seed), "--json")
+        assert code == 0
+        total = json.loads(out)["results"][0]["summary"]["total"]
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert f"{total}:{digest}" == recorded[f"{suite}/{seed}"], suite
+
+
 def test_suite_type_error_is_an_internal_error(monkeypatch, capsys):
     # A TypeError is not an input error: it must not become exit 2, nor
     # exit 1, which reads as a failed verification.

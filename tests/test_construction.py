@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from conftest import AXES_F2, AXES_Q, F2, F2X, F3, enumerable_zoo
+from conftest import AXES_F2, AXES_Q, F2, F2X, F3, enumerable_zoo, symbolic_zoo
 from spectop import construction as con
 from spectop import covers, jsonio, rings, values
 from spectop import spectrum as sp
@@ -254,6 +254,25 @@ def test_krull_dim_chain_oracle():
                 if a < b < c:
                     longest = max(longest, 2)
     assert longest == con.krull_dim(R)
+
+
+def _longest_chain(R):
+    """Brute force: the longest strict chain under leq_specialization."""
+    pts = sp.spec_points(R)
+    length = dict.fromkeys(pts, 0)
+    for _ in pts:
+        for q in pts:
+            for p in pts:
+                if p != q and sp.leq_specialization(p, q, R):
+                    length[q] = max(length[q], length[p] + 1)
+    return max(length.values())
+
+
+@pytest.mark.parametrize("R", enumerable_zoo() + symbolic_zoo(), ids=str)
+def test_krull_dim_is_the_rings_own_rule(R):
+    assert R.krull_dim() == con.krull_dim(R)
+    if R.is_enumerable():
+        assert R.krull_dim() == _longest_chain(R)
 
 
 def test_pz_examples():

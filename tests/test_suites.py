@@ -1,5 +1,6 @@
-"""The closure-axioms suite catches each way a closure operator can break.
+"""The verify suites: what they catch and what they compute.
 
+The closure-axioms suite catches each way a closure operator can break.
 Each variant below replaces one operator of `topology` with a broken
 version; the suite must then fail, and with the message of the axiom the
 variant breaks.  Together the variants reach all seven messages, so no
@@ -8,7 +9,7 @@ check of `suites._axioms_hold` is dead.
 
 import pytest
 
-from spectop import suites
+from spectop import products, suites
 from spectop import spectrum as sp
 from spectop import topology as top
 
@@ -81,3 +82,23 @@ def test_closure_axioms_suite_catches_a_broken_operator(monkeypatch, name, broke
 
 def test_closure_axioms_suite_passes_with_the_real_operators():
     assert suites.suite_closure_axioms(seed=0, cases=30).passed
+
+
+@pytest.mark.parametrize(
+    "suite, image, closure",
+    [
+        ("remark-v5", "quotient_product_image", "zariski_closure"),
+        ("remark-flat", "local_product_image", "flat_closure"),
+    ],
+)
+def test_strictness_remark_computes_image_and_closure_once(monkeypatch, suite, image, closure):
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda E: calls.append(name) or real(E))
+
+    count(products, image)
+    count(top, closure)
+    assert suites.run_suite(suite).passed
+    assert sorted(calls) == sorted([image, closure])
