@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import product
 
 from .errors import FactorizationLimitError
 
@@ -234,20 +235,11 @@ def irreducibles(p: int):
     """Yield monic irreducibles in (degree, coefficient) order."""
     d = 1
     while True:
-        for tail in _tuples(p, d):
+        for tail in product(range(p), repeat=d):
             f = tail + (1,)
             if _ben_or(f, p):
                 yield f
         d += 1
-
-
-def _tuples(p: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(p, length - 1):
-        for c in range(p):
-            yield rest + (c,)
 
 
 def poly_str(f: Poly) -> str:

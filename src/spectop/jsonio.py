@@ -163,12 +163,6 @@ def _seq(item: _Codec, what: str, into=tuple, order=list) -> _Codec:
     )
 
 
-def _point_of(v, key: str, R, limit):
-    p = point_from_json(v)
-    sp.validate_point(p, R)
-    return p
-
-
 def _padded_exponents(gens, R) -> list:
     return sorted(
         list(rings.mask_to_exp(g)) + [0] * (R.nvars - g.bit_length()) for g in gens
@@ -307,12 +301,10 @@ _SUBSET_ROWS = _Table(
 )
 
 _SUBSET = _Codec(lambda v, R: subset_to_json(v), lambda v, key, R, limit: subset_from_json(v, R))
-# The prime of the map's ring that a quotient or residue map is taken at.
-_PRIME = _Codec(_POINT.enc, _point_of)
 
 _MAP_ROWS = _Table(
     "type", "map",
-    _row(maps.QuotientMap, "quotientMap", ("ring", _RING), ("prime", _PRIME)),
+    _row(maps.QuotientMap, "quotientMap", ("ring", _RING), ("prime", _POINT)),
     _row(maps.CanonicalIntoQuotientProduct, "canonicalIntoQuotientProduct",
          ("ring", _RING), ("set", _SUBSET, "subset"),
          build=_of_subset(maps.CanonicalIntoQuotientProduct)),
@@ -321,7 +313,7 @@ _MAP_ROWS = _Table(
          build=_of_subset(maps.CanonicalIntoLocalProduct)),
     _row(maps.DiagonalIntoModProduct, "diagonalIntoModProduct",
          ("n", _INT), ("divisors", _seq(_INT, "divisor")), bounded=True),
-    _row(maps.ResidueMap, "residueMap", ("ring", _RING), ("prime", _PRIME)),
+    _row(maps.ResidueMap, "residueMap", ("ring", _RING), ("prime", _POINT)),
 )
 
 

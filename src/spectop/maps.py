@@ -3,10 +3,14 @@
 Maps are symbolic: a quotient map R -> R/p, the canonical map into a
 product of quotients or localizations indexed by a subset of Spec(R), a
 diagonal Z/n -> prod Z/d_i, or a residue map R -> k(p).  Each map class
-owns its kind's rules.  Primes of the quotient and localization factors
-are represented upstairs through the order correspondences
-Spec(R/p) = {q >= p} and Spec(R_p) = {q <= p}, so contraction never
-builds the factor rings.
+owns its kind's rules.  A map checks its own fields once, when it is
+built: the prime of a quotient or residue map is a point of its ring,
+the divisors of a diagonal map are positive and divide n, and the index
+set of a product map was checked by its subset builder.  The rules then
+check only the points they are given.  Primes of the quotient and
+localization factors are represented upstairs through the order
+correspondences Spec(R/p) = {q >= p} and Spec(R_p) = {q <= p}, so
+contraction never builds the factor rings.
 
 Injectivity of the canonical maps is a closure fact, decided by topology
 for every ring kind.  The kernel of R -> prod_{p in E} R/p is the meet of
@@ -79,6 +83,9 @@ class _PrimeMap(RingMapSpec):
     ring: RingExpr
     prime: PrimePoint
 
+    def __post_init__(self) -> None:
+        self.ring.validate_point(self.prime)
+
     def is_injective(self) -> bool:
         # R -> k(p) factors through R/p, and Frac is injective on domains.
         return _meet_is_zero(sp.explicit(self.ring, {self.prime}))
@@ -93,7 +100,6 @@ class QuotientMap(_PrimeMap):
 
     def tame_points(self) -> list[PrimePoint]:
         R = self.ring
-        sp.validate_point(self.prime, R)
         return [q for q in sp.spec_points(R) if R._leq(self.prime, q)]
 
     def symbolic_lying_over(self, p: PrimePoint) -> PrimePoint:
@@ -200,9 +206,15 @@ class CanonicalIntoLocalProduct(_ProductMap):
 
 @dataclass(frozen=True)
 class DiagonalIntoModProduct(RingMapSpec):
+    """Z/n -> prod Z/d_i; the divisors are checked when the map is built."""
+
     n: int
     divisors: tuple[int, ...]
     limit: int | None = field(default=DEFAULT_LIMIT, compare=False)  # zmod's bound on n
+
+    def __post_init__(self) -> None:
+        if any(d < 1 or self.n % d != 0 for d in self.divisors):
+            raise KindMismatchError("divisors must be positive and divide n")
 
     @cached_property
     def source(self) -> RingExpr:
@@ -213,12 +225,7 @@ class DiagonalIntoModProduct(RingMapSpec):
     def __str__(self) -> str:
         return f"Z/{self.n} -> " + " x ".join(f"Z/{d}" for d in self.divisors)
 
-    def _check_divisors(self) -> None:
-        if any(d < 1 or self.n % d != 0 for d in self.divisors):
-            raise KindMismatchError("divisors must be positive and divide n")
-
     def contract(self, q: PrimePoint) -> PrimePoint:
-        self._check_divisors()
         if not isinstance(q, TamePrime) or type(q.slot) is not int:
             raise WildPrimeError(f"{sp.point_str(q)} is not tame")
         if not 0 <= q.slot < len(self.divisors):
@@ -231,7 +238,6 @@ class DiagonalIntoModProduct(RingMapSpec):
         return inner
 
     def tame_points(self) -> list[PrimePoint]:
-        self._check_divisors()
         # Each d divides n, so the primes of d are the primes of n dividing d.
         primes = [p for p, _ in self.source.factorization]
         return [
@@ -242,7 +248,6 @@ class DiagonalIntoModProduct(RingMapSpec):
         ]
 
     def is_injective(self) -> bool:
-        self._check_divisors()
         return math.lcm(*self.divisors) == self.n if self.divisors else False
 
 

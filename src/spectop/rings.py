@@ -87,7 +87,6 @@ from .values import (  # the values and their functions are named from here too
     monomial_ideal,
     mpoly_el,
     mul,
-    neg,
     nilradical,
     normalize,
     one,
@@ -97,7 +96,6 @@ from .values import (  # the values and their functions are named from here too
     principal_ideal,
     sample_elements,
     sorted_points,
-    sub,
     var_el,
     zero,
 )

@@ -248,8 +248,9 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
         roll = rng.random()
         if roll < 0.4:
             n = rng.randint(2, 10_000)
-            fac = rings.zmod(n).factorization
-            nslots = max(2, rng.randint(2, len(fac) + 1))
+            R = rings.zmod(n)
+            fac = R.factorization
+            nslots = rng.randint(2, len(fac) + 1)
             # Exponent of each prime per slot; the max over slots must hit
             # the exponent in n so the lcm of the divisors equals n.
             exps = [[0] * nslots for _ in fac]
@@ -262,13 +263,11 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
                 for k in range(nslots):
                     slots[k] *= p ** exps[j][k]
             m: maps.RingMapSpec = maps.DiagonalIntoModProduct(n, tuple(slots))
-            src = rings.zmod(n)
-            minimals = sp.spec_points(src)
+            minimals = sp.spec_points(R)
         elif roll < 0.6:
             n = 2 * 3 * 5 * 7
             R = rings.zmod(n)
             m = maps.CanonicalIntoQuotientProduct(sp.whole(R))
-            src = R
             minimals = sp.spec_points(R)
         elif roll < 0.8:
             R = construction.build_supplement(F2, rng.randint(2, 4))
@@ -280,13 +279,11 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
                 if kind
                 else maps.CanonicalIntoLocalProduct(E)
             )
-            src = R
             minimals = mins
         else:
             excl = {ZMax(p) for p in rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 3))}
             E = sp.cofinite(rings.ZZ, excl, rng.random() < 0.5)
             m = maps.CanonicalIntoLocalProduct(E)
-            src = rings.ZZ
             minimals = [sp.ZGeneric()]
         if not maps.is_injective(m):
             continue

@@ -374,14 +374,6 @@ def add(R: RingExpr, a: El, b: El) -> El:
     return R.add(R.normalize(a), R.normalize(b))
 
 
-def neg(R: RingExpr, a: El) -> El:
-    return mul(R, R.from_int(-1), a)
-
-
-def sub(R: RingExpr, a: El, b: El) -> El:
-    return add(R, a, neg(R, b))
-
-
 def mul(R: RingExpr, a: El, b: El) -> El:
     return R.mul(R.normalize(a), R.normalize(b))
 

@@ -195,6 +195,31 @@ def test_map_from_json_takes_the_bound_as_a_value():
     assert jsonio.map_to_json(m) == diagonal
 
 
+# Map documents whose fields name no map, with the refusal of the map's
+# constructor: the decoder checks nothing the map does not check itself.
+BAD_MAP_DOCS = {
+    "quotientMap": (
+        {"type": "quotientMap", "ring": {"kind": "Z"}, "prime": {"type": "zMax", "p": 4}},
+        r"^\(4\) is not a point of Z$",
+    ),
+    "residueMap": (
+        {"type": "residueMap", "ring": {"kind": "Z"}, "prime": {"type": "zMax", "p": 4}},
+        r"^\(4\) is not a point of Z$",
+    ),
+    "diagonalIntoModProduct": (
+        {"type": "diagonalIntoModProduct", "n": 6, "divisors": [0]},
+        "^divisors must be positive and divide n$",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_MAP_DOCS))
+def test_map_from_json_refuses_what_the_map_refuses(kind):
+    doc, message = BAD_MAP_DOCS[kind]
+    with pytest.raises(KindMismatchError, match=message):
+        jsonio.map_from_json(doc)
+
+
 def test_canonical_dumps_deterministic():
     E = sp.cofinite(rings.ZZ, {ZMax(11), ZMax(2)}, True)
     a = jsonio.dumps_canonical(jsonio.subset_to_json(E))

@@ -3,6 +3,7 @@ malformed diagonal or tame-slot document is an input error (exit 2)."""
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given
@@ -61,8 +62,10 @@ def ring_maps(draw):
         maps.DiagonalIntoModProduct,
     ]))
     if kind is maps.DiagonalIntoModProduct:
-        divisors = draw(st.lists(st.integers(-10**6, 10**6), max_size=5))
-        return kind(draw(st.integers(1, 10**6)), tuple(divisors))
+        # A diagonal map is built only with divisors of n.
+        n = draw(st.integers(1, 10**6))
+        divisors = draw(st.lists(st.integers(1, 10**6).map(lambda k: math.gcd(n, k)), max_size=5))
+        return kind(n, tuple(divisors))
     R = draw(st.sampled_from(RINGS))
     if kind in (maps.QuotientMap, maps.ResidueMap):
         return kind(R, draw(st.sampled_from(_pool(R))))

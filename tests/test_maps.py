@@ -248,21 +248,18 @@ def test_laying_over_does_not_hide_a_wild_prime_error(monkeypatch):
 
 def test_diagonal_refuses_divisors_below_one():
     for divisors in ((0,), (-2, 3), (-6,)):
-        m = maps.DiagonalIntoModProduct(6, divisors)
         with pytest.raises(KindMismatchError, match="positive and divide n"):
-            maps.is_injective(m)
-        with pytest.raises(KindMismatchError, match="positive and divide n"):
-            maps.laying_over(m, ZmodPrime(2))
+            maps.DiagonalIntoModProduct(6, divisors)
 
 
 def test_diagonal_checks_divisors_in_every_rule():
-    # 10 does not divide 6, and 0 is no divisor: (5) is no prime of Z/6.
-    five = TamePrime(0, ZmodPrime(5))
+    # The divisors are checked once, when the map is built, so no rule
+    # ever sees a divisor that is 0 or does not divide n.
     for divisors in ((10,), (0,), (2, 10)):
-        m = maps.DiagonalIntoModProduct(6, divisors)
-        for rule in (maps.is_injective, maps.tame_points, lambda m: maps.contract(m, five)):
-            with pytest.raises(KindMismatchError, match="positive and divide n"):
-                rule(m)
+        with pytest.raises(KindMismatchError, match="positive and divide n"):
+            maps.DiagonalIntoModProduct(6, divisors)
+        with pytest.raises(KindMismatchError, match="positive and divide n"):
+            maps.DiagonalIntoModProduct(6, divisors, limit=None)
 
 
 def test_diagonal_source_takes_the_bound_as_a_value():
@@ -311,6 +308,43 @@ def test_product_map_slots_are_ints_or_members():
     # True would name slot 1; it is read as a base point and refused.
     with pytest.raises(KindMismatchError):
         maps.contract(m, TamePrime(True, ZmodPrime(3)))
+
+
+def test_prime_maps_check_the_prime_when_built():
+    # (4) is no prime of Z: neither map is built, so contract can never
+    # hand it back as the kernel.
+    for kind in (maps.QuotientMap, maps.ResidueMap):
+        with pytest.raises(KindMismatchError, match=r"^\(4\) is not a point of Z$"):
+            kind(rings.ZZ, ZMax(4))
+
+
+def test_product_maps_refuse_points_that_are_not_theirs():
+    E = sp.explicit(rings.zmod(6), {ZmodPrime(2), ZmodPrime(3)})
+    for m in (maps.CanonicalIntoQuotientProduct(E), maps.CanonicalIntoLocalProduct(E)):
+        with pytest.raises(WildPrimeError, match="is not tame"):
+            maps.contract(m, ZmodPrime(2))
+        for slot in (2, -1):
+            with pytest.raises(WildPrimeError, match=f"slot {slot} out of range"):
+                maps.contract(m, TamePrime(slot, ZmodPrime(2)))
+    # (5) is a prime of Z/30 outside the index set {(2), (3)}.
+    F = sp.explicit(rings.zmod(30), {ZmodPrime(2), ZmodPrime(3)})
+    with pytest.raises(WildPrimeError, match="not a member of the index set"):
+        maps.contract(maps.CanonicalIntoQuotientProduct(F), TamePrime(ZmodPrime(5), ZmodPrime(5)))
+
+
+def test_diagonal_refuses_slots_out_of_range():
+    m = maps.DiagonalIntoModProduct(6, (2, 3))
+    for slot in (2, -1):
+        with pytest.raises(WildPrimeError, match=f"slot {slot} out of range"):
+            maps.contract(m, TamePrime(slot, ZmodPrime(2)))
+
+
+def test_residue_map_contracts_only_the_zero_ideal():
+    m = maps.ResidueMap(rings.ZZ, ZMax(5))
+    assert maps.contract(m, FieldZero()) == ZMax(5)
+    for q in (ZMax(5), ZGeneric(), TamePrime(0, FieldZero())):
+        with pytest.raises(WildPrimeError, match="a single point"):
+            maps.contract(m, q)
 
 
 def test_diagonal_tame_points_match_factoring_each_divisor():

@@ -55,6 +55,14 @@ def test_enumerate_symbolic_is_whole():
             sp.spec_points(R)
 
 
+def test_subset_points_lists_finite_sets_only():
+    for R in symbolic_zoo():
+        for E in (sp.whole(R), sp.cofinite(R, (), False)):
+            with pytest.raises(NonEnumerableError, match="is not a finite set"):
+                sp.subset_points(E)
+    assert sp.subset_points(sp.explicit(rings.ZZ, {ZMax(3), ZGeneric()})) == [ZGeneric(), ZMax(3)]
+
+
 def test_enumerate_rejects_symbolic_product_factor():
     R = rings.Product((rings.ZZ, rings.zmod(4)))
     with pytest.raises(NonEnumerableError):
@@ -435,6 +443,10 @@ ENTRIES = {
         None,
     ),
     "contract": (lambda R, p, good: maps.contract(maps.QuotientMap(R, good), p), None),
+    "residue_contract": (
+        lambda R, p, good: maps.contract(maps.ResidueMap(R, p), FieldZero()),
+        None,
+    ),
     "contract_local_slot": (
         lambda R, p, good: maps.contract(
             maps.CanonicalIntoLocalProduct(sp.whole(R)), TamePrime(good, p)

@@ -7,6 +7,8 @@ variant breaks.  Together the variants reach all seven messages, so no
 check of `suites._axioms_hold` is dead.
 """
 
+import hashlib
+
 import pytest
 
 from spectop import products, suites
@@ -102,3 +104,20 @@ def test_strictness_remark_computes_image_and_closure_once(monkeypatch, suite, i
     count(top, closure)
     assert suites.run_suite(suite).passed
     assert sorted(calls) == sorted([image, closure])
+
+
+# sha256 of the symbolic subsets closure-axioms draws, one "ring: subset"
+# line each, at the seeds `verify all` is recorded at.  Its report names
+# only failures and a count, so without these a shifted or shortened
+# sequence of draws would change no byte of it.
+SYMBOLIC_DRAWS = {0: "f7efa8e2b803c223", 7: "74af2e74874c697f"}
+
+
+@pytest.mark.parametrize("seed", sorted(SYMBOLIC_DRAWS))
+def test_closure_axioms_draws_the_recorded_symbolic_subsets(monkeypatch, seed):
+    drawn = []
+    monkeypatch.setattr(suites, "_axioms_hold", lambda E: drawn.append(E) or (True, ""))
+    assert suites.suite_closure_axioms(seed=seed).passed
+    lines = [f"{E.ring}: {sp.subset_str(E)}" for E in drawn if E.ring.symbolic]
+    assert len(lines) == 498
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == SYMBOLIC_DRAWS[seed]
