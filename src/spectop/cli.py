@@ -7,15 +7,32 @@ usage or input error, 3 for an internal error (a bug in spectop; pass
 --traceback to see where it was raised).  Only a SpectopError is an input
 error.  Output whose reader has gone (say `spectop ... | head`) also exits
 2, with one line that says standard output was closed.
+
+COMMANDS is the one table of the command line: each command's handler,
+help text, positionals and options (flag, dest, kind, choices, required,
+default, help); --json, --allow-big and --traceback are common to all.
+parse_args reads argv once, left to right, by the rules of Python 3.11's
+standard-library parser, which the tests keep as the reference: an exact
+flag is one dict lookup, "--flag=value" splits at the first "=", a "--"
+token that names no flag may abbreviate exactly one, the last of repeated
+options wins, positionals may stand before or after options, a value may
+not look like an option (a negative number may), and every token after
+"--" is an argument ("--" itself counts as an extra argument unless it
+stands next to a positional).  -h/--help prints help built from the
+table and exits 0.  A usage error (no or unknown command, unknown or
+ambiguous option, missing value or required option, bad choice or int,
+extra argument) prints a usage line and an error line to stderr and
+raises SystemExit(2).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import inspect
 import json
+import re
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, NoReturn
 
 from . import construction, jsonio, maps, primes, products, rings, suites
 from . import spectrum as sp
@@ -218,87 +235,212 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The spectop argument parser, built on first use and shared by every call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
-    common.add_argument(  # args.limit is the bound handed to the decoders
-        "--allow-big", action="store_const", const=None, default=primes.DEFAULT_LIMIT,
-        dest="limit", help="lift the 64-bit factorization bound (arbitrary precision)",
+_VALUE, _INT, _SWITCH = "value", "int", "switch"
+
+
+class _Opt(NamedTuple):
+    """An option ("--name") or a positional ("name") of a command.  A value
+    is kept as given and an int goes through int(); a switch takes no value
+    and stores const.  An option not given holds its default."""
+
+    flag: str
+    dest: str  # the attribute the handler reads
+    kind: str = _VALUE
+    choices: tuple = ()
+    required: bool = False
+    default: object = None
+    help: str = ""
+    const: object = True
+
+
+class _Command(NamedTuple):
+    fn: Callable[[SimpleNamespace], int]
+    help: str
+    positionals: tuple[_Opt, ...]
+    options: tuple[_Opt, ...]
+
+    @property
+    def every(self) -> tuple[_Opt, ...]:
+        return (*self.positionals, *self.options, *_COMMON)
+
+
+_RING, _SET = _Opt("--ring", "ring", required=True), _Opt("--set", "set", required=True)
+_TOPOLOGY = _Opt("--topology", "topology", choices=top.TOPOLOGIES, required=True)
+_COMMON = (  # every command takes these; limit is the bound handed to the decoders
+    _Opt("--json", "json", _SWITCH, default=False, help="emit a machine-readable JSON report"),
+    _Opt("--allow-big", "limit", _SWITCH, default=primes.DEFAULT_LIMIT, const=None,
+         help="lift the 64-bit factorization bound (arbitrary precision)"),
+    _Opt("--traceback", "traceback", _SWITCH, default=False,
+         help="print the traceback of an internal error"),
+)
+COMMANDS = {
+    "spec": _Command(_cmd_spec, "enumerate or describe a spectrum", (), (_RING,)),
+    "closure": _Command(_cmd_closure, "closure of a subset", (), (_TOPOLOGY, _RING, _SET)),
+    "dense": _Command(_cmd_dense, "density of a subset", (), (_TOPOLOGY, _RING, _SET)),
+    "stable": _Command(_cmd_stable, "stability of a subset", (), (_Opt(
+        "--mode", "mode", choices=(top.SPECIALIZATION, top.GENERALIZATION), required=True,
+    ), _RING, _SET)),
+    "criterion": _Command(_cmd_criterion, "every-infinite-subset-dense test", (), (_Opt(
+        "--mode", "mode", choices=(top.ZARISKI, top.FLAT), required=True,
+    ), _RING)),
+    "image": _Command(_cmd_image, "Im pi* for a canonical product map", (), (
+        _Opt("--kind", "kind", choices=(products.QUOTIENT, products.LOCAL), required=True),
+        _RING, _SET,
+        _Opt("--oracle", "oracle", _SWITCH, default=False, help="cross-check with tame enumeration"),
+    )),
+    "construct": _Command(_cmd_construct, "build and verify a named ring", (
+        _Opt("what", "what", choices=("supplement",), required=True),
+    ), (
+        _Opt("--n", "n", _INT, required=True, help="the number of axes"),
+        _Opt("--field", "field", default="F2", help="Q or F<p> (default F2)"),
+        _Opt("--report", "report", help="write the JSON report to this file"),
+        _Opt("--no-oracle", "no_oracle", _SWITCH, default=False, help="skip the 2^n cover oracle"),
+    )),
+    "lyover": _Command(_cmd_lyover, "find a prime lying over a minimal prime", (), (
+        _Opt("--map", "map", required=True), _Opt("--prime", "prime", required=True),
+    )),
+    "verify": _Command(_cmd_verify, "run a named verification suite", (
+        _Opt("suite", "suite", choices=(*sorted(suites.SUITES), "all"), required=True),
+    ), (
+        _Opt("--seed", "seed", _INT, default=0),
+        _Opt("--cases", "cases", _INT),
+        _Opt("--max-n", "max_n", _INT),
+    )),
+}
+_HELP = _Opt("--help", "help", _SWITCH, help="show this help message and exit")
+_UNKNOWN = _Opt("", "")
+_COMMAND = _Opt("command", "command", choices=tuple(COMMANDS), required=True)
+_FLAGS = {None: {"-h": _HELP, "--help": _HELP}} | {  # the flags of each command
+    name: {o.flag: o for o in (*cmd.options, *_COMMON, _HELP)} | {"-h": _HELP}
+    for name, cmd in COMMANDS.items()
+}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a negative number is an argument
+
+
+def _term(o: _Opt) -> str:
+    shown = "{" + ",".join(o.choices) + "}" if o.choices else o.dest.upper()
+    return o.flag if o.kind == _SWITCH else shown if o.flag == o.dest else f"{o.flag} {shown}"
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return f"usage: spectop [-h] {_term(_COMMAND)} ..."
+    terms = (_term(o) if o.required else f"[{_term(o)}]" for o in COMMANDS[name].every)
+    return f"usage: spectop {name} [-h] " + " ".join(terms)
+
+
+def _help(name: str | None) -> str:
+    if name is None:
+        about = "exact closures and spectral images over concrete commutative rings"
+        rows = [(command, cmd.help) for command, cmd in COMMANDS.items()]
+    else:
+        about, rows = COMMANDS[name].help, [(_term(o), o.help) for o in COMMANDS[name].every]
+    rows.append(("-h, --help", _HELP.help))
+    width = max(len(term) for term, _ in rows)
+    lines = (f"  {term.ljust(width)}  {text}".rstrip() for term, text in rows)
+    return "\n".join([_usage(name), "", about, "", *lines])
+
+
+def _usage_error(name: str | None, message: str) -> NoReturn:
+    print(_usage(name), file=sys.stderr)
+    print(f"spectop{' ' + name if name else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _value(o: _Opt, text: str, name: str | None):
+    """The value text gives o; a bad int or choice is a usage error."""
+    try:
+        value = int(text) if o.kind == _INT else text
+    except ValueError:
+        _usage_error(name, f"argument {o.flag}: invalid int value: {text!r}")
+    if o.choices and value not in o.choices:
+        choices = ", ".join(map(repr, o.choices))
+        _usage_error(name, f"argument {o.flag}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _lookup(tok: str, flags: dict, name: str | None) -> tuple[_Opt, str | None] | None:
+    """The option tok names and its "=value" (None if it has none),
+    _UNKNOWN for an option no flag names, or None for an argument."""
+    o = flags.get(tok)
+    if o is not None:
+        return o, None
+    if tok[:1] != "-" or tok == "-":
+        return None
+    head, eq, value = tok.partition("=")
+    o = flags.get(head)
+    if o is None and tok.startswith("--"):  # a unique prefix of a flag
+        hits = [flag for flag in flags if flag.startswith(head)]
+        if len(hits) > 1:
+            _usage_error(name, f"ambiguous option: {head} could match {', '.join(hits)}")
+        o = flags[hits[0]] if hits else None
+    elif o is None:  # "-hx" is -h given "x"
+        o, eq, value = flags.get(tok[:2]), True, tok[2:]
+    if o is not None:
+        return o, value if eq else None
+    return None if _NEGATIVE.match(tok) or " " in tok else (_UNKNOWN, None)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The handler and the attributes it reads, from argv in one pass by
+    the rules in the module docstring."""
+    name, flags, waiting = None, _FLAGS[None], [_COMMAND]
+    given, extras, only_args, filled, i = {}, [], False, 0, 0
+    while i < len(argv):
+        tok, i = argv[i], i + 1
+        if tok == "--" and name and not only_args:  # the rest are arguments
+            only_args = True
+            if not waiting and filled != i - 1:  # kept only next to a positional
+                extras.append(tok)
+            continue
+        hit = None if only_args or tok == "--" else _lookup(tok, flags, name)
+        if hit is None:  # an argument: the next positional, or an extra
+            if not waiting:
+                extras.append(tok)
+                continue
+            o, filled = waiting.pop(0), i
+            value = _value(o, tok, name)
+            if o is _COMMAND:
+                name, flags, waiting = value, _FLAGS[value], list(COMMANDS[value].positionals)
+            else:
+                given[o.dest] = value
+            continue
+        o, value = hit
+        if o is _UNKNOWN:
+            extras.append(tok)
+        elif o.kind != _SWITCH:
+            if value is None:
+                value = argv[i] if i < len(argv) else "--"
+                if value[:1] == "-" and (value == "--" or _lookup(value, flags, name)):
+                    _usage_error(name, f"argument {o.flag}: expected one argument")
+                i += 1
+            given[o.dest] = _value(o, value, name)
+        elif value is not None:
+            _usage_error(name, f"argument {o.flag}: ignored explicit argument {value!r}")
+        elif o is _HELP:
+            for later in argv[i:]:  # an ambiguous option after it is refused first
+                if later == "--":
+                    break
+                _lookup(later, flags, name)
+            print(_help(name))
+            raise SystemExit(0)
+        else:
+            given[o.dest] = o.const
+    if name is None:
+        _usage_error(None, "the following arguments are required: command")
+    cmd = COMMANDS[name]
+    missing = [o.flag for o in cmd.every if o.required and o.dest not in given]
+    if missing:
+        _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(
+        command=name, fn=cmd.fn, **{o.dest: given.get(o.dest, o.default) for o in cmd.every}
     )
-    common.add_argument(
-        "--traceback", action="store_true", help="print the traceback of an internal error"
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="spectop",
-        description="exact closures and spectral images over concrete commutative rings",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spec", parents=[common], help="enumerate or describe a spectrum")
-    p.add_argument("--ring", required=True)
-    p.set_defaults(fn=_cmd_spec)
-
-    p = sub.add_parser("closure", parents=[common], help="closure of a subset")
-    p.add_argument("--topology", choices=top.TOPOLOGIES, required=True)
-    p.add_argument("--ring", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(fn=_cmd_closure)
-
-    p = sub.add_parser("dense", parents=[common], help="density of a subset")
-    p.add_argument("--topology", choices=top.TOPOLOGIES, required=True)
-    p.add_argument("--ring", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(fn=_cmd_dense)
-
-    p = sub.add_parser("stable", parents=[common], help="stability of a subset")
-    p.add_argument(
-        "--mode", choices=(top.SPECIALIZATION, top.GENERALIZATION), required=True
-    )
-    p.add_argument("--ring", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(fn=_cmd_stable)
-
-    p = sub.add_parser("criterion", parents=[common], help="every-infinite-subset-dense test")
-    p.add_argument("--mode", choices=(top.ZARISKI, top.FLAT), required=True)
-    p.add_argument("--ring", required=True)
-    p.set_defaults(fn=_cmd_criterion)
-
-    p = sub.add_parser("image", parents=[common], help="Im pi* for a canonical product map")
-    p.add_argument("--kind", choices=(products.QUOTIENT, products.LOCAL), required=True)
-    p.add_argument("--ring", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--oracle", action="store_true", help="cross-check with tame enumeration")
-    p.set_defaults(fn=_cmd_image)
-
-    p = sub.add_parser("construct", parents=[common], help="build and verify a named ring")
-    p.add_argument("what", choices=("supplement",))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", default="F2", help="Q or F<p> (default F2)")
-    p.add_argument("--report", help="write the JSON report to this file")
-    p.add_argument("--no-oracle", action="store_true", help="skip the 2^n cover oracle")
-    p.set_defaults(fn=_cmd_construct)
-
-    p = sub.add_parser("lyover", parents=[common], help="find a prime lying over a minimal prime")
-    p.add_argument("--map", required=True)
-    p.add_argument("--prime", required=True)
-    p.set_defaults(fn=_cmd_lyover)
-
-    p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.set_defaults(fn=_cmd_verify)
-
-    return parser
 
 
 def run_command(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # so that a closed output is seen here

@@ -37,6 +37,7 @@ from . import rings
 from . import spectrum as sp
 from . import topology as top
 from .errors import (
+    BadArityError,
     KindMismatchError,
     LyingOverNotFoundError,
     NonEnumerableError,
@@ -213,6 +214,8 @@ class DiagonalIntoModProduct(RingMapSpec):
     limit: int | None = field(default=DEFAULT_LIMIT, compare=False)  # zmod's bound on n
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or self.n < 2:  # as rings.zmod, without factoring n
+            raise BadArityError("ModRing needs n >= 2")
         if any(d < 1 or self.n % d != 0 for d in self.divisors):
             raise KindMismatchError("divisors must be positive and divide n")
 

@@ -459,13 +459,19 @@ def _axioms_hold(E: SpecSubset) -> tuple[bool, str]:
 
 def _enlarge(E: SpecSubset) -> SpecSubset:
     """What the monotonicity check adds to E: everything for a cofinite
-    set, the ring's first point over an enumerable ring, else nothing."""
+    set, the ring's first point over an enumerable ring, and over a symbolic
+    ring a point outside the finite E: the limit when E lacks it, else a
+    family point.  The family point comes from a Random of its own, so the
+    suite's draws do not depend on it."""
     R = E.ring
     if E.cofinite:
         return sp.whole(R)
     if not R.symbolic:
         return sp.explicit(R, sp.spec_points(R)[:1])
-    return sp.empty_set(R)
+    p, pick = R.limit, Random(0)
+    while sp.subset_member(p, E):
+        p = sp.sample_points(R, pick, 1)[0]
+    return sp.explicit(R, [p])
 
 
 def suite_oracle_agreement(seed: int = 0) -> SuiteResult:

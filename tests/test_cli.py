@@ -1,13 +1,26 @@
+import argparse
+import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectop.cli import run_command
+from conftest import PROPERTY
+from spectop import cli, primes, products, suites
+from spectop import topology as top
+from spectop.cli import (
+    _cmd_closure, _cmd_construct, _cmd_criterion, _cmd_dense, _cmd_image, _cmd_lyover,
+    _cmd_spec, _cmd_stable, _cmd_verify, run_command,
+)
 
 Z = '{"kind":"Z"}'
 AXES = '{"kind":"SymbolicSupplement","field":{"kind":"Fp","p":2}}'
@@ -525,3 +538,291 @@ def test_failing_suite_case_carries_repro():
     assert res.cases[0].repro == "spectop verify demo --seed 7"
     doc = res.to_json()
     assert doc["cases"][0]["repro"] == "spectop verify demo --seed 7"
+
+
+# The argparse parser the command table replaced, kept as the reference:
+# the table's parser must accept what it accepted, with the same
+# attributes, and refuse what it refused, with exit 2.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The spectop argument parser, built on first use and shared by every call."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
+    common.add_argument(  # args.limit is the bound handed to the decoders
+        "--allow-big", action="store_const", const=None, default=primes.DEFAULT_LIMIT,
+        dest="limit", help="lift the 64-bit factorization bound (arbitrary precision)",
+    )
+    common.add_argument(
+        "--traceback", action="store_true", help="print the traceback of an internal error"
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="spectop",
+        description="exact closures and spectral images over concrete commutative rings",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("spec", parents=[common], help="enumerate or describe a spectrum")
+    p.add_argument("--ring", required=True)
+    p.set_defaults(fn=_cmd_spec)
+
+    p = sub.add_parser("closure", parents=[common], help="closure of a subset")
+    p.add_argument("--topology", choices=top.TOPOLOGIES, required=True)
+    p.add_argument("--ring", required=True)
+    p.add_argument("--set", required=True)
+    p.set_defaults(fn=_cmd_closure)
+
+    p = sub.add_parser("dense", parents=[common], help="density of a subset")
+    p.add_argument("--topology", choices=top.TOPOLOGIES, required=True)
+    p.add_argument("--ring", required=True)
+    p.add_argument("--set", required=True)
+    p.set_defaults(fn=_cmd_dense)
+
+    p = sub.add_parser("stable", parents=[common], help="stability of a subset")
+    p.add_argument(
+        "--mode", choices=(top.SPECIALIZATION, top.GENERALIZATION), required=True
+    )
+    p.add_argument("--ring", required=True)
+    p.add_argument("--set", required=True)
+    p.set_defaults(fn=_cmd_stable)
+
+    p = sub.add_parser("criterion", parents=[common], help="every-infinite-subset-dense test")
+    p.add_argument("--mode", choices=(top.ZARISKI, top.FLAT), required=True)
+    p.add_argument("--ring", required=True)
+    p.set_defaults(fn=_cmd_criterion)
+
+    p = sub.add_parser("image", parents=[common], help="Im pi* for a canonical product map")
+    p.add_argument("--kind", choices=(products.QUOTIENT, products.LOCAL), required=True)
+    p.add_argument("--ring", required=True)
+    p.add_argument("--set", required=True)
+    p.add_argument("--oracle", action="store_true", help="cross-check with tame enumeration")
+    p.set_defaults(fn=_cmd_image)
+
+    p = sub.add_parser("construct", parents=[common], help="build and verify a named ring")
+    p.add_argument("what", choices=("supplement",))
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--field", default="F2", help="Q or F<p> (default F2)")
+    p.add_argument("--report", help="write the JSON report to this file")
+    p.add_argument("--no-oracle", action="store_true", help="skip the 2^n cover oracle")
+    p.set_defaults(fn=_cmd_construct)
+
+    p = sub.add_parser("lyover", parents=[common], help="find a prime lying over a minimal prime")
+    p.add_argument("--map", required=True)
+    p.add_argument("--prime", required=True)
+    p.set_defaults(fn=_cmd_lyover)
+
+    p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
+    p.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cases", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p.set_defaults(fn=_cmd_verify)
+
+    return parser
+
+
+MAP = '{"type":"diagonalIntoModProduct","n":6,"divisors":[2,3]}'
+PRIME = '{"type":"zmodPrime","p":2}'
+COMMON = ["--json", "--allow-big", "--traceback"]
+# Each command with every option: the command and its positionals, then
+# one group per option.
+FULL = [
+    (["spec"], [["--ring", Z]]),
+    (["closure"], [["--topology", "flat"], ["--ring", Z], ["--set", FIVE]]),
+    (["dense"], [["--topology", "patch"], ["--ring", Z], ["--set", FIVE]]),
+    (["stable"], [["--mode", "generalization"], ["--ring", Z], ["--set", FIVE]]),
+    (["criterion"], [["--mode", "zariski"], ["--ring", Z]]),
+    (["image"], [["--kind", "local"], ["--ring", Z], ["--set", FIVE], ["--oracle"]]),
+    (["construct", "supplement"],
+     [["--n", "3"], ["--field", "F3"], ["--report", "r.json"], ["--no-oracle"]]),
+    (["lyover"], [["--map", MAP], ["--prime", PRIME]]),
+    (["verify", "pz"], [["--seed", "3"], ["--cases", "4"], ["--max-n", "5"]]),
+]
+
+
+def _accepted_corpus():
+    rng = Random(0)
+    corpus = []
+    for head, groups in FULL:
+        groups = groups + [[flag] for flag in COMMON]
+        corpus.append(head + [tok for g in groups for tok in g])
+        shuffled = rng.sample(groups, len(groups))
+        corpus.append(head + [tok for g in shuffled for tok in g])
+        corpus.append(head + [tok for g in reversed(groups) for tok in g])
+        corpus.append(head + ["=".join(g) for g in groups])  # --opt=value
+        # Positionals after the options.
+        corpus.append([head[0]] + [tok for g in groups for tok in g] + head[1:])
+        # Repeated options: the last one wins.
+        corpus.append(head + [tok for g in groups + groups[::-1] for tok in g])
+    corpus += [
+        ["spec", "--ring", Z],
+        ["construct", "supplement", "--n", "3"],
+        ["verify", "all"],
+        ["construct", "--n", "2", "supplement", "--field", "Q"],
+        ["verify", "--seed", "2", "lying-over", "--cases", "1"],
+        ["closure", "--top", "zariski", "--ri", Z, "--se", FIVE],  # unique prefixes
+        ["closure", "--topology=flat", "--r", Z, "--s", FIVE, "--j", "--a", "--tr"],
+        ["construct", "supplement", "--no", "--n", "2", "--f", "F5", "--rep", "out.json"],
+        ["verify", "pz", "--s", "1", "--c", "2", "--m", "3", "--max", "4"],
+        ["closure", "--topology", "zariski", "--topology", "patch", "--ring", Z, "--set", FIVE],
+        ["verify", "pz", "--seed", "1", "--seed", "-2", "--seed=7"],
+        ["verify", "pz", "--seed", " 7", "--cases", "1_000", "--max-n", "+3"],
+        ["construct", "supplement", "--n", "-4", "--field", "-3"],
+        ["spec", "--ring", '{"kind": "Z"}'],
+        ["spec", '--ring={"kind": "Z"}'],
+        ["spec", "--ring="],
+        ["spec", "--ring", "-"],
+        ["spec", "--ring", "-1.5"],
+        ["spec", "--ring", "-x y"],
+        ["verify", "--", "pz"],
+        ["verify", "pz", "--"],
+        ["verify", "--seed", "1", "--", "all"],
+        ["spec", "--json", "--json", "--ring", Z, "--allow-big", "--allow-big"],
+    ]
+    return corpus
+
+
+REFUSED = [
+    [],
+    ["bogus"],
+    ["--json", "spec", "--ring", Z],
+    ["-x", "spec", "--ring", Z],
+    ["spec", "--ring", Z, "--bogus"],
+    ["spec", "--bogus", "x", "--ring", Z],
+    ["spec", "--bogus=x", "--ring", Z],
+    ["spec", "-j", "--ring", Z],
+    ["closure", "--ring", Z, "--set", FIVE],  # missing required option
+    ["construct", "--n", "3"],
+    ["construct"],
+    ["verify"],
+    ["verify", "--seed", "1"],
+    ["spec", "--ring"],  # missing value
+    ["spec", "--ring", "--json"],
+    ["spec", "--ring", "-x"],
+    ["spec", "--ring", "--"],
+    ["verify", "pz", "--seed"],
+    ["closure", "--topology", "euclidean", "--ring", Z, "--set", FIVE],  # bad choice
+    ["stable", "--mode", "zariski", "--ring", Z, "--set", FIVE],
+    ["criterion", "--mode", "patch", "--ring", Z],
+    ["image", "--kind", "global", "--ring", Z, "--set", FIVE],
+    ["construct", "other", "--n", "3"],
+    ["verify", "nope"],
+    ["verify", "-1"],
+    ["verify", "--", "--seed"],
+    ["construct", "supplement", "--n", "x"],  # not an int
+    ["construct", "supplement", "--n", "3.0"],
+    ["verify", "pz", "--seed", "1.5"],
+    ["verify", "pz", "--cases", "ten"],
+    ["verify", "pz", "--max-n", ""],
+    ["verify", "pz", "--seed="],
+    ["verify", "pz", "extra"],  # extra positional
+    ["spec", "--ring", Z, "extra"],
+    ["construct", "supplement", "supplement", "--n", "3"],
+    ["verify", "pz", "--", "--seed", "1"],
+    ["closure", "--t", "flat", "--ring", Z, "--set", FIVE],  # ambiguous prefix
+    ["verify", "pz", "--", "all"],
+    ["verify", "pz", "--seed", "0", "--"],  # a "--" not next to a positional
+    ["spec", "--ring", Z, "--"],
+    ["--", "verify", "pz"],
+    ["spec", "--ring", "--json=x y"],
+    ["spec", "--json=1", "--ring", Z],
+    ["spec", "--allow-big=", "--ring", Z],
+    ["spec", "--=x", "--ring", Z],
+    ["spec", "--ring", Z, "--traceback=yes"],
+]
+
+HELP = [
+    ["-h"], ["--help"], ["--he"], ["spec", "-h"], ["verify", "--help"], ["construct", "--h"],
+    ["closure", "--bogus", "-h"], ["-x", "spec", "--help"], ["verify", "pz", "extra", "-h"],
+]
+
+
+def _outcome(parse, argv):
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _disagreements(capsys, corpus):
+    found = []
+    for argv in corpus:
+        new, old = _outcome(cli.parse_args, argv), _outcome(build_parser().parse_args, argv)
+        if new != old or isinstance(new, dict) and new["fn"] is not old["fn"]:
+            found.append((argv, new, old))
+    capsys.readouterr()
+    return found
+
+
+def test_table_parser_accepts_what_argparse_accepted(capsys):
+    corpus = _accepted_corpus()
+    assert _disagreements(capsys, corpus) == []
+    assert all(isinstance(_outcome(cli.parse_args, argv), dict) for argv in corpus)
+    capsys.readouterr()
+
+
+def test_table_parser_refuses_what_argparse_refused(capsys):
+    assert _disagreements(capsys, REFUSED) == []
+    for argv in REFUSED:
+        assert _outcome(cli.parse_args, argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: spectop") and ": error: " in err[1]
+
+
+def test_help_exits_0_where_argparse_did(capsys):
+    assert _disagreements(capsys, HELP) == []
+    assert {_outcome(cli.parse_args, argv) for argv in HELP} == {0}
+    capsys.readouterr()
+
+
+# Tokens that reach every branch of both parsers: commands, positionals,
+# flags and their prefixes, "=" forms, values that look like options or
+# like negative numbers, "--" and help.
+TOKENS = [
+    "spec", "closure", "stable", "criterion", "image", "construct", "lyover", "verify",
+    "supplement", "pz", "all", "flat", "zariski", "local", "generalization", "F3", "3", "x",
+    Z, "{}", "a b", "-", "-1", "-2.5", "-x", "-j", "-h", "-hx", "-h=x", "--", "--=",
+    "--help", "--he", "--help=", "--ring", "--r", "--ring=x", "--set", "--s", "--se", "--seed",
+    "--seed=3", "--topology", "--top", "--t", "--tr", "--mode=flat", "--kind=local", "--n",
+    "--n=1", "--no", "--no-oracle=", "--field", "--f", "--report", "--map", "--ma", "--prime",
+    "--p", "--cases", "--c", "--cases=x", "--max-n", "--m", "--json", "--j", "--json=1",
+    "--allow-big", "--a", "--traceback", "--oracle", "--bogus",
+]
+
+
+@settings(PROPERTY, max_examples=600)
+@given(st.lists(st.sampled_from(TOKENS), max_size=9))
+def test_table_parser_agrees_with_argparse_on_any_argv(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        new, old = _outcome(cli.parse_args, argv), _outcome(build_parser().parse_args, argv)
+    assert new == old
+    assert not isinstance(new, dict) or new["fn"] is old["fn"]
+
+
+def test_help_names_every_command(capsys):
+    assert _outcome(cli.parse_args, ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: spectop")
+    assert all(name in out for name in ("spec", "closure", "dense", "stable", "criterion",
+                                        "image", "construct", "lyover", "verify"))
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_names_every_option_and_choice(capsys, command):
+    assert _outcome(cli.parse_args, [command, "--help"]) == 0
+    out = capsys.readouterr().out
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    for action in parser._actions:
+        assert all(flag in out for flag in action.option_strings)
+        assert all(choice in out for choice in action.choices or ())
+
+
+def test_python_dash_m_spectop_help():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectop", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: spectop") and "lyover" in proc.stdout

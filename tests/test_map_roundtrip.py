@@ -62,8 +62,8 @@ def ring_maps(draw):
         maps.DiagonalIntoModProduct,
     ]))
     if kind is maps.DiagonalIntoModProduct:
-        # A diagonal map is built only with divisors of n.
-        n = draw(st.integers(1, 10**6))
+        # A diagonal map is built only with n >= 2 and divisors of n.
+        n = draw(st.integers(2, 10**6))
         divisors = draw(st.lists(st.integers(1, 10**6).map(lambda k: math.gcd(n, k)), max_size=5))
         return kind(n, tuple(divisors))
     R = draw(st.sampled_from(RINGS))

@@ -10,6 +10,7 @@ from spectop.primes import factorint
 from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.errors import (
+    BadArityError,
     FactorizationLimitError,
     KindMismatchError,
     LyingOverNotFoundError,
@@ -260,6 +261,16 @@ def test_diagonal_checks_divisors_in_every_rule():
             maps.DiagonalIntoModProduct(6, divisors)
         with pytest.raises(KindMismatchError, match="positive and divide n"):
             maps.DiagonalIntoModProduct(6, divisors, limit=None)
+
+
+def test_diagonal_refuses_n_below_two_when_built():
+    # Z/1 and Z/0 are no rings of the engine: the map is refused before any
+    # rule (is_injective reads no source) can answer on it.
+    for n, divisors in ((1, (1,)), (0, (5,)), (0, ()), (-6, (2, 3)), (True, (1,))):
+        with pytest.raises(BadArityError, match=r"^ModRing needs n >= 2$"):
+            maps.DiagonalIntoModProduct(n, divisors)
+    with pytest.raises(BadArityError):  # n is checked before the divisors
+        maps.DiagonalIntoModProduct(0, (0,))
 
 
 def test_diagonal_source_takes_the_bound_as_a_value():

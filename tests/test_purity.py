@@ -2,7 +2,10 @@
 or enclosing name, so every result depends only on the arguments."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectop"
@@ -170,3 +173,14 @@ def test_the_polynomial_kernel_factors_no_integers():
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
     assert not {m for m in modules if m and m.split(".")[-1] == "primes"}
+
+
+def test_the_cli_imports_no_argparse():
+    # Every one-off query pays the CLI's imports; argparse (with gettext)
+    # costs a few ms of each start-up, which the command table avoids.
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spectop.cli; print('argparse' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr

@@ -43,6 +43,14 @@ def shrink_when_bigger(E):
     return REAL_FLAT(E)
 
 
+def whole_for_one_symbolic_point(E):
+    """Not monotone on a symbolic spectrum only: one point closes to the
+    whole spectrum, two points to their true closure."""
+    if E.ring.symbolic and not E.cofinite and len(sp.subset_points(E)) == 1:
+        return sp.whole(E.ring)
+    return REAL_ZARISKI(E)
+
+
 def zariski_without_patch(E):
     """The up closure of E itself, not of its patch closure, so the limit
     point Γ adds can lie outside it."""
@@ -121,3 +129,21 @@ def test_closure_axioms_draws_the_recorded_symbolic_subsets(monkeypatch, seed):
     lines = [f"{E.ring}: {sp.subset_str(E)}" for E in drawn if E.ring.symbolic]
     assert len(lines) == 498
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == SYMBOLIC_DRAWS[seed]
+
+
+def test_closure_axioms_monotonicity_bites_on_finite_symbolic_draws(monkeypatch):
+    monkeypatch.setattr(top, "zariski_closure", whole_for_one_symbolic_point)
+    res = suites.suite_closure_axioms(seed=0)
+    failed = [(c.id, c.input) for c in res.cases if not c.passed and c.id.startswith("sym-")]
+    assert any(m.startswith("zariski not monotone on ") for _, m in failed), failed[:5]
+
+
+@pytest.mark.parametrize("seed", sorted(SYMBOLIC_DRAWS))
+def test_only_the_whole_spectrum_gets_no_larger_companion(monkeypatch, seed):
+    drawn = []
+    monkeypatch.setattr(suites, "_axioms_hold", lambda E: drawn.append(E) or (True, ""))
+    suites.suite_closure_axioms(seed=seed)
+    symbolic = [E for E in drawn if E.ring.symbolic]
+    same = [E for E in symbolic if sp.subset_union(E, suites._enlarge(E)) == E]
+    assert all(E == sp.whole(E.ring) for E in same)
+    assert len(same) < len(symbolic) / 4
