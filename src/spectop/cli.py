@@ -155,8 +155,6 @@ def _cmd_image(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.what != "supplement":
-        raise SpectopError(f"unknown construction {args.what!r}")
     field = _field_from_name(args.field)
     rep = construction.supplement_report(field, args.n, check=not args.no_oracle)
     doc = jsonio.supplement_report_to_json(rep)

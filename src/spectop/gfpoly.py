@@ -1,7 +1,10 @@
 """Dense univariate polynomial arithmetic over GF(p).
 
 A polynomial is a tuple of coefficients in [0, p), ascending degree, with
-no trailing zeros; () is the zero polynomial.  Irreducibility is Ben-Or's
+no trailing zeros; () is the zero polynomial.  A product sums its terms
+and reduces mod p once per coefficient, and a remainder (mod) builds no
+quotient and reduces each coefficient once, when it is the top one; both
+accept unreduced and negative coefficients.  Irreducibility is Ben-Or's
 test (FOCS 1981): f is irreducible when gcd(x^(p^i) - x, f) = 1 for every
 i <= deg(f)/2.  Factorization is distinct-degree splitting over the same
 powers x^(p^i), then Cantor-Zassenhaus equal-degree splitting with a
@@ -61,7 +64,7 @@ def mul(f: Poly, g: Poly, p: int) -> Poly:
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
+                out[i + j] += a * b
     return trim(out, p)
 
 
@@ -69,11 +72,15 @@ def scale(f: Poly, c: int, p: int) -> Poly:
     return trim([a * c for a in f], p)
 
 
-def divmod_(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
+def _check_divisor(g: Poly, p: int) -> None:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if g[-1] % p == 0:
         raise ValueError(f"divisor {g} has a zero leading coefficient mod {p}")
+
+
+def divmod_(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
+    _check_divisor(g, p)
     rem = list(f)
     q = [0] * max(len(f) - len(g) + 1, 0)
     inv_lead = pow(g[-1], p - 2, p)
@@ -91,7 +98,24 @@ def divmod_(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
 
 
 def mod(f: Poly, g: Poly, p: int) -> Poly:
-    return divmod_(f, g, p)[1]
+    """The remainder of divmod_, with no quotient.
+
+    Mod g, x^k = tail(x) with tail = -(g - lead x^k) / lead and k = deg(g).
+    Each top coefficient c is reduced mod p once, when it is reached, and
+    c x^j tail(x) replaces c x^(j+k); the sums below it stay unreduced.
+    """
+    _check_divisor(g, p)
+    k = len(g) - 1
+    c = -pow(g[-1], p - 2, p)
+    tail = [b * c % p for b in g[:-1]]
+    rem = list(f)
+    for top in range(len(rem) - 1, k - 1, -1):
+        c = rem[top] % p
+        if c:
+            shift = top - k
+            for i, b in enumerate(tail):
+                rem[shift + i] += c * b
+    return trim(rem[:k], p)
 
 
 def divides(g: Poly, f: Poly, p: int) -> bool:

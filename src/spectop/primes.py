@@ -7,10 +7,12 @@ Lenstra's elliptic curve method (H. W. Lenstra, Ann. Math. 126, 1987) on
 Montgomery's x-only curves with the baby-step/giant-step stage 2
 (P. L. Montgomery, Math. Comp. 48, 1987), whose bound B1 grows by a tenth
 with each curve; and, when every curve fails, Brent's rho with no work
-budget.  Every factor is a gcd with n, and Miller-Rabin, with as many
-bases as the size of n needs, decides which parts are prime.  Inputs above
-64 bits are refused unless the caller passes limit=None.  Everything is
-deterministic.
+budget.  Each curve's ladder and stage 2 are written out in one function,
+with x +- z computed once per step and shared by the addition and the
+doubling, since nearly all of a 64-bit factorization is spent there.
+Every factor is a gcd with n, and Miller-Rabin, with as many bases as the
+size of n needs, decides which parts are prime.  Inputs above 64 bits are
+refused unless the caller passes limit=None.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -175,20 +177,12 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
 
     Suyama's curve for sigma in Montgomery's form B y^2 = x^3 + A x^2 + x,
     in (X:Z) coordinates (P. L. Montgomery, Math. Comp. 48, 1987).  One
-    gcd on the start data, one after stage 1 and one after stage 2.
+    gcd on the start data, one after stage 1 and one after stage 2.  The
+    additions and doublings are written out in place: x(P + Q) from x(P),
+    x(Q) and x(P - Q) is (Z(P-Q) (u + v)^2 : X(P-Q) (u - v)^2) with
+    u = (X_P - Z_P)(X_Q + Z_Q) and v = (X_P + Z_P)(X_Q - Z_Q), and x(2P)
+    is (s d : t (d + a24 t)) with s = (X + Z)^2, d = (X - Z)^2, t = s - d.
     """
-
-    def add(xp, zp, xq, zq, xd, zd):
-        # x(P + Q) from x(P), x(Q) and x(P - Q).
-        u = (xp - zp) * (xq + zq)
-        v = (xp + zp) * (xq - zq)
-        return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
-
-    def dbl(x, z):
-        s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
-        t = s - d
-        return s * d % n, t * (d + a24 * t) % n
-
     bits, stage2 = _ecm_tables(b1)
     u, v = sigma * sigma - 5, 4 * sigma
     den = 16 * u**3 * v**3
@@ -199,36 +193,74 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     inv = pow(den, -1, n)
     x = 16 * u**6 * inv % n
     a24 = (v - u) ** 3 * (3 * u + v) * v * v * inv % n
-    # Montgomery ladder on k: (x0:z0) = jP and (x1:z1) = (j+1)P.
-    x0, z0, x1, z1 = x, 1, *dbl(x, 1)
+    # Montgomery ladder on k: (x0:z0) = jP and (x1:z1) = (j+1)P.  Each step
+    # adds the two points, whose difference is P = (x:1), and doubles one.
+    s, d = (x + 1) ** 2 % n, (x - 1) ** 2 % n
+    t = s - d
+    x0, z0, x1, z1 = x, 1, s * d % n, t * (d + a24 * t) % n
     for bit in bits:
+        p0 = x0 + z0
+        m0 = x0 - z0
+        p1 = x1 + z1
+        m1 = x1 - z1
+        u = m1 * p0
+        v = p1 * m0
+        w = u + v
+        y = u - v
         if bit == "1":
-            x0, z0 = add(x1, z1, x0, z0, x, 1)
-            x1, z1 = dbl(x1, z1)
+            s = p1 * p1 % n
+            d = m1 * m1 % n
+            t = s - d
+            x0 = w * w % n
+            z0 = x * (y * y) % n
+            x1 = s * d % n
+            z1 = t * (d + a24 * t) % n
         else:
-            x1, z1 = add(x1, z1, x0, z0, x, 1)
-            x0, z0 = dbl(x0, z0)
+            s = p0 * p0 % n
+            d = m0 * m0 % n
+            t = s - d
+            x1 = w * w % n
+            z1 = x * (y * y) % n
+            x0 = s * d % n
+            z0 = t * (d + a24 * t) % n
     g = math.gcd(z0, n)
     if g != 1:
         return g
-    # Baby steps x(jQ) for odd j <= D/2, giant steps x(mDQ), DQ = 2(D/2)Q.
-    x2, z2 = dbl(x0, z0)
-    baby = {1: (x0, z0), 3: add(x2, z2, x0, z0, x0, z0)}
-    for j in range(5, _ECM_D // 2 + 1, 2):
-        baby[j] = add(*baby[j - 2], x2, z2, *baby[j - 4])
-    gx, gz = dbl(*baby[_ECM_D // 2])
-    # mDQ, and (m+1)DQ from m = 1 on.  0DQ is the point at infinity (1:0),
-    # so a prime j below D/2 gives the factor Z(jQ).
+    # Baby steps bx[j], bz[j] = x(jQ) for odd j <= D/2: 2Q, 3Q = 2Q + Q,
+    # and jQ = (j-2)Q + 2Q from the difference (j-4)Q.
+    h = _ECM_D // 2
+    bx, bz = [0] * (h + 1), [0] * (h + 1)
+    p0, m0 = x0 + z0, x0 - z0
+    s, d = p0 * p0 % n, m0 * m0 % n
+    t = s - d
+    x2, z2 = s * d % n, t * (d + a24 * t) % n
+    p2, m2 = x2 + z2, x2 - z2
+    u, v = m2 * p0, p2 * m0
+    bx[1], bz[1] = x0, z0
+    bx[3], bz[3] = z0 * (u + v) ** 2 % n, x0 * (u - v) ** 2 % n
+    for j in range(5, h + 1, 2):
+        xp, zp = bx[j - 2], bz[j - 2]
+        u, v = (xp - zp) * p2, (xp + zp) * m2
+        bx[j], bz[j] = bz[j - 4] * (u + v) ** 2 % n, bx[j - 4] * (u - v) ** 2 % n
+    # Giant steps x(mDQ), DQ = 2(D/2)Q, and (m+1)DQ from m = 1 on.  0DQ is
+    # the point at infinity (1:0), so a prime j below D/2 gives Z(jQ).
+    pg, mg = bx[h] + bz[h], bx[h] - bz[h]
+    s, d = pg * pg % n, mg * mg % n
+    t = s - d
+    gx, gz = s * d % n, t * (d + a24 * t) % n
+    pg, mg = gx + gz, gx - gz
     m, mx, mz, acc = 0, 1, 0, 1
     for m_next, js in stage2:
         if m == 0 < m_next:
-            m, mx, mz, nx, nz = 1, gx, gz, *dbl(gx, gz)
+            s, d = pg * pg % n, mg * mg % n
+            t = s - d
+            m, mx, mz, nx, nz = 1, gx, gz, s * d % n, t * (d + a24 * t) % n
         while m < m_next:
-            mx, mz, nx, nz = nx, nz, *add(nx, nz, gx, gz, mx, mz)
+            u, v = (nx - nz) * pg, (nx + nz) * mg
+            mx, mz, nx, nz = nx, nz, mz * (u + v) ** 2 % n, mx * (u - v) ** 2 % n
             m += 1
         for j in js:
-            xj, zj = baby[j]
-            acc = acc * (mx * zj - xj * mz) % n
+            acc = acc * (mx * bz[j] - bx[j] * mz) % n
     return math.gcd(acc, n)
 
 

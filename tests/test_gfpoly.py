@@ -42,8 +42,48 @@ def test_divmod_invariant(p):
 
 @pytest.mark.parametrize("g, p", [((1, 1, 0), 2), ((1, 4), 2), ((2, 3), 3), ((5,), 5)])
 def test_divmod_refuses_zero_leading_coefficient(g, p):
-    with pytest.raises(ValueError, match="zero leading coefficient"):
-        gf.divmod_((1, 0, 1, 1), g, p)
+    for div in (gf.divmod_, gf.mod):
+        with pytest.raises(ValueError, match="zero leading coefficient"):
+            div((1, 0, 1, 1), g, p)
+
+
+def ref_mul(f, g, p):
+    """Schoolbook product with a % p on every term."""
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return gf.trim(out, p)
+
+
+@st.composite
+def unreduced_pairs(draw):
+    """(f, g, p) with coefficients in (-3p, 3p): unreduced, negative, and
+    g non-monic, sometimes with a leading coefficient of 0 mod p."""
+    p = draw(st.sampled_from((2, 3, 13, 2**31 - 1, 2**61 - 1)))
+    coeff = st.integers(-3 * p + 1, 3 * p - 1)
+    f = tuple(draw(st.lists(coeff, max_size=2 * gf.DEGREE_CAP + 2)))
+    g = tuple(draw(st.lists(coeff, max_size=gf.DEGREE_CAP + 1)))
+    return f, g, p
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=400)
+@given(unreduced_pairs())
+def test_mod_and_mul_match_the_quotient_and_the_per_term_reference(case):
+    f, g, p = case
+    assert gf.mul(f, g, p) == ref_mul(f, g, p)
+    if not g:
+        for div in (gf.mod, gf.divmod_):
+            with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+                div(f, g, p)
+    elif g[-1] % p == 0:
+        for div in (gf.mod, gf.divmod_):
+            with pytest.raises(ValueError, match="zero leading coefficient"):
+                div(f, g, p)
+    else:
+        r = gf.mod(f, g, p)
+        assert r == gf.divmod_(f, g, p)[1]
+        assert all(0 <= c < p for c in r) and gf.deg(r) < gf.deg(gf.trim(g, p))
 
 
 def test_gcd_divides_both():

@@ -1,3 +1,4 @@
+import math
 from random import Random
 
 import pytest
@@ -246,6 +247,130 @@ def test_ecm_splits_balanced_64bit_semiprimes(monkeypatch):
         assert factorint(p * q) == ((p, 1), (q, 1))
     # The short rho gives up on every one of them within its budget.
     assert len(splits) == 12
+
+
+def ref_ecm_curve(n: int, sigma: int, b1: int) -> int:
+    """The closure-based _ecm_curve that the inlined one replaced, kept as
+    its oracle: every curve must return the same gcd."""
+
+    def add(xp, zp, xq, zq, xd, zd):
+        # x(P + Q) from x(P), x(Q) and x(P - Q).
+        u = (xp - zp) * (xq + zq)
+        v = (xp + zp) * (xq - zq)
+        return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+    def dbl(x, z):
+        s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+        t = s - d
+        return s * d % n, t * (d + a24 * t) % n
+
+    bits, stage2 = primes._ecm_tables(b1)
+    u, v = sigma * sigma - 5, 4 * sigma
+    den = 16 * u**3 * v**3
+    g = math.gcd(den, n)
+    if g != 1:
+        return g
+    # The start point (u^3 : v^3) scaled to Z = 1, and (A + 2) / 4.
+    inv = pow(den, -1, n)
+    x = 16 * u**6 * inv % n
+    a24 = (v - u) ** 3 * (3 * u + v) * v * v * inv % n
+    # Montgomery ladder on k: (x0:z0) = jP and (x1:z1) = (j+1)P.
+    x0, z0, x1, z1 = x, 1, *dbl(x, 1)
+    for bit in bits:
+        if bit == "1":
+            x0, z0 = add(x1, z1, x0, z0, x, 1)
+            x1, z1 = dbl(x1, z1)
+        else:
+            x1, z1 = add(x1, z1, x0, z0, x, 1)
+            x0, z0 = dbl(x0, z0)
+    g = math.gcd(z0, n)
+    if g != 1:
+        return g
+    # Baby steps x(jQ) for odd j <= D/2, giant steps x(mDQ), DQ = 2(D/2)Q.
+    x2, z2 = dbl(x0, z0)
+    baby = {1: (x0, z0), 3: add(x2, z2, x0, z0, x0, z0)}
+    for j in range(5, primes._ECM_D // 2 + 1, 2):
+        baby[j] = add(*baby[j - 2], x2, z2, *baby[j - 4])
+    gx, gz = dbl(*baby[primes._ECM_D // 2])
+    # mDQ, and (m+1)DQ from m = 1 on.  0DQ is the point at infinity (1:0),
+    # so a prime j below D/2 gives the factor Z(jQ).
+    m, mx, mz, acc = 0, 1, 0, 1
+    for m_next, js in stage2:
+        if m == 0 < m_next:
+            m, mx, mz, nx, nz = 1, gx, gz, *dbl(gx, gz)
+        while m < m_next:
+            mx, mz, nx, nz = nx, nz, *add(nx, nz, gx, gz, mx, mz)
+            m += 1
+        for j in js:
+            xj, zj = baby[j]
+            acc = acc * (mx * zj - xj * mz) % n
+    return math.gcd(acc, n)
+
+
+def test_ecm_curve_matches_the_closure_oracle_on_a_grid():
+    rng = Random(29)
+    moduli = [
+        _random_prime(rng, 2**10, 2**lo_bits) * _random_prime(rng, 2**10, 2**32)
+        for lo_bits in (12, 18, 24, 32)
+    ]
+    moduli += [_random_prime(rng, 2**10, 2**bits) ** 2 for bits in (16, 32)]
+    hits = 0
+    for n in moduli:
+        for sigma in range(6, 14):
+            for b1 in primes._ECM_B1S[:24]:
+                g = ref_ecm_curve(n, sigma, b1)
+                assert primes._ecm_curve(n, sigma, b1) == g, (n, sigma, b1)
+                hits += g != 1
+    # The grid reaches past the curves that all return 1.
+    assert hits
+
+
+def _stage_1_multiplier(b1):
+    return int("1" + primes._ecm_tables(b1)[0], 2)
+
+
+@pytest.mark.parametrize("n, sigma, b1, g, stage", [
+    # sigma = 6 has u = 31, so the start data already share 31 with n.
+    (31 * 2147483659, 6, 70, 31, 0),
+    # The group of the curve mod 70001 has order 2^6 * 3 * 367, all below B1.
+    (70001 * (2**61 - 1), 9, 389, 70001, 1),
+    # Mod 71011 the order is 173 times a divisor of the stage 1 multiplier.
+    (71011 * (2**61 - 1), 6, 70, 71011, 2),
+])
+def test_ecm_curve_matches_the_oracle_at_each_stage(n, sigma, b1, g, stage):
+    p = g
+    u, v = sigma * sigma - 5, 4 * sigma
+    assert (math.gcd(16 * u**3 * v**3, n) == p) == (stage == 0)
+    if stage:
+        order = suyama_group_order(p, sigma)
+        k = _stage_1_multiplier(b1)
+        assert (k % order == 0) == (stage == 1)
+        if stage == 2:
+            q = max(primes.prime_factors(order))
+            assert k % (order // q) == 0 and b1 < q <= primes._ECM_B2_PER_B1 * b1
+    assert ref_ecm_curve(n, sigma, b1) == g
+    assert primes._ecm_curve(n, sigma, b1) == g
+
+
+def test_ecm_runs_as_many_curves_as_the_oracle(monkeypatch):
+    curve, calls = primes._ecm_curve, []
+
+    def counted_curve(n, sigma, b1):
+        calls.append(sigma)
+        return curve(n, sigma, b1)
+
+    monkeypatch.setattr(primes, "_ecm_curve", counted_curve)
+    rng = Random(40)
+    for _ in range(40):
+        n = _random_prime(rng, 2**31 + 1, 2**32) * _random_prime(rng, 2**31 + 1, 2**32)
+        calls.clear()
+        g = primes._ecm(n)
+        want = 0
+        for want, (sigma, b1) in enumerate(zip(range(6, 6 + primes._ECM_CURVES), primes._ECM_B1S), 1):
+            if 1 < ref_ecm_curve(n, sigma, b1) < n:
+                break
+        assert g is not None and n % g == 0
+        assert len(calls) == want, n
 
 
 def test_factorint_splits_2_127_minus_2():
