@@ -6,7 +6,9 @@ success or all checks passing, 1 for a verification failure, 2 for a
 usage or input error, 3 for an internal error (a bug in spectop; pass
 --traceback to see where it was raised).  Only a SpectopError is an input
 error.  Output whose reader has gone (say `spectop ... | head`) also exits
-2, with one line that says standard output was closed.
+2, with one line that says standard output was closed.  A run builds
+only the form it prints: each handler gives _print its JSON document and
+its human text as zero-argument functions, and _print calls one of them.
 
 COMMANDS is the one table of the command line: each command's handler,
 help text, positionals and options (flag, dest, kind, choices, required,
@@ -66,17 +68,18 @@ def _field_from_name(name: str):
     raise SpectopError(f"unknown field {name!r}; use Q or F<p>")
 
 
-def _print(doc: dict, as_json: bool, human: str) -> None:
-    print(jsonio.dumps_canonical(doc) if as_json else human)
+def _print(doc: Callable[[], dict], as_json: bool, human: Callable[[], str]) -> None:
+    """Print the JSON document or the human text; only that one is built."""
+    print(jsonio.dumps_canonical(doc()) if as_json else human())
 
 
 def _cmd_spec(args) -> int:
     R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
     E = sp.whole(R)
     _print(
-        {"ring": jsonio.ring_to_json(R), "spectrum": jsonio.subset_to_json(E)},
+        lambda: {"ring": jsonio.ring_to_json(R), "spectrum": jsonio.subset_to_json(E)},
         args.json,
-        f"Spec({R}) = {sp.subset_str(E)}",
+        lambda: f"Spec({R}) = {sp.subset_str(E)}",
     )
     return 0
 
@@ -85,9 +88,10 @@ def _cmd_closure(args) -> int:
     E = _load_subset(args)
     cl = top.closure(E, args.topology)
     _print(
-        {"topology": args.topology, "closure": jsonio.subset_to_json(cl)},
+        lambda: {"topology": args.topology, "closure": jsonio.subset_to_json(cl)},
         args.json,
-        f"{args.topology} closure of {sp.subset_str(E)} over {E.ring} = {sp.subset_str(cl)}",
+        lambda: f"{args.topology} closure of {sp.subset_str(E)} over {E.ring} = "
+        f"{sp.subset_str(cl)}",
     )
     return 0
 
@@ -96,9 +100,10 @@ def _cmd_dense(args) -> int:
     E = _load_subset(args)
     dense = top.is_dense(E, args.topology)
     _print(
-        {"topology": args.topology, "dense": dense},
+        lambda: {"topology": args.topology, "dense": dense},
         args.json,
-        f"{sp.subset_str(E)} is {'dense' if dense else 'not dense'} in the {args.topology} topology",
+        lambda: f"{sp.subset_str(E)} is {'dense' if dense else 'not dense'} in the "
+        f"{args.topology} topology",
     )
     return 0
 
@@ -107,9 +112,9 @@ def _cmd_stable(args) -> int:
     E = _load_subset(args)
     stable = top.is_stable(E, args.mode)
     _print(
-        {"mode": args.mode, "stable": stable},
+        lambda: {"mode": args.mode, "stable": stable},
         args.json,
-        f"{sp.subset_str(E)} is {'stable' if stable else 'not stable'} under {args.mode}",
+        lambda: f"{sp.subset_str(E)} is {'stable' if stable else 'not stable'} under {args.mode}",
     )
     return 0
 
@@ -117,17 +122,15 @@ def _cmd_stable(args) -> int:
 def _cmd_criterion(args) -> int:
     R = jsonio.ring_from_json(_load_json(args.ring), args.limit)
     cert = top.density_criterion(R, args.mode)
-    witness = (
-        ""
-        if cert.witness is None
-        else f"; witness {rings.el_str(cert.witness, R)}"
-    )
-    _print(
-        jsonio.density_certificate_to_json(cert, R),
-        args.json,
-        f"every infinite subset of Spec({R}) {args.mode}-dense: "
-        f"{cert.holds} ({cert.rationale}{witness})",
-    )
+
+    def human() -> str:
+        witness = "" if cert.witness is None else f"; witness {rings.el_str(cert.witness, R)}"
+        return (
+            f"every infinite subset of Spec({R}) {args.mode}-dense: "
+            f"{cert.holds} ({cert.rationale}{witness})"
+        )
+
+    _print(lambda: jsonio.density_certificate_to_json(cert, R), args.json, human)
     return 0
 
 
@@ -135,49 +138,58 @@ def _cmd_image(args) -> int:
     E = _load_subset(args)
     topology = top.ZARISKI if args.kind == products.QUOTIENT else top.FLAT
     rep = products.strictness_demo(E, topology)
-    doc = jsonio.image_report_to_json(rep)
-    oracle_ok = None
-    if args.oracle:
-        oracle = products.brute_force_image(E, args.kind)
-        oracle_ok = oracle == rep.image
-        doc["oracleAgrees"] = oracle_ok
-    lines = [
-        f"Im pi* for the {args.kind} product over {sp.subset_str(E)}:",
-        f"  image   = {sp.subset_str(rep.image)}",
-        f"  closure = {sp.subset_str(rep.closure)} ({rep.topology})",
-        f"  strict  = {rep.strict}"
-        + (f", witness {sp.point_str(rep.witness)}" if rep.witness else ""),
-    ]
-    if oracle_ok is not None:
-        lines.append(f"  oracle  = {'agrees' if oracle_ok else 'DISAGREES'}")
-    _print(doc, args.json, "\n".join(lines))
+    # The oracle's verdict sets the exit code, so it runs in either form.
+    oracle_ok = products.brute_force_image(E, args.kind) == rep.image if args.oracle else None
+
+    def doc() -> dict:
+        report = jsonio.image_report_to_json(rep)
+        if oracle_ok is not None:
+            report["oracleAgrees"] = oracle_ok
+        return report
+
+    def human() -> str:
+        lines = [
+            f"Im pi* for the {args.kind} product over {sp.subset_str(E)}:",
+            f"  image   = {sp.subset_str(rep.image)}",
+            f"  closure = {sp.subset_str(rep.closure)} ({rep.topology})",
+            f"  strict  = {rep.strict}"
+            + (f", witness {sp.point_str(rep.witness)}" if rep.witness else ""),
+        ]
+        if oracle_ok is not None:
+            lines.append(f"  oracle  = {'agrees' if oracle_ok else 'DISAGREES'}")
+        return "\n".join(lines)
+
+    _print(doc, args.json, human)
     return 0 if oracle_ok in (None, True) else 1
 
 
 def _cmd_construct(args) -> int:
     field = _field_from_name(args.field)
     rep = construction.supplement_report(field, args.n, check=not args.no_oracle)
-    doc = jsonio.supplement_report_to_json(rep)
+    doc = jsonio.supplement_report_to_json(rep) if args.json or args.report else None
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(jsonio.dumps_canonical(doc))
         except OSError as exc:
             raise SpectopError(f"cannot write the report: {exc}") from exc
-    mins = ", ".join(sp.point_str(p) for p in rep.minimal_primes)
-    human = "\n".join(
-        [
-            f"axes ring over {rep.field} with n = {rep.n}"
-            + (" (degenerate: zero ideal)" if rep.degenerate else ""),
-            f"  defining ideal = intersection of the axis primes: {rep.intersection_ok}",
-            f"  minimal primes: {mins}",
-            "  2^n cover oracle: "
-            + ("skipped (--no-oracle)" if args.no_oracle else "ran and agrees"),
-            f"  dim = {rep.dim}, reduced = {rep.reduced}, absorbance = {rep.pz_ok}",
-            f"  all statements hold: {rep.all_ok}",
-        ]
-    )
-    _print(doc, args.json, human)
+
+    def human() -> str:
+        mins = ", ".join(sp.point_str(p) for p in rep.minimal_primes)
+        return "\n".join(
+            [
+                f"axes ring over {rep.field} with n = {rep.n}"
+                + (" (degenerate: zero ideal)" if rep.degenerate else ""),
+                f"  defining ideal = intersection of the axis primes: {rep.intersection_ok}",
+                f"  minimal primes: {mins}",
+                "  2^n cover oracle: "
+                + ("skipped (--no-oracle)" if args.no_oracle else "ran and agrees"),
+                f"  dim = {rep.dim}, reduced = {rep.reduced}, absorbance = {rep.pz_ok}",
+                f"  all statements hold: {rep.all_ok}",
+            ]
+        )
+
+    _print(lambda: doc, args.json, human)
     return 0 if rep.all_ok else 1
 
 
@@ -187,14 +199,14 @@ def _cmd_lyover(args) -> int:
     q = maps.laying_over(m, p)
     back = maps.contract(m, q)
     _print(
-        {
+        lambda: {
             "map": jsonio.map_to_json(m),
             "prime": jsonio.point_to_json(p),
             "over": jsonio.point_to_json(q),
             "contracts-back": jsonio.point_to_json(back),
         },
         args.json,
-        f"{sp.point_str(q)} lies over {sp.point_str(p)} along {m}",
+        lambda: f"{sp.point_str(q)} lies over {sp.point_str(p)} along {m}",
     )
     return 0
 

@@ -4,12 +4,13 @@ A polynomial is a tuple of coefficients in [0, p), ascending degree, with
 no trailing zeros; () is the zero polynomial.  A product sums its terms
 and reduces mod p once per coefficient, and a remainder (mod) builds no
 quotient and reduces each coefficient once, when it is the top one; both
-accept unreduced and negative coefficients.  Irreducibility is Ben-Or's
-test (FOCS 1981): f is irreducible when gcd(x^(p^i) - x, f) = 1 for every
-i <= deg(f)/2.  Factorization is distinct-degree splitting over the same
-powers x^(p^i), then Cantor-Zassenhaus equal-degree splitting with a
-fixed-seed generator, so results are reproducible.  Degrees are capped at
-desk scale.
+accept unreduced and negative coefficients.  pow_mod runs over the bits
+of the exponent from the top: one squaring per bit after the leading one.
+Irreducibility is Ben-Or's test (FOCS 1981): f is irreducible when
+gcd(x^(p^i) - x, f) = 1 for every i <= deg(f)/2.  Factorization is
+distinct-degree splitting over the same powers x^(p^i), then
+Cantor-Zassenhaus equal-degree splitting with a fixed-seed generator, so
+results are reproducible.  Degrees are capped at desk scale.
 """
 
 from __future__ import annotations
@@ -135,13 +136,16 @@ def gcd(f: Poly, g: Poly, p: int) -> Poly:
 
 
 def pow_mod(base: Poly, e: int, m: Poly, p: int) -> Poly:
-    result: Poly = (1,)
+    """base^e mod m, left to right over the bits of e: one squaring per bit
+    after the leading one, then a product with base when the bit is 1."""
     base = mod(base, m, p)
-    while e > 0:
-        if e & 1:
+    if e <= 0:
+        return (1,)
+    result = base
+    for bit in bin(e)[3:]:
+        result = mod(mul(result, result, p), m, p)
+        if bit == "1":
             result = mod(mul(result, base, p), m, p)
-        base = mod(mul(base, base, p), m, p)
-        e >>= 1
     return result
 
 

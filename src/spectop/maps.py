@@ -260,11 +260,16 @@ def _ordered(base: PrimePoint, q: PrimePoint, up: bool) -> tuple[PrimePoint, Pri
 
 
 def _factor_contract(R: RingExpr, base: PrimePoint, q: PrimePoint, up: bool) -> PrimePoint:
-    """The preimage in R of the prime q of R/base (up) or R_base (down)."""
+    """The preimage in R of the prime q of R/base (up) or R_base (down).
+
+    base is a point of R already: the map's prime, checked when the map
+    was built, or a member of E, checked when E was or by _resolve_slot.
+    """
     if up and isinstance(q, FieldZero):
         # The zero ideal of R/p pulls back to the kernel.
         return base
-    if sp.leq_specialization(*_ordered(base, q, up), R):
+    R.validate_point(q)
+    if R._leq(*_ordered(base, q, up)):
         return q
     raise WildPrimeError(
         f"{sp.point_str(q)} is not a prime of the factor at {sp.point_str(base)}"

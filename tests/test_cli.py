@@ -1,6 +1,7 @@
 import argparse
 import functools
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import PROPERTY
 from spectop import cli, primes, products, suites
+from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.cli import (
     _cmd_closure, _cmd_construct, _cmd_criterion, _cmd_dense, _cmd_image, _cmd_lyover,
@@ -180,6 +182,160 @@ def test_verify_suite_json_bytes_match_the_benchmark_record(capsys, seed):
         total = json.loads(out)["results"][0]["summary"]["total"]
         digest = hashlib.sha256(out.encode()).hexdigest()[:16]
         assert f"{total}:{digest}" == recorded[f"{suite}/{seed}"], suite
+
+
+ZMOD_12 = '{"kind":"Zmod","n":12}'
+TWO_THREE = '{"type":"explicit","points":[{"type":"zmodPrime","p":2},{"type":"zmodPrime","p":3}]}'
+F3X = '{"kind":"FpPoly","p":3}'
+NO_X2_PLUS_1 = (
+    '{"type":"cofiniteClosed","excluded":[{"type":"fpxMax","coeffs":[1,0,1]}],"withGeneric":true}'
+)
+AXES_NO_2_5 = '{"type":"cofiniteMin","excluded":[2,5],"withTop":false}'
+DIAGONAL_6 = '{"type":"diagonalIntoModProduct","n":6,"divisors":[2,3]}'
+LOCAL_Z_NO_3 = (
+    '{"type":"canonicalIntoLocalProduct","ring":{"kind":"Z"},"set":{"type":"cofiniteClosed",'
+    '"excluded":[{"type":"zMax","p":3}],"withGeneric":false}}'
+)
+AXES_F2_EXCEPT = "all minimal primes except P_2, P_5"
+
+# (argv, human output, sha256[:16] of the --json output), each recorded
+# before the handlers built only the form they print.
+OUTPUT_GOLDENS = [
+    (("spec", "--ring", ZMOD_12), "Spec(Z/12) = {(2), (3)}\n", "48490d2df553fa6a"),
+    (("spec", "--ring", Z), "Spec(Z) = Spec(Z)\n", "3e154ebb2c956c61"),
+    (("spec", "--ring", AXES), "Spec(Axes(F_2)) = Spec(Axes(F_2))\n", "3539e0142c024028"),
+    (("closure", "--topology", "zariski", "--ring", Z, "--set", FIVE),
+     "zariski closure of {(5)} over Z = {(5)}\n", "96c4e6ff8ef1d44f"),
+    (("closure", "--topology", "flat", "--ring", Z, "--set", FIVE),
+     "flat closure of {(5)} over Z = {(0), (5)}\n", "af40b4037c38e0ef"),
+    (("closure", "--topology", "patch", "--ring", Z, "--set", FIVE),
+     "patch closure of {(5)} over Z = {(5)}\n", "b9d3cbe8ebd728a5"),
+    (("closure", "--topology", "zariski", "--ring", Z, "--set", E_NO_11),
+     "zariski closure of all closed points except (11), without (0) over Z = Spec(Z)\n",
+     "9aab561657daea68"),
+    (("closure", "--topology", "flat", "--ring", Z, "--set", E_NO_11),
+     "flat closure of all closed points except (11), without (0) over Z"
+     " = all closed points except (11), with (0)\n", "0287cfc8dc826258"),
+    (("closure", "--topology", "patch", "--ring", Z, "--set", E_NO_11),
+     "patch closure of all closed points except (11), without (0) over Z"
+     " = all closed points except (11), with (0)\n", "ca60b624884c524e"),
+    (("closure", "--topology", "zariski", "--ring", AXES, "--set", AXES_NO_2_5),
+     f"zariski closure of {AXES_F2_EXCEPT}, without m over Axes(F_2) = {AXES_F2_EXCEPT}, with m\n",
+     "2e76cf30b7decc7f"),
+    (("closure", "--topology", "flat", "--ring", AXES, "--set", AXES_NO_2_5),
+     f"flat closure of {AXES_F2_EXCEPT}, without m over Axes(F_2) = Spec(Axes(F_2))\n",
+     "b7c951f60ca16ae3"),
+    (("closure", "--topology", "patch", "--ring", AXES, "--set", AXES_NO_2_5),
+     f"patch closure of {AXES_F2_EXCEPT}, without m over Axes(F_2) = {AXES_F2_EXCEPT}, with m\n",
+     "0814d95ba2a3f052"),
+    (("dense", "--topology", "zariski", "--ring", Z, "--set", E_NO_11),
+     "all closed points except (11), without (0) is dense in the zariski topology\n",
+     "29c990d5bc95df5f"),
+    (("dense", "--topology", "flat", "--ring", F3X, "--set", NO_X2_PLUS_1),
+     "all closed points except (x^2 + 1), with (0) is not dense in the flat topology\n",
+     "c771f8e7af1b468d"),
+    (("stable", "--mode", "generalization", "--ring", Z, "--set", E_NO_11),
+     "all closed points except (11), without (0) is not stable under generalization\n",
+     "5d7ea5588827a0eb"),
+    (("stable", "--mode", "specialization", "--ring", Z, "--set", FIVE),
+     "{(5)} is stable under specialization\n", "a2d710d082db44a1"),
+    (("criterion", "--mode", "flat", "--ring", Z),
+     "every infinite subset of Spec(Z) flat-dense: False (CounterexampleElement; witness 2)\n",
+     "ceba3b519e7e0cec"),
+    (("criterion", "--mode", "zariski", "--ring", Z),
+     "every infinite subset of Spec(Z) zariski-dense: True (FactorizationFinite)\n",
+     "bc545df606697fed"),
+    (("criterion", "--mode", "zariski", "--ring", AXES),
+     "every infinite subset of Spec(Axes(F_2)) zariski-dense: False"
+     " (CounterexampleElement; witness x1)\n", "7bf37982e68d4507"),
+    (("image", "--kind", "local", "--oracle", "--ring", ZMOD_12, "--set", TWO_THREE),
+     "Im pi* for the local product over {(2), (3)}:\n  image   = {(2), (3)}\n"
+     "  closure = {(2), (3)} (flat)\n  strict  = False\n  oracle  = agrees\n",
+     "6ef944fac174cc12"),
+    (("image", "--kind", "quotient", "--oracle", "--ring", ZMOD_12, "--set", TWO_THREE),
+     "Im pi* for the quotient product over {(2), (3)}:\n  image   = {(2), (3)}\n"
+     "  closure = {(2), (3)} (zariski)\n  strict  = False\n  oracle  = agrees\n",
+     "d885ead3ec48f6fc"),
+    (("image", "--kind", "quotient", "--ring", Z, "--set", E_NO_11),
+     "Im pi* for the quotient product over all closed points except (11), without (0):\n"
+     "  image   = all closed points except (11), with (0)\n"
+     "  closure = Spec(Z) (zariski)\n  strict  = True, witness (11)\n", "1e32729212a81c76"),
+    (("construct", "supplement", "--n", "3"),
+     "axes ring over F_2 with n = 3\n"
+     "  defining ideal = intersection of the axis primes: True\n"
+     "  minimal primes: (x1,x2), (x1,x3), (x2,x3)\n  2^n cover oracle: ran and agrees\n"
+     "  dim = 1, reduced = True, absorbance = True\n  all statements hold: True\n",
+     "5ee6259dadabb295"),
+    (("construct", "supplement", "--n", "3", "--field", "Q", "--no-oracle"),
+     "axes ring over Q with n = 3\n"
+     "  defining ideal = intersection of the axis primes: True\n"
+     "  minimal primes: (x1,x2), (x1,x3), (x2,x3)\n  2^n cover oracle: skipped (--no-oracle)\n"
+     "  dim = 1, reduced = True, absorbance = True\n  all statements hold: True\n",
+     "cd73d9804a51ee6a"),
+    (("lyover", "--map", DIAGONAL_6, "--prime", '{"type":"zmodPrime","p":3}'),
+     "pi_1^-1(3) lies over (3) along Z/6 -> Z/2 x Z/3\n", "952f72c3749ac9de"),
+    (("lyover", "--map", LOCAL_Z_NO_3, "--prime", '{"type":"zGeneric"}'),
+     "pi_(2)^-1(0) lies over (0) along Z -> prod R_p over all closed points except (3),"
+     " without (0)\n", "e628b81394aa4a6a"),
+]
+GOLDEN_IDS = [f"{i:02d}-{argv[0]}" for i, (argv, _, _) in enumerate(OUTPUT_GOLDENS)]
+
+
+@pytest.mark.parametrize("argv, human, _", OUTPUT_GOLDENS, ids=GOLDEN_IDS)
+def test_human_output_is_unchanged(capsys, argv, human, _):
+    assert run(capsys, *argv) == (0, human, "")
+
+
+@pytest.mark.parametrize("argv, _, digest", OUTPUT_GOLDENS, ids=GOLDEN_IDS)
+def test_json_output_builds_no_human_text(monkeypatch, capsys, argv, _, digest):
+    # A --json run formats no point or subset for people to read.
+    def refuse(*args):
+        raise AssertionError("human text built for a --json run")
+
+    monkeypatch.setattr(sp, "subset_str", refuse)
+    monkeypatch.setattr(sp, "point_str", refuse)
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_construct_report_and_json_print_the_same_document(capsys, tmp_path):
+    report = tmp_path / "rep.json"
+    code, out, _ = run(capsys, "construct", "supplement", "--n", "3", "--report", str(report),
+                       "--json")
+    assert code == 0 and out == report.read_text() + "\n"
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+QUERY_MIX = BENCH / "expected" / "query-mix.json"
+
+
+def _bench_queries():
+    """bench/queries.py, imported by path and only read."""
+    spec = importlib.util.spec_from_file_location("bench_queries", BENCH / "queries.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_query_catalog_outcomes_match_the_benchmark_record(capsys):
+    # The bytes the query-mix benchmark checks, for the first entries of
+    # each query class: "code:digest" as bench/workloads.outcome_key.
+    queries = _bench_queries()
+    recorded = json.loads(QUERY_MIX.read_text())
+    skipped = set(recorded["known_failures"])
+    checked = 0
+    for cls, _, _ in queries.CLASSES:
+        for i in range(15):
+            q = queries.entry(cls, i)
+            if q.id in skipped:
+                continue
+            code, out, _ = run(capsys, *q.argv)
+            digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+            assert f"{code}:{digest}" == recorded["outcomes"][q.id], q.id
+            checked += 1
+    assert checked == 15 * len(queries.CLASSES) - len(skipped)
 
 
 def test_suite_type_error_is_an_internal_error(monkeypatch, capsys):

@@ -86,6 +86,41 @@ def test_mod_and_mul_match_the_quotient_and_the_per_term_reference(case):
         assert all(0 <= c < p for c in r) and gf.deg(r) < gf.deg(gf.trim(g, p))
 
 
+def ref_pow_mod(base, e, m, p):
+    """The right-to-left pow_mod that the left-to-right one replaced, kept
+    as its oracle."""
+    result = (1,)
+    base = gf.mod(base, m, p)
+    while e > 0:
+        if e & 1:
+            result = gf.mod(gf.mul(result, base, p), m, p)
+        base = gf.mod(gf.mul(base, base, p), m, p)
+        e >>= 1
+    return result
+
+
+@st.composite
+def powers(draw):
+    """(base, e, m, p): base with unreduced and negative coefficients, m
+    with a leading coefficient that is nonzero mod p, and e one of 0, 1, 2,
+    p, (p^d - 1)/2 for d = deg(m) (the equal-degree split's exponent), or
+    any e below 2^80."""
+    p = draw(st.sampled_from((2, 3, 13, 2**31 - 1, 2**61 - 1)))
+    coeff = st.integers(-3 * p + 1, 3 * p - 1)
+    base = tuple(draw(st.lists(coeff, max_size=2 * gf.DEGREE_CAP + 2)))
+    m = tuple(draw(st.lists(coeff, max_size=8))) + (draw(st.integers(1, p - 1)),)
+    d = len(m) - 1
+    e = draw(st.one_of(st.sampled_from((0, 1, 2, p, (p**d - 1) // 2)), st.integers(0, 2**80 - 1)))
+    return base, e, m, p
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(powers())
+def test_pow_mod_matches_the_right_to_left_oracle(case):
+    base, e, m, p = case
+    assert gf.pow_mod(base, e, m, p) == ref_pow_mod(base, e, m, p)
+
+
 def test_gcd_divides_both():
     p = 3
     rng = Random(7)

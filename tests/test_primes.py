@@ -1,4 +1,5 @@
 import math
+from itertools import compress
 from random import Random
 
 import pytest
@@ -182,6 +183,51 @@ def test_ecm_tables_cover_every_prime_up_to_b2():
                 assert {m * d - j, m * d + j} & stage2_primes
                 covered |= {m * d - j, m * d + j}
         assert stage2_primes <= covered
+
+
+def ref_ecm_tables(b1):
+    """The _ecm_tables that built each level from nothing, kept as the
+    oracle of the one that builds it from the level below."""
+    b2, h = primes._ECM_B2_PER_B1 * b1, primes._ECM_D // 2
+    prime = primes._sieve(b2 + primes._ECM_D + 1)
+    k = 1
+    for p in compress(range(b1 + 1), prime):
+        q = p
+        while q * p <= b1:
+            q *= p
+        k *= q
+    prime[: b1 + 1] = bytes(b1 + 1)
+    prime[b2 + 1 :] = bytes(len(prime) - b2 - 1)
+    pairs = []
+    for m in range((b2 + h) // primes._ECM_D + 1):
+        # Byte j - 1 is 1 when mD - j or mD + j is a prime in (b1, b2].
+        c = m * primes._ECM_D
+        below = int.from_bytes(prime[max(c - h, 0) : c], "big")
+        above = int.from_bytes(prime[c + 1 : c + h + 1], "little")
+        js = bytes(compress(range(1, h + 1), (below | above).to_bytes(h, "little")))
+        if js:
+            pairs.append((m, js))
+    return bin(k)[3:], tuple(pairs)
+
+
+@pytest.mark.parametrize("order", ["ascending", "top-level-first"])
+def test_ecm_tables_match_the_oracle_at_every_level(order):
+    primes._ecm_tables.cache_clear()
+    if order == "top-level-first":
+        # The top level, asked of an empty memo, builds every level below.
+        primes._ecm_tables(primes._ECM_B1S[-1])
+    for b1 in primes._ECM_B1S:
+        assert primes._ecm_tables(b1) == ref_ecm_tables(b1), b1
+    assert primes._ecm_tables.cache_info().currsize == primes._ECM_CURVES
+
+
+@pytest.mark.parametrize("b1", [1, 2, 69, 71, 100, 1000, 30000])
+def test_ecm_tables_off_the_schedule_match_the_oracle(b1):
+    assert primes._ecm_tables(b1) == ref_ecm_tables(b1)
+
+
+def test_ecm_tables_memo_holds_one_entry_per_curve():
+    assert primes._ecm_tables.cache_info().maxsize == primes._ECM_CURVES
 
 
 def suyama_group_order(p, sigma):
