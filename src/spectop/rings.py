@@ -919,6 +919,11 @@ class LocalizedAtIrrelevant(_Quotient):
         pts.add(MonoPrime(frozenset(self.monomial_variables())))
         return list(pts)
 
+    def krull_dim(self) -> int:
+        # Every minimal prime lies in the irrelevant ideal, so localizing
+        # there keeps the longest chain.
+        return quotient_dim(self.inner)
+
 
 @dataclass(frozen=True)
 class SymbolicSupplement(_Symbolic, _Monomial):
@@ -1090,8 +1095,18 @@ def mask_quotient(field: PrimeField | RationalField, nvars: int, gens) -> Monomi
 
 def _dim_at_most_one(R: MonomialQuotient) -> bool:
     """dim <= 1 without enumerating covers: no two-variable set may be
-    free of generators (the dimension is the largest generator-free set)."""
-    return all(_mask_in(R.gens, 1 << i | 1 << j) for i, j in combinations(range(R.nvars), 2))
+    free of generators (the dimension is the largest generator-free set).
+    A pair {i, j} is free iff none of x_i, x_j, x_i x_j is a generator, so
+    each pair of the variables that are not generators themselves needs
+    its own generator x_i x_j.  With more such pairs than generators the
+    answer is no before any pair is walked, which bounds the walk by the
+    number of generators, whatever nvars is."""
+    gens = R.gens
+    free = R.nvars - sum(g.bit_count() == 1 for g in gens)
+    if free * (free - 1) // 2 > len(gens):
+        return False
+    bits = [1 << i for i in range(R.nvars) if (1 << i) not in gens]
+    return all((u | v) in gens for u, v in combinations(bits, 2))
 
 
 def localized(inner: MonomialQuotient) -> LocalizedAtIrrelevant:

@@ -30,8 +30,6 @@ internal: build subsets with the builders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rings
 from .errors import (
     KindMismatchError,
@@ -56,6 +54,7 @@ from .rings import (  # the point types are named from here too
     point_str,
     sorted_points,
 )
+from .values import Record
 
 # ---------------------------------------------------------------------------
 # Points: the rules live with each ring family in rings
@@ -96,17 +95,20 @@ def spec_points(R: RingExpr) -> list[PrimePoint]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecSubset:
+class SpecSubset(Record):
     """The points of Spec(ring) in `points`, or, with `cofinite` set, every
     point outside them.  The limit point of a symbolic spectrum (the
     generic point of Z and GF(p)[x], the top of the axes ring) counts as
     an ordinary point, so membership is (p in points) != cofinite.
     """
 
+    __slots__ = ()
     ring: RingExpr
     points: frozenset
-    cofinite: bool = False
+    cofinite: bool
+
+    def __new__(cls, ring: RingExpr, points: frozenset, cofinite: bool = False):
+        return tuple.__new__(cls, (ring, points, cofinite))
 
     @property
     def excluded(self) -> frozenset:

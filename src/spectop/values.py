@@ -4,7 +4,11 @@ ideals, in canonical form, with their printing.
 What a value means in a given ring, and the arithmetic on it, is a rule
 of that ring's family (rings); the element and ideal functions here ask
 the ring.  rings re-exports every name, so rings.normalize, rings.IntEl
-and the like are the public spelling.  All values are immutable.
+and the like are the public spelling.
+
+Every value is a Record (below), an immutable tuple of exactly its
+fields, so the frozensets of points that the subset operators build hash
+them in C.
 
 Every monomial generator and prime is square-free, so a generator is an
 int bitmask of its support: bit i-1 stands for x_i, divisibility is
@@ -15,7 +19,7 @@ exp_to_mask, mask_to_exp and mask_support convert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import _tuplegetter
 from fractions import Fraction
 from random import Random
 from typing import TYPE_CHECKING
@@ -42,67 +46,127 @@ def _int(v, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_tuple_new = tuple.__new__
+# The constructor of a record with 0, 1 or 2 fields.
+_NEW = (
+    lambda cls: _tuple_new(cls, ()),
+    lambda cls, a: _tuple_new(cls, (a,)),
+    lambda cls, a, b: _tuple_new(cls, (a, b)),
+)
+
+
+class Record(tuple):
+    """An immutable value whose fields are the annotations of its class
+    body, in order.  Equality asks for the same class and equal fields,
+    the hash is the plain tuple's, and the repr reads Name(field=value).
+    Records have no order and are always true; their length and
+    iteration are not part of the API.  A subclass sets __slots__ = ().
+
+    A field is read by namedtuple's field reader, written in C, which
+    skips the call a property(itemgetter(i)) makes on every read: the nine
+    symbolic suites read subset and point fields about 126,000 times."""
+
+    __slots__ = ()
+    _fields = ()
+    __hash__ = tuple.__hash__
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, None))
+        if "__new__" not in cls.__dict__:
+            cls.__new__ = staticmethod(_NEW[len(cls._fields)])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __bool__(self):
+        return True
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+
+# ---------------------------------------------------------------------------
 # Points
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZGeneric:
+class ZGeneric(Record):
     """(0) in Spec(Z)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ZMax:
+
+class ZMax(Record):
     """pZ for a prime p."""
 
+    __slots__ = ()
     p: int
 
 
-@dataclass(frozen=True)
-class ZmodPrime:
+class ZmodPrime(Record):
     """(p) in Z/n for a prime p dividing n."""
 
+    __slots__ = ()
     p: int
 
 
-@dataclass(frozen=True)
-class FpxGeneric:
+class FpxGeneric(Record):
     """(0) in GF(p)[x]."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FpxMax:
+
+class FpxMax(Record):
     """(f) for a monic irreducible f over GF(p)."""
 
+    __slots__ = ()
     coeffs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FieldZero:
+class FieldZero(Record):
     """The sole point (0) of a field."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class MonoPrime:
+
+class MonoPrime(Record):
     """(x_i : i in cover); cover is a vertex cover of the generator supports."""
 
+    __slots__ = ()
     cover: frozenset[int]
 
 
-@dataclass(frozen=True)
-class SuppMin:
+class SuppMin(Record):
     """The minimal prime (x_i : i != k) of the axes ring, k >= 1."""
 
+    __slots__ = ()
     k: int
 
 
-@dataclass(frozen=True)
-class SuppTop:
+class SuppTop(Record):
     """The maximal ideal (x_1, x_2, ...) of the axes ring."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class TamePrime:
+
+class TamePrime(Record):
     """The preimage of a factor prime under a projection.
 
     slot is the factor index for a concrete product ring, or the base
@@ -110,6 +174,7 @@ class TamePrime:
     by E.
     """
 
+    __slots__ = ()
     slot: object
     inner: "PrimePoint"
 
@@ -183,64 +248,64 @@ def point_str(p: PrimePoint) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntEl:
+class IntEl(Record):
+    __slots__ = ()
     v: int
 
 
-@dataclass(frozen=True)
-class RatEl:
+class RatEl(Record):
+    __slots__ = ()
     v: Fraction
 
 
-@dataclass(frozen=True)
-class ModEl:
+class ModEl(Record):
+    __slots__ = ()
     v: int
 
 
-@dataclass(frozen=True)
-class PolyEl:
+class PolyEl(Record):
+    __slots__ = ()
     coeffs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MPolyEl:
+class MPolyEl(Record):
     """Sparse terms ((coeff, exponent tuple), ...) sorted by exponent."""
 
+    __slots__ = ()
     terms: tuple[tuple[object, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class TupleEl:
+class TupleEl(Record):
+    __slots__ = ()
     items: tuple["El", ...]
 
 
 El = IntEl | RatEl | ModEl | PolyEl | MPolyEl | TupleEl
 
 
-@dataclass(frozen=True)
-class PrincipalIdeal:
+class PrincipalIdeal(Record):
+    __slots__ = ()
     gen: El
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Square-free monomial ideal by its minimal generators, as masks.
 
     Inside a monomial quotient this represents the image ideal; the zero
     ideal of the quotient is the defining ideal itself.
     """
 
+    __slots__ = ()
     gens: frozenset[int]
 
 
 IdealRepr = PrincipalIdeal | MonomialIdeal
 
 
-@dataclass(frozen=True)
-class ResidueField:
+class ResidueField(Record):
     """A residue field k(p): printable label plus a concrete ring when one exists."""
 
+    __slots__ = ()
     label: str
     ring: RingExpr | None
 

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -982,3 +983,26 @@ def test_python_dash_m_spectop_help():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: spectop") and "lyover" in proc.stdout
+
+
+def _past_the_cap(signum, frame):
+    raise TimeoutError("the query ran past its 5 s cap")
+
+
+@pytest.mark.parametrize("gens", ["[]", "[[1,1]]", "[[1]]", "[[1],[0,1]]"])
+@pytest.mark.parametrize("nvars", [0, 1, 2, 2**63, 2**64, 10**12, 10**30])
+def test_localized_ring_of_any_nvars_answers_or_refuses_promptly(capsys, nvars, gens):
+    # nvars = 2^64 once exited 3 with OverflowError: the dimension guard
+    # built every pair of variables before it looked at one.
+    ring = (
+        '{"kind":"LocalizedAtIrrelevant","inner":{"kind":"MonomialQuotient",'
+        f'"field":{{"kind":"Fp","p":2}},"nvars":{nvars},"gens":{gens}}}}}'
+    )
+    previous = signal.signal(signal.SIGALRM, _past_the_cap)
+    signal.alarm(5)
+    try:
+        code, _, err = run(capsys, "spec", "--ring", ring)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2), err

@@ -275,6 +275,27 @@ def test_krull_dim_is_the_rings_own_rule(R):
         assert R.krull_dim() == _longest_chain(R)
 
 
+# Localized monomial quotients beside the supplement's generator sets:
+# degree-1 generators, a path, a triangle and dimension 0.
+LOCALIZED_ZOO = [
+    rings.localized(rings.monomial_quotient(K, n, gens))
+    for K, n, gens in [
+        (F2, 1, ()),
+        (F2, 2, {(1,)}),
+        (F3, 2, {(1,), (0, 1)}),
+        (F2, 3, {(1,), (0, 1, 1)}),
+        (rings.QQ, 3, {(1, 1), (0, 1, 1), (1, 0, 1)}),
+        (F2, 3, {(1,), (0, 1)}),
+        (F2, 4, {(1,), (0, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1)}),
+    ]
+]
+
+
+@pytest.mark.parametrize("R", LOCALIZED_ZOO, ids=str)
+def test_localized_krull_dim_is_the_longest_chain(R):
+    assert R.krull_dim() == con.krull_dim(R) == _longest_chain(R)
+
+
 def test_pz_examples():
     assert con.absorbance_holds(sp.whole(con.build_supplement(F2, 4)))
     assert con.absorbance_holds(sp.whole(rings.zmod(30)))

@@ -131,25 +131,29 @@ def _annotation_names(annotation) -> set[str]:
 
 
 def test_no_subset_operator_takes_its_ring_beside_it():
-    # A subset carries its ring, so no function or dataclass may take both:
-    # a second copy of the ring could disagree with E.ring.
-    found = []
+    # A subset carries its ring, so no function, dataclass or record may
+    # take both: a second copy of the ring could disagree with E.ring.
+    found, classes = [], set()
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
                 params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
                 annotations = [p.annotation for p in params if p is not None]
-            elif isinstance(node, ast.ClassDef) and any(
-                _callee_name(dec) == "dataclass" for dec in node.decorator_list
+            elif isinstance(node, ast.ClassDef) and (
+                any(_callee_name(dec) == "dataclass" for dec in node.decorator_list)
+                or any(_callee_name(base) == "Record" for base in node.bases)
             ):
+                # A record's fields, like a dataclass's, are its annotations.
                 annotations = [s.annotation for s in node.body if isinstance(s, ast.AnnAssign)]
+                classes.add(node.name)
             else:
                 continue
             names = [_annotation_names(ann) for ann in annotations]
             if any("SpecSubset" in n for n in names) and any("RingExpr" in n for n in names):
                 found.append(f"{path.relative_to(SRC)}:{node.name}")
     assert found == []
+    assert {"SpecSubset", "ResidueField"} <= classes
 
 
 def test_the_nilpotence_oracle_is_arithmetic():
@@ -184,3 +188,44 @@ def test_the_cli_imports_no_argparse():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
     assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
+
+
+def test_values_and_subsets_are_records_not_dataclasses():
+    # A dataclass compiles its methods from source at import time, and its
+    # generated __hash__ runs once for every point a frozenset takes in.
+    for name in ("values.py", "spectrum.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        found = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(_callee_name(dec) == "dataclass" for dec in node.decorator_list)
+        ]
+        assert found == [], name
+        assert "dataclasses" not in {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        }
+
+
+def test_a_suite_run_enters_no_generated_hash():
+    # Points are hashed by the C tuple hash: no `<string>` __hash__ frame,
+    # the kind that dataclass generates, is entered in a whole suite run.
+    import contextlib
+    import io
+
+    from spectop import cli
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            code = cli.run_command(["verify", "closure-axioms", "--seed", "0", "--json"])
+        finally:
+            sys.setprofile(None)
+    assert code == 0
+    assert ("<string>", "__hash__") not in entered

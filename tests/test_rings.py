@@ -448,3 +448,30 @@ def test_equal_rings_built_apart_share_their_answers(build):
     for p in pts:
         assert A.up_points(p) == B.up_points(p)
         assert A.down_points(p) == B.down_points(p)
+
+
+def _every_pair_guard(R):
+    """The localization guard before its pair bound: every pair of the
+    ring's variables, walked in full."""
+    return all(
+        rings._mask_in(R.gens, 1 << i | 1 << j)
+        for i in range(R.nvars) for j in range(i + 1, R.nvars)
+    )
+
+
+def test_dim_guard_agrees_with_every_pair_walk():
+    # Every set of degree-1 and degree-2 generators over up to 4 variables.
+    for nvars in range(1, 5):
+        candidates = [m for m in range(1, 1 << nvars) if m.bit_count() <= 2]
+        for bits in range(1 << len(candidates)):
+            masks = [m for k, m in enumerate(candidates) if bits >> k & 1]
+            R = rings.mask_quotient(F2, nvars, masks)
+            assert rings._dim_at_most_one(R) == _every_pair_guard(R), (nvars, masks)
+
+
+@pytest.mark.parametrize("nvars", [2**64, 10**30])
+def test_dim_guard_refuses_a_huge_ring_without_walking_it(nvars):
+    # x1 alone as a generator leaves every pair of x2, x3, ... free, so a
+    # walk over the pairs from x1 on would never reach a free one.
+    for masks in ([], [0b11], [0b1], [0b1, 0b10]):
+        assert not rings._dim_at_most_one(rings.mask_quotient(F2, nvars, masks))
