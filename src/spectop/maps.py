@@ -101,7 +101,8 @@ class QuotientMap(_PrimeMap):
 
     def tame_points(self) -> list[PrimePoint]:
         R = self.ring
-        return [q for q in sp.spec_points(R) if R._leq(self.prime, q)]
+        above = R.up_points(self.prime)
+        return [q for q in sp.spec_points(R) if q in above]
 
     def symbolic_lying_over(self, p: PrimePoint) -> PrimePoint:
         # Injective quotient maps have a zero kernel, so the map is an
@@ -167,12 +168,11 @@ class _ProductMap(RingMapSpec):
     def tame_points(self) -> list[PrimePoint]:
         R = self.ring
         pts = sp.spec_points(R)
-        return [
-            TamePrime(slot, q)
-            for slot, base in enumerate(self._members)
-            for q in pts
-            if R._leq(*_ordered(base, q, self.up))
-        ]
+        out = []
+        for slot, base in enumerate(self._members):
+            factor = R.reach(frozenset((base,)), self.up)  # Spec(R/base) or Spec(R_base)
+            out += [TamePrime(slot, q) for q in pts if q in factor]
+        return out
 
     def symbolic_lying_over(self, p: PrimePoint) -> PrimePoint:
         E = self.subset

@@ -200,15 +200,15 @@ class RingExpr:
         return tuple(sorted_points(self._enumerate()))
 
     @cached_property
-    def _order_table(self) -> dict[PrimePoint, tuple[frozenset, frozenset]]:
-        """For each point, the frozensets of the points above it and of the
-        points below it; _leq is asked once per pair."""
+    def _order_table(self) -> tuple[dict[PrimePoint, frozenset], ...]:
+        """Two maps from each point: to the frozenset of the points above
+        it, and to that of the points below it; _leq is asked once per pair."""
         pts = self._spectrum_table
         rows = [[self._leq(p, q) for q in pts] for p in pts]  # row p: p <= q
-        return {
-            p: (frozenset(compress(pts, row)), frozenset(compress(pts, col)))
-            for p, row, col in zip(pts, rows, zip(*rows))
-        }
+        return (
+            {p: frozenset(compress(pts, row)) for p, row in zip(pts, rows)},
+            {p: frozenset(compress(pts, col)) for p, col in zip(pts, zip(*rows))},
+        )
 
     def spec_points(self) -> list[PrimePoint]:
         """The full spectrum as a sorted point list; enumerable rings only."""
@@ -218,13 +218,21 @@ class RingExpr:
         pts = self._spectrum_table
         return [pts[rng.randrange(len(pts))] for _ in range(count)]
 
+    def reach(self, points: frozenset, up: bool) -> frozenset[PrimePoint] | None:
+        """The points above some point of the finite set `points` (up), or
+        below one; None when that is every point.  Each family states its
+        order here, once, for a whole set; this base unions the rows of the
+        ring's order table."""
+        ups, downs = self._order_table
+        return frozenset().union(*map((ups if up else downs).__getitem__, points))
+
     def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
         """The specializations of p; None when that is every point."""
-        return self._order_table[p][0]
+        return self.reach(frozenset((p,)), True)
 
     def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
         """The generalizations of p; None when that is every point."""
-        return self._order_table[p][1]
+        return self.reach(frozenset((p,)), False)
 
     def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
         """(points, complement): V(r) is the finite set `points`, or its
@@ -295,11 +303,8 @@ class _ZeroDimensional(RingExpr):
     def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
         return p == q
 
-    def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
-        return frozenset((p,))
-
-    def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
-        return frozenset((p,))
+    def reach(self, points: frozenset, up: bool) -> frozenset[PrimePoint] | None:
+        return points
 
 
 class _Domain(RingExpr):
@@ -364,18 +369,13 @@ class _Symbolic(RingExpr):
     def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
         return p == q or (q if self.limit_above else p) == self.limit
 
-    def _reach(self, p: PrimePoint, toward: bool) -> frozenset[PrimePoint] | None:
-        """Toward the limit's side a point reaches itself and the limit; away
-        from it the limit reaches every point (None), a family point itself."""
-        if toward:
-            return frozenset({p, self.limit})
-        return None if p == self.limit else frozenset({p})
-
-    def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
-        return self._reach(p, self.limit_above)
-
-    def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
-        return self._reach(p, not self.limit_above)
+    def reach(self, points: frozenset, up: bool) -> frozenset[PrimePoint] | None:
+        """Toward the limit's side a nonempty set reaches itself and the
+        limit; away from it the limit reaches every point (None), and family
+        points reach only themselves."""
+        if up == self.limit_above:
+            return points | {self.limit} if points else points
+        return None if self.limit in points else points
 
     def sample_points(self, rng, count: int) -> list[PrimePoint]:
         return [

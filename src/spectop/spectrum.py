@@ -13,7 +13,8 @@ a finite set of points, or, with its `cofinite` flag set, the complement
 of one, the limit counted as an ordinary point.  The empty set has no
 points; the whole symbolic spectrum is cofinite with no points.  Every
 membership and inclusion question on these representations is
-decidable.
+decidable, and the subset algebra below (union, intersection,
+complement, inclusion) answers each by a frozenset operation or two.
 
 Invariant: every point inside a subset value is a point of its ring.
 Points are checked once, where they enter: the builders (explicit for a
@@ -124,10 +125,11 @@ class SpecSubset(Record):
 def _subset(R: RingExpr, points, cofinite: bool = False) -> SpecSubset:
     """The canonicalizer: points handed here are already points of R.  A
     cofinite set over a ring that is not symbolic is stored as the finite
-    set it is."""
+    set it is.  The record is built by tuple.__new__ in C, without a call
+    of the SpecSubset constructor."""
     if cofinite and not R.symbolic:
-        return SpecSubset(R, frozenset(spec_points(R)).difference(points))
-    return SpecSubset(R, frozenset(points), cofinite)
+        points, cofinite = frozenset(R._spectrum_table).difference(points), False
+    return tuple.__new__(SpecSubset, (R, frozenset(points), cofinite))
 
 
 # The builders: validate, then canonicalize.
@@ -206,11 +208,13 @@ def subset_difference(A: SpecSubset, B: SpecSubset) -> SpecSubset:
 
 
 def subset_le(A: SpecSubset, B: SpecSubset) -> bool:
-    """Decide A included in B on the canonical representations; an
-    infinite set never lies inside a finite one."""
+    """Decide A included in B by one frozenset comparison of the canonical
+    representations: a finite A lies in a finite B when its points do, and
+    in a cofinite B when it misses B's points; an infinite set never lies
+    inside a finite one."""
     if A.cofinite:
         return B.cofinite and B.points <= A.points
-    return all(_member(p, B) for p in A.points)
+    return A.points.isdisjoint(B.points) if B.cofinite else A.points <= B.points
 
 
 def subset_str(E: SpecSubset) -> str:

@@ -438,7 +438,11 @@ def _axioms_hold(E: SpecSubset) -> tuple[bool, str]:
     flat = top.flat_closure(E)
     gamma = top.patch_closure(E)
     bigger = sp.subset_union(E, _enlarge(E))
+    # Every closure fixes the empty set and the whole spectrum (Kuratowski).
+    fixed = E in (sp.empty_set(E.ring), sp.whole(E.ring))
     for t, cl in ((top.ZARISKI, zariski), (top.FLAT, flat), (top.PATCH, gamma)):
+        if fixed and cl != E:
+            return False, f"{t} moves {sp.subset_str(E)}"
         if not sp.subset_le(E, cl):
             return False, f"{t} not extensive on {sp.subset_str(E)}"
         if top.closure(cl, t) != cl:

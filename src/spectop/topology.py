@@ -4,7 +4,9 @@ Three rules, each with a finite and a cofinite case, carry every
 closure: the up closure (the primes above some member), the down closure
 (the primes below some member) and the patch closure.  In a spectral
 space the Zariski (flat) closure of a set is the up (down) closure of its
-patch closure (Hochster 1969).  On an enumerable spectrum the patch
+patch closure (Hochster 1969).  The ring gives the up and down closures
+of a finite set whole (RingExpr.reach), so no rule here walks the
+points of a set one by one.  On an enumerable spectrum the patch
 topology is discrete; on the three symbolic families the rules rest on an
 exact statement about the ring family (finite vanishing loci over Z and
 GF(p)[x], finite non-vanishing loci on the infinite axes ring).  The
@@ -50,20 +52,15 @@ def order_closure(E: SpecSubset, up: bool) -> SpecSubset:
     """The up closure of E (the primes above some member, up=True) or its
     down closure (the primes below some member).
 
-    A family point's up (down) set is the point and the limit when the
+    The ring answers a finite E whole, in one reach call.  Of a cofinite
+    E: a family point's up (down) set is the point and the limit when the
     limit lies on that side of the order; the limit's up (down) set is
     everything when it does not.
     """
     R = E.ring
     if not E.cofinite:
-        reach = R.up_points if up else R.down_points
-        out: set[PrimePoint] = set()
-        for p in E.points:
-            pts = reach(p)
-            if pts is None:
-                return sp.whole(R)
-            out |= pts
-        return sp._subset(R, out)
+        pts = R.reach(E.points, up)
+        return sp.whole(R) if pts is None else sp._subset(R, pts)
     if R.limit_above == up:
         return _patch(E)  # adds the limit, and nothing else
     return sp.whole(R) if E.with_limit else E
@@ -109,19 +106,14 @@ def closure(E: SpecSubset, topology: str) -> SpecSubset:
 def is_stable(E: SpecSubset, mode: str) -> bool:
     """Stability under specialization or generalization.
 
-    A finite set is stable when the up (down) set of each of its points
+    A finite set is stable when its up (down) closure, one reach call,
     stays inside it; the cofinite sets follow representation rules.
     """
     if mode not in (SPECIALIZATION, GENERALIZATION):
         raise UnsupportedError(f"unknown stability mode {mode!r}")
     if not E.cofinite:
-        # Stable exactly when every point's up (down) set stays inside E.
-        reach = E.ring.up_points if mode == SPECIALIZATION else E.ring.down_points
-        for p in E.points:
-            pts = reach(p)
-            if pts is None or not pts <= E.points:
-                return False
-        return True
+        pts = E.ring.reach(E.points, mode == SPECIALIZATION)
+        return pts is not None and pts <= E.points
     # The whole spectrum is stable both ways.  Otherwise: a family point's up
     # (down) set is the point and the limit when the limit lies on that
     # side; the limit's is everything when it does not.

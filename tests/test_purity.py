@@ -229,3 +229,49 @@ def test_a_suite_run_enters_no_generated_hash():
             sys.setprofile(None)
     assert code == 0
     assert ("<string>", "__hash__") not in entered
+
+
+
+def _frames_entered(fn, *args):
+    """The names of the Python functions that fn(*args) enters below itself."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return entered - {fn.__name__}
+
+
+def test_finite_order_questions_are_whole_set_operations():
+    # A finite set's up and down closures and its stability are one reach
+    # call to the ring, and inclusion of a finite set is one frozenset
+    # comparison: no per-point Python loop runs.  Equal points below are
+    # the same objects, so no record __eq__ runs either.
+    from random import Random
+
+    from spectop import rings
+    from spectop import spectrum as sp
+    from spectop import topology as top
+
+    for R in (rings.ZZ, rings.poly_ring(2), rings.symbolic_supplement(rings.prime_field(2))):
+        pts = frozenset(sp.sample_points(R, Random(4), 12)) | {R.limit}
+        family = pts - {R.limit}
+        finite = [sp.empty_set(R), sp.explicit(R, family), sp.explicit(R, pts)]
+        others = finite + [sp.cofinite(R, family, True), sp.cofinite(R, family, False)]
+        for E in finite:
+            for up in (True, False):
+                # The canonicalizer builds the answer, through whole when
+                # that is every point.
+                entered = _frames_entered(top.order_closure, E, up)
+                assert entered <= {"reach", "whole", "_subset"}, (str(R), E, entered)
+            for mode in (top.SPECIALIZATION, top.GENERALIZATION):
+                entered = _frames_entered(top.is_stable, E, mode)
+                assert entered <= {"reach"}, (str(R), E, entered)
+            for F in others:
+                assert _frames_entered(sp.subset_le, E, F) == set(), (str(R), E, F)
