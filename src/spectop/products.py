@@ -71,7 +71,8 @@ def brute_force_image(E: SpecSubset, kind: str) -> SpecSubset:
 
     Goes through the order correspondences Spec(R/p) = {q >= p} and
     Spec(R_p) = {q <= p}; agrees with the formula branch on finite
-    inputs.
+    inputs.  contract checks each tame prime and hands back a point of
+    R, so the image is built from checked points.
     """
     if kind not in (QUOTIENT, LOCAL):
         raise UnsupportedError(f"unknown image kind {kind!r}")
@@ -83,7 +84,7 @@ def brute_force_image(E: SpecSubset, kind: str) -> SpecSubset:
     else:
         m = maps.CanonicalIntoLocalProduct(E)
     image = {maps.contract(m, q) for q in maps.tame_points(m)}
-    return sp.explicit(R, image)
+    return sp._subset(R, image)
 
 
 def is_unit_in_quotient_product(r: El, E: SpecSubset) -> bool:

@@ -500,7 +500,11 @@ class RationalField(_Field):
 
 @dataclass(frozen=True)
 class ModRing(_Residue, _ZeroDimensional):
-    """Z/n with the factorization of n cached at construction."""
+    """Z/n with the factorization of n cached at construction.
+
+    The constructor is internal: build Z/n with zmod, whose factors are
+    the primes factorint certified.  They are not tested again here;
+    only the exponents and their product are checked."""
 
     n: int
     factorization: tuple[tuple[int, int], ...]
@@ -510,7 +514,7 @@ class ModRing(_Residue, _ZeroDimensional):
             raise BadArityError("ModRing needs n >= 2")
         prod = 1
         for p, e in self.factorization:
-            if not is_prime(p) or e < 1:
+            if e < 1:
                 raise KindMismatchError(f"bad factorization entry {(p, e)}")
             prod *= p**e
         if prod != self.n:
@@ -552,7 +556,7 @@ class ModRing(_Residue, _ZeroDimensional):
 
     @cached_property
     def _primes(self) -> frozenset[int]:
-        """The primes dividing n: the factorization was checked at construction."""
+        """The primes dividing n, as factorint certified them in zmod."""
         return frozenset(q for q, _ in self.factorization)
 
     def has_point(self, p: PrimePoint) -> bool:
@@ -735,6 +739,10 @@ class _Monomial(RingExpr):
 
     def from_int(self, k: int) -> El:
         return self.reduce_terms([(k, ())])
+
+    def is_nilpotent(self, r: El) -> bool:
+        # Reduced, so only zero is nilpotent, and canonical zero has no terms.
+        return not r.terms
 
     def add(self, a: El, b: El) -> El:
         return self.reduce_terms(list(a.terms) + list(b.terms))

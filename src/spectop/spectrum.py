@@ -23,7 +23,11 @@ point from the caller (subset_member, leq_specialization, point_contains,
 point_ideal) validate each one.  The subset algebra (union,
 intersection, complement, inclusion) only recombines points that are
 already inside subsets, so it goes through the private canonicalizer
-_subset, which checks nothing.  _subset stores a cofinite set over a
+_subset, which checks nothing.  The suites and oracles keep the same
+rule: each checks every point of a ring's own spectrum once, then
+builds its subsets and compares its pairs through _subset, _member and
+the ring's _leq; the image oracle takes its points from contract, which
+checks them.  _subset stores a cofinite set over a
 ring that is not symbolic as the finite set it is, so each set has
 exactly one value and == is set equality.  The SpecSubset constructor is
 internal: build subsets with the builders.

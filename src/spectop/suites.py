@@ -15,7 +15,7 @@ from . import construction, maps, products, rings
 from . import spectrum as sp
 from . import topology as top
 from .rings import IntEl, RingExpr
-from .spectrum import MonoPrime, SpecSubset, SuppMin, ZMax
+from .spectrum import MonoPrime, PrimePoint, SpecSubset, SuppMin, ZMax
 
 WILD_PRIME_NOTE = (
     "finite brute force cannot reproduce the limit-point term of the "
@@ -134,19 +134,27 @@ def _axiom_zoo() -> list[RingExpr]:
     ]
 
 
+def _checked_points(R: RingExpr) -> list[PrimePoint]:
+    """The spectrum of an enumerable ring, each point checked once here, so
+    the subsets and pairs built from it recombine checked points."""
+    pts = sp.spec_points(R)
+    for p in pts:
+        sp.validate_point(p, R)
+    return pts
+
+
 def _every_subset(R: RingExpr):
     """Each subset of an enumerable spectrum, by size, then in point order."""
-    pts = sp.spec_points(R)
+    pts = _checked_points(R)
     for k in range(len(pts) + 1):
         for sub in combinations(pts, k):
-            yield sp.explicit(R, sub)
+            yield sp._subset(R, sub)
 
 
 def _up_closure_brute(E: SpecSubset) -> SpecSubset:
     R = E.ring
-    pts = sp.spec_points(R)
-    members = [q for q in pts if any(sp.leq_specialization(p, q, R) for p in sp.subset_points(E))]
-    return sp.explicit(R, members)
+    members = [q for q in _checked_points(R) if any(R._leq(p, q) for p in E.points)]
+    return sp._subset(R, members)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +174,7 @@ def suite_finite_closure(seed: int = 0, cases: int = 100, max_n: int = 10**6) ->
         E = sp.explicit(R, chosen)
         cl = top.zariski_closure(E)
         brute = _up_closure_brute(E)
-        meet = rings.ideal_intersect_all([sp.point_ideal(p, R) for p in chosen], R)
+        meet = rings.ideal_intersect_all([R.point_ideal(p) for p in chosen], R)
         v_of_fold = sp.v_locus(meet.gen, R)
         ok = cl == brute and cl == v_of_fold
         _case(res, f"{i:03d}", f"n={n} E={sp.subset_str(E)}", True, ok)
@@ -288,13 +296,14 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
             minimals = [sp.ZGeneric()]
         if not maps.is_injective(m):
             continue
+        shown = str(m)
         for p in minimals:
             q = maps.laying_over(m, p)
             back = maps.contract(m, q)
             _case(
                 res,
                 f"{i:03d}-{sp.point_str(p)}",
-                f"{m} over {sp.point_str(p)}",
+                f"{shown} over {sp.point_str(p)}",
                 sp.point_str(p),
                 sp.point_str(back),
             )
@@ -474,7 +483,7 @@ def _enlarge(E: SpecSubset) -> SpecSubset:
     if not R.symbolic:
         return sp.explicit(R, sp.spec_points(R)[:1])
     p, pick = R.limit, Random(0)
-    while sp.subset_member(p, E):
+    while sp._member(p, E):
         p = sp.sample_points(R, pick, 1)[0]
     return sp.explicit(R, [p])
 

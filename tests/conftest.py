@@ -1,5 +1,8 @@
 """Shared fixtures: ring zoos, seeded generators and property settings."""
 
+import importlib.util
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -68,3 +71,13 @@ def random_infinite_subset(R, rng, most=4):
 @pytest.fixture
 def rng():
     return Random(20260811)
+
+
+def bench_queries():
+    """bench/queries.py, the query-mix catalog, imported by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "queries.py"
+    spec = importlib.util.spec_from_file_location("bench_queries", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module

@@ -1,7 +1,6 @@
 import argparse
 import functools
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PROPERTY
+from conftest import PROPERTY, bench_queries
 from spectop import cli, primes, products, suites
 from spectop import spectrum as sp
 from spectop import topology as top
@@ -307,23 +306,13 @@ def test_construct_report_and_json_print_the_same_document(capsys, tmp_path):
     assert code == 0 and out == report.read_text() + "\n"
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-QUERY_MIX = BENCH / "expected" / "query-mix.json"
-
-
-def _bench_queries():
-    """bench/queries.py, imported by path and only read."""
-    spec = importlib.util.spec_from_file_location("bench_queries", BENCH / "queries.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks the module up
-    spec.loader.exec_module(module)
-    return module
+QUERY_MIX = Path(__file__).resolve().parents[1] / "bench" / "expected" / "query-mix.json"
 
 
 def test_query_catalog_outcomes_match_the_benchmark_record(capsys):
     # The bytes the query-mix benchmark checks, for the first entries of
     # each query class: "code:digest" as bench/workloads.outcome_key.
-    queries = _bench_queries()
+    queries = bench_queries()
     recorded = json.loads(QUERY_MIX.read_text())
     skipped = set(recorded["known_failures"])
     checked = 0

@@ -100,26 +100,38 @@ def test_no_memo_is_keyed_by_a_ring():
     assert found == []
 
 
-def test_only_the_canonicalizers_build_subsets():
-    # Each set has one value only because every subset passes through
-    # spectrum._subset, which stores a cofinite set over a ring that is not
-    # symbolic as the finite set it is.
+def _calls_outside(callee: str, module: str, builder: str) -> list[str]:
+    """Where the package calls `callee` outside the function `builder` of
+    `module`."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = set()
-        if path.name == "spectrum.py":
+        if path.name == module:
             for fn in tree.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == "_subset":
+                if isinstance(fn, ast.FunctionDef) and fn.name == builder:
                     allowed |= {id(node) for node in ast.walk(fn)}
         found += [
             f"{path.relative_to(SRC)}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and _callee_name(node) == "SpecSubset"
+            and _callee_name(node) == callee
             and id(node) not in allowed
         ]
-    assert found == []
+    return found
+
+
+def test_only_the_canonicalizers_build_subsets():
+    # Each set has one value only because every subset passes through
+    # spectrum._subset, which stores a cofinite set over a ring that is not
+    # symbolic as the finite set it is.
+    assert _calls_outside("SpecSubset", "spectrum.py", "_subset") == []
+
+
+def test_only_zmod_builds_residue_rings():
+    # ModRing does not test its factors for primality: they are the primes
+    # factorint certified, which only rings.zmod hands it.
+    assert _calls_outside("ModRing", "rings.py", "zmod") == []
 
 
 def _annotation_names(annotation) -> set[str]:
