@@ -63,13 +63,20 @@ class RingMapSpec:
     rule some kind lacks.
 
     Every kind has `source`, `__str__`, `contract(q)`, `tame_points()` and
-    `is_injective()`.  Kinds over the same fields share a dataclass base;
-    its equality compares the class too, so R -> R/p and R -> k(p) differ.
+    `is_injective()`.  contract checks q, then hands it to `_contract(q)`,
+    which does the contraction alone: the tame primes the map enumerates
+    itself go straight there.  Kinds over the same fields share a dataclass
+    base; its equality compares the class too, so R -> R/p and R -> k(p)
+    differ.
     """
 
     @property
     def source(self) -> RingExpr:
         return self.ring
+
+    def contract(self, q: PrimePoint) -> PrimePoint:
+        # A kind whose _contract refuses every other point checks nothing.
+        return self._contract(q)
 
     def symbolic_lying_over(self, p: PrimePoint) -> PrimePoint:
         """A tame prime over the minimal prime p, for an injective map whose
@@ -97,6 +104,10 @@ class QuotientMap(_PrimeMap):
         return f"{self.ring} -> {self.ring}/{sp.point_str(self.prime)}"
 
     def contract(self, q: PrimePoint) -> PrimePoint:
+        _check_factor_point(self.ring, q, up=True)
+        return self._contract(q)
+
+    def _contract(self, q: PrimePoint) -> PrimePoint:
         return _factor_contract(self.ring, self.prime, q, up=True)
 
     def tame_points(self) -> list[PrimePoint]:
@@ -114,7 +125,7 @@ class ResidueMap(_PrimeMap):
     def __str__(self) -> str:
         return f"{self.ring} -> k({sp.point_str(self.prime)})"
 
-    def contract(self, q: PrimePoint) -> PrimePoint:
+    def _contract(self, q: PrimePoint) -> PrimePoint:
         if isinstance(q, FieldZero):
             return self.prime
         raise WildPrimeError("residue fields have a single point, (0)")
@@ -153,17 +164,19 @@ class _ProductMap(RingMapSpec):
     def contract(self, q: PrimePoint) -> PrimePoint:
         if not isinstance(q, TamePrime):
             raise WildPrimeError(f"{sp.point_str(q)} is not tame")
-        return _factor_contract(self.ring, self._resolve_slot(q.slot), q.inner, self.up)
-
-    def _resolve_slot(self, slot) -> PrimePoint:
-        """The base point of E a tame slot refers to."""
+        slot = q.slot
         if type(slot) is int:
             if not 0 <= slot < len(self._members):
                 raise WildPrimeError(f"slot {slot} out of range for {sp.subset_str(self.subset)}")
-            return self._members[slot]
-        if not sp.subset_member(slot, self.subset):
+        elif not sp.subset_member(slot, self.subset):
             raise WildPrimeError(f"{sp.point_str(slot)} is not a member of the index set")
-        return slot
+        _check_factor_point(self.ring, q.inner, self.up)
+        return self._contract(q)
+
+    def _contract(self, q: PrimePoint) -> PrimePoint:
+        # The slot names the base point of E: the k-th member, or itself.
+        base = self._members[q.slot] if type(q.slot) is int else q.slot
+        return _factor_contract(self.ring, base, q.inner, self.up)
 
     def tame_points(self) -> list[PrimePoint]:
         R = self.ring
@@ -233,12 +246,20 @@ class DiagonalIntoModProduct(RingMapSpec):
             raise WildPrimeError(f"{sp.point_str(q)} is not tame")
         if not 0 <= q.slot < len(self.divisors):
             raise WildPrimeError(f"slot {q.slot} out of range")
-        d = self.divisors[q.slot]
-        inner = q.inner
+        if not self.source.has_point(q.inner):
+            raise self._not_in_slot(q)
+        return self._contract(q)
+
+    def _contract(self, q: PrimePoint) -> PrimePoint:
         # The primes of Z/d are the primes of n that divide d.
-        if not self.source.has_point(inner) or d % inner.p != 0:
-            raise KindMismatchError(f"{sp.point_str(inner)} is not a prime of Z/{d}")
-        return inner
+        if self.divisors[q.slot] % q.inner.p != 0:
+            raise self._not_in_slot(q)
+        return q.inner
+
+    def _not_in_slot(self, q: TamePrime) -> KindMismatchError:
+        return KindMismatchError(
+            f"{sp.point_str(q.inner)} is not a prime of Z/{self.divisors[q.slot]}"
+        )
 
     def tame_points(self) -> list[PrimePoint]:
         # Each d divides n, so the primes of d are the primes of n dividing d.
@@ -259,16 +280,23 @@ def _ordered(base: PrimePoint, q: PrimePoint, up: bool) -> tuple[PrimePoint, Pri
     return (base, q) if up else (q, base)
 
 
+def _check_factor_point(R: RingExpr, q: PrimePoint, up: bool) -> None:
+    """Check a prime q of a factor R/p (up) or R_p (down), written upstairs:
+    a point of R, or the zero ideal (0) of R/p."""
+    if not (up and isinstance(q, FieldZero)):
+        R.validate_point(q)
+
+
 def _factor_contract(R: RingExpr, base: PrimePoint, q: PrimePoint, up: bool) -> PrimePoint:
     """The preimage in R of the prime q of R/base (up) or R_base (down).
 
     base is a point of R already: the map's prime, checked when the map
-    was built, or a member of E, checked when E was or by _resolve_slot.
+    was built, or a member of E, checked when E was or by contract.  q was
+    checked by contract, or is a tame prime the map enumerated itself.
     """
     if up and isinstance(q, FieldZero):
         # The zero ideal of R/p pulls back to the kernel.
         return base
-    R.validate_point(q)
     if R._leq(*_ordered(base, q, up)):
         return q
     raise WildPrimeError(
@@ -335,8 +363,9 @@ def laying_over(m: RingMapSpec, p: PrimePoint) -> PrimePoint:
         raise LyingOverNotFoundError("the map is not injective")
     if not src.is_enumerable():
         return m.symbolic_lying_over(p)
+    # The map's own tame primes need no check: each goes to _contract.
     for q in sorted(tame_points(m), key=sp.point_sort_key):
-        if contract(m, q) == p:
+        if m._contract(q) == p:
             return q
     raise LyingOverNotFoundError("no tame prime lies over the given point")
 

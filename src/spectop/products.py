@@ -71,8 +71,9 @@ def brute_force_image(E: SpecSubset, kind: str) -> SpecSubset:
 
     Goes through the order correspondences Spec(R/p) = {q >= p} and
     Spec(R_p) = {q <= p}; agrees with the formula branch on finite
-    inputs.  contract checks each tame prime and hands back a point of
-    R, so the image is built from checked points.
+    inputs.  The map enumerates its tame primes from the ring's spectrum,
+    so each goes to the map's _contract unchecked, and the image is built
+    from points of R.
     """
     if kind not in (QUOTIENT, LOCAL):
         raise UnsupportedError(f"unknown image kind {kind!r}")
@@ -83,7 +84,7 @@ def brute_force_image(E: SpecSubset, kind: str) -> SpecSubset:
         m: maps.RingMapSpec = maps.CanonicalIntoQuotientProduct(E)
     else:
         m = maps.CanonicalIntoLocalProduct(E)
-    image = {maps.contract(m, q) for q in maps.tame_points(m)}
+    image = {m._contract(q) for q in maps.tame_points(m)}
     return sp._subset(R, image)
 
 
@@ -138,8 +139,9 @@ def nilradical_product_law_check(R: Product) -> bool:
         sample.append(unit_idempotent(k, R))
     for t in sample:
         product_side = _nilpotent_by_squaring(R, t, zero)
-        # The sample is canonical, so each slot goes to its factor's rule as is.
-        component_side = all(f.is_nilpotent(x) for x, f in zip(t.items, R.factors))
+        # The product's rule is the conjunction of its factors' rules; the
+        # sample is canonical, so each slot goes to its factor's rule as is.
+        component_side = R.is_nilpotent(t)
         if product_side != component_side:
             return False
     minimal = [p for p in pts if R.is_minimal_prime(p)]

@@ -535,7 +535,8 @@ class ModRing(_Residue, _ZeroDimensional):
         return self.is_unit(r)
 
     def is_nilpotent(self, r: El) -> bool:
-        return all(r.v % p == 0 for p, _ in self.factorization)
+        # Nilpotent iff every prime of n divides r, that is, the radical does.
+        return r.v % self._radical == 0
 
     def is_reduced(self) -> bool:
         return all(e == 1 for _, e in self.factorization)
@@ -552,7 +553,12 @@ class ModRing(_Residue, _ZeroDimensional):
         return principal_ideal(self, ModEl(a.v * b.v // math.gcd(a.v, b.v)))
 
     def nilradical(self) -> IdealRepr:
-        return PrincipalIdeal(ModEl(math.prod(p for p, _ in self.factorization) % self.n))
+        return PrincipalIdeal(ModEl(self._radical % self.n))
+
+    @cached_property
+    def _radical(self) -> int:
+        """The product of the primes dividing n."""
+        return math.prod(p for p, _ in self.factorization)
 
     @cached_property
     def _primes(self) -> frozenset[int]:
@@ -711,13 +717,15 @@ class _Monomial(RingExpr):
     Subclasses give field, nvars (None: unbounded) and _kills_mask."""
 
     def reduce_terms(self, terms) -> MPolyEl:
+        # Read once: the localized kind reads them through its inner ring.
+        field, nvars, kills = self.field, self.nvars, self._kills_mask
         acc: dict[tuple[int, ...], object] = {}
         for c, exp in terms:
             exp = _canonical_exp(exp)
-            if self.nvars is not None and len(exp) > self.nvars:
+            if nvars is not None and len(exp) > nvars:
                 raise KindMismatchError("monomial uses more variables than the ring has")
-            c = _coeff_norm(self.field, c)
-            if not self._kills_mask(exp_to_mask(exp)):
+            c = _coeff_norm(field, c)
+            if not kills(exp_to_mask(exp)):
                 acc[exp] = acc.get(exp, 0) + c
         return self._element(acc)
 
@@ -1013,14 +1021,18 @@ class Product(RingExpr):
     def mul(self, a: El, b: El) -> El:
         return TupleEl(tuple(f.mul(x, y) for f, x, y in zip(self.factors, a.items, b.items)))
 
+    # The nilradical law check calls power, is_nilpotent and sample_element
+    # once per sampled element; over a product's few factors a list
+    # comprehension costs less than a generator.
+
     def power(self, a: El, k: int) -> El:
-        return TupleEl(tuple(f.power(x, k) for f, x in zip(self.factors, a.items)))
+        return TupleEl(tuple([f.power(x, k) for f, x in zip(self.factors, a.items)]))
 
     def is_unit(self, r: El) -> bool:
         return all(f.is_unit(x) for x, f in zip(r.items, self.factors))
 
     def is_nilpotent(self, r: El) -> bool:
-        return all(f.is_nilpotent(x) for x, f in zip(r.items, self.factors))
+        return all([f.is_nilpotent(x) for x, f in zip(r.items, self.factors)])
 
     def is_regular(self, r: El) -> bool:
         return all(f.is_regular(x) for x, f in zip(r.items, self.factors))
@@ -1029,7 +1041,7 @@ class Product(RingExpr):
         return all(f.is_reduced() for f in self.factors)
 
     def sample_element(self, rng: Random) -> El:
-        return TupleEl(tuple(f.sample_element(rng) for f in self.factors))
+        return TupleEl(tuple([f.sample_element(rng) for f in self.factors]))
 
     def validate_point(self, p: PrimePoint) -> None:
         if isinstance(p, TamePrime) and type(p.slot) is int:
@@ -1069,7 +1081,7 @@ def zmod(n: int, limit: int | None = DEFAULT_LIMIT) -> ModRing:
     """Z/n; an n above limit is refused, and None lifts the bound."""
     if n < 2:
         raise BadArityError("ModRing needs n >= 2")
-    return ModRing(n, factorint(n, limit))
+    return ModRing(n, _factorization(n, limit))
 
 
 def prime_field(p: int) -> PrimeField:
@@ -1147,11 +1159,21 @@ def symbolic_supplement(field: PrimeField | RationalField) -> SymbolicSupplement
     return SymbolicSupplement(field)
 
 
-# The memo of minimal covers, keyed on a monomial ideal's masks.  Sized
-# for one `verify all` run, which meets 8 distinct monomial ideals (7 of
-# them the supplement suite's, each shared by its three fields), so no
-# cover search runs twice there, while a long-lived process stays bounded.
+# The memos of minimal covers, keyed on a monomial ideal's masks, and of
+# factorizations, keyed on (n, limit).  Sized for one `verify all` run,
+# which meets 8 distinct monomial ideals (7 of them the supplement suite's,
+# each shared by its three fields) and about 150 moduli, so no cover search
+# or factorization runs twice there, while a long-lived process stays
+# bounded.
 _RING_MEMO_SIZE = 256
+
+
+# Typed, so an n that equals an int without being one is not answered
+# from the int's entry.  A modulus built twice, as a ring and as a map's
+# source, is factored once.
+@lru_cache(maxsize=_RING_MEMO_SIZE, typed=True)
+def _factorization(n: int, limit: int | None) -> tuple[tuple[int, int], ...]:
+    return factorint(n, limit)
 
 
 def quotient_dim(R: MonomialQuotient) -> int:

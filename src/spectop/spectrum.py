@@ -26,8 +26,11 @@ already inside subsets, so it goes through the private canonicalizer
 _subset, which checks nothing.  The suites and oracles keep the same
 rule: each checks every point of a ring's own spectrum once, then
 builds its subsets and compares its pairs through _subset, _member and
-the ring's _leq; the image oracle takes its points from contract, which
-checks them.  _subset stores a cofinite set over a
+the ring's _leq.  Points a ring samples are points of it, as the ones
+it enumerates are, so the suites' random subsets are built from
+sample_points output through _subset, unchecked; the image oracle
+contracts the tame primes a map enumerated through the map's unchecked
+_contract.  _subset stores a cofinite set over a
 ring that is not symbolic as the finite set it is, so each set has
 exactly one value and == is set equality.  The SpecSubset constructor is
 internal: build subsets with the builders.

@@ -96,13 +96,16 @@ AXES_F2 = rings.symbolic_supplement(F2)
 
 
 def _random_symbolic_subset(R: RingExpr, rng: Random) -> SpecSubset:
+    """A seeded subset of a symbolic spectrum: empty, whole, finite or
+    cofinite.  The draws build through sp._subset, unchecked: the points
+    sample_points hands back are points of R, as enumerated ones are."""
     roll = rng.random()
     if roll < 0.1:
         return sp.empty_set(R)
     if roll < 0.2:
         return sp.whole(R)
     if roll < 0.5:
-        return sp.explicit(R, sp.sample_points(R, rng, rng.randint(1, 4)))
+        return sp._subset(R, R.sample_points(rng, rng.randint(1, 4)))
     return _random_infinite_subset(R, rng, 3)
 
 
@@ -411,9 +414,10 @@ def suite_density(seed: int = 0, cases: int = 50) -> SuiteResult:
 
 
 def _random_infinite_subset(R: RingExpr, rng: Random, most: int = 4) -> SpecSubset:
-    # A sampled limit point is left to the flag: the limit is never excluded.
-    excl = sp.sample_points(R, rng, rng.randint(0, most))
-    return sp.cofinite(R, set(excl) - {R.limit}, rng.random() < 0.5)
+    # A sampled limit point is left to the flag: the limit is never excluded,
+    # and a cofinite set's points hold it exactly when the flag leaves it out.
+    excl = frozenset(R.sample_points(rng, rng.randint(0, most))) - {R.limit}
+    return sp._subset(R, excl if rng.random() < 0.5 else excl | {R.limit}, True)
 
 
 def suite_closure_axioms(seed: int = 0, cases: int = 500) -> SuiteResult:
@@ -448,7 +452,7 @@ def _axioms_hold(E: SpecSubset) -> tuple[bool, str]:
     gamma = top.patch_closure(E)
     bigger = sp.subset_union(E, _enlarge(E))
     # Every closure fixes the empty set and the whole spectrum (Kuratowski).
-    fixed = E in (sp.empty_set(E.ring), sp.whole(E.ring))
+    fixed = _is_empty_or_whole(E)
     for t, cl in ((top.ZARISKI, zariski), (top.FLAT, flat), (top.PATCH, gamma)):
         if fixed and cl != E:
             return False, f"{t} moves {sp.subset_str(E)}"
@@ -471,21 +475,32 @@ def _axioms_hold(E: SpecSubset) -> tuple[bool, str]:
     return True, ""
 
 
+def _is_empty_or_whole(E: SpecSubset) -> bool:
+    """Read off the canonical form: both sets have no points, but for the
+    whole of an enumerable spectrum, which has every point."""
+    R = E.ring
+    return not E.points or not R.symbolic and len(E.points) == len(R._spectrum_table)
+
+
 def _enlarge(E: SpecSubset) -> SpecSubset:
     """What the monotonicity check adds to E: everything for a cofinite
     set, the ring's first point over an enumerable ring, and over a symbolic
-    ring a point outside the finite E: the limit when E lacks it, else a
-    family point.  The family point comes from a Random of its own, so the
-    suite's draws do not depend on it."""
+    ring a point outside the finite E: the limit when E lacks it, else the
+    first family point outside E that a Random(0) of its own samples, so
+    the suite's draws do not depend on it.  Each is a point of R already
+    (a point of the checked spectrum, the limit, or a sampled point), so
+    the set is built through sp._subset."""
     R = E.ring
     if E.cofinite:
         return sp.whole(R)
     if not R.symbolic:
-        return sp.explicit(R, sp.spec_points(R)[:1])
-    p, pick = R.limit, Random(0)
-    while sp._member(p, E):
-        p = sp.sample_points(R, pick, 1)[0]
-    return sp.explicit(R, [p])
+        return sp._subset(R, R._spectrum_table[:1])
+    p = R.limit
+    if p in E.points:
+        pick = Random(0)
+        while p in E.points:
+            p = R.sample_points(pick, 1)[0]
+    return sp._subset(R, (p,))
 
 
 def suite_oracle_agreement(seed: int = 0) -> SuiteResult:

@@ -1,21 +1,24 @@
 """Points and primes the engine builds are checked once, where they are made.
 
 The suites build subsets of a ring's own spectrum with spectrum._subset
-after one check per point, the image oracle takes the points `contract`
-checked, and `ModRing` trusts the primes `factorint` certified.  The
-tests here keep the rules those checks rest on: every point a ring
-enumerates or samples is a point of that ring, the monomial kinds' short
-nilpotence rule agrees with the full one, and a Z/n query tests each of
-its primes once.
+after one check per point, and of its sampled points with no check; the
+image oracle contracts its map's own tame primes with no check; and
+`ModRing` trusts the primes `factorint` certified, factored once per
+modulus.  The tests here keep the rules those checks rest on: every
+point a ring enumerates or samples is a point of that ring, the monomial
+kinds' short nilpotence rule agrees with the full one, and a Z/n query
+tests each of its primes once.  They also count the checks and
+factorizations themselves.
 """
 
+import sys
 from collections import Counter
 from random import Random
 
 import pytest
 
 from conftest import AXES_F2, AXES_Q, F2, F2X, bench_queries
-from spectop import primes, rings, suites
+from spectop import maps, primes, products, rings, suites
 from spectop import spectrum as sp
 from spectop.cli import run_command
 
@@ -71,7 +74,50 @@ def test_zmod_queries_test_each_prime_once(monkeypatch, capsys):
     for i in range(40):
         q = queries.entry("spec-zmod-mid", i)
         calls.clear()
+        rings._factorization.cache_clear()  # as in a fresh CLI process
         assert run_command(list(q.argv)) == 0, q.id
         capsys.readouterr()
         assert calls, q.id
         assert [n for n, k in Counter(calls).items() if k > 1] == [], q.id
+
+
+def _point_checks(fn, *args):
+    """The point checks fn(*args) makes, by the callers' names."""
+    callers = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "validate_point":
+            callers.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return callers
+
+
+@pytest.mark.parametrize("R", suites._oracle_zoo(), ids=str)
+def test_the_image_oracle_checks_no_tame_prime_of_its_own(R):
+    # brute_force_image contracts the tame primes its map enumerated from
+    # the ring's spectrum, so none of them is checked again.
+    for E in suites._every_subset(R):
+        for kind in (products.QUOTIENT, products.LOCAL):
+            assert _point_checks(products.brute_force_image, E, kind) == [], (kind, E)
+
+
+def test_the_public_contract_still_checks_its_point():
+    m = maps.CanonicalIntoLocalProduct(sp.whole(rings.zmod(12)))
+    (q, *_) = maps.tame_points(m)
+    assert len(_point_checks(maps.contract, m, q)) == 1
+
+
+def test_lying_over_factors_each_modulus_once(monkeypatch):
+    # A diagonal map's source is Z/n again, built through the same memo as
+    # the suite's own Z/n, so each modulus is factored once.
+    calls = []
+    real = rings.factorint
+    monkeypatch.setattr(rings, "factorint", lambda n, limit: calls.append(n) or real(n, limit))
+    rings._factorization.cache_clear()
+    assert suites.suite_lying_over(seed=0).passed
+    assert len(calls) == len(set(calls)) == 19

@@ -229,12 +229,12 @@ def test_image_oracles_do_not_use_topology(monkeypatch):
 
 
 def test_laying_over_does_not_hide_a_wild_prime_error(monkeypatch):
-    # contract never refuses a map's own tame points, so a WildPrimeError
+    # _contract never refuses a map's own tame points, so a WildPrimeError
     # there is an engine bug; skipping the candidate would answer with a
     # later one, here the slot-1 copy of (2).
     m = maps.DiagonalIntoModProduct(6, (6, 2))
     first = sorted(maps.tame_points(m), key=sp.point_sort_key)[0]
-    contract = maps.DiagonalIntoModProduct.contract
+    contract = maps.DiagonalIntoModProduct._contract
 
     def broken(self, q):
         if q == first:
@@ -242,7 +242,7 @@ def test_laying_over_does_not_hide_a_wild_prime_error(monkeypatch):
         return contract(self, q)
 
     assert maps.laying_over(m, ZmodPrime(2)) == first
-    monkeypatch.setattr(maps.DiagonalIntoModProduct, "contract", broken)
+    monkeypatch.setattr(maps.DiagonalIntoModProduct, "_contract", broken)
     with pytest.raises(WildPrimeError):
         maps.laying_over(m, ZmodPrime(2))
 
@@ -514,11 +514,11 @@ def test_laying_over_does_not_hide_non_enumerable(monkeypatch):
 
 def test_laying_over_does_not_hide_kind_mismatch(monkeypatch):
     # Tame candidates always match their ring, so a KindMismatchError from
-    # contract is an engine bug, not "no tame prime lies over".
+    # _contract is an engine bug, not "no tame prime lies over".
     def broken_contract(m, q):
         raise KindMismatchError("engine bug")
 
-    monkeypatch.setattr(maps, "contract", broken_contract)
+    monkeypatch.setattr(maps.DiagonalIntoModProduct, "_contract", broken_contract)
     with pytest.raises(KindMismatchError):
         maps.laying_over(maps.DiagonalIntoModProduct(6, (2, 3)), ZmodPrime(2))
 

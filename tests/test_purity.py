@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectop"
@@ -287,3 +288,50 @@ def test_finite_order_questions_are_whole_set_operations():
                 assert entered <= {"reach"}, (str(R), E, entered)
             for F in others:
                 assert _frames_entered(sp.subset_le, E, F) == set(), (str(R), E, F)
+
+
+def test_closure_axioms_checks_points_only_where_it_enumerates_them(monkeypatch):
+    # The suite checks each point of a ring's own spectrum once, in
+    # suites._checked_points, and builds every other subset from points
+    # that a ring enumerated or sampled, so no other point check runs.  It
+    # seeds its own Random, and a Random(0) for each finite symbolic draw
+    # that holds the limit, where _enlarge samples a family point.
+    import contextlib
+    import io
+
+    from spectop import cli, suites
+
+    drawn = []
+    monkeypatch.setattr(suites, "_axioms_hold", lambda E: drawn.append(E) or (True, ""))
+    suites.suite_closure_axioms(seed=0)
+    monkeypatch.undo()
+    holding = sum(E.ring.symbolic and not E.cofinite and E.ring.limit in E.points for E in drawn)
+
+    checks, outside = Counter(), []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_name == "validate_point":
+            checks[Path(code.co_filename).name] += 1
+            caller = frame.f_back
+            while caller is not None and caller.f_code.co_name != "_checked_points":
+                caller = caller.f_back
+            if caller is None:
+                outside.append(frame.f_back.f_code.co_name)
+        elif code.co_name == "seed" and Path(code.co_filename).name == "random.py":
+            checks["Random.seed"] += 1
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            code = cli.run_command(["verify", "closure-axioms", "--seed", "0", "--json"])
+        finally:
+            sys.setprofile(None)
+    assert code == 0
+    assert outside == []
+    # One check per point of the zoo's spectra; a product point's check
+    # also asks its factor.
+    assert holding == 44
+    assert checks == {"spectrum.py": 49, "rings.py": 66, "Random.seed": 1 + holding}

@@ -8,6 +8,7 @@ check of `suites._axioms_hold` is dead.
 """
 
 import hashlib
+from random import Random
 
 import pytest
 
@@ -147,3 +148,56 @@ def test_only_the_whole_spectrum_gets_no_larger_companion(monkeypatch, seed):
     same = [E for E in symbolic if sp.subset_union(E, suites._enlarge(E)) == E]
     assert all(E == sp.whole(E.ring) for E in same)
     assert len(same) < len(symbolic) / 4
+
+
+def ref_enlarge(E):
+    """The monotonicity companion as first written: every point checked
+    again by the builders, and a Random(0) for every finite symbolic set."""
+    R = E.ring
+    if E.cofinite:
+        return sp.whole(R)
+    if not R.symbolic:
+        return sp.explicit(R, sp.spec_points(R)[:1])
+    p, pick = R.limit, Random(0)
+    while sp._member(p, E):
+        p = sp.sample_points(R, pick, 1)[0]
+    return sp.explicit(R, [p])
+
+
+def ref_fixed(E):
+    """The fixed-set test as first written: E against two built subsets."""
+    return E in (sp.empty_set(E.ring), sp.whole(E.ring))
+
+
+def _recorded_symbolic_draws(monkeypatch, seed):
+    drawn = []
+    monkeypatch.setattr(suites, "_axioms_hold", lambda E: drawn.append(E) or (True, ""))
+    suites.suite_closure_axioms(seed=seed)
+    monkeypatch.undo()
+    return [E for E in drawn if E.ring.symbolic]
+
+
+def _every_axiom_subset():
+    return [E for R in suites._axiom_zoo() for E in suites._every_subset(R)]
+
+
+@pytest.mark.parametrize("seed", sorted(SYMBOLIC_DRAWS))
+def test_enlarge_matches_the_reference_on_the_recorded_draws(monkeypatch, seed):
+    symbolic = _recorded_symbolic_draws(monkeypatch, seed)
+    assert len(symbolic) == 498
+    for E in symbolic:
+        assert suites._enlarge(E) == ref_enlarge(E), sp.subset_str(E)
+
+
+def test_enlarge_matches_the_reference_on_every_enumerable_subset():
+    for E in _every_axiom_subset():
+        assert suites._enlarge(E) == ref_enlarge(E), (str(E.ring), sp.subset_str(E))
+
+
+@pytest.mark.parametrize("seed", sorted(SYMBOLIC_DRAWS))
+def test_fixed_sets_match_the_reference(monkeypatch, seed):
+    subsets = _every_axiom_subset() + _recorded_symbolic_draws(monkeypatch, seed)
+    fixed = [ref_fixed(E) for E in subsets]
+    assert any(fixed) and not all(fixed)
+    for E, want in zip(subsets, fixed):
+        assert suites._is_empty_or_whole(E) == want, (str(E.ring), sp.subset_str(E))
