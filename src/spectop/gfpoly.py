@@ -10,7 +10,8 @@ Irreducibility is Ben-Or's test (FOCS 1981): f is irreducible when
 gcd(x^(p^i) - x, f) = 1 for every i <= deg(f)/2.  Factorization is
 distinct-degree splitting over the same powers x^(p^i), then
 Cantor-Zassenhaus equal-degree splitting with a fixed-seed generator, so
-results are reproducible.  Degrees are capped at desk scale.
+results are reproducible.  The stream of monic irreducibles is a sieve
+over products of lower degrees.  Degrees are capped at desk scale.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .errors import FactorizationLimitError
 DEGREE_CAP = 16
 
 # Room for every point polynomial a verify run tests.  The irreducibles
-# stream calls the unmemoized test (_ben_or): its candidates, mostly
-# reducible, would fill the table and never be asked for again.
+# stream sieves and tests nothing, so it leaves the table alone.
 _IRREDUCIBLE_MEMO_SIZE = 1024
 
 Poly = tuple[int, ...]
@@ -260,12 +260,29 @@ def factor(f: Poly, p: int) -> list[tuple[Poly, int]]:
 
 
 def irreducibles(p: int):
-    """Yield monic irreducibles in (degree, coefficient) order."""
+    """Yield monic irreducibles in (degree, coefficient) order, by a sieve.
+
+    A reducible monic f of degree d is g h with g the monic irreducible
+    factor of least degree, so deg(g) <= d/2, and h monic of degree
+    d - deg(g).  Each degree strikes out those products of the
+    irreducibles already yielded and yields the monic polynomials left;
+    no irreducibility test runs.  Beside the irreducibles it has yielded,
+    it holds one set of the current degree's reducibles, at most p^d
+    entries.
+    """
+    found: list[Poly] = []
     d = 1
     while True:
+        reducible = {
+            mul(g, tail + (1,), p)
+            for g in found
+            if 2 * deg(g) <= d
+            for tail in product(range(p), repeat=d - deg(g))
+        }
         for tail in product(range(p), repeat=d):
             f = tail + (1,)
-            if _ben_or(f, p):
+            if f not in reducible:
+                found.append(f)
                 yield f
         d += 1
 

@@ -137,7 +137,8 @@ def nilradical_product_law_check(R: Product) -> bool:
     sample.append(rings.one(R))
     for k in range(len(R.factors)):
         sample.append(unit_idempotent(k, R))
-    for t in sample:
+    # An element drawn twice is compared once.
+    for t in dict.fromkeys(sample):
         product_side = _nilpotent_by_squaring(R, t, zero)
         # The product's rule is the conjunction of its factors' rules; the
         # sample is canonical, so each slot goes to its factor's rule as is.

@@ -797,21 +797,32 @@ class _Monomial(RingExpr):
         return all(self._kills_mask(g) for g in gens)
 
     def sample_element(self, rng: Random) -> El:
+        """Up to three terms x_k or x_k^2, each at times with one lower
+        variable, then at times a constant; built canonical as drawn.  An
+        exponent ends in a nonzero entry within nvars and a coefficient is
+        drawn in range, so no term needs reduce_terms' checks: a monomial
+        the ring kills (by the mask of its drawn positions) is dropped,
+        equal exponents are summed, and 1 lies in no proper ideal."""
         nvars = self.nvars or 6  # the axes ring: sample from its first six axes
-        terms = []
+        kills = self._kills_mask
+        p = self.field.p if isinstance(self.field, PrimeField) else None
+        acc: dict[tuple[int, ...], object] = {}
         for _ in range(rng.randint(0, 3)):
-            exp = [0] * rng.randint(1, nvars)
+            k = rng.randint(1, nvars)
+            exp = [0] * k
             exp[-1] = rng.randint(1, 2)
-            if rng.random() < 0.3 and len(exp) > 1:
-                exp[rng.randrange(len(exp) - 1)] = 1
-            if isinstance(self.field, PrimeField):
-                c = rng.randint(1, self.field.p - 1)
-            else:
-                c = rng.randint(-3, 3)
-            terms.append((c, tuple(exp)))
+            mask = 1 << (k - 1)
+            if rng.random() < 0.3 and k > 1:
+                i = rng.randrange(k - 1)
+                exp[i] = 1
+                mask |= 1 << i
+            c = rng.randint(1, p - 1) if p else rng.randint(-3, 3)
+            if not kills(mask):
+                exp = tuple(exp)
+                acc[exp] = acc.get(exp, 0) + c
         if rng.random() < 0.5:
-            terms.append((rng.randint(0, 3), ()))
-        return self.reduce_terms(terms)
+            acc[()] = rng.randint(0, 3)
+        return self._element(acc)
 
 
 class _Quotient(_Monomial):

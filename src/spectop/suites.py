@@ -3,6 +3,14 @@
 Each suite runs a family of checks with a seeded generator, returning a
 deterministic report: identical inputs and seeds give byte-identical
 JSON.  Every failing case carries a repro command line.
+
+Every draw is drawn, counted and reported: deciding a draw never reads
+the suite's generator, so the draws come in the same order whether or not
+they are decided, and each gets its own case or count.  Each distinct
+draw is decided once, from a dict local to the run: closure-axioms keeps
+the verdict of each symbolic subset, lying-over each map's injectivity
+and each (map, point) round trip, and the nilradical law check compares
+each distinct sampled element once.
 """
 
 from __future__ import annotations
@@ -154,9 +162,10 @@ def _every_subset(R: RingExpr):
             yield sp._subset(R, sub)
 
 
-def _up_closure_brute(E: SpecSubset) -> SpecSubset:
+def _up_closure_brute(E: SpecSubset, pts: list[PrimePoint]) -> SpecSubset:
+    """The points of pts, E's checked spectrum, above some point of E."""
     R = E.ring
-    members = [q for q in _checked_points(R) if any(R._leq(p, q) for p in E.points)]
+    members = [q for q in pts if any(R._leq(p, q) for p in E.points)]
     return sp._subset(R, members)
 
 
@@ -172,11 +181,11 @@ def suite_finite_closure(seed: int = 0, cases: int = 100, max_n: int = 10**6) ->
     for i in range(cases):
         n = rng.randint(2, max_n)
         R = rings.zmod(n)
-        pts = sp.spec_points(R)
+        pts = _checked_points(R)
         chosen = [p for p in pts if rng.random() < 0.6] or [pts[0]]
-        E = sp.explicit(R, chosen)
+        E = sp._subset(R, chosen)
         cl = top.zariski_closure(E)
-        brute = _up_closure_brute(E)
+        brute = _up_closure_brute(E, pts)
         meet = rings.ideal_intersect_all([R.point_ideal(p) for p in chosen], R)
         v_of_fold = sp.v_locus(meet.gen, R)
         ok = cl == brute and cl == v_of_fold
@@ -257,6 +266,8 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
     # Z/210 onto its four residue fields, the same in every case that draws it.
     z210 = rings.zmod(2 * 3 * 5 * 7)
     into_fields = maps.CanonicalIntoQuotientProduct(sp.whole(z210))
+    injective: dict[maps.RingMapSpec, bool] = {}
+    round_trip: dict[tuple[maps.RingMapSpec, PrimePoint], PrimePoint] = {}
     i = 0
     while i < cases:
         roll = rng.random()
@@ -297,12 +308,15 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
             E = sp.cofinite(rings.ZZ, excl, rng.random() < 0.5)
             m = maps.CanonicalIntoLocalProduct(E)
             minimals = [sp.ZGeneric()]
-        if not maps.is_injective(m):
+        if m not in injective:
+            injective[m] = maps.is_injective(m)
+        if not injective[m]:
             continue
         shown = str(m)
         for p in minimals:
-            q = maps.laying_over(m, p)
-            back = maps.contract(m, q)
+            if (m, p) not in round_trip:
+                round_trip[m, p] = maps.contract(m, maps.laying_over(m, p))
+            back = round_trip[m, p]
             _case(
                 res,
                 f"{i:03d}-{sp.point_str(p)}",
@@ -434,9 +448,15 @@ def suite_closure_axioms(seed: int = 0, cases: int = 500) -> SuiteResult:
                 failures += 1
                 _case(res, f"enum-{R}-{sp.subset_str(E)}", msg, True, False)
     for R in (rings.ZZ, F2X, AXES_F2):
+        # A draw over R is keyed by its points and flag: hashing the
+        # subset would hash the ring, a dataclass, on every draw.
+        verdicts: dict[tuple[frozenset, bool], tuple[bool, str]] = {}
         for j in range(cases // 3):
             E = _random_symbolic_subset(R, rng)
-            ok, msg = _axioms_hold(E)
+            key = E.points, E.cofinite
+            if key not in verdicts:
+                verdicts[key] = _axioms_hold(E)
+            ok, msg = verdicts[key]
             total += 1
             if not ok:
                 failures += 1

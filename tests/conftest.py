@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -71,6 +72,26 @@ def random_infinite_subset(R, rng, most=4):
 @pytest.fixture
 def rng():
     return Random(20260811)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) replaces module.name, for the test, by a
+    wrapper that counts its calls by their (hashable) positional
+    arguments, and returns the Counter it fills."""
+
+    def install(module, name):
+        calls = Counter()
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[args] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
 
 
 def bench_queries():

@@ -106,6 +106,29 @@ def test_the_image_oracle_checks_no_tame_prime_of_its_own(R):
             assert _point_checks(products.brute_force_image, E, kind) == [], (kind, E)
 
 
+def test_finite_closure_checks_each_point_once_where_it_enumerates_it(count_calls):
+    # Each case builds its subset and its brute-force up closure from the
+    # list _checked_points returns, so no point is checked twice.
+    checks = count_calls(sp, "validate_point")
+    outside = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "validate_point":
+            caller = frame.f_back
+            while caller is not None and caller.f_code.co_name != "_checked_points":
+                caller = caller.f_back
+            if caller is None:
+                outside.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        res = suites.suite_finite_closure(seed=0)
+    finally:
+        sys.setprofile(None)
+    assert res.passed and outside == []
+    assert set(checks.values()) == {1} and len(checks) == 268
+
+
 def test_the_public_contract_still_checks_its_point():
     m = maps.CanonicalIntoLocalProduct(sp.whole(rings.zmod(12)))
     (q, *_) = maps.tame_points(m)

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import islice, product
 from random import Random
 
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectop import gfpoly as gf
+from spectop import rings
 from spectop.errors import FactorizationLimitError
 
 
@@ -203,8 +204,25 @@ def test_irreducibles_stream_is_sorted_and_irreducible():
         assert gf.is_irreducible(f, 2)
 
 
+def ref_irreducibles(p):
+    """The stream as first written: every monic polynomial in (degree,
+    coefficient) order that passes Ben-Or's test."""
+    d = 1
+    while True:
+        for tail in product(range(p), repeat=d):
+            f = tail + (1,)
+            if gf._ben_or(f, p):
+                yield f
+        d += 1
+
+
+@pytest.mark.parametrize("p", rings._PRIME_POOL)
+def test_irreducibles_sieve_matches_the_ben_or_stream(p):
+    assert list(islice(gf.irreducibles(p), 40)) == list(islice(ref_irreducibles(p), 40))
+
+
 def test_irreducibles_stream_leaves_the_memo_alone(monkeypatch):
-    # The stream runs the unmemoized test: it adds no memo entry, and it
+    # The stream sieves and tests nothing: it adds no memo entry, and it
     # keeps working when is_irreducible is replaced by a plain wrapper, as
     # a profiler does.
     gf.is_irreducible.cache_clear()

@@ -475,3 +475,40 @@ def test_dim_guard_refuses_a_huge_ring_without_walking_it(nvars):
     # walk over the pairs from x1 on would never reach a free one.
     for masks in ([], [0b11], [0b1], [0b1, 0b10]):
         assert not rings._dim_at_most_one(rings.mask_quotient(F2, nvars, masks))
+
+
+def ref_sample_element(R, rng):
+    """The monomial kinds' sampler as first written: raw terms through
+    reduce_terms."""
+    nvars = R.nvars or 6
+    terms = []
+    for _ in range(rng.randint(0, 3)):
+        exp = [0] * rng.randint(1, nvars)
+        exp[-1] = rng.randint(1, 2)
+        if rng.random() < 0.3 and len(exp) > 1:
+            exp[rng.randrange(len(exp) - 1)] = 1
+        if isinstance(R.field, rings.PrimeField):
+            c = rng.randint(1, R.field.p - 1)
+        else:
+            c = rng.randint(-3, 3)
+        terms.append((c, tuple(exp)))
+    if rng.random() < 0.5:
+        terms.append((rng.randint(0, 3), ()))
+    return R.reduce_terms(terms)
+
+
+SAMPLED_MONOMIAL_KINDS = [
+    R
+    for K in (F2, F3, rings.prime_field(5), rings.QQ)
+    for R in [construction.build_supplement(K, n) for n in range(1, 6)]
+    + [rings.symbolic_supplement(K), rings.monomial_quotient(K, 4, [(1, 1), (0, 1, 0, 1), (0, 0, 1)])]
+]
+
+
+@pytest.mark.parametrize("R", SAMPLED_MONOMIAL_KINDS, ids=str)
+def test_monomial_sampler_matches_the_reduce_terms_reference(R):
+    for seed in range(300):
+        new, ref = Random(seed), Random(seed)
+        got = [R.sample_element(new) for _ in range(4)]
+        assert got == [ref_sample_element(R, ref) for _ in range(4)], seed
+        assert new.getstate() == ref.getstate(), seed

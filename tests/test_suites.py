@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from spectop import products, suites
+from spectop import maps, products, suites
 from spectop import spectrum as sp
 from spectop import topology as top
 
@@ -124,12 +124,49 @@ SYMBOLIC_DRAWS = {0: "f7efa8e2b803c223", 7: "74af2e74874c697f"}
 
 @pytest.mark.parametrize("seed", sorted(SYMBOLIC_DRAWS))
 def test_closure_axioms_draws_the_recorded_symbolic_subsets(monkeypatch, seed):
-    drawn = []
-    monkeypatch.setattr(suites, "_axioms_hold", lambda E: drawn.append(E) or (True, ""))
-    assert suites.suite_closure_axioms(seed=seed).passed
-    lines = [f"{E.ring}: {sp.subset_str(E)}" for E in drawn if E.ring.symbolic]
+    drawn = _recorded_symbolic_draws(monkeypatch, seed)
+    lines = [f"{E.ring}: {sp.subset_str(E)}" for E in drawn]
     assert len(lines) == 498
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == SYMBOLIC_DRAWS[seed]
+
+
+def test_closure_axioms_decides_each_distinct_draw_once(monkeypatch, count_calls):
+    drawn = _recorded_symbolic_draws(monkeypatch, 0)
+    calls = count_calls(suites, "_axioms_hold")
+    assert suites.suite_closure_axioms(seed=0).passed
+    decided = [E for (E,) in calls if E.ring.symbolic]
+    assert set(calls.values()) == {1}
+    assert (len(calls), len(decided), len(drawn)) == (504, 286, 498)
+    assert set(decided) == set(drawn)
+
+
+def test_closure_axioms_counts_and_reports_every_draw(monkeypatch):
+    # A repeated draw is decided once, yet counted and, failing, reported
+    # under its own id like every other draw.
+    drawn = _recorded_symbolic_draws(monkeypatch, 0)
+    monkeypatch.setattr(suites, "_axioms_hold", lambda E: (not E.ring.symbolic, "fails"))
+    res = suites.suite_closure_axioms(seed=0)
+    failed = [c.id for c in res.cases if not c.passed and c.id.startswith("sym-")]
+    assert len(failed) == len(set(failed)) == len(drawn) == 498
+    (total,) = [c for c in res.cases if c.id == "all-cases"]
+    assert (total.input, total.actual) == ("716 subsets checked", "498")
+
+
+def test_lying_over_decides_each_distinct_round_trip_once(count_calls):
+    lifts = count_calls(maps, "laying_over")
+    res = suites.suite_lying_over(seed=0)
+    assert res.passed and len(res.cases) == 123
+    assert set(lifts.values()) == {1} and len(lifts) == 80
+
+
+def test_nilradical_product_compares_each_distinct_element_once(count_calls):
+    # Equal products drawn twice are checked twice, each element once a check.
+    checks = count_calls(products, "nilradical_product_law_check")
+    compared = count_calls(products, "_nilpotent_by_squaring")
+    res = suites.suite_nilradical_product(seed=0)
+    assert res.passed and len(res.cases) == 23
+    assert sum(compared.values()) == 838
+    assert all(k == checks[R,] for (R, _, _), k in compared.items())
 
 
 def test_closure_axioms_monotonicity_bites_on_finite_symbolic_draws(monkeypatch):
@@ -141,10 +178,7 @@ def test_closure_axioms_monotonicity_bites_on_finite_symbolic_draws(monkeypatch)
 
 @pytest.mark.parametrize("seed", sorted(SYMBOLIC_DRAWS))
 def test_only_the_whole_spectrum_gets_no_larger_companion(monkeypatch, seed):
-    drawn = []
-    monkeypatch.setattr(suites, "_axioms_hold", lambda E: drawn.append(E) or (True, ""))
-    suites.suite_closure_axioms(seed=seed)
-    symbolic = [E for E in drawn if E.ring.symbolic]
+    symbolic = _recorded_symbolic_draws(monkeypatch, seed)
     same = [E for E in symbolic if sp.subset_union(E, suites._enlarge(E)) == E]
     assert all(E == sp.whole(E.ring) for E in same)
     assert len(same) < len(symbolic) / 4
@@ -170,11 +204,16 @@ def ref_fixed(E):
 
 
 def _recorded_symbolic_draws(monkeypatch, seed):
+    """The symbolic subsets closure-axioms draws at seed, in order, with
+    every repeat."""
     drawn = []
-    monkeypatch.setattr(suites, "_axioms_hold", lambda E: drawn.append(E) or (True, ""))
-    suites.suite_closure_axioms(seed=seed)
+    real = suites._random_symbolic_subset
+    monkeypatch.setattr(
+        suites, "_random_symbolic_subset", lambda R, rng: drawn.append(real(R, rng)) or drawn[-1]
+    )
+    assert suites.suite_closure_axioms(seed=seed).passed
     monkeypatch.undo()
-    return [E for E in drawn if E.ring.symbolic]
+    return drawn
 
 
 def _every_axiom_subset():
