@@ -17,16 +17,11 @@ over products of lower degrees.  Degrees are capped at desk scale.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import product
 
 from .errors import FactorizationLimitError
 
 DEGREE_CAP = 16
-
-# Room for every point polynomial a verify run tests.  The irreducibles
-# stream sieves and tests nothing, so it leaves the table alone.
-_IRREDUCIBLE_MEMO_SIZE = 1024
 
 Poly = tuple[int, ...]
 
@@ -165,8 +160,7 @@ def _ben_or(f: Poly, p: int) -> bool:
     """Ben-Or's test: gcd(x^(p^i) - x, f) = 1 for i = 1 .. deg(f) // 2.
 
     A reducible f of degree d has an irreducible factor of some degree
-    i <= d/2, and that factor divides x^(p^i) - x.  Uncapped and
-    unmemoized.
+    i <= d/2, and that factor divides x^(p^i) - x.  Uncapped.
     """
     d = deg(f)
     if d < 1:
@@ -179,10 +173,8 @@ def _ben_or(f: Poly, p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=_IRREDUCIBLE_MEMO_SIZE)
 def is_irreducible(f: Poly, p: int) -> bool:
-    """Ben-Or's test for degrees up to DEGREE_CAP, memoized on (f, p); a
-    larger degree raises on every call."""
+    """Ben-Or's test for degrees up to DEGREE_CAP; a larger degree raises."""
     if deg(f) > DEGREE_CAP:
         raise FactorizationLimitError(f"degree {deg(f)} exceeds cap {DEGREE_CAP}")
     return _ben_or(f, p)

@@ -218,11 +218,13 @@ class RingExpr:
         pts = self._spectrum_table
         return [pts[rng.randrange(len(pts))] for _ in range(count)]
 
-    def reach(self, points: frozenset, up: bool) -> frozenset[PrimePoint] | None:
-        """The points above some point of the finite set `points` (up), or
-        below one; None when that is every point.  Each family states its
-        order here, once, for a whole set; this base unions the rows of the
-        ring's order table."""
+    def reach(self, points: frozenset, up: bool, cofinite: bool = False) -> frozenset | None:
+        """The points above some point of the set (points, cofinite) (up), or
+        below one, as the points of a set with the same flag; None when that
+        is every point.  Each family states its order here, once, for a
+        whole set; this base unions the rows of the ring's order table.  It
+        and _ZeroDimensional ignore the flag: _subset stores no set of an
+        enumerable spectrum as cofinite."""
         ups, downs = self._order_table
         return frozenset().union(*map((ups if up else downs).__getitem__, points))
 
@@ -303,7 +305,7 @@ class _ZeroDimensional(RingExpr):
     def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
         return p == q
 
-    def reach(self, points: frozenset, up: bool) -> frozenset[PrimePoint] | None:
+    def reach(self, points: frozenset, up: bool, cofinite: bool = False) -> frozenset | None:
         return points
 
 
@@ -358,24 +360,27 @@ class _Symbolic(RingExpr):
     point, above every family point when limit_above is set and below every
     one otherwise.  The two sides mirror each other (the flat topology is
     the Zariski topology of the reversed order, Hochster 1969), so the
-    order, sampling, locus shape and dimension are stated once here.  A
-    family gives limit and limit_above, has_point, membership, residue
-    fields, density_rule, _random_family_point(rng) and _family_locus(r):
-    for r neither zero nor a unit, the finite set of family points that
-    V(r) holds, or misses when the limit is above."""
+    order, sampling, locus shape and dimension are stated once here; reach
+    states the order for finite and cofinite sets alike.  A family gives
+    limit and limit_above, has_point, membership, residue fields,
+    density_rule, _random_family_point(rng) and _family_locus(r): for r
+    neither zero nor a unit, the finite set of family points that V(r)
+    holds, or misses when the limit is above."""
 
     symbolic = True
 
     def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
         return p == q or (q if self.limit_above else p) == self.limit
 
-    def reach(self, points: frozenset, up: bool) -> frozenset[PrimePoint] | None:
-        """Toward the limit's side a nonempty set reaches itself and the
-        limit; away from it the limit reaches every point (None), and family
-        points reach only themselves."""
-        if up == self.limit_above:
-            return points | {self.limit} if points else points
-        return None if self.limit in points else points
+    def reach(self, points: frozenset, up: bool, cofinite: bool = False) -> frozenset | None:
+        """Family points reach only themselves and, toward the limit's side,
+        the limit.  So away from that side a set that holds the limit
+        reaches every point (None), and toward it a nonempty set gains the
+        limit."""
+        holds = (self.limit in points) != cofinite
+        if up != self.limit_above:
+            return None if holds else points
+        return points if holds or not (points or cofinite) else points ^ {self.limit}
 
     def sample_points(self, rng, count: int) -> list[PrimePoint]:
         return [
@@ -1054,14 +1059,15 @@ class Product(RingExpr):
     def sample_element(self, rng: Random) -> El:
         return TupleEl(tuple([f.sample_element(rng) for f in self.factors]))
 
-    def validate_point(self, p: PrimePoint) -> None:
-        if isinstance(p, TamePrime) and type(p.slot) is int:
-            if 0 <= p.slot < len(self.factors):
-                self.factors[p.slot].validate_point(p.inner)
-                return
-        raise KindMismatchError(f"{point_str(p)} is not a point of {self}")
+    def has_point(self, p: PrimePoint) -> bool:
+        return (
+            isinstance(p, TamePrime)
+            and type(p.slot) is int
+            and 0 <= p.slot < len(self.factors)
+            and self.factors[p.slot].has_point(p.inner)
+        )
 
-    # validate_point has checked the inner point against its factor.
+    # has_point has checked the inner point against its factor.
 
     def _leq(self, p: PrimePoint, q: PrimePoint) -> bool:
         return p.slot == q.slot and self.factors[p.slot]._leq(p.inner, q.inner)

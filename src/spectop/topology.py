@@ -1,16 +1,17 @@
 """Zariski, flat and patch closure operators, stability and density.
 
-Three rules, each with a finite and a cofinite case, carry every
-closure: the up closure (the primes above some member), the down closure
-(the primes below some member) and the patch closure.  In a spectral
-space the Zariski (flat) closure of a set is the up (down) closure of its
-patch closure (Hochster 1969).  The ring gives the up and down closures
-of a finite set whole (RingExpr.reach), so no rule here walks the
-points of a set one by one.  On an enumerable spectrum the patch
-topology is discrete; on the three symbolic families the rules rest on an
-exact statement about the ring family (finite vanishing loci over Z and
-GF(p)[x], finite non-vanishing loci on the infinite axes ring).  The
-engine refuses rather than guess when a representation has no rule.
+Three rules carry every closure: the up closure (the primes above some
+member), the down closure (the primes below some member) and the patch
+closure.  In a spectral space the Zariski (flat) closure of a set is the
+up (down) closure of its patch closure (Hochster 1969).  The ring gives
+the up and down closures of a set whole, finite or cofinite
+(RingExpr.reach), so no rule here walks the points of a set one by one
+or asks on which side the limit point lies.  On an enumerable spectrum
+the patch topology is discrete; on the three symbolic families the patch
+closure rests on an exact statement about the ring family (finite
+vanishing loci over Z and GF(p)[x], finite non-vanishing loci on the
+infinite axes ring).  The engine refuses rather than guess when a
+representation has no rule.
 """
 
 from __future__ import annotations
@@ -50,30 +51,23 @@ def down_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
 
 def order_closure(E: SpecSubset, up: bool) -> SpecSubset:
     """The up closure of E (the primes above some member, up=True) or its
-    down closure (the primes below some member).
-
-    The ring answers a finite E whole, in one reach call.  Of a cofinite
-    E: a family point's up (down) set is the point and the limit when the
-    limit lies on that side of the order; the limit's up (down) set is
-    everything when it does not.
+    down closure (the primes below some member): one reach call, which
+    answers in E's own form.
     """
     R = E.ring
-    if not E.cofinite:
-        pts = R.reach(E.points, up)
-        return sp.whole(R) if pts is None else sp._subset(R, pts)
-    if R.limit_above == up:
-        return _patch(E)  # adds the limit, and nothing else
-    return sp.whole(R) if E.with_limit else E
+    pts = R.reach(E.points, up, E.cofinite)
+    return sp.whole(R) if pts is None else sp._subset(R, pts, E.cofinite)
 
 
 def _patch(E: SpecSubset) -> SpecSubset:
-    if not E.cofinite or E.with_limit:
-        return E
     # Every family point is patch-isolated, and every patch neighbourhood of
     # the limit holds all but finitely many family points: each V(a), a
     # nonzero, is finite over Z and GF(p)[x], and each D(a), a a nonunit, is
-    # finite on the axes ring.  So the limit is the only point added.
-    return sp._subset(E.ring, E.excluded, True)
+    # finite on the axes ring.  So the limit is the only point added, and
+    # only to an infinite set that lacks it; any other E is returned as is,
+    # so equal closures share their point set.
+    R = E.ring
+    return sp._subset(R, E.points - {R.limit}, True) if E.cofinite and R.limit in E.points else E
 
 
 def patch_closure(E: SpecSubset) -> SpecSubset:
@@ -106,18 +100,14 @@ def closure(E: SpecSubset, topology: str) -> SpecSubset:
 def is_stable(E: SpecSubset, mode: str) -> bool:
     """Stability under specialization or generalization.
 
-    A finite set is stable when its up (down) closure, one reach call,
-    stays inside it; the cofinite sets follow representation rules.
+    A set is stable when its up (down) closure, one reach call, adds no
+    point to it; when that closure is every point, only the whole
+    spectrum is.
     """
     if mode not in (SPECIALIZATION, GENERALIZATION):
         raise UnsupportedError(f"unknown stability mode {mode!r}")
-    if not E.cofinite:
-        pts = E.ring.reach(E.points, mode == SPECIALIZATION)
-        return pts is not None and pts <= E.points
-    # The whole spectrum is stable both ways.  Otherwise: a family point's up
-    # (down) set is the point and the limit when the limit lies on that
-    # side; the limit's is everything when it does not.
-    return not E.points or E.with_limit == (E.ring.limit_above == (mode == SPECIALIZATION))
+    pts = E.ring.reach(E.points, mode == SPECIALIZATION, E.cofinite)
+    return pts == E.points if pts is not None else E.cofinite and not E.points
 
 
 def is_dense(E: SpecSubset, topology: str) -> bool:

@@ -8,7 +8,8 @@ modulus.  The tests here keep the rules those checks rest on: every
 point a ring enumerates or samples is a point of that ring, the monomial
 kinds' short nilpotence rule agrees with the full one, and a Z/n query
 tests each of its primes once.  They also count the checks and
-factorizations themselves.
+factorizations themselves, and check that one `verify all` run fits in
+the memos of factorizations, covers and irreducibles.
 """
 
 import sys
@@ -144,3 +145,17 @@ def test_lying_over_factors_each_modulus_once(monkeypatch):
     rings._factorization.cache_clear()
     assert suites.suite_lying_over(seed=0).passed
     assert len(calls) == len(set(calls)) == 19
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_all_fits_in_the_ring_memos(seed, capsys):
+    # As the memos' size comments say: a run from cleared memos evicts
+    # nothing, so each key is computed once, and it leaves room.
+    memos = (rings._factorization, rings.minimal_cover_masks, rings._irreducible_pool)
+    for memo in memos:
+        memo.cache_clear()
+    assert run_command(["verify", "all", "--seed", str(seed), "--json"]) == 0
+    capsys.readouterr()
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.currsize == info.misses < info.maxsize, (memo.__wrapped__.__name__, info)

@@ -45,6 +45,21 @@ def test_no_engine_error_is_caught_outside_the_cli():
     assert found == []
 
 
+def test_only_the_ring_layer_reads_the_limit_side():
+    # The side of a symbolic spectrum's limit point is stated by the ring
+    # (reach, locus) and read where a set is built, printed or encoded, and
+    # by the maps' lying-over rules.  Topology, products, construction,
+    # suites and the CLI ask reach instead of restating it.
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name not in ("rings.py", "spectrum.py", "jsonio.py", "maps.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("limit_above", "with_limit")
+    ]
+    assert found == []
+
+
 def test_every_memo_table_is_bounded():
     # An lru_cache names a maxsize other than None, so a long-lived process
     # keeps bounded tables; an unbounded cache may only hold the one result
@@ -333,6 +348,6 @@ def test_closure_axioms_checks_points_only_where_it_enumerates_them(monkeypatch)
     assert code == 0
     assert outside == []
     # One check per point of the zoo's spectra; a product point's check
-    # also asks its factor.
+    # asks its factor's has_point, not its validate_point.
     assert holding == 41
-    assert checks == {"spectrum.py": 49, "rings.py": 66, "Random.seed": 1 + holding}
+    assert checks == {"spectrum.py": 49, "rings.py": 49, "Random.seed": 1 + holding}

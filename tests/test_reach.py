@@ -1,10 +1,11 @@
 """The set-level order rule `reach` and the operators built on it.
 
 `topology.order_closure` and `is_stable` ask the ring once for a whole
-finite set, and `spectrum.subset_le` compares two frozensets.  The ref_*
-functions below answer the same questions point by point, as the engine
-did before: each point's up (down) set, from the family's per-point rule,
-unioned or tested one at a time, and inclusion by membership of each
+set, finite or cofinite, and `spectrum.subset_le` compares two
+frozensets.  The ref_* functions below answer the same questions as the
+engine did before: a finite set point by point, each point's up (down)
+set from the family's per-point rule, unioned or tested one at a time; a
+cofinite set by the limit's side; and inclusion by membership of each
 point.  They agree on every subset of every closure-axioms ring and on
 seeded subsets of the symbolic spectra.
 """
@@ -109,6 +110,21 @@ def test_reach_is_the_brute_force_order_on_every_subset(R):
             down = {q for q in pts if any(R._leq(q, p) for p in sub)}
             assert R.reach(frozenset(sub), True) == up, (str(R), sub)
             assert R.reach(frozenset(sub), False) == down, (str(R), sub)
+
+
+@pytest.mark.parametrize("R", SYMBOLIC, ids=str)
+def test_pair_form_reach_is_the_per_point_order_on_cofinite_sets(R):
+    # reach reads a cofinite set's points and answers with the points of a
+    # cofinite set: the per-point closure, or None (every point) exactly when
+    # the set holds the limit and asks away from the limit's side.
+    for E in _seeded_subsets(R, Random(36)):
+        if not E.cofinite:
+            continue
+        for up in (True, False):
+            got = R.reach(E.points, up, True)
+            want = ref_order_closure(E, up)
+            assert (got is None) == (E.with_limit and up != R.limit_above), (str(R), E, up)
+            assert (sp.whole(R) if got is None else sp._subset(R, got, True)) == want, (E, up)
 
 
 @pytest.mark.parametrize("R", SYMBOLIC, ids=str)

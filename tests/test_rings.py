@@ -424,6 +424,18 @@ def test_zmod_has_point_matches_divisibility_and_primality():
         assert got == {p for p in range(n + 2) if p in primes_below and n % p == 0}, n
 
 
+def test_product_has_point_asks_the_factor_in_its_slot():
+    R = rings.product(rings.zmod(4), rings.zmod(9))
+    tame, mod = rings.TamePrime, rings.ZmodPrime
+    assert R.has_point(tame(0, mod(2))) and R.has_point(tame(1, mod(3)))
+    for p in (tame(1, mod(2)), tame(0, mod(3)), tame(2, mod(2)), tame(-1, mod(3)),
+              tame(True, mod(3)), mod(2)):
+        assert not R.has_point(p), p
+    # The product's own check refuses a bad inner point, with its own message.
+    with pytest.raises(KindMismatchError, match=r"^pi_1\^-1\(2\) is not a point of Z/4 x Z/9$"):
+        R.validate_point(tame(1, mod(2)))
+
+
 def _localized_pair_quotient():
     return rings.localized(rings.monomial_quotient(F3, 3, {(1, 1), (0, 1, 1), (1, 0, 1)}))
 
