@@ -29,7 +29,6 @@ raises SystemExit(2).
 
 from __future__ import annotations
 
-import inspect
 import json
 import re
 import sys
@@ -220,9 +219,10 @@ def _cmd_verify(args) -> int:
             raise SpectopError(f"--{key.replace('_', '-')} must be at least 1, got {size}")
     results = []
     for name in names:
-        # A suite gets the size flags its signature names; one named suite
+        # A suite gets the size flags its parameters name; one named suite
         # refuses a flag it would ignore.
-        takes = inspect.signature(suites.SUITES[name]).parameters
+        code = suites.SUITES[name].__code__
+        takes = code.co_varnames[: code.co_argcount]
         params = {key: size for key, size in given.items() if key in takes}
         extra = given.keys() - params.keys()
         if extra and args.suite != "all":

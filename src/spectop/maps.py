@@ -30,7 +30,6 @@ tensor-product pushout that proves existence in general is not modeled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import rings
@@ -44,7 +43,7 @@ from .errors import (
     WildPrimeError,
 )
 from .primes import DEFAULT_LIMIT
-from .rings import ResidueField, RingExpr  # ResidueField is named from here too
+from .rings import Record, ResidueField, RingExpr  # ResidueField is named from here too
 from .spectrum import (
     FieldZero,
     PrimePoint,
@@ -58,14 +57,14 @@ from .spectrum import (
 # ---------------------------------------------------------------------------
 
 
-class RingMapSpec:
+class RingMapSpec(Record):
     """A ring map: the rules every kind shares, and the refusal of each
     rule some kind lacks.
 
     Every kind has `source`, `__str__`, `contract(q)`, `tame_points()` and
     `is_injective()`.  contract checks q, then hands it to `_contract(q)`,
     which does the contraction alone: the tame primes the map enumerates
-    itself go straight there.  Kinds over the same fields share a dataclass
+    itself go straight there.  Kinds over the same fields share a Record
     base; its equality compares the class too, so R -> R/p and R -> k(p)
     differ.
     """
@@ -84,15 +83,15 @@ class RingMapSpec:
         raise NonEnumerableError(f"no symbolic lying-over rule for {self}")
 
 
-@dataclass(frozen=True)
 class _PrimeMap(RingMapSpec):
     """R -> R/p and R -> k(p): both kernels are p."""
 
     ring: RingExpr
     prime: PrimePoint
 
-    def __post_init__(self) -> None:
-        self.ring.validate_point(self.prime)
+    def __new__(cls, ring: RingExpr, prime: PrimePoint):
+        ring.validate_point(prime)
+        return tuple.__new__(cls, (ring, prime))
 
     def is_injective(self) -> bool:
         # R -> k(p) factors through R/p, and Frac is injective on domains.
@@ -138,7 +137,6 @@ class ResidueMap(_PrimeMap):
         return FieldZero()
 
 
-@dataclass(frozen=True)
 class _ProductMap(RingMapSpec):
     """R -> prod R/p (up) or prod R_p (down) over the members p of E.
 
@@ -218,19 +216,21 @@ class CanonicalIntoLocalProduct(_ProductMap):
         return top.is_dense(top.order_closure(self.subset, up=False), top.ZARISKI)
 
 
-@dataclass(frozen=True)
 class DiagonalIntoModProduct(RingMapSpec):
-    """Z/n -> prod Z/d_i; the divisors are checked when the map is built."""
+    """Z/n -> prod Z/d_i; the divisors are checked when the map is built.
+    limit, zmod's bound on n, is no field: equality and the hash skip it."""
 
     n: int
     divisors: tuple[int, ...]
-    limit: int | None = field(default=DEFAULT_LIMIT, compare=False)  # zmod's bound on n
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 2:  # as rings.zmod, without factoring n
+    def __new__(cls, n: int, divisors: tuple[int, ...], limit: int | None = DEFAULT_LIMIT):
+        if type(n) is not int or n < 2:  # as rings.zmod, without factoring n
             raise BadArityError("ModRing needs n >= 2")
-        if any(d < 1 or self.n % d != 0 for d in self.divisors):
+        if any(d < 1 or n % d != 0 for d in divisors):
             raise KindMismatchError("divisors must be positive and divide n")
+        self = tuple.__new__(cls, (n, divisors))
+        self.__dict__["limit"] = limit
+        return self
 
     @cached_property
     def source(self) -> RingExpr:

@@ -11,7 +11,6 @@ pinned to the limit-point terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from . import maps, rings
@@ -23,7 +22,7 @@ from .errors import (
     NonEnumerableError,
     UnsupportedError,
 )
-from .rings import El, ModRing, Product, RingExpr, TupleEl
+from .rings import El, ModRing, Product, Record, RingExpr, TupleEl
 from .spectrum import PrimePoint, SpecSubset
 
 QUOTIENT = "quotient"
@@ -149,10 +148,10 @@ def nilradical_product_law_check(R: Product) -> bool:
     return top.zariski_closure(sp._subset(R, minimal)) == sp.whole(R)
 
 
-@dataclass(frozen=True)
-class ImageReport:
+class ImageReport(Record):
     """Image versus closure for one canonical map, with strictness witness."""
 
+    __slots__ = ()
     image: SpecSubset
     closure: SpecSubset
     topology: str
@@ -182,4 +181,4 @@ def strictness_demo(E: SpecSubset, topology: str) -> ImageReport:
         if not pts:
             raise AssertionError("strict inclusion must leave a witness")
         witness = pts[0]
-    return ImageReport(image=image, closure=cl, topology=topology, strict=strict, witness=witness)
+    return ImageReport(image, cl, topology, strict, witness)

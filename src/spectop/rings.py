@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, compress, islice
@@ -54,6 +53,7 @@ from .values import (  # the values and their functions are named from here too
     PrimePoint,
     PrincipalIdeal,
     RatEl,
+    Record,
     ResidueField,
     SuppMin,
     SuppTop,
@@ -111,7 +111,7 @@ COUNTEREXAMPLE = "CounterexampleElement"
 # ---------------------------------------------------------------------------
 
 
-class RingExpr:
+class RingExpr(Record):
     """A concrete ring: the rules every family shares, and the refusal of
     each rule some family lacks.
 
@@ -119,7 +119,7 @@ class RingExpr:
     the module-level functions normalize first.  Point arguments are
     points of this ring: the spectrum functions that take a point from the
     caller validate it first, and loops over the ring's own points call
-    _leq and _contains directly.
+    _leq and _contains directly.  A ring is a Record of its fields.
     """
 
     # Infinite spectrum: subsets are given by representation rules.
@@ -127,7 +127,7 @@ class RingExpr:
     # The limit point of a symbolic spectrum (see _Symbolic), and its side
     # of the order: above the infinite family (the maximal ideal of the
     # axes ring), or below it (the generic point of Z and GF(p)[x]).
-    limit: PrimePoint | None = None
+    limit = None
     limit_above = False
 
     # -- elements ----------------------------------------------------------
@@ -194,7 +194,7 @@ class RingExpr:
     @cached_property
     def _spectrum_table(self) -> tuple[PrimePoint, ...]:
         """The sorted spectrum, enumerated on first read and kept on the
-        instance, as is the order table: a frozen dataclass compares and
+        instance's __dict__, as is the order table: a ring compares and
         hashes on its fields only.  A ring that cannot be enumerated
         raises on every read, since cached_property keeps no exception."""
         return tuple(sorted_points(self._enumerate()))
@@ -417,7 +417,6 @@ class _Dedekind(_Symbolic, _Domain):
         return False, self.prime_element, COUNTEREXAMPLE
 
 
-@dataclass(frozen=True)
 class IntegerRing(_Dedekind):
     limit = ZGeneric()
     prime_element = IntEl(2)
@@ -480,7 +479,6 @@ class IntegerRing(_Dedekind):
         return ResidueField(f"F_{p.p}", PrimeField(p.p))
 
 
-@dataclass(frozen=True)
 class RationalField(_Field):
     def __str__(self) -> str:
         return "Q"
@@ -503,7 +501,6 @@ class RationalField(_Field):
         return RatEl(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
-@dataclass(frozen=True)
 class ModRing(_Residue, _ZeroDimensional):
     """Z/n with the factorization of n cached at construction.
 
@@ -514,16 +511,17 @@ class ModRing(_Residue, _ZeroDimensional):
     n: int
     factorization: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int, factorization: tuple[tuple[int, int], ...]):
+        if n < 2:
             raise BadArityError("ModRing needs n >= 2")
         prod = 1
-        for p, e in self.factorization:
+        for p, e in factorization:
             if e < 1:
                 raise KindMismatchError(f"bad factorization entry {(p, e)}")
             prod *= p**e
-        if prod != self.n:
-            raise KindMismatchError(f"factorization inconsistent with n={self.n}")
+        if prod != n:
+            raise KindMismatchError(f"factorization inconsistent with n={n}")
+        return tuple.__new__(cls, (n, factorization))
 
     def __str__(self) -> str:
         return f"Z/{self.n}"
@@ -589,13 +587,13 @@ class ModRing(_Residue, _ZeroDimensional):
         return ResidueField(f"F_{p.p}", PrimeField(p.p))
 
 
-@dataclass(frozen=True)
 class PrimeField(_Residue, _Field):
     p: int
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise BadArityError(f"{self.p} is not prime")
+    def __new__(cls, p: int):
+        if not is_prime(p):
+            raise BadArityError(f"{p} is not prime")
+        return tuple.__new__(cls, (p,))
 
     def __str__(self) -> str:
         return f"F_{self.p}"
@@ -605,7 +603,6 @@ class PrimeField(_Residue, _Field):
         return self.p
 
 
-@dataclass(frozen=True)
 class PolyRingOverPrimeField(_Dedekind):
     """Univariate GF(p)[x]."""
 
@@ -614,9 +611,10 @@ class PolyRingOverPrimeField(_Dedekind):
     limit = FpxGeneric()
     prime_element = PolyEl((0, 1))
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise BadArityError(f"{self.p} is not prime")
+    def __new__(cls, p: int):
+        if not is_prime(p):
+            raise BadArityError(f"{p} is not prime")
+        return tuple.__new__(cls, (p,))
 
     def __str__(self) -> str:
         return f"F_{self.p}[x]"
@@ -869,7 +867,6 @@ class _Quotient(_Monomial):
         return ResidueField(f"{self.field}({vars_str})", None)
 
 
-@dataclass(frozen=True)
 class MonomialQuotient(_Quotient):
     """K[x_1..x_nvars] / (square-free monomials), K a prime field or Q."""
 
@@ -916,7 +913,6 @@ class MonomialQuotient(_Quotient):
         return quotient_dim(self)
 
 
-@dataclass(frozen=True)
 class LocalizedAtIrrelevant(_Quotient):
     """A monomial quotient localized at (x_1, ..., x_n).
 
@@ -957,7 +953,6 @@ class LocalizedAtIrrelevant(_Quotient):
         return quotient_dim(self.inner)
 
 
-@dataclass(frozen=True)
 class SymbolicSupplement(_Symbolic, _Monomial):
     """K[x_i : i >= 1]/(x_i x_k : i != k) localized at (x_1, x_2, ...).
 
@@ -1011,7 +1006,6 @@ class SymbolicSupplement(_Symbolic, _Monomial):
         return ResidueField(f"{self.field}(x{p.k})", None)
 
 
-@dataclass(frozen=True)
 class Product(RingExpr):
     """Finite direct product; factors are flattened and non-symbolic.
 

@@ -16,8 +16,6 @@ representation has no rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import spectrum as sp
 from .errors import UnsupportedError
 from .rings import (  # the density rationales are named from here too
@@ -28,7 +26,7 @@ from .rings import (  # the density rationales are named from here too
     El,
     RingExpr,
 )
-from .spectrum import PrimePoint, SpecSubset
+from .spectrum import PrimePoint, Record, SpecSubset
 
 ZARISKI = "zariski"
 FLAT = "flat"
@@ -119,8 +117,7 @@ def is_dense(E: SpecSubset, topology: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DensityCertificate:
+class DensityCertificate(Record):
     """Outcome of the every-infinite-subset-is-dense test for one topology.
 
     When holds is False the witness element has an infinite vanishing
@@ -129,6 +126,7 @@ class DensityCertificate:
     d_locus.
     """
 
+    __slots__ = ()
     holds: bool
     mode: str
     witness: El | None

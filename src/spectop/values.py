@@ -58,12 +58,23 @@ _NEW = (
 )
 
 
+def _new(size: int):
+    """The constructor of a record with `size` fields, given positionally."""
+    def new(cls, *fields):
+        if len(fields) != size:
+            raise TypeError(f"{cls.__name__}() takes {size} fields, got {len(fields)}")
+        return _tuple_new(cls, fields)
+    return _NEW[size] if size < len(_NEW) else new
+
+
 class Record(tuple):
     """An immutable value whose fields are the annotations of its class
-    body, in order.  Equality asks for the same class and equal fields,
-    the hash is the plain tuple's, and the repr reads Name(field=value).
-    Records have no order and are always true; their length and
-    iteration are not part of the API.  A subclass sets __slots__ = ().
+    body, in order; a subclass that declares none keeps its parent's.
+    Equality asks for the same class and equal fields, the hash is the
+    plain tuple's, and the repr reads Name(field=value).  Records have no
+    order, are always true and refuse assignment; their length and
+    iteration are not part of the API.  A subclass sets __slots__ = (),
+    unless its family keeps cached_property tables in a __dict__.
 
     A field is read by namedtuple's field reader, written in C, which
     skips the call a property(itemgetter(i)) makes on every read: the nine
@@ -72,13 +83,22 @@ class Record(tuple):
     __slots__ = ()
     _fields = ()
     __hash__ = tuple.__hash__
+    __new__ = _NEW[0]
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        fields = cls.__dict__.get("__annotations__")
+        if not fields:
+            return
+        cls._fields = tuple(fields)
         for i, name in enumerate(cls._fields):
             setattr(cls, name, _tuplegetter(i, None))
         if "__new__" not in cls.__dict__:
-            cls.__new__ = staticmethod(_NEW[len(cls._fields)])
+            cls.__new__ = staticmethod(_new(len(cls._fields)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from spectop import maps, products, suites
+from spectop import cli, maps, products, rings, suites
 from spectop import spectrum as sp
 from spectop import topology as top
 
@@ -157,6 +157,24 @@ def test_lying_over_decides_each_distinct_round_trip_once(count_calls):
     res = suites.suite_lying_over(seed=0)
     assert res.passed and len(res.cases) == 123
     assert set(lifts.values()) == {1} and len(lifts) == 80
+
+
+def reach_on_the_wrong_side(self, points, up, cofinite=False):
+    """_Symbolic.reach with the limit's side flipped: a set holding the
+    limit reaches every point toward the limit, not away from it."""
+    holds = (self.limit in points) != cofinite
+    if up == self.limit_above:
+        return None if holds else points
+    return points if holds or not (points or cofinite) else points ^ {self.limit}
+
+
+def test_lying_over_records_a_refusal_as_a_failing_case(monkeypatch, capsys):
+    # With the order flipped the generic point of Z is no longer minimal,
+    # so laying_over refuses it: the suite fails (exit 1) with the refusal
+    # as the case's actual value, rather than stopping as on bad input (2).
+    monkeypatch.setattr(rings._Symbolic, "reach", reach_on_the_wrong_side)
+    assert cli.run_command(["verify", "lying-over", "--seed", "0"]) == 1
+    assert "got refused: (0) is not a minimal prime" in capsys.readouterr().out
 
 
 def test_nilradical_product_compares_each_distinct_element_once(count_calls):
