@@ -33,12 +33,13 @@ import json
 import re
 import sys
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NoReturn
 
 from . import construction, jsonio, maps, primes, products, rings, suites
 from . import spectrum as sp
 from . import topology as top
 from .errors import SpectopError
+from .values import Record
 
 
 def _load_json(value: str) -> dict:
@@ -248,22 +249,28 @@ def _cmd_verify(args) -> int:
 _VALUE, _INT, _SWITCH = "value", "int", "switch"
 
 
-class _Opt(NamedTuple):
+class _Opt(Record):
     """An option ("--name") or a positional ("name") of a command.  A value
     is kept as given and an int goes through int(); a switch takes no value
     and stores const.  An option not given holds its default."""
 
+    __slots__ = ()
     flag: str
     dest: str  # the attribute the handler reads
-    kind: str = _VALUE
-    choices: tuple = ()
-    required: bool = False
-    default: object = None
-    help: str = ""
-    const: object = True
+    kind: str
+    choices: tuple
+    required: bool
+    default: object
+    help: str
+    const: object
+
+    def __new__(cls, flag, dest, kind=_VALUE, choices=(), required=False, default=None, help="",
+                const=True):
+        return tuple.__new__(cls, (flag, dest, kind, choices, required, default, help, const))
 
 
-class _Command(NamedTuple):
+class _Command(Record):
+    __slots__ = ()
     fn: Callable[[SimpleNamespace], int]
     help: str
     positionals: tuple[_Opt, ...]

@@ -2,20 +2,27 @@
 
 A polynomial is a tuple of coefficients in [0, p), ascending degree, with
 no trailing zeros; () is the zero polynomial.  A product sums its terms
-and reduces mod p once per coefficient, and a remainder (mod) builds no
-quotient and reduces each coefficient once, when it is the top one; both
-accept unreduced and negative coefficients.  pow_mod runs over the bits
-of the exponent from the top: one squaring per bit after the leading one.
+and reduces mod p once per coefficient.  Arithmetic mod a fixed f of
+degree k runs on residues, lists of k coefficients, with the reduction
+tail x^k mod f computed once: a remainder builds no quotient and reduces
+each coefficient once, when it is the top one, and one kernel (_mulmod)
+multiplies two residues and reduces the product; both accept unreduced
+and negative coefficients.  pow_mod runs over the bits of the exponent
+from the top: one squaring per bit after the leading one.
 Irreducibility is Ben-Or's test (FOCS 1981): f is irreducible when
-gcd(x^(p^i) - x, f) = 1 for every i <= deg(f)/2.  Factorization is
-distinct-degree splitting over the same powers x^(p^i), then
-Cantor-Zassenhaus equal-degree splitting with a fixed-seed generator, so
-results are reproducible.  The stream of monic irreducibles is a sieve
-over products of lower degrees.  Degrees are capped at desk scale.
+gcd(x^(p^i) - x, f) = 1 for every i <= deg(f)/2.  x^p mod f takes one
+power; every later x^(p^i) is one product with Berlekamp's matrix, whose
+row j is x^(p j) mod f, since w(x)^p = w(x^p) over GF(p).  Factorization
+is distinct-degree splitting over the same powers, kept mod the squarefree
+f and reduced mod the cofactor left, then Cantor-Zassenhaus equal-degree
+splitting with a fixed-seed generator, so results are reproducible.  The
+stream of monic irreducibles is a sieve over products of lower degrees.
+Degrees are capped at desk scale.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from itertools import product
 
@@ -29,10 +36,7 @@ X: Poly = (0, 1)
 
 
 def trim(coeffs: list[int] | tuple[int, ...], p: int) -> Poly:
-    cs = [c % p for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+    return tuple(_strip([c % p for c in coeffs]))
 
 
 def deg(f: Poly) -> int:
@@ -93,25 +97,81 @@ def divmod_(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
     return trim(q, p), trim(rem, p)
 
 
-def mod(f: Poly, g: Poly, p: int) -> Poly:
-    """The remainder of divmod_, with no quotient.
+def _tail(f: Poly | list[int], p: int) -> list[int]:
+    """The reduction tail of f: x^k = tail(x) mod f, for k = deg(f), with
+    tail = -(f - lead x^k) / lead."""
+    _check_divisor(f, p)
+    c = -pow(f[-1], -1, p)
+    return [b * c % p for b in f[:-1]]
 
-    Mod g, x^k = tail(x) with tail = -(g - lead x^k) / lead and k = deg(g).
+
+def _reduce(r: list[int], tail: list[int], p: int) -> list[int]:
+    """The residue of r mod f, for f with the given tail; r may have any
+    length and unreduced or negative coefficients, and is overwritten.
+
     Each top coefficient c is reduced mod p once, when it is reached, and
     c x^j tail(x) replaces c x^(j+k); the sums below it stay unreduced.
     """
-    _check_divisor(g, p)
-    k = len(g) - 1
-    c = -pow(g[-1], p - 2, p)
-    tail = [b * c % p for b in g[:-1]]
-    rem = list(f)
-    for top in range(len(rem) - 1, k - 1, -1):
-        c = rem[top] % p
+    k = len(tail)
+    for top in range(len(r) - 1, k - 1, -1):
+        c = r[top] % p
         if c:
-            shift = top - k
-            for i, b in enumerate(tail):
-                rem[shift + i] += c * b
-    return trim(rem[:k], p)
+            for i, t in enumerate(tail, top - k):
+                r[i] += c * t
+    del r[k:]
+    return [c % p for c in r] + [0] * (k - len(r))
+
+
+def _mulmod(a: list[int], b: list[int], tail: list[int], p: int) -> list[int]:
+    """a b mod f for residues a and b: the terms are summed, then reduced
+    once by _reduce.  Zero coefficients of a are skipped, so a sparse
+    factor goes first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return _reduce(out, tail, p)
+
+
+def _power(b: list[int], e: int, tail: list[int], p: int) -> list[int]:
+    """b^e mod f for a residue b and e >= 1, left to right over the bits of
+    e: one squaring per bit after the leading one, then a product with b
+    when the bit is 1."""
+    r = b
+    for bit in bin(e)[3:]:
+        r = _mulmod(r, r, tail, p)
+        if bit == "1":
+            r = _mulmod(b, r, tail, p)
+    return r
+
+
+def _strip(r: list[int]) -> list[int]:
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The last nonzero remainder of Euclid's algorithm on a and b, not made
+    monic; b is trimmed, and both lists are overwritten.  Each remainder is
+    taken in place, with one inverse of the divisor's leading coefficient."""
+    while b:
+        k = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for top in range(len(a) - 1, k - 1, -1):
+            c = a[top] * inv % p
+            if c:
+                for i, t in enumerate(b, top - k):
+                    a[i] -= c * t
+        del a[k:]
+        a, b = b, _strip([c % p for c in a])
+    return a
+
+
+def mod(f: Poly, g: Poly, p: int) -> Poly:
+    """The remainder of divmod_, with no quotient."""
+    return tuple(_strip(_reduce(list(f), _tail(g, p), p)))
 
 
 def divides(g: Poly, f: Poly, p: int) -> bool:
@@ -125,35 +185,49 @@ def monic(f: Poly, p: int) -> Poly:
 
 
 def gcd(f: Poly, g: Poly, p: int) -> Poly:
-    while g:
-        f, g = g, mod(f, g, p)
-    return monic(f, p)
+    return monic(tuple(_gcd(list(f), list(g), p)), p)
 
 
 def pow_mod(base: Poly, e: int, m: Poly, p: int) -> Poly:
-    """base^e mod m, left to right over the bits of e: one squaring per bit
-    after the leading one, then a product with base when the bit is 1."""
-    base = mod(base, m, p)
+    """base^e mod m; (1,) when e <= 0."""
+    tail = _tail(m, p)
+    base = _reduce(list(base), tail, p)
     if e <= 0:
         return (1,)
-    result = base
-    for bit in bin(e)[3:]:
-        result = mod(mul(result, result, p), m, p)
-        if bit == "1":
-            result = mod(mul(result, base, p), m, p)
-    return result
+    return tuple(_strip(_power(base, e, tail, p)))
 
 
 def derivative(f: Poly, p: int) -> Poly:
     return trim([i * c for i, c in enumerate(f)][1:], p)
 
 
-def _frobenius(w: Poly, f: Poly, p: int) -> tuple[Poly, Poly]:
-    """x^(p^i) mod f from w = x^(p^(i-1)) mod f, and gcd(x^(p^i) - x, f):
-    the product of the distinct irreducible factors of f whose degree
-    divides i."""
-    w = pow_mod(w, p, f, p)
-    return w, gcd(sub(w, mod(X, f, p), p), f, p)
+def _frobenius_matrix(xp: list[int], tail: list[int], p: int) -> list[tuple[int, ...]]:
+    """Berlekamp's matrix Q mod f, by columns, from xp = x^p mod f: row j
+    is x^(p j) mod f, for j < k = deg(f).  Row j is xp times row j - 1;
+    while p < k, xp is a monomial and each product is cheap."""
+    rows = [_reduce([1], tail, p)]
+    for _ in range(len(tail) - 1):
+        rows.append(_mulmod(xp, rows[-1], tail, p))
+    return list(zip(*rows))
+
+
+def _frobenius_apply(q: list[tuple[int, ...]], w: list[int], p: int) -> list[int]:
+    """w^p mod f for a residue w (reduced or not): over GF(p),
+    w(x)^p = w(x^p) = sum of w_j x^(p j), so w^p is Q w."""
+    return [sum(map(operator.mul, w, col)) % p for col in q]
+
+
+def _frobenius(tail: list[int], p: int):
+    """Yield x^(p^i) - x mod f, trimmed, for i = 1, 2, ...: x^p by one
+    power, then each later x^(p^i) as Q x^(p^(i-1)) (von zur Gathen and
+    Shoup 1992).  Q is built when the second one is asked for."""
+    x = _reduce(list(X), tail, p)
+    w = _power(x, p, tail, p)
+    yield _strip([(a - b) % p for a, b in zip(w, x)])
+    q = _frobenius_matrix(w, tail, p)
+    while True:
+        w = _frobenius_apply(q, w, p)
+        yield _strip([(a - b) % p for a, b in zip(w, x)])
 
 
 def _ben_or(f: Poly, p: int) -> bool:
@@ -165,10 +239,8 @@ def _ben_or(f: Poly, p: int) -> bool:
     d = deg(f)
     if d < 1:
         return False
-    w = mod(X, f, p)
-    for _ in range(d // 2):
-        w, g = _frobenius(w, f, p)
-        if deg(g) > 0:
+    for _, h in zip(range(d // 2), _frobenius(_tail(f, p), p)):
+        if len(_gcd(list(f), h, p)) > 1:
             return False
     return True
 
@@ -181,24 +253,26 @@ def is_irreducible(f: Poly, p: int) -> bool:
 
 
 def _equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
-    """Split a squarefree product of degree-d irreducibles."""
+    """Split a squarefree monic product of degree-d irreducibles."""
     n = deg(f)
     if n == d:
         return [monic(f, p)]
+    tail = _tail(f, p)
     while True:
         h = trim([rng.randrange(p) for _ in range(n)], p)
         if deg(h) < 1:
             continue
+        h = _reduce(list(h), tail, p)
         if p == 2:
             # Trace map h + h^2 + h^4 + ... over GF(2^d).
-            t: Poly = ()
-            cur = mod(h, f, p)
-            for _ in range(d):
-                t = add(t, cur, p)
-                cur = mod(mul(cur, cur, p), f, p)
-            g = gcd(t, f, p)
+            t = h
+            for _ in range(d - 1):
+                h = _mulmod(h, h, tail, p)
+                t = [a ^ b for a, b in zip(t, h)]
         else:
-            g = gcd(sub(pow_mod(h, (p**d - 1) // 2, f, p), (1,), p), f, p)
+            t = _power(h, (p**d - 1) // 2, tail, p)
+            t[0] = (t[0] - 1) % p
+        g = monic(tuple(_gcd(list(f), _strip(t), p)), p)
         if 0 < deg(g) < n:
             left = _equal_degree_split(g, d, p, rng)
             right = _equal_degree_split(divmod_(f, g, p)[0], d, p, rng)
@@ -206,16 +280,18 @@ def _equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[Pol
 
 
 def _squarefree_factor(f: Poly, p: int, rng: random.Random, out: dict[Poly, int], mult: int) -> None:
-    """Distinct-degree then equal-degree splitting of squarefree monic f."""
+    """Distinct-degree then equal-degree splitting of squarefree monic f.
+
+    x^(p^d) - x is kept mod f, the cofactor left divides f, and their gcd
+    is the product of the cofactor's irreducible factors of degree d."""
+    powers = _frobenius(_tail(f, p), p)
     d = 1
-    w = mod(X, f, p)
     while deg(f) >= 2 * d:
-        w, g = _frobenius(w, f, p)
+        g = gcd(tuple(next(powers)), f, p)
         if deg(g) > 0:
             for irr in _equal_degree_split(g, d, p, rng):
                 out[irr] = out.get(irr, 0) + mult
             f = divmod_(f, g, p)[0]
-            w = mod(w, f, p)
         d += 1
     if deg(f) > 0:
         f = monic(f, p)

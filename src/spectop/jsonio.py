@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import maps, products, rings, topology
 from . import spectrum as sp
 from .errors import KindMismatchError, SpectopError, UnsupportedSymbolicError
 from .primes import DEFAULT_LIMIT
-from .values import _int
+from .values import Record, _int
 
 
 def dumps_canonical(obj) -> str:
@@ -69,12 +69,13 @@ def _coeff(c):
 # ---------------------------------------------------------------------------
 
 
-class _Codec(NamedTuple):
+class _Codec(Record):
     """One field's wire form.  enc(value, R) gives its JSON and
     dec(JSON, key, R, limit) the value, refusing malformed input; R is the
     ring in scope (see _Table.decode), key names the field in refusals, and
     limit is the factorization bound of every Z/n the value holds."""
 
+    __slots__ = ()
     enc: Callable
     dec: Callable
 
@@ -82,14 +83,19 @@ class _Codec(NamedTuple):
 _REQUIRED = object()
 
 
-class _Field(NamedTuple):
+class _Field(Record):
+    __slots__ = ()
     key: str
     codec: _Codec
-    attr: str | None = None  # the attribute it carries, when not `key`
-    default: object = _REQUIRED  # the value of a missing key
+    attr: str | None  # the attribute it carries, when not `key`
+    default: object  # the value of a missing key
+
+    def __new__(cls, key, codec, attr=None, default=_REQUIRED):
+        return tuple.__new__(cls, (key, codec, attr, default))
 
 
-class _Row(NamedTuple):
+class _Row(Record):
+    __slots__ = ()
     cls: type
     tag: str
     fields: tuple[_Field, ...]

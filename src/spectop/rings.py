@@ -659,14 +659,14 @@ class PolyRingOverPrimeField(_Dedekind):
     def has_point(self, p: PrimePoint) -> bool:
         if isinstance(p, FpxGeneric):
             return True
-        # Non-int, unreduced or untrimmed coefficients name no point;
-        # irreducibility is only tested on a canonical polynomial.
+        # Non-int, unreduced, untrimmed or non-monic coefficients name no
+        # point; irreducibility is only tested on a canonical polynomial.
         return (
             isinstance(p, FpxMax)
             and all(type(c) is int for c in p.coeffs)
             and p.coeffs == gfpoly.trim(p.coeffs, self.p)
+            and p.coeffs[-1:] == (1,)
             and gfpoly.is_irreducible(p.coeffs, self.p)
-            and p.coeffs == gfpoly.monic(p.coeffs, self.p)
         )
 
     def _generator(self, p: PrimePoint) -> El:

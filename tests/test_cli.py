@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY, bench_queries
-from spectop import cli, primes, products, suites
+from spectop import cli, gfpoly, primes, products, suites
 from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.cli import (
@@ -328,6 +328,20 @@ def test_query_catalog_outcomes_match_the_benchmark_record(capsys):
     assert checked == 15 * len(queries.CLASSES) - len(skipped)
 
 
+@pytest.mark.parametrize("cls", ["fppoly-closure", "cofinite", "criterion"])
+def test_every_irreducibility_query_matches_the_benchmark_record(capsys, cls):
+    # Every catalog entry of the classes that run Ben-Or's test on points
+    # of F_p[x] (or, for criterion, may): the bytes that query-mix checks.
+    queries = bench_queries()
+    recorded = json.loads(QUERY_MIX.read_text())
+    size = next(size for name, _, size in queries.CLASSES if name == cls)
+    for i in range(size):
+        q = queries.entry(cls, i)
+        code, out, _ = run(capsys, *q.argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert f"{code}:{digest}" == recorded["outcomes"][q.id], q.id
+
+
 def test_suite_type_error_is_an_internal_error(monkeypatch, capsys):
     # A TypeError is not an input error: it must not become exit 2, nor
     # exit 1, which reads as a failed verification.
@@ -518,6 +532,22 @@ def test_unreduced_fpx_points_exit_2(capsys):
     assert "is not a point of" in err
     code, out, _ = run(capsys, *F2X_CLOSURE, '{"type":"explicit","points":[{"type":"fpxMax","coeffs":[1,1]}]}')
     assert code == 0 and "(x + 1)" in out
+
+
+def test_non_monic_fpx_point_is_refused_before_the_irreducibility_test(monkeypatch, capsys):
+    # The canonical form is checked first: a non-monic point of degree 17
+    # names no point, and only a monic one reaches Ben-Or's degree cap.
+    def point(coeffs):
+        return json.dumps({"type": "explicit", "points": [{"type": "fpxMax", "coeffs": coeffs}]})
+
+    closure = ["closure", "--topology", "zariski", "--ring", F3X, "--set"]
+    code, out, err = run(capsys, *closure, point([1] + [0] * 16 + [2]))
+    assert (code, out, err) == (2, "", "error: (2*x^17 + 1) is not a point of F_3[x]\n")
+    code, out, err = run(capsys, *closure, point([1] + [0] * 16 + [1]))
+    assert (code, out, err) == (2, "", "error: degree 17 exceeds cap 16\n")
+    monkeypatch.setattr(gfpoly, "is_irreducible", lambda *a: pytest.fail("tested a non-monic point"))
+    code, out, err = run(capsys, *closure, point([1, 1, 2]))
+    assert (code, out, err) == (2, "", "error: (2*x^2 + x + 1) is not a point of F_3[x]\n")
 
 
 def test_untrimmed_fpx_point_exits_2_promptly():

@@ -318,3 +318,113 @@ def test_degree_cap_refuses_on_every_call():
         for test in (gf.is_irreducible, gf.factor):
             with pytest.raises(FactorizationLimitError, match="degree 17 exceeds cap 16"):
                 test(f, 2)
+
+
+def _residue(f, k):
+    """A polynomial as a residue mod a modulus of degree k: k coefficients."""
+    return list(f) + [0] * (k - len(f))
+
+
+@st.composite
+def frobenius_cases(draw):
+    """(f, w, p): f of degree 1..16 with a leading coefficient that is
+    nonzero mod p but need not be 1, and w a residue mod f; both with
+    unreduced and negative coefficients."""
+    p = draw(st.sampled_from((2, 3, 13, 2**31 - 1, 2**61 - 1)))
+    coeff = st.integers(-3 * p + 1, 3 * p - 1)
+    k = draw(st.integers(1, gf.DEGREE_CAP))
+    lead = draw(coeff.filter(lambda c: c % p))
+    f = tuple(draw(st.lists(coeff, min_size=k, max_size=k))) + (lead,)
+    w = draw(st.lists(coeff, min_size=k, max_size=k))
+    return f, w, p
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(frobenius_cases())
+def test_frobenius_matrix_rows_and_product_match_the_power_oracle(case):
+    # Row j of Q is x^(p j) mod f, and Q w is w^p mod f.
+    f, w, p = case
+    k = gf.deg(f)
+    tail = gf._tail(f, p)
+    xp = _residue(ref_pow_mod(gf.X, p, f, p), k)
+    q = gf._frobenius_matrix(xp, tail, p)
+    for j, row in enumerate(zip(*q)):
+        assert list(row) == _residue(ref_pow_mod(gf.X, p * j, f, p), k), j
+    assert gf._frobenius_apply(q, w, p) == _residue(ref_pow_mod(tuple(w), p, f, p), k)
+
+
+# Each is 3 mod 4; 7 and 37 are their least primitive roots.
+BIG_PRIMES = (2**31 - 1, 2**61 - 1)
+PRIMITIVE_ROOT = {2**31 - 1: 7, 2**61 - 1: 37}
+
+
+def _prime_factors(t):
+    return [q for q in range(2, t + 1) if t % q == 0 and all(q % s for s in range(2, q))]
+
+
+@st.composite
+def big_prime_cases(draw):
+    """(f, p, irreducible) at p = 2^31 - 1 or 2^61 - 1, degree 2..16: a
+    product of two uniform monic factors, or x^t - a with a = g^m for the primitive root
+    g and m prime to t, which is irreducible (Lidl and Niederreiter,
+    Theorem 3.75) when every prime factor of t divides p - 1 and 4 does
+    not divide t, as p = 3 mod 4."""
+    p = draw(st.sampled_from(BIG_PRIMES))
+    if draw(st.booleans()):
+        ts = [t for t in range(2, gf.DEGREE_CAP + 1)
+              if t % 4 and all((p - 1) % q == 0 for q in _prime_factors(t))]
+        t = draw(st.sampled_from(ts))
+        m = draw(st.integers(1, p - 2).filter(lambda m: all(m % q for q in _prime_factors(t))))
+        return ((-pow(PRIMITIVE_ROOT[p], m, p)) % p,) + (0,) * (t - 1) + (1,), p, True
+
+    def monic(d):
+        return tuple(draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))) + (1,)
+
+    d = draw(st.integers(2, gf.DEGREE_CAP))
+    a = draw(st.integers(1, d - 1))
+    return gf.mul(monic(a), monic(d - a), p), p, False
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=48)
+@given(big_prime_cases())
+def test_ben_or_matches_rabin_at_a_big_characteristic(case):
+    f, p, irreducible = case
+    assert gf._ben_or(f, p) == ref_rabin(f, p) == irreducible
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_factor_at_a_big_characteristic_reassembles_into_irreducibles(p):
+    rng = Random(p)
+    for _ in range(6):
+        # A product of factors of degrees summing to at most 16, one of
+        # them squared, so that every stage of factor has work.
+        degrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        parts = [tuple(rng.randrange(p) for _ in range(d)) + (1,) for d in degrees]
+        f = (rng.randrange(1, p),)
+        for g in parts + parts[:1]:
+            f = gf.mul(f, g, p)
+        factors = gf.factor(f, p)
+        prod = (1,)
+        for g, mult in factors:
+            assert g[-1] == 1 and gf.is_irreducible(g, p)
+            for _ in range(mult):
+                prod = gf.mul(prod, g, p)
+        assert prod == gf.monic(f, p)
+
+
+@pytest.mark.parametrize("f, p", [
+    ((11,) + (0,) * 15 + (1,), 13),  # x^16 - 2: 2 is no square mod 13, and 13 = 1 mod 4
+    (None, 2**61 - 1),
+])
+def test_ben_or_raises_to_the_p_th_power_once(monkeypatch, f, p):
+    # One power gives x^p mod f, and Berlekamp's matrix every later
+    # x^(p^i); Ben-Or's test once took a p-th power at each of its
+    # deg(f) / 2 = 8 steps.
+    rng = Random(16)
+    while f is None:
+        g = tuple(rng.randrange(p) for _ in range(16)) + (1,)
+        f = g if gf._ben_or(g, p) else None
+    calls = []
+    power = gf._power
+    monkeypatch.setattr(gf, "_power", lambda *a: calls.append(a[1]) or power(*a))
+    assert gf._ben_or(f, p) and calls == [p]

@@ -245,6 +245,20 @@ def test_no_module_imports_dataclasses_or_inspect():
     assert found == []
 
 
+def test_no_module_uses_named_tuples():
+    # A table row is a values.Record too: typing.NamedTuple and
+    # collections.namedtuple build their classes from generated source.
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+        & {"NamedTuple", "namedtuple"}
+    ]
+    assert found == []
+
+
 def test_values_and_subsets_are_records_not_dataclasses():
     # A dataclass compiles its methods from source at import time, and its
     # generated __hash__ runs once for every point a frozenset takes in.

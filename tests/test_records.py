@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import F2
-from spectop import construction, maps, products, rings, suites
+from spectop import cli, construction, jsonio, maps, products, rings, suites
 from spectop import spectrum as sp
 from spectop import topology as top
 from spectop.errors import KindMismatchError
@@ -47,6 +47,7 @@ E2_TEXT = f"SpecSubset(ring={Z6_TEXT}, points=frozenset({{ZmodPrime(p=2)}}), cof
 F2X1_TEXT = "MonomialQuotient(field=PrimeField(p=2), nvars=2, gens=frozenset({3}))"
 MINS = (MonoPrime(frozenset({1})), MonoPrime(frozenset({2})))
 REPRO = "spectop verify demo --seed 7"
+CODEC = jsonio._Codec(str, int)
 
 # One sample of each record class, its fields, a second value of the class
 # with other fields (None for the classes without fields) and its repr.
@@ -109,6 +110,18 @@ SAMPLES = [
      f"repro='{REPRO}')"),
     (suites.SuiteResult, ("demo", 7, {}, [], []), ("demo", 8, {}, [], []),
      "SuiteResult(suite='demo', seed=7, params={}, cases=[], notes=[])"),
+    (cli._Opt, ("--n", "n", "int", (), True, None, "the number of axes", True),
+     ("--seed", "seed", "int", (), False, 0, "", True),
+     "_Opt(flag='--n', dest='n', kind='int', choices=(), required=True, default=None, "
+     "help='the number of axes', const=True)"),
+    (cli._Command, (len, "count", (), ()), (len, "other", (), ()),
+     "_Command(fn=<built-in function len>, help='count', positionals=(), options=())"),
+    (jsonio._Codec, (str, int), (int, str), "_Codec(enc=<class 'str'>, dec=<class 'int'>)"),
+    (jsonio._Field, ("p", CODEC, None, 0), ("q", CODEC, "p", 0),
+     f"_Field(key='p', codec={CODEC!r}, attr=None, default=0)"),
+    (jsonio._Row, (ZMax, "zMax", (), ZMax, None, False), (ZMax, "zMax", (), ZMax, None, True),
+     "_Row(cls=<class 'spectop.values.ZMax'>, tag='zMax', fields=(), "
+     "build=<class 'spectop.values.ZMax'>, when=None, bounded=False)"),
 ]
 IDS = [cls.__name__ for cls, *_ in SAMPLES]
 
@@ -270,6 +283,12 @@ def test_a_cofinite_subset_survives_pickle():
     assert back == E and sp.subset_str(back) == sp.subset_str(E)
     R = rings.localized(rings.monomial_quotient(F2, 2, {(1, 1)}))
     assert pickle.loads(pickle.dumps(sp.whole(R))) == sp.whole(R)
+
+
+def test_the_command_table_records_fill_in_their_defaults():
+    assert cli._Opt("--x", "x") == cli._Opt("--x", "x", "value", (), False, None, "", True)
+    assert cli._Opt("--x", "x", help="h", const=None).help == "h"
+    assert jsonio._Field("k", CODEC) == jsonio._Field("k", CODEC, None, jsonio._REQUIRED)
 
 
 def test_positional_construction_only():
