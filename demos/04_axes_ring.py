@@ -28,8 +28,8 @@ for n in (2, 3, 5):
     ok = con.verify_intersection(n, K)
     print(f"  (i)   intersection of axis ideals equals the pair ideal: {ok}")
 
-    mins = con.minimal_primes_monomial(MonomialIdeal(R.inner.gens), n, check=False)
-    oracle = covers.brute_force_minimal_covers(R.inner.gens, n)
+    mins = con.minimal_primes_monomial(MonomialIdeal(R.gens), n, check=False)
+    oracle = covers.brute_force_minimal_covers(R.gens, n)
     assert [p.cover for p in mins] == [rings.mask_support(c) for c in oracle]
     print(f"  (ii)  minimal primes (cover enumeration == 2^n oracle):",
           "{" + ", ".join(sp.point_str(p) for p in mins) + "}")

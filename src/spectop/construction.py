@@ -89,7 +89,7 @@ def minimal_primes_monomial(
         raise TooManyVarsError(
             f"{nvars} variables exceeds the oracle bound; pass check=False (--no-oracle)"
         )
-    fast = rings.minimal_cover_masks(ideal.gens, nvars)
+    fast = rings.minimal_cover_masks(ideal.gens)
     if check and list(fast) != covers.brute_force_minimal_covers(ideal.gens, nvars):
         raise AssertionError(
             f"cover enumeration disagrees with the subset oracle on {sorted(ideal.gens)}"
@@ -116,7 +116,7 @@ def verify_intersection(n: int, field: PrimeField | RationalField) -> bool:
 
 
 def krull_dim(R: RingExpr) -> int:
-    """Longest chain of primes; the ring's own rule (RingExpr.krull_dim)."""
+    """Longest chain of primes; each ring family states it by formula."""
     return R.krull_dim()
 
 
@@ -207,7 +207,7 @@ def supplement_report(
     # build_supplement checks n against AXES_N_BOUND before the ring is
     # built; with check=True the cover oracle's bound of 20 variables is
     # checked before any cover search.  The minimal primes and the
-    # spectrum that krull_dim walks read one cover search.
+    # dimension that krull_dim reads share one cover search.
     ring = build_supplement(field, n)
     mins = minimal_primes_monomial(MonomialIdeal(ring.gens), n, check=check)
     return SupplementReport(

@@ -23,7 +23,7 @@ def _cover_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def minimal_covers(edges, nvars: int) -> list[int]:
+def minimal_covers(edges) -> list[int]:
     """All minimal vertex covers, by branching on an uncovered edge.
 
     Every minimal cover must contain some vertex of the first uncovered

@@ -7,7 +7,7 @@ degree k runs on residues, lists of k coefficients, with the reduction
 tail x^k mod f computed once: a remainder builds no quotient and reduces
 each coefficient once, when it is the top one, and one kernel (_mulmod)
 multiplies two residues and reduces the product; both accept unreduced
-and negative coefficients.  pow_mod runs over the bits of the exponent
+and negative coefficients.  _power runs over the bits of the exponent
 from the top: one squaring per bit after the leading one.
 Irreducibility is Ben-Or's test (FOCS 1981): f is irreducible when
 gcd(x^(p^i) - x, f) = 1 for every i <= deg(f)/2.  x^p mod f takes one
@@ -49,14 +49,6 @@ def add(f: Poly, g: Poly, p: int) -> Poly:
     return trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)], p)
 
 
-def neg(f: Poly, p: int) -> Poly:
-    return tuple((-c) % p for c in f)
-
-
-def sub(f: Poly, g: Poly, p: int) -> Poly:
-    return add(f, neg(g, p), p)
-
-
 def mul(f: Poly, g: Poly, p: int) -> Poly:
     if not f or not g:
         return ()
@@ -66,10 +58,6 @@ def mul(f: Poly, g: Poly, p: int) -> Poly:
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return trim(out, p)
-
-
-def scale(f: Poly, c: int, p: int) -> Poly:
-    return trim([a * c for a in f], p)
 
 
 def _check_divisor(g: Poly, p: int) -> None:
@@ -181,20 +169,12 @@ def divides(g: Poly, f: Poly, p: int) -> bool:
 def monic(f: Poly, p: int) -> Poly:
     if not f or f[-1] == 1:
         return f
-    return scale(f, pow(f[-1], p - 2, p), p)
+    c = pow(f[-1], p - 2, p)
+    return trim([a * c for a in f], p)
 
 
 def gcd(f: Poly, g: Poly, p: int) -> Poly:
     return monic(tuple(_gcd(list(f), list(g), p)), p)
-
-
-def pow_mod(base: Poly, e: int, m: Poly, p: int) -> Poly:
-    """base^e mod m; (1,) when e <= 0."""
-    tail = _tail(m, p)
-    base = _reduce(list(base), tail, p)
-    if e <= 0:
-        return (1,)
-    return tuple(_strip(_power(base, e, tail, p)))
 
 
 def derivative(f: Poly, p: int) -> Poly:

@@ -111,7 +111,7 @@ class QuotientMap(_PrimeMap):
 
     def tame_points(self) -> list[PrimePoint]:
         R = self.ring
-        above = R.up_points(self.prime)
+        above = R.reach(frozenset((self.prime,)), True)
         return [q for q in sp.spec_points(R) if q in above]
 
     def symbolic_lying_over(self, p: PrimePoint) -> PrimePoint:

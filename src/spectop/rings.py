@@ -119,7 +119,9 @@ class RingExpr(Record):
     the module-level functions normalize first.  Point arguments are
     points of this ring: the spectrum functions that take a point from the
     caller validate it first, and loops over the ring's own points call
-    _leq and _contains directly.  A ring is a Record of its fields.
+    _leq and _contains directly.  The order is read through reach alone,
+    for a one-point set as for any other, and each family gives its Krull
+    dimension (krull_dim) by formula.  A ring is a Record of its fields.
     """
 
     # Infinite spectrum: subsets are given by representation rules.
@@ -210,10 +212,6 @@ class RingExpr(Record):
             {p: frozenset(compress(pts, col)) for p, col in zip(pts, zip(*rows))},
         )
 
-    def spec_points(self) -> list[PrimePoint]:
-        """The full spectrum as a sorted point list; enumerable rings only."""
-        return list(self._spectrum_table)
-
     def sample_points(self, rng, count: int) -> list[PrimePoint]:
         pts = self._spectrum_table
         return [pts[rng.randrange(len(pts))] for _ in range(count)]
@@ -228,14 +226,6 @@ class RingExpr(Record):
         ups, downs = self._order_table
         return frozenset().union(*map((ups if up else downs).__getitem__, points))
 
-    def up_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
-        """The specializations of p; None when that is every point."""
-        return self.reach(frozenset((p,)), True)
-
-    def down_points(self, p: PrimePoint) -> frozenset[PrimePoint] | None:
-        """The generalizations of p; None when that is every point."""
-        return self.reach(frozenset((p,)), False)
-
     def locus(self, r: El) -> tuple[set[PrimePoint], bool]:
         """(points, complement): V(r) is the finite set `points`, or its
         complement when `complement` is set."""
@@ -244,7 +234,7 @@ class RingExpr(Record):
         return {p for p in self._spectrum_table if self._contains(p, r)}, False
 
     def is_minimal_prime(self, p: PrimePoint) -> bool:
-        return self.down_points(p) == {p}
+        return self.reach(frozenset((p,)), False) == {p}
 
     def density_rule(self, zariski: bool) -> tuple[bool, El | None, str]:
         """(holds, witness, rationale) for "every infinite subset is dense"
@@ -253,21 +243,6 @@ class RingExpr(Record):
             raise UnsupportedError(f"no density criterion for {self}")
         # No infinite subsets exist at all.
         return True, None, FINITE_SPECTRUM
-
-    def krull_dim(self) -> int:
-        """Longest chain of primes, walked down an enumerable spectrum; the
-        other families give it by formula."""
-        if not self.is_enumerable():
-            raise NonEnumerableError(f"cannot chase chains in {self}")
-        memo: dict[PrimePoint, int] = {}
-
-        def depth(p: PrimePoint) -> int:
-            if p not in memo:
-                below = self.down_points(p) - {p}
-                memo[p] = 1 + max(depth(q) for q in below) if below else 0
-            return memo[p]
-
-        return max((depth(p) for p in self._spectrum_table), default=0)
 
 
 def _int_divides(g: int, r: int) -> bool:
@@ -307,6 +282,9 @@ class _ZeroDimensional(RingExpr):
 
     def reach(self, points: frozenset, up: bool, cofinite: bool = False) -> frozenset | None:
         return points
+
+    def krull_dim(self) -> int:
+        return 0
 
 
 class _Domain(RingExpr):
@@ -448,8 +426,7 @@ class IntegerRing(_Dedekind):
         return _int_divides(g.v, r.v)
 
     def principal_intersect(self, a: El, b: El) -> PrincipalIdeal:
-        lcm = abs(a.v * b.v) // math.gcd(a.v, b.v) if a.v and b.v else 0
-        return principal_ideal(self, IntEl(lcm))
+        return principal_ideal(self, IntEl(math.lcm(a.v, b.v)))
 
     def sample_element(self, rng: Random) -> El:
         return IntEl(rng.randint(-60, 60))
@@ -551,9 +528,7 @@ class ModRing(_Residue, _ZeroDimensional):
         return _int_divides(g.v, r.v)
 
     def principal_intersect(self, a: El, b: El) -> PrincipalIdeal:
-        if a.v == 0 or b.v == 0:
-            return PrincipalIdeal(ModEl(0))
-        return principal_ideal(self, ModEl(a.v * b.v // math.gcd(a.v, b.v)))
+        return principal_ideal(self, ModEl(math.lcm(a.v, b.v)))
 
     def nilradical(self) -> IdealRepr:
         return PrincipalIdeal(ModEl(self._radical % self.n))
@@ -720,7 +695,6 @@ class _Monomial(RingExpr):
     Subclasses give field, nvars (None: unbounded) and _kills_mask."""
 
     def reduce_terms(self, terms) -> MPolyEl:
-        # Read once: the localized kind reads them through its inner ring.
         field, nvars, kills = self.field, self.nvars, self._kills_mask
         acc: dict[tuple[int, ...], object] = {}
         for c, exp in terms:
@@ -829,8 +803,15 @@ class _Monomial(RingExpr):
 
 
 class _Quotient(_Monomial):
-    """A monomial quotient, localized or not: its primes are the monomial
-    primes (x_i : i in cover), one per vertex cover of the generators."""
+    """K[x_1..x_nvars] modulo square-free monomials, K a prime field or Q,
+    localized or not; gens are the minimal generator masks.  Its monomial
+    primes are (x_i : i in cover), one per vertex cover of the generators.
+    Every minimal prime lies in the irrelevant ideal, so localizing there
+    keeps the longest chain: both kinds have dimension quotient_dim."""
+
+    field: PrimeField | RationalField
+    nvars: int
+    gens: frozenset[int]
 
     def _kills_mask(self, m: int) -> bool:
         """Whether a monomial with support mask m lies in the defining ideal."""
@@ -866,13 +847,12 @@ class _Quotient(_Monomial):
         vars_str = ",".join(f"x{i}" for i in free)
         return ResidueField(f"{self.field}({vars_str})", None)
 
+    def krull_dim(self) -> int:
+        return quotient_dim(self)
+
 
 class MonomialQuotient(_Quotient):
-    """K[x_1..x_nvars] / (square-free monomials), K a prime field or Q."""
-
-    field: PrimeField | RationalField
-    nvars: int
-    gens: frozenset[int]
+    """The quotient, unlocalized; build it with monomial_quotient."""
 
     def __str__(self) -> str:
         exps = sorted(mask_to_exp(g) for g in self.gens)
@@ -887,7 +867,7 @@ class MonomialQuotient(_Quotient):
             raise UnsupportedError("unit test is exact only in dimension <= 1")
         if constant_term(r) == 0:
             return False
-        mins = minimal_cover_masks(self.gens, self.nvars)
+        mins = minimal_cover_masks(self.gens)
         return all(
             e == () or all(exp_to_mask(e) & c for c in mins) for _, e in r.terms
         )
@@ -909,12 +889,10 @@ class MonomialQuotient(_Quotient):
         # Dimension zero forces the quotient to be the coefficient field.
         return [MonoPrime(frozenset(self.monomial_variables()))]
 
-    def krull_dim(self) -> int:
-        return quotient_dim(self)
-
 
 class LocalizedAtIrrelevant(_Quotient):
-    """A monomial quotient localized at (x_1, ..., x_n).
+    """A monomial quotient localized at (x_1, ..., x_n), with the quotient's
+    own fields; build it with localized.
 
     Only quotients of Krull dimension <= 1 are admitted, which makes the
     whole spectrum enumerable as monomial primes.  Elements are images
@@ -922,35 +900,21 @@ class LocalizedAtIrrelevant(_Quotient):
     minimal prime sits inside the irrelevant ideal.
     """
 
-    inner: MonomialQuotient
-
     def __str__(self) -> str:
         return f"({self.inner})_m"
 
     @property
-    def field(self) -> PrimeField | RationalField:
-        return self.inner.field
-
-    @property
-    def nvars(self) -> int:
-        return self.inner.nvars
-
-    @property
-    def gens(self) -> frozenset[int]:
-        return self.inner.gens
+    def inner(self) -> MonomialQuotient:
+        """The quotient before localizing: the ring's wire form names it."""
+        return MonomialQuotient(self.field, self.nvars, self.gens)
 
     def is_enumerable(self) -> bool:
         return True
 
     def _enumerate(self) -> list[PrimePoint]:
-        pts = {MonoPrime(mask_support(c)) for c in minimal_cover_masks(self.gens, self.nvars)}
+        pts = {MonoPrime(mask_support(c)) for c in minimal_cover_masks(self.gens)}
         pts.add(MonoPrime(frozenset(self.monomial_variables())))
         return list(pts)
-
-    def krull_dim(self) -> int:
-        # Every minimal prime lies in the irrelevant ideal, so localizing
-        # there keeps the longest chain.
-        return quotient_dim(self.inner)
 
 
 class SymbolicSupplement(_Symbolic, _Monomial):
@@ -1083,6 +1047,10 @@ class Product(RingExpr):
     def residue_field(self, p: PrimePoint) -> ResidueField:
         return self.factors[p.slot].residue_field(p.inner)
 
+    def krull_dim(self) -> int:
+        # The spectrum is the disjoint union of the factors' spectra.
+        return max(f.krull_dim() for f in self.factors)
+
 
 ZZ = IntegerRing()
 QQ = RationalField()
@@ -1147,7 +1115,7 @@ def localized(inner: MonomialQuotient) -> LocalizedAtIrrelevant:
         raise UnsupportedError(
             "localization is only supported for quotients of dimension <= 1"
         )
-    return LocalizedAtIrrelevant(inner)
+    return LocalizedAtIrrelevant(inner.field, inner.nvars, inner.gens)
 
 
 def product(*factors: RingExpr) -> Product:
@@ -1187,16 +1155,16 @@ def _factorization(n: int, limit: int | None) -> tuple[tuple[int, int], ...]:
     return factorint(n, limit)
 
 
-def quotient_dim(R: MonomialQuotient) -> int:
+def quotient_dim(R: _Quotient) -> int:
     """Krull dimension of T/I: nvars minus the minimum vertex cover size."""
-    return R.nvars - min(c.bit_count() for c in minimal_cover_masks(R.gens, R.nvars))
+    return R.nvars - min(c.bit_count() for c in minimal_cover_masks(R.gens))
 
 
 @lru_cache(maxsize=_RING_MEMO_SIZE)
-def minimal_cover_masks(gens: frozenset[int], nvars: int) -> tuple[int, ...]:
+def minimal_cover_masks(gens: frozenset[int]) -> tuple[int, ...]:
     """The minimal vertex covers of the generator masks, searched once per
     ideal: the minimal primes and the spectrum of the ring both read them."""
-    return tuple(covers.minimal_covers(gens, nvars))
+    return tuple(covers.minimal_covers(gens))
 
 
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 97, 101, 257)

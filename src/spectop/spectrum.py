@@ -95,7 +95,7 @@ def point_ideal(p: PrimePoint, R: RingExpr) -> rings.IdealRepr:
 
 def spec_points(R: RingExpr) -> list[PrimePoint]:
     """The full spectrum as a sorted point list; enumerable rings only."""
-    return R.spec_points()
+    return list(R._spectrum_table)
 
 
 # ---------------------------------------------------------------------------

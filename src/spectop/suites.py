@@ -292,7 +292,7 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
             minimals = sp.spec_points(z210)
         elif roll < 0.8:
             R = construction.build_supplement(F2, rng.randint(2, 4))
-            mins = [p for p in sp.spec_points(R) if len(p.cover) < R.inner.nvars]
+            mins = [p for p in sp.spec_points(R) if len(p.cover) < R.nvars]
             E = sp.explicit(R, mins if rng.random() < 0.5 else sp.spec_points(R))
             kind = rng.random() < 0.5
             m = (

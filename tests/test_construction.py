@@ -58,7 +58,7 @@ def test_minimal_primes_oracle_agreement(rng):
         if not gens:
             continue
         edges = [rings.exp_to_mask(g) for g in gens]
-        fast = covers.minimal_covers(edges, nvars)
+        fast = covers.minimal_covers(edges)
         slow = covers.brute_force_minimal_covers(edges, nvars)
         assert fast == slow
 
@@ -104,7 +104,7 @@ def test_cover_oracle_meets_the_definition(n, rng):
         for s in subsets:
             if all(e & s for e in edges):
                 assert any(c <= s for c in got)
-        assert covers.minimal_covers(masks, n) == covers.brute_force_minimal_covers(masks, n)
+        assert covers.minimal_covers(masks) == covers.brute_force_minimal_covers(masks, n)
 
 
 def ref_minimal_covers(edges, nvars):
@@ -179,7 +179,7 @@ def test_cover_search_takes_covers_of_any_size():
     # 1,200 singleton edges force one cover of 1,200 vertices; the search
     # keeps its branches on a stack, so no recursion limit is reached.
     edges = [1 << i for i in range(1200)]
-    assert covers.minimal_covers(edges, 1200) == [(1 << 1200) - 1]
+    assert covers.minimal_covers(edges) == [(1 << 1200) - 1]
 
 
 def test_minimal_primes_var_bound():
@@ -235,6 +235,11 @@ def test_krull_dim_examples():
     assert con.krull_dim(rings.monomial_quotient(F2, 3, {(1, 1)})) == 2
     assert con.krull_dim(rings.ZZ) == 1
     assert con.krull_dim(rings.QQ) == 0
+    # A product's spectrum is the disjoint union of its factors', so its
+    # dimension is the largest factor's, symbolic or not enumerable alike.
+    assert con.krull_dim(rings.product(rings.ZZ, rings.zmod(6))) == 1
+    quotient = rings.monomial_quotient(F2, 3, {(1, 1)})
+    assert con.krull_dim(rings.product(quotient, rings.zmod(4))) == 2
 
 
 def test_krull_dim_chain_oracle():
@@ -294,6 +299,40 @@ LOCALIZED_ZOO = [
 @pytest.mark.parametrize("R", LOCALIZED_ZOO, ids=str)
 def test_localized_krull_dim_is_the_longest_chain(R):
     assert R.krull_dim() == con.krull_dim(R) == _longest_chain(R)
+
+
+# The text and wire form of each ring of LOCALIZED_ZOO, in order: the wire
+# form names the quotient before localizing under "inner".
+LOCALIZED_TEXT = [
+    ("(F_2[x1..x1]/(0))_m", '{"field":{"kind":"Fp","p":2},"gens":[],"kind":"MonomialQuotient","nvars":1}'),
+    ("(F_2[x1..x2]/(x1))_m",
+     '{"field":{"kind":"Fp","p":2},"gens":[[1,0]],"kind":"MonomialQuotient","nvars":2}'),
+    ("(F_3[x1..x2]/(x2,x1))_m",
+     '{"field":{"kind":"Fp","p":3},"gens":[[0,1],[1,0]],"kind":"MonomialQuotient","nvars":2}'),
+    ("(F_2[x1..x3]/(x2*x3,x1))_m",
+     '{"field":{"kind":"Fp","p":2},"gens":[[0,1,1],[1,0,0]],"kind":"MonomialQuotient","nvars":3}'),
+    ("(Q[x1..x3]/(x2*x3,x1*x3,x1*x2))_m",
+     '{"field":{"kind":"Q"},"gens":[[0,1,1],[1,0,1],[1,1,0]],"kind":"MonomialQuotient","nvars":3}'),
+    ("(F_2[x1..x3]/(x2,x1))_m",
+     '{"field":{"kind":"Fp","p":2},"gens":[[0,1,0],[1,0,0]],"kind":"MonomialQuotient","nvars":3}'),
+    ("(F_2[x1..x4]/(x3*x4,x2*x4,x2*x3,x1))_m",
+     '{"field":{"kind":"Fp","p":2},"gens":[[0,0,1,1],[0,1,0,1],[0,1,1,0],[1,0,0,0]],'
+     '"kind":"MonomialQuotient","nvars":4}'),
+]
+
+
+@pytest.mark.parametrize(
+    "R, text, inner",
+    [(R, *t) for R, t in zip(LOCALIZED_ZOO, LOCALIZED_TEXT)],
+    ids=[t for t, _ in LOCALIZED_TEXT],
+)
+def test_localized_ring_keeps_its_quotient_text_and_wire_form(R, text, inner):
+    assert rings.localized(R.inner) == R
+    assert (R.field, R.nvars, R.gens) == (R.inner.field, R.inner.nvars, R.inner.gens)
+    assert str(R) == text
+    wire = f'{{"inner":{inner},"kind":"LocalizedAtIrrelevant"}}'
+    assert jsonio.dumps_canonical(jsonio.ring_to_json(R)) == wire
+    assert jsonio.ring_from_json(jsonio.ring_to_json(R)) == R
 
 
 def test_pz_examples():
@@ -368,7 +407,7 @@ def test_supplement_bound_is_checked_before_building(monkeypatch):
 
 
 def test_supplement_runs_one_cover_search():
-    # The minimal primes and the spectrum that krull_dim walks share one
+    # The minimal primes and the dimension that krull_dim reads share one
     # memo entry, keyed on the generator masks; the spectrum and order
     # tables live on the report's own ring.
     rings.minimal_cover_masks.cache_clear()

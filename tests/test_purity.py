@@ -393,3 +393,37 @@ def test_closure_axioms_checks_points_only_where_it_enumerates_them(monkeypatch)
     # asks its factor's has_point, not its validate_point.
     assert holding == 41
     assert checks == {"spectrum.py": 49, "rings.py": 49, "Random.seed": 1 + holding}
+
+
+# The jsonio codecs follow the codec interface, (value, R) to encode and
+# (value, key, R, limit) to decode, whichever of those they need.
+CODECS = {("jsonio.py", "_as_is"), ("jsonio.py", "_tuple_items")}
+
+
+def _unread_parameters(fn):
+    """The parameters of fn that no statement of its body reads."""
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    read = {
+        node.id
+        for stmt in fn.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [p for p in params if p not in read]
+
+
+def test_every_module_function_reads_each_parameter_it_takes():
+    # A parameter no body reads is an input the answer cannot depend on,
+    # so every caller passes it for nothing.  Methods and lambdas are
+    # exempt: they follow the interface of their family or table.
+    found = [
+        f"{path.relative_to(SRC)}:{node.name}({name})"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (str(path.relative_to(SRC)), node.name) not in CODECS
+        for name in _unread_parameters(node)
+    ]
+    assert found == []

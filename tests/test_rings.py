@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import AXES_F2, AXES_Q, F2, F2X, F3, PROPERTY, SUPP3, enumerable_zoo
 from spectop import construction, primes, rings
+from spectop import spectrum as sp
 from spectop.errors import KindMismatchError, UnsupportedError
 from spectop.primes import factorint
 from spectop.rings import (
@@ -103,8 +104,6 @@ def test_is_unit_examples():
 
 def test_unit_in_localized_ring_has_full_nonvanishing_locus():
     # Cross-check on the 4-point spectrum: a unit avoids every prime.
-    from spectop import spectrum as sp
-
     one_plus_x1 = rings.mpoly_el(SUPP3, {(): 1, (1,): 1})
     assert sp.d_locus(one_plus_x1, SUPP3) == sp.whole(SUPP3)
 
@@ -278,6 +277,32 @@ def test_ideal_intersect_membership_oracle():
             assert rings.ideal_member(meet, m, amb) == both
 
 
+def _meets_are_set_intersections(R, gens, elements):
+    """For every pair a, b of gens, the members of (a) meet (b) among
+    elements are those of (a) that are members of (b) too."""
+    members = {}
+
+    def of(I):
+        if I not in members:
+            members[I] = frozenset(r for r in elements if rings.ideal_member(I, r, R))
+        return members[I]
+
+    ideals = [rings.principal_ideal(R, a) for a in gens]
+    for I, J in iproduct(ideals, repeat=2):
+        assert of(rings.ideal_intersect(I, J, R)) == of(I) & of(J), (str(R), I, J)
+
+
+def test_principal_intersect_is_the_set_intersection():
+    # Over Z the generators -12..12, zero among them, meet in (0) or in
+    # (lcm) with lcm <= 132, so the window |r| <= 300 tells every two of
+    # those ideals apart.  Over Z/n every element is read.
+    window = [IntEl(r) for r in range(-300, 301)]
+    _meets_are_set_intersections(rings.ZZ, [IntEl(a) for a in range(-12, 13)], window)
+    for n in range(2, 61):
+        elements = [ModEl(r) for r in range(n)]
+        _meets_are_set_intersections(rings.zmod(n), elements, elements)
+
+
 def test_ideal_intersect_lattice_laws():
     amb = rings.monomial_quotient(F2, 4, frozenset())
     rng = Random(17)
@@ -384,7 +409,7 @@ def test_is_unit_matches_projection_oracle(rng):
         R = rings.monomial_quotient(F2, nvars, gens)
         if rings.quotient_dim(R) > 1:
             continue
-        covers_min = [rings.mask_support(c) for c in rings.minimal_cover_masks(R.gens, R.nvars)]
+        covers_min = [rings.mask_support(c) for c in rings.minimal_cover_masks(R.gens)]
         for e in rings.sample_elements(R, rng, 8):
             projections_unit = True
             for C in covers_min:
@@ -450,16 +475,16 @@ def test_equal_rings_built_apart_share_their_answers(build):
     # still compare and hash equal, before and after either builds them.
     A, B = build(), build()
     assert A is not B and A == B and hash(A) == hash(B)
-    pts = A.spec_points()
+    pts = sp.spec_points(A)
     for p in pts:
-        A.up_points(p)
+        A.reach(frozenset((p,)), True)
     assert {"_spectrum_table", "_order_table"} <= vars(A).keys()
     assert "_spectrum_table" not in vars(B)
     assert A == B and hash(A) == hash(B) and {A: 1}[B] == 1
-    assert B.spec_points() == pts
+    assert sp.spec_points(B) == pts
     for p in pts:
-        assert A.up_points(p) == B.up_points(p)
-        assert A.down_points(p) == B.down_points(p)
+        for up in (True, False):
+            assert A.reach(frozenset((p,)), up) == B.reach(frozenset((p,)), up)
 
 
 def _every_pair_guard(R):

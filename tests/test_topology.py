@@ -290,14 +290,14 @@ def test_explicit_closures_are_brute_force_order_closures():
 def test_spec_points_hands_out_a_copy():
     for R in enumerable_zoo():
         pts = sp.spec_points(R)
-        ups = {p: R.up_points(p) for p in pts}
+        ups = {p: R.reach(frozenset((p,)), True) for p in pts}
         whole = sp.whole(R)
         mutated = sp.spec_points(R)
         mutated.reverse()
         mutated.append(mutated[0])
         assert sp.spec_points(R) == pts
         assert sp.whole(R) == whole
-        assert {p: R.up_points(p) for p in pts} == ups
+        assert {p: R.reach(frozenset((p,)), True) for p in pts} == ups
         mutated.clear()
         assert sp.spec_points(R) == pts
         assert sp.whole(R) == whole
@@ -309,7 +309,7 @@ def test_positive_dim_quotient_refuses_on_every_call():
         with pytest.raises(NonEnumerableError):
             sp.spec_points(R)
         with pytest.raises(NonEnumerableError):
-            R.up_points(sp.MonoPrime(frozenset({1})))
+            R.reach(frozenset((sp.MonoPrime(frozenset({1})),)), True)
 
 
 def test_zero_dimensional_rings_build_no_order_table():
@@ -317,13 +317,13 @@ def test_zero_dimensional_rings_build_no_order_table():
     # so a sweep over many one-off Z/n builds none.
     for R in (rings.zmod(210), rings.zmod(8), rings.prime_field(5), rings.QQ):
         for p in sp.spec_points(R):
-            assert R.up_points(p) == R.down_points(p) == {p}
+            assert R.reach(frozenset((p,)), True) == R.reach(frozenset((p,)), False) == {p}
             assert R.is_minimal_prime(p)
         assert "_order_table" not in vars(R)
     # A ring of positive dimension builds its table on first use.
     R = rings.localized(rings.monomial_quotient(F2, 2, {(1, 1)}))
     assert "_order_table" not in vars(R)
-    R.up_points(sp.spec_points(R)[0])
+    R.reach(frozenset(sp.spec_points(R)[:1]), True)
     assert "_order_table" in vars(R)
 
 
@@ -346,7 +346,8 @@ def test_order_table_matches_a_brute_force_scan():
         for p in pts:
             up = {q for q in pts if R._leq(p, q)}
             down = {q for q in pts if R._leq(q, p)}
-            for got, scan, upward in ((R.up_points(p), up, True), (R.down_points(p), down, False)):
+            for upward, scan in ((True, up), (False, down)):
+                got = R.reach(frozenset((p,)), upward)
                 if got is None:
                     # None is every point: only from the limit, toward the family.
                     assert p == R.limit and R.limit_above != upward, (str(R), p)
