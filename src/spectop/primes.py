@@ -1,18 +1,16 @@
 """Integer primality and factorization.
 
 Trial division by the primes below 2^10 strips small factors.  A composite
-cofactor is split in turn by a perfect-square check; a short Pollard rho
-with Brent's cycle finding (R. P. Brent, BIT 20, 1980) for small factors;
-Lenstra's elliptic curve method (H. W. Lenstra, Ann. Math. 126, 1987) on
-Montgomery's x-only curves with the baby-step/giant-step stage 2
-(P. L. Montgomery, Math. Comp. 48, 1987), whose bound B1 grows by a tenth
-with each curve; and, when every curve fails, Brent's rho with no work
-budget.  Each curve's ladder and stage 2 are written out in one function,
-with x +- z computed once per step and shared by the addition and the
-doubling, since nearly all of a 64-bit factorization is spent there.  The
-stage tables of each bound are memoized, and each level is built from
-the level below: new prime powers, and new stage-2 rows only where the
-bounds moved.
+cofactor is split in turn by a perfect-square check; Lenstra's elliptic
+curve method (H. W. Lenstra, Ann. Math. 126, 1987) on Montgomery's x-only
+curves with the baby-step/giant-step stage 2 (P. L. Montgomery, Math.
+Comp. 48, 1987), whose bound B1 grows by a tenth with each curve; and,
+when every curve fails, Pollard's rho with Brent's cycle finding
+(R. P. Brent, BIT 20, 1980) and no work budget.  Each curve's ladder and
+stage 2 are written out in one function, with x +- z computed once per
+step and shared by the addition and the doubling, since nearly all of a
+64-bit factorization is spent there.  The stage tables of each bound are
+built from one sieve up to its B2 and memoized.
 Every factor is a gcd with n, and Miller-Rabin, with as many bases as the
 size of n needs, decides which parts are prime.  Inputs above 64 bits are
 refused unless the caller passes limit=None.  Everything is deterministic.
@@ -21,7 +19,7 @@ refused unless the caller passes limit=None.  Everything is deterministic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress
 
@@ -72,23 +70,17 @@ def is_prime(n: int) -> bool:
 # Steps of y between two gcds with n in the rho loop.
 _RHO_BLOCK = 128
 
-# The short rho gives up once its stretch length passes this.
-_SHORT_RHO_R = 1 << 4
 
-
-def _brent(n: int, c: int, r_max: int | None) -> int:
+def _brent(n: int, c: int) -> int:
     """A divisor g > 1 of n from the orbit of 2 under x -> x^2 + c mod n.
 
     Brent's cycle finding: y runs through stretches of doubling length r
     away from a saved x, and the products of x - y mod n meet n in one
     gcd per block.  A block whose gcd is n is replayed one step at a time;
-    the divisor found may still be n.  Returns 1 once r passes r_max
-    (None: never).
+    the divisor found may still be n.
     """
     y, q, g, r = 2, 1, 1, 1
     while g == 1:
-        if r_max is not None and r > r_max:
-            return 1
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -115,10 +107,10 @@ def _pollard_rho(n: int) -> int:
 
     Pollard rho with Brent's cycle finding (R. P. Brent, BIT 20, 1980)
     over the polynomials x^2 + c, c = 1, 2, ...  It is the last resort
-    after the short rho and ECM, and it has no work budget.
+    after ECM, and it has no work budget.
     """
     for c in range(1, 256):
-        g = _brent(n, c, None)
+        g = _brent(n, c)
         if g != n:
             return g
     raise FactorizationLimitError(f"pollard rho failed on {n}")
@@ -138,64 +130,30 @@ _ECM_B1S = tuple(70 * 11**i // 10**i for i in range(_ECM_CURVES))
 @lru_cache(maxsize=_ECM_CURVES)
 def _ecm_tables(b1: int) -> tuple[str, tuple[tuple[int, bytes], ...]]:
     """Stage 1's multiplier in binary, less its leading 1, and stage 2's
-    (m, js) pairs, for bounds b1 and _ECM_B2_PER_B1 * b1.
-
-    Built from the tables of the schedule's bound below b1, when there is
-    one: the multiplier gains the new prime powers, and a stage-2 row whose
-    window lies inside both levels' (B1, B2] is the same row, so only the
-    rows at the lower edge and past the old B2 are sieved.
-    """
+    (m, js) pairs, for bounds b1 and _ECM_B2_PER_B1 * b1, from one sieve."""
     b2, h = _ECM_B2_PER_B1 * b1, _ECM_D // 2
-    i = bisect_left(_ECM_B1S, b1)
-    if i:
-        old_b1 = _ECM_B1S[i - 1]
-        old_b2 = _ECM_B2_PER_B1 * old_b1
-        bits, old_rows = _ecm_tables(old_b1)
-        k = int("1" + bits, 2)
-    else:
-        old_b1, old_b2, k, old_rows = 1, 0, 1, ()
-    # k is lcm(1, ..., b1): it gains p for each power of p in (old_b1, b1].
-    prime, root = _sieve(b1 + 1), math.isqrt(b1)
-    gain = 1
-    for p in compress(range(root + 1), prime):
+    # The sieve runs h past b2, so that every row's window lies inside it.
+    prime = _sieve(b2 + h + 1)
+    # k is lcm(1, ..., b1): the largest power up to b1 of each prime.
+    k = 1
+    for p in compress(range(b1 + 1), prime):
         q = p
-        while q <= b1:
-            if q > old_b1:
-                gain *= p
+        while q * p <= b1:
             q *= p
-    start = max(old_b1, root) + 1
-    k *= gain * math.prod(compress(range(start, b1 + 1), prime[start:]))
-    # Rows first..last can hold a prime in (b1, b2]; rows lo..hi have their
-    # window inside (b1, old_b2] and are taken over (none when hi < lo).
-    first, last = max((b1 - h) // _ECM_D + 1, 0), (b2 + h) // _ECM_D
-    lo = (b1 + h) // _ECM_D + 1
-    hi = max((old_b2 - h) // _ECM_D, lo - 1)
-    pairs = _stage2_rows(b1, b2, range(first, lo))
-    pairs += [(m, js) for m, js in old_rows if lo <= m <= hi]
-    pairs += _stage2_rows(b1, b2, range(hi + 1, last + 1))
-    return bin(k)[3:], tuple(pairs)
-
-
-def _stage2_rows(b1: int, b2: int, ms: range) -> list[tuple[int, bytes]]:
-    """Stage 2's (m, js) pairs for the rows m in ms, bounds b1 and b2."""
-    if not ms:
-        return []
-    h = _ECM_D // 2
-    base = ms[0] * _ECM_D - h  # flags[i] is the flag of base + i
-    flags = bytearray(ms[-1] * _ECM_D + h + 1 - base)
-    lo, hi = max(b1 + 1, base, 2), min(b2 + 1, base + len(flags))
-    if lo < hi:
-        flags[lo - base : hi - base] = _prime_flags(lo, hi)
+        k *= q
+    # Stage 2 takes the primes in (b1, b2] only.
+    prime[: b1 + 1] = bytes(b1 + 1)
+    prime[b2 + 1 :] = bytes(h)
     pairs = []
-    for m in ms:
+    for m in range((b2 + h) // _ECM_D + 1):
         # Byte j - 1 is 1 when mD - j or mD + j is a prime in (b1, b2].
-        c = m * _ECM_D - base
-        below = int.from_bytes(flags[c - h : c], "big")
-        above = int.from_bytes(flags[c + 1 : c + h + 1], "little")
+        c = m * _ECM_D
+        below = int.from_bytes(prime[max(c - h, 0) : c], "big")
+        above = int.from_bytes(prime[c + 1 : c + h + 1], "little")
         js = bytes(compress(range(1, h + 1), (below | above).to_bytes(h, "little")))
         if js:
             pairs.append((m, js))
-    return pairs
+    return bin(k)[3:], tuple(pairs)
 
 
 def _ecm(n: int) -> int | None:
@@ -311,12 +269,10 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
         acc[n] = acc.get(n, 0) + 1
         return
     # n has no prime factor below 2^10: a square root, else the first
-    # nontrivial divisor from the short rho, ECM and the unbounded rho.
+    # nontrivial divisor from ECM and the unbounded rho.
     d = math.isqrt(n)
     if d * d != n:
-        d = _brent(n, 1, _SHORT_RHO_R)
-        if not 1 < d < n:
-            d = _ecm(n) or _pollard_rho(n)
+        d = _ecm(n) or _pollard_rho(n)
     _factor_into(d, acc)
     _factor_into(n // d, acc)
 
@@ -359,17 +315,6 @@ def _sieve(bound: int) -> bytearray:
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
     return sieve
-
-
-def _prime_flags(lo: int, hi: int) -> bytearray:
-    """1 at each prime in [lo, hi), 0 elsewhere, for 2 <= lo < hi (a
-    segmented sieve of Eratosthenes)."""
-    flags = bytearray([1]) * (hi - lo)
-    root = math.isqrt(hi - 1)
-    for p in compress(range(root + 1), _sieve(root + 1)):
-        start = max(p * p, -(-lo // p) * p) - lo
-        flags[start::p] = bytes(len(range(start, hi - lo, p)))
-    return flags
 
 
 def primes_below(bound: int) -> list[int]:

@@ -971,7 +971,9 @@ class SymbolicSupplement(_Symbolic, _Monomial):
 
 
 class Product(RingExpr):
-    """Finite direct product; factors are flattened and non-symbolic.
+    """Finite direct product; factors are flattened, and any ring but the
+    symbolic axes ring may be one.  A factor with a symbolic spectrum, such
+    as Z or GF(p)[x], is accepted, but listing the spectrum then refuses.
 
     Its primes are the tame primes: one factor's prime, pulled back along
     that factor's projection."""

@@ -141,6 +141,14 @@ def test_verify_suite_exit_codes(capsys):
     assert code == 0 and "pass" in out
 
 
+def test_human_verify_prints_the_suite_note(capsys):
+    code, out, _ = run(capsys, "verify", "oracle-agreement")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "oracle-agreement: pass (1 cases, seed 0)", f"  note: {suites.WILD_PRIME_NOTE}",
+    ]
+
+
 def test_verify_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "density", "--seed", "5", "--cases", "10", "--json")
     code2, out2, _ = run(capsys, "verify", "density", "--seed", "5", "--cases", "10", "--json")
@@ -585,11 +593,40 @@ def test_engine_key_and_value_errors_are_internal(monkeypatch, capsys, exc):
         ["construct", "supplement", "--n", "3", "--field", "Fx"],
         ["construct", "supplement", "--n", "3", "--report", "/nonexistent/dir/r.json"],
         ["spec", "--ring", "/nonexistent.json"],
+        ["spec", "--ring", '{"kind":"FpPoly","p":4}'],
+        ["spec", "--ring", '{"kind":"MonomialQuotient","field":{"kind":"Fp","p":2},'
+                           '"nvars":2,"gens":[[0,0]]}'],
+        ["spec", "--ring", '{"kind":"MonomialQuotient","field":' + Z + ',"nvars":2,"gens":[[1,1]]}'],
+        ["spec", "--ring", '{"kind":"SymbolicSupplement","field":' + Z + "}"],
+        ["spec", "--ring", '{"kind":"Product","factors":[]}'],
     ],
-    ids=["field-Fx", "report-path", "ring-path"],
+    ids=["field-Fx", "report-path", "ring-path", "fppoly-composite-p", "constant-generator",
+         "monomial-over-Z", "supplement-over-Z", "empty-product"],
 )
 def test_refused_arguments_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "\n" not in err.rstrip("\n")
+
+
+def test_ring_and_set_files_print_what_the_inline_json_prints(capsys, tmp_path):
+    ring, subset = tmp_path / "ring.json", tmp_path / "set.json"
+    ring.write_text(Z, encoding="utf-8")
+    subset.write_text(FIVE, encoding="utf-8")
+    inline = run(capsys, "closure", "--topology", "zariski", "--ring", Z, "--set", FIVE, "--json")
+    files = run(capsys, "closure", "--topology", "zariski", "--ring", str(ring), "--set", str(subset),
+                "--json")
+    assert inline[0] == 0 and files == inline
+
+
+@pytest.mark.parametrize("kind", ["not-utf-8", "directory"])
+def test_unreadable_ring_file_exits_2(capsys, tmp_path, kind):
+    path = tmp_path / "ring.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"kind":"Z\xff"}')
+    code, out, err = run(capsys, "spec", "--ring", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "\n" not in err.rstrip("\n")
 

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import compress
 from random import Random
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bench_queries
 from spectop import primes
 from spectop.errors import FactorizationLimitError
 from spectop.primes import (
@@ -291,7 +293,7 @@ def test_ecm_splits_balanced_64bit_semiprimes(monkeypatch):
     for _ in range(12):
         p, q = sorted(_random_prime(rng, 2**31 + 1, 2**32) for _ in range(2))
         assert factorint(p * q) == ((p, 1), (q, 1))
-    # The short rho gives up on every one of them within its budget.
+    # Past trial division and the square check, ECM splits each one.
     assert len(splits) == 12
 
 
@@ -448,12 +450,10 @@ FIXED_CASES = (
 )
 
 
-@pytest.mark.parametrize("stage", ["without-ecm", "without-short-rho"])
+@pytest.mark.parametrize("stage", ["without-ecm", "as-built"])
 def test_each_fallback_stays_exact(stage, monkeypatch):
     if stage == "without-ecm":
         monkeypatch.setattr(primes, "_ecm", lambda n: None)
-    else:
-        monkeypatch.setattr(primes, "_SHORT_RHO_R", 0)
     for n, fac in FIXED_CASES:
         assert _product(fac) == n
         assert factorint(n, limit=None) == fac
@@ -473,6 +473,24 @@ def test_mid_size_moduli_of_the_query_mix_shape():
             continue
         assert factorint(n) == tuple(sorted(acc.items()))
         seen += 1
+
+
+def test_query_mix_moduli_split_without_the_unbounded_rho(monkeypatch):
+    # Every past-trial modulus of the query-mix catalog is split by the
+    # square check and ECM; the unbounded rho is only a backstop.
+    def no_fallback(n):
+        raise AssertionError(f"{n} fell through to the unbounded rho")
+
+    monkeypatch.setattr(primes, "_pollard_rho", no_fallback)
+    checked = 0
+    for q in bench_queries().catalog():
+        if q.cls in ("spec-zmod-mid", "spec-zmod-64"):
+            n = json.loads(q.argv[q.argv.index("--ring") + 1])["n"]
+            fac = factorint(n)
+            assert tuple(p for p, _ in fac) == q.known[1], q.id
+            assert _product(fac) == n, q.id
+            checked += 1
+    assert checked == 260
 
 
 # Size bands of the random prime factors: trial divisors, just past them,
