@@ -51,11 +51,6 @@ def _pair_masks(n: int) -> frozenset[int]:
     return frozenset(1 << i | 1 << k for i, k in combinations(range(n), 2))
 
 
-def supplement_gens(n: int) -> frozenset[tuple[int, ...]]:
-    """Exponent vectors of all products x_i x_k with i < k <= n."""
-    return frozenset(rings.mask_to_exp(m) for m in _pair_masks(n))
-
-
 def build_supplement(field: PrimeField | RationalField, n: int) -> LocalizedAtIrrelevant:
     """The n-axes local ring; n = 1 degenerates to K[x]_(x)."""
     _check_axes_n(n)

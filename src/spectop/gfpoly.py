@@ -44,11 +44,6 @@ def deg(f: Poly) -> int:
     return len(f) - 1
 
 
-def add(f: Poly, g: Poly, p: int) -> Poly:
-    n = max(len(f), len(g))
-    return trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)], p)
-
-
 def mul(f: Poly, g: Poly, p: int) -> Poly:
     if not f or not g:
         return ()

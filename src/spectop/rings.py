@@ -67,7 +67,6 @@ from .values import (  # the values and their functions are named from here too
     _int,
     _mask_in,
     _minimal_masks,
-    add,
     constant_term,
     el_str,
     exp_to_mask,
@@ -85,14 +84,11 @@ from .values import (  # the values and their functions are named from here too
     mono_str,
     mono_support,
     monomial_ideal,
-    mpoly_el,
-    mul,
     nilradical,
     normalize,
     one,
     point_sort_key,
     point_str,
-    power,
     principal_ideal,
     sample_elements,
     sorted_points,
@@ -138,7 +134,9 @@ class RingExpr(Record):
         raise KindMismatchError(f"{self} has no coefficient field")
 
     def power(self, a: El, k: int) -> El:
-        """a^k for k >= 0, by square-and-multiply over mul."""
+        """a^k by square-and-multiply over mul; a negative k is refused."""
+        if k < 0:
+            raise KindMismatchError("negative powers are not supported")
         result = self.from_int(1)
         while k:
             if k & 1:
@@ -260,13 +258,12 @@ class _Residue(RingExpr):
     def from_int(self, k: int) -> El:
         return ModEl(k % self.modulus)
 
-    def add(self, a: El, b: El) -> El:
-        return ModEl((a.v + b.v) % self.modulus)
-
     def mul(self, a: El, b: El) -> El:
         return ModEl((a.v * b.v) % self.modulus)
 
     def power(self, a: El, k: int) -> El:
+        if k < 0:  # pow would invert a
+            raise KindMismatchError("negative powers are not supported")
         return ModEl(pow(a.v, k, self.modulus))
 
     def sample_element(self, rng: Random) -> El:
@@ -410,9 +407,6 @@ class IntegerRing(_Dedekind):
     def from_int(self, k: int) -> El:
         return IntEl(k)
 
-    def add(self, a: El, b: El) -> El:
-        return IntEl(a.v + b.v)
-
     def mul(self, a: El, b: El) -> El:
         return IntEl(a.v * b.v)
 
@@ -467,9 +461,6 @@ class RationalField(_Field):
 
     def from_int(self, k: int) -> El:
         return RatEl(Fraction(k))
-
-    def add(self, a: El, b: El) -> El:
-        return RatEl(a.v + b.v)
 
     def mul(self, a: El, b: El) -> El:
         return RatEl(a.v * b.v)
@@ -602,9 +593,6 @@ class PolyRingOverPrimeField(_Dedekind):
     def from_int(self, k: int) -> El:
         return PolyEl(gfpoly.trim((k,), self.p))
 
-    def add(self, a: El, b: El) -> El:
-        return PolyEl(gfpoly.add(a.coeffs, b.coeffs, self.p))
-
     def mul(self, a: El, b: El) -> El:
         return PolyEl(gfpoly.mul(a.coeffs, b.coeffs, self.p))
 
@@ -728,9 +716,6 @@ class _Monomial(RingExpr):
     def is_nilpotent(self, r: El) -> bool:
         # Reduced, so only zero is nilpotent, and canonical zero has no terms.
         return not r.terms
-
-    def add(self, a: El, b: El) -> El:
-        return self.reduce_terms(list(a.terms) + list(b.terms))
 
     def mul(self, a: El, b: El) -> El:
         # The support of a product monomial is the union of its factors'
@@ -990,9 +975,6 @@ class Product(RingExpr):
 
     def from_int(self, k: int) -> El:
         return TupleEl(tuple(f.from_int(k) for f in self.factors))
-
-    def add(self, a: El, b: El) -> El:
-        return TupleEl(tuple(f.add(x, y) for f, x, y in zip(self.factors, a.items, b.items)))
 
     def mul(self, a: El, b: El) -> El:
         return TupleEl(tuple(f.mul(x, y) for f, x, y in zip(self.factors, a.items, b.items)))

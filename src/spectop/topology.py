@@ -26,7 +26,7 @@ from .rings import (  # the density rationales are named from here too
     El,
     RingExpr,
 )
-from .spectrum import PrimePoint, Record, SpecSubset
+from .spectrum import Record, SpecSubset
 
 ZARISKI = "zariski"
 FLAT = "flat"
@@ -35,16 +35,6 @@ TOPOLOGIES = (ZARISKI, FLAT, PATCH)
 
 SPECIALIZATION = "specialization"
 GENERALIZATION = "generalization"
-
-
-def up_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
-    """V(p): all specializations of p."""
-    return order_closure(sp.explicit(R, {p}), up=True)
-
-
-def down_set(p: PrimePoint, R: RingExpr) -> SpecSubset:
-    """The generalizations of p; the flat closure of the singleton."""
-    return order_closure(sp.explicit(R, {p}), up=False)
 
 
 def order_closure(E: SpecSubset, up: bool) -> SpecSubset:

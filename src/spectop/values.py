@@ -450,25 +450,6 @@ def var_el(R: RingExpr, i: int, coeff=1) -> El:
     return R.reduce_terms([(coeff, exp)])
 
 
-def mpoly_el(R: RingExpr, term_map: dict) -> El:
-    """Element from {exponent tuple: coefficient}."""
-    return R.reduce_terms([(c, e) for e, c in term_map.items()])
-
-
-def add(R: RingExpr, a: El, b: El) -> El:
-    return R.add(R.normalize(a), R.normalize(b))
-
-
-def mul(R: RingExpr, a: El, b: El) -> El:
-    return R.mul(R.normalize(a), R.normalize(b))
-
-
-def power(R: RingExpr, a: El, k: int) -> El:
-    if k < 0:
-        raise KindMismatchError("negative powers are not supported")
-    return R.power(R.normalize(a), k)
-
-
 def is_zero(R: RingExpr, a: El) -> bool:
     return normalize(a, R) == zero(R)
 

@@ -13,6 +13,13 @@ from spectop.errors import BadArityError, KindMismatchError, TooManyVarsError
 from spectop.spectrum import FpxMax, MonoPrime, SuppMin, ZMax
 
 
+def _pair_gens(n):
+    """The exponent tuples of the products x_i x_k with i < k <= n."""
+    return frozenset(
+        tuple(int(j in (i, k)) for j in range(k + 1)) for i, k in combinations(range(n), 2)
+    )
+
+
 def test_build_supplement_generators():
     R = con.build_supplement(F2, 3)
     assert {rings.mask_to_exp(g) for g in R.inner.gens} == {(1, 1), (1, 0, 1), (0, 1, 1)}
@@ -29,7 +36,7 @@ def test_build_supplement_degenerate():
 
 
 def test_minimal_primes_supplement():
-    got = set(con.minimal_primes_monomial(con.supplement_gens(3), 3))
+    got = set(con.minimal_primes_monomial(_pair_gens(3), 3))
     assert got == {
         MonoPrime(frozenset({2, 3})),
         MonoPrime(frozenset({1, 3})),
@@ -169,10 +176,10 @@ def test_minimal_primes_with_the_oracle_at_its_bound():
     # 20 axis primes; 21 variables are refused before any search.
     n = covers.ORACLE_VAR_BOUND
     full = frozenset(range(1, n + 1))
-    got = con.minimal_primes_monomial(con.supplement_gens(n), n, check=True)
+    got = con.minimal_primes_monomial(_pair_gens(n), n, check=True)
     assert got == [MonoPrime(full - {k}) for k in range(n, 0, -1)]
     with pytest.raises(TooManyVarsError):
-        con.minimal_primes_monomial(con.supplement_gens(n + 1), n + 1, check=True)
+        con.minimal_primes_monomial(_pair_gens(n + 1), n + 1, check=True)
 
 
 def test_cover_search_takes_covers_of_any_size():
@@ -217,14 +224,14 @@ def test_verify_intersection_brute_force_membership():
     # intersection of the axis primes exactly when it lies in the pair
     # ideal.
     amb = rings.monomial_quotient(F2, 3, frozenset())
-    pair_ideal = rings.monomial_ideal(con.supplement_gens(3))
+    pair_ideal = rings.monomial_ideal(_pair_gens(3))
     axis = [
         rings.monomial_ideal({(0,) * (i - 1) + (1,) for i in range(1, 4) if i != k})
         for k in range(1, 4)
     ]
     for bits in range(1, 8):
         exps = tuple((bits >> i) & 1 for i in range(3))
-        m = rings.mpoly_el(amb, {exps: 1})
+        m = amb.reduce_terms([(1, exps)])
         in_all = all(rings.ideal_member(I, m, amb) for I in axis)
         assert in_all == rings.ideal_member(pair_ideal, m, amb)
 

@@ -188,8 +188,10 @@ def test_ecm_tables_cover_every_prime_up_to_b2():
 
 
 def ref_ecm_tables(b1):
-    """The _ecm_tables that built each level from nothing, kept as the
-    oracle of the one that builds it from the level below."""
+    """The one construction _ecm_tables uses, written out again with its
+    sieve run a full D past B2 rather than D/2: the oracle of _ecm_tables
+    at all 60 levels, with the memo filled in both orders, and at the
+    seven off-schedule bounds."""
     b2, h = primes._ECM_B2_PER_B1 * b1, primes._ECM_D // 2
     prime = primes._sieve(b2 + primes._ECM_D + 1)
     k = 1
@@ -216,7 +218,8 @@ def ref_ecm_tables(b1):
 def test_ecm_tables_match_the_oracle_at_every_level(order):
     primes._ecm_tables.cache_clear()
     if order == "top-level-first":
-        # The top level, asked of an empty memo, builds every level below.
+        # The top level first, on an empty memo: each level is built on
+        # its own, whatever the order.
         primes._ecm_tables(primes._ECM_B1S[-1])
     for b1 in primes._ECM_B1S:
         assert primes._ecm_tables(b1) == ref_ecm_tables(b1), b1

@@ -26,9 +26,9 @@ def test_unit_idempotents():
     e0 = products.unit_idempotent(0, R)
     e1 = products.unit_idempotent(1, R)
     assert e0 == TupleEl((ModEl(1), ModEl(0)))
-    assert rings.mul(R, e0, e0) == e0
-    assert rings.mul(R, e0, e1) == rings.zero(R)
-    assert rings.add(R, e0, e1) == rings.one(R)
+    assert e1 == TupleEl((ModEl(0), ModEl(1)))
+    assert R.mul(e0, e0) == e0
+    assert R.mul(e0, e1) == rings.zero(R)
     with pytest.raises(BadSlotError):
         products.unit_idempotent(2, R)
 
@@ -37,30 +37,31 @@ def test_idempotent_laws_random_products(rng):
     for _ in range(20):
         k = rng.randint(1, 4)
         R = rings.product(*[rings.zmod(rng.randint(2, 50)) for _ in range(k)])
-        total = rings.zero(R)
         for i in range(k):
             ei = products.unit_idempotent(i, R)
-            assert rings.mul(R, ei, ei) == ei
+            assert R.mul(ei, ei) == ei
             for j in range(k):
                 if i != j:
                     ej = products.unit_idempotent(j, R)
-                    assert rings.mul(R, ei, ej) == rings.zero(R)
-            total = rings.add(R, total, ei)
-        assert total == rings.one(R)
+                    assert R.mul(ei, ej) == rings.zero(R)
+            assert ei.items == tuple(
+                f.from_int(1 if slot == i else 0) for slot, f in enumerate(R.factors)
+            )
 
 
 def test_unit_idempotents_sum_to_one():
     # The direct sum of finitely many factors holds the sum of the e_k,
-    # which is 1: a finite product has no wild primes.
+    # which is 1: a finite product has no wild primes.  Slot k of e_k is
+    # one and every other slot zero, so each slot of the sum is one.
     for R in (
         rings.product(rings.zmod(4), rings.zmod(9)),
         rings.product(rings.zmod(4), rings.zmod(9), rings.zmod(25)),
         rings.product(rings.zmod(8)),
     ):
-        total = rings.zero(R)
-        for k in range(len(R.factors)):
-            total = rings.add(R, total, products.unit_idempotent(k, R))
-        assert total == rings.one(R)
+        idempotents = [products.unit_idempotent(k, R) for k in range(len(R.factors))]
+        for slot, f in enumerate(R.factors):
+            column = [e.items[slot] for e in idempotents]
+            assert column == [f.from_int(1 if k == slot else 0) for k in range(len(column))]
 
 
 def test_contract_along_canonical_product_maps():
@@ -193,7 +194,7 @@ def test_is_unit_in_quotient_product_examples():
     x1 = rings.var_el(SUPP3, 1)
     assert not products.is_unit_in_quotient_product(x1, E_s)
     assert products.is_unit_in_quotient_product(
-        rings.mpoly_el(SUPP3, {(): 1, (1,): 1}), E_s
+        SUPP3.reduce_terms([(1, ()), (1, (1,))]), E_s
     )
     # A unit of R/p avoids every prime above p, not only p.  2 is no unit
     # of Z/(0) = Z, also when (0) is one member among many.

@@ -134,9 +134,9 @@ def test_v_locus_axes_localized():
 def test_v_locus_symbolic_axes():
     x1 = rings.var_el(AXES_F2, 1)
     assert sp.v_locus(x1, AXES_F2) == sp.cofinite(AXES_F2, {SuppMin(1)}, True)
-    unit = rings.mpoly_el(AXES_F2, {(): 1, (0, 0, 1): 1})
+    unit = AXES_F2.reduce_terms([(1, ()), (1, (0, 0, 1))])
     assert sp.v_locus(unit, AXES_F2) == sp.empty_set(AXES_F2)
-    z = rings.mpoly_el(AXES_F2, {(1,): 1, (0, 1): 1})
+    z = AXES_F2.reduce_terms([(1, (1,)), (1, (0, 1))])
     assert sp.d_locus(z, AXES_F2) == sp.explicit(AXES_F2, {SuppMin(1), SuppMin(2)})
 
 
@@ -178,7 +178,7 @@ def test_v_locus_multiplicative(rng):
         s = IntEl(rng.randint(-300, 300))
         if r.v == 0 or s.v == 0:
             continue
-        lhs = sp.v_locus(rings.mul(rings.ZZ, r, s), rings.ZZ)
+        lhs = sp.v_locus(rings.ZZ.mul(r, s), rings.ZZ)
         rhs = sp.subset_union(sp.v_locus(r, rings.ZZ), sp.v_locus(s, rings.ZZ))
         assert lhs == rhs
     p = 2
@@ -188,7 +188,7 @@ def test_v_locus_multiplicative(rng):
         a, b = rings.normalize(a, F2X), rings.normalize(b, F2X)
         if a.coeffs == () or b.coeffs == ():
             continue
-        lhs = sp.v_locus(rings.mul(F2X, a, b), F2X)
+        lhs = sp.v_locus(F2X.mul(a, b), F2X)
         rhs = sp.subset_union(sp.v_locus(a, F2X), sp.v_locus(b, F2X))
         assert lhs == rhs
 
@@ -394,8 +394,10 @@ INTEGRAL_ON_THE_WIRE = {"Z-float", "Zmod-float", "F2x-float", "local-float-index
 ENTRIES = {
     "explicit": (lambda R, p, good: sp.explicit(R, {p}), None),
     "cofinite": (lambda R, p, good: sp.cofinite(R, {p}, True), lambda R: R.symbolic),
-    "up_set": (lambda R, p, good: top.up_set(p, R), None),
-    "down_set": (lambda R, p, good: top.down_set(p, R), None),
+    # The up set V(p) and the down set of a point: the Zariski and flat
+    # closures of the one-point set.
+    "up_set": (lambda R, p, good: top.zariski_closure(sp.explicit(R, {p})), None),
+    "down_set": (lambda R, p, good: top.flat_closure(sp.explicit(R, {p})), None),
     "leq_left": (lambda R, p, good: sp.leq_specialization(p, good, R), None),
     "leq_right": (lambda R, p, good: sp.leq_specialization(good, p, R), None),
     "point_contains": (lambda R, p, good: sp.point_contains(p, rings.one(R), R), None),

@@ -216,11 +216,13 @@ def test_density_criterion_finite_spectrum():
 
 
 def test_up_down_sets_match_singleton_closures():
+    # The up (down) set of a point, its order closure, is the Zariski
+    # (flat) closure of the one-point set.
     for R in enumerable_zoo():
         for p in sp.spec_points(R):
             single = sp.explicit(R, {p})
-            assert top.up_set(p, R) == top.zariski_closure(single)
-            assert top.down_set(p, R) == top.flat_closure(single)
+            assert top.order_closure(single, up=True) == top.zariski_closure(single)
+            assert top.order_closure(single, up=False) == top.flat_closure(single)
 
 
 @pytest.fixture
