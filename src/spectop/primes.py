@@ -1,16 +1,18 @@
 """Integer primality and factorization.
 
 Trial division by the primes below 2^10 strips small factors.  A composite
-cofactor is split in turn by a perfect-square check; Lenstra's elliptic
-curve method (H. W. Lenstra, Ann. Math. 126, 1987) on Montgomery's x-only
-curves with the baby-step/giant-step stage 2 (P. L. Montgomery, Math.
-Comp. 48, 1987), whose bound B1 grows by a tenth with each curve; and,
-when every curve fails, Pollard's rho with Brent's cycle finding
-(R. P. Brent, BIT 20, 1980) and no work budget.  Each curve's ladder and
-stage 2 are written out in one function, with x +- z computed once per
-step and shared by the addition and the doubling, since nearly all of a
-64-bit factorization is spent there.  The stage tables of each bound are
-built from one sieve up to its B2 and memoized.
+cofactor is split in turn by a perfect-square check; Pollard's p - 1
+(J. M. Pollard, Proc. Cambridge Philos. Soc. 76, 1974), whose stage 1 is
+one built-in pow and whose stage 2 walks the tables of one ECM level;
+Lenstra's elliptic curve method (H. W. Lenstra, Ann. Math. 126, 1987) on
+Montgomery's x-only curves with the baby-step/giant-step stage 2
+(P. L. Montgomery, Math. Comp. 48, 1987), whose bound B1 grows by a tenth
+with each curve; and, when every curve fails, Pollard's rho with Brent's
+cycle finding (R. P. Brent, BIT 20, 1980) and no work budget.  Each
+curve's ladder and stage 2 are written out in one function, with x +- z
+computed once per step and shared by the addition and the doubling, since
+nearly all of a 64-bit factorization is spent there.  The stage tables of
+each bound are built from one sieve up to its B2 and memoized.
 Every factor is a gcd with n, and Miller-Rabin, with as many bases as the
 size of n needs, decides which parts are prime.  Inputs above 64 bits are
 refused unless the caller passes limit=None.  Everything is deterministic.
@@ -262,6 +264,53 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     return math.gcd(acc, n)
 
 
+# Pollard's p - 1 runs at one level of the ECM schedule, on its tables:
+# B1 = 758, B2 = 22,740.  Over the query-mix moduli, with cold tables per
+# batch, levels 23 to 26 factor equally fast, and lower or higher ones
+# slower.
+_PM1_B1 = _ECM_B1S[25]
+
+
+def _pm1(n: int) -> int:
+    """The first gcd with the odd n other than 1 from Pollard's p - 1, or 1.
+
+    Pollard (Proc. Cambridge Philos. Soc. 76, 1974) at the bounds of the
+    ECM level _PM1_B1.  Stage 1 is x = 2^k mod n for the level's multiplier
+    k, with one gcd.  Stage 2 walks the level's (m, js) rows on
+    V_i = x^i + x^-i, with V_(a+b) = V_a V_b - V_(a-b):
+    V_mD - V_j = (x^mD - x^j)(1 - x^-(mD+j)) vanishes mod a prime p
+    exactly when x^(mD-j) or x^(mD+j) is 1 mod p, so each pair costs one
+    product (P. L. Montgomery, Math. Comp. 48, 1987).  One gcd per row.
+    """
+    bits, stage2 = _ecm_tables(_PM1_B1)
+    x = pow(2, int("1" + bits, 2), n)
+    g = math.gcd(x - 1, n)
+    if g != 1:
+        return g
+    # Baby steps bv[j] = V_j for odd j <= D/2, from V_1 and V_2.
+    h = _ECM_D // 2
+    bv = [0] * (h + 1)
+    v1 = (x + pow(x, -1, n)) % n
+    v2 = (v1 * v1 - 2) % n
+    bv[1] = v1
+    bv[3] = (v2 * v1 - v1) % n
+    for j in range(5, h + 1, 2):
+        bv[j] = (bv[j - 2] * v2 - bv[j - 4]) % n
+    # Giant steps V_mD from V_0 = 2 and V_-D = V_D = V_(D/2)^2 - 2.
+    vd = (bv[h] * bv[h] - 2) % n
+    m, prev, cur, acc = 0, vd, 2, 1
+    for m_next, js in stage2:
+        while m < m_next:
+            prev, cur = cur, (cur * vd - prev) % n
+            m += 1
+        for j in js:
+            acc = acc * (cur - bv[j]) % n
+        g = math.gcd(acc, n)
+        if g != 1:
+            return g
+    return 1
+
+
 def _factor_into(n: int, acc: dict[int, int]) -> None:
     if n == 1:
         return
@@ -269,10 +318,12 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
         acc[n] = acc.get(n, 0) + 1
         return
     # n has no prime factor below 2^10: a square root, else the first
-    # nontrivial divisor from ECM and the unbounded rho.
+    # nontrivial divisor from p - 1, ECM and the unbounded rho.
     d = math.isqrt(n)
     if d * d != n:
-        d = _ecm(n) or _pollard_rho(n)
+        d = _pm1(n)
+        if not 1 < d < n:
+            d = _ecm(n) or _pollard_rho(n)
     _factor_into(d, acc)
     _factor_into(n // d, acc)
 
@@ -280,11 +331,13 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
 def factorint(n: int, limit: int | None = DEFAULT_LIMIT) -> tuple[tuple[int, int], ...]:
     """Factor n >= 1 into sorted (prime, exponent) pairs.
 
-    limit caps the accepted input size; pass None to allow arbitrary
-    precision.  None (the CLI's --allow-big) lifts only that size bound.
-    The stages before the last are bounded, but the fallback rho has no
-    work budget: it takes on the order of sqrt(p) steps for the smallest
-    prime factor p of what is left, about 2^32 steps when p is near 2^64.
+    The stages run in order: trial division, the square check, p - 1,
+    ECM and rho.  limit caps the accepted input size; pass None to allow
+    arbitrary precision.  None (the CLI's --allow-big) lifts only that
+    size bound.  The stages before the last are bounded, but the fallback
+    rho has no work budget: it takes on the order of sqrt(p) steps for the
+    smallest prime factor p of what is left, about 2^32 steps when p is
+    near 2^64.
     """
     if n < 1:
         raise ValueError("factorint expects n >= 1")

@@ -290,14 +290,25 @@ def test_ecm_splits_balanced_64bit_semiprimes(monkeypatch):
         splits.append(n)
         return ecm(n)
 
+    pm1, pm1_splits = primes._pm1, []
+
+    def counted_pm1(n):
+        g = pm1(n)
+        if 1 < g < n:
+            pm1_splits.append(n)
+        return g
+
     monkeypatch.setattr(primes, "_pollard_rho", no_fallback)
+    monkeypatch.setattr(primes, "_pm1", counted_pm1)
     monkeypatch.setattr(primes, "_ecm", counted_ecm)
     rng = Random(19)
     for _ in range(12):
         p, q = sorted(_random_prime(rng, 2**31 + 1, 2**32) for _ in range(2))
         assert factorint(p * q) == ((p, 1), (q, 1))
-    # Past trial division and the square check, ECM splits each one.
-    assert len(splits) == 12
+    # Past trial division and the square check, p - 1 splits two of them
+    # and ECM each of the other ten.
+    assert len(pm1_splits) == 2 and len(splits) == 10
+    assert not set(pm1_splits) & set(splits)
 
 
 def ref_ecm_curve(n: int, sigma: int, b1: int) -> int:
@@ -424,6 +435,100 @@ def test_ecm_runs_as_many_curves_as_the_oracle(monkeypatch):
         assert len(calls) == want, n
 
 
+PM1_K = math.lcm(*range(1, primes._PM1_B1 + 1))
+PM1_B2 = primes._ECM_B2_PER_B1 * primes._PM1_B1
+
+
+def ref_pm1(n: int) -> int:
+    """Pollard's p - 1 at _PM1_B1 from its definition: stage 1 on
+    lcm(1, ..., B1), then stage 2 as gcd(n, prod (x^q - 1)) over the primes
+    q in (B1, B2], one pow per prime."""
+    x = pow(2, PM1_K, n)
+    g = math.gcd(x - 1, n)
+    if g != 1:
+        return g
+    acc = 1
+    for q in primes_below(PM1_B2 + 1):
+        if q > primes._PM1_B1:
+            acc = acc * (pow(x, q, n) - 1) % n
+    return math.gcd(acc, n)
+
+
+def _order_of_2(p):
+    order = p - 1
+    for q, _ in factorint(order):
+        while order % q == 0 and pow(2, order // q, p) == 1:
+            order //= q
+    return order
+
+
+# Safe primes r = 2s + 1 with s a prime above B2 + D/2: the order of 2 is
+# s or 2s, which no stage 1 multiplier and no stage 2 pair mD +- j reaches.
+# (A Mersenne cofactor will not do: 2^k = 1 mod 2^61 - 1.)
+PM1_SAFE = (2147483783, 2147485247)
+# p - 1 = 2^3 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 divides lcm(1, ..., B1).
+PM1_STAGE_1 = 892371481
+# (q, m, p): the order of 2 mod p is t q with t | lcm(1, ..., B1) and q in
+# (B1, B2], in the first, a middle and the last stage 2 row m.
+PM1_STAGE_2 = ((761, 4, 2147496341), (10007, 48, 2147882467), (22739, 108, 2147880463))
+
+
+@pytest.mark.parametrize("r", [PM1_SAFE[0], PM1_STAGE_2[0][2]])
+def test_pm1_stage_1_hit(r, monkeypatch):
+    # Stage 1 answers alone: with every stage 2 row taken away it still
+    # finds p.  With r = PM1_STAGE_2[0][2], the first row would also catch
+    # r, and the gcd would be n.
+    p = PM1_STAGE_1
+    assert is_prime(p) and PM1_K % _order_of_2(p) == 0
+    assert primes._pm1(p * r) == p
+    tables = primes._ecm_tables
+    monkeypatch.setattr(primes, "_ecm_tables", lambda b1: (tables(b1)[0], ()))
+    assert primes._pm1(p * r) == p
+
+
+@pytest.mark.parametrize("q, m, p", PM1_STAGE_2)
+def test_pm1_stage_2_hit(q, m, p):
+    order = _order_of_2(p)
+    assert is_prime(p) and is_prime(q) and primes._PM1_B1 < q <= PM1_B2
+    assert order % q == 0 and PM1_K % (order // q) == 0
+    assert (q + primes._ECM_D // 2) // primes._ECM_D == m
+    assert primes._pm1(p * PM1_SAFE[0]) == p
+
+
+def test_pm1_miss():
+    for r in PM1_SAFE:
+        s = (r - 1) // 2
+        assert is_prime(r) and is_prime(s) and s > PM1_B2 + primes._ECM_D // 2
+        assert _order_of_2(r) in (s, 2 * s)
+    n = PM1_SAFE[0] * PM1_SAFE[1]
+    assert primes._pm1(n) == 1
+    assert ref_pm1(n) == 1
+
+
+def test_pm1_against_the_oracle_on_the_catalog_bands():
+    # Products of two or three primes from the catalog's bands: [10^5, 2^26)
+    # for spec-zmod-mid and [2^31, 2^32) for spec-zmod-64.  _pm1 may find a
+    # factor the oracle misses: a pair mD +- j can be an odd composite a b
+    # with both a and b in (B1, B2], which catches an order t a b that no
+    # single prime q reaches.
+    rng = Random(42)
+    bands = ((100_003, 2**26), (2**31, 2**32))
+    hits = misses = 0
+    for _ in range(24):
+        for count in (2, 3):
+            ps = [_random_prime(rng, *rng.choice(bands)) for _ in range(count)]
+            n = _product((p, 1) for p in ps)
+            if n >= 2**64:
+                continue
+            g, want = primes._pm1(n), ref_pm1(n)
+            assert n % g == 0, n
+            assert g != 1 or want == 1, n
+            hits += want != 1
+            misses += want == 1
+    # The grid has factors that p - 1 finds and factors it leaves to ECM.
+    assert hits and misses
+
+
 def test_factorint_splits_2_127_minus_2():
     # n - 1 of the Mersenne prime 2^127 - 1, with factors for every stage.
     assert factorint(2**127 - 2, limit=None) == (
@@ -453,9 +558,13 @@ FIXED_CASES = (
 )
 
 
-@pytest.mark.parametrize("stage", ["without-ecm", "as-built"])
+@pytest.mark.parametrize(
+    "stage", ["without-pm1-and-ecm", "without-pm1", "without-ecm", "as-built"]
+)
 def test_each_fallback_stays_exact(stage, monkeypatch):
-    if stage == "without-ecm":
+    if stage.startswith("without-pm1"):
+        monkeypatch.setattr(primes, "_pm1", lambda n: 1)
+    if stage.endswith("ecm"):
         monkeypatch.setattr(primes, "_ecm", lambda n: None)
     for n, fac in FIXED_CASES:
         assert _product(fac) == n
