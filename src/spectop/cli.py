@@ -276,10 +276,6 @@ class _Command(Record):
     positionals: tuple[_Opt, ...]
     options: tuple[_Opt, ...]
 
-    @property
-    def every(self) -> tuple[_Opt, ...]:
-        return (*self.positionals, *self.options, *_COMMON)
-
 
 _RING, _SET = _Opt("--ring", "ring", required=True), _Opt("--set", "set", required=True)
 _TOPOLOGY = _Opt("--topology", "topology", choices=top.TOPOLOGIES, required=True)
@@ -324,6 +320,9 @@ COMMANDS = {
         _Opt("--max-n", "max_n", _INT),
     )),
 }
+_EVERY = {  # the positionals and options of each command, built once
+    name: (*cmd.positionals, *cmd.options, *_COMMON) for name, cmd in COMMANDS.items()
+}
 _HELP = _Opt("--help", "help", _SWITCH, help="show this help message and exit")
 _UNKNOWN = _Opt("", "")
 _COMMAND = _Opt("command", "command", choices=tuple(COMMANDS), required=True)
@@ -342,7 +341,7 @@ def _term(o: _Opt) -> str:
 def _usage(name: str | None) -> str:
     if name is None:
         return f"usage: spectop [-h] {_term(_COMMAND)} ..."
-    terms = (_term(o) if o.required else f"[{_term(o)}]" for o in COMMANDS[name].every)
+    terms = (_term(o) if o.required else f"[{_term(o)}]" for o in _EVERY[name])
     return f"usage: spectop {name} [-h] " + " ".join(terms)
 
 
@@ -351,7 +350,7 @@ def _help(name: str | None) -> str:
         about = "exact closures and spectral images over concrete commutative rings"
         rows = [(command, cmd.help) for command, cmd in COMMANDS.items()]
     else:
-        about, rows = COMMANDS[name].help, [(_term(o), o.help) for o in COMMANDS[name].every]
+        about, rows = COMMANDS[name].help, [(_term(o), o.help) for o in _EVERY[name]]
     rows.append(("-h, --help", _HELP.help))
     width = max(len(term) for term, _ in rows)
     lines = (f"  {term.ljust(width)}  {text}".rstrip() for term, text in rows)
@@ -445,15 +444,14 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             given[o.dest] = o.const
     if name is None:
         _usage_error(None, "the following arguments are required: command")
-    cmd = COMMANDS[name]
-    missing = [o.flag for o in cmd.every if o.required and o.dest not in given]
+    every = _EVERY[name]
+    missing = [o.flag for o in every if o.required and o.dest not in given]
     if missing:
         _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(
-        command=name, fn=cmd.fn, **{o.dest: given.get(o.dest, o.default) for o in cmd.every}
-    )
+    fields = {o.dest: given.get(o.dest, o.default) for o in every}
+    return SimpleNamespace(command=name, fn=COMMANDS[name].fn, **fields)
 
 
 def run_command(argv: list[str] | None = None) -> int:

@@ -7,13 +7,15 @@ their ring, which the surrounding document or CLI flag supplies.
 
 One table row per value class declares its tag, its fields in wire order
 with a codec each, and the validating builder the decoded fields go to;
-encoding and decoding both read the row.
+encoding and decoding both read the row, through the plans each table
+compiles from its rows once, when it is built.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable
 
 from . import maps, products, rings, topology
@@ -23,8 +25,13 @@ from .primes import DEFAULT_LIMIT
 from .values import Record, _int
 
 
+# json.dumps builds an encoder on every call that passes it options; this
+# one is built once and writes the same text.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 # Shape checks for decoded input: a field of the wrong JSON type is refused
@@ -109,24 +116,40 @@ def _row(cls, tag, *fields, build=None, when=None, bounded=False) -> _Row:
 
 
 class _Table:
-    """The rows of one family of values, told apart by the tag under `key`."""
+    """The rows of one family of values, told apart by the tag under `key`.
+
+    The rows are compiled once into plans.  by_class maps a class to its
+    (when, tag, plan) in row order, a plan holding (key, enc, getter) per
+    field; by_tag maps a tag to its ((key, dec, default, is_ring) per
+    field, build, bounded)."""
 
     def __init__(self, key: str, what: str, *rows: _Row):
         self.key, self.what, self.rows = key, what, rows
-        self.by_tag = {r.tag: r for r in rows}
-        self.by_class: dict[type, list[_Row]] = {}
+        self.by_class: dict[type, list[tuple]] = {}
         for r in rows:
-            self.by_class.setdefault(r.cls, []).append(r)
+            plan = tuple((f.key, f.codec.enc, attrgetter(f.attr or f.key)) for f in r.fields)
+            self.by_class.setdefault(r.cls, []).append((r.when, r.tag, plan))
+        self.by_tag = {
+            r.tag: (
+                tuple((f.key, f.codec.dec, f.default, f.codec is _RING) for f in r.fields),
+                r.build,
+                r.bounded,
+            )
+            for r in rows
+        }
 
     def encode(self, x, R=None) -> dict:
-        """The document of x; R is the ring x lives over, or x itself."""
+        """The document of x; R is the ring x lives over, or x itself.  A
+        class's last row has no `when`, so some row always matches."""
         rows = self.by_class.get(type(x))
         if rows is None:
             raise KindMismatchError(f"unknown {self.what} {x}")
-        row = next(r for r in rows if r.when is None or r.when(x))
-        doc = {self.key: row.tag}
-        for f in row.fields:
-            doc[f.key] = f.codec.enc(getattr(x, f.attr or f.key), R)
+        for when, tag, plan in rows:
+            if when is None or when(x):
+                break
+        doc = {self.key: tag}
+        for key, enc, get in plan:
+            doc[key] = enc(get(x), R)
         return doc
 
     def decode(self, obj, R=None, limit=DEFAULT_LIMIT):
@@ -134,18 +157,19 @@ class _Table:
         ring the value lives over, first; fields after a ring field are
         read over that ring.  limit bounds the n of every Z/n built."""
         tag = _obj(obj, self.what).get(self.key)
-        row = self.by_tag.get(tag) if isinstance(tag, str) else None
-        if row is None:
+        compiled = self.by_tag.get(tag) if isinstance(tag, str) else None
+        if compiled is None:
             raise KindMismatchError(f"unknown {self.what} {self.key} {tag!r}")
+        fields, build, bounded = compiled
         args = [] if R is None else [R]
-        for f in row.fields:
-            raw = obj.get(f.key, f.default)
+        for key, dec, default, is_ring in fields:
+            raw = obj.get(key, default)
             if raw is _REQUIRED:
-                raise KindMismatchError(f"{self.what} {tag!r} needs the key {f.key!r}")
-            args.append(f.codec.dec(raw, f.key, R, limit))
-            if f.codec is _RING:
+                raise KindMismatchError(f"{self.what} {tag!r} needs the key {key!r}")
+            args.append(dec(raw, key, R, limit))
+            if is_ring:
                 R = args[-1]
-        return row.build(*args, limit) if row.bounded else row.build(*args)
+        return build(*args, limit) if bounded else build(*args)
 
     def read(self, obj, R=None, limit=DEFAULT_LIMIT):
         """decode, with a document nested past the interpreter's recursion
@@ -163,9 +187,10 @@ def _as_is(v, R):
 def _seq(item: _Codec, what: str, into=tuple, order=list) -> _Codec:
     """A JSON list of items, each called `what` in refusals; decoded into
     `into`, encoded in the order `order` gives."""
+    enc, dec = item
     return _Codec(
-        lambda v, R: [item.enc(x, R) for x in order(v)],
-        lambda v, key, R, limit: into(item.dec(x, what, R, limit) for x in _list(v, key)),
+        lambda v, R: [enc(x, R) for x in order(v)],
+        lambda v, key, R, limit: into([dec(x, what, R, limit) for x in _list(v, key)]),
     )
 
 

@@ -311,21 +311,25 @@ def _pm1(n: int) -> int:
     return 1
 
 
-def _factor_into(n: int, acc: dict[int, int]) -> None:
+def _factor_into(n: int, acc: dict[int, int], pm1: bool = True) -> None:
     if n == 1:
         return
     if is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return
     # n has no prime factor below 2^10: a square root, else the first
-    # nontrivial divisor from p - 1, ECM and the unbounded rho.
+    # nontrivial divisor from p - 1, ECM and the unbounded rho.  When p - 1
+    # returns n, every prime of n divides the first gcd other than 1, at
+    # the same stage and row, so p - 1 returns each part of n whole too and
+    # is not run on the parts.
     d = math.isqrt(n)
     if d * d != n:
-        d = _pm1(n)
+        d = _pm1(n) if pm1 else n
+        pm1 = d != n
         if not 1 < d < n:
             d = _ecm(n) or _pollard_rho(n)
-    _factor_into(d, acc)
-    _factor_into(n // d, acc)
+    _factor_into(d, acc, pm1)
+    _factor_into(n // d, acc, pm1)
 
 
 def factorint(n: int, limit: int | None = DEFAULT_LIMIT) -> tuple[tuple[int, int], ...]:

@@ -19,10 +19,27 @@ from spectop.errors import (
 from spectop.rings import IntEl
 from spectop.spectrum import SuppMin, TamePrime, ZMax
 
+TABLES = [jsonio._RING_ROWS, jsonio._ELEMENT_ROWS, jsonio._POINT_ROWS,
+          jsonio._SUBSET_ROWS, jsonio._MAP_ROWS]
+# Each tag's document keys: the tag, then the row's fields in wire order.
+WIRE_ORDER = {r.tag: [t.key, *(f.key for f in r.fields)] for t in TABLES for r in t.rows}
+
+
+def _in_wire_order(doc) -> bool:
+    """Whether every tagged document in doc lists its keys in WIRE_ORDER.
+    The canonical text sorts them; a caller of *_to_json sees this order."""
+    if isinstance(doc, list):
+        return all(map(_in_wire_order, doc))
+    if not isinstance(doc, dict):
+        return True
+    keys = WIRE_ORDER.get(doc.get("kind", doc.get("type")))
+    return keys in (None, list(doc)) and all(map(_in_wire_order, doc.values()))
+
 
 def test_ring_round_trip():
     for R in enumerable_zoo() + symbolic_zoo() + [rings.QQ]:
         doc = jsonio.ring_to_json(R)
+        assert _in_wire_order(doc)
         assert jsonio.ring_from_json(json.loads(json.dumps(doc))) == R
 
 
@@ -49,6 +66,7 @@ def test_element_round_trip(rng):
     for R in zoo:
         for e in rings.sample_elements(R, rng, 15):
             doc = jsonio.element_to_json(e, R)
+            assert _in_wire_order(doc)
             back = jsonio.element_from_json(json.loads(json.dumps(doc)), R)
             assert back == e
 
@@ -98,6 +116,7 @@ def test_point_round_trip():
     ]
     for p in pts:
         doc = jsonio.point_to_json(p)
+        assert _in_wire_order(doc)
         assert jsonio.point_from_json(json.loads(json.dumps(doc))) == p
 
 
@@ -109,12 +128,14 @@ def test_subset_round_trip_and_documented_form():
         "excluded": [{"type": "zMax", "p": 11}],
         "withGeneric": False,
     }
+    assert _in_wire_order(doc)
     assert jsonio.subset_from_json(doc, rings.ZZ) == E
     for R in enumerable_zoo():
         pts = sp.spec_points(R)
         E = sp.explicit(R, pts[:2])
         assert jsonio.subset_from_json(jsonio.subset_to_json(E), R) == E
     E2 = sp.cofinite(AXES_F2, {SuppMin(1), SuppMin(7)}, True)
+    assert _in_wire_order(jsonio.subset_to_json(E2))
     assert jsonio.subset_from_json(jsonio.subset_to_json(E2), AXES_F2) == E2
     assert jsonio.subset_from_json({"type": "whole"}, AXES_F2) == sp.whole(AXES_F2)
     # A missing limit flag leaves the limit point out.
@@ -161,6 +182,7 @@ def test_map_round_trip():
     ]
     for m in examples:
         doc = jsonio.map_to_json(m)
+        assert _in_wire_order(doc)
         assert jsonio.map_from_json(json.loads(json.dumps(doc))) == m
 
 
@@ -246,12 +268,13 @@ def test_every_value_class_has_one_wire_row():
         | set(get_args(values.El))
         | {sp.SpecSubset}
     )
-    tables = [jsonio._RING_ROWS, jsonio._ELEMENT_ROWS, jsonio._POINT_ROWS,
-              jsonio._SUBSET_ROWS, jsonio._MAP_ROWS]
-    rows = Counter(row.cls for table in tables for row in table.rows)
+    rows = Counter(row.cls for table in TABLES for row in table.rows)
     assert rows == {cls: {sp.SpecSubset: 5}.get(cls, 1) for cls in classes}
-    for table in tables:
+    assert len(WIRE_ORDER) == sum(rows.values())  # no tag names two rows
+    for table in TABLES:
         assert len(table.by_tag) == len(table.rows)
+        # encode takes a class's last row when no earlier `when` holds.
+        assert all(plans[-1][0] is None for plans in table.by_class.values())
 
 
 @pytest.fixture

@@ -1,13 +1,14 @@
 """Value documents: every ring, point, element and subset form survives a
-JSON round trip, and every field of a command-line document replaced by a
-value of the wrong JSON type, or left out, is an input error (exit 2)."""
+JSON round trip, the canonical text is json.dumps's, and every field of a
+command-line document replaced by a value of the wrong JSON type, or left
+out, is an input error (exit 2)."""
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import AXES_F2, AXES_Q, F2, F2X, F3, PROPERTY, enumerable_zoo, symbolic_zoo
@@ -175,6 +176,33 @@ def test_subset_json_round_trip(pair):
     assert back == E
     assert type(back) is type(E)
     assert sp.subset_str(back) == sp.subset_str(E)
+
+
+# ---------------------------------------------------------------------------
+# Canonical text
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@PROPERTY
+@given(JSON_VALUES)
+@example({
+    "z": [-0.0, 1e308, 2**64 + 1, -(2**70)],
+    "\u00e4": "\u00e9\n\"\\\x00\U0001f600",
+    "a": [True, False, None, {}],
+})
+def test_canonical_text_is_json_dumps_sorted_and_compact(doc):
+    assert jsonio.dumps_canonical(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

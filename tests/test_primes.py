@@ -537,6 +537,26 @@ def test_factorint_splits_2_127_minus_2():
     )
 
 
+@pytest.mark.parametrize("e", [89, 107, 127])
+def test_pm1_skips_the_parts_of_a_number_it_returned_whole(e, monkeypatch):
+    # The order of 2 mod every prime of 2^(e-1) - 1 divides e - 1 < B1, so
+    # stage 1 returns the cofactor whole, and then so would every part.
+    pm1, returned = primes._pm1, {}
+
+    def recorded(n):
+        assert n not in returned, n
+        returned[n] = pm1(n)
+        return returned[n]
+
+    monkeypatch.setattr(primes, "_pm1", recorded)
+    n = 2**e - 2
+    fac = factorint(n, limit=None)
+    assert _product(fac) == n and all(is_prime(p) for p, _ in fac)
+    whole = [m for m, g in returned.items() if g == m]
+    assert whole
+    assert [(m, d) for m in whole for d in returned if d != m and m % d == 0] == []
+
+
 # Primes in (2^17, 2^21): ECM's gcd on p^3 or p^2 q can be a power of p or n.
 P17, P19, P21 = 131101, 536651, 2092163
 

@@ -10,10 +10,15 @@ Every function that ast finds in src/spectop must be entered, be exempt
 (a dunder method, or a body that only raises), or be named in KEEP with
 its reason.  A KEEP entry that the traffic enters, or that no longer
 exists, fails too, so the table is exactly what runs outside the traffic.
+
+The same replay digests what the catalog queries print, so the bytes the
+wire layer writes are pinned as well.
 """
 
 import ast
 import contextlib
+import functools
+import hashlib
 import importlib
 import io
 import runpy
@@ -209,12 +214,15 @@ def _fresh_spectop():
         sys.modules.update(saved)
 
 
-def _entered() -> set:
-    """The code objects the traffic enters: one record per call, no line
-    events, and the previous tracer back afterwards."""
-    argvs = [list(q.argv) for q in bench_queries().catalog()] + [list(a) for a in TRAFFIC]
+@functools.cache
+def _replay() -> tuple[set, str]:
+    """The code objects the traffic enters, with one record per call, no
+    line events, and the previous tracer back afterwards; and the catalog
+    digest, the first 16 hex digits of sha256 over id, exit code and
+    standard output, each ended by a NUL, of every catalog entry."""
+    catalog = bench_queries().catalog()
     demos = sorted((ROOT / "demos").glob("*.py"))
-    codes = set()
+    codes, digest = set(), hashlib.sha256()
 
     def tracer(frame, event, arg):
         codes.add(frame.f_code)
@@ -224,19 +232,26 @@ def _entered() -> set:
         sys.settrace(tracer)
         try:
             cli = importlib.import_module("spectop.cli")
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                for argv in argvs:
-                    cli.run_command(argv)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                for q in catalog:
+                    code = cli.run_command(list(q.argv))
+                    digest.update(f"{q.id}\0{code}\0{out.getvalue()}\0".encode())
+                    out.seek(0)
+                    out.truncate()
+                for argv in TRAFFIC:
+                    cli.run_command(list(argv))
                 for demo in demos:
                     runpy.run_path(str(demo), run_name="__main__")
         finally:
             sys.settrace(previous)
-    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in codes}
+    entered = {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in codes}
+    return entered, digest.hexdigest()[:16]
 
 
 def test_every_function_the_traffic_skips_has_a_reason():
     functions = _functions()
-    entered = _entered()
+    entered, _ = _replay()
     names = {name for name, _ in functions.values()}
     skipped = {
         name for key, (name, node) in functions.items() if key not in entered and not _exempt(node)
@@ -249,6 +264,12 @@ def test_every_function_the_traffic_skips_has_a_reason():
     assert not any(faults.values()), "; ".join(
         f"{what}: {', '.join(sorted(found))}" for what, found in faults.items() if found
     )
+
+
+def test_catalog_digest_is_byte_stable():
+    # Every catalog query's exit code and output, as the wire layer writes
+    # them: a change to a row, a plan or the canonical text shows here.
+    assert _replay()[1] == "2a8676406277e3ca"
 
 
 def test_every_reason_names_its_kind():
