@@ -25,7 +25,7 @@ for n in (2, 3, 5):
     R = con.build_supplement(K, n)
     print(f"n = {n}: {R}")
 
-    ok = con.verify_intersection(n, K)
+    ok = con.verify_intersection(n)
     print(f"  (i)   intersection of axis ideals equals the pair ideal: {ok}")
 
     mins = con.minimal_primes_monomial(MonomialIdeal(R.gens), n, check=False)

@@ -323,6 +323,8 @@ COMMANDS = {
 _EVERY = {  # the positionals and options of each command, built once
     name: (*cmd.positionals, *cmd.options, *_COMMON) for name, cmd in COMMANDS.items()
 }
+_DEFAULTS = {name: {o.dest: o.default for o in every} for name, every in _EVERY.items()}
+_REQUIRED = {name: tuple(o for o in every if o.required) for name, every in _EVERY.items()}
 _HELP = _Opt("--help", "help", _SWITCH, help="show this help message and exit")
 _UNKNOWN = _Opt("", "")
 _COMMAND = _Opt("command", "command", choices=tuple(COMMANDS), required=True)
@@ -444,14 +446,12 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             given[o.dest] = o.const
     if name is None:
         _usage_error(None, "the following arguments are required: command")
-    every = _EVERY[name]
-    missing = [o.flag for o in every if o.required and o.dest not in given]
+    missing = [o.flag for o in _REQUIRED[name] if o.dest not in given]
     if missing:
         _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
-    fields = {o.dest: given.get(o.dest, o.default) for o in every}
-    return SimpleNamespace(command=name, fn=COMMANDS[name].fn, **fields)
+    return SimpleNamespace(command=name, fn=COMMANDS[name].fn, **(_DEFAULTS[name] | given))
 
 
 def run_command(argv: list[str] | None = None) -> int:

