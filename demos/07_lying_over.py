@@ -11,9 +11,10 @@ candidate in the canonical point order.
 from spectop import construction, maps, rings, spectrum as sp
 
 # A diagonal map Z/12 -> Z/4 x Z/3 (injective because lcm(4, 3) = 12).
-m = maps.DiagonalIntoModProduct(12, (4, 3))
+Z12 = rings.zmod(12)
+m = maps.DiagonalIntoModProduct(Z12, (4, 3))
 print(m, "injective:", maps.is_injective(m))
-for p in sp.spec_points(rings.zmod(12)):
+for p in sp.spec_points(Z12):
     q = maps.laying_over(m, p)
     print(f"  over {sp.point_str(p)}: {sp.point_str(q)} "
           f"(contracts back to {sp.point_str(maps.contract(m, q))})")

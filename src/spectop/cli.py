@@ -35,7 +35,7 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, NoReturn
 
-from . import construction, jsonio, maps, primes, products, rings, suites
+from . import construction, covers, jsonio, maps, primes, products, rings, suites
 from . import spectrum as sp
 from . import topology as top
 from .errors import SpectopError
@@ -165,7 +165,7 @@ def _cmd_image(args) -> int:
 
 def _cmd_construct(args) -> int:
     field = _field_from_name(args.field)
-    rep = construction.supplement_report(field, args.n, check=not args.no_oracle)
+    rep = construction.supplement_report(field, args.n)
     doc = jsonio.supplement_report_to_json(rep) if args.json or args.report else None
     if args.report:
         try:
@@ -176,6 +176,7 @@ def _cmd_construct(args) -> int:
 
     def human() -> str:
         mins = ", ".join(sp.point_str(p) for p in rep.minimal_primes)
+        bound = covers.ORACLE_VAR_BOUND  # the cover oracle runs up to it
         return "\n".join(
             [
                 f"axes ring over {rep.field} with n = {rep.n}"
@@ -183,7 +184,7 @@ def _cmd_construct(args) -> int:
                 f"  defining ideal = intersection of the axis primes: {rep.intersection_ok}",
                 f"  minimal primes: {mins}",
                 "  2^n cover oracle: "
-                + ("skipped (--no-oracle)" if args.no_oracle else "ran and agrees"),
+                + (f"skipped (n > {bound})" if rep.n > bound else "ran and agrees"),
                 f"  dim = {rep.dim}, reduced = {rep.reduced}, absorbance = {rep.pz_ok}",
                 f"  all statements hold: {rep.all_ok}",
             ]
@@ -215,9 +216,10 @@ def _cmd_verify(args) -> int:
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
     flags = {"cases": args.cases, "max_n": args.max_n}
     given = {key: size for key, size in flags.items() if size is not None}
-    for key, size in given.items():
-        if size < 1:
-            raise SpectopError(f"--{key.replace('_', '-')} must be at least 1, got {size}")
+    for key, size in given.items():  # refused before any suite runs
+        floor = max(suites.SIZE_FLOORS.get((name, key), 1) for name in names)
+        if size < floor:
+            raise SpectopError(f"--{key.replace('_', '-')} must be at least {floor}, got {size}")
     results = []
     for name in names:
         # A suite gets the size flags its parameters name; one named suite
@@ -307,7 +309,6 @@ COMMANDS = {
         _Opt("--n", "n", _INT, required=True, help="the number of axes"),
         _Opt("--field", "field", default="F2", help="Q or F<p> (default F2)"),
         _Opt("--report", "report", help="write the JSON report to this file"),
-        _Opt("--no-oracle", "no_oracle", _SWITCH, default=False, help="skip the 2^n cover oracle"),
     )),
     "lyover": _Command(_cmd_lyover, "find a prime lying over a minimal prime", (), (
         _Opt("--map", "map", required=True), _Opt("--prime", "prime", required=True),

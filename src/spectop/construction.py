@@ -34,7 +34,7 @@ from .rings import (
 from .spectrum import MonoPrime, Record, SpecSubset
 
 # The largest n of an axes ring.  A first report takes 0.03 s at n = 64
-# and 0.2 s at n = 128 (check=False, a 2-vCPU Intel Xeon VM, Python 3.11);
+# and 0.2 s at n = 128 (a 2-vCPU Intel Xeon VM, Python 3.11);
 # the balanced intersection fold is 0.07 s of the latter, and alone takes
 # 0.5 s at n = 256.  Raising the bound would change which inputs are accepted.
 AXES_N_BOUND = 128
@@ -63,40 +63,34 @@ def supplement_is_degenerate(n: int) -> bool:
     return n == 1
 
 
-def minimal_primes_monomial(
-    ideal, nvars: int, check: bool = True
-) -> list[MonoPrime]:
+def minimal_primes_monomial(ideal: MonomialIdeal) -> tuple[MonoPrime, ...]:
     """Minimal primes of a monomial ideal, as minimal vertex covers.
 
-    The ideal is a MonomialIdeal or an iterable of square-free exponent
-    tuples, in the variables x_1..x_nvars; the unit ideal has no primes
-    and is refused.  With check=True (the default) the result is compared
+    The unit ideal has no primes and is refused.  When the generators use
+    at most covers.ORACLE_VAR_BOUND variables, the covers are checked
     against covers.brute_force_minimal_covers, which decides all 2^nvars
-    vertex sets at once as the bits of one int and so caps nvars at
-    covers.ORACLE_VAR_BOUND; pass check=False to skip the oracle.
+    vertex sets at once as the bits of one int; above the bound the
+    oracle does not run.
     """
-    if not isinstance(ideal, MonomialIdeal):
-        ideal = rings.monomial_ideal(ideal)
     if 0 in ideal.gens:
         raise KindMismatchError("the unit ideal has no minimal primes")
-    if any(g.bit_length() > nvars for g in ideal.gens):
-        raise KindMismatchError(f"a generator uses more than {nvars} variables")
-    if check and nvars > covers.ORACLE_VAR_BOUND:
-        raise TooManyVarsError(
-            f"{nvars} variables exceeds the oracle bound; pass check=False (--no-oracle)"
-        )
-    if check and not _covers_match_oracle(ideal.gens, nvars):
-        raise AssertionError(
-            f"cover enumeration disagrees with the subset oracle on {sorted(ideal.gens)}"
-        )
-    return [MonoPrime(rings.mask_support(c)) for c in rings.minimal_cover_masks(ideal.gens)]
+    return _checked_minimal_primes(ideal.gens)
 
 
-# The oracle's verdict depends on the masks alone, so the axes rings over
-# different fields share one 2^nvars scan; sized as the cover memo it checks.
+# The primes and the oracle's verdict depend on the masks alone, so the
+# axes rings over different fields share one 2^nvars scan and one tuple;
+# sized as the cover memo it checks.  A disagreement raises, and so is
+# never remembered.
 @lru_cache(maxsize=rings._RING_MEMO_SIZE)
-def _covers_match_oracle(gens: frozenset[int], nvars: int) -> bool:
-    return list(rings.minimal_cover_masks(gens)) == covers.brute_force_minimal_covers(gens, nvars)
+def _checked_minimal_primes(gens: frozenset[int]) -> tuple[MonoPrime, ...]:
+    found = rings.minimal_cover_masks(gens)
+    nvars = max(map(int.bit_length, gens), default=0)
+    if nvars <= covers.ORACLE_VAR_BOUND:
+        if list(found) != covers.brute_force_minimal_covers(gens, nvars):
+            raise AssertionError(
+                f"cover enumeration disagrees with the subset oracle on {sorted(gens)}"
+            )
+    return tuple(MonoPrime(rings.mask_support(c)) for c in found)
 
 
 @lru_cache(maxsize=AXES_N_BOUND)
@@ -206,17 +200,15 @@ class SupplementReport(Record):
         )
 
 
-def supplement_report(
-    field: PrimeField | RationalField, n: int, check: bool = True
-) -> SupplementReport:
+def supplement_report(field: PrimeField | RationalField, n: int) -> SupplementReport:
     # build_supplement checks n against AXES_N_BOUND before the ring is
-    # built; with check=True the cover oracle's bound of 20 variables is
-    # checked before any cover search.  The minimal primes and the
-    # dimension that krull_dim reads share one cover search, and all
-    # fields share the intersection identity and the oracle's verdict.
+    # built, and the cover oracle runs for n up to its bound of 20
+    # variables.  The minimal primes and the dimension that krull_dim
+    # reads share one cover search, and all fields share the intersection
+    # identity and the checked minimal primes.
     ring = build_supplement(field, n)
-    mins = minimal_primes_monomial(MonomialIdeal(ring.gens), n, check=check)
     return SupplementReport(
         n, str(field), supplement_is_degenerate(n), verify_intersection(n),
-        tuple(mins), krull_dim(ring), is_reduced(ring), absorbance_holds(sp.whole(ring)),
+        minimal_primes_monomial(MonomialIdeal(ring.gens)), krull_dim(ring), is_reduced(ring),
+        absorbance_holds(sp.whole(ring)),
     )

@@ -108,11 +108,10 @@ class _Row(Record):
     fields: tuple[_Field, ...]
     build: Callable
     when: Callable | None  # for a class with several wire forms, which one a value takes
-    bounded: bool  # whether build takes the factorization bound last
 
 
-def _row(cls, tag, *fields, build=None, when=None, bounded=False) -> _Row:
-    return _Row(cls, tag, tuple(_Field(*f) for f in fields), build or cls, when, bounded)
+def _row(cls, tag, *fields, build=None, when=None) -> _Row:
+    return _Row(cls, tag, tuple(_Field(*f) for f in fields), build or cls, when)
 
 
 class _Table:
@@ -121,7 +120,7 @@ class _Table:
     The rows are compiled once into plans.  by_class maps a class to its
     (when, tag, plan) in row order, a plan holding (key, enc, getter) per
     field; by_tag maps a tag to its ((key, dec, default, is_ring) per
-    field, build, bounded)."""
+    field, build)."""
 
     def __init__(self, key: str, what: str, *rows: _Row):
         self.key, self.what, self.rows = key, what, rows
@@ -133,7 +132,6 @@ class _Table:
             r.tag: (
                 tuple((f.key, f.codec.dec, f.default, f.codec is _RING) for f in r.fields),
                 r.build,
-                r.bounded,
             )
             for r in rows
         }
@@ -160,7 +158,7 @@ class _Table:
         compiled = self.by_tag.get(tag) if isinstance(tag, str) else None
         if compiled is None:
             raise KindMismatchError(f"unknown {self.what} {self.key} {tag!r}")
-        fields, build, bounded = compiled
+        fields, build = compiled
         args = [] if R is None else [R]
         for key, dec, default, is_ring in fields:
             raw = obj.get(key, default)
@@ -169,7 +167,7 @@ class _Table:
             args.append(dec(raw, key, R, limit))
             if is_ring:
                 R = args[-1]
-        return build(*args, limit) if bounded else build(*args)
+        return build(*args)
 
     def read(self, obj, R=None, limit=DEFAULT_LIMIT):
         """decode, with a document nested past the interpreter's recursion
@@ -243,6 +241,8 @@ _EXPONENTS = _seq(_INT, "exponent")
 _RAT = _Codec(lambda v, R: str(v), lambda v, key, R, limit: _fraction(v))
 _FLAG = _Codec(_as_is, lambda v, key, R, limit: _bool(v, key))
 _RING = _Codec(lambda v, R: ring_to_json(v), lambda v, key, R, limit: ring_from_json(v, limit))
+# The n of a Z/n, read as the ring, so an n above limit is refused as it is read.
+_ZMOD = _Codec(_as_is, lambda v, key, R, limit: rings.zmod(_int(v, key), limit))
 _POINT = _Codec(lambda v, R: point_to_json(v), lambda v, key, R, limit: point_from_json(v))
 _POINTS = _seq(_POINT, "point", frozenset, sp.sorted_points)
 # A factor index, or the base point of the set of a canonical map.
@@ -258,7 +258,7 @@ _RING_ROWS = _Table(
     "kind", "ring",
     _row(rings.IntegerRing, "Z", build=lambda: rings.ZZ),
     _row(rings.RationalField, "Q", build=lambda: rings.QQ),
-    _row(rings.ModRing, "Zmod", ("n", _INT), build=rings.zmod, bounded=True),
+    _row(rings.ModRing, "Zmod", ("n", _ZMOD), build=lambda ring: ring),
     _row(rings.PrimeField, "Fp", ("p", _INT), build=rings.prime_field),
     _row(rings.PolyRingOverPrimeField, "FpPoly", ("p", _INT), build=rings.poly_ring),
     _row(
@@ -343,7 +343,7 @@ _MAP_ROWS = _Table(
          ("ring", _RING), ("set", _SUBSET, "subset"),
          build=_of_subset(maps.CanonicalIntoLocalProduct)),
     _row(maps.DiagonalIntoModProduct, "diagonalIntoModProduct",
-         ("n", _INT), ("divisors", _seq(_INT, "divisor")), bounded=True),
+         ("n", _ZMOD, "ring.n"), ("divisors", _seq(_INT, "divisor"))),
     _row(maps.ResidueMap, "residueMap", ("ring", _RING), ("prime", _POINT)),
 )
 

@@ -36,13 +36,11 @@ from . import rings
 from . import spectrum as sp
 from . import topology as top
 from .errors import (
-    BadArityError,
     KindMismatchError,
     LyingOverNotFoundError,
     NonEnumerableError,
     WildPrimeError,
 )
-from .primes import DEFAULT_LIMIT
 from .rings import Record, ResidueField, RingExpr  # ResidueField is named from here too
 from .spectrum import (
     FieldZero,
@@ -217,36 +215,26 @@ class CanonicalIntoLocalProduct(_ProductMap):
 
 
 class DiagonalIntoModProduct(RingMapSpec):
-    """Z/n -> prod Z/d_i; the divisors are checked when the map is built.
-    limit, zmod's bound on n, is no field: equality and the hash skip it."""
+    """Z/n -> prod Z/d_i, from a Z/n that rings.zmod built; the divisors
+    are checked when the map is built."""
 
-    n: int
+    ring: rings.ModRing
     divisors: tuple[int, ...]
 
-    def __new__(cls, n: int, divisors: tuple[int, ...], limit: int | None = DEFAULT_LIMIT):
-        if type(n) is not int or n < 2:  # as rings.zmod, without factoring n
-            raise BadArityError("ModRing needs n >= 2")
-        if any(d < 1 or n % d != 0 for d in divisors):
+    def __new__(cls, ring: rings.ModRing, divisors: tuple[int, ...]):
+        if any(d < 1 or ring.n % d != 0 for d in divisors):
             raise KindMismatchError("divisors must be positive and divide n")
-        self = tuple.__new__(cls, (n, divisors))
-        self.__dict__["limit"] = limit
-        return self
-
-    @cached_property
-    def source(self) -> RingExpr:
-        # Built on first read, not when the map is, so that any map document
-        # can be written and read back; n is factored once per map.
-        return rings.zmod(self.n, self.limit)
+        return tuple.__new__(cls, (ring, divisors))
 
     def __str__(self) -> str:
-        return f"Z/{self.n} -> " + " x ".join(f"Z/{d}" for d in self.divisors)
+        return f"{self.ring} -> " + " x ".join(f"Z/{d}" for d in self.divisors)
 
     def contract(self, q: PrimePoint) -> PrimePoint:
         if not isinstance(q, TamePrime) or type(q.slot) is not int:
             raise WildPrimeError(f"{sp.point_str(q)} is not tame")
         if not 0 <= q.slot < len(self.divisors):
             raise WildPrimeError(f"slot {q.slot} out of range")
-        if not self.source.has_point(q.inner):
+        if not self.ring.has_point(q.inner):
             raise self._not_in_slot(q)
         return self._contract(q)
 
@@ -263,7 +251,7 @@ class DiagonalIntoModProduct(RingMapSpec):
 
     def tame_points(self) -> list[PrimePoint]:
         # Each d divides n, so the primes of d are the primes of n dividing d.
-        primes = [p for p, _ in self.source.factorization]
+        primes = [p for p, _ in self.ring.factorization]
         return [
             TamePrime(slot, ZmodPrime(p))
             for slot, d in enumerate(self.divisors)
@@ -272,7 +260,7 @@ class DiagonalIntoModProduct(RingMapSpec):
         ]
 
     def is_injective(self) -> bool:
-        return math.lcm(*self.divisors) == self.n if self.divisors else False
+        return math.lcm(*self.divisors) == self.ring.n if self.divisors else False
 
 
 def _ordered(base: PrimePoint, q: PrimePoint, up: bool) -> tuple[PrimePoint, PrimePoint]:

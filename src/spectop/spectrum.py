@@ -115,9 +115,6 @@ class SpecSubset(Record):
     points: frozenset
     cofinite: bool
 
-    def __new__(cls, ring: RingExpr, points: frozenset, cofinite: bool = False):
-        return tuple.__new__(cls, (ring, points, cofinite))
-
     @property
     def excluded(self) -> frozenset:
         """The family points a cofinite set leaves out."""

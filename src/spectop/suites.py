@@ -285,7 +285,7 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
             for j, (p, e) in enumerate(fac):
                 for k in range(nslots):
                     slots[k] *= p ** exps[j][k]
-            m: maps.RingMapSpec = maps.DiagonalIntoModProduct(n, tuple(slots))
+            m: maps.RingMapSpec = maps.DiagonalIntoModProduct(R, tuple(slots))
             minimals = sp.spec_points(R)
         elif roll < 0.6:
             m = into_fields
@@ -550,6 +550,10 @@ def suite_oracle_agreement(seed: int = 0) -> SuiteResult:
     _case(res, "all-cases", f"{total} (ring, subset, kind) triples", 0, failures)
     return res
 
+
+# The least value of a size parameter where it is not 1: finite-closure
+# draws n from [2, max_n].
+SIZE_FLOORS = {("finite-closure", "max_n"): 2}
 
 SUITES = {
     "finite-closure": suite_finite_closure,

@@ -442,12 +442,12 @@ def one(R: RingExpr) -> El:
     return R.from_int(1)
 
 
-def var_el(R: RingExpr, i: int, coeff=1) -> El:
-    """The monomial coeff * x_i in a multivariate ring (i is 1-based)."""
+def var_el(R: RingExpr, i: int) -> El:
+    """The variable x_i of a multivariate ring (i is 1-based)."""
     if i < 1:
         raise KindMismatchError(f"variable indices start at 1, got {i}")
     exp = (0,) * (i - 1) + (1,)
-    return R.reduce_terms([(coeff, exp)])
+    return R.reduce_terms([(1, exp)])
 
 
 def is_zero(R: RingExpr, a: El) -> bool:

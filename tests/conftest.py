@@ -94,6 +94,22 @@ def count_calls(monkeypatch):
     return install
 
 
+def profiled(on_call, fn, *args):
+    """fn(*args), with on_call(frame) run for each Python function it
+    enters; the profiler in place before comes back afterwards."""
+
+    def profile(frame, event, arg):
+        if event == "call":
+            on_call(frame)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        return fn(*args)
+    finally:
+        sys.setprofile(previous)
+
+
 def bench_queries():
     """bench/queries.py, the query-mix catalog, imported by path and only read."""
     path = Path(__file__).resolve().parents[1] / "bench" / "queries.py"

@@ -107,9 +107,7 @@ def test_acceptance_5_axes_ring_statements_full_range():
         for n in range(2, 9):
             ring = construction.build_supplement(K, n)
             assert construction.verify_intersection(n)
-            mins = construction.minimal_primes_monomial(
-                MonomialIdeal(ring.inner.gens), n, check=False
-            )
+            mins = construction.minimal_primes_monomial(MonomialIdeal(ring.inner.gens))
             oracle = covers.brute_force_minimal_covers(ring.inner.gens, n)
             assert [p.cover for p in mins] == [rings.mask_support(c) for c in oracle]
             full = frozenset(range(1, n + 1))
@@ -256,8 +254,8 @@ def test_acceptance_10_lying_over_round_trips():
     while done < 50:
         roll = rng.random()
         if roll < 0.5:
-            n = rng.randint(2, 10_000)
-            fac = rings.zmod(n).factorization
+            src = rings.zmod(rng.randint(2, 10_000))
+            fac = src.factorization
             nslots = max(2, rng.randint(2, len(fac) + 1))
             exps = [[0] * nslots for _ in fac]
             for j, (p, e) in enumerate(fac):
@@ -268,8 +266,7 @@ def test_acceptance_10_lying_over_round_trips():
             for j, (p, e) in enumerate(fac):
                 for k in range(nslots):
                     slots[k] *= p ** exps[j][k]
-            m = maps.DiagonalIntoModProduct(n, tuple(slots))
-            src = rings.zmod(n)
+            m = maps.DiagonalIntoModProduct(src, tuple(slots))
             minimals = sp.spec_points(src)
         elif roll < 0.75:
             sq_free = 2 * 3 * 5 * rng.choice((1, 7, 77))

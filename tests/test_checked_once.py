@@ -13,13 +13,12 @@ share each field-free fact, and check that one `verify all` run fits in
 the memos of factorizations, covers, irreducibles and axes-ring facts.
 """
 
-import sys
 from collections import Counter
 from random import Random
 
 import pytest
 
-from conftest import AXES_F2, AXES_Q, F2, F2X, bench_queries
+from conftest import AXES_F2, AXES_Q, F2, F2X, bench_queries, profiled
 from spectop import construction, covers, maps, primes, products, rings, suites, values
 from spectop import spectrum as sp
 from spectop.cli import run_command
@@ -87,15 +86,11 @@ def _point_checks(fn, *args):
     """The point checks fn(*args) makes, by the callers' names."""
     callers = []
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "validate_point":
+    def on_call(frame):
+        if frame.f_code.co_name == "validate_point":
             callers.append(frame.f_back.f_code.co_name)
 
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
+    profiled(on_call, fn, *args)
     return callers
 
 
@@ -114,19 +109,15 @@ def test_finite_closure_checks_each_point_once_where_it_enumerates_it(count_call
     checks = count_calls(sp, "validate_point")
     outside = []
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "validate_point":
+    def on_call(frame):
+        if frame.f_code.co_name == "validate_point":
             caller = frame.f_back
             while caller is not None and caller.f_code.co_name != "_checked_points":
                 caller = caller.f_back
             if caller is None:
                 outside.append(frame.f_back.f_code.co_name)
 
-    sys.setprofile(profile)
-    try:
-        res = suites.suite_finite_closure(seed=0)
-    finally:
-        sys.setprofile(None)
+    res = profiled(on_call, suites.suite_finite_closure, 0)
     assert res.passed and outside == []
     assert set(checks.values()) == {1} and len(checks) == 268
 
@@ -153,22 +144,18 @@ def test_supplement_decides_each_axes_fact_once_per_n():
     # masks only, so the reports over F2, F3 and Q share one meet and one
     # 2^n scan per n = 2..8 (21 of each when every field ran its own).
     construction.verify_intersection.cache_clear()
-    construction._covers_match_oracle.cache_clear()
+    construction._checked_minimal_primes.cache_clear()
     watched = {
         values.ideal_intersect_all.__code__: "meet",
         covers.brute_force_minimal_covers.__code__: "oracle",
     }
     calls = Counter()
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in watched:
+    def on_call(frame):
+        if frame.f_code in watched:
             calls[watched[frame.f_code]] += 1
 
-    sys.setprofile(profile)
-    try:
-        res = suites.run_suite("supplement", 0)
-    finally:
-        sys.setprofile(None)
+    res = profiled(on_call, suites.run_suite, "supplement", 0)
     assert res.passed
     assert calls == {"meet": 7, "oracle": 7}
 
@@ -179,7 +166,7 @@ def test_verify_all_fits_in_the_ring_memos(seed, capsys):
     # nothing, so each key is computed once, and it leaves room.
     memos = (
         rings._factorization, rings.minimal_cover_masks, rings._irreducible_pool,
-        construction.verify_intersection, construction._covers_match_oracle,
+        construction.verify_intersection, construction._checked_minimal_primes,
     )
     for memo in memos:
         memo.cache_clear()

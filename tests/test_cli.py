@@ -118,13 +118,20 @@ def test_construct_supplement(capsys, tmp_path):
 
 
 def test_construct_supplement_says_when_the_oracle_is_skipped(capsys):
-    code, out, _ = run(capsys, "construct", "supplement", "--n", "3", "--no-oracle")
-    assert code == 0
-    assert "2^n cover oracle: skipped (--no-oracle)" in out
-    # The JSON report does not depend on whether the oracle ran.
-    with_oracle = run(capsys, "construct", "supplement", "--n", "3", "--json")
-    without = run(capsys, "construct", "supplement", "--n", "3", "--json", "--no-oracle")
-    assert with_oracle == without
+    # The cover oracle runs exactly for n <= covers.ORACLE_VAR_BOUND (20).
+    code, out, _ = run(capsys, "construct", "supplement", "--n", "21")
+    assert code == 0 and "all statements hold: True" in out
+    assert "\n  2^n cover oracle: skipped (n > 20)\n" in out
+    code, out, _ = run(capsys, "construct", "supplement", "--n", "20")
+    assert code == 0 and "\n  2^n cover oracle: ran and agrees\n" in out
+
+
+def test_no_oracle_is_an_unrecognized_argument(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["construct", "supplement", "--n", "3", "--no-oracle"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --no-oracle\n")
 
 
 def test_lyover(capsys):
@@ -274,10 +281,10 @@ OUTPUT_GOLDENS = [
      "  minimal primes: (x1,x2), (x1,x3), (x2,x3)\n  2^n cover oracle: ran and agrees\n"
      "  dim = 1, reduced = True, absorbance = True\n  all statements hold: True\n",
      "5ee6259dadabb295"),
-    (("construct", "supplement", "--n", "3", "--field", "Q", "--no-oracle"),
+    (("construct", "supplement", "--n", "3", "--field", "Q"),
      "axes ring over Q with n = 3\n"
      "  defining ideal = intersection of the axis primes: True\n"
-     "  minimal primes: (x1,x2), (x1,x3), (x2,x3)\n  2^n cover oracle: skipped (--no-oracle)\n"
+     "  minimal primes: (x1,x2), (x1,x3), (x2,x3)\n  2^n cover oracle: ran and agrees\n"
      "  dim = 1, reduced = True, absorbance = True\n  all statements hold: True\n",
      "cd73d9804a51ee6a"),
     (("lyover", "--map", DIAGONAL_6, "--prime", '{"type":"zmodPrime","p":3}'),
@@ -467,19 +474,25 @@ def test_nested_value_past_the_recursion_limit_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, floor",
     [
-        ["verify", "pz", "--cases", "-3"],
-        ["verify", "density", "--cases", "0"],
-        ["verify", "oracle-agreement", "--max-n", "-3"],
-        ["verify", "all", "--max-n", "0"],
+        (["verify", "pz", "--cases", "-3"], 1),
+        (["verify", "density", "--cases", "0"], 1),
+        (["verify", "oracle-agreement", "--max-n", "-3"], 1),
+        (["verify", "all", "--max-n", "0"], 2),
+        # finite-closure draws n from [2, max_n].
+        (["verify", "finite-closure", "--max-n", "1"], 2),
+        (["verify", "all", "--max-n", "1"], 2),
     ],
-    ids=["pz-cases-3", "density-cases0", "oracle-max-n-3", "all-max-n0"],
+    ids=["pz-cases-3", "density-cases0", "oracle-max-n-3", "all-max-n0",
+         "finite-closure-max-n1", "all-max-n1"],
 )
-def test_suite_sizes_below_one_exit_2(capsys, argv):
+def test_suite_sizes_below_one_exit_2(monkeypatch, capsys, argv, floor):
+    # Refused before any suite runs.
+    monkeypatch.setattr(suites, "run_suite", None)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "must be at least 1" in err
+    assert err.startswith("error: ") and f"must be at least {floor}, got " in err
     assert "\n" not in err.rstrip("\n")
 
 
@@ -649,13 +662,13 @@ def test_closed_stdout_exits_2_without_traceback():
 
 def test_supplement_bound_exits_2_before_building():
     # n <= construction.AXES_N_BOUND (128) is checked before the ring is
-    # built.  Without the oracle nothing else refuses this n, and the
-    # report at n = 512 would take over 10 s: the intersection fold alone
-    # takes about 12 s there on a 2-vCPU host.
+    # built.  Past n = 20 the oracle does not run, so nothing else refuses
+    # this n, and the report at n = 512 would take over 10 s: the
+    # intersection fold alone takes about 12 s there on a 2-vCPU host.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "spectop", "construct", "supplement", "--n", "512", "--no-oracle"],
+        [sys.executable, "-m", "spectop", "construct", "supplement", "--n", "512"],
         capture_output=True, text=True, env=env, timeout=10,
     )
     assert proc.returncode == 2
@@ -816,7 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", default="F2", help="Q or F<p> (default F2)")
     p.add_argument("--report", help="write the JSON report to this file")
-    p.add_argument("--no-oracle", action="store_true", help="skip the 2^n cover oracle")
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("lyover", parents=[common], help="find a prime lying over a minimal prime")
@@ -847,7 +859,7 @@ FULL = [
     (["criterion"], [["--mode", "zariski"], ["--ring", Z]]),
     (["image"], [["--kind", "local"], ["--ring", Z], ["--set", FIVE], ["--oracle"]]),
     (["construct", "supplement"],
-     [["--n", "3"], ["--field", "F3"], ["--report", "r.json"], ["--no-oracle"]]),
+     [["--n", "3"], ["--field", "F3"], ["--report", "r.json"]]),
     (["lyover"], [["--map", MAP], ["--prime", PRIME]]),
     (["verify", "pz"], [["--seed", "3"], ["--cases", "4"], ["--max-n", "5"]]),
 ]
@@ -875,7 +887,7 @@ def _accepted_corpus():
         ["verify", "--seed", "2", "lying-over", "--cases", "1"],
         ["closure", "--top", "zariski", "--ri", Z, "--se", FIVE],  # unique prefixes
         ["closure", "--topology=flat", "--r", Z, "--s", FIVE, "--j", "--a", "--tr"],
-        ["construct", "supplement", "--no", "--n", "2", "--f", "F5", "--rep", "out.json"],
+        ["construct", "supplement", "--n", "2", "--f", "F5", "--rep", "out.json"],
         ["verify", "pz", "--s", "1", "--c", "2", "--m", "3", "--max", "4"],
         ["closure", "--topology", "zariski", "--topology", "patch", "--ring", Z, "--set", FIVE],
         ["verify", "pz", "--seed", "1", "--seed", "-2", "--seed=7"],

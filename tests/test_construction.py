@@ -36,7 +36,7 @@ def test_build_supplement_degenerate():
 
 
 def test_minimal_primes_supplement():
-    got = set(con.minimal_primes_monomial(_pair_gens(3), 3))
+    got = set(con.minimal_primes_monomial(rings.monomial_ideal(_pair_gens(3))))
     assert got == {
         MonoPrime(frozenset({2, 3})),
         MonoPrime(frozenset({1, 3})),
@@ -45,11 +45,11 @@ def test_minimal_primes_supplement():
 
 
 def test_minimal_primes_small_cases():
-    assert set(con.minimal_primes_monomial({(1, 1)}, 2)) == {
+    assert set(con.minimal_primes_monomial(rings.monomial_ideal({(1, 1)}))) == {
         MonoPrime(frozenset({1})),
         MonoPrime(frozenset({2})),
     }
-    assert con.minimal_primes_monomial({(1,)}, 2) == [MonoPrime(frozenset({1}))]
+    assert con.minimal_primes_monomial(rings.monomial_ideal({(1,)})) == (MonoPrime(frozenset({1})),)
 
 
 def test_minimal_primes_oracle_agreement(rng):
@@ -70,15 +70,11 @@ def test_minimal_primes_oracle_agreement(rng):
         assert fast == slow
 
 
-@pytest.mark.parametrize(
-    "gens, check",
-    [({(0, 0, 1)}, True), ({(0, 0, 1)}, False), ({()}, True)],
-    ids=["x3-in-2-vars-oracle", "x3-in-2-vars-no-oracle", "unit"],
-)
-def test_minimal_primes_refuses_bad_generators(gens, check):
-    # x3 in a 2-variable ring, and the unit ideal, which has no primes.
+@pytest.mark.parametrize("gens", [{()}], ids=["unit"])
+def test_minimal_primes_refuses_bad_generators(gens):
+    # The unit ideal has no primes.
     with pytest.raises(KindMismatchError):
-        con.minimal_primes_monomial(gens, 2, check=check)
+        con.minimal_primes_monomial(rings.monomial_ideal(gens))
 
 
 def _support_sets(n):
@@ -171,15 +167,17 @@ def test_bit_parallel_oracle_edge_cases(edges, nvars):
     assert covers.brute_force_minimal_covers(edges, nvars) == ref_minimal_covers(edges, nvars)
 
 
-def test_minimal_primes_with_the_oracle_at_its_bound():
+def test_minimal_primes_with_the_oracle_at_its_bound(count_calls):
     # The 20-variable pair ideal, checked against the oracle, gives the
-    # 20 axis primes; 21 variables are refused before any search.
+    # 20 axis primes; at 21 variables the oracle does not run.
     n = covers.ORACLE_VAR_BOUND
-    full = frozenset(range(1, n + 1))
-    got = con.minimal_primes_monomial(_pair_gens(n), n, check=True)
-    assert got == [MonoPrime(full - {k}) for k in range(n, 0, -1)]
-    with pytest.raises(TooManyVarsError):
-        con.minimal_primes_monomial(_pair_gens(n + 1), n + 1, check=True)
+    con._checked_minimal_primes.cache_clear()
+    scans = count_calls(covers, "brute_force_minimal_covers")
+    for size in (n, n + 1):
+        full = frozenset(range(1, size + 1))
+        got = con.minimal_primes_monomial(rings.monomial_ideal(_pair_gens(size)))
+        assert got == tuple(MonoPrime(full - {k}) for k in range(size, 0, -1))
+    assert [nvars for _, nvars in scans] == [n] and set(scans.values()) == {1}
 
 
 def test_cover_search_takes_covers_of_any_size():
@@ -189,10 +187,14 @@ def test_cover_search_takes_covers_of_any_size():
     assert covers.minimal_covers(edges) == [(1 << 1200) - 1]
 
 
-def test_minimal_primes_var_bound():
-    with pytest.raises(TooManyVarsError):
-        con.minimal_primes_monomial({(1,) * 21}, 21)
-    con.minimal_primes_monomial({(1,) * 21}, 21, check=False)
+def test_minimal_primes_var_bound(count_calls):
+    # The number of variables is the generators': one edge on 21 vertices
+    # is past the oracle's bound, so only the cover search runs.
+    con._checked_minimal_primes.cache_clear()
+    scans = count_calls(covers, "brute_force_minimal_covers")
+    got = con.minimal_primes_monomial(rings.monomial_ideal({(1,) * 21}))
+    assert got == tuple(MonoPrime(frozenset({k})) for k in range(1, 22))
+    assert scans == {}
 
 
 def test_verify_intersection_small_n():
@@ -395,7 +397,7 @@ def test_supplement_theorem_small_range():
 def test_supplement_statements_at_the_bound():
     # The paper's four statements at the largest n the report admits.
     n = con.AXES_N_BOUND
-    rep = con.supplement_report(F2, n, check=False)
+    rep = con.supplement_report(F2, n)
     full = frozenset(range(1, n + 1))
     assert rep.all_ok and rep.intersection_ok and rep.reduced and rep.pz_ok
     assert set(rep.minimal_primes) == {MonoPrime(full - {k}) for k in full}
@@ -409,9 +411,8 @@ def test_supplement_bound_is_checked_before_building(monkeypatch):
 
     monkeypatch.setattr(rings, "mask_quotient", build)
     monkeypatch.setattr(rings, "monomial_quotient", build)
-    for check in (True, False):
-        with pytest.raises(TooManyVarsError):
-            con.supplement_report(F2, con.AXES_N_BOUND + 1, check=check)
+    with pytest.raises(TooManyVarsError):
+        con.supplement_report(F2, con.AXES_N_BOUND + 1)
     with pytest.raises(TooManyVarsError):
         con.verify_intersection(con.AXES_N_BOUND + 1)
 
@@ -429,7 +430,7 @@ def test_supplement_runs_one_cover_search():
 
 
 def _clear_axes_memos():
-    for memo in (con.verify_intersection, con._covers_match_oracle, rings.minimal_cover_masks):
+    for memo in (con.verify_intersection, con._checked_minimal_primes, rings.minimal_cover_masks):
         memo.cache_clear()
 
 
@@ -444,13 +445,14 @@ def test_every_field_reads_the_same_axes_facts(order):
     # fills the memos, and the memoized identity is the computed one.
     fields = [F2, F3, rings.prime_field(5), rings.QQ][::order]
     _clear_axes_memos()
-    for n, check in [(n, True) for n in range(1, 13)] + [(64, False)]:
-        first, *rest = [con.supplement_report(K, n, check=check) for K in fields]
+    for n in [*range(1, 13), 21, 64]:  # the oracle runs up to n = 20
+        first, *rest = [con.supplement_report(K, n) for K in fields]
         assert first.all_ok and first.field == str(fields[0])
         assert first.intersection_ok == con.verify_intersection.__wrapped__(n)
         for K, rep in zip(fields[1:], rest):
             assert rep.field == str(K)
             assert _without_field(rep) == _without_field(first), (n, str(K))
+            assert rep.minimal_primes is first.minimal_primes  # built once per n
 
 
 def test_a_refused_axes_n_raises_on_every_call():
@@ -461,23 +463,22 @@ def test_a_refused_axes_n_raises_on_every_call():
             con.verify_intersection(con.AXES_N_BOUND + 1)
         for K in (F2, rings.QQ):
             with pytest.raises(TooManyVarsError):
-                con.supplement_report(K, con.AXES_N_BOUND + 1, check=False)
-            with pytest.raises(TooManyVarsError):
-                con.supplement_report(K, covers.ORACLE_VAR_BOUND + 1)
+                con.supplement_report(K, con.AXES_N_BOUND + 1)
     assert con.verify_intersection.cache_info().currsize == 0
-    assert con._covers_match_oracle.cache_info().currsize == 0
+    assert con._checked_minimal_primes.cache_info().currsize == 0
 
 
 def test_a_disagreeing_oracle_fails_every_report(monkeypatch):
-    # The remembered verdict is the oracle's, so a disagreement found once
-    # fails every field's report, not only the first.
+    # Only checked primes are remembered, so a disagreement fails every
+    # field's report, not only the first: each asks the oracle again.
     monkeypatch.setattr(covers, "brute_force_minimal_covers", lambda edges, nvars: [])
     _clear_axes_memos()
     try:
         for K in (F2, F3, rings.QQ):
             with pytest.raises(AssertionError, match="disagrees with the subset oracle"):
                 con.supplement_report(K, 4)
-        assert con._covers_match_oracle.cache_info().misses == 1
+        info = con._checked_minimal_primes.cache_info()
+        assert (info.misses, info.currsize) == (3, 0)
     finally:
         _clear_axes_memos()
 

@@ -94,7 +94,7 @@ def _grid() -> dict:
     for n, divisors in DIAGONALS:
         # A map with bad fields is refused when built: its entry is the refusal.
         grid[f"diagonal/{n}/{divisors}"] = _outcome(
-            lambda n=n, divisors=divisors: maps.DiagonalIntoModProduct(n, divisors)
+            lambda n=n, divisors=divisors: maps.DiagonalIntoModProduct(rings.zmod(n), divisors)
         )
     return grid
 

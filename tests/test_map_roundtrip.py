@@ -65,7 +65,7 @@ def ring_maps(draw):
         # A diagonal map is built only with n >= 2 and divisors of n.
         n = draw(st.integers(2, 10**6))
         divisors = draw(st.lists(st.integers(1, 10**6).map(lambda k: math.gcd(n, k)), max_size=5))
-        return kind(n, tuple(divisors))
+        return kind(rings.zmod(n), tuple(divisors))
     R = draw(st.sampled_from(RINGS))
     if kind in (maps.QuotientMap, maps.ResidueMap):
         return kind(R, draw(st.sampled_from(_pool(R))))

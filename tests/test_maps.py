@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from conftest import AXES_F2, F2, F2X, SUPP3, enumerable_zoo, random_symbolic_subset, symbolic_zoo
-from spectop import construction, maps, products, rings
+from spectop import construction, jsonio, maps, products, rings
 from spectop.primes import factorint
 from spectop import spectrum as sp
 from spectop import topology as top
@@ -29,10 +29,17 @@ from spectop.spectrum import (
 )
 
 
+Z6 = rings.zmod(6)
+
+
+def _diagonal_doc(n, divisors):
+    return {"type": "diagonalIntoModProduct", "n": n, "divisors": divisors}
+
+
 def test_contract_examples():
     m = maps.QuotientMap(rings.ZZ, ZMax(5))
     assert maps.contract(m, FieldZero()) == ZMax(5)
-    m2 = maps.DiagonalIntoModProduct(6, (2, 3))
+    m2 = maps.DiagonalIntoModProduct(rings.zmod(6), (2, 3))
     assert maps.contract(m2, TamePrime(0, ZmodPrime(2))) == ZmodPrime(2)
     m3 = maps.CanonicalIntoLocalProduct(sp.explicit(rings.ZZ, {ZMax(2)}))
     assert maps.contract(m3, TamePrime(0, ZGeneric())) == ZGeneric()
@@ -61,8 +68,8 @@ def test_contract_monotone_within_slot():
 
 
 def test_is_injective_examples():
-    assert maps.is_injective(maps.DiagonalIntoModProduct(6, (2, 3)))
-    assert not maps.is_injective(maps.DiagonalIntoModProduct(12, (2, 3)))
+    assert maps.is_injective(maps.DiagonalIntoModProduct(rings.zmod(6), (2, 3)))
+    assert not maps.is_injective(maps.DiagonalIntoModProduct(rings.zmod(12), (2, 3)))
     E = sp.explicit(rings.ZZ, {ZMax(2), ZMax(3)})
     assert not maps.is_injective(maps.CanonicalIntoQuotientProduct(E))
     E2 = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
@@ -232,7 +239,7 @@ def test_laying_over_does_not_hide_a_wild_prime_error(monkeypatch):
     # _contract never refuses a map's own tame points, so a WildPrimeError
     # there is an engine bug; skipping the candidate would answer with a
     # later one, here the slot-1 copy of (2).
-    m = maps.DiagonalIntoModProduct(6, (6, 2))
+    m = maps.DiagonalIntoModProduct(rings.zmod(6), (6, 2))
     first = sorted(maps.tame_points(m), key=sp.point_sort_key)[0]
     contract = maps.DiagonalIntoModProduct._contract
 
@@ -250,7 +257,7 @@ def test_laying_over_does_not_hide_a_wild_prime_error(monkeypatch):
 def test_diagonal_refuses_divisors_below_one():
     for divisors in ((0,), (-2, 3), (-6,)):
         with pytest.raises(KindMismatchError, match="positive and divide n"):
-            maps.DiagonalIntoModProduct(6, divisors)
+            maps.DiagonalIntoModProduct(rings.zmod(6), divisors)
 
 
 def test_diagonal_checks_divisors_in_every_rule():
@@ -258,35 +265,38 @@ def test_diagonal_checks_divisors_in_every_rule():
     # ever sees a divisor that is 0 or does not divide n.
     for divisors in ((10,), (0,), (2, 10)):
         with pytest.raises(KindMismatchError, match="positive and divide n"):
-            maps.DiagonalIntoModProduct(6, divisors)
+            maps.DiagonalIntoModProduct(Z6, divisors)
         with pytest.raises(KindMismatchError, match="positive and divide n"):
-            maps.DiagonalIntoModProduct(6, divisors, limit=None)
+            jsonio.map_from_json(_diagonal_doc(6, list(divisors)), limit=None)
 
 
 def test_diagonal_refuses_n_below_two_when_built():
-    # Z/1 and Z/0 are no rings of the engine: the map is refused before any
-    # rule (is_injective reads no source) can answer on it.
-    for n, divisors in ((1, (1,)), (0, (5,)), (0, ()), (-6, (2, 3)), (True, (1,))):
+    # Z/1 and Z/0 are no rings of the engine: a map document naming them is
+    # refused when n is read, before any rule can answer on it.
+    for n, divisors in ((1, [1]), (0, [5]), (0, []), (-6, [2, 3])):
         with pytest.raises(BadArityError, match=r"^ModRing needs n >= 2$"):
-            maps.DiagonalIntoModProduct(n, divisors)
+            jsonio.map_from_json(_diagonal_doc(n, divisors))
     with pytest.raises(BadArityError):  # n is checked before the divisors
-        maps.DiagonalIntoModProduct(0, (0,))
+        jsonio.map_from_json(_diagonal_doc(0, [0]))
+    with pytest.raises(KindMismatchError, match="n must be an integer"):
+        jsonio.map_from_json(_diagonal_doc(True, [1]))
 
 
 def test_diagonal_source_takes_the_bound_as_a_value():
+    # The bound is applied where n is read, so it is no part of the map.
     n = 2**70 + 1
     with pytest.raises(FactorizationLimitError):
-        maps.DiagonalIntoModProduct(n, (n,)).source
-    m = maps.DiagonalIntoModProduct(n, (n,), limit=None)
+        jsonio.map_from_json(_diagonal_doc(n, [n]))
+    m = jsonio.map_from_json(_diagonal_doc(n, [n]), limit=None)
     assert m.source == rings.zmod(n, limit=None)
-    assert m == maps.DiagonalIntoModProduct(n, (n,))  # the bound is no part of the map
+    assert m == maps.DiagonalIntoModProduct(rings.zmod(n, limit=None), (n,))
     assert maps.tame_points(m) == [
         TamePrime(0, ZmodPrime(p)) for p, _ in m.source.factorization
     ]
 
 
 def test_diagonal_contracts_only_primes_of_the_slot_divisor():
-    m = maps.DiagonalIntoModProduct(8, (8,))
+    m = maps.DiagonalIntoModProduct(rings.zmod(8), (8,))
     assert maps.contract(m, TamePrime(0, ZmodPrime(2))) == ZmodPrime(2)
     # Neither 4 nor 1 is a prime of Z/8; 2.0 and True are no int primes.
     for inner in (ZmodPrime(4), ZmodPrime(1), ZmodPrime(2.0), ZmodPrime(True), ZMax(2)):
@@ -294,17 +304,20 @@ def test_diagonal_contracts_only_primes_of_the_slot_divisor():
             maps.contract(m, TamePrime(0, inner))
     # 3 divides n = 12 but not the slot's divisor 4.
     with pytest.raises(KindMismatchError, match="is not a prime of Z/4"):
-        maps.contract(maps.DiagonalIntoModProduct(12, (4, 3)), TamePrime(0, ZmodPrime(3)))
+        m12 = maps.DiagonalIntoModProduct(rings.zmod(12), (4, 3))
+        maps.contract(m12, TamePrime(0, ZmodPrime(3)))
     # A bool is no slot index, as for every other non-int slot.
     with pytest.raises(WildPrimeError, match="is not tame"):
-        maps.contract(maps.DiagonalIntoModProduct(6, (2, 3)), TamePrime(True, ZmodPrime(3)))
+        maps.contract(maps.DiagonalIntoModProduct(Z6, (2, 3)), TamePrime(True, ZmodPrime(3)))
 
 
 def test_diagonal_factors_n_once_per_map(monkeypatch):
-    m = maps.DiagonalIntoModProduct(6, (2, 3))
+    # The map holds its Z/n, built once when the document is read; no rule
+    # builds it again.
     calls = []
     real = rings.zmod
     monkeypatch.setattr(rings, "zmod", lambda *a: calls.append(a) or real(*a))
+    m = jsonio.map_from_json(_diagonal_doc(6, [2, 3]))
     for q in maps.tame_points(m):
         maps.contract(m, q)
     maps.laying_over(m, ZmodPrime(2))
@@ -344,7 +357,7 @@ def test_product_maps_refuse_points_that_are_not_theirs():
 
 
 def test_diagonal_refuses_slots_out_of_range():
-    m = maps.DiagonalIntoModProduct(6, (2, 3))
+    m = maps.DiagonalIntoModProduct(rings.zmod(6), (2, 3))
     for slot in (2, -1):
         with pytest.raises(WildPrimeError, match=f"slot {slot} out of range"):
             maps.contract(m, TamePrime(slot, ZmodPrime(2)))
@@ -373,7 +386,8 @@ def test_diagonal_tame_points_match_factoring_each_divisor():
                 for slot, d in enumerate(divisors)
                 for p, _ in factorint(d)
             ]
-            assert maps.tame_points(maps.DiagonalIntoModProduct(n, divisors)) == expected
+            m = maps.DiagonalIntoModProduct(rings.zmod(n), divisors)
+            assert maps.tame_points(m) == expected
 
 
 def test_laying_over_local_product_of_a_finite_set():
@@ -394,7 +408,7 @@ def test_laying_over_local_product_of_a_finite_set():
 
 
 def test_laying_over_examples():
-    m = maps.DiagonalIntoModProduct(6, (2, 3))
+    m = maps.DiagonalIntoModProduct(rings.zmod(6), (2, 3))
     q = maps.laying_over(m, ZmodPrime(2))
     assert q == TamePrime(0, ZmodPrime(2))
     assert maps.contract(m, q) == ZmodPrime(2)
@@ -457,7 +471,7 @@ def test_laying_over_wild_only_case_refuses():
 
 
 def test_laying_over_misuse():
-    m = maps.DiagonalIntoModProduct(12, (2, 3))  # lcm 6 != 12
+    m = maps.DiagonalIntoModProduct(rings.zmod(12), (2, 3))  # lcm 6 != 12
     with pytest.raises(LyingOverNotFoundError):
         maps.laying_over(m, ZmodPrime(2))
     m2 = maps.CanonicalIntoQuotientProduct(
@@ -520,7 +534,7 @@ def test_laying_over_does_not_hide_kind_mismatch(monkeypatch):
 
     monkeypatch.setattr(maps.DiagonalIntoModProduct, "_contract", broken_contract)
     with pytest.raises(KindMismatchError):
-        maps.laying_over(maps.DiagonalIntoModProduct(6, (2, 3)), ZmodPrime(2))
+        maps.laying_over(maps.DiagonalIntoModProduct(rings.zmod(6), (2, 3)), ZmodPrime(2))
 
 
 @pytest.fixture

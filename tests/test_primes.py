@@ -1,4 +1,3 @@
-import json
 import math
 from itertools import compress
 from random import Random
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_queries
 from spectop import primes
 from spectop.errors import FactorizationLimitError
 from spectop.primes import (
@@ -605,24 +603,6 @@ def test_mid_size_moduli_of_the_query_mix_shape():
             continue
         assert factorint(n) == tuple(sorted(acc.items()))
         seen += 1
-
-
-def test_query_mix_moduli_split_without_the_unbounded_rho(monkeypatch):
-    # Every past-trial modulus of the query-mix catalog is split by the
-    # square check and ECM; the unbounded rho is only a backstop.
-    def no_fallback(n):
-        raise AssertionError(f"{n} fell through to the unbounded rho")
-
-    monkeypatch.setattr(primes, "_pollard_rho", no_fallback)
-    checked = 0
-    for q in bench_queries().catalog():
-        if q.cls in ("spec-zmod-mid", "spec-zmod-64"):
-            n = json.loads(q.argv[q.argv.index("--ring") + 1])["n"]
-            fac = factorint(n)
-            assert tuple(p for p, _ in fac) == q.known[1], q.id
-            assert _product(fac) == n, q.id
-            checked += 1
-    assert checked == 260
 
 
 # Size bands of the random prime factors: trial divisors, just past them,

@@ -9,6 +9,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from conftest import profiled
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectop"
 
 
@@ -287,16 +289,11 @@ def test_a_suite_run_enters_no_generated_hash():
 
     entered = set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add((frame.f_code.co_filename, frame.f_code.co_name))
+    def on_call(frame):
+        entered.add((frame.f_code.co_filename, frame.f_code.co_name))
 
     with contextlib.redirect_stdout(io.StringIO()):
-        sys.setprofile(profile)
-        try:
-            code = cli.run_command(["verify", "all", "--seed", "0", "--json"])
-        finally:
-            sys.setprofile(None)
+        code = profiled(on_call, cli.run_command, ["verify", "all", "--seed", "0", "--json"])
     assert code == 0
     assert {name for filename, name in entered if filename == "<string>"} == set()
 
@@ -305,16 +302,7 @@ def test_a_suite_run_enters_no_generated_hash():
 def _frames_entered(fn, *args):
     """The names of the Python functions that fn(*args) enters below itself."""
     entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code.co_name)
-
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
+    profiled(lambda frame: entered.add(frame.f_code.co_name), fn, *args)
     return entered - {fn.__name__}
 
 
@@ -367,9 +355,7 @@ def test_closure_axioms_checks_points_only_where_it_enumerates_them(monkeypatch)
 
     checks, outside = Counter(), []
 
-    def profile(frame, event, arg):
-        if event != "call":
-            return
+    def on_call(frame):
         code = frame.f_code
         if code.co_name == "validate_point":
             checks[Path(code.co_filename).name] += 1
@@ -382,11 +368,8 @@ def test_closure_axioms_checks_points_only_where_it_enumerates_them(monkeypatch)
             checks["Random.seed"] += 1
 
     with contextlib.redirect_stdout(io.StringIO()):
-        sys.setprofile(profile)
-        try:
-            code = cli.run_command(["verify", "closure-axioms", "--seed", "0", "--json"])
-        finally:
-            sys.setprofile(None)
+        argv = ["verify", "closure-axioms", "--seed", "0", "--json"]
+        code = profiled(on_call, cli.run_command, argv)
     assert code == 0
     assert outside == []
     # One check per point of the zoo's spectra; a product point's check

@@ -93,7 +93,8 @@ SAMPLES = [
     (maps.CanonicalIntoQuotientProduct, (E2,), (E3,),
      f"CanonicalIntoQuotientProduct(subset={E2_TEXT})"),
     (maps.CanonicalIntoLocalProduct, (E2,), (E3,), f"CanonicalIntoLocalProduct(subset={E2_TEXT})"),
-    (maps.DiagonalIntoModProduct, (6, (2, 3)), (6, (6,)), "DiagonalIntoModProduct(n=6, divisors=(2, 3))"),
+    (maps.DiagonalIntoModProduct, (Z6, (2, 3)), (Z6, (6,)),
+     f"DiagonalIntoModProduct(ring={Z6_TEXT}, divisors=(2, 3))"),
     (top.DensityCertificate, (True, "zariski", None, "FactorizationFinite"),
      (False, "flat", IntEl(2), "CounterexampleElement"),
      "DensityCertificate(holds=True, mode='zariski', witness=None, rationale='FactorizationFinite')"),
@@ -120,9 +121,9 @@ SAMPLES = [
     (jsonio._Codec, (str, int), (int, str), "_Codec(enc=<class 'str'>, dec=<class 'int'>)"),
     (jsonio._Field, ("p", CODEC, None, 0), ("q", CODEC, "p", 0),
      f"_Field(key='p', codec={CODEC!r}, attr=None, default=0)"),
-    (jsonio._Row, (ZMax, "zMax", (), ZMax, None, False), (ZMax, "zMax", (), ZMax, None, True),
+    (jsonio._Row, (ZMax, "zMax", (), ZMax, None), (ZMax, "zMax", (), ZMax, bool),
      "_Row(cls=<class 'spectop.values.ZMax'>, tag='zMax', fields=(), "
-     "build=<class 'spectop.values.ZMax'>, when=None, bounded=False)"),
+     "build=<class 'spectop.values.ZMax'>, when=None)"),
 ]
 IDS = [cls.__name__ for cls, *_ in SAMPLES]
 
@@ -233,8 +234,11 @@ def test_zero_field_records_are_true():
 
 
 def test_a_subset_defaults_to_finite():
-    E = SpecSubset(Z6, frozenset({ZmodPrime(2)}))
+    # Only the canonicalizer builds subsets; its record takes every field.
+    E = sp._subset(Z6, {ZmodPrime(2)})
     assert E.cofinite is False
+    with pytest.raises(TypeError):
+        SpecSubset(Z6, frozenset({ZmodPrime(2)}))
     assert E == sp.explicit(Z6, [ZmodPrime(2)])
     assert sp.whole(rings.ZZ).cofinite is True
 
@@ -257,9 +261,11 @@ def test_a_ring_with_filled_tables_survives_pickle():
 
 
 def test_the_diagonal_bound_survives_pickle():
-    m = maps.DiagonalIntoModProduct(6, (2, 3), limit=None)
+    # A map read with the bound lifted holds its Z/n, factored past it.
+    n = 2**70 + 1
+    m = maps.DiagonalIntoModProduct(rings.zmod(n, limit=None), (n,))
     back = pickle.loads(pickle.dumps(m))
-    assert back == m and back.limit is None
+    assert back == m and back.source.factorization == m.source.factorization
 
 
 def test_constructors_take_exactly_the_fields():

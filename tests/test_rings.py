@@ -68,8 +68,8 @@ AXES_F5 = rings.symbolic_supplement(rings.prime_field(5))
     "build, expected",
     [
         # 2.5 = 5/2, which is 0 mod 5, read as a Fraction or as a float.
-        (lambda: rings.var_el(AXES_F5, 1, coeff=2.5), MPolyEl(())),
-        (lambda: rings.var_el(AXES_F5, 1, coeff=Fraction(5, 2)), MPolyEl(())),
+        (lambda: AXES_F5.reduce_terms([(2.5, (1,))]), MPolyEl(())),
+        (lambda: AXES_F5.reduce_terms([(Fraction(5, 2), (1,))]), MPolyEl(())),
         (lambda: MQ_F2_2.reduce_terms([(1, (1.5,))]), KindMismatchError),
         (lambda: rings.normalize(ModEl(2.5), rings.zmod(6)), KindMismatchError),
         (lambda: rings.normalize(IntEl(2.5), rings.ZZ), KindMismatchError),

@@ -12,7 +12,8 @@ its reason.  A KEEP entry that the traffic enters, or that no longer
 exists, fails too, so the table is exactly what runs outside the traffic.
 
 The same replay digests what the catalog queries print, so the bytes the
-wire layer writes are pinned as well.
+wire layer writes are pinned as well, and checks each query's outcome
+against the benchmark's record and the answer its generator knows.
 """
 
 import ast
@@ -21,6 +22,7 @@ import functools
 import hashlib
 import importlib
 import io
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -214,15 +216,21 @@ def _fresh_spectop():
         sys.modules.update(saved)
 
 
+def _keys(codes) -> set:
+    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in codes}
+
+
 @functools.cache
-def _replay() -> tuple[set, str]:
-    """The code objects the traffic enters, with one record per call, no
-    line events, and the previous tracer back afterwards; and the catalog
-    digest, the first 16 hex digits of sha256 over id, exit code and
-    standard output, each ended by a NUL, of every catalog entry."""
+def _replay() -> tuple[set, str, list, set]:
+    """The functions the traffic enters, keyed as _functions keys them,
+    with one record per call, no line events, and the previous tracer
+    back afterwards; the catalog digest, the first 16 hex digits of sha256
+    over id, exit code and standard output, each ended by a NUL, of every
+    catalog entry; each entry's (query, exit code, standard output); and
+    the functions the catalog alone enters."""
     catalog = bench_queries().catalog()
     demos = sorted((ROOT / "demos").glob("*.py"))
-    codes, digest = set(), hashlib.sha256()
+    codes, digest, outcomes = set(), hashlib.sha256(), []
 
     def tracer(frame, event, arg):
         codes.add(frame.f_code)
@@ -236,22 +244,23 @@ def _replay() -> tuple[set, str]:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 for q in catalog:
                     code = cli.run_command(list(q.argv))
+                    outcomes.append((q, code, out.getvalue()))
                     digest.update(f"{q.id}\0{code}\0{out.getvalue()}\0".encode())
                     out.seek(0)
                     out.truncate()
+                by_catalog = set(codes)
                 for argv in TRAFFIC:
                     cli.run_command(list(argv))
                 for demo in demos:
                     runpy.run_path(str(demo), run_name="__main__")
         finally:
             sys.settrace(previous)
-    entered = {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in codes}
-    return entered, digest.hexdigest()[:16]
+    return _keys(codes), digest.hexdigest()[:16], outcomes, _keys(by_catalog)
 
 
 def test_every_function_the_traffic_skips_has_a_reason():
     functions = _functions()
-    entered, _ = _replay()
+    entered = _replay()[0]
     names = {name for name, _ in functions.values()}
     skipped = {
         name for key, (name, node) in functions.items() if key not in entered and not _exempt(node)
@@ -274,3 +283,34 @@ def test_catalog_digest_is_byte_stable():
 
 def test_every_reason_names_its_kind():
     assert [k for k, why in KEEP.items() if why.split(":")[0] not in KINDS] == []
+
+
+QUERY_MIX = ROOT / "bench" / "expected" / "query-mix.json"
+
+
+def test_catalog_outcomes_match_the_benchmark_record():
+    # What the query-mix benchmark checks, for every catalog entry outside
+    # its known failures: the bytes, as "code:digest" of
+    # bench/workloads.outcome_key, and the answer the generator knows, as
+    # queries.known_ok decides it.
+    queries = bench_queries()
+    recorded = json.loads(QUERY_MIX.read_text())
+    skipped = set(recorded["known_failures"])
+    checked = 0
+    for q, code, out in _replay()[2]:
+        if q.id in skipped:
+            continue
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert f"{code}:{digest}" == recorded["outcomes"][q.id], q.id
+        assert q.known is None or queries.known_ok(q.known, code, out), q.id
+        checked += 1
+    assert checked == sum(size for _, _, size in queries.CLASSES) - len(skipped)
+
+
+def test_no_catalog_query_enters_the_unbounded_rho():
+    # Every modulus of the catalog past trial division is split by the
+    # square check, p - 1 and ECM; rho is the backstop past ECM's schedule.
+    names = {key: name for key, (name, _) in _functions().items()}
+    by_catalog = {names[key] for key in _replay()[3] if key in names}
+    rho = {"primes._pollard_rho", "primes._brent"}
+    assert rho <= set(names.values()) and not rho & by_catalog
