@@ -76,7 +76,6 @@ from .values import (  # the values and their functions are named from here too
     ideal_is_zero,
     ideal_member,
     is_nilpotent,
-    is_regular,
     is_unit,
     is_zero,
     mask_support,
@@ -84,7 +83,6 @@ from .values import (  # the values and their functions are named from here too
     mono_str,
     mono_support,
     monomial_ideal,
-    nilradical,
     normalize,
     one,
     point_sort_key,
@@ -167,11 +165,6 @@ class RingExpr(Record):
 
     def monomial_ideal_is_zero(self, gens: frozenset[int]) -> bool:
         raise KindMismatchError(f"monomial ideal incompatible with {self}")
-
-    def nilradical(self) -> IdealRepr:
-        raise UnsupportedError(
-            "nilradical is unsupported here; products go through the product-law check"
-        )
 
     # -- points ------------------------------------------------------------
 
@@ -284,19 +277,7 @@ class _ZeroDimensional(RingExpr):
         return 0
 
 
-class _Domain(RingExpr):
-    """Integral domains: the zero ideal is prime, and its point lies below
-    every other, so its Zariski closure is the whole spectrum.  That makes
-    R -> R/(0) and R -> prod R_p over any nonempty E injective (see maps)."""
-
-    def is_regular(self, r: El) -> bool:
-        return r != self.from_int(0)
-
-    def nilradical(self) -> IdealRepr:
-        return PrincipalIdeal(self.from_int(0))
-
-
-class _Field(_ZeroDimensional, _Domain):
+class _Field(_ZeroDimensional):
     """Q and F_p: one point, (0), and every nonzero element a unit."""
 
     def is_unit(self, r: El) -> bool:
@@ -374,7 +355,7 @@ class _Symbolic(RingExpr):
         return 1
 
 
-class _Dedekind(_Symbolic, _Domain):
+class _Dedekind(_Symbolic):
     """Z and GF(p)[x]: a generic point under infinitely many closed points,
     which factoring finds.  Every point is a principal prime: a family
     gives its generator, 0 at the generic point."""
@@ -501,10 +482,6 @@ class ModRing(_Residue, _ZeroDimensional):
     def is_unit(self, r: El) -> bool:
         return math.gcd(r.v, self.n) == 1
 
-    def is_regular(self, r: El) -> bool:
-        # The regular elements of a finite ring are its units.
-        return self.is_unit(r)
-
     def is_nilpotent(self, r: El) -> bool:
         # Nilpotent iff every prime of n divides r, that is, the radical does.
         return r.v % self._radical == 0
@@ -520,9 +497,6 @@ class ModRing(_Residue, _ZeroDimensional):
 
     def principal_intersect(self, a: El, b: El) -> PrincipalIdeal:
         return principal_ideal(self, ModEl(math.lcm(a.v, b.v)))
-
-    def nilradical(self) -> IdealRepr:
-        return PrincipalIdeal(ModEl(self._radical % self.n))
 
     @cached_property
     def _radical(self) -> int:
@@ -749,9 +723,6 @@ class _Monomial(RingExpr):
         # Local ring: units are exactly the elements outside the maximal ideal.
         return constant_term(r) != 0
 
-    def is_regular(self, r: El) -> bool:
-        raise UnsupportedError("is_regular is not defined for monomial kinds")
-
     def monomial_member(self, gens: frozenset[int], r: El) -> bool:
         return all(_mask_in(gens, exp_to_mask(e)) for _, e in r.terms)
 
@@ -856,11 +827,6 @@ class MonomialQuotient(_Quotient):
         return all(
             e == () or all(exp_to_mask(e) & c for c in mins) for _, e in r.terms
         )
-
-    def nilradical(self) -> IdealRepr:
-        # Square-free generators: the intersection of the minimal monomial
-        # primes is the defining ideal itself, i.e. zero in the quotient.
-        return MonomialIdeal(self.gens)
 
     def is_enumerable(self) -> bool:
         return quotient_dim(self) == 0
@@ -991,9 +957,6 @@ class Product(RingExpr):
 
     def is_nilpotent(self, r: El) -> bool:
         return all([f.is_nilpotent(x) for x, f in zip(r.items, self.factors)])
-
-    def is_regular(self, r: El) -> bool:
-        return all(f.is_regular(x) for x, f in zip(r.items, self.factors))
 
     def is_reduced(self) -> bool:
         return all(f.is_reduced() for f in self.factors)

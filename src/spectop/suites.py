@@ -552,8 +552,8 @@ def suite_oracle_agreement(seed: int = 0) -> SuiteResult:
 
 
 # The least value of a size parameter where it is not 1: finite-closure
-# draws n from [2, max_n].
-SIZE_FLOORS = {("finite-closure", "max_n"): 2}
+# draws n from [2, max_n], and supplement checks each n in [2, max_n].
+SIZE_FLOORS = {("finite-closure", "max_n"): 2, ("supplement", "max_n"): 2}
 
 SUITES = {
     "finite-closure": suite_finite_closure,

@@ -470,11 +470,6 @@ def is_nilpotent(r: El, R: RingExpr) -> bool:
     return R.is_nilpotent(R.normalize(r))
 
 
-def is_regular(r: El, R: RingExpr) -> bool:
-    """Whether r is a non zero-divisor."""
-    return R.is_regular(R.normalize(r))
-
-
 # ---------------------------------------------------------------------------
 # Ideals
 # ---------------------------------------------------------------------------
@@ -543,11 +538,6 @@ def ideal_contains(I: IdealRepr, J: IdealRepr, R: RingExpr) -> bool:
     if isinstance(I, PrincipalIdeal) and isinstance(J, PrincipalIdeal):
         return ideal_member(I, J.gen, R)
     raise KindMismatchError("ideal kinds do not match")
-
-
-def nilradical(R: RingExpr) -> IdealRepr:
-    """The ideal of nilpotents, for the kinds whose spectra need it."""
-    return R.nilradical()
 
 
 # ---------------------------------------------------------------------------

@@ -482,10 +482,12 @@ def test_nested_value_past_the_recursion_limit_exits_2(capsys):
         (["verify", "all", "--max-n", "0"], 2),
         # finite-closure draws n from [2, max_n].
         (["verify", "finite-closure", "--max-n", "1"], 2),
+        # supplement checks each n in [2, max_n], so 1 would check nothing.
+        (["verify", "supplement", "--max-n", "1"], 2),
         (["verify", "all", "--max-n", "1"], 2),
     ],
     ids=["pz-cases-3", "density-cases0", "oracle-max-n-3", "all-max-n0",
-         "finite-closure-max-n1", "all-max-n1"],
+         "finite-closure-max-n1", "supplement-max-n1", "all-max-n1"],
 )
 def test_suite_sizes_below_one_exit_2(monkeypatch, capsys, argv, floor):
     # Refused before any suite runs.

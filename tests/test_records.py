@@ -130,7 +130,7 @@ IDS = [cls.__name__ for cls, *_ in SAMPLES]
 
 # The bases the ring families and map kinds share: never built themselves.
 ABSTRACT = {
-    rings.RingExpr, rings._Residue, rings._ZeroDimensional, rings._Domain, rings._Field,
+    rings.RingExpr, rings._Residue, rings._ZeroDimensional, rings._Field,
     rings._Symbolic, rings._Dedekind, rings._Monomial, rings._Quotient,
     maps.RingMapSpec, maps._PrimeMap, maps._ProductMap,
 }

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import signal
 from fractions import Fraction
 from itertools import product as iproduct
@@ -16,7 +17,6 @@ from spectop.primes import factorint
 from spectop.rings import (
     IntEl,
     ModEl,
-    MonomialIdeal,
     MPolyEl,
     PolyEl,
     PrincipalIdeal,
@@ -208,36 +208,12 @@ def test_power_zero_is_one_and_negative_is_refused(R, rng):
             R.power(a, -1)
 
 
-def test_is_regular_examples():
-    R = rings.zmod(12)
-    assert rings.is_regular(ModEl(5), R)
-    assert not rings.is_regular(ModEl(2), R)
-    assert R.mul(ModEl(2), ModEl(6)) == ModEl(0)
-    P = rings.product(rings.zmod(12), rings.prime_field(5))
-    assert not rings.is_regular(TupleEl((ModEl(2), ModEl(1))), P)
-    with pytest.raises(UnsupportedError):
-        rings.is_regular(rings.one(MQ_F2_2), MQ_F2_2)
-
-
-def test_unit_implies_regular_and_nilpotent_excludes_regular(rng):
-    kinds = [rings.ZZ, rings.QQ, rings.zmod(12), rings.zmod(30), rings.poly_ring(3),
-             rings.product(rings.zmod(4), rings.zmod(9))]
-    for R in kinds:
-        for e in rings.sample_elements(R, rng, 30):
-            if rings.is_unit(e, R):
-                assert rings.is_regular(e, R)
-            if rings.is_nilpotent(e, R) and e != rings.zero(R):
-                assert not rings.is_regular(e, R)
-
-
 def test_product_laws_componentwise(rng):
     factors = (rings.zmod(12), rings.zmod(25), rings.prime_field(7))
     R = rings.product(*factors)
     for e in rings.sample_elements(R, rng, 60):
         unit_each = all(rings.is_unit(x, f) for x, f in zip(e.items, factors))
-        regular_each = all(rings.is_regular(x, f) for x, f in zip(e.items, factors))
         assert rings.is_unit(e, R) == unit_each
-        assert rings.is_regular(e, R) == regular_each
 
 
 def test_ideal_member_examples():
@@ -343,21 +319,16 @@ def test_ideal_intersect_lattice_laws():
         assert left == right
 
 
-def test_nilradical_examples():
-    assert rings.nilradical(rings.zmod(12)) == PrincipalIdeal(ModEl(6))
-    assert rings.nilradical(rings.ZZ) == PrincipalIdeal(IntEl(0))
-    assert rings.nilradical(SUPP3.inner) == MonomialIdeal(SUPP3.inner.gens)
-    with pytest.raises(UnsupportedError):
-        rings.nilradical(rings.product(rings.zmod(4), rings.zmod(9)))
-
-
 def test_nilradical_generator_is_radical_of_n():
+    # The nilradical of Z/n is generated by the radical of n: it is
+    # nilpotent, and dropping any one of its primes leaves a residue that
+    # is not.
     for n in range(2, 10_001):
-        gen = rings.nilradical(rings.zmod(n)).gen.v
-        expected = 1
-        for p, _ in factorint(n):
-            expected *= p
-        assert gen == expected % n
+        R = rings.zmod(n)
+        ps = [p for p, _ in factorint(n)]
+        radical = math.prod(ps)
+        assert rings.is_nilpotent(ModEl(radical), R)
+        assert not any(rings.is_nilpotent(ModEl(radical // p), R) for p in ps)
 
 
 def test_rational_arithmetic_exact():
@@ -457,7 +428,8 @@ def test_zmod_nilradical_reuses_the_cached_factorization(monkeypatch):
 
     monkeypatch.setattr(primes, "factorint", counting)
     monkeypatch.setattr(rings, "factorint", counting)
-    assert rings.nilradical(R) == PrincipalIdeal(ModEl(p * q))
+    assert rings.is_nilpotent(ModEl(p * q), R)
+    assert not rings.is_nilpotent(ModEl(p), R)
     assert calls == []
 
 

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 from random import Random
 
 import pytest
@@ -170,6 +170,42 @@ def test_complement_duality_symbolic(rng):
             d = sp.d_locus(e, R)
             for p in sp.sample_points(R, rng, 5):
                 assert sp.subset_member(p, v) != sp.subset_member(p, d)
+
+
+def _products(R, gens):
+    """Elements with known factors: 0, 1, and c * g_i^e * g_(i+1) and
+    g_i * g_(i+1) * g_(i+2) along the list, where the exponent e runs
+    through 1, 2, 3 and the unit c through -1 over Z or the nonzero
+    constants of GF(p).  Neighbours in the list often share a degree."""
+    units = [R.from_int(k) for k in ((1, -1) if R == rings.ZZ else range(1, R.p))]
+    out = [rings.zero(R), rings.one(R)]
+    for i, (g, h) in enumerate(zip(gens, gens[1:])):
+        c = units[i % len(units)]
+        out.append(R.mul(c, R.mul(R.power(g, 1 + i % 3), h)))
+        if i + 2 < len(gens):
+            out.append(R.mul(R.mul(g, h), gens[i + 2]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "R, count", [(rings.ZZ, 60), (F2X, 9), (rings.poly_ring(3), 12), (rings.poly_ring(5), 12)],
+    ids=["Z", "F2[x]", "F3[x]", "F5[x]"],
+)
+def test_v_locus_is_the_points_that_contain_the_element(R, count):
+    # Factoring (the family locus) against divisibility (membership): on
+    # the generic point and the first closed points, which generate every
+    # element here, V(r) holds exactly the points that contain r.  Unlike
+    # the sampled check in test_topology, the elements are built from the
+    # scanned points, with repeated and same-degree factors.
+    closed = list(islice(R.closed_points(), count))
+    gens = [IntEl(q.p) if R == rings.ZZ else PolyEl(q.coeffs) for q in closed]
+    scan = [R.limit] + closed
+    for r in _products(R, gens):
+        V = sp.v_locus(r, R)
+        assert {q for q in scan if sp._member(q, V)} == {
+            q for q in scan if sp.point_contains(q, r, R)
+        }, r
+        assert V.cofinite or V.points <= set(scan), r
 
 
 def test_v_locus_multiplicative(rng):

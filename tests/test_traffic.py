@@ -42,8 +42,6 @@ TRAFFIC = (
 )
 
 # A reason starts with its kind:
-#   roadmap  an open ROADMAP item needs it: certified answers, dual numbers
-#            or monogenic rings;
 #   traced   bench/tracer.py traces it, and test_tracer_targets pins the name;
 #   refusal  an input error's path;
 #   usage    --help, the usage line, the console script, or what a command
@@ -53,11 +51,13 @@ TRAFFIC = (
 #            the traffic does not bring there, on an input it admits;
 #   wire     the half of a wire row that the traffic does not use;
 #   bench    bench/ calls it.
-KINDS = ("roadmap", "traced", "refusal", "usage", "oracle", "rule", "wire", "bench")
+KINDS = ("traced", "refusal", "usage", "oracle", "rule", "wire", "bench")
 
-CERTIFIED = "roadmap: certified answers, which read a point's membership and ideal"
-DUAL = "roadmap: dual numbers, whose units, regular elements and nilradical differ"
-MONOGENIC = "roadmap: monogenic rings, whose point ideals are principal-ideal rules"
+Z_POINT = "rule: point_contains on a point of Z"
+FPX_POINT = "rule: point_contains on a point of GF(p)[x]"
+PRINCIPAL_BRANCH = "traced: the principal branch of ideal_member, which rings.ideal_contains takes"
+POINT_IDEAL = ("oracle: point_ideal, whose meets tests check the Zariski closure V(meet E) "
+               "and injectivity against")
 MUL = "oracle: the square-and-multiply default of power, and the oracle of every override"
 
 KEEP = {
@@ -70,9 +70,10 @@ KEEP = {
     "cli.main": "usage: the console script; the traffic calls run_command",
     "gfpoly._equal_degree_split": "rule: factor on a polynomial with two irreducible "
     "factors of one degree",
-    "gfpoly.divides": MONOGENIC,
-    "gfpoly.divmod_": MONOGENIC,
-    "gfpoly.mod": MONOGENIC,
+    "gfpoly.divides": FPX_POINT,
+    "gfpoly.divmod_": "rule: factor's exact division, on a polynomial with a repeated factor "
+    "or with more than one irreducible factor",
+    "gfpoly.mod": FPX_POINT,
     "jsonio._coeff": "wire: reading an mpoly coefficient",
     "jsonio._fraction": "wire: reading a rat element or an mpoly coefficient",
     "jsonio._int_element": "wire: reading an int element",
@@ -92,34 +93,31 @@ KEEP = {
     "maps._PrimeMap.is_injective": "rule: injectivity of R -> R/p and R -> k(p)",
     "primes._brent": "rule: factorint past the ECM schedule (--allow-big)",
     "primes._pollard_rho": "rule: factorint past the ECM schedule (--allow-big)",
-    "rings.IntegerRing._generator": CERTIFIED,
+    "rings.IntegerRing._generator": Z_POINT,
     "rings.IntegerRing.mul": MUL,
-    "rings.IntegerRing.principal_ideal": MONOGENIC,
-    "rings.IntegerRing.principal_intersect": MONOGENIC,
-    "rings.IntegerRing.principal_member": MONOGENIC,
+    "rings.IntegerRing.principal_ideal": "rule: principal_ideal over Z",
+    "rings.IntegerRing.principal_intersect": "rule: ideal_intersect of two ideals of Z",
+    "rings.IntegerRing.principal_member": Z_POINT,
     "rings.IntegerRing.sample_element": "rule: sample_elements over Z",
-    "rings.ModRing.is_regular": DUAL,
-    "rings.ModRing.is_unit": DUAL,
-    "rings.ModRing.nilradical": DUAL,
-    "rings.ModRing.principal_member": MONOGENIC,
+    "rings.ModRing.is_unit": "rule: is_unit over Z/n",
+    "rings.ModRing.principal_member": PRINCIPAL_BRANCH,
     "rings.ModRing.residue_field": "rule: residue_field over Z/n",
     "rings.MonomialQuotient._enumerate": "rule: the spectrum of an unlocalized quotient",
     "rings.MonomialQuotient.is_enumerable": "rule: the spectrum of an unlocalized quotient",
-    "rings.MonomialQuotient.is_unit": DUAL,
-    "rings.MonomialQuotient.nilradical": DUAL,
-    "rings.PolyRingOverPrimeField._generator": CERTIFIED,
+    "rings.MonomialQuotient.is_unit": "rule: is_unit over an unlocalized monomial quotient",
+    "rings.PolyRingOverPrimeField._generator": FPX_POINT,
     "rings.PolyRingOverPrimeField.closed_points": "rule: lying over along R -> prod R_p "
     "over a cofinite set of GF(p)[x]",
     "rings.PolyRingOverPrimeField.mul": MUL,
-    "rings.PolyRingOverPrimeField.principal_ideal": MONOGENIC,
-    "rings.PolyRingOverPrimeField.principal_intersect": MONOGENIC,
-    "rings.PolyRingOverPrimeField.principal_member": MONOGENIC,
+    "rings.PolyRingOverPrimeField.principal_ideal": "rule: principal_ideal over GF(p)[x]",
+    "rings.PolyRingOverPrimeField.principal_intersect": "rule: ideal_intersect of two ideals "
+    "of GF(p)[x]",
+    "rings.PolyRingOverPrimeField.principal_member": FPX_POINT,
     "rings.PolyRingOverPrimeField.sample_element": "rule: sample_elements over GF(p)[x]",
     "rings.PrimeField.modulus": "rule: the residue arithmetic of F_p",
-    "rings.Product._contains": CERTIFIED,
+    "rings.Product._contains": "rule: point_contains and v_locus on a product",
     "rings.Product.is_reduced": "rule: is_reduced and injectivity over a product",
-    "rings.Product.is_regular": DUAL,
-    "rings.Product.is_unit": DUAL,
+    "rings.Product.is_unit": "rule: is_unit over a product",
     "rings.Product.krull_dim": "rule: krull_dim of a product",
     "rings.Product.mul": MUL,
     "rings.Product.normalize": "rule: the element functions over a product",
@@ -133,37 +131,33 @@ KEEP = {
     "which the nilradical check asks of a product's factors",
     "rings.RingExpr.sample_points": "rule: sample_points on an enumerable spectrum",
     "rings.SymbolicSupplement.residue_field": "rule: residue_field on the axes ring",
-    "rings._Dedekind._contains": CERTIFIED,
-    "rings._Dedekind.point_ideal": CERTIFIED,
-    "rings._Domain.is_regular": DUAL,
-    "rings._Domain.nilradical": DUAL,
-    "rings._Field._contains": CERTIFIED,
-    "rings._Field.is_unit": DUAL,
-    "rings._Field.point_ideal": CERTIFIED,
-    "rings._Field.principal_ideal": MONOGENIC,
-    "rings._Field.principal_intersect": MONOGENIC,
-    "rings._Field.principal_member": MONOGENIC,
+    "rings._Dedekind._contains": "rule: point_contains on a point of Z or GF(p)[x]",
+    "rings._Dedekind.point_ideal": POINT_IDEAL,
+    "rings._Field._contains": "rule: point_contains and v_locus on Q and F_p",
+    "rings._Field.is_unit": "rule: is_unit over Q and F_p",
+    "rings._Field.point_ideal": POINT_IDEAL,
+    "rings._Field.principal_ideal": "rule: principal_ideal over Q and F_p",
+    "rings._Field.principal_intersect": "rule: ideal_intersect of two ideals of Q or F_p",
+    "rings._Field.principal_member": PRINCIPAL_BRANCH,
     "rings._Field.residue_field": "rule: residue_field over Q and F_p",
     "rings._Monomial.monomial_ideal_is_zero": "oracle: ideal_is_zero",
     "rings._Monomial.monomial_member": "oracle: ideal_member, which tests meet "
     "ideal_intersect against",
     "rings._Monomial.mul": MUL,
-    "rings._Quotient._contains": CERTIFIED,
-    "rings._Quotient.point_ideal": CERTIFIED,
+    "rings._Quotient._contains": "rule: point_contains and v_locus on a monomial quotient",
+    "rings._Quotient.point_ideal": POINT_IDEAL,
     "rings._Residue.mul": MUL,
     "rings._Symbolic.krull_dim": "rule: krull_dim of Z, GF(p)[x] and the axes ring",
     "rings._ZeroDimensional.krull_dim": "rule: krull_dim of Z/n and the fields",
-    "rings._int_divides": MONOGENIC,
+    "rings._int_divides": Z_POINT,
     "spectrum.leq_specialization": "traced: spectrum.leq_specialization",
-    "spectrum.point_ideal": CERTIFIED,
+    "spectrum.point_ideal": POINT_IDEAL,
     "values.ideal_contains": "traced: rings.ideal_contains",
     "values.ideal_is_zero": "oracle: tests/test_maps.py checks is_injective with the "
     "meet of the point ideals",
     "values.ideal_member": "traced: the principal branch of rings.ideal_contains",
-    "values.is_regular": DUAL,
-    "values.is_zero": MONOGENIC,
+    "values.is_zero": "rule: point_contains and v_locus on Q and F_p, through their _contains",
     "values.monomial_ideal": "traced: rings.monomial_ideal",
-    "values.nilradical": DUAL,
 }
 
 
@@ -282,7 +276,9 @@ def test_catalog_digest_is_byte_stable():
 
 
 def test_every_reason_names_its_kind():
+    # And every kind has an entry, so a kind that no entry uses cannot linger.
     assert [k for k, why in KEEP.items() if why.split(":")[0] not in KINDS] == []
+    assert {why.split(":")[0] for why in KEEP.values()} == set(KINDS)
 
 
 QUERY_MIX = ROOT / "bench" / "expected" / "query-mix.json"
