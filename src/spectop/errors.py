@@ -22,7 +22,9 @@ class NonEnumerableError(SpectopError):
 
 
 class FactorizationLimitError(SpectopError):
-    """Input exceeds the configured factorization bound."""
+    """Input exceeds a factorization bound: the size bound on n, the degree
+    cap on a polynomial, or the work budget, when no stage splits a cofactor
+    within ECM's schedule of curves."""
 
 
 class BadSlotError(SpectopError):

@@ -3,19 +3,20 @@
 Trial division by the primes below 2^10 strips small factors.  A composite
 cofactor is split in turn by a perfect-square check; Pollard's p - 1
 (J. M. Pollard, Proc. Cambridge Philos. Soc. 76, 1974), whose stage 1 is
-one built-in pow and whose stage 2 walks the tables of one ECM level;
+one built-in pow and whose stage 2 walks the tables of one ECM level; and
 Lenstra's elliptic curve method (H. W. Lenstra, Ann. Math. 126, 1987) on
 Montgomery's x-only curves with the baby-step/giant-step stage 2
 (P. L. Montgomery, Math. Comp. 48, 1987), whose bound B1 grows by a tenth
-with each curve; and, when every curve fails, Pollard's rho with Brent's
-cycle finding (R. P. Brent, BIT 20, 1980) and no work budget.  Each
-curve's ladder and stage 2 are written out in one function, with x +- z
-computed once per step and shared by the addition and the doubling, since
-nearly all of a 64-bit factorization is spent there.  The stage tables of
-each bound are built from one sieve up to its B2 and memoized.
-Every factor is a gcd with n, and Miller-Rabin, with as many bases as the
-size of n needs, decides which parts are prime.  Inputs above 64 bits are
-refused unless the caller passes limit=None.  Everything is deterministic.
+with each curve.  Every stage is bounded, and ECM's fixed schedule of 60
+curves is the work budget: a cofactor that none of them splits is refused
+with FactorizationLimitError.  Each curve's ladder and stage 2 are written
+out in one function, with x +- z computed once per step and shared by the
+addition and the doubling, since nearly all of a 64-bit factorization is
+spent there.  The stage tables of each bound are built from one sieve up
+to its B2 and memoized.  Every factor is a gcd with n, and Miller-Rabin,
+with as many bases as the size of n needs, decides which parts are prime.
+Inputs above 64 bits are refused unless the caller passes limit=None,
+which lifts only that size bound.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -67,55 +68,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-# Steps of y between two gcds with n in the rho loop.
-_RHO_BLOCK = 128
-
-
-def _brent(n: int, c: int) -> int:
-    """A divisor g > 1 of n from the orbit of 2 under x -> x^2 + c mod n.
-
-    Brent's cycle finding: y runs through stretches of doubling length r
-    away from a saved x, and the products of x - y mod n meet n in one
-    gcd per block.  A block whose gcd is n is replayed one step at a time;
-    the divisor found may still be n.
-    """
-    y, q, g, r = 2, 1, 1, 1
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(_RHO_BLOCK, r - k)):
-                y = (y * y + c) % n
-                q = q * (x - y) % n
-            g = math.gcd(q, n)
-            k += _RHO_BLOCK
-        r *= 2
-    if g == n:
-        # Some step of the last block shares a factor with n.
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(x - ys, n)
-    return g
-
-
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of a composite n with no prime factor below 2^10.
-
-    Pollard rho with Brent's cycle finding (R. P. Brent, BIT 20, 1980)
-    over the polynomials x^2 + c, c = 1, 2, ...  It is the last resort
-    after ECM, and it has no work budget.
-    """
-    for c in range(1, 256):
-        g = _brent(n, c)
-        if g != n:
-            return g
-    raise FactorizationLimitError(f"pollard rho failed on {n}")
 
 
 # ECM, stage 1: one ladder on the product of the prime powers up to B1.
@@ -320,7 +272,7 @@ def _factor_into(n: int, acc: dict[int, int], pm1: bool = True) -> None:
         acc[n] = acc.get(n, 0) + 1
         return
     # n has no prime factor below 2^10: a square root, else the first
-    # nontrivial divisor from p - 1, ECM and the unbounded rho.  When p - 1
+    # nontrivial divisor from p - 1 and ECM, or a refusal.  When p - 1
     # returns n, every prime of n divides the first gcd other than 1, at
     # the same stage and row, so p - 1 returns each part of n whole too and
     # is not run on the parts.
@@ -329,7 +281,12 @@ def _factor_into(n: int, acc: dict[int, int], pm1: bool = True) -> None:
         d = _pm1(n) if pm1 else n
         pm1 = d != n
         if not 1 < d < n:
-            d = _ecm(n) or _pollard_rho(n)
+            d = _ecm(n)
+            if d is None:
+                raise FactorizationLimitError(
+                    f"no factoring stage splits a {n.bit_length()}-bit cofactor "
+                    f"within ECM's {_ECM_CURVES} curves"
+                )
     _factor_into(d, acc, pm1)
     _factor_into(n // d, acc, pm1)
 
@@ -337,13 +294,12 @@ def _factor_into(n: int, acc: dict[int, int], pm1: bool = True) -> None:
 def factorint(n: int, limit: int | None = DEFAULT_LIMIT) -> tuple[tuple[int, int], ...]:
     """Factor n >= 1 into sorted (prime, exponent) pairs.
 
-    The stages run in order: trial division, the square check, p - 1,
-    ECM and rho.  limit caps the accepted input size; pass None to allow
-    arbitrary precision.  None (the CLI's --allow-big) lifts only that
-    size bound.  The stages before the last are bounded, but the fallback
-    rho has no work budget: it takes on the order of sqrt(p) steps for the
-    smallest prime factor p of what is left, about 2^32 steps when p is
-    near 2^64.
+    The stages run in order: trial division, the square check, p - 1 and
+    ECM, and each is bounded.  limit caps the accepted input size; pass
+    None to allow arbitrary precision.  None (the CLI's --allow-big)
+    lifts only that size bound: a cofactor that ECM's last curve leaves
+    whole raises FactorizationLimitError, whose message gives its bit
+    length.
     """
     if n < 1:
         raise ValueError("factorint expects n >= 1")
@@ -393,5 +349,6 @@ def next_prime(n: int) -> int:
     return k
 
 
-# Trial divisors for factorint; rho and ECM find every larger prime factor.
+# Trial divisors for factorint; p - 1 and ECM split what is left, within
+# ECM's schedule, or factorint refuses it.
 _TRIAL_PRIMES = tuple(primes_below(1 << 10))

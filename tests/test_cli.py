@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PROPERTY, bench_queries
+from conftest import PROPERTY
 from spectop import cli, gfpoly, primes, products, suites
 from spectop import spectrum as sp
 from spectop import topology as top
@@ -23,6 +24,7 @@ from spectop.cli import (
     _cmd_closure, _cmd_construct, _cmd_criterion, _cmd_dense, _cmd_image, _cmd_lyover,
     _cmd_spec, _cmd_stable, _cmd_verify, run_command,
 )
+from spectop.errors import FactorizationLimitError
 
 Z = '{"kind":"Z"}'
 AXES = '{"kind":"SymbolicSupplement","field":{"kind":"Fp","p":2}}'
@@ -319,42 +321,6 @@ def test_construct_report_and_json_print_the_same_document(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "supplement", "--n", "3", "--report", str(report),
                        "--json")
     assert code == 0 and out == report.read_text() + "\n"
-
-
-QUERY_MIX = Path(__file__).resolve().parents[1] / "bench" / "expected" / "query-mix.json"
-
-
-def test_query_catalog_outcomes_match_the_benchmark_record(capsys):
-    # The bytes the query-mix benchmark checks, for the first entries of
-    # each query class: "code:digest" as bench/workloads.outcome_key.
-    queries = bench_queries()
-    recorded = json.loads(QUERY_MIX.read_text())
-    skipped = set(recorded["known_failures"])
-    checked = 0
-    for cls, _, _ in queries.CLASSES:
-        for i in range(15):
-            q = queries.entry(cls, i)
-            if q.id in skipped:
-                continue
-            code, out, _ = run(capsys, *q.argv)
-            digest = hashlib.sha256(out.encode()).hexdigest()[:16]
-            assert f"{code}:{digest}" == recorded["outcomes"][q.id], q.id
-            checked += 1
-    assert checked == 15 * len(queries.CLASSES) - len(skipped)
-
-
-@pytest.mark.parametrize("cls", ["fppoly-closure", "cofinite", "criterion"])
-def test_every_irreducibility_query_matches_the_benchmark_record(capsys, cls):
-    # Every catalog entry of the classes that run Ben-Or's test on points
-    # of F_p[x] (or, for criterion, may): the bytes that query-mix checks.
-    queries = bench_queries()
-    recorded = json.loads(QUERY_MIX.read_text())
-    size = next(size for name, _, size in queries.CLASSES if name == cls)
-    for i in range(size):
-        q = queries.entry(cls, i)
-        code, out, _ = run(capsys, *q.argv)
-        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
-        assert f"{code}:{digest}" == recorded["outcomes"][q.id], q.id
 
 
 def test_suite_type_error_is_an_internal_error(monkeypatch, capsys):
@@ -1056,7 +1022,7 @@ def test_python_dash_m_spectop_help():
 
 
 def _past_the_cap(signum, frame):
-    raise TimeoutError("the query ran past its 5 s cap")
+    raise TimeoutError("the query ran past its cap")
 
 
 @pytest.mark.parametrize("gens", ["[]", "[[1,1]]", "[[1]]", "[[1],[0,1]]"])
@@ -1076,3 +1042,23 @@ def test_localized_ring_of_any_nvars_answers_or_refuses_promptly(capsys, nvars, 
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 2), err
+
+
+def test_allow_big_refuses_what_ecm_leaves_whole_promptly(capsys):
+    # ECM's schedule is the work budget: no curve splits a product of two
+    # 100-bit primes, so it is refused, with the bit length of the cofactor.
+    rng = Random(100)
+    n = math.prod(primes.next_prime(rng.getrandbits(100) | 1 << 99) for _ in range(2))
+    ring = json.dumps({"kind": "Zmod", "n": n})
+    previous = signal.signal(signal.SIGALRM, _past_the_cap)
+    signal.alarm(10)
+    try:
+        code, out, err = run(capsys, "spec", "--ring", ring, "--allow-big")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    bits = f"{n.bit_length()}-bit cofactor"
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and bits in err
+    with pytest.raises(FactorizationLimitError, match=bits):
+        primes.factorint(n, limit=None)

@@ -22,7 +22,6 @@ PSI_13 = 3317044064679887385961981
 FACTORS = (1287836182261, 2575672364521)
 
 CERTIFIED = "ROADMAP: Certified primes, built along one path"
-BOUNDED = "ROADMAP: Every factorization bounded, every prime it returns certified"
 WILD = "ROADMAP: Wild primes by their contraction"
 
 ALL_CLOSED_POINTS = '{"type":"cofiniteClosed","excluded":[],"withGeneric":false}'
@@ -73,7 +72,7 @@ def test_psi_13_is_refused_as_a_prime(capsys, argv):
     assert refused(*run(capsys, *argv))
 
 
-@pytest.mark.xfail(strict=True, reason=BOUNDED)
+@pytest.mark.xfail(strict=True, reason=CERTIFIED)
 def test_psi_13_modulus_has_both_prime_points(capsys):
     code, out, err = run(capsys, "spec", "--ring", f'{{"kind":"Zmod","n":{PSI_13}}}',
                          "--allow-big")

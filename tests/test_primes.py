@@ -279,9 +279,6 @@ def test_ecm_stage_2_finds_the_last_prime_of_the_order(sigma, q, m):
 
 
 def test_ecm_splits_balanced_64bit_semiprimes(monkeypatch):
-    def no_fallback(n):
-        raise AssertionError(f"{n} fell through to the unbounded rho")
-
     ecm, splits = primes._ecm, []
 
     def counted_ecm(n):
@@ -296,7 +293,6 @@ def test_ecm_splits_balanced_64bit_semiprimes(monkeypatch):
             pm1_splits.append(n)
         return g
 
-    monkeypatch.setattr(primes, "_pollard_rho", no_fallback)
     monkeypatch.setattr(primes, "_pm1", counted_pm1)
     monkeypatch.setattr(primes, "_ecm", counted_ecm)
     rng = Random(19)
@@ -580,13 +576,24 @@ FIXED_CASES = (
     "stage", ["without-pm1-and-ecm", "without-pm1", "without-ecm", "as-built"]
 )
 def test_each_fallback_stays_exact(stage, monkeypatch):
+    # Each case is factored exactly or refused, never factored wrongly.
+    # Only a stage without ECM refuses any, and the square check still
+    # splits the prime squares there.
     if stage.startswith("without-pm1"):
         monkeypatch.setattr(primes, "_pm1", lambda n: 1)
     if stage.endswith("ecm"):
         monkeypatch.setattr(primes, "_ecm", lambda n: None)
+    refused = set()
     for n, fac in FIXED_CASES:
         assert _product(fac) == n
-        assert factorint(n, limit=None) == fac
+        try:
+            got = factorint(n, limit=None)
+        except FactorizationLimitError:
+            refused.add(n)
+        else:
+            assert got == fac
+    assert bool(refused) == stage.endswith("ecm")
+    assert not refused & {p * p for p in (P32, Q32, 2147483659)}
 
 
 def test_mid_size_moduli_of_the_query_mix_shape():

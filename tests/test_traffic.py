@@ -91,8 +91,6 @@ KEEP = {
     "maps.ResidueMap.symbolic_lying_over": "rule: lying over along R -> k(p)",
     "maps.ResidueMap.tame_points": "rule: lying over along R -> k(p)",
     "maps._PrimeMap.is_injective": "rule: injectivity of R -> R/p and R -> k(p)",
-    "primes._brent": "rule: factorint past the ECM schedule (--allow-big)",
-    "primes._pollard_rho": "rule: factorint past the ECM schedule (--allow-big)",
     "rings.IntegerRing._generator": Z_POINT,
     "rings.IntegerRing.mul": MUL,
     "rings.IntegerRing.principal_ideal": "rule: principal_ideal over Z",
@@ -215,13 +213,12 @@ def _keys(codes) -> set:
 
 
 @functools.cache
-def _replay() -> tuple[set, str, list, set]:
+def _replay() -> tuple[set, str, list]:
     """The functions the traffic enters, keyed as _functions keys them,
     with one record per call, no line events, and the previous tracer
     back afterwards; the catalog digest, the first 16 hex digits of sha256
     over id, exit code and standard output, each ended by a NUL, of every
-    catalog entry; each entry's (query, exit code, standard output); and
-    the functions the catalog alone enters."""
+    catalog entry; and each entry's (query, exit code, standard output)."""
     catalog = bench_queries().catalog()
     demos = sorted((ROOT / "demos").glob("*.py"))
     codes, digest, outcomes = set(), hashlib.sha256(), []
@@ -242,14 +239,13 @@ def _replay() -> tuple[set, str, list, set]:
                     digest.update(f"{q.id}\0{code}\0{out.getvalue()}\0".encode())
                     out.seek(0)
                     out.truncate()
-                by_catalog = set(codes)
                 for argv in TRAFFIC:
                     cli.run_command(list(argv))
                 for demo in demos:
                     runpy.run_path(str(demo), run_name="__main__")
         finally:
             sys.settrace(previous)
-    return _keys(codes), digest.hexdigest()[:16], outcomes, _keys(by_catalog)
+    return _keys(codes), digest.hexdigest()[:16], outcomes
 
 
 def test_every_function_the_traffic_skips_has_a_reason():
@@ -301,12 +297,3 @@ def test_catalog_outcomes_match_the_benchmark_record():
         assert q.known is None or queries.known_ok(q.known, code, out), q.id
         checked += 1
     assert checked == sum(size for _, _, size in queries.CLASSES) - len(skipped)
-
-
-def test_no_catalog_query_enters_the_unbounded_rho():
-    # Every modulus of the catalog past trial division is split by the
-    # square check, p - 1 and ECM; rho is the backstop past ECM's schedule.
-    names = {key: name for key, (name, _) in _functions().items()}
-    by_catalog = {names[key] for key in _replay()[3] if key in names}
-    rho = {"primes._pollard_rho", "primes._brent"}
-    assert rho <= set(names.values()) and not rho & by_catalog
