@@ -166,13 +166,6 @@ def _cmd_image(args) -> int:
 def _cmd_construct(args) -> int:
     field = _field_from_name(args.field)
     rep = construction.supplement_report(field, args.n)
-    doc = jsonio.supplement_report_to_json(rep) if args.json or args.report else None
-    if args.report:
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(jsonio.dumps_canonical(doc))
-        except OSError as exc:
-            raise SpectopError(f"cannot write the report: {exc}") from exc
 
     def human() -> str:
         mins = ", ".join(sp.point_str(p) for p in rep.minimal_primes)
@@ -190,7 +183,7 @@ def _cmd_construct(args) -> int:
             ]
         )
 
-    _print(lambda: doc, args.json, human)
+    _print(lambda: jsonio.supplement_report_to_json(rep), args.json, human)
     return 0 if rep.all_ok else 1
 
 
@@ -214,23 +207,7 @@ def _cmd_lyover(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
-    flags = {"cases": args.cases, "max_n": args.max_n}
-    given = {key: size for key, size in flags.items() if size is not None}
-    for key, size in given.items():  # refused before any suite runs
-        floor = max(suites.SIZE_FLOORS.get((name, key), 1) for name in names)
-        if size < floor:
-            raise SpectopError(f"--{key.replace('_', '-')} must be at least {floor}, got {size}")
-    results = []
-    for name in names:
-        # A suite gets the size flags its parameters name; one named suite
-        # refuses a flag it would ignore.
-        code = suites.SUITES[name].__code__
-        takes = code.co_varnames[: code.co_argcount]
-        params = {key: size for key, size in given.items() if key in takes}
-        extra = given.keys() - params.keys()
-        if extra and args.suite != "all":
-            raise SpectopError(f"verify {name} takes no --{min(extra).replace('_', '-')}")
-        results.append(suites.run_suite(name, seed=args.seed, **params))
+    results = [suites.run_suite(name, seed=args.seed) for name in names]
     if args.json:
         doc = {"results": [r.to_json() for r in results]}
         print(jsonio.dumps_canonical(doc))
@@ -308,7 +285,6 @@ COMMANDS = {
     ), (
         _Opt("--n", "n", _INT, required=True, help="the number of axes"),
         _Opt("--field", "field", default="F2", help="Q or F<p> (default F2)"),
-        _Opt("--report", "report", help="write the JSON report to this file"),
     )),
     "lyover": _Command(_cmd_lyover, "find a prime lying over a minimal prime", (), (
         _Opt("--map", "map", required=True), _Opt("--prime", "prime", required=True),
@@ -317,8 +293,6 @@ COMMANDS = {
         _Opt("suite", "suite", choices=(*sorted(suites.SUITES), "all"), required=True),
     ), (
         _Opt("--seed", "seed", _INT, default=0),
-        _Opt("--cases", "cases", _INT),
-        _Opt("--max-n", "max_n", _INT),
     )),
 }
 _EVERY = {  # the positionals and options of each command, built once

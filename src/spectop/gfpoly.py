@@ -22,11 +22,12 @@ Degrees are capped at desk scale.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from itertools import product
 
-from .errors import FactorizationLimitError
+from .errors import BadArityError, FactorizationLimitError
 
 DEGREE_CAP = 16
 
@@ -55,6 +56,15 @@ def mul(f: Poly, g: Poly, p: int) -> Poly:
     return trim(out, p)
 
 
+def _inverse(a: int, p: int) -> int:
+    """The inverse of a mod p.  A nonzero a with no inverse proves p
+    composite, so the characteristic is refused."""
+    try:
+        return pow(a, -1, p)
+    except ValueError as exc:
+        raise BadArityError(f"{p} is not prime: {math.gcd(a, p)} divides it") from exc
+
+
 def _check_divisor(g: Poly, p: int) -> None:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -66,7 +76,7 @@ def divmod_(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
     _check_divisor(g, p)
     rem = list(f)
     q = [0] * max(len(f) - len(g) + 1, 0)
-    inv_lead = pow(g[-1], p - 2, p)
+    inv_lead = _inverse(g[-1], p)
     while len(rem) >= len(g) and any(rem):
         while rem and rem[-1] == 0:
             rem.pop()
@@ -84,7 +94,7 @@ def _tail(f: Poly | list[int], p: int) -> list[int]:
     """The reduction tail of f: x^k = tail(x) mod f, for k = deg(f), with
     tail = -(f - lead x^k) / lead."""
     _check_divisor(f, p)
-    c = -pow(f[-1], -1, p)
+    c = -_inverse(f[-1], p)
     return [b * c % p for b in f[:-1]]
 
 
@@ -141,7 +151,7 @@ def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
     taken in place, with one inverse of the divisor's leading coefficient."""
     while b:
         k = len(b) - 1
-        inv = pow(b[-1], -1, p)
+        inv = _inverse(b[-1], p)
         for top in range(len(a) - 1, k - 1, -1):
             c = a[top] * inv % p
             if c:
@@ -164,7 +174,7 @@ def divides(g: Poly, f: Poly, p: int) -> bool:
 def monic(f: Poly, p: int) -> Poly:
     if not f or f[-1] == 1:
         return f
-    c = pow(f[-1], p - 2, p)
+    c = _inverse(f[-1], p)
     return trim([a * c for a in f], p)
 
 

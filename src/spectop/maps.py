@@ -195,7 +195,8 @@ class _ProductMap(RingMapSpec):
         else:
             slot = _least_slot(E, p)
         q = TamePrime(slot, p)
-        assert self.contract(q) == p
+        if self.contract(q) != p:
+            raise AssertionError("the tame prime must contract to the point it lies over")
         return q
 
 

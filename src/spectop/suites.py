@@ -1,8 +1,9 @@
 """Named verification suites for the command line.
 
-Each suite runs a family of checks with a seeded generator, returning a
-deterministic report: identical inputs and seeds give byte-identical
-JSON.  Every failing case carries a repro command line.
+Each suite runs a family of checks of its own fixed size with a seeded
+generator (coverage grows by seed), returning a deterministic report:
+identical seeds give byte-identical JSON.  Every failing case carries a
+repro command line.
 
 Every draw is drawn, counted and reported: deciding a draw never reads
 the suite's generator, so the draws come in the same order whether or not
@@ -169,8 +170,9 @@ def _up_closure_brute(E: SpecSubset, pts: list[PrimePoint]) -> SpecSubset:
 # ---------------------------------------------------------------------------
 
 
-def suite_finite_closure(seed: int = 0, cases: int = 100, max_n: int = 10**6) -> SuiteResult:
+def suite_finite_closure(seed: int = 0) -> SuiteResult:
     """Finite sets over Z/n: closure = brute-force up closure = V(fold)."""
+    cases, max_n = 100, 10**6
     res = SuiteResult("finite-closure", seed, {"cases": cases, "max_n": max_n})
     rng = Random(seed)
     for i in range(cases):
@@ -225,8 +227,9 @@ def suite_remark_flat(seed: int = 0) -> SuiteResult:
     return _strictness_remark("remark-flat", seed, E, top.FLAT, whole, "P_7")
 
 
-def suite_supplement(seed: int = 0, max_n: int = 8) -> SuiteResult:
-    """All axes-ring statements for n in [2, max_n] over F2, F3 and Q."""
+def suite_supplement(seed: int = 0) -> SuiteResult:
+    """All axes-ring statements for n in [2, 8] over F2, F3 and Q."""
+    max_n = 8
     res = SuiteResult("supplement", seed, {"max_n": max_n})
     for K in (F2, F3, rings.QQ):
         for n in range(2, max_n + 1):
@@ -235,8 +238,9 @@ def suite_supplement(seed: int = 0, max_n: int = 8) -> SuiteResult:
     return res
 
 
-def suite_nilradical_product(seed: int = 0, cases: int = 20) -> SuiteResult:
+def suite_nilradical_product(seed: int = 0) -> SuiteResult:
     """Componentwise nilpotents and dense minimal tame primes on products."""
+    cases = 20
     res = SuiteResult("nilradical-product", seed, {"cases": cases})
     rng = Random(seed)
     fixed = [
@@ -257,8 +261,9 @@ def suite_nilradical_product(seed: int = 0, cases: int = 20) -> SuiteResult:
     return res
 
 
-def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
+def suite_lying_over(seed: int = 0) -> SuiteResult:
     """Round trips contract(laying_over(p)) = p over injective maps."""
+    cases = 50
     res = SuiteResult("lying-over", seed, {"cases": cases})
     rng = Random(seed)
     # Z/210 onto its four residue fields, the same in every case that draws it.
@@ -330,10 +335,11 @@ def suite_lying_over(seed: int = 0, cases: int = 50) -> SuiteResult:
     return res
 
 
-def suite_pz(seed: int = 0, max_n: int = 5) -> SuiteResult:
+def suite_pz(seed: int = 0) -> SuiteResult:
     """Prime absorbance and avoidance over finite families: the axes rings,
     Z/n and chains of monomial primes, where prime avoidance makes both
     hold."""
+    max_n = 5
     res = SuiteResult("pz", seed, {"max_n": max_n})
     for n in range(1, max_n + 1):
         R = construction.build_supplement(F2, n)
@@ -371,8 +377,9 @@ _WITNESS_RULES = {
 }
 
 
-def suite_density(seed: int = 0, cases: int = 50) -> SuiteResult:
+def suite_density(seed: int = 0) -> SuiteResult:
     """Density criteria plus dense/non-dense confirmations."""
+    cases = 50
     res = SuiteResult("density", seed, {"cases": cases})
     rng = Random(seed)
     for R, good_mode, bad_mode in (
@@ -436,8 +443,9 @@ def _random_infinite_subset(R: RingExpr, rng: Random, most: int = 4) -> SpecSubs
     return sp._subset(R, excl if rng.random() < 0.5 else excl | {R.limit}, True)
 
 
-def suite_closure_axioms(seed: int = 0, cases: int = 500) -> SuiteResult:
+def suite_closure_axioms(seed: int = 0) -> SuiteResult:
     """Closure axioms, the ordering, and the stability characterization."""
+    cases = 500
     res = SuiteResult("closure-axioms", seed, {"cases": cases})
     rng = Random(seed)
     failures = 0
@@ -551,10 +559,6 @@ def suite_oracle_agreement(seed: int = 0) -> SuiteResult:
     return res
 
 
-# The least value of a size parameter where it is not 1: finite-closure
-# draws n from [2, max_n], and supplement checks each n in [2, max_n].
-SIZE_FLOORS = {("finite-closure", "max_n"): 2, ("supplement", "max_n"): 2}
-
 SUITES = {
     "finite-closure": suite_finite_closure,
     "remark-v5": suite_remark_v5,
@@ -569,7 +573,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, **params) -> SuiteResult:
+def run_suite(name: str, seed: int = 0) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](seed=seed, **params)
+    return SUITES[name](seed=seed)

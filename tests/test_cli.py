@@ -106,17 +106,14 @@ def test_image_symbolic_strict(capsys):
     assert doc["witness"] == {"type": "zMax", "p": 11}
 
 
-def test_construct_supplement(capsys, tmp_path):
-    report = tmp_path / "rep.json"
-    code, out, _ = run(
-        capsys, "construct", "supplement", "--n", "3", "--field", "F2",
-        "--report", str(report),
-    )
+def test_construct_supplement(capsys):
+    code, out, _ = run(capsys, "construct", "supplement", "--n", "3", "--field", "F2")
     assert code == 0
     assert "all statements hold: True" in out
     assert "2^n cover oracle: ran and agrees" in out
-    doc = json.loads(report.read_text())
-    assert doc["allOk"] is True and doc["dim"] == 1
+    code, out, _ = run(capsys, "construct", "supplement", "--n", "3", "--field", "F2", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["allOk"] is True and doc["dim"] == 1
 
 
 def test_construct_supplement_says_when_the_oracle_is_skipped(capsys):
@@ -159,8 +156,8 @@ def test_human_verify_prints_the_suite_note(capsys):
 
 
 def test_verify_json_deterministic(capsys):
-    code1, out1, _ = run(capsys, "verify", "density", "--seed", "5", "--cases", "10", "--json")
-    code2, out2, _ = run(capsys, "verify", "density", "--seed", "5", "--cases", "10", "--json")
+    code1, out1, _ = run(capsys, "verify", "density", "--seed", "5", "--json")
+    code2, out2, _ = run(capsys, "verify", "density", "--seed", "5", "--json")
     assert code1 == code2 == 0
     assert out1 == out2
 
@@ -170,9 +167,6 @@ def test_verify_json_deterministic(capsys):
     [
         pytest.param(["--seed", "0"], "b3071f872a0016d1", id="0-b3071f872a0016d1"),
         pytest.param(["--seed", "7"], "f3cad6a4b2187fb9", id="7-f3cad6a4b2187fb9"),
-        pytest.param(
-            ["--cases", "5", "--max-n", "4"], "6ae3375edb22a4ed", id="cases5-maxn4-6ae3375edb22a4ed"
-        ),
     ],
 )
 def test_verify_all_json_bytes(capsys, flags, digest):
@@ -181,6 +175,31 @@ def test_verify_all_json_bytes(capsys, flags, digest):
     code, out, _ = run(capsys, "verify", "all", "--json", *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+# The size each suite runs at, as its report states it.
+SUITE_SIZES = {
+    "closure-axioms": {"cases": 500},
+    "density": {"cases": 50},
+    "finite-closure": {"cases": 100, "max_n": 10**6},
+    "lying-over": {"cases": 50},
+    "nilradical-product": {"cases": 20},
+    "oracle-agreement": {},
+    "pz": {"max_n": 5},
+    "remark-flat": {},
+    "remark-v5": {},
+    "supplement": {"max_n": 8},
+}
+
+
+def test_every_suite_checks_at_least_one_case_at_its_own_size(capsys):
+    # No argv asks a suite for zero cases: a pass always checked something.
+    for seed in range(10):
+        code, out, _ = run(capsys, "verify", "all", "--seed", str(seed), "--json")
+        results = json.loads(out)["results"]
+        assert code == 0
+        assert {r["suite"]: r["params"] for r in results} == SUITE_SIZES
+        assert min(r["summary"]["total"] for r in results) >= 1, seed
 
 
 SUITES_SYMBOLIC = Path(__file__).resolve().parents[1] / "bench" / "expected" / "suites-symbolic.json"
@@ -316,25 +335,16 @@ def test_json_output_builds_no_human_text(monkeypatch, capsys, argv, _, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
-def test_construct_report_and_json_print_the_same_document(capsys, tmp_path):
-    report = tmp_path / "rep.json"
-    code, out, _ = run(capsys, "construct", "supplement", "--n", "3", "--report", str(report),
-                       "--json")
-    assert code == 0 and out == report.read_text() + "\n"
-
-
 def test_suite_type_error_is_an_internal_error(monkeypatch, capsys):
     # A TypeError is not an input error: it must not become exit 2, nor
     # exit 1, which reads as a failed verification.
     from spectop import suites
 
-    def broken_pz(seed=0, cases=None, **_):
-        if cases is not None:
-            raise TypeError("bug inside the suite")
-        return suites.suite_pz(seed=seed)
+    def broken_pz(seed=0):
+        raise TypeError("bug inside the suite")
 
     monkeypatch.setitem(suites.SUITES, "pz", broken_pz)
-    code, out, err = run(capsys, "verify", "pz", "--cases", "3")
+    code, out, err = run(capsys, "verify", "pz")
     assert (code, out) == (3, "")
     assert err == "internal error: TypeError: bug inside the suite\n"
 
@@ -439,46 +449,6 @@ def test_nested_value_past_the_recursion_limit_exits_2(capsys):
     assert err == "error: JSON value nested too deeply\n"
 
 
-@pytest.mark.parametrize(
-    "argv, floor",
-    [
-        (["verify", "pz", "--cases", "-3"], 1),
-        (["verify", "density", "--cases", "0"], 1),
-        (["verify", "oracle-agreement", "--max-n", "-3"], 1),
-        (["verify", "all", "--max-n", "0"], 2),
-        # finite-closure draws n from [2, max_n].
-        (["verify", "finite-closure", "--max-n", "1"], 2),
-        # supplement checks each n in [2, max_n], so 1 would check nothing.
-        (["verify", "supplement", "--max-n", "1"], 2),
-        (["verify", "all", "--max-n", "1"], 2),
-    ],
-    ids=["pz-cases-3", "density-cases0", "oracle-max-n-3", "all-max-n0",
-         "finite-closure-max-n1", "supplement-max-n1", "all-max-n1"],
-)
-def test_suite_sizes_below_one_exit_2(monkeypatch, capsys, argv, floor):
-    # Refused before any suite runs.
-    monkeypatch.setattr(suites, "run_suite", None)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and f"must be at least {floor}, got " in err
-    assert "\n" not in err.rstrip("\n")
-
-
-@pytest.mark.parametrize(
-    "suite,flag,value",
-    [
-        ("closure-axioms", "--max-n", "2"),
-        ("pz", "--cases", "5"),
-        ("remark-v5", "--cases", "3"),
-    ],
-)
-def test_size_flag_the_suite_does_not_take_exits_2(capsys, suite, flag, value):
-    # A flag with no effect on the named suite is refused, not dropped.
-    code, out, err = run(capsys, "verify", suite, flag, value, "--json")
-    assert (code, out) == (2, "")
-    assert err == f"error: verify {suite} takes no {flag}\n"
-
-
 FOREIGN_POINT = '{"type":"explicit","points":[{"type":"zMax","p":4}]}'
 X_SQUARED = '{"type":"fpxMax","coeffs":[0,0,1]}'
 F2X = '{"kind":"FpPoly","p":2}'
@@ -572,7 +542,6 @@ def test_engine_key_and_value_errors_are_internal(monkeypatch, capsys, exc):
     "argv",
     [
         ["construct", "supplement", "--n", "3", "--field", "Fx"],
-        ["construct", "supplement", "--n", "3", "--report", "/nonexistent/dir/r.json"],
         ["spec", "--ring", "/nonexistent.json"],
         ["spec", "--ring", '{"kind":"FpPoly","p":4}'],
         ["spec", "--ring", '{"kind":"MonomialQuotient","field":{"kind":"Fp","p":2},'
@@ -581,7 +550,7 @@ def test_engine_key_and_value_errors_are_internal(monkeypatch, capsys, exc):
         ["spec", "--ring", '{"kind":"SymbolicSupplement","field":' + Z + "}"],
         ["spec", "--ring", '{"kind":"Product","factors":[]}'],
     ],
-    ids=["field-Fx", "report-path", "ring-path", "fppoly-composite-p", "constant-generator",
+    ids=["field-Fx", "ring-path", "fppoly-composite-p", "constant-generator",
          "monomial-over-Z", "supplement-over-Z", "empty-product"],
 )
 def test_refused_arguments_exit_2(capsys, argv):
@@ -796,7 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("supplement",))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", default="F2", help="Q or F<p> (default F2)")
-    p.add_argument("--report", help="write the JSON report to this file")
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("lyover", parents=[common], help="find a prime lying over a minimal prime")
@@ -807,8 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
     p.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.set_defaults(fn=_cmd_verify)
 
     return parser
@@ -827,9 +793,9 @@ FULL = [
     (["criterion"], [["--mode", "zariski"], ["--ring", Z]]),
     (["image"], [["--kind", "local"], ["--ring", Z], ["--set", FIVE], ["--oracle"]]),
     (["construct", "supplement"],
-     [["--n", "3"], ["--field", "F3"], ["--report", "r.json"]]),
+     [["--n", "3"], ["--field", "F3"]]),
     (["lyover"], [["--map", MAP], ["--prime", PRIME]]),
-    (["verify", "pz"], [["--seed", "3"], ["--cases", "4"], ["--max-n", "5"]]),
+    (["verify", "pz"], [["--seed", "3"]]),
 ]
 
 
@@ -852,14 +818,14 @@ def _accepted_corpus():
         ["construct", "supplement", "--n", "3"],
         ["verify", "all"],
         ["construct", "--n", "2", "supplement", "--field", "Q"],
-        ["verify", "--seed", "2", "lying-over", "--cases", "1"],
+        ["verify", "--seed", "2", "lying-over"],
         ["closure", "--top", "zariski", "--ri", Z, "--se", FIVE],  # unique prefixes
         ["closure", "--topology=flat", "--r", Z, "--s", FIVE, "--j", "--a", "--tr"],
-        ["construct", "supplement", "--n", "2", "--f", "F5", "--rep", "out.json"],
-        ["verify", "pz", "--s", "1", "--c", "2", "--m", "3", "--max", "4"],
+        ["construct", "supplement", "--n", "2", "--f", "F5"],
+        ["verify", "pz", "--s", "1", "--se", "4"],
         ["closure", "--topology", "zariski", "--topology", "patch", "--ring", Z, "--set", FIVE],
         ["verify", "pz", "--seed", "1", "--seed", "-2", "--seed=7"],
-        ["verify", "pz", "--seed", " 7", "--cases", "1_000", "--max-n", "+3"],
+        ["verify", "pz", "--seed", " 7", "--seed", "1_000", "--seed", "+3"],
         ["construct", "supplement", "--n", "-4", "--field", "-3"],
         ["spec", "--ring", '{"kind": "Z"}'],
         ["spec", '--ring={"kind": "Z"}'],
@@ -875,6 +841,12 @@ def _accepted_corpus():
     return corpus
 
 
+# Options the suites' fixed sizes and --json made redundant.
+REMOVED_OPTIONS = [
+    ["verify", "pz", "--cases", "3"],
+    ["verify", "all", "--max-n", "4"],
+    ["construct", "supplement", "--n", "3", "--report", "r.json"],
+]
 REFUSED = [
     [],
     ["bogus"],
@@ -905,8 +877,8 @@ REFUSED = [
     ["construct", "supplement", "--n", "x"],  # not an int
     ["construct", "supplement", "--n", "3.0"],
     ["verify", "pz", "--seed", "1.5"],
-    ["verify", "pz", "--cases", "ten"],
-    ["verify", "pz", "--max-n", ""],
+    ["verify", "pz", "--seed", "ten"],
+    ["verify", "pz", "--seed", ""],
     ["verify", "pz", "--seed="],
     ["verify", "pz", "extra"],  # extra positional
     ["spec", "--ring", Z, "extra"],
@@ -922,6 +894,7 @@ REFUSED = [
     ["spec", "--allow-big=", "--ring", Z],
     ["spec", "--=x", "--ring", Z],
     ["spec", "--ring", Z, "--traceback=yes"],
+    *REMOVED_OPTIONS,
 ]
 
 HELP = [
@@ -960,6 +933,7 @@ def test_table_parser_refuses_what_argparse_refused(capsys):
         assert _outcome(cli.parse_args, argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and err[0].startswith("usage: spectop") and ": error: " in err[1]
+        assert argv not in REMOVED_OPTIONS or "unrecognized arguments" in err[1]
 
 
 def test_help_exits_0_where_argparse_did(capsys):
@@ -977,8 +951,8 @@ TOKENS = [
     Z, "{}", "a b", "-", "-1", "-2.5", "-x", "-j", "-h", "-hx", "-h=x", "--", "--=",
     "--help", "--he", "--help=", "--ring", "--r", "--ring=x", "--set", "--s", "--se", "--seed",
     "--seed=3", "--topology", "--top", "--t", "--tr", "--mode=flat", "--kind=local", "--n",
-    "--n=1", "--no", "--no-oracle=", "--field", "--f", "--report", "--map", "--ma", "--prime",
-    "--p", "--cases", "--c", "--cases=x", "--max-n", "--m", "--json", "--j", "--json=1",
+    "--n=1", "--no", "--no-oracle=", "--field", "--f", "--map", "--ma", "--prime",
+    "--p", "--seed=x", "--m", "--json", "--j", "--json=1",
     "--allow-big", "--a", "--traceback", "--oracle", "--bogus",
 ]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spectop import gfpoly as gf
 from spectop import rings
-from spectop.errors import FactorizationLimitError
+from spectop.errors import BadArityError, FactorizationLimitError
 
 
 def rand_poly(rng, p, max_deg):
@@ -50,6 +50,14 @@ def test_divmod_refuses_zero_leading_coefficient(g, p):
     for div in (gf.divmod_, gf.mod):
         with pytest.raises(ValueError, match="zero leading coefficient"):
             div((1, 0, 1, 1), g, p)
+
+
+@pytest.mark.parametrize("op", [gf.monic, gf.divmod_, gf.mod, gf.gcd])
+def test_a_lead_with_no_inverse_refuses_the_composite_characteristic(op):
+    # 6 has no inverse mod 9, which proves 9 composite.
+    args = ((1, 6),) if op is gf.monic else ((1, 0, 1), (1, 6))
+    with pytest.raises(BadArityError, match="^9 is not prime: 3 divides it$"):
+        op(*args, 9)
 
 
 def ref_mul(f, g, p):

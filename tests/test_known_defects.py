@@ -5,7 +5,8 @@ and asserts what the engine should do.  It does something else today, so
 the entry is marked xfail(strict=True), with the open ROADMAP item that
 owns the fix as its reason.  A fix makes its entry pass, which fails the
 run until the fixing change removes the marker: the list cannot go stale,
-and the summary line counts the known wrong answers as xfailed.
+and the summary line counts the known wrong answers as xfailed.  A fixed
+entry stays, unmarked, so the fix stays checked.
 
 An entry needs a reproduced argv and the item that owns its fix; a new
 regression is fixed, not listed here.
@@ -58,13 +59,12 @@ def refused(code, out, err) -> bool:
             marks=pytest.mark.xfail(strict=True, reason=CERTIFIED),
         ),
         pytest.param(
-            # Ben-Or's test of the point inverts a zero divisor mod psi_13:
-            # an internal error (exit 3) today.
+            # Ben-Or's test of the point meets a leading coefficient with no
+            # inverse mod psi_13, which proves it composite.
             ("closure", "--topology", "zariski", "--ring", f'{{"kind":"FpPoly","p":{PSI_13}}}',
              "--set", '{"type":"explicit","points":[{"type":"fpxMax","coeffs":[2,0,1,1]}]}',
              "--json"),
             id="fppoly-closure-point",
-            marks=pytest.mark.xfail(strict=True, reason=CERTIFIED),
         ),
     ],
 )

@@ -24,6 +24,17 @@ def test_no_global_or_nonlocal_statements():
     assert found == []
 
 
+def test_no_assert_statements():
+    # python -O strips assert statements; a self-check raises AssertionError.
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def _callee_name(node):
     """The name a decorator or a call refers to, without its module."""
     target = node.func if isinstance(node, ast.Call) else node

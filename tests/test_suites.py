@@ -85,14 +85,14 @@ VARIANTS = [
 )
 def test_closure_axioms_suite_catches_a_broken_operator(monkeypatch, name, broken, message):
     monkeypatch.setattr(top, name, broken)
-    res = suites.suite_closure_axioms(seed=0, cases=30)
+    res = suites.suite_closure_axioms(seed=0)
     assert not res.passed
     failed = [c.input for c in res.cases if not c.passed and c.id != "all-cases"]
     assert any(m.startswith(message + " on ") for m in failed), failed[:5]
 
 
 def test_closure_axioms_suite_passes_with_the_real_operators():
-    assert suites.suite_closure_axioms(seed=0, cases=30).passed
+    assert suites.suite_closure_axioms(seed=0).passed
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 """What the engine's own traffic runs, and why the rest of src/spectop stays.
 
 The traffic is what the engine is for: every query of the benchmark's
-catalog (bench/queries.py, only read), `verify all --json` at seeds 0 and 7
-and at `--cases 5 --max-n 4`, `construct supplement` at n = 5, 8 and 64,
-and every demo.  It runs in this process, on a fresh import of
-spectop, under a tracer that records only the functions it enters.
+catalog (bench/queries.py, only read), `verify all --json` at seeds 0 and 7,
+`construct supplement` at n = 5, 8 and 64, and every demo.  It runs in
+this process, on a fresh import of spectop, under a tracer that records
+only the functions it enters.
 
 Every function that ast finds in src/spectop must be entered, be exempt
 (a dunder method, or a body that only raises), or be named in KEEP with
@@ -35,7 +35,6 @@ SRC = ROOT / "src" / "spectop"
 TRAFFIC = (
     ["verify", "all", "--json", "--seed", "0"],
     ["verify", "all", "--json", "--seed", "7"],
-    ["verify", "all", "--json", "--cases", "5", "--max-n", "4"],
     ["construct", "supplement", "--n", "5"],
     ["construct", "supplement", "--n", "8"],
     ["construct", "supplement", "--n", "64"],
