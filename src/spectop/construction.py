@@ -143,7 +143,7 @@ def absorbance_holds(E: SpecSubset) -> bool:
     the Zariski closure of an infinite set of axes adds only m, which
     lies above every axis, so E holds.
     """
-    if not E.cofinite:
+    if not sp.is_infinite(E):
         return True
     return sp.subset_le(top.zariski_closure(E), top.order_closure(E, up=True))
 
@@ -164,7 +164,7 @@ def avoidance_holds(E: SpecSubset) -> bool:
     So E holds exactly when it holds m, and the flat closure of E is the
     whole spectrum.
     """
-    if not E.cofinite:
+    if not sp.is_infinite(E):
         return True
     return sp.subset_le(top.flat_closure(E), top.order_closure(E, up=False))
 

@@ -310,7 +310,7 @@ def _least_slot(E: SpecSubset, p: PrimePoint) -> PrimePoint:
     and the top point, above every axis, is taken.
     """
     R = E.ring
-    if not E.cofinite:
+    if not sp.is_infinite(E):
         return next(q for q in sp.subset_points(E) if R._leq(p, q))
     if E.with_limit:
         return R.limit
@@ -377,7 +377,7 @@ def residue_product_image(E: SpecSubset) -> SpecSubset:
     the argument below.
     """
     R = E.ring
-    if not E.cofinite:
+    if not sp.is_infinite(E):
         pts = {contract(ResidueMap(R, p), FieldZero()) for p in E.points}
         return sp._subset(R, pts)
     # The image is E plus the limit point.  Below the family (Z,

@@ -13,8 +13,12 @@ with FactorizationLimitError.  Each curve's ladder and stage 2 are written
 out in one function, with x +- z computed once per step and shared by the
 addition and the doubling, since nearly all of a 64-bit factorization is
 spent there.  The stage tables of each bound are built from one sieve up
-to its B2 and memoized.  Every factor is a gcd with n, and Miller-Rabin,
-with as many bases as the size of n needs, decides which parts are prime.
+to its B2 and memoized.  Every factor is a gcd with n.  Miller-Rabin,
+with as many bases as the size of n needs, decides which parts are prime
+below psi_13; above it a Mersenne number is proven prime or composite by
+Lucas-Lehmer, and any other part is proven composite by a Miller-Rabin
+witness or is unproven.  An unproven part goes on to p - 1 and ECM like a
+composite one, so none is ever recorded as a prime.
 Inputs above 64 bits are refused unless the caller passes limit=None,
 which lifts only that size bound.  Everything is deterministic.
 """
@@ -30,10 +34,12 @@ from .errors import FactorizationLimitError
 
 DEFAULT_LIMIT = 2**64
 
-# Deterministic Miller-Rabin witnesses below psi_13 = 3317044064679887385961981
-# (Sorenson and Webster, Math. Comp. 2017).  The bases 2..37 alone pass the
-# composite psi_12 = 318665857834031151167461.  Every base is tried as a
-# divisor first, so the tested n is never a base.
+# Deterministic Miller-Rabin witnesses below PSI_13, the least composite
+# that is a strong probable prime to all of them (Sorenson and Webster,
+# Math. Comp. 2017).  The bases 2..37 alone pass the composite
+# psi_12 = 318665857834031151167461.  Every base is tried as a divisor
+# first, so the tested n is never a base.
+PSI_13 = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # psi_t for t = 1..12, the least composite that is a strong probable prime
@@ -68,6 +74,40 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _lucas_lehmer(e: int) -> bool:
+    """Whether 2^e - 1 is prime, for a prime e: for odd e, exactly when
+    s_(e-2) = 0 mod 2^e - 1, where s_0 = 4 and s_(k+1) = s_k^2 - 2 (Lucas
+    1878; Lehmer, Ann. Math. 31, 1930)."""
+    n, s = (1 << e) - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % n
+    return e == 2 or s == 0
+
+
+def _proven(n: int) -> bool | None:
+    """Whether n is prime, where that is proven: by Miller-Rabin below
+    psi_13, by Lucas-Lehmer for a Mersenne number 2^e - 1 with e prime, and
+    by a Miller-Rabin witness for a composite.  None for any other n at or
+    above psi_13, a strong probable prime to every base, which is unproven."""
+    if n >= PSI_13 and n & (n + 1) == 0 and is_prime(n.bit_length()):
+        return _lucas_lehmer(n.bit_length())
+    return is_prime(n) and (n < PSI_13 or None)
+
+
+def is_proven_prime(n: int) -> bool:
+    """Whether n is prime, for an n whose primality is proven either way
+    (see _proven); an unproven n is refused with FactorizationLimitError.
+    Every prime the engine accepts as a ring's characteristic or a point
+    of Z passes here."""
+    proven = _proven(n)
+    if proven is None:
+        raise FactorizationLimitError(
+            f"{n} is not proven prime: from psi_13 = {PSI_13} on, only a Mersenne number "
+            "2^e - 1 is proven, by Lucas-Lehmer"
+        )
+    return proven
 
 
 # ECM, stage 1: one ladder on the product of the prime powers up to B1.
@@ -266,16 +306,15 @@ def _pm1(n: int) -> int:
 
 
 def _factor_into(n: int, acc: dict[int, int], pm1: bool = True) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
+    proven = _proven(n)
+    if proven:
         acc[n] = acc.get(n, 0) + 1
         return
-    # n has no prime factor below 2^10: a square root, else the first
-    # nontrivial divisor from p - 1 and ECM, or a refusal.  When p - 1
-    # returns n, every prime of n divides the first gcd other than 1, at
-    # the same stage and row, so p - 1 returns each part of n whole too and
-    # is not run on the parts.
+    # n has no prime factor below 2^10, and is composite or unproven: a
+    # square root, else the first nontrivial divisor from p - 1 and ECM,
+    # or a refusal.  When p - 1 returns n, every prime of n divides the
+    # first gcd other than 1, at the same stage and row, so p - 1 returns
+    # each part of n whole too and is not run on the parts.
     d = math.isqrt(n)
     if d * d != n:
         d = _pm1(n) if pm1 else n
@@ -283,8 +322,9 @@ def _factor_into(n: int, acc: dict[int, int], pm1: bool = True) -> None:
         if not 1 < d < n:
             d = _ecm(n)
             if d is None:
+                kind = "an unproven" if proven is None else "a composite"
                 raise FactorizationLimitError(
-                    f"no factoring stage splits a {n.bit_length()}-bit cofactor "
+                    f"no factoring stage splits {kind} {n.bit_length()}-bit cofactor "
                     f"within ECM's {_ECM_CURVES} curves"
                 )
     _factor_into(d, acc, pm1)
@@ -297,9 +337,9 @@ def factorint(n: int, limit: int | None = DEFAULT_LIMIT) -> tuple[tuple[int, int
     The stages run in order: trial division, the square check, p - 1 and
     ECM, and each is bounded.  limit caps the accepted input size; pass
     None to allow arbitrary precision.  None (the CLI's --allow-big)
-    lifts only that size bound: a cofactor that ECM's last curve leaves
-    whole raises FactorizationLimitError, whose message gives its bit
-    length.
+    lifts only that size bound: a composite or unproven cofactor that
+    ECM's last curve leaves whole raises FactorizationLimitError, whose
+    message says which it is and gives its bit length.
     """
     if n < 1:
         raise ValueError("factorint expects n >= 1")

@@ -62,7 +62,7 @@ def _product_image(E: SpecSubset, up: bool) -> SpecSubset:
     injective, so (0) lies under a prime of the product; on the axes ring
     the primes above the direct-sum ideal contract onto m.
     """
-    return sp.subset_union(top.order_closure(E, up), top._patch(E))
+    return sp.subset_union(top.order_closure(E, up), top.patch_closure(E))
 
 
 def brute_force_image(E: SpecSubset, kind: str) -> SpecSubset:

@@ -37,7 +37,7 @@ from .errors import (
     NonEnumerableError,
     UnsupportedError,
 )
-from .primes import DEFAULT_LIMIT, factorint, is_prime, next_prime, prime_factors
+from .primes import DEFAULT_LIMIT, factorint, is_proven_prime, next_prime, prime_factors
 from .values import (  # the values and their functions are named from here too
     El,
     FieldZero,
@@ -407,7 +407,9 @@ class IntegerRing(_Dedekind):
         return IntEl(rng.randint(-60, 60))
 
     def has_point(self, p: PrimePoint) -> bool:
-        return isinstance(p, ZGeneric) or isinstance(p, ZMax) and type(p.p) is int and is_prime(p.p)
+        return isinstance(p, ZGeneric) or (
+            isinstance(p, ZMax) and type(p.p) is int and is_proven_prime(p.p)
+        )
 
     def _generator(self, p: PrimePoint) -> El:
         return IntEl(0 if p == self.limit else p.p)
@@ -531,7 +533,7 @@ class PrimeField(_Residue, _Field):
     p: int
 
     def __new__(cls, p: int):
-        if not is_prime(p):
+        if not is_proven_prime(p):
             raise BadArityError(f"{p} is not prime")
         return tuple.__new__(cls, (p,))
 
@@ -552,7 +554,7 @@ class PolyRingOverPrimeField(_Dedekind):
     prime_element = PolyEl((0, 1))
 
     def __new__(cls, p: int):
-        if not is_prime(p):
+        if not is_proven_prime(p):
             raise BadArityError(f"{p} is not prime")
         return tuple.__new__(cls, (p,))
 

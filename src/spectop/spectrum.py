@@ -13,8 +13,9 @@ a finite set of points, or, with its `cofinite` flag set, the complement
 of one, the limit counted as an ordinary point.  The empty set has no
 points; the whole symbolic spectrum is cofinite with no points.  Every
 membership and inclusion question on these representations is
-decidable, and the subset algebra below (union, intersection,
-complement, inclusion) answers each by a frozenset operation or two.
+decidable: the subset algebra below answers each by a frozenset
+operation or two.  This module alone reads the form, the order, patch
+and stability rules included; other modules ask is_infinite.
 
 Invariant: every point inside a subset value is a point of its ring.
 Points are checked once, where they enter: the builders (explicit for a
@@ -40,9 +41,7 @@ from __future__ import annotations
 
 from . import rings
 from .errors import (
-    KindMismatchError,
-    NonEnumerableError,
-    UnsupportedSymbolicError,
+    KindMismatchError, NonEnumerableError, UnsupportedError, UnsupportedSymbolicError,
 )
 from .rings import (  # the point types are named from here too
     El,
@@ -180,6 +179,11 @@ def _member(p: PrimePoint, E: SpecSubset) -> bool:
     return (p in E.points) != E.cofinite
 
 
+def is_infinite(E: SpecSubset) -> bool:
+    """Whether E is infinite: a cofinite set, over a symbolic ring."""
+    return E.cofinite
+
+
 def subset_points(E: SpecSubset) -> list[PrimePoint]:
     """Point list of a finite subset."""
     if E.cofinite:
@@ -196,11 +200,8 @@ def subset_union(A: SpecSubset, B: SpecSubset) -> SpecSubset:
 
 
 def subset_intersect(A: SpecSubset, B: SpecSubset) -> SpecSubset:
-    if A.cofinite:
-        A, B = B, A
-    if A.cofinite:
-        return _subset(A.ring, A.points | B.points, True)
-    return _subset(A.ring, A.points - B.points if B.cofinite else A.points & B.points)
+    """The De Morgan dual of subset_union."""
+    return subset_complement(subset_union(subset_complement(A), subset_complement(B)))
 
 
 def subset_complement(E: SpecSubset) -> SpecSubset:
@@ -208,7 +209,7 @@ def subset_complement(E: SpecSubset) -> SpecSubset:
 
 
 def subset_difference(A: SpecSubset, B: SpecSubset) -> SpecSubset:
-    return subset_intersect(A, subset_complement(B))
+    return subset_complement(subset_union(subset_complement(A), B))
 
 
 def subset_le(A: SpecSubset, B: SpecSubset) -> bool:
@@ -231,6 +232,45 @@ def subset_str(E: SpecSubset) -> str:
     family = "minimal primes" if R.limit_above else "closed points"
     side = "with" if E.with_limit else "without"
     return f"all {family} except {excl}, {side} {point_str(R.limit)}"
+
+
+def order_closure(E: SpecSubset, up: bool) -> SpecSubset:
+    """The up closure of E (the primes above some member, up=True) or its
+    down closure (the primes below some member): one reach call, which
+    answers in E's own form.
+    """
+    R = E.ring
+    pts = R.reach(E.points, up, E.cofinite)
+    return whole(R) if pts is None else _subset(R, pts, E.cofinite)
+
+
+def patch_closure(E: SpecSubset) -> SpecSubset:
+    """Patch (constructible) closure; finite spectra are patch discrete."""
+    # Every family point is patch-isolated, and every patch neighbourhood of
+    # the limit holds all but finitely many family points: each V(a), a
+    # nonzero, is finite over Z and GF(p)[x], and each D(a), a a nonunit, is
+    # finite on the axes ring.  So the limit is the only point added, and
+    # only to an infinite set that lacks it; any other E is returned as is,
+    # so equal closures share their point set.
+    R = E.ring
+    return _subset(R, E.points - {R.limit}, True) if E.cofinite and R.limit in E.points else E
+
+
+SPECIALIZATION = "specialization"
+GENERALIZATION = "generalization"
+
+
+def is_stable(E: SpecSubset, mode: str) -> bool:
+    """Stability under specialization or generalization.
+
+    A set is stable when its up (down) closure, one reach call, adds no
+    point to it; when that closure is every point, only the whole
+    spectrum is.
+    """
+    if mode not in (SPECIALIZATION, GENERALIZATION):
+        raise UnsupportedError(f"unknown stability mode {mode!r}")
+    pts = E.ring.reach(E.points, mode == SPECIALIZATION, E.cofinite)
+    return pts == E.points if pts is not None else E.cofinite and not E.points
 
 
 # ---------------------------------------------------------------------------

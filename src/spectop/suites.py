@@ -24,7 +24,7 @@ from . import spectrum as sp
 from . import topology as top
 from .errors import LyingOverNotFoundError
 from .rings import IntEl, Record, RingExpr
-from .spectrum import MonoPrime, PrimePoint, SpecSubset, SuppMin, ZMax
+from .spectrum import MonoPrime, PrimePoint, SpecSubset, SuppMin, ZMax, cofinite
 
 WILD_PRIME_NOTE = (
     "finite brute force cannot reproduce the limit-point term of the "
@@ -198,7 +198,7 @@ def _strictness_remark(
     res = SuiteResult(name, seed, {})
     rep = products.strictness_demo(E, topology)
     inp = sp.subset_str(E)
-    image = sp.subset_str(sp.cofinite(E.ring, E.excluded, True))
+    image = sp.subset_str(cofinite(E.ring, E.excluded, True))
     _case(res, "image", inp, image, sp.subset_str(rep.image))
     _case(res, "closure", inp, closure, sp.subset_str(rep.closure))
     _case(res, "strict", inp, True, rep.strict)
@@ -208,7 +208,7 @@ def _strictness_remark(
 
 def suite_remark_v5(seed: int = 0) -> SuiteResult:
     """Strictness of the quotient-product image over Z, excluded prime 11."""
-    E = sp.cofinite(rings.ZZ, {ZMax(11)}, False)
+    E = cofinite(rings.ZZ, {ZMax(11)}, False)
     res = _strictness_remark("remark-v5", seed, E, top.ZARISKI, "Spec(Z)", "(11)")
     _case(
         res,
@@ -222,7 +222,7 @@ def suite_remark_v5(seed: int = 0) -> SuiteResult:
 
 def suite_remark_flat(seed: int = 0) -> SuiteResult:
     """Strictness of the localization-product image on the axes ring."""
-    E = sp.cofinite(AXES_F2, {SuppMin(7)}, False)
+    E = cofinite(AXES_F2, {SuppMin(7)}, False)
     whole = sp.subset_str(sp.whole(AXES_F2))
     return _strictness_remark("remark-flat", seed, E, top.FLAT, whole, "P_7")
 
@@ -308,7 +308,7 @@ def suite_lying_over(seed: int = 0) -> SuiteResult:
             minimals = mins
         else:
             excl = {ZMax(p) for p in rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 3))}
-            E = sp.cofinite(rings.ZZ, excl, rng.random() < 0.5)
+            E = cofinite(rings.ZZ, excl, rng.random() < 0.5)
             m = maps.CanonicalIntoLocalProduct(E)
             minimals = [sp.ZGeneric()]
         if m not in injective:
@@ -407,7 +407,7 @@ def suite_density(seed: int = 0) -> SuiteResult:
             f"{R}-{bad_mode}-witness-infinite",
             sp.subset_str(locus),
             True,
-            locus.cofinite,
+            sp.is_infinite(locus),
         )
         _case(
             res,
@@ -518,7 +518,7 @@ def _enlarge(E: SpecSubset) -> SpecSubset:
     (a point of the checked spectrum, the limit, or a sampled point), so
     the set is built through sp._subset."""
     R = E.ring
-    if E.cofinite:
+    if sp.is_infinite(E):
         return sp.whole(R)
     if not R.symbolic:
         return sp._subset(R, R._spectrum_table[:1])

@@ -3,11 +3,11 @@
 Three rules carry every closure: the up closure (the primes above some
 member), the down closure (the primes below some member) and the patch
 closure.  In a spectral space the Zariski (flat) closure of a set is the
-up (down) closure of its patch closure (Hochster 1969).  The ring gives
-the up and down closures of a set whole, finite or cofinite
-(RingExpr.reach), so no rule here walks the points of a set one by one
-or asks on which side the limit point lies.  On an enumerable spectrum
-the patch topology is discrete; on the three symbolic families the patch
+up (down) closure of its patch closure (Hochster 1969).  Those rules and
+stability read the subset form, so spectrum holds them; the ring gives
+the up and down closures of a set whole (RingExpr.reach), so no rule
+walks the points of a set one by one.  On an enumerable spectrum the
+patch topology is discrete; on the three symbolic families the patch
 closure rests on an exact statement about the ring family (finite
 vanishing loci over Z and GF(p)[x], finite non-vanishing loci on the
 infinite axes ring).  The engine refuses rather than guess when a
@@ -26,53 +26,25 @@ from .rings import (  # the density rationales are named from here too
     El,
     RingExpr,
 )
-from .spectrum import Record, SpecSubset
+from .spectrum import GENERALIZATION, SPECIALIZATION, Record, SpecSubset
+from .spectrum import is_stable, order_closure, patch_closure  # the rules that read the form
 
 ZARISKI = "zariski"
 FLAT = "flat"
 PATCH = "patch"
 TOPOLOGIES = (ZARISKI, FLAT, PATCH)
 
-SPECIALIZATION = "specialization"
-GENERALIZATION = "generalization"
-
-
-def order_closure(E: SpecSubset, up: bool) -> SpecSubset:
-    """The up closure of E (the primes above some member, up=True) or its
-    down closure (the primes below some member): one reach call, which
-    answers in E's own form.
-    """
-    R = E.ring
-    pts = R.reach(E.points, up, E.cofinite)
-    return sp.whole(R) if pts is None else sp._subset(R, pts, E.cofinite)
-
-
-def _patch(E: SpecSubset) -> SpecSubset:
-    # Every family point is patch-isolated, and every patch neighbourhood of
-    # the limit holds all but finitely many family points: each V(a), a
-    # nonzero, is finite over Z and GF(p)[x], and each D(a), a a nonunit, is
-    # finite on the axes ring.  So the limit is the only point added, and
-    # only to an infinite set that lacks it; any other E is returned as is,
-    # so equal closures share their point set.
-    R = E.ring
-    return sp._subset(R, E.points - {R.limit}, True) if E.cofinite and R.limit in E.points else E
-
-
-def patch_closure(E: SpecSubset) -> SpecSubset:
-    """Patch (constructible) closure; finite spectra are patch discrete."""
-    return _patch(E)
-
 
 def zariski_closure(E: SpecSubset) -> SpecSubset:
     """Smallest specialization-stable patch-closed superset of E: the up
     closure of its patch closure (Hochster 1969)."""
-    return order_closure(_patch(E), up=True)
+    return order_closure(patch_closure(E), up=True)
 
 
 def flat_closure(E: SpecSubset) -> SpecSubset:
     """Smallest generalization-stable patch-closed superset of E: the down
     closure of its patch closure."""
-    return order_closure(_patch(E), up=False)
+    return order_closure(patch_closure(E), up=False)
 
 
 def closure(E: SpecSubset, topology: str) -> SpecSubset:
@@ -83,19 +55,6 @@ def closure(E: SpecSubset, topology: str) -> SpecSubset:
     if topology == PATCH:
         return patch_closure(E)
     raise UnsupportedError(f"unknown topology {topology!r}")
-
-
-def is_stable(E: SpecSubset, mode: str) -> bool:
-    """Stability under specialization or generalization.
-
-    A set is stable when its up (down) closure, one reach call, adds no
-    point to it; when that closure is every point, only the whole
-    spectrum is.
-    """
-    if mode not in (SPECIALIZATION, GENERALIZATION):
-        raise UnsupportedError(f"unknown stability mode {mode!r}")
-    pts = E.ring.reach(E.points, mode == SPECIALIZATION, E.cofinite)
-    return pts == E.points if pts is not None else E.cofinite and not E.points
 
 
 def is_dense(E: SpecSubset, topology: str) -> bool:

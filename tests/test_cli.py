@@ -635,6 +635,15 @@ def test_fp_refuses_psi12(capsys):
     assert "not prime" in err
 
 
+def test_fp_refuses_a_prime_it_cannot_prove(capsys):
+    # A prime of about 100 bits that is not a Mersenne number is unproven.
+    p = primes.next_prime(2**100)
+    for kind in ("Fp", "FpPoly"):
+        code, out, err = run(capsys, "spec", "--ring", json.dumps({"kind": kind, "p": p}))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not proven prime" in err
+
+
 def test_allow_big_flag(capsys):
     big = 2**70 + 1
     code, _, err = run(capsys, "spec", "--ring", json.dumps({"kind": "Zmod", "n": big}))

@@ -22,7 +22,6 @@ from spectop.cli import run_command
 PSI_13 = 3317044064679887385961981
 FACTORS = (1287836182261, 2575672364521)
 
-CERTIFIED = "ROADMAP: Certified primes, built along one path"
 WILD = "ROADMAP: Wild primes by their contraction"
 
 ALL_CLOSED_POINTS = '{"type":"cofiniteClosed","excluded":[],"withGeneric":false}'
@@ -45,22 +44,19 @@ def refused(code, out, err) -> bool:
         pytest.param(
             ("spec", "--ring", f'{{"kind":"Fp","p":{PSI_13}}}'),
             id="fp-characteristic",
-            marks=pytest.mark.xfail(strict=True, reason=CERTIFIED),
         ),
         pytest.param(
             ("spec", "--ring", f'{{"kind":"FpPoly","p":{PSI_13}}}'),
             id="fppoly-characteristic",
-            marks=pytest.mark.xfail(strict=True, reason=CERTIFIED),
         ),
         pytest.param(
             ("closure", "--topology", "zariski", "--ring", '{"kind":"Z"}',
              "--set", f'{{"type":"explicit","points":[{{"type":"zMax","p":{PSI_13}}}]}}'),
             id="zmax-point",
-            marks=pytest.mark.xfail(strict=True, reason=CERTIFIED),
         ),
         pytest.param(
-            # Ben-Or's test of the point meets a leading coefficient with no
-            # inverse mod psi_13, which proves it composite.
+            # The characteristic is refused before Ben-Or's test of the point
+            # could meet a leading coefficient with no inverse mod psi_13.
             ("closure", "--topology", "zariski", "--ring", f'{{"kind":"FpPoly","p":{PSI_13}}}',
              "--set", '{"type":"explicit","points":[{"type":"fpxMax","coeffs":[2,0,1,1]}]}',
              "--json"),
@@ -72,7 +68,6 @@ def test_psi_13_is_refused_as_a_prime(capsys, argv):
     assert refused(*run(capsys, *argv))
 
 
-@pytest.mark.xfail(strict=True, reason=CERTIFIED)
 def test_psi_13_modulus_has_both_prime_points(capsys):
     code, out, err = run(capsys, "spec", "--ring", f'{{"kind":"Zmod","n":{PSI_13}}}',
                          "--allow-big")

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from spectop import primes
 from spectop.errors import FactorizationLimitError
 from spectop.primes import (
+    PSI_13,
     factorint,
     is_prime,
+    is_proven_prime,
     next_prime,
     prime_factors,
     primes_below,
@@ -661,6 +663,41 @@ def test_psi12_is_composite():
     assert psi12 == 399165290221 * 798330580441
     assert not is_prime(psi12)
     assert is_prime(41)
+
+
+def test_proven_prime_agrees_with_is_prime_below_psi_13(rng):
+    # Below psi_13 the proof is the Miller-Rabin run of is_prime, composite
+    # or prime, including the strong pseudoprimes psi_1..psi_12.
+    for bits in (8, 16, 32, 48, 64, 81):
+        for _ in range(40):
+            n = rng.getrandbits(bits)
+            for m in (n, next_prime(n)):
+                assert m < PSI_13 and is_proven_prime(m) == is_prime(m), m
+    for psi in primes._MR_PSI:
+        assert not is_proven_prime(psi)
+
+
+# The prime exponents e below 128 for which 2^e - 1 is prime (OEIS A000043).
+MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127)
+
+
+def test_lucas_lehmer_finds_the_mersenne_primes_below_2_128():
+    for e in primes_below(128):
+        assert primes._lucas_lehmer(e) == (e in MERSENNE_EXPONENTS), e
+        assert is_proven_prime(2**e - 1) == (e in MERSENNE_EXPONENTS), e
+
+
+def test_a_probable_prime_from_psi_13_on_is_unproven():
+    # The least prime above psi_13 is no Mersenne number: is_prime passes
+    # it, is_proven_prime refuses it, and factorint refuses to record it.
+    p = next_prime(PSI_13)
+    assert is_prime(p) and p & (p + 1)
+    with pytest.raises(FactorizationLimitError, match="not proven prime"):
+        is_proven_prime(p)
+    with pytest.raises(FactorizationLimitError, match=f"unproven {p.bit_length()}-bit cofactor"):
+        factorint(p, limit=None)
+    # A composite with a Miller-Rabin witness is proven composite.
+    assert not is_proven_prime(PSI_13 + 2)
 
 
 def test_next_prime():

@@ -75,6 +75,20 @@ def test_only_the_ring_layer_reads_the_limit_side():
     assert found == []
 
 
+def test_only_spectrum_and_jsonio_read_the_subset_form():
+    # The finite/cofinite flag is read where the form lives, with the
+    # order, patch and stability rules, and where it is encoded; every
+    # other module asks spectrum.is_infinite or one of those rules.
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name not in ("spectrum.py", "jsonio.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "cofinite"
+    ]
+    assert found == []
+
+
 def test_every_memo_table_is_bounded():
     # An lru_cache names a maxsize other than None, so a long-lived process
     # keeps bounded tables; an unbounded cache may only hold the one result

@@ -2,7 +2,7 @@ from itertools import combinations, islice
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AXES_F2, F2, F2X, PROPERTY, SUPP3, enumerable_zoo, symbolic_zoo
@@ -562,6 +562,59 @@ def _chain_sort_key(p):
         slot = (0, p.slot, ()) if isinstance(p.slot, int) else (1,) + _chain_sort_key(p.slot)
         return (3, slot, _chain_sort_key(p.inner))
     raise KindMismatchError(f"unknown point {p}")
+
+
+# Each ring with its window: every point of an enumerable spectrum, or the
+# limit and five family points of a symbolic one.
+BOOLEAN_WINDOWS = [(R, tuple(sp.spec_points(R))) for R in enumerable_zoo()] + [
+    (R, (limit, *family)) for R, (limit, family) in FAMILY_POINTS.items()
+]
+
+
+@st.composite
+def modelled_subsets(draw):
+    """A ring, its window, and three subsets, each with its model: the
+    frozenset of its members in the window, and whether it holds every
+    point outside the window.  An enumerable window is the whole spectrum,
+    so there the model is the plain frozenset of the subset's points."""
+    R, window = draw(st.sampled_from(BOOLEAN_WINDOWS))
+    subsets = []
+    for _ in range(3):
+        inside = frozenset(draw(st.sets(st.sampled_from(window))))
+        if R.symbolic and draw(st.booleans()):
+            family = frozenset(window) - {R.limit}
+            subsets.append((sp.cofinite(R, family - inside, R.limit in inside), (inside, True)))
+        else:
+            subsets.append((sp.explicit(R, inside), (inside, False)))
+    return R, window, subsets
+
+
+@settings(PROPERTY, max_examples=300)
+@given(modelled_subsets())
+def test_boolean_laws_on_both_forms(case):
+    R, window, subsets = case
+    union, meet, comp = sp.subset_union, sp.subset_intersect, sp.subset_complement
+    whole, empty = sp.whole(R), sp.empty_set(R)
+
+    def model(E):
+        return frozenset(p for p in window if sp._member(p, E)), sp.is_infinite(E)
+
+    for E, m in subsets:
+        assert model(E) == m
+    (A, (a, ia)), (B, (b, ib)), (D, _) = subsets
+    # The operations against the model; no enumerable subset is infinite.
+    assert model(union(A, B)) == (a | b, ia or ib)
+    assert model(meet(A, B)) == (a & b, ia and ib)
+    assert model(comp(A)) == (frozenset(window) - a, R.symbolic and not ia)
+    assert model(sp.subset_difference(A, B)) == (a - b, ia and not ib)
+    assert sp.subset_le(A, B) == (a <= b and (ib or not ia))
+    # De Morgan, absorption, complement, distributivity and inclusion.
+    assert comp(union(A, B)) == meet(comp(A), comp(B))
+    assert comp(meet(A, B)) == union(comp(A), comp(B))
+    assert union(A, meet(A, B)) == A == meet(A, union(A, B))
+    assert union(A, comp(A)) == whole and meet(A, comp(A)) == empty and comp(comp(A)) == A
+    assert meet(A, union(B, D)) == union(meet(A, B), meet(A, D))
+    assert sp.subset_le(A, B) == (union(A, B) == B) == (meet(A, B) == A)
 
 
 SORTED_RINGS = enumerable_zoo() + symbolic_zoo() + [
