@@ -13,24 +13,20 @@ its human text as zero-argument functions, and _print calls one of them.
 COMMANDS is the one table of the command line: each command's handler,
 help text, positionals and options (flag, dest, kind, choices, required,
 default, help); --json, --allow-big and --traceback are common to all.
-parse_args reads argv once, left to right, by the rules of Python 3.11's
-standard-library parser, which the tests keep as the reference: an exact
-flag is one dict lookup, "--flag=value" splits at the first "=", a "--"
-token that names no flag may abbreviate exactly one, the last of repeated
-options wins, positionals may stand before or after options, a value may
-not look like an option (a negative number may), and every token after
-"--" is an argument ("--" itself counts as an extra argument unless it
-stands next to a positional).  -h/--help prints help built from the
-table and exits 0.  A usage error (no or unknown command, unknown or
-ambiguous option, missing value or required option, bad choice or int,
-extra argument) prints a usage line and an error line to stderr and
-raises SystemExit(2).
+parse_args reads argv once, left to right.  argv[0] is the command or
+-h/--help.  Each later token is an exact flag of that command (a value
+option takes the next token as its value, whatever it is; a switch
+stores its const), or -h/--help, which prints help built from the table
+and exits 0, or else the next positional if it does not start with "-",
+or else an unrecognized argument.  The last of repeated options wins.
+A usage error (no or unknown command, unrecognized argument, missing
+value or required option, bad choice or int) prints a usage line and an
+error line to stderr and raises SystemExit(2).
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from types import SimpleNamespace
 from typing import Callable, NoReturn
@@ -61,10 +57,16 @@ def _load_subset(args) -> sp.SpecSubset:
 
 
 def _field_from_name(name: str):
+    """Q, or F followed by ASCII digits: the prime field of that order."""
     if name.upper() == "Q":
         return rings.QQ
-    if name.upper().startswith("F") and name[1:].isdecimal():
-        return rings.prime_field(int(name[1:]))
+    digits = name[1:]
+    if name[:1] in ("F", "f") and digits.isascii() and digits.isdigit():
+        try:
+            p = int(digits)
+        except ValueError as exc:  # more digits than int() reads
+            raise SpectopError(f"bad field order: {exc}") from exc
+        return rings.prime_field(p)
     raise SpectopError(f"unknown field {name!r}; use Q or F<p>")
 
 
@@ -301,13 +303,11 @@ _EVERY = {  # the positionals and options of each command, built once
 _DEFAULTS = {name: {o.dest: o.default for o in every} for name, every in _EVERY.items()}
 _REQUIRED = {name: tuple(o for o in every if o.required) for name, every in _EVERY.items()}
 _HELP = _Opt("--help", "help", _SWITCH, help="show this help message and exit")
-_UNKNOWN = _Opt("", "")
 _COMMAND = _Opt("command", "command", choices=tuple(COMMANDS), required=True)
-_FLAGS = {None: {"-h": _HELP, "--help": _HELP}} | {  # the flags of each command
+_FLAGS = {  # the flags of each command
     name: {o.flag: o for o in (*cmd.options, *_COMMON, _HELP)} | {"-h": _HELP}
     for name, cmd in COMMANDS.items()
 }
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a negative number is an argument
 
 
 def _term(o: _Opt) -> str:
@@ -352,75 +352,35 @@ def _value(o: _Opt, text: str, name: str | None):
     return value
 
 
-def _lookup(tok: str, flags: dict, name: str | None) -> tuple[_Opt, str | None] | None:
-    """The option tok names and its "=value" (None if it has none),
-    _UNKNOWN for an option no flag names, or None for an argument."""
-    o = flags.get(tok)
-    if o is not None:
-        return o, None
-    if tok[:1] != "-" or tok == "-":
-        return None
-    head, eq, value = tok.partition("=")
-    o = flags.get(head)
-    if o is None and tok.startswith("--"):  # a unique prefix of a flag
-        hits = [flag for flag in flags if flag.startswith(head)]
-        if len(hits) > 1:
-            _usage_error(name, f"ambiguous option: {head} could match {', '.join(hits)}")
-        o = flags[hits[0]] if hits else None
-    elif o is None:  # "-hx" is -h given "x"
-        o, eq, value = flags.get(tok[:2]), True, tok[2:]
-    if o is not None:
-        return o, value if eq else None
-    return None if _NEGATIVE.match(tok) or " " in tok else (_UNKNOWN, None)
-
-
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The handler and the attributes it reads, from argv in one pass by
-    the rules in the module docstring."""
-    name, flags, waiting = None, _FLAGS[None], [_COMMAND]
-    given, extras, only_args, filled, i = {}, [], False, 0, 0
-    while i < len(argv):
-        tok, i = argv[i], i + 1
-        if tok == "--" and name and not only_args:  # the rest are arguments
-            only_args = True
-            if not waiting and filled != i - 1:  # kept only next to a positional
+    the grammar in the module docstring."""
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        print(_help(None))
+        raise SystemExit(0)
+    name = _value(_COMMAND, argv[0], None)
+    flags, positionals = _FLAGS[name], iter(COMMANDS[name].positionals)
+    given, extras, tokens = {}, [], iter(argv[1:])
+    for tok in tokens:
+        o = flags.get(tok)
+        if o is None:
+            o = None if tok[:1] == "-" else next(positionals, None)
+            if o is None:
                 extras.append(tok)
-            continue
-        hit = None if only_args or tok == "--" else _lookup(tok, flags, name)
-        if hit is None:  # an argument: the next positional, or an extra
-            if not waiting:
-                extras.append(tok)
-                continue
-            o, filled = waiting.pop(0), i
-            value = _value(o, tok, name)
-            if o is _COMMAND:
-                name, flags, waiting = value, _FLAGS[value], list(COMMANDS[value].positionals)
             else:
-                given[o.dest] = value
-            continue
-        o, value = hit
-        if o is _UNKNOWN:
-            extras.append(tok)
-        elif o.kind != _SWITCH:
-            if value is None:
-                value = argv[i] if i < len(argv) else "--"
-                if value[:1] == "-" and (value == "--" or _lookup(value, flags, name)):
-                    _usage_error(name, f"argument {o.flag}: expected one argument")
-                i += 1
-            given[o.dest] = _value(o, value, name)
-        elif value is not None:
-            _usage_error(name, f"argument {o.flag}: ignored explicit argument {value!r}")
+                given[o.dest] = _value(o, tok, name)
         elif o is _HELP:
-            for later in argv[i:]:  # an ambiguous option after it is refused first
-                if later == "--":
-                    break
-                _lookup(later, flags, name)
             print(_help(name))
             raise SystemExit(0)
-        else:
+        elif o.kind == _SWITCH:
             given[o.dest] = o.const
-    if name is None:
-        _usage_error(None, "the following arguments are required: command")
+        else:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(name, f"argument {o.flag}: expected one argument")
+            given[o.dest] = _value(o, value, name)
     missing = [o.flag for o in _REQUIRED[name] if o.dest not in given]
     if missing:
         _usage_error(name, f"the following arguments are required: {', '.join(missing)}")

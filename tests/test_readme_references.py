@@ -3,15 +3,18 @@
 Every backticked dotted reference `module.name` in README.md whose module
 is a spectop module must resolve with getattr, so a change that deletes or
 renames a function the README still names fails here.  File names such as
-`rings.py` are not references, and fenced code blocks are skipped.
+`rings.py` are not references, and fenced code blocks are skipped.  Every
+`spectop ...` line of the README's sh blocks must parse.
 """
 
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import spectop
+from spectop import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +42,17 @@ def test_every_readme_reference_resolves():
         if obj is None:
             missing.append(ref)
     assert missing == []
+
+
+
+def test_every_readme_command_line_parses():
+    # Each `spectop ...` line of the sh blocks, continuations joined and
+    # any "> file" dropped; together they show every command.
+    commands = set()
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["spectop"]:
+                argv = words[1:words.index(">")] if ">" in words else words[1:]
+                commands.add(cli.parse_args(argv).command)
+    assert commands == set(cli.COMMANDS)
